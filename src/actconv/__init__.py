@@ -28,7 +28,12 @@ from .bounds import (
     omega_argument,
     taylor_bound,
 )
-from .errors import FlaggedApproximantError, HypothesisNotMetError, QuadratureNonConvergedError
+from .errors import (
+    FlaggedApproximantError,
+    HypothesisNotMetError,
+    NonFiniteSampleError,
+    QuadratureNonConvergedError,
+)
 from .kernel import KernelParams, g, moment_bound, nu, psi, psi_envelope, tail_mass_bound
 from .operators import (
     GridApproximant,

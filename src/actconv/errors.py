@@ -5,6 +5,10 @@ class HypothesisNotMetError(ValueError):
     """A stated hypothesis of a bound is violated (e.g. n**(1 - alpha) > 2)."""
 
 
+class NonFiniteSampleError(ValueError):
+    """The function under an operator returned NaN or an infinity at a sample point."""
+
+
 class QuadratureNonConvergedError(RuntimeError):
     """An adaptive integration ran out of subdivisions before meeting tolerance."""
 

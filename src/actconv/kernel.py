@@ -101,11 +101,14 @@ def nu(params: KernelParams, x) -> float | np.ndarray:
     return _ret(out, scalar)
 
 
-def _g_right(q: float, beta: float, t: np.ndarray) -> np.ndarray:
+def _g_of_w(w: np.ndarray, beta: float) -> np.ndarray:
     # Cancellation-free form of (nu(t+1) - nu(t-1)) / 4, valid for t >= 0.
     # With w = q e^{-beta t}: g = w sinh(beta) / (1 + 2 w cosh(beta) + w^2).
-    w = q * np.exp(-beta * t)
     return w * math.sinh(beta) / (1.0 + 2.0 * math.cosh(beta) * w + w * w)
+
+
+def _g_right(q: float, beta: float, t: np.ndarray) -> np.ndarray:
+    return _g_of_w(q * np.exp(-beta * t), beta)
 
 
 def g(params: KernelParams, x) -> float | np.ndarray:
@@ -132,8 +135,10 @@ def psi(params: KernelParams, x) -> float | np.ndarray:
     point.
     """
     arr, scalar = _prepare(x)
-    t = np.abs(arr)
-    out = 0.5 * (_g_right(params.q, params.beta, t) + _g_right(1.0 / params.q, params.beta, t))
+    # g_q and g_{1/q} share e^{-beta |x|}; forming w = q e and (1/q) e from
+    # one exponential gives the same bits as two calls of _g_right
+    e = np.exp(-params.beta * np.abs(arr))
+    out = 0.5 * (_g_of_w(params.q * e, params.beta) + _g_of_w((1.0 / params.q) * e, params.beta))
     return _ret(out, scalar)
 
 

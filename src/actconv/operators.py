@@ -35,7 +35,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from . import kernel
-from .errors import FlaggedApproximantError, QuadratureNonConvergedError
+from .errors import FlaggedApproximantError, NonFiniteSampleError, QuadratureNonConvergedError
 from .kernel import KernelParams
 from .quadrature import (
     DEFAULT_CONFIG,
@@ -211,6 +211,12 @@ def _apply_scalar(f: TestFunction, spec: OperatorSpec, x: float, cfg: Quadrature
         return np.asarray(sample(x - h / n), dtype=float) * kernel.psi(params, h)
 
     res = integrate_real_line(integrand, TailEnvelope(params, max(scale, 1.0)), cfg)
+    # psi is finite, so a non-finite integral comes from the samples
+    if not math.isfinite(res.value):
+        raise NonFiniteSampleError(
+            f"sample function is not finite within the kernel window "
+            f"(operator={spec.kind.value}, x={x}, n={n})"
+        )
     if not res.converged:
         raise QuadratureNonConvergedError(
             f"operator quadrature did not converge (operator={spec.kind.value}, x={x}, n={n})"
@@ -248,31 +254,54 @@ def apply_derivative(f: TestFunction, spec: OperatorSpec, k: int, x: float, cfg:
 
 
 class _Panel:
-    __slots__ = ("a", "b", "values", "errors", "err_max")
+    __slots__ = ("a", "b", "start", "stop", "values", "errors", "err_max")
 
-    def __init__(self, a, b, values, errors):
+    def __init__(self, a, b, start, stop, values, errors):
         self.a = a
         self.b = b
+        self.start = start
+        self.stop = stop
         self.values = values
         self.errors = errors
-        self.err_max = float(errors.max())
+        self.err_max = float(errors.max()) if errors.size else 0.0
 
 
-def _panel_batch(sample, params: KernelParams, n: int, xs: np.ndarray, a: float, b: float) -> _Panel:
+def _panel_batch(sample, spec: OperatorSpec, xs: np.ndarray, reach: float, a: float, b: float) -> _Panel:
+    """K15 values and per-point K15 - G7 errors of panel [a, b] at the points
+    of the sorted grid ``xs`` within ``reach`` of it, the slice
+    xs[start:stop]; the kernel mass the panel puts on the other points lies
+    outside the truncation window."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     u = mid + half * GK15_NODES
     fu = np.asarray(sample(u), dtype=float)
-    weight_matrix = kernel.psi(params, n * (xs[:, None] - u[None, :]))
+    finite = np.isfinite(fu)
+    if not finite.all():
+        raise NonFiniteSampleError(
+            f"sample function is not finite at u={float(u[int(np.argmin(finite))])!r} "
+            f"(operator={spec.kind.value}, n={spec.n})"
+        )
+    start = int(np.searchsorted(xs, a - reach, side="left"))
+    stop = int(np.searchsorted(xs, b + reach, side="right"))
+    n = spec.n
+    weight_matrix = kernel.psi(spec.params, n * (xs[start:stop, None] - u[None, :]))
     scale = half * n
     k15 = scale * (weight_matrix @ (GK15_WEIGHTS * fu))
     g7 = scale * (weight_matrix @ (G7_WEIGHTS * fu))
-    return _Panel(a, b, k15, np.abs(k15 - g7))
+    return _Panel(a, b, start, stop, k15, np.abs(k15 - g7))
+
+
+def _grid_totals(panels: list[_Panel], size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-point sums of the panels' values and error estimates, in list order."""
+    values = np.zeros(size)
+    errors = np.zeros(size)
+    for p in panels:
+        values[p.start:p.stop] += p.values
+        errors[p.start:p.stop] += p.errors
+    return values, errors
 
 
 _MAX_REFINE_ROUNDS = 48
-_MAX_SEED_PANELS = 512
-_MAX_KINK_SEEDS = 256
 
 
 def apply_on_grid(f: TestFunction, spec: OperatorSpec, xs, cfg: QuadratureConfig | None = None) -> np.ndarray:
@@ -281,7 +310,12 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec, xs, cfg: QuadratureConfig
     All points share a single panel decomposition in the sample variable;
     panels are seeded at the kernel's resolution scale 1/n plus the sample
     function's kink locations, then bisected greedily until the worst
-    point's accumulated error estimate meets tolerance.
+    point's accumulated error estimate meets tolerance.  Each panel is
+    evaluated only on the grid points within R/n of it, R the truncation
+    radius, and panels are seeded only where they reach a grid point.
+    Seeds and splits together may use ``cfg.max_subdivisions`` panels per
+    kernel window of width 2R/n spanned by the points' windows
+    [x - R/n, x + R/n].  ``xs`` need not be sorted.
     """
     cfg = cfg or DEFAULT_CONFIG
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -290,67 +324,63 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec, xs, cfg: QuadratureConfig
     if not np.all(np.isfinite(xs)):
         raise ValueError("grid points must be finite")
     sample, kinks, scale = _transformed(f, spec)
-    params, n = spec.params, spec.n
+    n = spec.n
 
     eps = min(max(cfg.truncation_eps / max(scale, 1.0), 1e-300), 0.5)
-    radius = truncation_radius(params, eps)
-    lo = float(xs.min()) - radius / n
-    hi = float(xs.max()) + radius / n
+    radius = truncation_radius(spec.params, eps)
+    reach = radius / n
+    order = np.argsort(xs, kind="stable")
+    grid = xs[order]
 
-    count = int(np.ceil((hi - lo) * n))
-    count = max(2, min(max(count, 8), _MAX_SEED_PANELS, cfg.max_subdivisions))
-    edges = np.linspace(lo, hi, count + 1)
-    kink_budget = min(_MAX_KINK_SEEDS, max(0, cfg.max_subdivisions - count))
-    inner = sorted({k for k in kinks if lo < k < hi})[:kink_budget]
-    if inner:
-        edges = np.unique(np.concatenate((edges, np.asarray(inner))))
+    # seed only the union of the points' kernel windows [x - R/n, x + R/n]:
+    # a panel anywhere else reaches no grid point
+    breaks = np.flatnonzero(np.diff(grid) > 2.0 * reach)
+    lows = np.concatenate((grid[:1], grid[breaks + 1])) - reach
+    highs = np.concatenate((grid[breaks], grid[-1:])) + reach
+    seeds = []
+    budget = 0
+    for lo, hi in zip(lows.tolist(), highs.tolist()):
+        cap = cfg.max_subdivisions * math.ceil((hi - lo) * n / (2.0 * radius))
+        count = max(2, min(max(math.ceil((hi - lo) * n), 8), cap))
+        edges = np.linspace(lo, hi, count + 1)
+        inner = sorted({k for k in kinks if lo < k < hi})[: max(0, cap - count)]
+        if inner:
+            edges = np.unique(np.concatenate((edges, np.asarray(inner))))
+        seeds += zip(edges[:-1], edges[1:])
+        budget += cap
 
-    panels = [
-        _panel_batch(sample, params, n, xs, edges[i], edges[i + 1])
-        for i in range(len(edges) - 1)
-    ]
-
-    converged = True
+    # the list stays in ascending order of a (splits replace a panel by its
+    # halves in place), so every total sums in one deterministic order
+    panels = [_panel_batch(sample, spec, grid, reach, a, b) for a, b in seeds]
     for _ in range(_MAX_REFINE_ROUNDS):
-        total_err = np.zeros_like(xs)
-        total_val = np.zeros_like(xs)
-        for p in panels:
-            total_err += p.errors
-            total_val += p.values
+        total_val, total_err = _grid_totals(panels, grid.size)
         tol = max(cfg.abs_tol, cfg.rel_tol * float(np.abs(total_val).max()))
-        worst = float(total_err.max())
-        if worst <= tol:
-            break
+        if float(total_err.max()) <= tol:
+            out = np.empty_like(total_val)
+            out[order] = total_val
+            return out
         peak = max(p.err_max for p in panels)
         cutoff = max(0.25 * peak, tol / (4.0 * len(panels)))
-        to_split = [p for p in panels if p.err_max >= cutoff and (p.b - p.a) > 1e-14]
-        if not to_split or len(panels) + len(to_split) > cfg.max_subdivisions:
-            converged = False
+        split = [p.err_max >= cutoff and (p.b - p.a) > 1e-14 for p in panels]
+        n_split = sum(split)
+        if not n_split or len(panels) + n_split > budget:
             break
-        keep = [p for p in panels if p not in set(to_split)]
-        for p in to_split:
-            mid = 0.5 * (p.a + p.b)
-            keep.append(_panel_batch(sample, params, n, xs, p.a, mid))
-            keep.append(_panel_batch(sample, params, n, xs, mid, p.b))
-        panels = keep
-    else:
-        converged = False
+        refined = []
+        for p, halve in zip(panels, split):
+            if halve:
+                mid = 0.5 * (p.a + p.b)
+                refined.append(_panel_batch(sample, spec, grid, reach, p.a, mid))
+                refined.append(_panel_batch(sample, spec, grid, reach, mid, p.b))
+            else:
+                refined.append(p)
+        panels = refined
 
-    if not converged:
-        total_err = np.zeros_like(xs)
-        for p in panels:
-            total_err += p.errors
-        worst_x = float(xs[int(np.argmax(total_err))])
-        raise QuadratureNonConvergedError(
-            f"operator quadrature did not converge on the grid "
-            f"(operator={spec.kind.value}, x={worst_x}, n={n})"
-        )
-
-    panels.sort(key=lambda p: p.a)
-    out = np.zeros_like(xs)
-    for p in panels:
-        out += p.values
-    return out
+    _, total_err = _grid_totals(panels, grid.size)
+    worst_x = float(grid[int(np.argmax(total_err))])
+    raise QuadratureNonConvergedError(
+        f"operator quadrature did not converge on the grid "
+        f"(operator={spec.kind.value}, x={worst_x}, n={n})"
+    )
 
 
 def central_moment(spec: OperatorSpec, x: float, k: int, cfg: QuadratureConfig | None = None) -> float:
@@ -366,24 +396,24 @@ def central_moment(spec: OperatorSpec, x: float, k: int, cfg: QuadratureConfig |
     params, n = spec.params, spec.n
     k = int(k)
 
+    # integrate the n-free polynomial and scale by n^-k afterwards, so the
+    # tolerance applies to a quantity of size one at every n
     if spec.kind is OperatorKind.BASIC:
         def integrand(h):
-            return (-h / n) ** k * kernel.psi(params, h)
+            return (-h) ** k * kernel.psi(params, h)
         degree = k
     elif spec.kind is OperatorKind.KANTOROVICH:
-        # inner integral of (t - h/n)^k over [0, 1/n], done in closed form
-        coeff = n ** (-k) / (k + 1.0)
-
+        # inner integral of (t - h)^k over [0, 1], done in closed form
         def integrand(h):
-            return coeff * ((1.0 - h) ** (k + 1) - (-h) ** (k + 1)) * kernel.psi(params, h)
+            return ((1.0 - h) ** (k + 1) - (-h) ** (k + 1)) / (k + 1.0) * kernel.psi(params, h)
         degree = k + 1
     else:
-        shifts = np.arange(1, spec.r + 1) / (n * spec.r)
+        shifts = np.arange(1, spec.r + 1) / spec.r
         wq = np.asarray(spec.weights, dtype=float)
 
         def integrand(h):
             h = np.asarray(h, dtype=float)
-            poly = ((shifts - h[..., None] / n) ** k) @ wq
+            poly = ((shifts - h[..., None]) ** k) @ wq
             return poly * kernel.psi(params, h)
         degree = k
 
@@ -393,7 +423,7 @@ def central_moment(spec: OperatorSpec, x: float, k: int, cfg: QuadratureConfig |
         raise QuadratureNonConvergedError(
             f"central moment quadrature did not converge (operator={spec.kind.value}, k={k}, n={n})"
         )
-    return res.value
+    return res.value * float(n) ** -k
 
 
 def _chebyshev_nodes(a: float, b: float, count: int) -> np.ndarray:

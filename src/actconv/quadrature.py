@@ -87,6 +87,9 @@ class QuadratureConfig:
 
     ``truncation_eps`` is the kernel mass allowed outside the truncation
     window of a real-line integral; it should sit below ``abs_tol``.
+    ``max_subdivisions`` caps the splits of one ``integrate_interval`` call,
+    and the panels per kernel window (width 2R/n, R the truncation radius)
+    in the grid engine ``operators.apply_on_grid``.
     """
 
     abs_tol: float = 1e-10

@@ -135,6 +135,18 @@ class TestPsi:
         xs = np.linspace(-10.0, 10.0, 201)
         np.testing.assert_allclose(psi(p, xs), g(p, xs), rtol=1e-15, atol=0)
 
+    def test_even_average_of_g_bit_exact(self):
+        """psi shares one exponential between g_q and g_{1/q} without
+        changing a bit of (g_q(|x|) + g_{1/q}(|x|)) / 2."""
+        rng = np.random.default_rng(7)
+        xs = np.concatenate(([0.0], rng.uniform(-60.0, 60.0, size=5_000)))
+        qs = 10.0 ** rng.uniform(-6.0, 6.0, 40)
+        betas = 10.0 ** rng.uniform(math.log10(0.05), math.log10(20.0), 40)
+        for q, beta in zip(qs, betas):
+            p = KernelParams(q, beta)
+            expected = 0.5 * (g(p, np.abs(xs)) + g(KernelParams(1.0 / q, beta), np.abs(xs)))
+            np.testing.assert_array_equal(psi(p, xs), expected)
+
     def test_center_value_frozen(self):
         # (g_2(0) + g_{1/2}(0)) / 2 at beta = 1, 50-digit oracle
         assert psi(KernelParams(2.0, 1.0), 0.0) == pytest.approx(0.21037724063443275, abs=1e-16)

@@ -6,6 +6,7 @@ shared-panel grid path and against brute-force sample-space quadrature.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from actconv import (
     FlaggedApproximantError,
     KernelParams,
+    NonFiniteSampleError,
     QuadratureConfig,
     QuadratureNonConvergedError,
     apply,
@@ -44,6 +46,18 @@ B32 = OperatorSpec(OperatorKind.BASIC, 32, P11)
 K32 = OperatorSpec(OperatorKind.KANTOROVICH, 32, P11)
 Q32 = OperatorSpec(OperatorKind.QUADRATURE, 32, P11, weights=(0.25, 0.25, 0.25, 0.25))
 ALL_SPECS = [B32, K32, Q32]
+
+# sin, but NaN from 0.5 on
+NAN_RIGHT = TestFunction.from_callable(
+    "nan_right", lambda x: np.where(np.asarray(x) > 0.5, np.nan, np.sin(x)), 1.0
+)
+
+
+def sin_factor(n, params):
+    """c_n with B_n(sin) = c_n sin: the characteristic function of psi at 1/n."""
+    q, beta = params.q, params.beta
+    damping = math.pi * math.sin(1.0 / n) / (beta * math.sinh(math.pi / (beta * n)))
+    return math.cos(math.log(q) / (beta * n)) * damping
 
 
 class TestOperatorSpec:
@@ -183,6 +197,10 @@ class TestPointEvaluation:
         with pytest.raises(ValueError):
             apply(SIN, B32, math.nan)
 
+    def test_non_finite_sample_named(self):
+        with pytest.raises(NonFiniteSampleError, match=r"operator=basic, x=0\.7, n=32"):
+            apply(NAN_RIGHT, B32, 0.7)
+
 
 class TestApplyOnGrid:
     def test_matches_function_shape(self):
@@ -208,6 +226,37 @@ class TestApplyOnGrid:
         cfg = QuadratureConfig(max_subdivisions=4, truncation_eps=1e-13)
         with pytest.raises(QuadratureNonConvergedError, match="n=32"):
             apply_on_grid(ABS, B32, np.linspace(-1, 1, 5), cfg)
+
+    @pytest.mark.parametrize("n, q, beta", [(1000, 1.0, 1.0), (49, 1.0, 20.0), (400, 0.5, 2.0)])
+    def test_high_resolution_and_sharp_kernels(self, grid, n, q, beta):
+        """The panel budget grows with the grid's extent in kernel windows,
+        so large n and steep kernels converge on the default grid."""
+        spec = OperatorSpec(OperatorKind.BASIC, n, KernelParams(q, beta))
+        xs = np.append(grid.points, 0.7)
+        out = apply_on_grid(SIN, spec, xs)
+        np.testing.assert_allclose(out, sin_factor(n, spec.params) * np.sin(xs), rtol=0, atol=1e-10)
+        assert out[-1] == pytest.approx(apply(SIN, spec, 0.7), abs=2e-10)
+
+    def test_sparse_grid(self):
+        """Panels are seeded only within the points' kernel windows, so
+        points far apart are covered like points close together."""
+        spec = OperatorSpec(OperatorKind.BASIC, 1000, P11)
+        xs = np.array([-3.0, 3.0])
+        expected = sin_factor(1000, P11) * np.sin(xs)
+        np.testing.assert_allclose(apply_on_grid(SIN, spec, xs), expected, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(apply_on_grid(ONE, spec, [-1e5, 0.0, 1e5]), 1.0, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind.value)
+    def test_unsorted_grid(self, spec):
+        xs = np.linspace(-2, 2, 41)
+        perm = np.random.default_rng(3).permutation(xs.size)
+        expected = apply_on_grid(ABS, spec, xs)[perm]
+        np.testing.assert_allclose(apply_on_grid(ABS, spec, xs[perm]), expected, rtol=0, atol=1e-14)
+
+    def test_non_finite_sample_named(self):
+        with pytest.raises(NonFiniteSampleError, match="operator=basic") as err:
+            apply_on_grid(NAN_RIGHT, B32, np.linspace(-1, 1, 5))
+        assert float(re.search(r"u=(\S+) ", str(err.value)).group(1)) > 0.5
 
 
 class TestOperatorProperties:
@@ -300,6 +349,21 @@ class TestCentralMoment:
         assert abs(central_moment(spec, 0.0, k)) <= central_moment_bound(
             spec.kind, k, spec.params, spec.n
         )
+
+    @pytest.mark.parametrize("params", [P11, KernelParams(2.0, 0.5)], ids=["q1b1", "q2b0.5"])
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind.value)
+    def test_scaled_moments_independent_of_n(self, spec, params):
+        """n^k times the k-th moment does not depend on n, also where the
+        moment itself drops below the absolute tolerance."""
+        for k in (1, 2, 3, 4):
+            scaled = [
+                n**k * central_moment(OperatorSpec(spec.kind, n, params, weights=spec.weights), 0.0, k)
+                for n in (9, 274, 353, 1000)
+            ]
+            if spec.kind is OperatorKind.BASIC and k % 2:
+                np.testing.assert_allclose(scaled, 0.0, rtol=0, atol=1e-12)
+            else:
+                np.testing.assert_allclose(scaled, scaled[0], rtol=1e-9, atol=0)
 
     def test_k_validation(self):
         with pytest.raises(ValueError):
