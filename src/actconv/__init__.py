@@ -34,7 +34,7 @@ from .errors import (
     NonFiniteSampleError,
     QuadratureNonConvergedError,
 )
-from .kernel import KernelParams, g, moment_bound, nu, psi, psi_envelope, tail_mass_bound
+from .kernel import KernelParams, g, moment_bound, nu, psi, psi_envelope, tail_mass_bound, window_edge
 from .operators import (
     GridApproximant,
     OperatorKind,

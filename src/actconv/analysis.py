@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds as bounds_mod
-from .kernel import KernelParams
+from .errors import HypothesisNotMetError
+from .kernel import KernelParams, window_edge
 from .operators import OperatorKind, OperatorSpec, TestFunction, apply_on_grid
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
@@ -166,7 +167,11 @@ def run_convergence_sweep(
     records = []
     for n in sorted(int(v) for v in ns):
         spec = OperatorSpec(kind=kind, n=n, params=params, alpha=alpha, weights=weights)
-        hypothesis_met = float(n) ** (1.0 - alpha) > 2.0
+        try:
+            window_edge(n, alpha)
+            hypothesis_met = True
+        except HypothesisNotMetError:
+            hypothesis_met = False
         start = time.perf_counter()
         note = ""
         measured = math.nan

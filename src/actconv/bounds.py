@@ -12,8 +12,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import HypothesisNotMetError
-from .kernel import KernelParams, moment_bound
+from .kernel import KernelParams, moment_bound, window_edge
 from .operators import OperatorKind
 
 __all__ = [
@@ -65,17 +64,6 @@ class BoundReport:
             raise ValueError(f"bound value must be nonnegative, got {self.value!r}")
 
 
-def _check_hypothesis(n: int, alpha: float) -> float:
-    if not (0.0 < alpha < 1.0):
-        raise HypothesisNotMetError(f"alpha must lie in (0, 1), got {alpha!r}")
-    m = float(n) ** (1.0 - alpha)
-    if m <= 2.0:
-        raise HypothesisNotMetError(
-            f"requires n**(1 - alpha) > 2; got n={n}, alpha={alpha}, n**(1 - alpha)={m:.6g}"
-        )
-    return m
-
-
 def omega_argument(kind: OperatorKind | str, n: int, alpha: float) -> float:
     """The modulus argument of the first-order bound: 1/n^alpha for the
     basic kind, 1/n + 1/n^alpha for the kantorovich and quadrature kinds."""
@@ -102,7 +90,7 @@ def jackson_bound(
     ``omega_argument`` for this kind.
     """
     kind = OperatorKind(kind)
-    m = _check_hypothesis(n, alpha)
+    m = window_edge(n, alpha)
     if omega_at < 0 or sup_norm < 0:
         raise ValueError("omega_at and sup_norm must be nonnegative")
     tail = 2.0 * params.q_sum * sup_norm * math.exp(-params.beta * (m - 1.0))
@@ -153,7 +141,7 @@ def taylor_bound(
     kind = OperatorKind(kind)
     if not (isinstance(N, int) and N >= 1):
         raise ValueError(f"N must be a positive integer, got {N!r}")
-    m = _check_hypothesis(n, alpha)
+    m = window_edge(n, alpha)
     if omega_N < 0 or sup_norm_fN < 0:
         raise ValueError("omega_N and sup_norm_fN must be nonnegative")
     q_sum, beta = params.q_sum, params.beta

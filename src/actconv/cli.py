@@ -25,11 +25,11 @@ import configparser
 import json
 import math
 from pathlib import Path
+from typing import NamedTuple
 
 import click
 import numpy as np
 from click.core import ParameterSource
-from scipy.optimize import minimize_scalar
 
 from . import bounds as bounds_mod
 from . import kernel
@@ -40,7 +40,7 @@ from .analysis import (
     get_test_function,
     run_convergence_sweep,
 )
-from .errors import HypothesisNotMetError
+from .errors import FlaggedApproximantError, HypothesisNotMetError
 from .kernel import KernelParams
 from .operators import (
     OperatorKind,
@@ -53,7 +53,6 @@ from .operators import (
 from .quadrature import QuadratureConfig, TailEnvelope, integrate_interval, integrate_real_line, moment_truncation_radius
 from .svgplot import Series, render_loglog
 
-_ALL_KINDS = ("basic", "kantorovich", "quadrature")
 _DEFAULT_WEIGHTS = "0.25,0.25,0.25,0.25"
 _RESIDUAL_CEILING = 1e-6
 
@@ -62,6 +61,15 @@ def _fmt(x) -> str:
     if x is None:
         return "nan"
     return format(float(x), ".17g")
+
+
+def _cell(value) -> str:
+    """CSV form of a summary value: lower-case booleans, ';'-joined lists."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, list):
+        return ";".join(str(v) for v in value)
+    return str(value) if isinstance(value, int) else _fmt(value)
 
 
 def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
@@ -197,15 +205,63 @@ def _resolve_functions(names) -> list:
         raise click.UsageError(str(exc.args[0]))
 
 
-def _kind_weights(kind: str, weights_text: str):
-    if kind != "quadrature":
+def _kinds(kw) -> list[tuple[str, tuple[float, ...] | None]]:
+    """Every --kind with its weights, checked by OperatorKind and OperatorSpec
+    before any sweep runs (config-file values bypass click's types)."""
+    pairs = []
+    for name in kw["kinds"]:
+        try:
+            kind = OperatorKind(name)
+        except ValueError:
+            known = ", ".join(k.value for k in OperatorKind)
+            raise click.UsageError(f"--kind must be one of {known}, got {name!r}")
+        weights = _parse_floats(kw["weights"], "--weights") if kind is OperatorKind.QUADRATURE else None
+        try:
+            OperatorSpec(kind, 1, KernelParams(), kw["alpha"], weights)
+        except ValueError as exc:
+            raise click.UsageError(str(exc))
+        pairs.append((kind.value, weights))
+    return pairs
+
+
+class _Table(NamedTuple):
+    """Rows of one CSV file, with the ``render_loglog`` arguments of its SVG
+    plot when it has one."""
+
+    stem: str
+    header: list[str]
+    rows: list[list[str]]
+    plot: tuple | None = None
+
+
+def _bound_plot(title: str, ylabel: str, label: str, points) -> tuple | None:
+    """Plot arguments for a measured series and its dashed bound, from
+    (n, measured, bound) triples; None when there is nothing to draw."""
+    if not points:
         return None
-    weights = _parse_floats(weights_text, "--weights")
-    if any(w < 0 for w in weights):
-        raise click.UsageError(f"--weights must be nonnegative, got {list(weights)}")
-    if abs(math.fsum(weights) - 1.0) > 1e-12:
-        raise click.UsageError(f"--weights must sum to 1, got sum {math.fsum(weights)!r}")
-    return weights
+    ns, measured, bound = (tuple(column) for column in zip(*points))
+    return (title, "n", ylabel, [Series(label, ns, measured), Series("bound", ns, bound, dashed=True)])
+
+
+def _emit(ctx, out: Path | None, formats: set[str], summary: dict, tables: list[_Table],
+          offenders: list[str], passed: str):
+    """Write each table's CSV and SVG and the sorted-key JSON summary under
+    ``out`` (nothing when it is None), name every offender on stderr and
+    exit 1 if there is one, else echo ``passed``."""
+    if out is not None:
+        for table in tables:
+            if "csv" in formats:
+                _write(out / f"{table.stem}.csv", _csv_text(table.header, table.rows))
+            if "svg" in formats and table.plot:
+                _write(out / f"{table.stem}.svg", render_loglog(*table.plot))
+        if "json" in formats:
+            name = summary["command"].replace("-", "_")
+            _write(out / f"{name}_summary.json", _json_text({**summary, "all_satisfied": not offenders}))
+    for line in offenders:
+        click.echo(f"BOUND VIOLATION: {line}", err=True)
+    if offenders:
+        ctx.exit(1)
+    click.echo(passed)
 
 
 @click.group()
@@ -265,29 +321,16 @@ def kernel_check(ctx, **kw):
     )
 
     target = params.g_argmax
-    found = minimize_scalar(
-        lambda x: -kernel.g(params, x),
-        bounds=(target - 5.0, target + 5.0),
-        method="bounded",
-        options={"xatol": 1e-10},
-    )
-    record("peak location |argmax - ln(q)/beta|", abs(found.x - target), 1e-6)
+    record("peak location |argmax - ln(q)/beta|", abs(_peak_location(params, target) - target), 1e-6)
     record("peak value |g(argmax) - closed form|", abs(kernel.g(params, target) - params.g_max_value), 1e-10)
 
     for n in kw["ns"]:
         try:
             bound = kernel.tail_mass_bound(params, n, alpha)
         except HypothesisNotMetError:
-            rows.append(
-                {
-                    "check": f"tail mass n={n} alpha={alpha}",
-                    "measured": math.nan,
-                    "limit": math.nan,
-                    "status": "hypothesis not met",
-                }
-            )
+            record(f"tail mass n={n} alpha={alpha}", math.nan, math.nan, "hypothesis not met")
             continue
-        m = float(n) ** (1.0 - alpha)
+        m = kernel.window_edge(n, alpha)
         radius = moment_truncation_radius(params, 0, cfg.truncation_eps)
         tail = 2.0 * integrate_interval(lambda h: kernel.psi(params, h), m, max(radius, m + 1.0), cfg).value
         record(f"tail mass n={n} alpha={alpha}", tail, bound)
@@ -304,34 +347,33 @@ def kernel_check(ctx, **kw):
             f"  {r['check']:<{width}} measured={r['measured']:<12.6g} "
             f"limit={r['limit']:<12.6g} {r['status']}"
         )
-    failed = [r for r in rows if r["status"] == "FAIL"]
+    table = _Table(
+        "kernel_check",
+        ["check", "measured", "limit", "status"],
+        [[r["check"], _fmt(r["measured"]), _fmt(r["limit"]), r["status"]] for r in rows],
+    )
+    summary = {
+        "command": "kernel-check",
+        "parameters": {"q": params.q, "beta": params.beta, "alpha": alpha, "ns": list(kw["ns"])},
+        "checks": rows,
+    }
+    offenders = [
+        f"{r['check']}: measured {r['measured']!r} exceeds limit {r['limit']!r}" for r in rows if r["status"] == "FAIL"
+    ]
+    out = _out_dir(kw["out"]) if kw["out"] else None
+    _emit(ctx, out, formats, summary, [table], offenders, "all kernel checks passed")
 
-    if kw["out"]:
-        out = _out_dir(kw["out"])
-        if "csv" in formats:
-            _write(
-                out / "kernel_check.csv",
-                _csv_text(
-                    ["check", "measured", "limit", "status"],
-                    [[r["check"], _fmt(r["measured"]), _fmt(r["limit"]), r["status"]] for r in rows],
-                ),
-            )
-        if "json" in formats:
-            payload = {
-                "command": "kernel-check",
-                "parameters": {"q": params.q, "beta": params.beta, "alpha": alpha, "ns": list(kw["ns"])},
-                "checks": [
-                    {"check": r["check"], "measured": r["measured"], "limit": r["limit"], "status": r["status"]}
-                    for r in rows
-                ],
-                "all_satisfied": not failed,
-            }
-            _write(out / "kernel_check_summary.json", _json_text(payload))
 
-    if failed:
-        click.echo(f"FAILED: {len(failed)} check(s)", err=True)
-        ctx.exit(1)
-    click.echo("all kernel checks passed")
+def _peak_location(params: KernelParams, center: float) -> float:
+    """Argmax of g over [center - 5, center + 5]: the grid maximum of 101
+    points, narrowed to its neighbours until the bracket is below 1e-10
+    (g is unimodal)."""
+    lo, hi = center - 5.0, center + 5.0
+    while hi - lo > 1e-10:
+        xs = np.linspace(lo, hi, 101)
+        i = int(np.argmax(kernel.g(params, xs)))
+        lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, 100)]
+    return float(0.5 * (lo + hi))
 
 
 # ----------------------------------------------------------------------
@@ -367,7 +409,7 @@ def _grid_from(kw) -> MeasurementGrid:
 
 @main.command()
 @click.option("--fn", "fns", multiple=True, default=("sin",), show_default=True)
-@click.option("--kind", "kinds", multiple=True, default=_ALL_KINDS, show_default=True)
+@click.option("--kind", "kinds", multiple=True, default=tuple(k.value for k in OperatorKind), show_default=True)
 @click.option("--n", "ns", type=int, multiple=True, default=(9, 16, 25, 36, 49), show_default=True)
 @_sweep_options
 @click.pass_context
@@ -381,15 +423,14 @@ def approx(ctx, **kw):
     grid = _grid_from(kw)
     formats = _parse_formats(kw["formats"])
     functions = _resolve_functions(kw["fns"])
+    kinds = _kinds(kw)
     out = _out_dir(kw["out"])
 
     offenders = []
-    summary_results = []
+    results = []
+    tables = []
     for f in functions:
-        for kind in kw["kinds"]:
-            if kind not in _ALL_KINDS:
-                raise click.UsageError(f"--kind must be one of {_ALL_KINDS}, got {kind!r}")
-            weights = _kind_weights(kind, kw["weights"])
+        for kind, weights in kinds:
             records = run_convergence_sweep(
                 f, kind, kw["ns"], kw["alpha"], params, grid, weights=weights, cfg=cfg
             )
@@ -418,23 +459,14 @@ def approx(ctx, **kw):
                     f"{f.name:>6s} {kind:<12s} n={rec.n:<3d} "
                     f"err={rec.measured_sup_error:.6e} bound={_fmt(rec.bound_value)} {satisfied}"
                 )
-            stem = f"approx_{f.name}_{kind}"
-            if "csv" in formats:
-                _write(out / f"{stem}.csv", _csv_text(["n", "sup_error", "bound", "satisfied", "rate_so_far"], csv_rows))
-            if "svg" in formats:
-                ok = [r for r in records if r.bound_value is not None]
-                if ok:
-                    svg = render_loglog(
-                        f"sup error vs bound: {f.name}, {kind}",
-                        "n",
-                        "sup error",
-                        [
-                            Series("measured", tuple(r.n for r in ok), tuple(r.measured_sup_error for r in ok)),
-                            Series("bound", tuple(r.n for r in ok), tuple(r.bound_value for r in ok), dashed=True),
-                        ],
-                    )
-                    _write(out / f"{stem}.svg", svg)
-            summary_results.append(
+            plot = _bound_plot(
+                f"sup error vs bound: {f.name}, {kind}", "sup error", "measured",
+                [(r.n, r.measured_sup_error, r.bound_value) for r in records if r.bound_value is not None],
+            )
+            tables.append(
+                _Table(f"approx_{f.name}_{kind}", ["n", "sup_error", "bound", "satisfied", "rate_so_far"], csv_rows, plot)
+            )
+            results.append(
                 {
                     "function": f.name,
                     "kind": kind,
@@ -453,30 +485,22 @@ def approx(ctx, **kw):
                 }
             )
 
-    if "json" in formats:
-        payload = {
-            "command": "approx",
-            "parameters": {
-                "q": params.q,
-                "beta": params.beta,
-                "alpha": kw["alpha"],
-                "ns": sorted(int(n) for n in kw["ns"]),
-                "functions": [f.name for f in functions],
-                "kinds": list(kw["kinds"]),
-                "domain": list(_parse_domain(kw["domain"])),
-                "grid_points": kw["grid_points"],
-                "quad_tol": kw["quad_tol"],
-            },
-            "results": summary_results,
-            "all_satisfied": not offenders,
-        }
-        _write(out / "approx_summary.json", _json_text(payload))
-
-    if offenders:
-        for line in offenders:
-            click.echo(f"BOUND VIOLATION: {line}", err=True)
-        ctx.exit(1)
-    click.echo("all bounds satisfied")
+    summary = {
+        "command": "approx",
+        "parameters": {
+            "q": params.q,
+            "beta": params.beta,
+            "alpha": kw["alpha"],
+            "ns": sorted(int(n) for n in kw["ns"]),
+            "functions": [f.name for f in functions],
+            "kinds": list(kw["kinds"]),
+            "domain": list(grid.domain),
+            "grid_points": kw["grid_points"],
+            "quad_tol": kw["quad_tol"],
+        },
+        "results": results,
+    }
+    _emit(ctx, out, formats, summary, tables, offenders, "all bounds satisfied")
 
 
 # ----------------------------------------------------------------------
@@ -486,7 +510,7 @@ def approx(ctx, **kw):
 
 @main.command()
 @click.option("--fn", "fns", multiple=True, default=("sin",), show_default=True)
-@click.option("--kind", "kinds", multiple=True, default=_ALL_KINDS, show_default=True)
+@click.option("--kind", "kinds", multiple=True, default=tuple(k.value for k in OperatorKind), show_default=True)
 @click.option("--n", "ns", type=int, multiple=True, default=(16, 25, 36), show_default=True)
 @click.option("--taylor-order", type=int, default=2, show_default=True)
 @_sweep_options
@@ -504,10 +528,12 @@ def taylor(ctx, **kw):
     grid = _grid_from(kw)
     formats = _parse_formats(kw["formats"])
     functions = _resolve_functions(kw["fns"])
+    kinds = _kinds(kw)
     out = _out_dir(kw["out"])
 
     offenders = []
-    summary_results = []
+    results = []
+    tables = []
     for f in functions:
         if len(f.derivatives) < order:
             click.echo(f"{f.name}: skipped (needs {order} analytic derivatives, has {len(f.derivatives)})")
@@ -516,10 +542,7 @@ def taylor(ctx, **kw):
         if deriv_n.modulus is None:
             click.echo(f"{f.name}: skipped (no closed-form modulus for derivative {order})")
             continue
-        for kind in kw["kinds"]:
-            if kind not in _ALL_KINDS:
-                raise click.UsageError(f"--kind must be one of {_ALL_KINDS}, got {kind!r}")
-            weights = _kind_weights(kind, kw["weights"])
+        for kind, weights in kinds:
             csv_rows = []
             recs = []
             for n in sorted(int(v) for v in kw["ns"]):
@@ -560,46 +583,27 @@ def taylor(ctx, **kw):
                     f"{f.name:>6s} {kind:<12s} n={n:<3d} N={order} "
                     f"residual={residual:.6e} bound={report.value:.6e} {str(satisfied).lower()}"
                 )
-            stem = f"taylor_{f.name}_{kind}"
-            if "csv" in formats:
-                _write(out / f"{stem}.csv", _csv_text(["n", "residual", "bound", "satisfied"], csv_rows))
-            if "svg" in formats:
-                ok = [r for r in recs if r["bound"] is not None and r["residual"]]
-                if ok:
-                    svg = render_loglog(
-                        f"Taylor residual (N={order}): {f.name}, {kind}",
-                        "n",
-                        "residual",
-                        [
-                            Series("residual", tuple(r["n"] for r in ok), tuple(r["residual"] for r in ok)),
-                            Series("bound", tuple(r["n"] for r in ok), tuple(r["bound"] for r in ok), dashed=True),
-                        ],
-                    )
-                    _write(out / f"{stem}.svg", svg)
-            summary_results.append({"function": f.name, "kind": kind, "order": order, "records": recs})
+            plot = _bound_plot(
+                f"Taylor residual (N={order}): {f.name}, {kind}", "residual", "residual",
+                [(r["n"], r["residual"], r["bound"]) for r in recs if r["bound"] is not None and r["residual"]],
+            )
+            tables.append(_Table(f"taylor_{f.name}_{kind}", ["n", "residual", "bound", "satisfied"], csv_rows, plot))
+            results.append({"function": f.name, "kind": kind, "order": order, "records": recs})
 
-    if "json" in formats:
-        payload = {
-            "command": "taylor",
-            "parameters": {
-                "q": params.q,
-                "beta": params.beta,
-                "alpha": kw["alpha"],
-                "ns": sorted(int(n) for n in kw["ns"]),
-                "functions": [f.name for f in functions],
-                "kinds": list(kw["kinds"]),
-                "taylor_order": order,
-            },
-            "results": summary_results,
-            "all_satisfied": not offenders,
-        }
-        _write(out / "taylor_summary.json", _json_text(payload))
-
-    if offenders:
-        for line in offenders:
-            click.echo(f"BOUND VIOLATION: {line}", err=True)
-        ctx.exit(1)
-    click.echo("all taylor bounds satisfied")
+    summary = {
+        "command": "taylor",
+        "parameters": {
+            "q": params.q,
+            "beta": params.beta,
+            "alpha": kw["alpha"],
+            "ns": sorted(int(n) for n in kw["ns"]),
+            "functions": [f.name for f in functions],
+            "kinds": list(kw["kinds"]),
+            "taylor_order": order,
+        },
+        "results": results,
+    }
+    _emit(ctx, out, formats, summary, tables, offenders, "all taylor bounds satisfied")
 
 
 # ----------------------------------------------------------------------
@@ -624,8 +628,7 @@ def iterate(ctx, **kw):
     grid = _grid_from(kw)
     formats = _parse_formats(kw["formats"])
     functions = _resolve_functions(kw["fns"])
-    out = _out_dir(kw["out"])
-    domain = _parse_domain(kw["domain"])
+    domain = grid.domain
     chain = _parse_ints(kw["chain"], "--chain") if kw["chain"] else None
     if chain and any(b < a for a, b in zip(chain, chain[1:])):
         raise click.UsageError(f"--chain must be ascending, got {list(chain)}")
@@ -634,15 +637,15 @@ def iterate(ctx, **kw):
             raise click.UsageError(f"--iterations must be >= 1, got {kw['iterations']}")
         if len(kw["ns"]) != 1:
             raise click.UsageError("iterate without --chain expects exactly one --n")
+    kinds = _kinds(kw)
+    out = _out_dir(kw["out"])
 
     offenders = []
-    summary_results = []
+    results = []
+    tables = []
     slack = (len(chain) if chain else kw["iterations"]) * _RESIDUAL_CEILING
     for f in functions:
-        for kind in kw["kinds"]:
-            if kind not in _ALL_KINDS:
-                raise click.UsageError(f"--kind must be one of {_ALL_KINDS}, got {kind!r}")
-            weights = _kind_weights(kind, kw["weights"])
+        for kind, weights in kinds:
 
             def _jackson(n: int):
                 return bounds_mod.jackson_bound(
@@ -654,123 +657,63 @@ def iterate(ctx, **kw):
                     f.sup_norm,
                 )
 
+            try:
+                if chain:
+                    approx = compose_mixed(
+                        f, kind, chain, params, kw["alpha"], domain, kw["nodes"], weights=weights, cfg=cfg,
+                        residual_ceiling=_RESIDUAL_CEILING,
+                    )
+                else:
+                    n = int(kw["ns"][0])
+                    r = kw["iterations"]
+                    spec = OperatorSpec(kind=OperatorKind(kind), n=n, params=params, alpha=kw["alpha"], weights=weights)
+                    approx = iterate_operator(
+                        f, spec, r, domain, kw["nodes"], cfg=cfg, residual_ceiling=_RESIDUAL_CEILING
+                    )
+            except FlaggedApproximantError as exc:
+                raise click.ClickException(f"{f.name}/{kind}: {exc}")
+            measured = float(np.abs(approx(grid.points) - f.eval(grid.points)).max())
+            # one CSV row and one summary record: columns in CSV order
             if chain:
-                approx = compose_mixed(
-                    f, kind, chain, params, kw["alpha"], domain, kw["nodes"], weights=weights, cfg=cfg,
-                    residual_ceiling=_RESIDUAL_CEILING,
-                )
-                measured = float(np.abs(approx(grid.points) - f.eval(grid.points)).max())
-                per_step = [_jackson(n) for n in chain]
-                mixed = bounds_mod.mixed_iterated_bound(kind, per_step)
-                satisfied = measured <= mixed.value + slack
-                click.echo(
-                    f"{f.name:>6s} {kind:<12s} chain={list(chain)} measured={measured:.6e} "
-                    f"sum_bound={mixed.value:.6e} coarse={mixed.inputs['coarse']:.6e} "
-                    f"slack={slack:.1e} {str(satisfied).lower()}"
-                )
-                if not satisfied:
-                    offenders.append(f"{f.name}/{kind}/chain={list(chain)}: {measured!r} > {mixed.value!r} + slack")
-                stem = f"iterate_{f.name}_{kind}"
-                if "csv" in formats:
-                    _write(
-                        out / f"{stem}.csv",
-                        _csv_text(
-                            ["chain", "measured", "sum_bound", "coarse_bound", "slack", "satisfied"],
-                            [[
-                                ";".join(str(c) for c in chain),
-                                _fmt(measured),
-                                _fmt(mixed.value),
-                                _fmt(mixed.inputs["coarse"]),
-                                _fmt(slack),
-                                str(satisfied).lower(),
-                            ]],
-                        ),
-                    )
-                summary_results.append(
-                    {
-                        "function": f.name,
-                        "kind": kind,
-                        "chain": list(chain),
-                        "measured": measured,
-                        "sum_bound": mixed.value,
-                        "coarse_bound": mixed.inputs["coarse"],
-                        "slack": slack,
-                        "satisfied": satisfied,
-                    }
-                )
+                bound = bounds_mod.mixed_iterated_bound(kind, [_jackson(n) for n in chain])
+                tag = [f"chain={list(chain)}"]
+                fields = {"chain": list(chain), "measured": measured, "sum_bound": bound.value,
+                          "coarse_bound": bound.inputs["coarse"]}
+                detail = f"sum_bound={bound.value:.6e} coarse={bound.inputs['coarse']:.6e}"
             else:
-                n = int(kw["ns"][0])
-                r = kw["iterations"]
-                spec = OperatorSpec(kind=OperatorKind(kind), n=n, params=params, alpha=kw["alpha"], weights=weights)
-                approx = iterate_operator(
-                    f, spec, r, domain, kw["nodes"], cfg=cfg, residual_ceiling=_RESIDUAL_CEILING
-                )
-                measured = float(np.abs(approx(grid.points) - f.eval(grid.points)).max())
                 single = _jackson(n)
-                total = bounds_mod.iterated_bound(kind, single, r)
-                satisfied = measured <= total.value + slack
-                click.echo(
-                    f"{f.name:>6s} {kind:<12s} n={n} r={r} measured={measured:.6e} "
-                    f"single_bound={single.value:.6e} iterated_bound={total.value:.6e} "
-                    f"slack={slack:.1e} {str(satisfied).lower()}"
-                )
-                if not satisfied:
-                    offenders.append(f"{f.name}/{kind}/n={n}/r={r}: {measured!r} > {total.value!r} + slack")
-                stem = f"iterate_{f.name}_{kind}"
-                if "csv" in formats:
-                    _write(
-                        out / f"{stem}.csv",
-                        _csv_text(
-                            ["r", "n", "measured", "single_step_bound", "iterated_bound", "slack", "satisfied"],
-                            [[
-                                str(r),
-                                str(n),
-                                _fmt(measured),
-                                _fmt(single.value),
-                                _fmt(total.value),
-                                _fmt(slack),
-                                str(satisfied).lower(),
-                            ]],
-                        ),
-                    )
-                summary_results.append(
-                    {
-                        "function": f.name,
-                        "kind": kind,
-                        "n": n,
-                        "r": r,
-                        "measured": measured,
-                        "single_step_bound": single.value,
-                        "iterated_bound": total.value,
-                        "slack": slack,
-                        "satisfied": satisfied,
-                    }
-                )
+                bound = bounds_mod.iterated_bound(kind, single, r)
+                tag = [f"n={n}", f"r={r}"]
+                fields = {"r": r, "n": n, "measured": measured, "single_step_bound": single.value,
+                          "iterated_bound": bound.value}
+                detail = f"single_bound={single.value:.6e} iterated_bound={bound.value:.6e}"
+            satisfied = measured <= bound.value + slack
+            fields.update(slack=slack, satisfied=satisfied)
+            click.echo(
+                f"{f.name:>6s} {kind:<12s} {' '.join(tag)} measured={measured:.6e} {detail} "
+                f"slack={slack:.1e} {str(satisfied).lower()}"
+            )
+            if not satisfied:
+                offenders.append(f"{f.name}/{kind}/{'/'.join(tag)}: {measured!r} > {bound.value!r} + slack")
+            tables.append(_Table(f"iterate_{f.name}_{kind}", list(fields), [[_cell(v) for v in fields.values()]]))
+            results.append({"function": f.name, "kind": kind, **fields})
 
-    if "json" in formats:
-        payload = {
-            "command": "iterate",
-            "parameters": {
-                "q": params.q,
-                "beta": params.beta,
-                "alpha": kw["alpha"],
-                "functions": [f.name for f in functions],
-                "kinds": list(kw["kinds"]),
-                "nodes": kw["nodes"],
-                "chain": list(chain) if chain else None,
-                "iterations": None if chain else kw["iterations"],
-                "ns": None if chain else [int(kw["ns"][0])],
-            },
-            "results": summary_results,
-            "all_satisfied": not offenders,
-        }
-        _write(out / "iterate_summary.json", _json_text(payload))
-
-    if offenders:
-        for line in offenders:
-            click.echo(f"BOUND VIOLATION: {line}", err=True)
-        ctx.exit(1)
-    click.echo("all iterated bounds satisfied")
+    summary = {
+        "command": "iterate",
+        "parameters": {
+            "q": params.q,
+            "beta": params.beta,
+            "alpha": kw["alpha"],
+            "functions": [f.name for f in functions],
+            "kinds": list(kw["kinds"]),
+            "nodes": kw["nodes"],
+            "chain": list(chain) if chain else None,
+            "iterations": None if chain else kw["iterations"],
+            "ns": None if chain else [int(kw["ns"][0])],
+        },
+        "results": results,
+    }
+    _emit(ctx, out, formats, summary, tables, offenders, "all iterated bounds satisfied")
 
 
 # ----------------------------------------------------------------------

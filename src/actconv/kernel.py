@@ -26,6 +26,7 @@ __all__ = [
     "g",
     "psi",
     "psi_envelope",
+    "window_edge",
     "tail_mass_bound",
     "moment_bound",
 ]
@@ -154,23 +155,32 @@ def psi_envelope(params: KernelParams, x) -> float | np.ndarray:
     return _ret(out, scalar)
 
 
+def window_edge(n: int, alpha: float) -> float:
+    """The edge m = n^{1-alpha} of the kernel window |h| < m that every tail
+    term is taken outside of.
+
+    Raises ``HypothesisNotMetError`` unless 0 < alpha < 1 and m > 2, the
+    hypothesis of the tail bound and of every error bound built on it.
+    """
+    if not (0.0 < alpha < 1.0):
+        raise HypothesisNotMetError(f"alpha must lie in (0, 1), got {alpha!r}")
+    m = float(n) ** (1.0 - alpha)
+    if not m > 2.0:
+        raise HypothesisNotMetError(
+            f"requires n**(1 - alpha) > 2; got n={n}, alpha={alpha}, n**(1 - alpha)={m:.6g}"
+        )
+    return m
+
+
 def tail_mass_bound(params: KernelParams, n: int, alpha: float) -> float:
     """Upper bound (q + 1/q) e^{-beta (n^{1-alpha} - 1)} on the kernel mass
     outside the window |h| >= n^{1-alpha}.
 
-    Requires n^{1-alpha} > 2.
+    Requires n^{1-alpha} > 2 (see ``window_edge``).
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    m = float(n) ** (1.0 - alpha)
-    if m <= 2.0:
-        raise HypothesisNotMetError(
-            f"tail bound requires n**(1 - alpha) > 2; "
-            f"got n={n}, alpha={alpha}, n**(1 - alpha)={m:.6g}"
-        )
-    return params.q_sum * math.exp(-params.beta * (m - 1.0))
+    return params.q_sum * math.exp(-params.beta * (window_edge(n, alpha) - 1.0))
 
 
 def moment_bound(params: KernelParams, k: int) -> float:

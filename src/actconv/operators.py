@@ -20,8 +20,8 @@ Two evaluation paths share the same nested Kronrod rule:
   worst grid point meets tolerance.
 
 Iterated and mixed compositions are made tractable by interpolating each
-stage on a Chebyshev (or uniform) grid; the interpolation residual is
-measured on a doubled validation grid and carried on the approximant.
+stage on Chebyshev nodes; the interpolation residual is measured on a
+doubled validation grid and carried on the approximant.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import kernel
 from .errors import FlaggedApproximantError, NonFiniteSampleError, QuadratureNonConvergedError
@@ -178,17 +177,11 @@ def _transformed(f: TestFunction, spec: OperatorSpec):
     if spec.kind is OperatorKind.KANTOROVICH:
         nodes, weights = gauss_legendre_01(spec.inner_order)
         shifts = nodes / n
+    else:
+        shifts = np.arange(1, spec.r + 1) / (n * spec.r)
+        weights = np.asarray(spec.weights, dtype=float)
 
-        def averaged(u, _s=shifts, _w=weights, _f=f.eval):
-            u = np.asarray(u, dtype=float)
-            return np.asarray(_f(u[..., None] + _s), dtype=float) @ _w
-
-        kinks = tuple(k - s for k in f.kinks for s in shifts)
-        return averaged, kinks, f.sup_norm
-    shifts = np.arange(1, spec.r + 1) / (n * spec.r)
-    wq = np.asarray(spec.weights, dtype=float)
-
-    def combined(u, _s=shifts, _w=wq, _f=f.eval):
+    def combined(u, _s=shifts, _w=weights, _f=f.eval):
         u = np.asarray(u, dtype=float)
         return np.asarray(_f(u[..., None] + _s), dtype=float) @ _w
 
@@ -435,7 +428,8 @@ def _chebyshev_nodes(a: float, b: float, count: int) -> np.ndarray:
 
 @dataclass
 class GridApproximant:
-    """Interpolant of operator output on [a, b], clamped outside.
+    """Barycentric interpolant of operator output at Chebyshev nodes on
+    [a, b], clamped outside.
 
     Evaluation at the stored nodes reproduces the stored values exactly;
     evaluation outside the domain returns the nearest endpoint value and
@@ -445,12 +439,10 @@ class GridApproximant:
     domain: tuple[float, float]
     nodes: np.ndarray
     values: np.ndarray
-    interpolation: str
     residual: float = math.nan
     flagged: bool = False
     extrapolated: bool = field(default=False, compare=False)
-    _bary_weights: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _spline: object = field(default=None, repr=False, compare=False)
+    _bary_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -461,17 +453,11 @@ class GridApproximant:
             raise ValueError("values must match nodes in shape")
         self.nodes = nodes
         self.values = values
-        if self.interpolation == "barycentric-chebyshev":
-            m = nodes.size
-            w = np.ones(m)
-            w[1::2] = -1.0
-            w[0] *= 0.5
-            w[-1] *= 0.5
-            self._bary_weights = w
-        elif self.interpolation == "cubic-spline":
-            self._spline = CubicSpline(nodes, values)
-        else:
-            raise ValueError(f"unknown interpolation {self.interpolation!r}")
+        w = np.ones(nodes.size)
+        w[1::2] = -1.0
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        self._bary_weights = w
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)
@@ -495,11 +481,8 @@ class GridApproximant:
         rest = ~exact
         if rest.any():
             xr = flat[rest]
-            if self._bary_weights is not None:
-                ratios = self._bary_weights / (xr[:, None] - self.nodes[None, :])
-                out[rest] = (ratios @ self.values) / ratios.sum(axis=1)
-            else:
-                out[rest] = self._spline(xr)
+            ratios = self._bary_weights / (xr[:, None] - self.nodes[None, :])
+            out[rest] = (ratios @ self.values) / ratios.sum(axis=1)
         result = out.reshape(arr.shape)
         return float(result) if scalar else result
 
@@ -509,33 +492,26 @@ def make_grid_approximant(
     spec: OperatorSpec,
     domain: tuple[float, float],
     node_count: int = 64,
-    interpolation: str = "barycentric-chebyshev",
     cfg: QuadratureConfig | None = None,
     residual_ceiling: float = 1e-6,
 ) -> GridApproximant:
-    """Sample the operator on ``node_count`` nodes over ``domain`` and wrap
-    an interpolant; the max residual against direct evaluation on a doubled
-    validation grid is recorded, and the approximant is flagged when it
-    exceeds ``residual_ceiling``."""
+    """Sample the operator on ``node_count`` Chebyshev nodes over ``domain``
+    and wrap an interpolant; the max residual against direct evaluation on
+    a doubled validation grid is recorded, and the approximant is flagged
+    when it exceeds ``residual_ceiling``."""
     a, b = float(domain[0]), float(domain[1])
     if not b > a:
         raise ValueError(f"domain must satisfy b > a, got {domain!r}")
     if node_count < 8:
         raise ValueError(f"node_count must be >= 8, got {node_count}")
-    if interpolation == "barycentric-chebyshev":
-        nodes = _chebyshev_nodes(a, b, node_count)
-        check = _chebyshev_nodes(a, b, 2 * node_count)
-    elif interpolation == "cubic-spline":
-        nodes = np.linspace(a, b, node_count)
-        check = np.linspace(a, b, 2 * node_count)
-    else:
-        raise ValueError(f"unknown interpolation {interpolation!r}")
+    nodes = _chebyshev_nodes(a, b, node_count)
+    check = _chebyshev_nodes(a, b, 2 * node_count)
     # guard against roundoff pushing the edge nodes outside [a, b]
     nodes[0], nodes[-1] = a, b
     check[0], check[-1] = a, b
 
     values = apply_on_grid(f, spec, nodes, cfg)
-    approx = GridApproximant((a, b), nodes, values, interpolation)
+    approx = GridApproximant((a, b), nodes, values)
     direct = apply_on_grid(f, spec, check, cfg)
     residual = float(np.abs(approx(check) - direct).max())
     approx.residual = residual
@@ -552,49 +528,55 @@ def _as_test_function(approx: GridApproximant, name: str) -> TestFunction:
     return TestFunction.from_callable(name, evaluator, sup)
 
 
+def _chain(
+    f: TestFunction,
+    specs: Sequence[OperatorSpec],
+    domain: tuple[float, float],
+    node_count: int,
+    cfg: QuadratureConfig | None,
+    residual_ceiling: float,
+) -> GridApproximant:
+    """Apply the operators of ``specs`` in order, each stage consuming the
+    previous stage's approximant (with its clamped extension) as a bounded
+    continuous function.
+
+    A chain of two or more stages builds every stage on the domain padded
+    by the truncation radius over the smallest n, so clamping only ever
+    sits in negligible-kernel-mass territory relative to the requested
+    domain.  Raises ``FlaggedApproximantError`` at the first stage whose
+    residual exceeds ``residual_ceiling``.
+    """
+    if len(specs) > 1:
+        eps = (cfg or DEFAULT_CONFIG).truncation_eps
+        pad = truncation_radius(specs[0].params, eps) / min(s.n for s in specs)
+        domain = (float(domain[0]) - pad, float(domain[1]) + pad)
+    current = f
+    for stage, spec in enumerate(specs, start=1):
+        approx = make_grid_approximant(current, spec, domain, node_count, cfg, residual_ceiling)
+        if approx.flagged:
+            raise FlaggedApproximantError(
+                f"stage {stage} (n={spec.n}) approximant residual {approx.residual:.3e} "
+                f"exceeds ceiling {residual_ceiling:.3e}",
+                stage=stage,
+            )
+        current = _as_test_function(approx, f"{f.name}.stage{stage}")
+    return approx
+
+
 def iterate(
     f: TestFunction,
     spec: OperatorSpec,
     r: int,
     domain: tuple[float, float],
     node_count: int = 64,
-    interpolation: str = "barycentric-chebyshev",
     cfg: QuadratureConfig | None = None,
     residual_ceiling: float = 1e-6,
 ) -> GridApproximant:
-    """The r-fold self-composition of the operator, via chained approximants.
-
-    Stages beyond the first consume the previous approximant (with its
-    clamped extension) as a bounded continuous function.  For r >= 2 all
-    stages are built on the domain padded by the truncation radius over n,
-    so clamping only ever sits in negligible-kernel-mass territory relative
-    to the requested domain.
-    """
+    """The r-fold self-composition of the operator: the chain of r equal
+    resolutions (see ``compose_mixed``)."""
     if not (isinstance(r, (int, np.integer)) and r >= 1):
         raise ValueError(f"r must be a positive integer, got {r!r}")
-    if r == 1:
-        approx = make_grid_approximant(f, spec, domain, node_count, interpolation, cfg, residual_ceiling)
-        if approx.flagged:
-            raise FlaggedApproximantError(
-                f"stage 1 approximant residual {approx.residual:.3e} exceeds ceiling {residual_ceiling:.3e}",
-                stage=1,
-            )
-        return approx
-    cfg = cfg or DEFAULT_CONFIG
-    pad = truncation_radius(spec.params, cfg.truncation_eps) / spec.n
-    padded = (float(domain[0]) - pad, float(domain[1]) + pad)
-    current: TestFunction = f
-    approx = None
-    for stage in range(1, r + 1):
-        approx = make_grid_approximant(current, spec, padded, node_count, interpolation, cfg, residual_ceiling)
-        if approx.flagged:
-            raise FlaggedApproximantError(
-                f"stage {stage} approximant residual {approx.residual:.3e} "
-                f"exceeds ceiling {residual_ceiling:.3e}",
-                stage=stage,
-            )
-        current = _as_test_function(approx, f"{f.name}.stage{stage}")
-    return approx
+    return _chain(f, [spec] * int(r), domain, node_count, cfg, residual_ceiling)
 
 
 def compose_mixed(
@@ -606,36 +588,16 @@ def compose_mixed(
     domain: tuple[float, float] = (-3.0, 3.0),
     node_count: int = 64,
     weights: tuple[float, ...] | None = None,
-    interpolation: str = "barycentric-chebyshev",
     cfg: QuadratureConfig | None = None,
     residual_ceiling: float = 1e-6,
 ) -> GridApproximant:
     """Chain the operator at ascending resolutions k_1 <= ... <= k_r,
-    applying the coarsest first."""
+    applying the coarsest first; every stage is interpolated and must meet
+    ``residual_ceiling``, else ``FlaggedApproximantError`` names it."""
     ns = [int(v) for v in ns]
     if not ns:
         raise ValueError("ns must be a nonempty ascending list")
     if any(b < a for a, b in zip(ns, ns[1:])):
         raise ValueError(f"ns must be ascending (ties allowed), got {ns}")
-    kind = OperatorKind(kind)
-
-    def spec_for(n):
-        return OperatorSpec(kind=kind, n=n, params=params, alpha=alpha, weights=weights)
-
-    if len(ns) == 1:
-        return make_grid_approximant(f, spec_for(ns[0]), domain, node_count, interpolation, cfg, residual_ceiling)
-    cfg = cfg or DEFAULT_CONFIG
-    pad = truncation_radius(params, cfg.truncation_eps) / min(ns)
-    padded = (float(domain[0]) - pad, float(domain[1]) + pad)
-    current: TestFunction = f
-    approx = None
-    for stage, n in enumerate(ns, start=1):
-        approx = make_grid_approximant(current, spec_for(n), padded, node_count, interpolation, cfg, residual_ceiling)
-        if approx.flagged:
-            raise FlaggedApproximantError(
-                f"stage {stage} (n={n}) approximant residual {approx.residual:.3e} "
-                f"exceeds ceiling {residual_ceiling:.3e}",
-                stage=stage,
-            )
-        current = _as_test_function(approx, f"{f.name}.stage{stage}")
-    return approx
+    specs = [OperatorSpec(kind=OperatorKind(kind), n=n, params=params, alpha=alpha, weights=weights) for n in ns]
+    return _chain(f, specs, domain, node_count, cfg, residual_ceiling)

@@ -172,8 +172,10 @@ def integrate_interval(f, a: float, b: float, cfg: QuadratureConfig | None = Non
 
     A panel is accepted once its embedded error fits the budget
     tol * width / (b - a); otherwise it is bisected.  Exhausting
-    ``max_subdivisions`` returns the accumulated result flagged
-    non-converged; the caller decides how to proceed.
+    ``max_subdivisions``, or a panel whose error estimate is not finite
+    (bisection cannot repair a NaN or infinite sample), returns the
+    accumulated result flagged non-converged; the caller decides how to
+    proceed.
     """
     cfg = cfg or DEFAULT_CONFIG
     a = float(a)
@@ -203,7 +205,7 @@ def integrate_interval(f, a: float, b: float, cfg: QuadratureConfig | None = Non
             value += pi
             err += pe
             continue
-        if splits >= cfg.max_subdivisions:
+        if splits >= cfg.max_subdivisions or not math.isfinite(pe):
             converged = False
             value += pi
             err += pe

@@ -1,10 +1,16 @@
 """CLI verbs: artifacts, exit codes, determinism, config precedence."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from actconv import KernelParams
 from actconv.cli import main
 
 
@@ -35,6 +41,39 @@ class TestKernelCheck:
         result = _run(runner, ["kernel-check", "--n", "4", "--n", "9"])
         assert result.exit_code == 0
         assert "hypothesis not met" in result.output
+
+    def test_wrong_peak_closed_form_detected(self, runner, tmp_path, monkeypatch):
+        """The peak search finds the true argmax, so a closed form off by
+        1e-5 fails its row."""
+        shifted = property(lambda p: math.log(p.q) / p.beta + 1e-5)
+        monkeypatch.setattr(KernelParams, "g_argmax", shifted)
+        result = _run(runner, ["kernel-check", "--out", str(tmp_path)])
+        assert result.exit_code == 1
+        rows = (tmp_path / "kernel_check.csv").read_text().splitlines()
+        peak = [row for row in rows if row.startswith("peak location")]
+        assert len(peak) == 1 and peak[0].endswith(",FAIL")
+        assert "BOUND VIOLATION: peak location" in result.output
+
+
+def test_no_scipy_at_runtime(tmp_path):
+    """Neither importing the CLI nor a kernel-check run loads scipy."""
+    code = (
+        "import sys\n"
+        "import actconv.cli\n"
+        "before = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "from click.testing import CliRunner\n"
+        "result = CliRunner().invoke(actconv.cli.main, ['kernel-check', '--out', sys.argv[1]])\n"
+        "after = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "print(result.exit_code, before, after)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "[]", "[]"]
 
 
 class TestApprox:
@@ -141,6 +180,27 @@ class TestApprox:
         assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("verb", ["approx", "taylor", "iterate"])
+@pytest.mark.parametrize(
+    "bad",
+    [["--kind", "basic", "--kind", "bogus"], ["--kind", "basic", "--kind", "quadrature", "--weights", "0.5,0.6"]],
+    ids=["kind", "weights"],
+)
+def test_bad_kind_rejected_before_work(runner, tmp_path, verb, bad):
+    result = _run(runner, [verb, "--fn", "sin", "--n", "9", "--grid-points", "101", "--out", str(tmp_path)] + bad)
+    assert result.exit_code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bad_config_kind_rejected_before_work(runner, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[approx]\nkind = basic,bogus\nn = 9\nout = {tmp_path / 'out'}\n")
+    result = _run(runner, ["approx", "--config", str(cfg)])
+    assert result.exit_code == 2
+    assert "bogus" in result.output
+    assert not (tmp_path / "out").exists()
+
+
 class TestTaylor:
     def test_sin_passes(self, runner, tmp_path):
         result = _run(
@@ -201,6 +261,14 @@ class TestIterate:
         entry = payload["results"][0]
         assert entry["satisfied"] is True
         assert entry["sum_bound"] <= entry["coarse_bound"]
+
+    def test_flagged_stage_is_a_click_error(self, runner, tmp_path):
+        result = runner.invoke(
+            main, ["iterate", "--nodes", "8", "--grid-points", "101", "--out", str(tmp_path)]
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "sin/basic: stage 1" in result.output
 
     def test_descending_chain_rejected(self, runner):
         result = _run(runner, ["iterate", "--chain", "25,9"])

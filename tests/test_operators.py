@@ -201,6 +201,19 @@ class TestPointEvaluation:
         with pytest.raises(NonFiniteSampleError, match=r"operator=basic, x=0\.7, n=32"):
             apply(NAN_RIGHT, B32, 0.7)
 
+    def test_non_finite_sample_stops_early(self):
+        """A NaN sample ends the integration instead of using up the
+        subdivision budget (4001 integrand calls at the default config)."""
+        calls = []
+
+        def counted(x):
+            calls.append(1)
+            return NAN_RIGHT(x)
+
+        with pytest.raises(NonFiniteSampleError):
+            apply(TestFunction.from_callable("nan_right", counted, 1.0), B32, 0.7)
+        assert len(calls) < 50
+
 
 class TestApplyOnGrid:
     def test_matches_function_shape(self):
@@ -383,9 +396,8 @@ class TestGridApproximant:
         np.testing.assert_allclose(approx(xs), xs, atol=1e-8)
 
     def test_node_exactness_both_modes(self):
-        for mode in ("barycentric-chebyshev", "cubic-spline"):
-            approx = make_grid_approximant(SIN, B32, (-2, 2), 24, interpolation=mode)
-            np.testing.assert_array_equal(approx(approx.nodes), approx.values)
+        approx = make_grid_approximant(SIN, B32, (-2, 2), 24)
+        np.testing.assert_array_equal(approx(approx.nodes), approx.values)
 
     def test_refinement_does_not_hurt(self):
         r64 = make_grid_approximant(SIN, B32, (-3, 3), 64).residual
@@ -405,7 +417,7 @@ class TestGridApproximant:
         with pytest.raises(ValueError):
             make_grid_approximant(SIN, B32, (2, -2), 16)
         with pytest.raises(ValueError):
-            GridApproximant((-1, 1), np.array([0.0, 0.0]), np.array([1.0, 1.0]), "barycentric-chebyshev")
+            GridApproximant((-1, 1), np.array([0.0, 0.0]), np.array([1.0, 1.0]))
 
 
 class TestIterate:
@@ -461,6 +473,12 @@ class TestComposeMixed:
             compose_mixed(SIN, "basic", [], P11)
         # ties are allowed
         compose_mixed(ONE, "basic", [9, 9], P11, 0.5, (-1, 1), 16)
+
+    @pytest.mark.parametrize("ns", [[32], [9, 16]], ids=["single", "two-stage"])
+    def test_flagged_stage_aborts(self, ns):
+        with pytest.raises(FlaggedApproximantError, match=r"stage 1 \(n=") as err:
+            compose_mixed(SIN, "basic", ns, P11, 0.5, (-3, 3), 8, residual_ceiling=1e-18)
+        assert err.value.stage == 1
 
     def test_chain_error_below_sum_of_bounds(self):
         from actconv import jackson_bound, mixed_iterated_bound, omega_argument

@@ -85,6 +85,15 @@ class TestIntegrateInterval:
         assert not res.converged
         assert res.subdivisions_used <= 2
 
+    def test_non_finite_panel_not_bisected(self):
+        """Bisection cannot repair a NaN sample: the panel is kept, and the
+        result is NaN and flagged, long before the subdivision cap."""
+        cfg = QuadratureConfig(max_subdivisions=2000)
+        res = integrate_interval(lambda x: np.where(x > 0.9, np.nan, np.sin(x)), 0.0, 1.0, cfg)
+        assert not res.converged
+        assert math.isnan(res.value)
+        assert res.subdivisions_used < 10
+
     def test_determinism(self):
         p = KernelParams(2.0, 0.5)
         a = integrate_interval(lambda h: psi(p, h) * np.cos(h), -20.0, 20.0)
