@@ -638,6 +638,12 @@ def iterate(ctx, **kw):
         if len(kw["ns"]) != 1:
             raise click.UsageError("iterate without --chain expects exactly one --n")
     kinds = _kinds(kw)
+    # every bound below holds only where the hypothesis holds at every resolution
+    for n in chain or kw["ns"]:
+        try:
+            kernel.window_edge(n, kw["alpha"])
+        except HypothesisNotMetError as exc:
+            raise click.UsageError(f"no iterated bound at this resolution: {exc}")
     out = _out_dir(kw["out"])
 
     offenders = []

@@ -17,7 +17,10 @@ Two evaluation paths share the same nested Kronrod rule:
 * ``apply_on_grid`` evaluates a whole grid of points at once by sharing
   one panel decomposition in the sample variable u, where the sample
   function's kinks sit at fixed locations; panels refine until the
-  worst grid point meets tolerance.
+  worst grid point meets tolerance.  The new panels of a refinement
+  round are evaluated together, in chunks of (panel, grid point) rows,
+  so the sample function is called with (panels, 15) arrays holding the
+  nodes of many panels: it must work elementwise on arrays of any shape.
 
 Iterated and mixed compositions are made tractable by interpolating each
 stage on Chebyshev nodes; the interpolation residual is measured on a
@@ -29,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -246,55 +249,114 @@ def apply_derivative(f: TestFunction, spec: OperatorSpec, k: int, x: float, cfg:
     return apply(f.derivative(k), spec, x, cfg)
 
 
-class _Panel:
-    __slots__ = ("a", "b", "start", "stop", "values", "errors", "err_max")
-
-    def __init__(self, a, b, start, stop, values, errors):
-        self.a = a
-        self.b = b
-        self.start = start
-        self.stop = stop
-        self.values = values
-        self.errors = errors
-        self.err_max = float(errors.max()) if errors.size else 0.0
+# flat (panel, grid point) rows per kernel call: 1024 rows of 15 nodes keep
+# each chunk's float64 temporaries below glibc's default 128 KiB mmap threshold
+_CHUNK_ROWS = 1024
+_MAX_REFINE_ROUNDS = 48
+_GAUSS = slice(1, 14, 2)  # the G7 nodes among the GK15 nodes (G7_WEIGHTS is zero elsewhere)
 
 
-def _panel_batch(sample, spec: OperatorSpec, xs: np.ndarray, reach: float, a: float, b: float) -> _Panel:
-    """K15 values and per-point K15 - G7 errors of panel [a, b] at the points
-    of the sorted grid ``xs`` within ``reach`` of it, the slice
-    xs[start:stop]; the kernel mass the panel puts on the other points lies
-    outside the truncation window."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    u = mid + half * GK15_NODES
-    fu = np.asarray(sample(u), dtype=float)
-    finite = np.isfinite(fu)
-    if not finite.all():
-        raise NonFiniteSampleError(
-            f"sample function is not finite at u={float(u[int(np.argmin(finite))])!r} "
-            f"(operator={spec.kind.value}, n={spec.n})"
-        )
-    start = int(np.searchsorted(xs, a - reach, side="left"))
-    stop = int(np.searchsorted(xs, b + reach, side="right"))
+def _node_sum(terms: np.ndarray) -> np.ndarray:
+    """Column sums of a (nodes, rows) array, adding the nodes in order for
+    any row count: numpy reduces a lone column pairwise."""
+    return np.add.reduce(terms) if terms.shape[1] > 1 else sum(terms)
+
+
+class _Panels(NamedTuple):
+    """Panels [a, b] in ascending order of a, the slice start:stop of the
+    sorted grid within reach of each, and each panel's largest row error;
+    then the flat rows, ordered by panel and then point: the K15 value and
+    the K15 - G7 error estimate of the panel at the point.  The kernel mass
+    a panel puts on the points outside its slice lies outside the
+    truncation window."""
+
+    a: np.ndarray
+    b: np.ndarray
+    start: np.ndarray
+    stop: np.ndarray
+    worst: np.ndarray
+    values: np.ndarray
+    errors: np.ndarray
+
+
+def _chunks(start: np.ndarray, stop: np.ndarray, max_panels: int):
+    """Cut the flat rows of panels with grid slices start:stop into runs of
+    at most ``_CHUNK_ROWS`` rows from at most ``max_panels`` panels; yield
+    each run's rows c0:c1, its panels p0:p1 with their row counts in the
+    run, and every row's grid point."""
+    ends = np.cumsum(stop - start)
+    begins = ends - (stop - start)
+    shift = start - begins  # a row's grid point is the row plus its panel's shift
+    c0, total = 0, int(ends[-1])
+    while c0 < total:
+        p0 = int(np.searchsorted(ends, c0, side="right"))
+        c1 = min(c0 + _CHUNK_ROWS, int(ends[min(p0 + max_panels, ends.size) - 1]))
+        p1 = int(np.searchsorted(ends, c1, side="left")) + 1
+        counts = np.minimum(ends[p0:p1], c1) - np.maximum(begins[p0:p1], c0)
+        yield c0, c1, p0, p1, counts, np.arange(c0, c1) + np.repeat(shift[p0:p1], counts)
+        c0 = c1
+
+
+def _evaluate(sample, spec: OperatorSpec, grid: np.ndarray, reach: float, a: np.ndarray, b: np.ndarray) -> _Panels:
+    """Rows of the panels [a, b] on the sorted grid, a chunk at a time: one
+    sample call for the nodes of the chunk's panels (at most
+    ``_CHUNK_ROWS`` nodes) and one kernel call for its rows."""
     n = spec.n
-    weight_matrix = kernel.psi(spec.params, n * (xs[start:stop, None] - u[None, :]))
-    scale = half * n
-    k15 = scale * (weight_matrix @ (GK15_WEIGHTS * fu))
-    g7 = scale * (weight_matrix @ (G7_WEIGHTS * fu))
-    return _Panel(a, b, start, stop, k15, np.abs(k15 - g7))
+    start = np.searchsorted(grid, a - reach, side="left")
+    stop = np.searchsorted(grid, b + reach, side="right")
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    scale = n * half
+    values = np.empty(int((stop - start).sum()))
+    errors = np.empty_like(values)
+    worst = np.zeros(a.size)
+    for c0, c1, p0, p1, counts, point in _chunks(start, stop, max(1, _CHUNK_ROWS // GK15_NODES.size)):
+        u = mid[p0:p1, None] + half[p0:p1, None] * GK15_NODES
+        fu = np.asarray(sample(u), dtype=float)
+        finite = np.isfinite(fu)
+        if not finite.all():
+            raise NonFiniteSampleError(
+                f"sample function is not finite at u={float(u.flat[int(np.argmin(finite))])!r} "
+                f"(operator={spec.kind.value}, n={n})"
+            )
+        # node-major (15, rows) arrays; the K15 terms overwrite the kernel values
+        arg = np.repeat(u.T, counts, axis=1)
+        np.subtract(grid[point], arg, out=arg)
+        arg *= n
+        terms = kernel.psi(spec.params, arg)
+        rows = np.repeat(scale[p0:p1], counts)
+        g7 = rows * _node_sum(terms[_GAUSS] * np.repeat((G7_WEIGHTS * fu)[:, _GAUSS].T, counts, axis=1))
+        terms *= np.repeat((GK15_WEIGHTS * fu).T, counts, axis=1)
+        k15 = rows * _node_sum(terms)
+        err = np.abs(k15 - g7)
+        values[c0:c1] = k15
+        errors[c0:c1] = err
+        # a panel without rows in the chunk (one that reaches no grid point) keeps 0
+        worst[p0:p1] = np.maximum(worst[p0:p1], np.maximum.reduceat(err, np.cumsum(counts) - counts) * (counts > 0))
+    return _Panels(a, b, start, stop, worst, values, errors)
 
 
-def _grid_totals(panels: list[_Panel], size: int) -> tuple[np.ndarray, np.ndarray]:
+def _totals(panels: _Panels, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-point sums of the panels' values and error estimates, in list order."""
     values = np.zeros(size)
     errors = np.zeros(size)
-    for p in panels:
-        values[p.start:p.stop] += p.values
-        errors[p.start:p.stop] += p.errors
+    for c0, c1, _, _, _, point in _chunks(panels.start, panels.stop, _CHUNK_ROWS):
+        np.add.at(values, point, panels.values[c0:c1])
+        np.add.at(errors, point, panels.errors[c0:c1])
     return values, errors
 
 
-_MAX_REFINE_ROUNDS = 48
+def _merge(panels: _Panels, halves: _Panels, split: np.ndarray) -> _Panels:
+    """``panels`` with every split panel replaced in place by its two halves."""
+    rows = np.concatenate(([0], np.cumsum(panels.stop - panels.start)))
+    half_rows = np.concatenate(([0], np.cumsum(halves.stop - halves.start)))
+    done = 2 * np.concatenate(([0], np.cumsum(split)))  # halves before each panel
+    edges = [0, *(np.flatnonzero(np.diff(split)) + 1).tolist(), split.size]
+    pieces = []
+    for i, j in zip(edges[:-1], edges[1:]):
+        # runs of kept panels and runs of split ones alternate
+        src, rs, p, q = (halves, half_rows, done[i], done[j]) if split[i] else (panels, rows, i, j)
+        pieces.append([col[p:q] for col in src[:5]] + [col[rs[p]:rs[q]] for col in src[5:]])
+    return _Panels(*(np.concatenate(cols) for cols in zip(*pieces)))
 
 
 def apply_on_grid(f: TestFunction, spec: OperatorSpec, xs, cfg: QuadratureConfig | None = None) -> np.ndarray:
@@ -309,6 +371,14 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec, xs, cfg: QuadratureConfig
     Seeds and splits together may use ``cfg.max_subdivisions`` panels per
     kernel window of width 2R/n spanned by the points' windows
     [x - R/n, x + R/n].  ``xs`` need not be sorted.
+
+    The seeds, and then each round's new halves, are evaluated as flat
+    (panel, grid point) rows, about a thousand rows per kernel call, with
+    one call of the sample function for the nodes of the chunk's panels.
+    The sample function thus receives (panels, 15) arrays, up to about a
+    thousand nodes, not 15 nodes, and must work elementwise on arrays of
+    any shape.  Node sums and per-point totals are added in a fixed
+    order, so the output does not depend on the chunk size.
     """
     cfg = cfg or DEFAULT_CONFIG
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -339,36 +409,31 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec, xs, cfg: QuadratureConfig
         inner = sorted({k for k in kinks if lo < k < hi})[: max(0, cap - count)]
         if inner:
             edges = np.unique(np.concatenate((edges, np.asarray(inner))))
-        seeds += zip(edges[:-1], edges[1:])
+        seeds.append(np.column_stack((edges[:-1], edges[1:])))
         budget += cap
 
     # the list stays in ascending order of a (splits replace a panel by its
     # halves in place), so every total sums in one deterministic order
-    panels = [_panel_batch(sample, spec, grid, reach, a, b) for a, b in seeds]
+    seeds = np.concatenate(seeds)
+    panels = _evaluate(sample, spec, grid, reach, seeds[:, 0], seeds[:, 1])
     for _ in range(_MAX_REFINE_ROUNDS):
-        total_val, total_err = _grid_totals(panels, grid.size)
+        total_val, total_err = _totals(panels, grid.size)
         tol = max(cfg.abs_tol, cfg.rel_tol * float(np.abs(total_val).max()))
         if float(total_err.max()) <= tol:
             out = np.empty_like(total_val)
             out[order] = total_val
             return out
-        peak = max(p.err_max for p in panels)
-        cutoff = max(0.25 * peak, tol / (4.0 * len(panels)))
-        split = [p.err_max >= cutoff and (p.b - p.a) > 1e-14 for p in panels]
-        n_split = sum(split)
-        if not n_split or len(panels) + n_split > budget:
+        a, b = panels.a, panels.b
+        cutoff = max(0.25 * float(panels.worst.max()), tol / (4.0 * a.size))
+        split = (panels.worst >= cutoff) & ((b - a) > 1e-14)
+        n_split = int(split.sum())
+        if not n_split or a.size + n_split > budget:
             break
-        refined = []
-        for p, halve in zip(panels, split):
-            if halve:
-                mid = 0.5 * (p.a + p.b)
-                refined.append(_panel_batch(sample, spec, grid, reach, p.a, mid))
-                refined.append(_panel_batch(sample, spec, grid, reach, mid, p.b))
-            else:
-                refined.append(p)
-        panels = refined
+        mid = 0.5 * (a[split] + b[split])
+        halves = np.column_stack((a[split], mid, mid, b[split])).reshape(-1, 2)
+        panels = _merge(panels, _evaluate(sample, spec, grid, reach, halves[:, 0], halves[:, 1]), split)
 
-    _, total_err = _grid_totals(panels, grid.size)
+    _, total_err = _totals(panels, grid.size)
     worst_x = float(grid[int(np.argmax(total_err))])
     raise QuadratureNonConvergedError(
         f"operator quadrature did not converge on the grid "
@@ -482,7 +547,10 @@ class GridApproximant:
         if rest.any():
             xr = flat[rest]
             ratios = self._bary_weights / (xr[:, None] - self.nodes[None, :])
-            out[rest] = (ratios @ self.values) / ratios.sum(axis=1)
+            # per-row sums: a point's value must not depend on how many points
+            # come with it (the grid engine passes chunks of any size), which a
+            # BLAS matrix-vector product does not guarantee
+            out[rest] = (ratios * self.values).sum(axis=1) / ratios.sum(axis=1)
         result = out.reshape(arr.shape)
         return float(result) if scalar else result
 

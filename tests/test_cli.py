@@ -274,6 +274,16 @@ class TestIterate:
         result = _run(runner, ["iterate", "--chain", "25,9"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("resolution", [["--n", "4", "--iterations", "1"], ["--chain", "4,9"]],
+                             ids=["n", "chain"])
+    def test_hypothesis_checked_before_work(self, runner, tmp_path, resolution):
+        # n**(1 - alpha) = 2 at n = 4, alpha = 0.5: no iterated bound applies
+        out = tmp_path / "out"
+        result = _run(runner, ["iterate", "--grid-points", "101", "--out", str(out)] + resolution)
+        assert result.exit_code == 2
+        assert "n=4" in result.output and "alpha=0.5" in result.output
+        assert not out.exists()
+
 
 class TestReport:
     def test_aggregates_summaries(self, runner, tmp_path):
