@@ -14,9 +14,11 @@ digits, JSON is sorted-key with fixed indentation, and SVG plots are
 self-contained static files.  Exit status is 0 only when every
 hypothesis-met bound check passed.
 
-Configuration may come from a flat key=value file with section headers
-([common] plus one section per verb); explicit flags win over the config
-file, which wins over environment defaults.
+Each click option is the one definition of what it accepts (type, range
+or choices).  Configuration may also come from a flat key=value file with
+section headers ([common] plus one section per verb), whose values are
+converted and checked by the same options; explicit flags win over the
+config file, which wins over environment defaults.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .analysis import (
     CATALOG,
     MeasurementGrid,
     fit_rate,
-    get_test_function,
     run_convergence_sweep,
 )
 from .errors import FlaggedApproximantError, HypothesisNotMetError
@@ -57,6 +58,25 @@ _DEFAULT_WEIGHTS = "0.25,0.25,0.25,0.25"
 _RESIDUAL_CEILING = 1e-6
 
 
+class _Range(click.FloatRange):
+    """A FloatRange that also rejects nan, which passes every comparison
+    with its ends."""
+
+    def convert(self, value, param, ctx):
+        value = super().convert(value, param, ctx)
+        if math.isnan(value):
+            self.fail(f"{value} is not a number.", param, ctx)
+        return value
+
+
+# what each option accepts, for flags and config-file values alike
+_ALPHA = _Range(0.0, 1.0, min_open=True, max_open=True)
+_POSITIVE = _Range(0.0, min_open=True)
+_RESOLUTION = click.IntRange(min=1)
+_KINDS = click.Choice([k.value for k in OperatorKind])
+_FUNCTIONS = click.Choice(list(CATALOG))
+
+
 def _fmt(x) -> str:
     if x is None:
         return "nan"
@@ -72,30 +92,21 @@ def _cell(value) -> str:
     return str(value) if isinstance(value, int) else _fmt(value)
 
 
-def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
+def _parse_list(text: str, flag: str, cast=float) -> tuple:
+    """The comma-separated values of ``flag``, each converted by ``cast``."""
     try:
-        values = tuple(float(v) for v in text.split(",") if v.strip() != "")
+        values = tuple(cast(v) for v in text.split(",") if v.strip() != "")
     except ValueError:
-        raise click.UsageError(f"{flag} expects comma-separated reals, got {text!r}")
-    if not values:
-        raise click.UsageError(f"{flag} must not be empty")
-    return values
-
-
-def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(v) for v in text.split(",") if v.strip() != "")
-    except ValueError:
-        raise click.UsageError(f"{flag} expects comma-separated integers, got {text!r}")
+        raise click.UsageError(f"{flag} expects comma-separated {cast.__name__} values, got {text!r}")
     if not values:
         raise click.UsageError(f"{flag} must not be empty")
     return values
 
 
 def _parse_domain(text: str) -> tuple[float, float]:
-    values = _parse_floats(text, "--domain")
-    if len(values) != 2 or values[1] <= values[0]:
-        raise click.UsageError(f"--domain expects 'a,b' with b > a, got {text!r}")
+    values = _parse_list(text, "--domain")
+    if not (len(values) == 2 and all(map(math.isfinite, values)) and values[0] < values[1]):
+        raise click.UsageError(f"--domain expects finite 'a,b' with b > a, got {text!r}")
     return values
 
 
@@ -107,31 +118,10 @@ def _parse_formats(text: str) -> set[str]:
     return formats
 
 
-# config keys are flag names; map them onto the parameter variable names
-_CONFIG_ALIASES = {"n": "ns", "fn": "fns", "kind": "kinds", "format": "formats"}
-
-_CONFIG_PARSERS = {
-    "q": float,
-    "beta": float,
-    "alpha": float,
-    "quad_tol": float,
-    "grid_points": int,
-    "nodes": int,
-    "taylor_order": int,
-    "iterations": int,
-    "ns": lambda s: _parse_ints(s, "n"),
-    "fns": lambda s: tuple(v.strip() for v in s.split(",") if v.strip()),
-    "kinds": lambda s: tuple(v.strip() for v in s.split(",") if v.strip()),
-    "weights": str,
-    "domain": str,
-    "out": str,
-    "formats": str,
-    "chain": str,
-}
-
-
 def _merge_config(ctx: click.Context, verb: str, values: dict) -> dict:
-    """Fold config-file values under explicitly given flags."""
+    """Fold config-file values under explicitly given flags.  A key names a
+    flag or a parameter; its value goes through that option's click type,
+    comma-split for a ``multiple`` option, exactly as a flag's would."""
     path = values.pop("config", None)
     if not path:
         return values
@@ -139,21 +129,28 @@ def _merge_config(ctx: click.Context, verb: str, values: dict) -> dict:
     read = parser.read(path)
     if not read:
         raise click.UsageError(f"cannot read config file {path!r}")
+    params = {
+        key.lstrip("-").replace("-", "_"): param
+        for param in ctx.command.params
+        if param.name != "config"
+        for key in (param.name, *param.opts)
+    }
     for section in ("common", verb):
         if not parser.has_section(section):
             continue
         for key, raw in parser.items(section):
-            name = key.replace("-", "_")
-            name = _CONFIG_ALIASES.get(name, name)
-            if name not in values:
+            param = params.get(key.replace("-", "_"))
+            if param is None:
                 raise click.UsageError(f"unknown config key {key!r} in section [{section}]")
-            if ctx.get_parameter_source(name) is ParameterSource.COMMANDLINE:
+            if ctx.get_parameter_source(param.name) is ParameterSource.COMMANDLINE:
                 continue
-            convert = _CONFIG_PARSERS.get(name, str)
+            value = tuple(v.strip() for v in raw.split(",") if v.strip()) if param.multiple else raw
+            if param.multiple and not value:
+                raise click.UsageError(f"config key {key!r} in section [{section}] must not be empty")
             try:
-                values[name] = convert(raw)
-            except (ValueError, click.UsageError) as exc:
-                raise click.UsageError(f"bad config value {key}={raw!r}: {exc}")
+                values[param.name] = param.type_cast_value(ctx, value)
+            except click.BadParameter as exc:
+                raise click.UsageError(f"bad config value {key}={raw!r}: {exc.format_message()}")
     return values
 
 
@@ -180,12 +177,6 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _positive(value: float, flag: str) -> float:
-    if not value > 0:
-        raise click.UsageError(f"{flag} must be positive, got {value}")
-    return value
-
-
 def _make_params(q: float, beta: float) -> KernelParams:
     try:
         return KernelParams(q, beta)
@@ -193,29 +184,12 @@ def _make_params(q: float, beta: float) -> KernelParams:
         raise click.UsageError(str(exc))
 
 
-def _make_cfg(quad_tol: float) -> QuadratureConfig:
-    _positive(quad_tol, "--quad-tol")
-    return QuadratureConfig(abs_tol=quad_tol, rel_tol=quad_tol)
-
-
-def _resolve_functions(names) -> list:
-    try:
-        return [get_test_function(name) for name in names]
-    except KeyError as exc:
-        raise click.UsageError(str(exc.args[0]))
-
-
 def _kinds(kw) -> list[tuple[str, tuple[float, ...] | None]]:
-    """Every --kind with its weights, checked by OperatorKind and OperatorSpec
-    before any sweep runs (config-file values bypass click's types)."""
+    """Every --kind with its weights, checked by OperatorSpec before any
+    sweep runs."""
     pairs = []
-    for name in kw["kinds"]:
-        try:
-            kind = OperatorKind(name)
-        except ValueError:
-            known = ", ".join(k.value for k in OperatorKind)
-            raise click.UsageError(f"--kind must be one of {known}, got {name!r}")
-        weights = _parse_floats(kw["weights"], "--weights") if kind is OperatorKind.QUADRATURE else None
+    for kind in map(OperatorKind, kw["kinds"]):
+        weights = _parse_list(kw["weights"], "--weights") if kind is OperatorKind.QUADRATURE else None
         try:
             OperatorSpec(kind, 1, KernelParams(), kw["alpha"], weights)
         except ValueError as exc:
@@ -278,9 +252,9 @@ def main():
 @main.command("kernel-check")
 @click.option("--q", type=float, default=1.0, show_default=True)
 @click.option("--beta", type=float, default=1.0, show_default=True)
-@click.option("--alpha", type=float, default=0.5, show_default=True)
-@click.option("--n", "ns", type=int, multiple=True, default=(9, 16, 25, 36), show_default=True)
-@click.option("--quad-tol", type=float, default=1e-10, show_default=True)
+@click.option("--alpha", type=_ALPHA, default=0.5, show_default=True)
+@click.option("--n", "ns", type=_RESOLUTION, multiple=True, default=(9, 16, 25, 36), show_default=True)
+@click.option("--quad-tol", type=_POSITIVE, default=1e-10, show_default=True)
 @click.option("--out", envvar="ACTCONV_OUT", default=None, help="Write CSV/JSON artifacts here.")
 @click.option("--format", "formats", default="csv,json", show_default=True)
 @click.option("--config", type=click.Path(exists=False), default=None)
@@ -289,10 +263,8 @@ def kernel_check(ctx, **kw):
     """Check kernel identities and bounds; nonzero exit on any failure."""
     kw = _merge_config(ctx, "kernel-check", kw)
     params = _make_params(kw["q"], kw["beta"])
-    cfg = _make_cfg(kw["quad_tol"])
+    cfg = QuadratureConfig(abs_tol=kw["quad_tol"], rel_tol=kw["quad_tol"])
     alpha = kw["alpha"]
-    if not (0.0 < alpha < 1.0):
-        raise click.UsageError(f"--alpha must lie in (0, 1), got {alpha}")
     formats = _parse_formats(kw["formats"])
 
     rows: list[dict] = []
@@ -383,46 +355,40 @@ def _peak_location(params: KernelParams, center: float) -> float:
 
 def _sweep_options(fn):
     fn = click.option("--config", type=click.Path(exists=False), default=None)(fn)
-    fn = click.option("--quad-tol", type=float, default=1e-10, show_default=True)(fn)
+    fn = click.option("--quad-tol", type=_POSITIVE, default=1e-10, show_default=True)(fn)
     fn = click.option("--format", "formats", default="csv,json,svg", show_default=True)(fn)
     fn = click.option(
         "--out", envvar="ACTCONV_OUT", default="actconv_out", show_default=True,
         help="Output directory (env ACTCONV_OUT; flags win).",
     )(fn)
-    fn = click.option("--grid-points", type=int, default=2001, show_default=True)(fn)
+    fn = click.option("--grid-points", type=click.IntRange(min=2), default=2001, show_default=True)(fn)
     fn = click.option("--domain", default="-3,3", show_default=True)(fn)
     fn = click.option("--weights", default=_DEFAULT_WEIGHTS, show_default=True,
                       help="Quadrature-kind weights w1,...,wr.")(fn)
     fn = click.option("--beta", type=float, default=1.0, show_default=True)(fn)
     fn = click.option("--q", type=float, default=1.0, show_default=True)(fn)
-    fn = click.option("--alpha", type=float, default=0.5, show_default=True)(fn)
+    fn = click.option("--alpha", type=_ALPHA, default=0.5, show_default=True)(fn)
     return fn
 
 
 def _grid_from(kw) -> MeasurementGrid:
-    domain = _parse_domain(kw["domain"])
-    points = kw["grid_points"]
-    if points < 2:
-        raise click.UsageError(f"--grid-points must be >= 2, got {points}")
-    return MeasurementGrid.uniform(domain, points)
+    return MeasurementGrid.uniform(_parse_domain(kw["domain"]), kw["grid_points"])
 
 
 @main.command()
-@click.option("--fn", "fns", multiple=True, default=("sin",), show_default=True)
-@click.option("--kind", "kinds", multiple=True, default=tuple(k.value for k in OperatorKind), show_default=True)
-@click.option("--n", "ns", type=int, multiple=True, default=(9, 16, 25, 36, 49), show_default=True)
+@click.option("--fn", "fns", type=_FUNCTIONS, multiple=True, default=("sin",), show_default=True)
+@click.option("--kind", "kinds", type=_KINDS, multiple=True, default=tuple(k.value for k in OperatorKind), show_default=True)
+@click.option("--n", "ns", type=_RESOLUTION, multiple=True, default=(9, 16, 25, 36, 49), show_default=True)
 @_sweep_options
 @click.pass_context
 def approx(ctx, **kw):
     """Sweep measured sup error against the first-order bounds."""
     kw = _merge_config(ctx, "approx", kw)
-    if not kw["ns"]:
-        raise click.UsageError("--n must be given at least once")
     params = _make_params(kw["q"], kw["beta"])
-    cfg = _make_cfg(kw["quad_tol"])
+    cfg = QuadratureConfig(abs_tol=kw["quad_tol"], rel_tol=kw["quad_tol"])
     grid = _grid_from(kw)
     formats = _parse_formats(kw["formats"])
-    functions = _resolve_functions(kw["fns"])
+    functions = [CATALOG[name] for name in kw["fns"]]
     kinds = _kinds(kw)
     out = _out_dir(kw["out"])
 
@@ -509,25 +475,21 @@ def approx(ctx, **kw):
 
 
 @main.command()
-@click.option("--fn", "fns", multiple=True, default=("sin",), show_default=True)
-@click.option("--kind", "kinds", multiple=True, default=tuple(k.value for k in OperatorKind), show_default=True)
-@click.option("--n", "ns", type=int, multiple=True, default=(16, 25, 36), show_default=True)
-@click.option("--taylor-order", type=int, default=2, show_default=True)
+@click.option("--fn", "fns", type=_FUNCTIONS, multiple=True, default=("sin",), show_default=True)
+@click.option("--kind", "kinds", type=_KINDS, multiple=True, default=tuple(k.value for k in OperatorKind), show_default=True)
+@click.option("--n", "ns", type=_RESOLUTION, multiple=True, default=(16, 25, 36), show_default=True)
+@click.option("--taylor-order", type=click.IntRange(min=1), default=2, show_default=True)
 @_sweep_options
 @click.pass_context
 def taylor(ctx, **kw):
     """Check Taylor-corrected residuals against the refined bounds."""
     kw = _merge_config(ctx, "taylor", kw)
     order = kw["taylor_order"]
-    if order < 1:
-        raise click.UsageError(f"--taylor-order must be >= 1, got {order}")
-    if not kw["ns"]:
-        raise click.UsageError("--n must be given at least once")
     params = _make_params(kw["q"], kw["beta"])
-    cfg = _make_cfg(kw["quad_tol"])
+    cfg = QuadratureConfig(abs_tol=kw["quad_tol"], rel_tol=kw["quad_tol"])
     grid = _grid_from(kw)
     formats = _parse_formats(kw["formats"])
-    functions = _resolve_functions(kw["fns"])
+    functions = [CATALOG[name] for name in kw["fns"]]
     kinds = _kinds(kw)
     out = _out_dir(kw["out"])
 
@@ -612,31 +574,28 @@ def taylor(ctx, **kw):
 
 
 @main.command()
-@click.option("--fn", "fns", multiple=True, default=("sin",), show_default=True)
-@click.option("--kind", "kinds", multiple=True, default=("basic",), show_default=True)
-@click.option("--n", "ns", type=int, multiple=True, default=(32,), show_default=True)
-@click.option("--iterations", type=int, default=3, show_default=True, help="Self-composition count r.")
+@click.option("--fn", "fns", type=_FUNCTIONS, multiple=True, default=("sin",), show_default=True)
+@click.option("--kind", "kinds", type=_KINDS, multiple=True, default=("basic",), show_default=True)
+@click.option("--n", "ns", type=_RESOLUTION, multiple=True, default=(32,), show_default=True)
+@click.option("--iterations", type=click.IntRange(min=1), default=3, show_default=True, help="Self-composition count r.")
 @click.option("--chain", default=None, help="Ascending resolutions k1,k2,... (overrides --iterations).")
-@click.option("--nodes", type=int, default=64, show_default=True, help="Approximant nodes per stage.")
+@click.option("--nodes", type=click.IntRange(min=8), default=64, show_default=True, help="Approximant nodes per stage.")
 @_sweep_options
 @click.pass_context
 def iterate(ctx, **kw):
     """Check iterated-operator errors against r-fold and per-step bounds."""
     kw = _merge_config(ctx, "iterate", kw)
     params = _make_params(kw["q"], kw["beta"])
-    cfg = _make_cfg(kw["quad_tol"])
+    cfg = QuadratureConfig(abs_tol=kw["quad_tol"], rel_tol=kw["quad_tol"])
     grid = _grid_from(kw)
     formats = _parse_formats(kw["formats"])
-    functions = _resolve_functions(kw["fns"])
+    functions = [CATALOG[name] for name in kw["fns"]]
     domain = grid.domain
-    chain = _parse_ints(kw["chain"], "--chain") if kw["chain"] else None
-    if chain and any(b < a for a, b in zip(chain, chain[1:])):
-        raise click.UsageError(f"--chain must be ascending, got {list(chain)}")
-    if not chain:
-        if kw["iterations"] < 1:
-            raise click.UsageError(f"--iterations must be >= 1, got {kw['iterations']}")
-        if len(kw["ns"]) != 1:
-            raise click.UsageError("iterate without --chain expects exactly one --n")
+    chain = _parse_list(kw["chain"], "--chain", int) if kw["chain"] else None
+    if chain and (chain[0] < 1 or any(b < a for a, b in zip(chain, chain[1:]))):
+        raise click.UsageError(f"--chain must be ascending positive integers, got {list(chain)}")
+    if not chain and len(kw["ns"]) != 1:
+        raise click.UsageError("iterate without --chain expects exactly one --n")
     kinds = _kinds(kw)
     # every bound below holds only where the hypothesis holds at every resolution
     for n in chain or kw["ns"]:

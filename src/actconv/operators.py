@@ -21,6 +21,11 @@ Two evaluation paths share the same nested Kronrod rule:
   round are evaluated together, in chunks of (panel, grid point) rows,
   so the sample function is called with (panels, 15) arrays holding the
   nodes of many panels: it must work elementwise on arrays of any shape.
+  Each seeding window (a run of grid points with their kernel windows)
+  has an anchor c at its centre.  Panel nodes are held as offsets t from
+  c, kernel arguments are formed as n ((x - c) - t), and the sample
+  function is evaluated at c + t, with a kind's inner shifts added to t
+  before c; so the rounding does not grow with |x|.
 
 Iterated and mixed compositions are made tractable by interpolating each
 stage on Chebyshev nodes; the interpolation residual is measured on a
@@ -173,10 +178,17 @@ class TestFunction:
 
 def _transformed(f: TestFunction, spec: OperatorSpec):
     """Reduce any kind to the basic form: a sample function F of u, the
-    kink locations of F, and the sup-norm budget for tail truncation."""
+    kink locations of F, and the sup-norm budget for tail truncation.
+
+    F(t, c) is F at u = c + t, for offsets t from anchors c; it adds the
+    kinds' inner shifts to t before c, so that their rounding does not grow
+    with |c|."""
     n = spec.n
     if spec.kind is OperatorKind.BASIC:
-        return f.eval, tuple(f.kinks), f.sup_norm
+        def point(u, c=None, _f=f.eval):
+            return _f(u if c is None else c + u)
+
+        return point, tuple(f.kinks), f.sup_norm
     if spec.kind is OperatorKind.KANTOROVICH:
         nodes, weights = gauss_legendre_01(spec.inner_order)
         shifts = nodes / n
@@ -184,9 +196,9 @@ def _transformed(f: TestFunction, spec: OperatorSpec):
         shifts = np.arange(1, spec.r + 1) / (n * spec.r)
         weights = np.asarray(spec.weights, dtype=float)
 
-    def combined(u, _s=shifts, _w=weights, _f=f.eval):
-        u = np.asarray(u, dtype=float)
-        return np.asarray(_f(u[..., None] + _s), dtype=float) @ _w
+    def combined(u, c=None, _s=shifts, _w=weights, _f=f.eval):
+        v = np.asarray(u, dtype=float)[..., None] + _s
+        return np.asarray(_f(v if c is None else c[..., None] + v), dtype=float) @ _w
 
     kinks = tuple(k - s for k in f.kinks for s in shifts)
     return combined, kinks, f.sup_norm
@@ -263,15 +275,17 @@ def _node_sum(terms: np.ndarray) -> np.ndarray:
 
 
 class _Panels(NamedTuple):
-    """Panels [a, b] in ascending order of a, the slice start:stop of the
-    sorted grid within reach of each, and each panel's largest row error;
-    then the flat rows, ordered by panel and then point: the K15 value and
-    the K15 - G7 error estimate of the panel at the point.  The kernel mass
-    a panel puts on the points outside its slice lies outside the
-    truncation window."""
+    """Panels [c + a, c + b] in ascending order, held as offsets a, b from
+    the anchor c of their seeding window, the slice start:stop of the sorted
+    grid within reach of each, and each panel's largest row error; then the
+    flat rows, ordered by panel and then point: the K15 value and the
+    K15 - G7 error estimate of the panel at the point.  The kernel mass a
+    panel puts on the points outside its slice lies outside the truncation
+    window."""
 
     a: np.ndarray
     b: np.ndarray
+    c: np.ndarray
     start: np.ndarray
     stop: np.ndarray
     worst: np.ndarray
@@ -297,30 +311,34 @@ def _chunks(start: np.ndarray, stop: np.ndarray, max_panels: int):
         c0 = c1
 
 
-def _evaluate(sample, spec: OperatorSpec, grid: np.ndarray, reach: float, a: np.ndarray, b: np.ndarray) -> _Panels:
-    """Rows of the panels [a, b] on the sorted grid, a chunk at a time: one
-    sample call for the nodes of the chunk's panels (at most
-    ``_CHUNK_ROWS`` nodes) and one kernel call for its rows."""
+def _evaluate(sample, spec: OperatorSpec, grid: np.ndarray, offset: np.ndarray, reach: float,
+              a: np.ndarray, b: np.ndarray, c: np.ndarray) -> _Panels:
+    """Rows of the panels [c + a, c + b] on the sorted grid, a chunk at a
+    time: one sample call for the nodes of the chunk's panels (at most
+    ``_CHUNK_ROWS`` nodes) and one kernel call for its rows.  ``offset``
+    holds each grid point's offset from the anchor of its window."""
     n = spec.n
-    start = np.searchsorted(grid, a - reach, side="left")
-    stop = np.searchsorted(grid, b + reach, side="right")
+    start = np.searchsorted(grid, c + a - reach, side="left")
+    stop = np.searchsorted(grid, c + b + reach, side="right")
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     scale = n * half
     values = np.empty(int((stop - start).sum()))
     errors = np.empty_like(values)
     worst = np.zeros(a.size)
     for c0, c1, p0, p1, counts, point in _chunks(start, stop, max(1, _CHUNK_ROWS // GK15_NODES.size)):
-        u = mid[p0:p1, None] + half[p0:p1, None] * GK15_NODES
-        fu = np.asarray(sample(u), dtype=float)
+        t = mid[p0:p1, None] + half[p0:p1, None] * GK15_NODES
+        fu = np.asarray(sample(t, c[p0:p1, None]), dtype=float)
         finite = np.isfinite(fu)
         if not finite.all():
+            u = c[p0:p1, None] + t
             raise NonFiniteSampleError(
                 f"sample function is not finite at u={float(u.flat[int(np.argmin(finite))])!r} "
                 f"(operator={spec.kind.value}, n={n})"
             )
-        # node-major (15, rows) arrays; the K15 terms overwrite the kernel values
-        arg = np.repeat(u.T, counts, axis=1)
-        np.subtract(grid[point], arg, out=arg)
+        # node-major (15, rows) arrays of n ((x - c) - t); the K15 terms
+        # overwrite the kernel values
+        arg = np.repeat(t.T, counts, axis=1)
+        np.subtract(offset[point], arg, out=arg)
         arg *= n
         terms = kernel.psi(spec.params, arg)
         rows = np.repeat(scale[p0:p1], counts)
@@ -332,7 +350,7 @@ def _evaluate(sample, spec: OperatorSpec, grid: np.ndarray, reach: float, a: np.
         errors[c0:c1] = err
         # a panel without rows in the chunk (one that reaches no grid point) keeps 0
         worst[p0:p1] = np.maximum(worst[p0:p1], np.maximum.reduceat(err, np.cumsum(counts) - counts) * (counts > 0))
-    return _Panels(a, b, start, stop, worst, values, errors)
+    return _Panels(a, b, c, start, stop, worst, values, errors)
 
 
 def _totals(panels: _Panels, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -355,7 +373,7 @@ def _merge(panels: _Panels, halves: _Panels, split: np.ndarray) -> _Panels:
     for i, j in zip(edges[:-1], edges[1:]):
         # runs of kept panels and runs of split ones alternate
         src, rs, p, q = (halves, half_rows, done[i], done[j]) if split[i] else (panels, rows, i, j)
-        pieces.append([col[p:q] for col in src[:5]] + [col[rs[p]:rs[q]] for col in src[5:]])
+        pieces.append([col[p:q] for col in src[:-2]] + [col[rs[p]:rs[q]] for col in src[-2:]])
     return _Panels(*(np.concatenate(cols) for cols in zip(*pieces)))
 
 
@@ -379,6 +397,15 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec, xs, cfg: QuadratureConfig
     thousand nodes, not 15 nodes, and must work elementwise on arrays of
     any shape.  Node sums and per-point totals are added in a fixed
     order, so the output does not depend on the chunk size.
+
+    Each seeding window [lo, hi] (windows are split at gaps wider than
+    3R/n between sorted points) has the anchor c = (lo + hi) / 2.  Panel
+    edges and kink seeds are held as offsets from c, each point's x - c is
+    computed once, and the kernel argument is n ((x - c) - t) for a node
+    offset t; the sample function is evaluated at c + t.  The rounding of
+    the kernel argument is thus about n ulp(x - c), not n ulp(x), and the
+    result far from the origin is as accurate as near it.  On a window
+    symmetric about 0, c is exactly 0.
     """
     cfg = cfg or DEFAULT_CONFIG
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -396,26 +423,31 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec, xs, cfg: QuadratureConfig
     grid = xs[order]
 
     # seed only the union of the points' kernel windows [x - R/n, x + R/n]:
-    # a panel anywhere else reaches no grid point
-    breaks = np.flatnonzero(np.diff(grid) > 2.0 * reach)
-    lows = np.concatenate((grid[:1], grid[breaks + 1])) - reach
-    highs = np.concatenate((grid[breaks], grid[-1:])) + reach
+    # a panel anywhere else reaches no grid point.  Windows are split only at
+    # gaps over 3R/n, so no panel reaches a point of another window.
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(grid) > 3.0 * reach) + 1, [grid.size]))
+    lows = grid[bounds[:-1]] - reach
+    highs = grid[bounds[1:] - 1] + reach
+    anchors = 0.5 * (lows + highs)
+    offset = grid - np.repeat(anchors, np.diff(bounds))
     seeds = []
     budget = 0
-    for lo, hi in zip(lows.tolist(), highs.tolist()):
+    for lo, hi, c in zip(lows.tolist(), highs.tolist(), anchors.tolist()):
         cap = cfg.max_subdivisions * math.ceil((hi - lo) * n / (2.0 * radius))
         count = max(2, min(max(math.ceil((hi - lo) * n), 8), cap))
-        edges = np.linspace(lo, hi, count + 1)
-        inner = sorted({k for k in kinks if lo < k < hi})[: max(0, cap - count)]
+        edges = np.linspace(lo - c, hi - c, count + 1)
+        inner = sorted({k - c for k in kinks if lo < k < hi})[: max(0, cap - count)]
         if inner:
-            edges = np.unique(np.concatenate((edges, np.asarray(inner))))
-        seeds.append(np.column_stack((edges[:-1], edges[1:])))
+            # sorted, without repeats (np.unique would import numpy.ma)
+            edges = np.sort(np.concatenate((edges, inner)))
+            edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
+        seeds.append(np.column_stack((edges[:-1], edges[1:], np.full(edges.size - 1, c))))
         budget += cap
 
-    # the list stays in ascending order of a (splits replace a panel by its
+    # the list stays in ascending order (splits replace a panel by its
     # halves in place), so every total sums in one deterministic order
     seeds = np.concatenate(seeds)
-    panels = _evaluate(sample, spec, grid, reach, seeds[:, 0], seeds[:, 1])
+    panels = _evaluate(sample, spec, grid, offset, reach, *seeds.T)
     for _ in range(_MAX_REFINE_ROUNDS):
         total_val, total_err = _totals(panels, grid.size)
         tol = max(cfg.abs_tol, cfg.rel_tol * float(np.abs(total_val).max()))
@@ -431,7 +463,8 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec, xs, cfg: QuadratureConfig
             break
         mid = 0.5 * (a[split] + b[split])
         halves = np.column_stack((a[split], mid, mid, b[split])).reshape(-1, 2)
-        panels = _merge(panels, _evaluate(sample, spec, grid, reach, halves[:, 0], halves[:, 1]), split)
+        anchor = np.repeat(panels.c[split], 2)
+        panels = _merge(panels, _evaluate(sample, spec, grid, offset, reach, *halves.T, anchor), split)
 
     _, total_err = _totals(panels, grid.size)
     worst_x = float(grid[int(np.argmax(total_err))])

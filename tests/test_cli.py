@@ -158,6 +158,18 @@ class TestApprox:
         assert (tmp_path / "flagdir" / "approx_one_basic.csv").exists()
         assert not (tmp_path / "envdir").exists()
 
+    def test_config_wins_over_env(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setenv("ACTCONV_OUT", str(tmp_path / "envdir"))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[approx]\nout = {tmp_path / 'cfgdir'}\n")
+        result = _run(
+            runner,
+            ["approx", "--config", str(cfg), "--fn", "one", "--kind", "basic", "--n", "9", "--grid-points", "101"],
+        )
+        assert result.exit_code == 0
+        assert (tmp_path / "cfgdir" / "approx_one_basic.csv").exists()
+        assert not (tmp_path / "envdir").exists()
+
     def test_config_file_and_flag_precedence(self, runner, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -190,6 +202,43 @@ def test_bad_kind_rejected_before_work(runner, tmp_path, verb, bad):
     result = _run(runner, [verb, "--fn", "sin", "--n", "9", "--grid-points", "101", "--out", str(tmp_path)] + bad)
     assert result.exit_code == 2
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (["kernel-check", "--n", "0"], "--n"),
+        (["approx", "--n", "0"], "--n"),
+        (["taylor", "--n", "0"], "--n"),
+        (["iterate", "--nodes", "4"], "--nodes"),
+        (["iterate", "--chain", "-1,9"], "--chain"),
+        (["approx", "--domain", "0,inf"], "--domain"),
+        (["kernel-check", "--alpha", "nan"], "--alpha"),
+        (["approx", "--quad-tol", "nan"], "--quad-tol"),
+    ],
+    ids=["kernel-check-n", "approx-n", "taylor-n", "iterate-nodes", "iterate-chain", "domain", "alpha-nan",
+         "quad-tol-nan"],
+)
+def test_out_of_range_flag_rejected_before_work(runner, tmp_path, args, option):
+    out = tmp_path / "out"
+    result = _run(runner, args + ["--out", str(out)])
+    assert result.exit_code == 2
+    assert option in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "verb, line, option",
+    [("approx", "n = 9,0", "--n"), ("kernel-check", "alpha = 1.5", "--alpha"), ("iterate", "nodes = 4", "--nodes")],
+    ids=["n", "alpha", "nodes"],
+)
+def test_config_values_checked_like_flags(runner, tmp_path, verb, line, option):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[{verb}]\n{line}\nout = {tmp_path / 'out'}\n")
+    result = _run(runner, [verb, "--config", str(cfg)])
+    assert result.exit_code == 2
+    assert option in result.output
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_config_kind_rejected_before_work(runner, tmp_path):

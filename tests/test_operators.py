@@ -10,8 +10,10 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -59,6 +61,16 @@ ALL_SPECS = [B32, K32, Q32]
 NAN_RIGHT = TestFunction.from_callable(
     "nan_right", lambda x: np.where(np.asarray(x) > 0.5, np.nan, np.sin(x)), 1.0
 )
+
+
+def _python(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this package."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))),
+    )
 
 
 def sin_factor(n, params):
@@ -290,6 +302,29 @@ class TestApplyOnGrid:
         np.testing.assert_allclose(apply_on_grid(SIN, spec, xs), expected, rtol=0, atol=1e-10)
         np.testing.assert_allclose(apply_on_grid(ONE, spec, [-1e5, 0.0, 1e5]), 1.0, rtol=0, atol=1e-9)
 
+    @pytest.mark.parametrize("n", [9, 1000])
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind.value)
+    def test_far_from_origin(self, spec, n):
+        """Kernel arguments and inner shifts are offsets from the anchor of
+        each seeding window, so points far from the origin are as accurate
+        as points near it.  The closed forms are evaluated in mpmath:
+        rounding x + 1/(2n) to a double alone is off by up to
+        ulp(1e7) / 2 = 9.3e-10."""
+        spec = replace(spec, n=n)
+        xs = np.array([1e3, 1e6, 1e7])
+
+        def exact(x):
+            if spec.kind is OperatorKind.BASIC:
+                return mp.sin(x)
+            if spec.kind is OperatorKind.KANTOROVICH:
+                # n times the integral of sin over [x, x + 1/n]
+                return n * (mp.cos(x) - mp.cos(x + mp.mpf(1) / n))
+            return mp.fsum(w * mp.sin(x + mp.mpf(s) / (n * spec.r)) for s, w in enumerate(spec.weights, 1))
+
+        with mp.workdps(30):
+            expected = [float(sin_factor(n, P11) * exact(mp.mpf(x))) for x in xs]
+        np.testing.assert_allclose(apply_on_grid(SIN, spec, xs), expected, rtol=0, atol=1e-10)
+
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind.value)
     def test_unsorted_grid(self, spec):
         xs = np.linspace(-2, 2, 41)
@@ -318,12 +353,7 @@ class TestApplyOnGrid:
             "print(before, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
         )
         points, n = 20001, 400
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        proc = subprocess.run(
-            [sys.executable, "-c", code, str(points)],
-            capture_output=True, text=True, timeout=120,
-            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))),
-        )
+        proc = _python(code, points)
         assert proc.returncode == 0, proc.stderr
         before_kb, after_kb = map(int, proc.stdout.split())
         # panels of width 1/n over [-3 - R/n, 3 + R/n], each reaching the
@@ -332,6 +362,21 @@ class TestApplyOnGrid:
         spacing = 6.0 / (points - 1)
         rows = math.ceil((6.0 + 2.0 * reach) * n) * (math.ceil((2.0 * reach + 1.0 / n) / spacing) + 2)
         assert (after_kb - before_kb) * 1024 <= 16 * rows + 4 * 2**20
+
+    def test_kink_seeding_leaves_numpy_ma_unloaded(self):
+        """Kink seeds are merged without np.unique, which imports numpy.ma
+        on first use (about 1.4 MB and 16 ms in every such process)."""
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from actconv import CATALOG, KernelParams, apply_on_grid\n"
+            "from actconv.operators import OperatorSpec\n"
+            "apply_on_grid(CATALOG['abs'], OperatorSpec('basic', 9, KernelParams()), np.linspace(-1.0, 1.0, 5))\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        proc = _python(code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
 
     def test_non_finite_sample_named(self):
         with pytest.raises(NonFiniteSampleError, match="operator=basic") as err:
