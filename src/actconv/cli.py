@@ -293,7 +293,13 @@ def kernel_check(ctx, **kw):
     )
 
     target = params.g_argmax
-    record("peak location |argmax - ln(q)/beta|", abs(_peak_location(params, target) - target), 1e-6)
+    location, dominant = _peak_location(params, target)
+    record(
+        "peak location |argmax - ln(q)/beta|",
+        abs(location - target),
+        1e-6,
+        None if dominant else "FAIL",
+    )
     record("peak value |g(argmax) - closed form|", abs(kernel.g(params, target) - params.g_max_value), 1e-10)
 
     for n in kw["ns"]:
@@ -336,16 +342,38 @@ def kernel_check(ctx, **kw):
     _emit(ctx, out, formats, summary, [table], offenders, "all kernel checks passed")
 
 
-def _peak_location(params: KernelParams, center: float) -> float:
-    """Argmax of g over [center - 5, center + 5]: the grid maximum of 101
-    points, narrowed to its neighbours until the bracket is below 1e-10
-    (g is unimodal)."""
+def _g_slope(params: KernelParams, x: float) -> float:
+    """g'(x) = (nu'(x + 1) - nu'(x - 1)) / 4, with the sigmoid's slope
+    nu'(x) = beta e^-|z| / (1 + e^-|z|)^2, z = beta x - ln q.  Where g is
+    flat to e^-beta near its peak, its values cannot place the peak, but
+    the two slopes still differ in their leading digits."""
+
+    def slope(y):
+        e = math.exp(-abs(params.beta * y - math.log(params.q)))
+        return params.beta * e / (1.0 + e) ** 2
+
+    return 0.25 * (slope(x + 1.0) - slope(x - 1.0))
+
+
+def _peak_location(params: KernelParams, center: float) -> tuple[float, bool]:
+    """Where g' changes sign in [center - 5, center + 5], found by
+    bisection on its sign to a relative 1e-12 (g is unimodal), and whether
+    g(center) is at least g at every bracket point (101 points over the
+    interval and every bisection midpoint) to within 4 ulp."""
     lo, hi = center - 5.0, center + 5.0
-    while hi - lo > 1e-10:
-        xs = np.linspace(lo, hi, 101)
-        i = int(np.argmax(kernel.g(params, xs)))
-        lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, 100)]
-    return float(0.5 * (lo + hi))
+    points = list(np.linspace(lo, hi, 101))
+    if not (_g_slope(params, lo) > 0.0 > _g_slope(params, hi)):
+        return math.inf, False
+    while hi - lo > 1e-12 * max(1.0, abs(center)):
+        mid = 0.5 * (lo + hi)
+        if _g_slope(params, mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        points.append(mid)
+    peak = kernel.g(params, center)
+    dominant = peak >= float(kernel.g(params, np.array(points)).max()) - 4.0 * math.ulp(peak)
+    return 0.5 * (lo + hi), dominant
 
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,11 @@ Two evaluation paths share the same nested Kronrod rule:
   has an anchor c at its centre.  Panel nodes are held as offsets t from
   c, kernel arguments are formed as n ((x - c) - t), and the sample
   function is evaluated at c + t, with a kind's inner shifts added to t
-  before c; so the rounding does not grow with |x|.
+  before c; so the rounding does not grow with |x|.  On a uniform grid,
+  as ``np.linspace`` builds it, the seed round runs on a lattice of
+  panels anchored at the first point instead: the kernel term of a
+  (panel, point) pair then depends only on their lattice offset, so the
+  kernel is evaluated once, on a table of a few thousand values.
 
 Iterated and mixed compositions are made tractable by interpolating each
 stage on Chebyshev nodes; the interpolation residual is measured on a
@@ -87,7 +91,7 @@ class OperatorSpec:
     """Operator kind, resolution n, kernel parameters and bound exponent.
 
     ``weights`` is required for (and only for) the quadrature kind: a
-    nonnegative tuple summing to 1 within ``weight_tol``.  ``inner_order``
+    finite, nonnegative tuple summing to 1 within ``weight_tol``.  ``inner_order``
     is the fixed Gauss-Legendre order of the kantorovich inner average.
     """
 
@@ -112,8 +116,9 @@ class OperatorSpec:
             if not self.weights:
                 raise ValueError("quadrature kind requires a nonempty weights tuple")
             w = tuple(float(v) for v in self.weights)
-            if any(v < 0.0 for v in w):
-                raise ValueError(f"weights must be nonnegative, got {w}")
+            # nan passes both the sign test and the sum test
+            if not all(math.isfinite(v) and v >= 0.0 for v in w):
+                raise ValueError(f"weights must be finite and nonnegative, got {w}")
             if abs(math.fsum(w) - 1.0) > self.weight_tol:
                 raise ValueError(f"weights must sum to 1 within {self.weight_tol}, got {math.fsum(w)!r}")
             object.__setattr__(self, "weights", w)
@@ -311,6 +316,19 @@ def _chunks(start: np.ndarray, stop: np.ndarray, max_panels: int):
         c0 = c1
 
 
+def _sample(sample, spec: OperatorSpec, t: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The sample function at the nodes c + t, every value finite."""
+    fu = np.asarray(sample(t, c), dtype=float)
+    finite = np.isfinite(fu)
+    if not finite.all():
+        u = c + t
+        raise NonFiniteSampleError(
+            f"sample function is not finite at u={float(u.flat[int(np.argmin(finite))])!r} "
+            f"(operator={spec.kind.value}, n={spec.n})"
+        )
+    return fu
+
+
 def _evaluate(sample, spec: OperatorSpec, grid: np.ndarray, offset: np.ndarray, reach: float,
               a: np.ndarray, b: np.ndarray, c: np.ndarray) -> _Panels:
     """Rows of the panels [c + a, c + b] on the sorted grid, a chunk at a
@@ -327,14 +345,7 @@ def _evaluate(sample, spec: OperatorSpec, grid: np.ndarray, offset: np.ndarray, 
     worst = np.zeros(a.size)
     for c0, c1, p0, p1, counts, point in _chunks(start, stop, max(1, _CHUNK_ROWS // GK15_NODES.size)):
         t = mid[p0:p1, None] + half[p0:p1, None] * GK15_NODES
-        fu = np.asarray(sample(t, c[p0:p1, None]), dtype=float)
-        finite = np.isfinite(fu)
-        if not finite.all():
-            u = c[p0:p1, None] + t
-            raise NonFiniteSampleError(
-                f"sample function is not finite at u={float(u.flat[int(np.argmin(finite))])!r} "
-                f"(operator={spec.kind.value}, n={n})"
-            )
+        fu = _sample(sample, spec, t, c[p0:p1, None])
         # node-major (15, rows) arrays of n ((x - c) - t); the K15 terms
         # overwrite the kernel values
         arg = np.repeat(t.T, counts, axis=1)
@@ -361,6 +372,138 @@ def _totals(panels: _Panels, size: int) -> tuple[np.ndarray, np.ndarray]:
         np.add.at(values, point, panels.values[c0:c1])
         np.add.at(errors, point, panels.errors[c0:c1])
     return values, errors
+
+
+def _contract(weighted: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """acc[r, q, e] = sum over nodes k of weighted[q, r, k] table[r, k, e],
+    added in node order: weighted holds the samples at node k of the r-th
+    panel of cell q, times the node's weight, and table the kernel at that
+    node and lattice offset e."""
+    acc = weighted[:, :, 0].T[:, :, None] * table[:, None, 0]
+    term = np.empty_like(acc)
+    for k in range(1, weighted.shape[2]):
+        np.multiply(weighted[:, :, k].T[:, :, None], table[:, None, k], out=term)
+        acc += term
+    return acc
+
+
+def _lattice(sample, spec: OperatorSpec, grid: np.ndarray, reach: float, kinks, cap: int):
+    """The seed round on the grid x_i = x0 + i h, from one kernel table.
+
+    The seed panels, of width w = h M or h / m (the widest such value not
+    above 1/n), lie on a lattice anchored at x0.  A cell of m panels (one
+    panel when w = h M) steps over ``stride`` grid points (M, or 1), so
+    psi(n (x_i - u)) at node k of the cell's r-th panel depends only on
+    (r, k) and the offset j = i - stride q of point i from cell q: the
+    kernel is evaluated once, on the table T[r, k, j].  Cells are taken in
+    blocks of at most 15 ``_CHUNK_ROWS`` (panel, offset) terms.  Each term,
+    a K15 value and its |K15 - G7| estimate, is a contraction of the
+    panel's 15 weighted samples with T, adding the nodes in order; a cell's
+    panels are added in order, and its terms go to the points by slice
+    sums, over offsets or over cells, whichever is shorter.  A slice adds
+    at most one term to a point, and every point receives its terms in
+    ascending cell order either way, so the totals do not depend on the
+    block size.
+
+    A lattice panel that contains a kink is cut there, and the pieces go
+    through ``_evaluate``.  Returns the per-point totals of values and
+    error estimates; or None when the seeds would exceed the panel budget
+    ``cap``, or when a cell spans more than a quarter of the grid, so that
+    a table value would serve fewer than four cells and rows cost as
+    little."""
+    n, size = spec.n, grid.size
+    x0 = float(grid[0])
+    span = float(grid[-1]) - x0
+    h = span / (size - 1)
+    if h * n <= 1.0:
+        m, stride = 1, int(1.0 / (h * n))
+        if stride * h * n > 1.0:
+            stride -= 1
+    else:
+        m, stride = math.ceil(h * n), 1
+        if h * n / m > 1.0:
+            m += 1
+    if 4 * stride > size - 1:
+        return None
+    cell = stride * h
+    w = cell / m
+    q_lo, q_hi = math.floor(-reach / cell), math.ceil((span + reach) / cell) - 1
+    cells = q_hi - q_lo + 1
+    # offsets j of the points within reach of a cell, clipped to the grid
+    j_lo = max(math.ceil(-reach / h), -stride * q_hi)
+    j_hi = min(math.floor((cell + reach) / h), size - 1 - stride * q_lo)
+
+    edges = np.arange(m * q_lo, m * (q_hi + 1) + 1) * w
+    cuts = np.array(sorted({k - x0 for k in kinks if edges[0] < k - x0 < edges[-1]}), dtype=float)
+    at = np.searchsorted(edges, cuts)  # edges[at - 1] < cut <= edges[at]
+    inner = edges[at] != cuts
+    cuts, at = cuts[inner], at[inner]
+    if edges.size - 1 + cuts.size > cap:
+        return None
+
+    offsets = np.arange(j_lo, j_hi + 1)
+    nodes = (np.arange(m)[:, None] + 0.5) * w + 0.5 * w * GK15_NODES  # (m, 15) from the cell's left edge
+    table = kernel.psi(spec.params, n * (offsets * h - nodes[:, :, None]))
+    weights = 0.5 * n * w * GK15_WEIGHTS
+    gauss = 0.5 * n * w * G7_WEIGHTS[_GAUSS]
+
+    # the samples of every lattice panel, taken as ``_evaluate`` takes them
+    a, b = edges[:-1], edges[1:]
+    fu = np.empty((a.size, GK15_NODES.size))
+    chunk = max(1, _CHUNK_ROWS // GK15_NODES.size)
+    anchor = np.array(x0)
+    for p0 in range(0, a.size, chunk):
+        pa, pb = a[p0:p0 + chunk, None], b[p0:p0 + chunk, None]
+        fu[p0:p0 + chunk] = _sample(sample, spec, 0.5 * (pa + pb) + 0.5 * (pb - pa) * GK15_NODES, anchor)
+    fu[at - 1] = 0.0  # a panel cut at a kink leaves the lattice
+    fu = fu.reshape(cells, m, GK15_NODES.size)
+
+    # a block's (m, cells, offsets) accumulators and (2, cells, offsets)
+    # terms stay within 15 _CHUNK_ROWS values, the size of a row chunk's arrays
+    per_block = max(1, GK15_NODES.size * _CHUNK_ROWS // (max(m, 2) * offsets.size))
+    # a block's terms reach at most this far beyond either end of the grid
+    pad = stride * (per_block - 1)
+    totals = np.zeros((2, size + 2 * pad))  # values and error estimates
+    for q0 in range(0, cells, per_block):
+        q1 = min(q0 + per_block, cells)
+        e0 = max(j_lo, -stride * (q_lo + q1 - 1)) - j_lo
+        e1 = min(j_hi, size - 1 - stride * (q_lo + q0)) - j_lo + 1
+        block = table[:, :, e0:e1]
+        k15 = _contract(fu[q0:q1] * weights, block)
+        err = _contract(fu[q0:q1, :, _GAUSS] * gauss, block[:, _GAUSS])
+        np.subtract(k15, err, out=err)
+        np.abs(err, out=err)
+        # each cell's panels summed in order: (2, cells, offsets) terms
+        terms = np.stack((_node_sum(k15.reshape(m, -1)), _node_sum(err.reshape(m, -1))))
+        terms = terms.reshape(2, q1 - q0, e1 - e0)
+        first = pad + stride * (q_lo + q0) + j_lo + e0  # buffer slot of cell q0's first offset
+        if q1 - q0 <= e1 - e0:
+            for row in range(q1 - q0):
+                s = first + stride * row
+                totals[:, s:s + e1 - e0] += terms[:, row]
+        else:
+            for col in range(e1 - e0 - 1, -1, -1):
+                totals[:, first + col:first + col + stride * (q1 - q0 - 1) + 1:stride] += terms[:, :, col]
+    values, errors = totals[:, pad:pad + size]
+
+    if cuts.size:
+        # the pieces of the cut panels: runs of lattice edges and cuts that
+        # start or end at a cut
+        merged = np.concatenate((edges, cuts))
+        rank = np.argsort(merged, kind="stable")
+        merged, at_cut = merged[rank], rank >= edges.size
+        piece = at_cut[:-1] | at_cut[1:]
+        a, b = merged[:-1][piece], merged[1:][piece]
+        pieces = _evaluate(sample, spec, grid, grid - x0, reach, a, b, np.full(a.size, x0))
+        piece_values, piece_errors = _totals(pieces, size)
+        values += piece_values
+        errors += piece_errors
+    return values, errors
+
+
+def _tolerance(values: np.ndarray, cfg: QuadratureConfig) -> float:
+    """The error allowed at every point: max(abs_tol, rel_tol max |value|)."""
+    return max(cfg.abs_tol, cfg.rel_tol * float(np.abs(values).max()))
 
 
 def _merge(panels: _Panels, halves: _Panels, split: np.ndarray) -> _Panels:
@@ -406,6 +549,22 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec, xs, cfg: QuadratureConfig
     the kernel argument is thus about n ulp(x - c), not n ulp(x), and the
     result far from the origin is as accurate as near it.  On a window
     symmetric about 0, c is exactly 0.
+
+    Lattice seeds: when the sorted distinct points are exactly
+    ``np.linspace(x0, x1, N)`` (N >= 2), form one seeding window and span
+    at least four lattice cells, the seed round runs on a lattice anchored
+    at x0 (see ``_lattice``).  Its panels have width h M or h / m, the
+    widest not above 1/n, so they are never coarser than the row seeds.
+    The kernel is evaluated once, on a table of kernel values per
+    (node, lattice offset); each (panel, point) K15 term and its
+    |K15 - G7| estimate is a 15-node contraction of the panel's weighted
+    samples with the table, and the totals are the same per-point sums as
+    on rows, added in a fixed order.  A lattice panel holding a kink is cut
+    there and its pieces are evaluated as rows in the same round.  If the
+    lattice round meets tolerance, its totals are the result; if not, the
+    call goes on from the row seeds above (the lattice keeps no rows to
+    refine), so refinement rounds, Chebyshev nodes and other grids take
+    the row path exactly as before.
     """
     cfg = cfg or DEFAULT_CONFIG
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -419,8 +578,14 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec, xs, cfg: QuadratureConfig
     eps = min(max(cfg.truncation_eps / max(scale, 1.0), 1e-300), 0.5)
     radius = truncation_radius(spec.params, eps)
     reach = radius / n
+    # the distinct points in ascending order, and each input point's place
+    # among them (np.unique would import numpy.ma)
     order = np.argsort(xs, kind="stable")
-    grid = xs[order]
+    ranked = xs[order]
+    distinct = np.concatenate(([True], ranked[1:] != ranked[:-1]))
+    grid = ranked[distinct]
+    slot = np.empty(xs.size, dtype=np.intp)
+    slot[order] = np.cumsum(distinct) - 1
 
     # seed only the union of the points' kernel windows [x - R/n, x + R/n]:
     # a panel anywhere else reaches no grid point.  Windows are split only at
@@ -428,12 +593,21 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec, xs, cfg: QuadratureConfig
     bounds = np.concatenate(([0], np.flatnonzero(np.diff(grid) > 3.0 * reach) + 1, [grid.size]))
     lows = grid[bounds[:-1]] - reach
     highs = grid[bounds[1:] - 1] + reach
+    caps = [cfg.max_subdivisions * math.ceil((hi - lo) * n / (2.0 * radius)) for lo, hi in zip(lows, highs)]
+    budget = sum(caps)
+
+    if lows.size == 1 and grid.size >= 2 and np.array_equal(grid, np.linspace(grid[0], grid[-1], grid.size)):
+        lattice = _lattice(sample, spec, grid, reach, kinks, budget)
+        if lattice is not None:
+            values, errors = lattice
+            if float(errors.max()) <= _tolerance(values, cfg):
+                return values[slot]
+    # otherwise (and on a uniform grid whose lattice round misses tolerance)
+    # the seeds are evaluated as rows
     anchors = 0.5 * (lows + highs)
     offset = grid - np.repeat(anchors, np.diff(bounds))
     seeds = []
-    budget = 0
-    for lo, hi, c in zip(lows.tolist(), highs.tolist(), anchors.tolist()):
-        cap = cfg.max_subdivisions * math.ceil((hi - lo) * n / (2.0 * radius))
+    for lo, hi, c, cap in zip(lows.tolist(), highs.tolist(), anchors.tolist(), caps):
         count = max(2, min(max(math.ceil((hi - lo) * n), 8), cap))
         edges = np.linspace(lo - c, hi - c, count + 1)
         inner = sorted({k - c for k in kinks if lo < k < hi})[: max(0, cap - count)]
@@ -442,7 +616,6 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec, xs, cfg: QuadratureConfig
             edges = np.sort(np.concatenate((edges, inner)))
             edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
         seeds.append(np.column_stack((edges[:-1], edges[1:], np.full(edges.size - 1, c))))
-        budget += cap
 
     # the list stays in ascending order (splits replace a panel by its
     # halves in place), so every total sums in one deterministic order
@@ -450,11 +623,9 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec, xs, cfg: QuadratureConfig
     panels = _evaluate(sample, spec, grid, offset, reach, *seeds.T)
     for _ in range(_MAX_REFINE_ROUNDS):
         total_val, total_err = _totals(panels, grid.size)
-        tol = max(cfg.abs_tol, cfg.rel_tol * float(np.abs(total_val).max()))
+        tol = _tolerance(total_val, cfg)
         if float(total_err.max()) <= tol:
-            out = np.empty_like(total_val)
-            out[order] = total_val
-            return out
+            return total_val[slot]
         a, b = panels.a, panels.b
         cutoff = max(0.25 * float(panels.worst.max()), tol / (4.0 * a.size))
         split = (panels.worst >= cutoff) & ((b - a) > 1e-14)

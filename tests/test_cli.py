@@ -55,6 +55,15 @@ class TestKernelCheck:
         assert "BOUND VIOLATION: peak location" in result.output
 
 
+@pytest.mark.parametrize("q", ["1e-6", "1e6"])
+@pytest.mark.parametrize("beta", ["0.05", "20"])
+def test_kernel_check_corners_pass(runner, q, beta):
+    """At beta = 20 g is flat to e^-20 near its peak; the location row
+    reads the sign of g', which stays well conditioned there."""
+    result = _run(runner, ["kernel-check", "--q", q, "--beta", beta])
+    assert result.exit_code == 0, result.output
+
+
 def test_no_scipy_at_runtime(tmp_path):
     """Neither importing the CLI nor a kernel-check run loads scipy."""
     code = (
@@ -201,6 +210,14 @@ class TestApprox:
 def test_bad_kind_rejected_before_work(runner, tmp_path, verb, bad):
     result = _run(runner, [verb, "--fn", "sin", "--n", "9", "--grid-points", "101", "--out", str(tmp_path)] + bad)
     assert result.exit_code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("verb", ["approx", "taylor", "iterate"])
+def test_nan_weights_rejected_before_work(runner, tmp_path, verb):
+    result = _run(runner, [verb, "--kind", "quadrature", "--weights", "nan,1", "--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert "finite and nonnegative" in result.output
     assert list(tmp_path.iterdir()) == []
 
 

@@ -63,13 +63,14 @@ NAN_RIGHT = TestFunction.from_callable(
 )
 
 
-def _python(code, *args):
-    """Run ``code`` in a fresh interpreter that imports this package."""
+def _python(code, *args, env=None):
+    """Run ``code`` in a fresh interpreter that imports this package, with
+    the environment ``env`` (by default this process's)."""
+    env = dict(os.environ if env is None else env)
     src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", code, *map(str, args)],
-        capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))),
+        [sys.executable, "-c", code, *map(str, args)], capture_output=True, text=True, timeout=120, env=env
     )
 
 
@@ -90,6 +91,12 @@ class TestOperatorSpec:
             OperatorSpec(OperatorKind.QUADRATURE, 8, P11, weights=(-0.1, 1.1))
         with pytest.raises(ValueError):
             OperatorSpec(OperatorKind.BASIC, 8, P11, weights=(1.0,))
+
+    @pytest.mark.parametrize("weights", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (0.5, 0.5, math.nan)])
+    def test_non_finite_weights_rejected(self, weights):
+        """nan compares false both below 0 and against the unit sum."""
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            OperatorSpec(OperatorKind.QUADRATURE, 8, P11, weights=weights)
 
     def test_n_alpha_validation(self):
         with pytest.raises(ValueError):
@@ -382,6 +389,126 @@ class TestApplyOnGrid:
         with pytest.raises(NonFiniteSampleError, match="operator=basic") as err:
             apply_on_grid(NAN_RIGHT, B32, np.linspace(-1, 1, 5))
         assert float(re.search(r"u=(\S+) ", str(err.value)).group(1)) > 0.5
+
+
+def _exact_sin(spec, x):
+    """The operator applied to sin, in closed form (mpmath at 30 digits)."""
+    n = spec.n
+    with mp.workdps(30):
+        x = mp.mpf(x)
+        if spec.kind is OperatorKind.BASIC:
+            value = mp.sin(x)
+        elif spec.kind is OperatorKind.KANTOROVICH:
+            value = n * (mp.cos(x) - mp.cos(x + mp.mpf(1) / n))
+        else:
+            value = mp.fsum(w * mp.sin(x + mp.mpf(s) / (n * spec.r)) for s, w in enumerate(spec.weights, 1))
+        return float(sin_factor(n, spec.params) * value)
+
+
+def _kernel_values(monkeypatch, f, spec, xs):
+    """How many kernel values one apply_on_grid call evaluates."""
+    count = [0]
+    psi_ = operators.kernel.psi
+
+    def counted(params, x):
+        count[0] += np.size(x)
+        return psi_(params, x)
+
+    monkeypatch.setattr(operators.kernel, "psi", counted)
+    apply_on_grid(f, spec, xs)
+    monkeypatch.setattr(operators.kernel, "psi", psi_)
+    return count[0]
+
+
+class TestLatticeSeeds:
+    """On a grid built by np.linspace the seed round runs on a lattice from
+    one kernel table; any other grid takes the row path."""
+
+    @pytest.mark.parametrize("n", [9, 100, 1000])
+    @pytest.mark.parametrize("f", [SIN, ABS], ids=lambda f: f.name)
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind.value)
+    def test_lattice_agrees_with_rows(self, grid, spec, f, n):
+        """An interior point moved by one ulp makes the grid non-uniform and
+        sends it down the row path; both paths agree at every point."""
+        spec = replace(spec, n=n)
+        nudged = grid.points.copy()
+        nudged[777] = np.nextafter(nudged[777], np.inf)
+        np.testing.assert_allclose(
+            apply_on_grid(f, spec, grid.points), apply_on_grid(f, spec, nudged), rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("n", [9, 100, 400, 1000])
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind.value)
+    def test_lattice_matches_closed_form(self, grid, spec, n):
+        spec = replace(spec, n=n)
+        xs = grid.points
+        out = apply_on_grid(SIN, spec, xs)
+        picks = np.arange(0, xs.size, 50)
+        expected = [_exact_sin(spec, x) for x in xs[picks]]
+        np.testing.assert_allclose(out[picks], expected, rtol=0, atol=1e-12)
+
+    def test_lattice_path_taken_only_on_uniform_grids(self, monkeypatch, grid):
+        """Kernel values per call: the lattice needs one table of a few
+        thousand, rows need 15 per (panel, point) pair.  The path depends on
+        the sorted distinct points, so a shuffled uniform grid with repeats
+        takes the lattice too."""
+        spec = OperatorSpec(OperatorKind.BASIC, 100, P11)
+        xs = grid.points
+        rng = np.random.default_rng(5)
+        shuffled = rng.permutation(np.concatenate((xs, xs[:40])))
+        lattice_grids = {"linspace": xs, "shuffled-linspace": shuffled}
+        row_grids = {
+            "chebyshev": operators._chebyshev_nodes(-3.0, 3.0, xs.size),
+            "unsorted": rng.uniform(-3.0, 3.0, xs.size),
+        }
+        for name, points in lattice_grids.items():
+            assert _kernel_values(monkeypatch, SIN, spec, points) < 5 * xs.size, name
+        for name, points in row_grids.items():
+            assert _kernel_values(monkeypatch, SIN, spec, points) > 100 * xs.size, name
+
+    def test_kinks_converge_in_the_seed_round(self, monkeypatch, grid):
+        """Lattice panels holding a kink of |x| are cut there; the pieces'
+        rows are the only rows the call evaluates."""
+        calls = []
+        evaluate = operators._evaluate
+
+        def counted(*args):
+            calls.append(args[5].size)  # panels evaluated as rows
+            return evaluate(*args)
+
+        monkeypatch.setattr(operators, "_evaluate", counted)
+        for spec in ALL_SPECS:
+            calls.clear()
+            apply_on_grid(ABS, replace(spec, n=100), grid.points)
+            # one row evaluation: the pieces of the panels cut at the sample's
+            # kinks, at most two per kink
+            assert len(calls) == 1 and calls[0] <= 2 * len(operators._transformed(ABS, spec)[1])
+
+    def test_output_independent_of_blas_threads(self):
+        """The lattice adds the nodes in order, not with a BLAS product, so
+        the OpenBLAS thread count changes no bit."""
+        code = (
+            "import hashlib\n"
+            "import numpy as np\n"
+            "from actconv import CATALOG, KernelParams, MeasurementGrid, apply_on_grid\n"
+            "from actconv.operators import OperatorSpec\n"
+            "xs = MeasurementGrid.uniform().points\n"
+            "digest = hashlib.sha256()\n"
+            "for fn, kind, n in [('sin', 'basic', 100), ('abs', 'kantorovich', 400), ('sin', 'quadrature', 9)]:\n"
+            "    w = (0.25,) * 4 if kind == 'quadrature' else None\n"
+            "    spec = OperatorSpec(kind, n, KernelParams(), weights=w)\n"
+            "    digest.update(apply_on_grid(CATALOG[fn], spec, xs).tobytes())\n"
+            "print(digest.hexdigest())\n"
+        )
+        digests = []
+        for threads in (None, "1"):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+            if threads:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            proc = _python(code, env=env)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.strip())
+        assert digests[0] == digests[1]
 
 
 @st.composite
