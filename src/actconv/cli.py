@@ -344,13 +344,13 @@ def kernel_check(ctx, **kw):
 
 def _g_slope(params: KernelParams, x: float) -> float:
     """g'(x) = (nu'(x + 1) - nu'(x - 1)) / 4, with the sigmoid's slope
-    nu'(x) = beta e^-|z| / (1 + e^-|z|)^2, z = beta x - ln q.  Where g is
+    nu'(x) = 2 beta e^-|z| / (1 + e^-|z|)^2, z = beta x - ln q.  Where g is
     flat to e^-beta near its peak, its values cannot place the peak, but
     the two slopes still differ in their leading digits."""
 
     def slope(y):
         e = math.exp(-abs(params.beta * y - math.log(params.q)))
-        return params.beta * e / (1.0 + e) ** 2
+        return 2.0 * params.beta * e / (1.0 + e) ** 2
 
     return 0.25 * (slope(x + 1.0) - slope(x - 1.0))
 

@@ -29,7 +29,10 @@ Two evaluation paths share the same nested Kronrod rule:
   as ``np.linspace`` builds it, the seed round runs on a lattice of
   panels anchored at the first point instead: the kernel term of a
   (panel, point) pair then depends only on their lattice offset, so the
-  kernel is evaluated once, on a table of a few thousand values.
+  kernel is evaluated once, on a table of a few thousand values.  The
+  lattice places point i at x0 + i h, which differs from the double
+  x_i by up to ulp(x_i) / 2, so grids far from the origin, where that
+  drift would show in the result, keep the row seeds.
 
 Iterated and mixed compositions are made tractable by interpolating each
 stage on Chebyshev nodes; the interpolation residual is measured on a
@@ -409,8 +412,10 @@ def _lattice(sample, spec: OperatorSpec, grid: np.ndarray, reach: float, kinks, 
     through ``_evaluate``.  Returns the per-point totals of values and
     error estimates; or None when the seeds would exceed the panel budget
     ``cap``, or when a cell spans more than a quarter of the grid, so that
-    a table value would serve fewer than four cells and rows cost as
-    little."""
+    a table value would serve fewer than four cells: there the lattice was
+    measured 1.5 to 5.8 times slower than rows, at four cells 0.8 to 1.4
+    times, and from eight cells on 0.2 to 1.0 times (grids of 41 to 2001
+    points, n = 1 and 4)."""
     n, size = spec.n, grid.size
     x0 = float(grid[0])
     span = float(grid[-1]) - x0
@@ -501,6 +506,17 @@ def _lattice(sample, spec: OperatorSpec, grid: np.ndarray, reach: float, kinks, 
     return values, errors
 
 
+def _drift(grid: np.ndarray) -> float:
+    """How far the points of a uniform grid lie from the lattice points
+    x0 + i h that ``_lattice`` evaluates at, h the mean spacing: the largest
+    |(x_i - x0) - i h| as computed, plus one ulp of the span for the
+    rounding of that difference.  np.linspace rounds each point to a
+    double, so far from the origin this is about ulp(x) / 2."""
+    span = float(grid[-1] - grid[0])
+    h = span / (grid.size - 1)
+    return float(np.abs((grid - grid[0]) - np.arange(grid.size) * h).max()) + float(np.spacing(span))
+
+
 def _tolerance(values: np.ndarray, cfg: QuadratureConfig) -> float:
     """The error allowed at every point: max(abs_tol, rel_tol max |value|)."""
     return max(cfg.abs_tol, cfg.rel_tol * float(np.abs(values).max()))
@@ -553,8 +569,13 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec, xs, cfg: QuadratureConfig
     Lattice seeds: when the sorted distinct points are exactly
     ``np.linspace(x0, x1, N)`` (N >= 2), form one seeding window and span
     at least four lattice cells, the seed round runs on a lattice anchored
-    at x0 (see ``_lattice``).  Its panels have width h M or h / m, the
-    widest not above 1/n, so they are never coarser than the row seeds.
+    at x0 (see ``_lattice``).  The lattice evaluates the operator at
+    x0 + i h, not at the double x_i, so it is taken only when that drift
+    (about ulp(x) / 2 far from the origin) can move no value by more than
+    abs_tol / 10; a uniform grid far from the origin, such as
+    ``np.linspace(1e6, 1e6 + 6, N)``, takes the row path.  The lattice
+    panels have width h M or h / m, the widest not above 1/n, so they are
+    never coarser than the row seeds.
     The kernel is evaluated once, on a table of kernel values per
     (node, lattice offset); each (panel, point) K15 term and its
     |K15 - G7| estimate is a 15-node contraction of the panel's weighted
@@ -596,7 +617,12 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec, xs, cfg: QuadratureConfig
     caps = [cfg.max_subdivisions * math.ceil((hi - lo) * n / (2.0 * radius)) for lo, hi in zip(lows, highs)]
     budget = sum(caps)
 
-    if lows.size == 1 and grid.size >= 2 and np.array_equal(grid, np.linspace(grid[0], grid[-1], grid.size)):
+    # the lattice moves each point by up to _drift(grid), which moves its
+    # value by up to that times sup |(B F)'| <= n sup|F| TV(psi), and the
+    # total variation of psi is at most 2 g_max: keep that below abs_tol / 10
+    slope = 2.0 * n * spec.params.g_max_value * scale
+    uniform = lows.size == 1 and grid.size >= 2 and np.array_equal(grid, np.linspace(grid[0], grid[-1], grid.size))
+    if uniform and _drift(grid) * slope <= 0.1 * cfg.abs_tol:
         lattice = _lattice(sample, spec, grid, reach, kinks, budget)
         if lattice is not None:
             values, errors = lattice

@@ -7,11 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 from click.testing import CliRunner
 
 from actconv import KernelParams
-from actconv.cli import main
+from actconv.cli import _g_slope, main
 
 
 @pytest.fixture
@@ -62,6 +63,23 @@ def test_kernel_check_corners_pass(runner, q, beta):
     reads the sign of g', which stays well conditioned there."""
     result = _run(runner, ["kernel-check", "--q", q, "--beta", beta])
     assert result.exit_code == 0, result.output
+
+
+@pytest.mark.parametrize("q, beta", [(1.0, 1.0), (1e-6, 20.0), (1e6, 0.05), (3.0, 2.0)])
+def test_g_slope_is_the_derivative_of_g(q, beta):
+    """The peak row bisects on the sign of ``_g_slope``; its value is g'
+    itself, checked against g = (nu(x + 1) - nu(x - 1)) / 4 differentiated
+    in mpmath (at beta = 20 g is flat to e^-20, too flat for a difference
+    of doubles)."""
+
+    def nu(x):
+        w = q * mp.exp(-beta * x)
+        return (1 - w) / (1 + w)
+
+    for x in (-0.7, 0.1, 1.3):
+        with mp.workdps(40):
+            exact = float(mp.diff(lambda t: (nu(t + 1) - nu(t - 1)) / 4, mp.mpf(x)))
+        assert _g_slope(KernelParams(q, beta), x) == pytest.approx(exact, rel=1e-9)
 
 
 def test_no_scipy_at_runtime(tmp_path):

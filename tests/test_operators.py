@@ -420,6 +420,20 @@ def _kernel_values(monkeypatch, f, spec, xs):
     return count[0]
 
 
+def _nudged(xs, i):
+    """``xs`` with point i moved up by one ulp: no longer np.linspace, so
+    apply_on_grid evaluates it on the row path."""
+    out = np.array(xs, dtype=float)
+    out[i] = np.nextafter(out[i], np.inf)
+    return out
+
+
+@pytest.fixture
+def rows_only(monkeypatch):
+    """Fail the test if a call takes the lattice."""
+    monkeypatch.setattr(operators, "_lattice", lambda *args: pytest.fail("the lattice was taken"))
+
+
 class TestLatticeSeeds:
     """On a grid built by np.linspace the seed round runs on a lattice from
     one kernel table; any other grid takes the row path."""
@@ -446,6 +460,19 @@ class TestLatticeSeeds:
         picks = np.arange(0, xs.size, 50)
         expected = [_exact_sin(spec, x) for x in xs[picks]]
         np.testing.assert_allclose(out[picks], expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [9, 1000])
+    @pytest.mark.parametrize("centre", [1e6, 1e7])
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind.value)
+    def test_far_from_origin(self, spec, centre, n):
+        """np.linspace rounds each point to a double, up to ulp(x) / 2 =
+        9.3e-10 away from the lattice point x0 + i h at 1e7: such a grid
+        takes the row path and stays within tolerance at its own points."""
+        spec = replace(spec, n=n)
+        xs = np.linspace(centre, centre + 6.0, 2001)
+        picks = np.arange(0, xs.size, 100)
+        expected = [_exact_sin(spec, x) for x in xs[picks]]
+        np.testing.assert_allclose(apply_on_grid(SIN, spec, xs)[picks], expected, rtol=0, atol=1e-10)
 
     def test_lattice_path_taken_only_on_uniform_grids(self, monkeypatch, grid):
         """Kernel values per call: the lattice needs one table of a few
@@ -483,6 +510,60 @@ class TestLatticeSeeds:
             # one row evaluation: the pieces of the panels cut at the sample's
             # kinks, at most two per kink
             assert len(calls) == 1 and calls[0] <= 2 * len(operators._transformed(ABS, spec)[1])
+
+    @pytest.mark.parametrize(
+        "f, spec",
+        [(ABS, OperatorSpec(OperatorKind.BASIC, 9, P11)), (SIN, OperatorSpec(OperatorKind.KANTOROVICH, 400, P11))],
+        ids=["basic-abs-9", "kantorovich-sin-400"],
+    )
+    def test_row_chunking_is_invisible(self, monkeypatch, rows_only, grid, f, spec):
+        """``TestGridEngine.test_chunking_is_invisible`` on the row path,
+        which refinement rounds and every other grid still take."""
+        xs, thin = _nudged(grid.points, 777), _nudged(grid.points[::16], 50)
+        expected = apply_on_grid(f, spec, xs)
+        thinned = apply_on_grid(f, spec, thin)
+        monkeypatch.setattr(operators, "_CHUNK_ROWS", 7)
+        np.testing.assert_array_equal(apply_on_grid(f, spec, xs), expected)
+        monkeypatch.setattr(operators, "_CHUNK_ROWS", 1)
+        np.testing.assert_array_equal(apply_on_grid(f, spec, thin), thinned)
+
+    def test_row_determinism(self, rows_only):
+        """``TestGridEngine.test_determinism`` on the row path: an unsorted
+        grid with repeated points gives the same bits, point by point."""
+        xs = _nudged(np.linspace(-2, 2, 51), 25)
+        a = apply_on_grid(GAUSS, K32, xs)
+        np.testing.assert_array_equal(a, apply_on_grid(GAUSS, K32, xs))
+        perm = np.random.default_rng(7).permutation(np.concatenate((np.arange(xs.size), [3, 3, 40])))
+        c = apply_on_grid(GAUSS, K32, xs[perm])
+        np.testing.assert_array_equal(c, apply_on_grid(GAUSS, K32, xs[perm]))
+        np.testing.assert_array_equal(c, a[perm])
+
+    def test_row_peak_memory_is_the_stored_rows(self):
+        """``TestGridEngine.test_peak_memory_is_the_stored_rows`` on the row
+        path, whose rows a call stores: 16 bytes per (panel, point) pair plus
+        one chunk's temporaries."""
+        code = (
+            "import os, resource, sys\n"
+            "if os.fork():\n"
+            "    sys.exit(os.waitstatus_to_exitcode(os.wait()[1]))\n"
+            "import numpy as np\n"
+            "from actconv import CATALOG, KernelParams, apply_on_grid, operators\n"
+            "from actconv.operators import OperatorSpec\n"
+            "xs = np.linspace(-3.0, 3.0, int(sys.argv[1]))\n"
+            "xs[777] = np.nextafter(xs[777], np.inf)\n"
+            "operators._lattice = None  # a call that takes the lattice fails\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "apply_on_grid(CATALOG['sin'], OperatorSpec('kantorovich', 400, KernelParams()), xs)\n"
+            "print(before, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        points, n = 20001, 400
+        proc = _python(code, points)
+        assert proc.returncode == 0, proc.stderr
+        before_kb, after_kb = map(int, proc.stdout.split())
+        reach = truncation_radius(P11, QuadratureConfig().truncation_eps) / n
+        spacing = 6.0 / (points - 1)
+        rows = math.ceil((6.0 + 2.0 * reach) * n) * (math.ceil((2.0 * reach + 1.0 / n) / spacing) + 2)
+        assert (after_kb - before_kb) * 1024 <= 16 * rows + 4 * 2**20
 
     def test_output_independent_of_blas_threads(self):
         """The lattice adds the nodes in order, not with a BLAS product, so
