@@ -41,16 +41,10 @@ from .analysis import (
     fit_rate,
     run_convergence_sweep,
 )
-from .errors import FlaggedApproximantError, HypothesisNotMetError
+from .errors import FlaggedApproximantError, HypothesisNotMetError, NonFiniteSampleError, QuadratureNonConvergedError
 from .kernel import KernelParams
-from .operators import (
-    OperatorKind,
-    OperatorSpec,
-    apply_on_grid,
-    central_moment,
-    compose_mixed,
-    iterate as iterate_operator,
-)
+# apply_on_grid is unused here, but perfbench's tracer test patches this binding
+from .operators import OperatorKind, OperatorSpec, apply_on_grid, compose_mixed, iterate as iterate_operator  # noqa: F401
 from .quadrature import QuadratureConfig, TailEnvelope, integrate_interval, integrate_real_line, moment_truncation_radius
 from .svgplot import Series, render_loglog
 
@@ -268,14 +262,19 @@ def kernel_check(ctx, **kw):
     formats = _parse_formats(kw["formats"])
 
     rows: list[dict] = []
+    offenders: list[str] = []
 
-    def record(check: str, measured: float, limit: float, status: str | None = None):
+    def record(check: str, measured: float, limit: float, status: str | None = None, converged: bool = True):
         if status is None:
-            status = "PASS" if measured <= limit else "FAIL"
+            status = "PASS" if converged and measured <= limit else "FAIL"
         rows.append({"check": check, "measured": measured, "limit": limit, "status": status})
+        if not converged:
+            offenders.append(f"{check}: integral did not converge (measured {measured!r}, limit {limit!r})")
+        elif status == "FAIL":
+            offenders.append(f"{check}: measured {measured!r} exceeds limit {limit!r}")
 
     norm = integrate_real_line(lambda h: kernel.psi(params, h), TailEnvelope(params), cfg)
-    record("normalization |int psi - 1|", abs(norm.value - 1.0), 1e-8)
+    record("normalization |int psi - 1|", abs(norm.value - 1.0), 1e-8, converged=norm.converged)
 
     xs = np.linspace(0.0, 40.0, 1601)
     record(
@@ -310,13 +309,13 @@ def kernel_check(ctx, **kw):
             continue
         m = kernel.window_edge(n, alpha)
         radius = moment_truncation_radius(params, 0, cfg.truncation_eps)
-        tail = 2.0 * integrate_interval(lambda h: kernel.psi(params, h), m, max(radius, m + 1.0), cfg).value
-        record(f"tail mass n={n} alpha={alpha}", tail, bound)
+        tail = integrate_interval(lambda h: kernel.psi(params, h), m, max(radius, m + 1.0), cfg)
+        record(f"tail mass n={n} alpha={alpha}", 2.0 * tail.value, bound, converged=tail.converged)
 
     for k in range(1, 6):
         radius = moment_truncation_radius(params, k, cfg.truncation_eps)
-        moment = 2.0 * integrate_interval(lambda h: h**k * kernel.psi(params, h), 0.0, radius, cfg).value
-        record(f"absolute moment k={k}", moment, kernel.moment_bound(params, k))
+        moment = integrate_interval(lambda h: h**k * kernel.psi(params, h), 0.0, radius, cfg)
+        record(f"absolute moment k={k}", 2.0 * moment.value, kernel.moment_bound(params, k), converged=moment.converged)
 
     width = max(len(r["check"]) for r in rows) + 2
     click.echo(f"kernel check  q={_fmt(params.q)}  beta={_fmt(params.beta)}")
@@ -335,9 +334,6 @@ def kernel_check(ctx, **kw):
         "parameters": {"q": params.q, "beta": params.beta, "alpha": alpha, "ns": list(kw["ns"])},
         "checks": rows,
     }
-    offenders = [
-        f"{r['check']}: measured {r['measured']!r} exceeds limit {r['limit']!r}" for r in rows if r["status"] == "FAIL"
-    ]
     out = _out_dir(kw["out"]) if kw["out"] else None
     _emit(ctx, out, formats, summary, [table], offenders, "all kernel checks passed")
 
@@ -403,6 +399,28 @@ def _grid_from(kw) -> MeasurementGrid:
     return MeasurementGrid.uniform(_parse_domain(kw["domain"]), kw["grid_points"])
 
 
+def _offences(records) -> list[str]:
+    """One line per sweep record that failed or exceeded its bound."""
+    lines = []
+    for rec in records:
+        where = f"{rec.function}/{rec.kind}/n={rec.n}"
+        if rec.note:
+            lines.append(f"{where}: {rec.note}")
+        elif rec.satisfied is False:
+            lines.append(
+                f"{where}: measured {rec.measured_sup_error!r} exceeds {rec.bound_kind} bound {rec.bound_value!r}"
+            )
+    return lines
+
+
+def _verdict(rec) -> str:
+    """A sweep record's satisfied cell: failed (its note names the error),
+    skipped (no bound applies), true or false."""
+    if rec.note:
+        return "failed"
+    return "skipped" if rec.satisfied is None else str(rec.satisfied).lower()
+
+
 @main.command()
 @click.option("--fn", "fns", type=_FUNCTIONS, multiple=True, default=("sin",), show_default=True)
 @click.option("--kind", "kinds", type=_KINDS, multiple=True, default=tuple(k.value for k in OperatorKind), show_default=True)
@@ -425,9 +443,8 @@ def approx(ctx, **kw):
     tables = []
     for f in functions:
         for kind, weights in kinds:
-            records = run_convergence_sweep(
-                f, kind, kw["ns"], kw["alpha"], params, grid, weights=weights, cfg=cfg
-            )
+            records = run_convergence_sweep(f, kind, kw["ns"], kw["alpha"], params, grid, weights, cfg)
+            offenders += _offences(records)
             csv_rows = []
             rates = []
             for i, rec in enumerate(records):
@@ -438,20 +455,13 @@ def approx(ctx, **kw):
                     except ValueError:
                         rate = math.nan
                 rates.append(rate)
-                satisfied = "skipped" if rec.satisfied is None else str(rec.satisfied).lower()
+                verdict = _verdict(rec)
                 csv_rows.append(
-                    [str(rec.n), _fmt(rec.measured_sup_error), _fmt(rec.bound_value), satisfied, _fmt(rate)]
+                    [str(rec.n), _fmt(rec.measured_sup_error), _fmt(rec.bound_value), verdict, _fmt(rate)]
                 )
-                if rec.note:
-                    offenders.append(f"{f.name}/{kind}/n={rec.n}: {rec.note}")
-                elif rec.satisfied is False:
-                    offenders.append(
-                        f"{f.name}/{kind}/n={rec.n}: measured {rec.measured_sup_error!r} "
-                        f"exceeds bound {rec.bound_value!r}"
-                    )
                 click.echo(
                     f"{f.name:>6s} {kind:<12s} n={rec.n:<3d} "
-                    f"err={rec.measured_sup_error:.6e} bound={_fmt(rec.bound_value)} {satisfied}"
+                    f"err={rec.measured_sup_error:.6e} bound={_fmt(rec.bound_value)} {verdict}"
                 )
             plot = _bound_plot(
                 f"sup error vs bound: {f.name}, {kind}", "sup error", "measured",
@@ -528,56 +538,29 @@ def taylor(ctx, **kw):
         if len(f.derivatives) < order:
             click.echo(f"{f.name}: skipped (needs {order} analytic derivatives, has {len(f.derivatives)})")
             continue
-        deriv_n = f.derivative(order)
-        if deriv_n.modulus is None:
+        if f.derivative(order).modulus is None:
             click.echo(f"{f.name}: skipped (no closed-form modulus for derivative {order})")
             continue
         for kind, weights in kinds:
-            csv_rows = []
-            recs = []
-            for n in sorted(int(v) for v in kw["ns"]):
-                spec = OperatorSpec(kind=OperatorKind(kind), n=n, params=params, alpha=kw["alpha"], weights=weights)
-                try:
-                    report = bounds_mod.taylor_bound(
-                        kind,
-                        deriv_n.modulus(bounds_mod.omega_argument(kind, n, kw["alpha"])),
-                        params,
-                        n,
-                        kw["alpha"],
-                        order,
-                        f.derivative_sup_norms[order - 1],
-                    )
-                except HypothesisNotMetError as exc:
-                    click.echo(f"{f.name:>6s} {kind:<12s} n={n:<3d} hypothesis not met: {exc}")
-                    csv_rows.append([str(n), "nan", "nan", "skipped"])
-                    recs.append({"n": n, "residual": None, "bound": None, "satisfied": None})
-                    continue
-                values = apply_on_grid(f, spec, grid.points, cfg)
-                correction = np.zeros_like(grid.points)
-                for k in range(1, order + 1):
-                    moment = central_moment(spec, 0.0, k, cfg)
-                    correction += np.asarray(f.derivatives[k - 1](grid.points), dtype=float) * (
-                        moment / math.factorial(k)
-                    )
-                residual = float(
-                    np.abs(values - np.asarray(f.eval(grid.points), dtype=float) - correction).max()
-                )
-                satisfied = residual <= report.value
-                if not satisfied:
-                    offenders.append(
-                        f"{f.name}/{kind}/n={n}: residual {residual!r} exceeds taylor bound {report.value!r}"
-                    )
-                csv_rows.append([str(n), _fmt(residual), _fmt(report.value), str(satisfied).lower()])
-                recs.append({"n": n, "residual": residual, "bound": report.value, "satisfied": satisfied})
+            records = run_convergence_sweep(f, kind, kw["ns"], kw["alpha"], params, grid, weights, cfg, order)
+            offenders += _offences(records)
+            for rec in records:
+                bound = math.nan if rec.bound_value is None else rec.bound_value
                 click.echo(
-                    f"{f.name:>6s} {kind:<12s} n={n:<3d} N={order} "
-                    f"residual={residual:.6e} bound={report.value:.6e} {str(satisfied).lower()}"
+                    f"{f.name:>6s} {kind:<12s} n={rec.n:<3d} N={order} "
+                    f"residual={rec.measured_sup_error:.6e} bound={bound:.6e} {_verdict(rec)}"
                 )
             plot = _bound_plot(
                 f"Taylor residual (N={order}): {f.name}, {kind}", "residual", "residual",
-                [(r["n"], r["residual"], r["bound"]) for r in recs if r["bound"] is not None and r["residual"]],
+                [(r.n, r.measured_sup_error, r.bound_value) for r in records
+                 if r.bound_value is not None and r.measured_sup_error],
             )
+            csv_rows = [[str(r.n), _fmt(r.measured_sup_error), _fmt(r.bound_value), _verdict(r)] for r in records]
             tables.append(_Table(f"taylor_{f.name}_{kind}", ["n", "residual", "bound", "satisfied"], csv_rows, plot))
+            recs = [
+                {"n": r.n, "residual": r.measured_sup_error, "bound": r.bound_value, "satisfied": r.satisfied}
+                for r in records
+            ]
             results.append({"function": f.name, "kind": kind, "order": order, "records": recs})
 
     summary = {
@@ -663,7 +646,7 @@ def iterate(ctx, **kw):
                     approx = iterate_operator(
                         f, spec, r, domain, kw["nodes"], cfg=cfg, residual_ceiling=_RESIDUAL_CEILING
                     )
-            except FlaggedApproximantError as exc:
+            except (FlaggedApproximantError, QuadratureNonConvergedError, NonFiniteSampleError) as exc:
                 raise click.ClickException(f"{f.name}/{kind}: {exc}")
             measured = float(np.abs(approx(grid.points) - f.eval(grid.points)).max())
             # one CSV row and one summary record: columns in CSV order

@@ -11,7 +11,10 @@ import mpmath as mp
 import pytest
 from click.testing import CliRunner
 
-from actconv import KernelParams
+import numpy as np
+
+from actconv import KernelParams, TestFunction
+from actconv.analysis import CATALOG
 from actconv.cli import _g_slope, main
 
 
@@ -54,6 +57,16 @@ class TestKernelCheck:
         peak = [row for row in rows if row.startswith("peak location")]
         assert len(peak) == 1 and peak[0].endswith(",FAIL")
         assert "BOUND VIOLATION: peak location" in result.output
+
+    def test_unconverged_integral_fails_its_row(self, runner, tmp_path):
+        """At 1e-18 the k = 3 moment integral stops after its 2000 splits
+        with a value inside the bound; the row reads FAIL regardless."""
+        result = _run(runner, ["kernel-check", "--quad-tol", "1e-18", "--out", str(tmp_path)])
+        assert result.exit_code == 1
+        rows = (tmp_path / "kernel_check.csv").read_text().splitlines()
+        moment = [row for row in rows if row.startswith("absolute moment k=3")]
+        assert len(moment) == 1 and moment[0].endswith(",FAIL")
+        assert "BOUND VIOLATION: absolute moment k=3: integral did not converge" in result.output
 
 
 @pytest.mark.parametrize("q", ["1e-6", "1e6"])
@@ -127,6 +140,16 @@ class TestApprox:
         payload = json.loads((tmp_path / "approx_summary.json").read_text())
         record = payload["results"][0]["records"][0]
         assert record["sup_error"] <= 1e-9 and record["satisfied"]
+
+    def test_failed_record_reads_failed(self, runner, tmp_path):
+        result = runner.invoke(
+            main,
+            ["approx", "--kind", "basic", "--n", "16", "--quad-tol", "1e-17",
+             "--grid-points", "101", "--out", str(tmp_path)],
+        )
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert "BOUND VIOLATION: sin/basic/n=16: QuadratureNonConvergedError" in result.output
+        assert (tmp_path / "approx_sin_basic.csv").read_text().splitlines()[1] == "16,nan,nan,failed,nan"
 
     def test_empty_ns_is_config_error(self, runner, tmp_path, monkeypatch):
         # config file supplies an empty n list; flags are absent
@@ -304,6 +327,31 @@ class TestTaylor:
         assert result.exit_code == 0
         assert "skipped" in result.output
 
+    def test_quadrature_failure_is_a_bound_violation(self, runner, tmp_path):
+        """A record that fails to converge is reported and written like
+        approx's: exit 1, no traceback, artifacts on disk."""
+        result = runner.invoke(
+            main,
+            ["taylor", "--kind", "basic", "--n", "16", "--quad-tol", "1e-17",
+             "--grid-points", "101", "--out", str(tmp_path)],
+        )
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert "BOUND VIOLATION: sin/basic/n=16: QuadratureNonConvergedError" in result.output
+        assert "n=16  N=2 residual=nan bound=nan failed" in result.output
+        assert (tmp_path / "taylor_sin_basic.csv").read_text().splitlines()[1] == "16,nan,nan,failed"
+        payload = json.loads((tmp_path / "taylor_summary.json").read_text())
+        assert payload["all_satisfied"] is False
+        assert payload["results"][0]["records"][0]["satisfied"] is None
+
+    def test_hypothesis_not_met_measured_without_bound(self, runner, tmp_path):
+        result = _run(
+            runner,
+            ["taylor", "--kind", "basic", "--n", "4", "--grid-points", "201", "--out", str(tmp_path)],
+        )
+        assert result.exit_code == 0
+        n, residual, bound, satisfied = (tmp_path / "taylor_sin_basic.csv").read_text().splitlines()[1].split(",")
+        assert (n, bound, satisfied) == ("4", "nan", "skipped") and 0.0 < float(residual) < 1.0
+
     def test_order_zero_is_config_error(self, runner):
         result = _run(runner, ["taylor", "--taylor-order", "0"])
         assert result.exit_code == 2
@@ -353,6 +401,23 @@ class TestIterate:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert "sin/basic: stage 1" in result.output
+
+    @pytest.mark.parametrize("failure", ["quadrature", "nan-sample"])
+    def test_build_failure_is_a_click_error(self, runner, tmp_path, monkeypatch, failure):
+        """Quadrature failures while the approximants are built end like a
+        flagged stage: one error line naming f/kind, exit 1."""
+        args = ["iterate", "--grid-points", "101", "--out", str(tmp_path)]
+        if failure == "quadrature":
+            args += ["--quad-tol", "1e-17"]
+            expected = "operator quadrature did not converge"
+        else:
+            nan_sin = TestFunction.from_callable("sin", lambda x: np.where(np.asarray(x) > 0.5, np.nan, np.sin(x)), 1.0)
+            monkeypatch.setitem(CATALOG, "sin", nan_sin)
+            expected = "not finite"
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Error: sin/basic: " in result.output and expected in result.output
 
     def test_descending_chain_rejected(self, runner):
         result = _run(runner, ["iterate", "--chain", "25,9"])
