@@ -161,8 +161,20 @@ def _write(path: Path, text: str):
         raise click.ClickException(f"cannot write {path}: {exc}")
 
 
+def _strict(obj):
+    """``obj`` with every non-finite float, such as a failed record's NaN
+    measurement, replaced by None, which JSON writes as null."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _strict(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(value) for value in obj]
+    return obj
+
+
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(_strict(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _csv_text(header: list[str], rows: list[list[str]]) -> str:
@@ -558,7 +570,8 @@ def taylor(ctx, **kw):
             csv_rows = [[str(r.n), _fmt(r.measured_sup_error), _fmt(r.bound_value), _verdict(r)] for r in records]
             tables.append(_Table(f"taylor_{f.name}_{kind}", ["n", "residual", "bound", "satisfied"], csv_rows, plot))
             recs = [
-                {"n": r.n, "residual": r.measured_sup_error, "bound": r.bound_value, "satisfied": r.satisfied}
+                {"n": r.n, "residual": r.measured_sup_error, "bound": r.bound_value, "satisfied": r.satisfied,
+                 "note": r.note}
                 for r in records
             ]
             results.append({"function": f.name, "kind": kind, "order": order, "records": recs})

@@ -30,9 +30,13 @@ Two evaluation paths share the same nested Kronrod rule:
   panels anchored at the first point instead: the kernel term of a
   (panel, point) pair then depends only on their lattice offset, so the
   kernel is evaluated once, on a table of a few thousand values.  The
-  lattice places point i at x0 + i h, which differs from the double
-  x_i by up to ulp(x_i) / 2, so grids far from the origin, where that
-  drift would show in the result, keep the row seeds.
+  lattice panels are sized to the kernel's own scale W/n, W the widest
+  power of two at which GK15 panels resolve psi itself to tolerance
+  (at abs_tol = 1e-10, about 2 / beta: 32 at beta = 0.05, 2 at beta = 1,
+  and 1 from beta = 1.5 on, whatever q is).  The lattice
+  places point i at x0 + i h, which differs from the double x_i by up
+  to ulp(x_i) / 2, so grids far from the origin, where that drift would
+  show in the result, keep the row seeds.
 
 Iterated and mixed compositions are made tractable by interpolating each
 stage on Chebyshev nodes; the interpolation residual is measured on a
@@ -44,6 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -390,11 +395,38 @@ def _contract(weighted: np.ndarray, table: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _lattice(sample, spec: OperatorSpec, grid: np.ndarray, reach: float, kinks, cap: int):
+@lru_cache(maxsize=64)
+def _kernel_width(params: KernelParams, radius: float, abs_tol: float, scale: float) -> float:
+    """The kernel's own panel scale W in h: the widest of 1, 2, 4, ...
+    (up to R, and below the first that fails) at which GK15 panels of
+    width W tiling [-R, R] integrate psi with ``scale`` times the sum of
+    their |K15 - G7| estimates within ``abs_tol``.  The sum is the largest
+    over the tilings offset by 0, W/4, W/2 and 3W/4: aligned at 0 alone,
+    beta = 20 would pass at W = 2, its kernel edges at +-1 sitting on panel
+    midpoints, where K15 and G7 both integrate the odd part exactly.  psi
+    is analytic in the strip |Im h| < pi / beta, so W grows like 1 / beta:
+    at abs_tol = 1e-10 and scale 1 it is 2 at beta = 1, 4 at beta = 0.5
+    and 1 from beta = 1.5 on, for q from 1e-6 to 1e6."""
+    width = 1.0
+    phases = np.array([0.0, 0.25, 0.5, 0.75])
+    while 2.0 * width <= radius:
+        trial = 2.0 * width
+        k = np.arange(math.floor(-radius / trial) - 1, math.ceil(radius / trial) + 1)
+        mids = (k + phases[:, None] + 0.5) * trial
+        values = kernel.psi(params, mids[:, :, None] + 0.5 * trial * GK15_NODES)
+        errors = 0.5 * trial * np.abs((values * (GK15_WEIGHTS - G7_WEIGHTS)).sum(axis=2))
+        if scale * float(errors.sum(axis=1).max()) > abs_tol:
+            break
+        width = trial
+    return width
+
+
+def _lattice(sample, spec: OperatorSpec, grid: np.ndarray, reach: float, kinks, cap: int, width: float):
     """The seed round on the grid x_i = x0 + i h, from one kernel table.
 
     The seed panels, of width w = h M or h / m (the widest such value not
-    above 1/n), lie on a lattice anchored at x0.  A cell of m panels (one
+    above W / n, W = ``width`` in the kernel variable), lie on a lattice
+    anchored at x0.  A cell of m panels (one
     panel when w = h M) steps over ``stride`` grid points (M, or 1), so
     psi(n (x_i - u)) at node k of the cell's r-th panel depends only on
     (r, k) and the offset j = i - stride q of point i from cell q: the
@@ -420,13 +452,13 @@ def _lattice(sample, spec: OperatorSpec, grid: np.ndarray, reach: float, kinks, 
     x0 = float(grid[0])
     span = float(grid[-1]) - x0
     h = span / (size - 1)
-    if h * n <= 1.0:
-        m, stride = 1, int(1.0 / (h * n))
-        if stride * h * n > 1.0:
+    if h * n <= width:
+        m, stride = 1, int(width / (h * n))
+        if stride * h * n > width:
             stride -= 1
     else:
-        m, stride = math.ceil(h * n), 1
-        if h * n / m > 1.0:
+        m, stride = math.ceil(h * n / width), 1
+        if h * n / m > width:
             m += 1
     if 4 * stride > size - 1:
         return None
@@ -574,18 +606,23 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec, xs, cfg: QuadratureConfig
     (about ulp(x) / 2 far from the origin) can move no value by more than
     abs_tol / 10; a uniform grid far from the origin, such as
     ``np.linspace(1e6, 1e6 + 6, N)``, takes the row path.  The lattice
-    panels have width h M or h / m, the widest not above 1/n, so they are
-    never coarser than the row seeds.
+    panels have width h M or h / m, the widest not above W/n: W is the
+    kernel's own scale, the widest of 1, 2, 4, ... at which GK15 panels of
+    width W resolve psi itself, times sup |F|, to abs_tol (see
+    ``_kernel_width``; 2 at q = beta = 1, 4 at beta = 0.5).  When W > 1
+    and the W/n lattice is refused (panel budget, or fewer than four
+    cells) or misses tolerance, the 1/n lattice runs next, whose panels
+    are never coarser than the row seeds.
     The kernel is evaluated once, on a table of kernel values per
     (node, lattice offset); each (panel, point) K15 term and its
     |K15 - G7| estimate is a 15-node contraction of the panel's weighted
     samples with the table, and the totals are the same per-point sums as
     on rows, added in a fixed order.  A lattice panel holding a kink is cut
-    there and its pieces are evaluated as rows in the same round.  If the
-    lattice round meets tolerance, its totals are the result; if not, the
-    call goes on from the row seeds above (the lattice keeps no rows to
-    refine), so refinement rounds, Chebyshev nodes and other grids take
-    the row path exactly as before.
+    there and its pieces are evaluated as rows in the same round.  If a
+    lattice round meets tolerance, its totals are the result; if neither
+    does, the call goes on from the row seeds above (the lattice keeps no
+    rows to refine), so refinement rounds, Chebyshev nodes and other grids
+    take the row path exactly as before.
     """
     cfg = cfg or DEFAULT_CONFIG
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -623,12 +660,15 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec, xs, cfg: QuadratureConfig
     slope = 2.0 * n * spec.params.g_max_value * scale
     uniform = lows.size == 1 and grid.size >= 2 and np.array_equal(grid, np.linspace(grid[0], grid[-1], grid.size))
     if uniform and _drift(grid) * slope <= 0.1 * cfg.abs_tol:
-        lattice = _lattice(sample, spec, grid, reach, kinks, budget)
-        if lattice is not None:
-            values, errors = lattice
-            if float(errors.max()) <= _tolerance(values, cfg):
-                return values[slot]
-    # otherwise (and on a uniform grid whose lattice round misses tolerance)
+        # panels at the kernel's own scale W/n first, then at 1/n
+        width = _kernel_width(spec.params, radius, cfg.abs_tol, scale)
+        for w in (width, 1.0) if width > 1.0 else (1.0,):
+            lattice = _lattice(sample, spec, grid, reach, kinks, budget, w)
+            if lattice is not None:
+                values, errors = lattice
+                if float(errors.max()) <= _tolerance(values, cfg):
+                    return values[slot]
+    # otherwise (and on a uniform grid whose lattice rounds miss tolerance)
     # the seeds are evaluated as rows
     anchors = 0.5 * (lows + highs)
     offset = grid - np.repeat(anchors, np.diff(bounds))

@@ -108,7 +108,7 @@ class QuadratureConfig:
                 "truncation_eps >= abs_tol: truncated tail mass may dominate "
                 "the integration error",
                 UserWarning,
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__, to its caller
             )
 
 

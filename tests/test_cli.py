@@ -27,6 +27,16 @@ def _run(runner, args, **kw):
     return runner.invoke(main, args, catch_exceptions=False, **kw)
 
 
+def _reject(constant):
+    raise ValueError(f"not strict JSON: {constant}")
+
+
+def _strict_json(path):
+    """A JSON artifact, parsed with NaN and Infinity rejected as strict
+    JSON parsers reject them."""
+    return json.loads(path.read_text(), parse_constant=_reject)
+
+
 class TestKernelCheck:
     def test_defaults_pass(self, runner, tmp_path):
         result = _run(runner, ["kernel-check", "--out", str(tmp_path)])
@@ -150,6 +160,10 @@ class TestApprox:
         assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
         assert "BOUND VIOLATION: sin/basic/n=16: QuadratureNonConvergedError" in result.output
         assert (tmp_path / "approx_sin_basic.csv").read_text().splitlines()[1] == "16,nan,nan,failed,nan"
+        payload = _strict_json(tmp_path / "approx_summary.json")
+        record = payload["results"][0]["records"][0]
+        assert record["sup_error"] is None and payload["results"][0]["rate_final"] is None
+        assert record["note"].startswith("QuadratureNonConvergedError")
 
     def test_empty_ns_is_config_error(self, runner, tmp_path, monkeypatch):
         # config file supplies an empty n list; flags are absent
@@ -339,9 +353,12 @@ class TestTaylor:
         assert "BOUND VIOLATION: sin/basic/n=16: QuadratureNonConvergedError" in result.output
         assert "n=16  N=2 residual=nan bound=nan failed" in result.output
         assert (tmp_path / "taylor_sin_basic.csv").read_text().splitlines()[1] == "16,nan,nan,failed"
-        payload = json.loads((tmp_path / "taylor_summary.json").read_text())
+        payload = _strict_json(tmp_path / "taylor_summary.json")
         assert payload["all_satisfied"] is False
-        assert payload["results"][0]["records"][0]["satisfied"] is None
+        record = payload["results"][0]["records"][0]
+        assert record["residual"] is None and record["bound"] is None and record["satisfied"] is None
+        # the note tells a failed record from a skipped one
+        assert record["note"].startswith("QuadratureNonConvergedError")
 
     def test_hypothesis_not_met_measured_without_bound(self, runner, tmp_path):
         result = _run(
@@ -351,6 +368,8 @@ class TestTaylor:
         assert result.exit_code == 0
         n, residual, bound, satisfied = (tmp_path / "taylor_sin_basic.csv").read_text().splitlines()[1].split(",")
         assert (n, bound, satisfied) == ("4", "nan", "skipped") and 0.0 < float(residual) < 1.0
+        record = _strict_json(tmp_path / "taylor_summary.json")["results"][0]["records"][0]
+        assert (record["bound"], record["satisfied"], record["note"]) == (None, None, "")
 
     def test_order_zero_is_config_error(self, runner):
         result = _run(runner, ["taylor", "--taylor-order", "0"])

@@ -43,6 +43,7 @@ from actconv import (
 from actconv import operators
 from actconv.analysis import CATALOG, MeasurementGrid, _grid_modulus
 from actconv.operators import GridApproximant, OperatorKind, OperatorSpec, TestFunction
+from actconv.quadrature import GK15_NODES
 
 P11 = KernelParams(1.0, 1.0)
 SIN = CATALOG["sin"]
@@ -428,6 +429,32 @@ def _nudged(xs, i):
     return out
 
 
+def _seed_rounds(monkeypatch):
+    """Record each lattice round of the apply_on_grid calls that follow, as
+    (width, "accepted" | "missed" | "refused"), and the number of panels
+    of each row evaluation."""
+    attempts, rows = [], []
+    lattice, evaluate = operators._lattice, operators._evaluate
+
+    def recorded_lattice(*args):
+        out = lattice(*args)
+        if out is None:
+            outcome = "refused"
+        else:
+            met = float(out[1].max()) <= operators._tolerance(out[0], QuadratureConfig())
+            outcome = "accepted" if met else "missed"
+        attempts.append((args[-1], outcome))
+        return out
+
+    def recorded_evaluate(*args):
+        rows.append(args[5].size)
+        return evaluate(*args)
+
+    monkeypatch.setattr(operators, "_lattice", recorded_lattice)
+    monkeypatch.setattr(operators, "_evaluate", recorded_evaluate)
+    return attempts, rows
+
+
 @pytest.fixture
 def rows_only(monkeypatch):
     """Fail the test if a call takes the lattice."""
@@ -496,20 +523,77 @@ class TestLatticeSeeds:
     def test_kinks_converge_in_the_seed_round(self, monkeypatch, grid):
         """Lattice panels holding a kink of |x| are cut there; the pieces'
         rows are the only rows the call evaluates."""
-        calls = []
-        evaluate = operators._evaluate
-
-        def counted(*args):
-            calls.append(args[5].size)  # panels evaluated as rows
-            return evaluate(*args)
-
-        monkeypatch.setattr(operators, "_evaluate", counted)
+        attempts, rows = _seed_rounds(monkeypatch)
         for spec in ALL_SPECS:
-            calls.clear()
+            attempts.clear()
+            rows.clear()
             apply_on_grid(ABS, replace(spec, n=100), grid.points)
-            # one row evaluation: the pieces of the panels cut at the sample's
-            # kinks, at most two per kink
-            assert len(calls) == 1 and calls[0] <= 2 * len(operators._transformed(ABS, spec)[1])
+            # one lattice round and one row evaluation: the pieces of the
+            # panels cut at the sample's kinks, at most two per kink
+            assert attempts == [(2.0, "accepted")]
+            assert len(rows) == 1 and rows[0] <= 2 * len(operators._transformed(ABS, spec)[1])
+
+    @pytest.mark.parametrize(
+        "q, beta, abs_tol, width",
+        [(1.0, 1.0, 1e-10, 2.0), (1.0, 0.5, 1e-10, 4.0), (1.0, 20.0, 1e-10, 1.0), (1e-3, 3.0, 1e-10, 1.0),
+         (1.0, 1.0, 1e-13, 1.0)],
+    )
+    def test_kernel_width_ladder(self, q, beta, abs_tol, width):
+        """The kernel's own panel width W in h.  At beta = 20, panels of
+        width 2 aligned at 0 alone would pass: the kernel's edges at +-1 sit
+        on their midpoints."""
+        params = KernelParams(q, beta)
+        radius = truncation_radius(params, QuadratureConfig().truncation_eps)
+        assert operators._kernel_width(params, radius, abs_tol, 1.0) == width
+
+    def test_kernel_width_lattice_halves_the_terms(self, monkeypatch, grid):
+        """Basic sin at n = 100 is accepted on the first, 2/n lattice, with
+        at most 55% of the K15 (panel, point) terms of the 1/n lattice."""
+        spec = OperatorSpec(OperatorKind.BASIC, 100, P11)
+        contract = operators._contract
+        terms = [0]
+
+        def counted(weighted, table):
+            acc = contract(weighted, table)
+            if weighted.shape[2] == GK15_NODES.size:  # the K15 contraction, not the G7 one
+                terms[0] += acc.size
+            return acc
+
+        monkeypatch.setattr(operators, "_contract", counted)
+        attempts, rows = _seed_rounds(monkeypatch)
+        wide = apply_on_grid(SIN, spec, grid.points)
+        assert attempts == [(2.0, "accepted")] and rows == []
+        wide_terms, terms[0] = terms[0], 0
+        monkeypatch.setattr(operators, "_kernel_width", lambda *args: 1.0)
+        attempts.clear()
+        narrow = apply_on_grid(SIN, spec, grid.points)
+        assert attempts == [(1.0, "accepted")]
+        assert wide_terms <= 0.55 * terms[0]
+        np.testing.assert_allclose(wide, narrow, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "f, spec, first",
+        [
+            (GAUSS, OperatorSpec(OperatorKind.KANTOROVICH, 4, KernelParams(10.0, 0.5)), (4.0, "missed")),
+            (SIN, OperatorSpec(OperatorKind.BASIC, 4, KernelParams(1.0, 0.2)), (8.0, "refused")),
+            (ABS, OperatorSpec(OperatorKind.BASIC, 4, KernelParams(1.0, 0.2)), (8.0, "refused")),
+        ],
+        ids=["gauss-missed", "sin-refused", "abs-refused"],
+    )
+    def test_kernel_width_falls_back_to_the_1_over_n_lattice(self, monkeypatch, grid, f, spec, first):
+        """A W/n lattice that misses tolerance, or is refused (at beta = 0.2
+        and n = 4 a cell of width 8/n spans 666 of the 2001 points, under
+        four cells), gives way to the 1/n lattice, which is accepted; no
+        row is evaluated but the pieces of panels cut at a kink."""
+        attempts, rows = _seed_rounds(monkeypatch)
+        out = apply_on_grid(f, spec, grid.points)
+        assert attempts == [first, (1.0, "accepted")]
+        kinks = len(operators._transformed(f, spec)[1])
+        # each lattice round that gets as far as its kink pieces evaluates
+        # them as rows, at most two per kink
+        expected = (first[1] == "missed") + 1 if kinks else 0
+        assert len(rows) == expected and all(count <= 2 * kinks for count in rows)
+        np.testing.assert_allclose(out, apply_on_grid(f, spec, _nudged(grid.points, 777)), rtol=0, atol=1e-11)
 
     @pytest.mark.parametrize(
         "f, spec",

@@ -48,8 +48,10 @@ class TestQuadratureConfig:
             QuadratureConfig(max_subdivisions=0)
 
     def test_truncation_eps_warning(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning, match="truncation_eps >= abs_tol") as caught:
             QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13, truncation_eps=1e-12)
+        # attributed to the caller, not to the dataclass-generated __init__
+        assert [w.filename for w in caught] == [__file__]
 
 
 class TestIntegrateInterval:
