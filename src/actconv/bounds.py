@@ -36,7 +36,6 @@ class BoundKind(str, Enum):
     TAYLOR_QUADRATURE = "taylor-quadrature"
     ITERATED = "iterated"
     MIXED_ITERATED = "mixed-iterated"
-    CENTRAL_MOMENT = "central-moment"
 
 
 _JACKSON = {

@@ -30,17 +30,19 @@ Two evaluation paths share the same nested Kronrod rule:
   panels anchored at the first point instead: the kernel term of a
   (panel, point) pair then depends only on their lattice offset, so the
   kernel is evaluated once, on a table of a few thousand values.  The
-  lattice panels are sized to the kernel's own scale W/n, W the widest
-  power of two at which GK15 panels resolve psi itself to tolerance
-  (at abs_tol = 1e-10, about 2 / beta: 32 at beta = 0.05, 2 at beta = 1,
-  and 1 from beta = 1.5 on, whatever q is).  The lattice
+  lattice panels are sized to the kernel's own scale W/n, W the power of
+  two (from 2^-10 up) at which GK15 panels resolve psi itself to
+  tolerance (at abs_tol = 1e-10, about 2 / beta: 32 at beta = 0.05,
+  2 at beta = 1, 1/2 at beta = 5 and 1/8 at beta = 20).  The lattice
   places point i at x0 + i h, which differs from the double x_i by up
   to ulp(x_i) / 2, so grids far from the origin, where that drift would
   show in the result, keep the row seeds.
 
 Iterated and mixed compositions are made tractable by interpolating each
-stage on Chebyshev nodes; the interpolation residual is measured on a
-doubled validation grid and carried on the approximant.
+stage on Chebyshev nodes.  One grid call per stage samples the operator
+on the 2N - 1 Chebyshev extrema: the even ones are the N interpolation
+nodes, and the odd ones, the theta-midpoints between them, give the
+interpolation residual carried on the approximant.
 """
 
 from __future__ import annotations
@@ -88,6 +90,12 @@ __all__ = [
 ]
 
 
+# how far quadrature weights may sum from 1, and the Gauss-Legendre order
+# of the kantorovich inner average
+_WEIGHT_TOL = 1e-12
+_INNER_ORDER = 12
+
+
 class OperatorKind(str, Enum):
     BASIC = "basic"
     KANTOROVICH = "kantorovich"
@@ -99,8 +107,7 @@ class OperatorSpec:
     """Operator kind, resolution n, kernel parameters and bound exponent.
 
     ``weights`` is required for (and only for) the quadrature kind: a
-    finite, nonnegative tuple summing to 1 within ``weight_tol``.  ``inner_order``
-    is the fixed Gauss-Legendre order of the kantorovich inner average.
+    finite, nonnegative tuple summing to 1 within ``_WEIGHT_TOL``.
     """
 
     kind: OperatorKind
@@ -108,8 +115,6 @@ class OperatorSpec:
     params: KernelParams
     alpha: float = 0.5
     weights: tuple[float, ...] | None = None
-    inner_order: int = 12
-    weight_tol: float = 1e-12
 
     def __post_init__(self):
         object.__setattr__(self, "kind", OperatorKind(self.kind))
@@ -118,8 +123,6 @@ class OperatorSpec:
         object.__setattr__(self, "n", int(self.n))
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
-        if self.inner_order < 1:
-            raise ValueError("inner_order must be >= 1")
         if self.kind is OperatorKind.QUADRATURE:
             if not self.weights:
                 raise ValueError("quadrature kind requires a nonempty weights tuple")
@@ -127,8 +130,8 @@ class OperatorSpec:
             # nan passes both the sign test and the sum test
             if not all(math.isfinite(v) and v >= 0.0 for v in w):
                 raise ValueError(f"weights must be finite and nonnegative, got {w}")
-            if abs(math.fsum(w) - 1.0) > self.weight_tol:
-                raise ValueError(f"weights must sum to 1 within {self.weight_tol}, got {math.fsum(w)!r}")
+            if abs(math.fsum(w) - 1.0) > _WEIGHT_TOL:
+                raise ValueError(f"weights must sum to 1 within {_WEIGHT_TOL}, got {math.fsum(w)!r}")
             object.__setattr__(self, "weights", w)
         elif self.weights is not None:
             raise ValueError(f"weights are only meaningful for the quadrature kind, got kind={self.kind.value}")
@@ -203,7 +206,7 @@ def _transformed(f: TestFunction, spec: OperatorSpec):
 
         return point, tuple(f.kinks), f.sup_norm
     if spec.kind is OperatorKind.KANTOROVICH:
-        nodes, weights = gauss_legendre_01(spec.inner_order)
+        nodes, weights = gauss_legendre_01(_INNER_ORDER)
         shifts = nodes / n
     else:
         shifts = np.arange(1, spec.r + 1) / (n * spec.r)
@@ -397,27 +400,31 @@ def _contract(weighted: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _kernel_width(params: KernelParams, radius: float, abs_tol: float, scale: float) -> float:
-    """The kernel's own panel scale W in h: the widest of 1, 2, 4, ...
-    (up to R, and below the first that fails) at which GK15 panels of
-    width W tiling [-R, R] integrate psi with ``scale`` times the sum of
-    their |K15 - G7| estimates within ``abs_tol``.  The sum is the largest
-    over the tilings offset by 0, W/4, W/2 and 3W/4: aligned at 0 alone,
-    beta = 20 would pass at W = 2, its kernel edges at +-1 sitting on panel
+    """The kernel's own panel scale W in h, a power of two at which GK15
+    panels of width W tiling [-R, R] integrate psi with ``scale`` times
+    the sum of their |K15 - G7| estimates within ``abs_tol``: W = 1 if it
+    passes and then doubled while 2 W passes and fits in R, else halved
+    until it passes or reaches 2^-10.  The sum is the largest over the
+    tilings offset by 0, W/4, W/2 and 3W/4: aligned at 0 alone, beta = 20
+    would pass at W = 2, its kernel edges at +-1 sitting on panel
     midpoints, where K15 and G7 both integrate the odd part exactly.  psi
-    is analytic in the strip |Im h| < pi / beta, so W grows like 1 / beta:
-    at abs_tol = 1e-10 and scale 1 it is 2 at beta = 1, 4 at beta = 0.5
-    and 1 from beta = 1.5 on, for q from 1e-6 to 1e6."""
+    is analytic in the strip |Im h| < pi / beta, so W scales like 1 / beta:
+    at abs_tol = 1e-10 and scale 1 it is 4 at beta = 0.5, 2 at beta = 1,
+    1/2 at (q, beta) = (1e-3, 3) and (1, 5), and 1/8 at (1, 20)."""
+
+    def resolved(width: float) -> bool:
+        k = np.arange(math.floor(-radius / width) - 1, math.ceil(radius / width) + 1)
+        mids = (k + np.array([0.0, 0.25, 0.5, 0.75])[:, None] + 0.5) * width
+        values = kernel.psi(params, mids[:, :, None] + 0.5 * width * GK15_NODES)
+        errors = 0.5 * width * np.abs((values * (GK15_WEIGHTS - G7_WEIGHTS)).sum(axis=2))
+        return scale * float(errors.sum(axis=1).max()) <= abs_tol
+
     width = 1.0
-    phases = np.array([0.0, 0.25, 0.5, 0.75])
-    while 2.0 * width <= radius:
-        trial = 2.0 * width
-        k = np.arange(math.floor(-radius / trial) - 1, math.ceil(radius / trial) + 1)
-        mids = (k + phases[:, None] + 0.5) * trial
-        values = kernel.psi(params, mids[:, :, None] + 0.5 * trial * GK15_NODES)
-        errors = 0.5 * trial * np.abs((values * (GK15_WEIGHTS - G7_WEIGHTS)).sum(axis=2))
-        if scale * float(errors.sum(axis=1).max()) > abs_tol:
-            break
-        width = trial
+    while width > 2.0**-10 and not resolved(width):
+        width *= 0.5
+    if width == 1.0:
+        while 2.0 * width <= radius and resolved(2.0 * width):
+            width *= 2.0
     return width
 
 
@@ -607,19 +614,20 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec, xs, cfg: QuadratureConfig
     abs_tol / 10; a uniform grid far from the origin, such as
     ``np.linspace(1e6, 1e6 + 6, N)``, takes the row path.  The lattice
     panels have width h M or h / m, the widest not above W/n: W is the
-    kernel's own scale, the widest of 1, 2, 4, ... at which GK15 panels of
-    width W resolve psi itself, times sup |F|, to abs_tol (see
-    ``_kernel_width``; 2 at q = beta = 1, 4 at beta = 0.5).  When W > 1
-    and the W/n lattice is refused (panel budget, or fewer than four
-    cells) or misses tolerance, the 1/n lattice runs next, whose panels
-    are never coarser than the row seeds.
+    kernel's own scale, the power of two (from 2^-10 up) at which GK15
+    panels of width W resolve psi itself, times sup |F|, to abs_tol (see
+    ``_kernel_width``; 2 at q = beta = 1, 4 at beta = 0.5, 1/8 at
+    beta = 20).  When W > 1 and the W/n lattice is refused (panel budget,
+    or fewer than four cells) or misses tolerance, the 1/n lattice runs
+    next, whose panels are never coarser than the row seeds; when W <= 1
+    the W/n lattice is the only one tried.
     The kernel is evaluated once, on a table of kernel values per
     (node, lattice offset); each (panel, point) K15 term and its
     |K15 - G7| estimate is a 15-node contraction of the panel's weighted
     samples with the table, and the totals are the same per-point sums as
     on rows, added in a fixed order.  A lattice panel holding a kink is cut
     there and its pieces are evaluated as rows in the same round.  If a
-    lattice round meets tolerance, its totals are the result; if neither
+    lattice round meets tolerance, its totals are the result; if none
     does, the call goes on from the row seeds above (the lattice keeps no
     rows to refine), so refinement rounds, Chebyshev nodes and other grids
     take the row path exactly as before.
@@ -660,9 +668,9 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec, xs, cfg: QuadratureConfig
     slope = 2.0 * n * spec.params.g_max_value * scale
     uniform = lows.size == 1 and grid.size >= 2 and np.array_equal(grid, np.linspace(grid[0], grid[-1], grid.size))
     if uniform and _drift(grid) * slope <= 0.1 * cfg.abs_tol:
-        # panels at the kernel's own scale W/n first, then at 1/n
+        # panels at the kernel's own scale W/n first, then (if W > 1) at 1/n
         width = _kernel_width(spec.params, radius, cfg.abs_tol, scale)
-        for w in (width, 1.0) if width > 1.0 else (1.0,):
+        for w in (width, 1.0) if width > 1.0 else (width,):
             lattice = _lattice(sample, spec, grid, reach, kinks, budget, w)
             if lattice is not None:
                 values, errors = lattice
@@ -755,40 +763,45 @@ def central_moment(spec: OperatorSpec, x: float, k: int, cfg: QuadratureConfig |
 
 
 def _chebyshev_nodes(a: float, b: float, count: int) -> np.ndarray:
-    j = np.arange(count)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return mid - half * np.cos(np.pi * j / (count - 1))
+    """The ``count`` Chebyshev extrema of [a, b] in ascending order, the
+    ends exactly a and b.  The even points of 2N - 1 extrema are the N
+    extrema, bit for bit."""
+    nodes = 0.5 * (a + b) - 0.5 * (b - a) * np.cos(np.pi * np.arange(count) / (count - 1))
+    # roundoff may push the edge nodes outside [a, b]
+    nodes[0], nodes[-1] = a, b
+    return nodes
 
 
 @dataclass
 class GridApproximant:
-    """Barycentric interpolant of operator output at Chebyshev nodes on
-    [a, b], clamped outside.
+    """Barycentric interpolant of operator output at the Chebyshev extrema
+    of ``domain`` = [a, b], clamped outside.
 
-    Evaluation at the stored nodes reproduces the stored values exactly;
+    The nodes are ``_chebyshev_nodes(a, b, len(values))``: the barycentric
+    weights (-1)^j, halved at the ends, are right for those nodes only.
+    Evaluation at the nodes reproduces the stored values exactly;
     evaluation outside the domain returns the nearest endpoint value and
     latches ``extrapolated``.
     """
 
     domain: tuple[float, float]
-    nodes: np.ndarray
     values: np.ndarray
     residual: float = math.nan
     flagged: bool = False
     extrapolated: bool = field(default=False, compare=False)
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
     _bary_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
+        a, b = (float(v) for v in self.domain)
         values = np.asarray(self.values, dtype=float)
-        if nodes.ndim != 1 or nodes.size < 2 or np.any(np.diff(nodes) <= 0):
-            raise ValueError("nodes must be strictly increasing with at least 2 entries")
-        if values.shape != nodes.shape:
-            raise ValueError("values must match nodes in shape")
-        self.nodes = nodes
+        if not b > a:
+            raise ValueError(f"domain must satisfy b > a, got {self.domain!r}")
+        if values.ndim != 1 or values.size < 2:
+            raise ValueError("values must be a 1-d array with at least 2 entries")
         self.values = values
-        w = np.ones(nodes.size)
+        self.nodes = _chebyshev_nodes(a, b, values.size)
+        w = np.ones(values.size)
         w[1::2] = -1.0
         w[0] *= 0.5
         w[-1] *= 0.5
@@ -833,37 +846,23 @@ def make_grid_approximant(
     cfg: QuadratureConfig | None = None,
     residual_ceiling: float = 1e-6,
 ) -> GridApproximant:
-    """Sample the operator on ``node_count`` Chebyshev nodes over ``domain``
-    and wrap an interpolant; the max residual against direct evaluation on
-    a doubled validation grid is recorded, and the approximant is flagged
-    when it exceeds ``residual_ceiling``."""
+    """Interpolate the operator on ``node_count`` Chebyshev extrema over
+    ``domain``, from one ``apply_on_grid`` call on the 2 node_count - 1
+    extrema: the even ones are the nodes, and at the odd ones, the
+    theta-midpoints between nodes where the interpolation error peaks, the
+    largest |interpolant - operator| is recorded as the residual.  The
+    approximant is flagged when the residual exceeds ``residual_ceiling``."""
     a, b = float(domain[0]), float(domain[1])
     if not b > a:
         raise ValueError(f"domain must satisfy b > a, got {domain!r}")
     if node_count < 8:
         raise ValueError(f"node_count must be >= 8, got {node_count}")
-    nodes = _chebyshev_nodes(a, b, node_count)
-    check = _chebyshev_nodes(a, b, 2 * node_count)
-    # guard against roundoff pushing the edge nodes outside [a, b]
-    nodes[0], nodes[-1] = a, b
-    check[0], check[-1] = a, b
-
-    values = apply_on_grid(f, spec, nodes, cfg)
-    approx = GridApproximant((a, b), nodes, values)
-    direct = apply_on_grid(f, spec, check, cfg)
-    residual = float(np.abs(approx(check) - direct).max())
-    approx.residual = residual
-    approx.flagged = residual > residual_ceiling
+    fine = _chebyshev_nodes(a, b, 2 * node_count - 1)
+    values = apply_on_grid(f, spec, fine, cfg)
+    approx = GridApproximant((a, b), values[::2])
+    approx.residual = float(np.abs(approx(fine[1::2]) - values[1::2]).max())
+    approx.flagged = approx.residual > residual_ceiling
     return approx
-
-
-def _as_test_function(approx: GridApproximant, name: str) -> TestFunction:
-    sup = float(np.abs(approx.values).max())
-
-    def evaluator(x, _a=approx):
-        return _a(x)
-
-    return TestFunction.from_callable(name, evaluator, sup)
 
 
 def _chain(
@@ -897,7 +896,7 @@ def _chain(
                 f"exceeds ceiling {residual_ceiling:.3e}",
                 stage=stage,
             )
-        current = _as_test_function(approx, f"{f.name}.stage{stage}")
+        current = TestFunction.from_callable(f"{f.name}.stage{stage}", approx, np.abs(approx.values).max())
     return approx
 
 

@@ -535,16 +535,39 @@ class TestLatticeSeeds:
 
     @pytest.mark.parametrize(
         "q, beta, abs_tol, width",
-        [(1.0, 1.0, 1e-10, 2.0), (1.0, 0.5, 1e-10, 4.0), (1.0, 20.0, 1e-10, 1.0), (1e-3, 3.0, 1e-10, 1.0),
-         (1.0, 1.0, 1e-13, 1.0)],
+        [(1.0, 1.0, 1e-10, 2.0), (1.0, 0.5, 1e-10, 4.0), (1.0, 20.0, 1e-10, 0.125), (1e-3, 3.0, 1e-10, 0.5),
+         (1.0, 5.0, 1e-10, 0.5), (1.0, 1.0, 1e-13, 1.0)],
     )
     def test_kernel_width_ladder(self, q, beta, abs_tol, width):
-        """The kernel's own panel width W in h.  At beta = 20, panels of
-        width 2 aligned at 0 alone would pass: the kernel's edges at +-1 sit
-        on their midpoints."""
+        """The kernel's own panel width W in h, below 1 for sharp kernels.
+        At beta = 20, panels of width 2 aligned at 0 alone would pass: the
+        kernel's edges at +-1 sit on their midpoints."""
         params = KernelParams(q, beta)
         radius = truncation_radius(params, QuadratureConfig().truncation_eps)
         assert operators._kernel_width(params, radius, abs_tol, 1.0) == width
+
+    @pytest.mark.parametrize("n", [9, 1000])
+    @pytest.mark.parametrize("params", [KernelParams(1e-3, 3.0), KernelParams(1.0, 20.0)], ids=["q1e-3b3", "q1b20"])
+    @pytest.mark.parametrize(
+        "f, kind", [(SIN, OperatorKind.BASIC), (ABS, OperatorKind.KANTOROVICH)], ids=["sin-basic", "abs-kantorovich"]
+    )
+    def test_sharp_kernels_stay_on_the_lattice(self, monkeypatch, grid, f, kind, params, n):
+        """Where width-1 panels do not resolve psi, W drops below 1 and the
+        W/n lattice is accepted at the first try; no row is evaluated but
+        the pieces of panels cut at a kink."""
+        spec = OperatorSpec(kind, n, params)
+        width = operators._kernel_width(
+            params, truncation_radius(params, QuadratureConfig().truncation_eps), QuadratureConfig().abs_tol, f.sup_norm
+        )
+        assert width < 1.0
+        attempts, rows = _seed_rounds(monkeypatch)
+        out = apply_on_grid(f, spec, grid.points)
+        assert attempts == [(width, "accepted")]
+        kinks = len(operators._transformed(f, spec)[1])
+        assert len(rows) == (1 if kinks else 0) and all(count <= 2 * kinks for count in rows)
+        picks = np.arange(0, grid.points.size, 100)
+        rows_out = apply_on_grid(f, spec, _nudged(grid.points, 777))
+        np.testing.assert_allclose(out[picks], rows_out[picks], rtol=0, atol=1e-11)
 
     def test_kernel_width_lattice_halves_the_terms(self, monkeypatch, grid):
         """Basic sin at n = 100 is accepted on the first, 2/n lattice, with
@@ -744,6 +767,39 @@ class TestGridAgainstScalar:
             assert abs(value - expected) <= 2.0 * tol + cfg.truncation_eps, (x, value, expected)
 
 
+@st.composite
+def wide_specs(draw):
+    """An operator from the whole supported range: q log-uniform in
+    [1e-6, 1e6], beta in [0.05, 20], n in [1, 10^4], every kind."""
+    q = 10.0 ** draw(st.floats(-6.0, 6.0))
+    params = KernelParams(q, 10.0 ** draw(st.floats(math.log10(0.05), math.log10(20.0))))
+    kind = draw(st.sampled_from(list(OperatorKind)))
+    weights = None
+    if kind is OperatorKind.QUADRATURE:
+        raw = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4).filter(lambda w: sum(w) > 0.1))
+        weights = tuple(w / math.fsum(raw) for w in raw)
+    return OperatorSpec(kind, draw(st.integers(1, 10**4)), params, weights=weights), draw(st.floats(-3.0, 3.0))
+
+
+class TestWideRangeProperties:
+    """Constants are reproduced and |x| maps to a nonnegative function over
+    the whole parameter range, on a uniform grid (lattice seeds, whose
+    panels are narrower than 1/n for sharp kernels) and on Chebyshev nodes
+    (row seeds).  The grids span 200 kernel units h around a drawn centre,
+    so a call's work does not grow with n."""
+
+    @pytest.mark.parametrize("nodes", [np.linspace, operators._chebyshev_nodes], ids=["uniform", "chebyshev"])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=wide_specs())
+    def test_constant_and_positivity(self, nodes, case):
+        spec, centre = case
+        cfg = QuadratureConfig()
+        xs = nodes(centre - 100.0 / spec.n, centre + 100.0 / spec.n, 41)
+        tol = max(cfg.abs_tol, cfg.rel_tol)
+        np.testing.assert_allclose(apply_on_grid(ONE, spec, xs, cfg), 1.0, rtol=0, atol=2.0 * tol + cfg.truncation_eps)
+        assert apply_on_grid(ABS, spec, xs, cfg).min() >= -tol
+
+
 class TestOperatorProperties:
     def test_positivity_monotonicity(self):
         """f <= g pointwise implies applied values in the same order."""
@@ -889,7 +945,48 @@ class TestGridApproximant:
         with pytest.raises(ValueError):
             make_grid_approximant(SIN, B32, (2, -2), 16)
         with pytest.raises(ValueError):
-            GridApproximant((-1, 1), np.array([0.0, 0.0]), np.array([1.0, 1.0]))
+            GridApproximant((-1, 1), np.array([1.0]))
+        with pytest.raises(ValueError):
+            GridApproximant((1, 1), np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("count", [8, 16, 64, 100])
+    @pytest.mark.parametrize("domain", [(-3.0, 3.0), (-0.7, 2.3), (-45.31, 45.31)])
+    def test_nodes_are_the_chebyshev_extrema(self, domain, count):
+        """The approximant's nodes are the Chebyshev extrema of its domain,
+        ends clamped, bit for bit; so are the even points of the 2N - 1
+        extrema on which make_grid_approximant samples the operator."""
+        a, b = domain
+        expected = 0.5 * (a + b) - 0.5 * (b - a) * np.cos(np.pi * np.arange(count) / (count - 1))
+        expected[0], expected[-1] = a, b
+        np.testing.assert_array_equal(GridApproximant(domain, np.zeros(count)).nodes, expected)
+        np.testing.assert_array_equal(operators._chebyshev_nodes(a, b, 2 * count - 1)[::2], expected)
+
+    def test_one_grid_call_per_stage(self, monkeypatch):
+        """Each stage samples the operator once, interpolation nodes and
+        residual points together."""
+        calls = []
+
+        def counted(f, spec, xs, cfg=None):
+            calls.append(np.size(xs))
+            return apply_on_grid(f, spec, xs, cfg)
+
+        monkeypatch.setattr(operators, "apply_on_grid", counted)
+        approx = iterate(SIN, B32, 3, (-3, 3), 64)
+        assert calls == [2 * 64 - 1] * 3
+        np.testing.assert_array_equal(approx.nodes, operators._chebyshev_nodes(*approx.domain, 64))
+
+    @pytest.mark.parametrize("n", [9, 32])
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind.value)
+    @pytest.mark.parametrize("f", [SIN, ABS], ids=lambda f: f.name)
+    def test_residual_dominates_a_doubled_grid(self, f, spec, n):
+        """The residual, taken at the theta-midpoints between nodes, is no
+        smaller than the one measured on a separate 2N-point Chebyshev grid,
+        up to the quadrature noise."""
+        spec = replace(spec, n=n)
+        approx = make_grid_approximant(f, spec, (-3, 3), 16)
+        check = operators._chebyshev_nodes(-3.0, 3.0, 32)
+        doubled = float(np.abs(approx(check) - apply_on_grid(f, spec, check)).max())
+        assert approx.residual >= doubled - 1e-12
 
 
 class TestIterate:
