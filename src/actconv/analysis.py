@@ -188,7 +188,7 @@ def run_convergence_sweep(
             values = apply_on_grid(f, spec, grid.points, cfg)
             correction = np.zeros_like(grid.points)
             for k in range(1, order + 1):
-                moment = central_moment(spec, 0.0, k, cfg)
+                moment = central_moment(spec, 0.0, k)
                 correction += np.asarray(f.derivatives[k - 1](grid.points), dtype=float) * (
                     moment / math.factorial(k)
                 )

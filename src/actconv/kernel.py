@@ -3,10 +3,11 @@
 The building blocks are a two-parameter sigmoid ``nu``, the bell-shaped
 density ``g`` obtained as a central difference of the sigmoid, and the
 symmetrized density ``psi`` (the even average of ``g`` at ``q`` and
-``1/q``).  Alongside the point evaluators, this module carries the analytic
-constants attached to the family: the global maximum of ``g``, an
-exponential envelope valid for arguments >= 1, and closed-form upper bounds
-for tail mass and absolute moments of ``psi``.
+``1/q``), with its unit-window average ``psi_average``.  Alongside the point
+evaluators, this module carries the analytic constants attached to the
+family: the global maximum of ``g``, an exponential envelope valid for
+arguments >= 1, the moments of ``psi`` in closed form, and closed-form upper
+bounds for tail mass and absolute moments of ``psi``.
 
 All evaluators accept scalars or numpy arrays and are pure functions.
 """
@@ -25,6 +26,8 @@ __all__ = [
     "nu",
     "g",
     "psi",
+    "psi_average",
+    "psi_moments",
     "psi_envelope",
     "window_edge",
     "tail_mass_bound",
@@ -141,6 +144,73 @@ def psi(params: KernelParams, x) -> float | np.ndarray:
     e = np.exp(-params.beta * np.abs(arr))
     out = 0.5 * (_g_of_w(params.q * e, params.beta) + _g_of_w((1.0 / params.q) * e, params.beta))
     return _ret(out, scalar)
+
+
+def psi_average(params: KernelParams, x) -> float | np.ndarray:
+    """Average of psi over [x, x + 1]; even about -1/2, positive, unit mass.
+
+    The antiderivative of nu is (2 / beta) ln cosh(beta (x - c) / 2) with
+    c = ln(q) / beta, and the four log-cosh terms that each deformation
+    contributes collapse to one logarithm:
+
+        (1 / (4 beta)) ln((1 + z(t_q)) (1 + z(t_{1/q}))),  t_q = beta |x + 1/2| - ln q,
+        z(t) = 2 sinh(beta / 2) sinh(beta) / (cosh(beta / 2) + cosh(t))
+             = (1 - E) (1 - E^2) / (E + E^2 + e^(t - 3 beta / 2) + e^(-t - 3 beta / 2)),  E = e^-beta.
+
+    The last form holds no e^beta, so it stays finite while E is a normal
+    number (beta below about 700, as for psi).  One log1p of the product
+    keeps the absolute error near 1e-16, and the relative error in the
+    tails is that of the exponentials.
+    """
+    arr, scalar = _prepare(x)
+    beta = params.beta
+    e = math.exp(-beta)
+    lift = math.expm1(-beta) * math.expm1(-2.0 * beta)
+    y = beta * np.abs(arr + 0.5) - 1.5 * beta
+    log_q = math.log(params.q)
+    # far out an exponential overflows and z is 0; at beta above about 350
+    # the product overflows near the peak, and there the logarithms are
+    # taken apart
+    with np.errstate(over="ignore"):
+        z_q, z_inv = (lift / (e + e * e + np.exp(y - c) + np.exp(-y - 3.0 * beta + c)) for c in (log_q, -log_q))
+        both = z_q + z_inv * (1.0 + z_q)
+    out = np.log1p(both)
+    big = np.isinf(both)
+    if big.any():
+        out[big] = np.log1p(z_q[big]) + np.log1p(z_inv[big])
+    return _ret(out / (4.0 * beta), scalar)
+
+
+def _moments_of_sum(a: list[float], b: list[float]) -> list[float]:
+    """E[(X + Y)^m] for m < len(a), X and Y independent with the moment
+    sequences a and b: the binomial theorem."""
+    return [math.fsum(math.comb(m, j) * a[j] * b[m - j] for j in range(m + 1)) for m in range(len(a))]
+
+
+def psi_moments(params: KernelParams, k: int) -> list[float]:
+    """E[H^j] for H ~ psi and j = 0..k, in closed form; the odd ones are 0.0.
+
+    psi is the law of U + L / beta + S ln(q) / beta, with U uniform on
+    [-1, 1], L standard logistic and S = +-1 with probability 1/2 each, all
+    independent.  E L^{2i} = (2^{2i} - 2) |B_{2i}| pi^{2i} = (2i)! a_i pi^{2i},
+    where a_i are the Taylor coefficients of x / sin x (the logistic's moment
+    generating function is pi s / sin(pi s)).  Every term is nonnegative, so
+    the moments are accurate to a few ulps.
+    """
+    if not (isinstance(k, (int, np.integer)) and k >= 0):
+        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
+    k = int(k)
+    # sin(x) (x / sin x) = x gives a_i from a_0 .. a_{i-1}
+    a = [1.0]
+    for i in range(1, k // 2 + 1):
+        a.append(math.fsum((-1) ** (m + 1) * a[i - m] / math.factorial(2 * m + 1) for m in range(1, i + 1)))
+    c = math.log(params.q) / params.beta
+    uniform, logistic, sign = ([0.0] * (k + 1) for _ in range(3))
+    for j in range(0, k + 1, 2):
+        uniform[j] = 1.0 / (j + 1)
+        logistic[j] = math.factorial(j) * a[j // 2] * (math.pi / params.beta) ** j
+        sign[j] = c**j
+    return _moments_of_sum(_moments_of_sum(uniform, logistic), sign)
 
 
 def psi_envelope(params: KernelParams, x) -> float | np.ndarray:

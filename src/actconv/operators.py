@@ -1,42 +1,44 @@
 """The three convolution operators and their grid-based compositions.
 
-All three operators convolve samples of a bounded continuous function
+All three operators average translates of a bounded continuous function
 against the symmetrized kernel ``psi`` at resolution ``n``:
 
 * basic:        point samples f(x - h/n),
 * kantorovich:  local averages n * integral of f over [u, u + 1/n],
 * quadrature:   convex combinations sum_s w_s f(u + s/(n r)).
 
-The latter two reduce to the basic operator applied to a transformed
-sample function, which is how they are evaluated here.
+Each is the integral of f(x - v/n) k(v) dv with a kernel k of its own
+(``_Kernel``, the only code that knows how a kind averages f): psi for
+basic, the unit-window average psi_average(v) = integral of psi(v + t)
+over t in [0, 1] for kantorovich, and sum_s w_s psi(v + s/r) for
+quadrature.  Everything else samples f itself, at its own kinks.
 
 Two evaluation paths share the same nested Kronrod rule:
 
 * ``apply`` (and the kind-specific wrappers) integrate a single point
-  adaptively in the kernel variable h,
+  adaptively in the kernel variable v,
 * ``apply_on_grid`` evaluates a whole grid of points at once by sharing
-  one panel decomposition in the sample variable u, where the sample
-  function's kinks sit at fixed locations; panels refine until the
-  worst grid point meets tolerance.  The new panels of a refinement
-  round are evaluated together, in chunks of (panel, grid point) rows,
-  so the sample function is called with (panels, 15) arrays holding the
-  nodes of many panels: it must work elementwise on arrays of any shape.
-  Each seeding window (a run of grid points with their kernel windows)
-  has an anchor c at its centre.  Panel nodes are held as offsets t from
-  c, kernel arguments are formed as n ((x - c) - t), and the sample
-  function is evaluated at c + t, with a kind's inner shifts added to t
-  before c; so the rounding does not grow with |x|.  On a uniform grid,
-  as ``np.linspace`` builds it, the seed round runs on a lattice of
-  panels anchored at the first point instead: the kernel term of a
-  (panel, point) pair then depends only on their lattice offset, so the
-  kernel is evaluated once, on a table of a few thousand values.  The
-  lattice panels are sized to the kernel's own scale W/n, W the power of
-  two (from 2^-10 up) at which GK15 panels resolve psi itself to
-  tolerance (at abs_tol = 1e-10, about 2 / beta: 32 at beta = 0.05,
-  2 at beta = 1, 1/2 at beta = 5 and 1/8 at beta = 20).  The lattice
-  places point i at x0 + i h, which differs from the double x_i by up
-  to ulp(x_i) / 2, so grids far from the origin, where that drift would
-  show in the result, keep the row seeds.
+  one panel decomposition in the sample variable u, where the kinks of f
+  sit at fixed locations; panels refine until the worst grid point meets
+  tolerance.  The new panels of a refinement round are evaluated
+  together, in chunks of (panel, grid point) rows, so f is called with
+  (panels, 15) arrays holding the nodes of many panels: it must work
+  elementwise on arrays of any shape.  Each seeding window (a run of grid
+  points with their kernel windows) has an anchor c at its centre.  Panel
+  nodes are held as offsets t from c, kernel arguments are formed as
+  n ((x - c) - t), and f is evaluated at c + t; so the rounding does not
+  grow with |x|.  On a uniform grid, as ``np.linspace`` builds it, the
+  seed round runs on a lattice of panels anchored at the first point
+  instead: the kernel term of a (panel, point) pair then depends only on
+  their lattice offset, so the kernel is evaluated once, on a table of a
+  few thousand values.  The lattice panels are sized to the kernel's own
+  scale W/n, W the power of two (from 2^-10 up) at which GK15 panels
+  resolve the kind's kernel to tolerance (for psi at abs_tol = 1e-10,
+  about 2 / beta: 32 at beta = 0.05, 2 at beta = 1, 1/2 at beta = 5 and
+  1/8 at beta = 20).  The lattice places point i at x0 + i h, which
+  differs from the double x_i by up to ulp(x_i) / 2, so grids far from
+  the origin, where that drift would show in the result, keep the row
+  seeds.
 
 Iterated and mixed compositions are made tractable by interpolating each
 stage on Chebyshev nodes.  One grid call per stage samples the operator
@@ -64,11 +66,7 @@ from .quadrature import (
     GK15_NODES,
     GK15_WEIGHTS,
     QuadratureConfig,
-    TailEnvelope,
-    gauss_legendre_01,
     integrate_interval,
-    integrate_real_line,
-    moment_truncation_radius,
     truncation_radius,
 )
 
@@ -90,10 +88,8 @@ __all__ = [
 ]
 
 
-# how far quadrature weights may sum from 1, and the Gauss-Legendre order
-# of the kantorovich inner average
+# how far quadrature weights may sum from 1
 _WEIGHT_TOL = 1e-12
-_INNER_ORDER = 12
 
 
 class OperatorKind(str, Enum):
@@ -192,32 +188,66 @@ class TestFunction:
         return cls(name=name, eval=fn, sup_norm=float(sup_norm), **kwargs)
 
 
-def _transformed(f: TestFunction, spec: OperatorSpec):
-    """Reduce any kind to the basic form: a sample function F of u, the
-    kink locations of F, and the sup-norm budget for tail truncation.
+@dataclass(frozen=True)
+class _Kernel:
+    """The kernel k of one kind: the operator maps f to the integral of
+    f(x - v/n) k(v) dv.  This is the only code that knows how a kind
+    averages f.
 
-    F(t, c) is F at u = c + t, for offsets t from anchors c; it adds the
-    kinds' inner shifts to t before c, so that their rounding does not grow
-    with |c|."""
-    n = spec.n
-    if spec.kind is OperatorKind.BASIC:
-        def point(u, c=None, _f=f.eval):
-            return _f(u if c is None else c + u)
+    The operator samples f at x + (T - H)/n, H ~ psi and T the kind's
+    offset: 0 (basic), uniform on [0, 1] (kantorovich), or s/r with weight
+    w_s (quadrature).  So k(v) = E psi(v + T): psi, ``kernel.psi_average``,
+    or sum_s w_s psi(v + s/r).  Averaging keeps k positive with unit mass
+    and moves psi's mass left by at most ``shift``, so the truncation
+    window [-R, R] of psi becomes [-R - shift, R]."""
 
-        return point, tuple(f.kinks), f.sup_norm
-    if spec.kind is OperatorKind.KANTOROVICH:
-        nodes, weights = gauss_legendre_01(_INNER_ORDER)
-        shifts = nodes / n
-    else:
-        shifts = np.arange(1, spec.r + 1) / (n * spec.r)
-        weights = np.asarray(spec.weights, dtype=float)
+    kind: OperatorKind
+    params: KernelParams
+    weights: tuple[float, ...] | None = None
 
-    def combined(u, c=None, _s=shifts, _w=weights, _f=f.eval):
-        v = np.asarray(u, dtype=float)[..., None] + _s
-        return np.asarray(_f(v if c is None else c[..., None] + v), dtype=float) @ _w
+    @property
+    def shift(self) -> float:
+        """The largest value of T."""
+        return 0.0 if self.kind is OperatorKind.BASIC else 1.0
 
-    kinks = tuple(k - s for k in f.kinks for s in shifts)
-    return combined, kinks, f.sup_norm
+    def __call__(self, v):
+        if self.kind is OperatorKind.BASIC:
+            return kernel.psi(self.params, v)
+        if self.kind is OperatorKind.KANTOROVICH:
+            return kernel.psi_average(self.params, v)
+        # one psi call per block of v on its (r, size) array of shifted
+        # arguments, which holds at most the values of a row chunk's
+        # (15, rows) arrays; the weighted rows are added in order
+        v = np.asarray(v, dtype=float)
+        r = len(self.weights)
+        shifts = np.arange(1, r + 1)[:, None] / r
+        weights = np.asarray(self.weights)[:, None]
+        flat = v.reshape(-1)
+        out = np.empty(flat.size)
+        step = max(1, _CHUNK_ROWS * GK15_NODES.size // r)
+        for i in range(0, flat.size, step):
+            out[i:i + step] = _node_sum(kernel.psi(self.params, flat[i:i + step] + shifts) * weights)
+        return out.reshape(v.shape)
+
+    def offset_moments(self, k: int) -> list[float]:
+        """E[T^j] for j = 0..k."""
+        if self.kind is OperatorKind.BASIC:
+            return [1.0] + [0.0] * k
+        if self.kind is OperatorKind.KANTOROVICH:
+            return [1.0 / (j + 1) for j in range(k + 1)]
+        r = len(self.weights)
+        return [math.fsum(w * (s / r) ** j for s, w in enumerate(self.weights, start=1)) for j in range(k + 1)]
+
+
+def _kernel(spec: OperatorSpec) -> _Kernel:
+    return _Kernel(spec.kind, spec.params, spec.weights)
+
+
+def _radius(f: TestFunction, spec: OperatorSpec, cfg: QuadratureConfig) -> float:
+    """psi's truncation radius R for f: the kernel mass outside [-R, R],
+    times sup |f|, is at most ``cfg.truncation_eps``."""
+    eps = min(max(cfg.truncation_eps / max(f.sup_norm, 1.0), 1e-300), 0.5)
+    return truncation_radius(spec.params, eps)
 
 
 def _check_kind(spec: OperatorSpec, expected: OperatorKind):
@@ -228,17 +258,17 @@ def _check_kind(spec: OperatorSpec, expected: OperatorKind):
 def _apply_scalar(f: TestFunction, spec: OperatorSpec, x: float, cfg: QuadratureConfig) -> float:
     if not math.isfinite(x):
         raise ValueError("x must be finite")
-    sample, _, scale = _transformed(f, spec)
-    params, n = spec.params, spec.n
+    k, n = _kernel(spec), spec.n
 
-    def integrand(h):
-        return np.asarray(sample(x - h / n), dtype=float) * kernel.psi(params, h)
+    def integrand(v):
+        return np.asarray(f.eval(x - v / n), dtype=float) * k(v)
 
-    res = integrate_real_line(integrand, TailEnvelope(params, max(scale, 1.0)), cfg)
-    # psi is finite, so a non-finite integral comes from the samples
+    radius = _radius(f, spec, cfg)
+    res = integrate_interval(integrand, -radius - k.shift, radius, cfg)
+    # the kernel is finite, so a non-finite integral comes from the samples
     if not math.isfinite(res.value):
         raise NonFiniteSampleError(
-            f"sample function is not finite within the kernel window "
+            f"{f.name} is not finite within the kernel window "
             f"(operator={spec.kind.value}, x={x}, n={n})"
         )
     if not res.converged:
@@ -327,26 +357,26 @@ def _chunks(start: np.ndarray, stop: np.ndarray, max_panels: int):
         c0 = c1
 
 
-def _sample(sample, spec: OperatorSpec, t: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """The sample function at the nodes c + t, every value finite."""
-    fu = np.asarray(sample(t, c), dtype=float)
+def _sample(f: TestFunction, spec: OperatorSpec, t: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """f at the nodes u = c + t, every value finite."""
+    u = c + t
+    fu = np.asarray(f.eval(u), dtype=float)
     finite = np.isfinite(fu)
     if not finite.all():
-        u = c + t
         raise NonFiniteSampleError(
-            f"sample function is not finite at u={float(u.flat[int(np.argmin(finite))])!r} "
+            f"{f.name} is not finite at u={float(u.flat[int(np.argmin(finite))])!r} "
             f"(operator={spec.kind.value}, n={spec.n})"
         )
     return fu
 
 
-def _evaluate(sample, spec: OperatorSpec, grid: np.ndarray, offset: np.ndarray, reach: float,
+def _evaluate(f: TestFunction, spec: OperatorSpec, grid: np.ndarray, offset: np.ndarray, reach: float,
               a: np.ndarray, b: np.ndarray, c: np.ndarray) -> _Panels:
     """Rows of the panels [c + a, c + b] on the sorted grid, a chunk at a
-    time: one sample call for the nodes of the chunk's panels (at most
+    time: one call of f for the nodes of the chunk's panels (at most
     ``_CHUNK_ROWS`` nodes) and one kernel call for its rows.  ``offset``
     holds each grid point's offset from the anchor of its window."""
-    n = spec.n
+    k, n = _kernel(spec), spec.n
     start = np.searchsorted(grid, c + a - reach, side="left")
     stop = np.searchsorted(grid, c + b + reach, side="right")
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
@@ -356,13 +386,13 @@ def _evaluate(sample, spec: OperatorSpec, grid: np.ndarray, offset: np.ndarray, 
     worst = np.zeros(a.size)
     for c0, c1, p0, p1, counts, point in _chunks(start, stop, max(1, _CHUNK_ROWS // GK15_NODES.size)):
         t = mid[p0:p1, None] + half[p0:p1, None] * GK15_NODES
-        fu = _sample(sample, spec, t, c[p0:p1, None])
+        fu = _sample(f, spec, t, c[p0:p1, None])
         # node-major (15, rows) arrays of n ((x - c) - t); the K15 terms
         # overwrite the kernel values
         arg = np.repeat(t.T, counts, axis=1)
         np.subtract(offset[point], arg, out=arg)
         arg *= n
-        terms = kernel.psi(spec.params, arg)
+        terms = k(arg)
         rows = np.repeat(scale[p0:p1], counts)
         g7 = rows * _node_sum(terms[_GAUSS] * np.repeat((G7_WEIGHTS * fu)[:, _GAUSS].T, counts, axis=1))
         terms *= np.repeat((GK15_WEIGHTS * fu).T, counts, axis=1)
@@ -399,23 +429,24 @@ def _contract(weighted: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _kernel_width(params: KernelParams, radius: float, abs_tol: float, scale: float) -> float:
-    """The kernel's own panel scale W in h, a power of two at which GK15
-    panels of width W tiling [-R, R] integrate psi with ``scale`` times
-    the sum of their |K15 - G7| estimates within ``abs_tol``: W = 1 if it
-    passes and then doubled while 2 W passes and fits in R, else halved
-    until it passes or reaches 2^-10.  The sum is the largest over the
-    tilings offset by 0, W/4, W/2 and 3W/4: aligned at 0 alone, beta = 20
-    would pass at W = 2, its kernel edges at +-1 sitting on panel
-    midpoints, where K15 and G7 both integrate the odd part exactly.  psi
-    is analytic in the strip |Im h| < pi / beta, so W scales like 1 / beta:
-    at abs_tol = 1e-10 and scale 1 it is 4 at beta = 0.5, 2 at beta = 1,
-    1/2 at (q, beta) = (1e-3, 3) and (1, 5), and 1/8 at (1, 20)."""
+def _kernel_width(k: _Kernel, radius: float, abs_tol: float, scale: float) -> float:
+    """The kernel's own panel scale W in v, a power of two at which GK15
+    panels of width W tiling [-R, R] integrate the kind's kernel k with
+    ``scale`` times the sum of their |K15 - G7| estimates within
+    ``abs_tol``: W = 1 if it passes and then doubled while 2 W passes and
+    fits in R, else halved until it passes or reaches 2^-10.  The sum is
+    the largest over the tilings offset by 0, W/4, W/2 and 3W/4: aligned at
+    0 alone, psi at beta = 20 would pass at W = 2, its edges at +-1 sitting
+    on panel midpoints, where K15 and G7 both integrate the odd part
+    exactly.  psi is analytic in the strip |Im v| < pi / beta, and so are
+    its averages, so W scales like 1 / beta: for psi at abs_tol = 1e-10
+    and scale 1 it is 4 at beta = 0.5, 2 at beta = 1, 1/2 at
+    (q, beta) = (1e-3, 3) and (1, 5), and 1/8 at (1, 20)."""
 
     def resolved(width: float) -> bool:
-        k = np.arange(math.floor(-radius / width) - 1, math.ceil(radius / width) + 1)
-        mids = (k + np.array([0.0, 0.25, 0.5, 0.75])[:, None] + 0.5) * width
-        values = kernel.psi(params, mids[:, :, None] + 0.5 * width * GK15_NODES)
+        i = np.arange(math.floor(-radius / width) - 1, math.ceil(radius / width) + 1)
+        mids = (i + np.array([0.0, 0.25, 0.5, 0.75])[:, None] + 0.5) * width
+        values = k(mids[:, :, None] + 0.5 * width * GK15_NODES)
         errors = 0.5 * width * np.abs((values * (GK15_WEIGHTS - G7_WEIGHTS)).sum(axis=2))
         return scale * float(errors.sum(axis=1).max()) <= abs_tol
 
@@ -428,27 +459,27 @@ def _kernel_width(params: KernelParams, radius: float, abs_tol: float, scale: fl
     return width
 
 
-def _lattice(sample, spec: OperatorSpec, grid: np.ndarray, reach: float, kinks, cap: int, width: float):
+def _lattice(f: TestFunction, spec: OperatorSpec, grid: np.ndarray, reach: float, cap: int, width: float):
     """The seed round on the grid x_i = x0 + i h, from one kernel table.
 
     The seed panels, of width w = h M or h / m (the widest such value not
     above W / n, W = ``width`` in the kernel variable), lie on a lattice
-    anchored at x0.  A cell of m panels (one
-    panel when w = h M) steps over ``stride`` grid points (M, or 1), so
-    psi(n (x_i - u)) at node k of the cell's r-th panel depends only on
-    (r, k) and the offset j = i - stride q of point i from cell q: the
-    kernel is evaluated once, on the table T[r, k, j].  Cells are taken in
-    blocks of at most 15 ``_CHUNK_ROWS`` (panel, offset) terms.  Each term,
-    a K15 value and its |K15 - G7| estimate, is a contraction of the
-    panel's 15 weighted samples with T, adding the nodes in order; a cell's
+    anchored at x0.  A cell of m panels (one panel when w = h M) steps
+    over ``stride`` grid points (M, or 1), so the kernel value at point i
+    and node k of the cell's r-th panel depends only on (r, k) and the
+    offset j = i - stride q of point i from cell q: the kind's kernel is
+    evaluated once, on the table T[r, k, j].  Cells are taken in blocks of
+    at most 15 ``_CHUNK_ROWS`` (panel, offset) terms.  Each term, a K15
+    value and its |K15 - G7| estimate, is a contraction of the panel's 15
+    weighted samples with T, adding the nodes in order; a cell's
     panels are added in order, and its terms go to the points by slice
     sums, over offsets or over cells, whichever is shorter.  A slice adds
     at most one term to a point, and every point receives its terms in
     ascending cell order either way, so the totals do not depend on the
     block size.
 
-    A lattice panel that contains a kink is cut there, and the pieces go
-    through ``_evaluate``.  Returns the per-point totals of values and
+    A lattice panel that contains a kink of f is cut there, and the pieces
+    go through ``_evaluate``.  Returns the per-point totals of values and
     error estimates; or None when the seeds would exceed the panel budget
     ``cap``, or when a cell spans more than a quarter of the grid, so that
     a table value would serve fewer than four cells: there the lattice was
@@ -478,7 +509,7 @@ def _lattice(sample, spec: OperatorSpec, grid: np.ndarray, reach: float, kinks, 
     j_hi = min(math.floor((cell + reach) / h), size - 1 - stride * q_lo)
 
     edges = np.arange(m * q_lo, m * (q_hi + 1) + 1) * w
-    cuts = np.array(sorted({k - x0 for k in kinks if edges[0] < k - x0 < edges[-1]}), dtype=float)
+    cuts = np.array(sorted({k - x0 for k in f.kinks if edges[0] < k - x0 < edges[-1]}), dtype=float)
     at = np.searchsorted(edges, cuts)  # edges[at - 1] < cut <= edges[at]
     inner = edges[at] != cuts
     cuts, at = cuts[inner], at[inner]
@@ -487,7 +518,7 @@ def _lattice(sample, spec: OperatorSpec, grid: np.ndarray, reach: float, kinks, 
 
     offsets = np.arange(j_lo, j_hi + 1)
     nodes = (np.arange(m)[:, None] + 0.5) * w + 0.5 * w * GK15_NODES  # (m, 15) from the cell's left edge
-    table = kernel.psi(spec.params, n * (offsets * h - nodes[:, :, None]))
+    table = _kernel(spec)(n * (offsets * h - nodes[:, :, None]))
     weights = 0.5 * n * w * GK15_WEIGHTS
     gauss = 0.5 * n * w * G7_WEIGHTS[_GAUSS]
 
@@ -498,7 +529,7 @@ def _lattice(sample, spec: OperatorSpec, grid: np.ndarray, reach: float, kinks, 
     anchor = np.array(x0)
     for p0 in range(0, a.size, chunk):
         pa, pb = a[p0:p0 + chunk, None], b[p0:p0 + chunk, None]
-        fu[p0:p0 + chunk] = _sample(sample, spec, 0.5 * (pa + pb) + 0.5 * (pb - pa) * GK15_NODES, anchor)
+        fu[p0:p0 + chunk] = _sample(f, spec, 0.5 * (pa + pb) + 0.5 * (pb - pa) * GK15_NODES, anchor)
     fu[at - 1] = 0.0  # a panel cut at a kink leaves the lattice
     fu = fu.reshape(cells, m, GK15_NODES.size)
 
@@ -538,7 +569,7 @@ def _lattice(sample, spec: OperatorSpec, grid: np.ndarray, reach: float, kinks, 
         merged, at_cut = merged[rank], rank >= edges.size
         piece = at_cut[:-1] | at_cut[1:]
         a, b = merged[:-1][piece], merged[1:][piece]
-        pieces = _evaluate(sample, spec, grid, grid - x0, reach, a, b, np.full(a.size, x0))
+        pieces = _evaluate(f, spec, grid, grid - x0, reach, a, b, np.full(a.size, x0))
         piece_values, piece_errors = _totals(pieces, size)
         values += piece_values
         errors += piece_errors
@@ -578,29 +609,30 @@ def _merge(panels: _Panels, halves: _Panels, split: np.ndarray) -> _Panels:
 def apply_on_grid(f: TestFunction, spec: OperatorSpec, xs, cfg: QuadratureConfig | None = None) -> np.ndarray:
     """Evaluate the operator at every point of ``xs`` in one pass.
 
-    All points share a single panel decomposition in the sample variable;
-    panels are seeded at the kernel's resolution scale 1/n plus the sample
-    function's kink locations, then bisected greedily until the worst
-    point's accumulated error estimate meets tolerance.  Each panel is
-    evaluated only on the grid points within R/n of it, R the truncation
-    radius, and panels are seeded only where they reach a grid point.
+    All points share a single panel decomposition in the sample variable
+    u; panels are seeded at the kernel's resolution scale 1/n plus the
+    kinks of f, then bisected greedily until the worst point's accumulated
+    error estimate meets tolerance.  Each panel is evaluated only on the
+    grid points within R/n of it, R the truncation radius of the kind's
+    kernel (psi's, plus 1 for the two averaging kinds, see ``_Kernel``),
+    and panels are seeded only where they reach a grid point.
     Seeds and splits together may use ``cfg.max_subdivisions`` panels per
     kernel window of width 2R/n spanned by the points' windows
     [x - R/n, x + R/n].  ``xs`` need not be sorted.
 
     The seeds, and then each round's new halves, are evaluated as flat
     (panel, grid point) rows, about a thousand rows per kernel call, with
-    one call of the sample function for the nodes of the chunk's panels.
-    The sample function thus receives (panels, 15) arrays, up to about a
-    thousand nodes, not 15 nodes, and must work elementwise on arrays of
-    any shape.  Node sums and per-point totals are added in a fixed
-    order, so the output does not depend on the chunk size.
+    one call of f for the nodes of the chunk's panels.  f thus receives
+    (panels, 15) arrays, up to about a thousand nodes, not 15 nodes, and
+    must work elementwise on arrays of any shape.  Node sums and per-point
+    totals are added in a fixed order, so the output does not depend on the
+    chunk size.
 
     Each seeding window [lo, hi] (windows are split at gaps wider than
     3R/n between sorted points) has the anchor c = (lo + hi) / 2.  Panel
     edges and kink seeds are held as offsets from c, each point's x - c is
     computed once, and the kernel argument is n ((x - c) - t) for a node
-    offset t; the sample function is evaluated at c + t.  The rounding of
+    offset t; f is evaluated at c + t.  The rounding of
     the kernel argument is thus about n ulp(x - c), not n ulp(x), and the
     result far from the origin is as accurate as near it.  On a window
     symmetric about 0, c is exactly 0.
@@ -615,13 +647,13 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec, xs, cfg: QuadratureConfig
     ``np.linspace(1e6, 1e6 + 6, N)``, takes the row path.  The lattice
     panels have width h M or h / m, the widest not above W/n: W is the
     kernel's own scale, the power of two (from 2^-10 up) at which GK15
-    panels of width W resolve psi itself, times sup |F|, to abs_tol (see
-    ``_kernel_width``; 2 at q = beta = 1, 4 at beta = 0.5, 1/8 at
-    beta = 20).  When W > 1 and the W/n lattice is refused (panel budget,
+    panels of width W resolve the kind's kernel, times sup |f|, to abs_tol
+    (see ``_kernel_width``; for psi 2 at q = beta = 1, 4 at beta = 0.5,
+    1/8 at beta = 20).  When W > 1 and the W/n lattice is refused (panel budget,
     or fewer than four cells) or misses tolerance, the 1/n lattice runs
     next, whose panels are never coarser than the row seeds; when W <= 1
     the W/n lattice is the only one tried.
-    The kernel is evaluated once, on a table of kernel values per
+    The kind's kernel is evaluated once, on a table of kernel values per
     (node, lattice offset); each (panel, point) K15 term and its
     |K15 - G7| estimate is a 15-node contraction of the panel's weighted
     samples with the table, and the totals are the same per-point sums as
@@ -638,11 +670,8 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec, xs, cfg: QuadratureConfig
         return np.empty(0)
     if not np.all(np.isfinite(xs)):
         raise ValueError("grid points must be finite")
-    sample, kinks, scale = _transformed(f, spec)
-    n = spec.n
-
-    eps = min(max(cfg.truncation_eps / max(scale, 1.0), 1e-300), 0.5)
-    radius = truncation_radius(spec.params, eps)
+    k, n = _kernel(spec), spec.n
+    radius = _radius(f, spec, cfg) + k.shift
     reach = radius / n
     # the distinct points in ascending order, and each input point's place
     # among them (np.unique would import numpy.ma)
@@ -663,15 +692,16 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec, xs, cfg: QuadratureConfig
     budget = sum(caps)
 
     # the lattice moves each point by up to _drift(grid), which moves its
-    # value by up to that times sup |(B F)'| <= n sup|F| TV(psi), and the
-    # total variation of psi is at most 2 g_max: keep that below abs_tol / 10
-    slope = 2.0 * n * spec.params.g_max_value * scale
+    # value by up to that times sup |(B f)'| <= n sup|f| TV(k); averaging
+    # does not raise the total variation, and TV(psi) <= 2 g_max: keep that
+    # below abs_tol / 10
+    slope = 2.0 * n * spec.params.g_max_value * f.sup_norm
     uniform = lows.size == 1 and grid.size >= 2 and np.array_equal(grid, np.linspace(grid[0], grid[-1], grid.size))
     if uniform and _drift(grid) * slope <= 0.1 * cfg.abs_tol:
         # panels at the kernel's own scale W/n first, then (if W > 1) at 1/n
-        width = _kernel_width(spec.params, radius, cfg.abs_tol, scale)
+        width = _kernel_width(k, radius, cfg.abs_tol, f.sup_norm)
         for w in (width, 1.0) if width > 1.0 else (width,):
-            lattice = _lattice(sample, spec, grid, reach, kinks, budget, w)
+            lattice = _lattice(f, spec, grid, reach, budget, w)
             if lattice is not None:
                 values, errors = lattice
                 if float(errors.max()) <= _tolerance(values, cfg):
@@ -684,7 +714,7 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec, xs, cfg: QuadratureConfig
     for lo, hi, c, cap in zip(lows.tolist(), highs.tolist(), anchors.tolist(), caps):
         count = max(2, min(max(math.ceil((hi - lo) * n), 8), cap))
         edges = np.linspace(lo - c, hi - c, count + 1)
-        inner = sorted({k - c for k in kinks if lo < k < hi})[: max(0, cap - count)]
+        inner = sorted({kink - c for kink in f.kinks if lo < kink < hi})[: max(0, cap - count)]
         if inner:
             # sorted, without repeats (np.unique would import numpy.ma)
             edges = np.sort(np.concatenate((edges, inner)))
@@ -694,7 +724,7 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec, xs, cfg: QuadratureConfig
     # the list stays in ascending order (splits replace a panel by its
     # halves in place), so every total sums in one deterministic order
     seeds = np.concatenate(seeds)
-    panels = _evaluate(sample, spec, grid, offset, reach, *seeds.T)
+    panels = _evaluate(f, spec, grid, offset, reach, *seeds.T)
     for _ in range(_MAX_REFINE_ROUNDS):
         total_val, total_err = _totals(panels, grid.size)
         tol = _tolerance(total_val, cfg)
@@ -709,7 +739,7 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec, xs, cfg: QuadratureConfig
         mid = 0.5 * (a[split] + b[split])
         halves = np.column_stack((a[split], mid, mid, b[split])).reshape(-1, 2)
         anchor = np.repeat(panels.c[split], 2)
-        panels = _merge(panels, _evaluate(sample, spec, grid, offset, reach, *halves.T, anchor), split)
+        panels = _merge(panels, _evaluate(f, spec, grid, offset, reach, *halves.T, anchor), split)
 
     _, total_err = _totals(panels, grid.size)
     worst_x = float(grid[int(np.argmax(total_err))])
@@ -719,47 +749,23 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec, xs, cfg: QuadratureConfig
     )
 
 
-def central_moment(spec: OperatorSpec, x: float, k: int, cfg: QuadratureConfig | None = None) -> float:
-    """The operator applied to v -> (v - x)^k, evaluated at x.
+def central_moment(spec: OperatorSpec, x: float, k: int) -> float:
+    """The operator applied to v -> (v - x)^k, evaluated at x, in closed form.
 
-    By the kernel's evenness these moments are independent of x; for the
-    basic kind the odd ones vanish.  They are the correction coefficients
-    of the Taylor-refined error bounds.
+    The operator samples f at x + (T - H)/n, H ~ psi and T the kind's
+    offset (see ``_Kernel``), so the moment is n^-k E[(T - H)^k]: by the
+    binomial theorem over the moments of T (``_Kernel.offset_moments``)
+    and of H (``kernel.psi_moments``).  It does not depend on x, and since
+    psi is even, the odd ones of the basic kind are exactly 0.0.  They are
+    the correction coefficients of the Taylor-refined error bounds.
     """
     if not (isinstance(k, (int, np.integer)) and k >= 1):
         raise ValueError(f"k must be a positive integer, got {k!r}")
-    cfg = cfg or DEFAULT_CONFIG
-    params, n = spec.params, spec.n
     k = int(k)
-
-    # integrate the n-free polynomial and scale by n^-k afterwards, so the
-    # tolerance applies to a quantity of size one at every n
-    if spec.kind is OperatorKind.BASIC:
-        def integrand(h):
-            return (-h) ** k * kernel.psi(params, h)
-        degree = k
-    elif spec.kind is OperatorKind.KANTOROVICH:
-        # inner integral of (t - h)^k over [0, 1], done in closed form
-        def integrand(h):
-            return ((1.0 - h) ** (k + 1) - (-h) ** (k + 1)) / (k + 1.0) * kernel.psi(params, h)
-        degree = k + 1
-    else:
-        shifts = np.arange(1, spec.r + 1) / spec.r
-        wq = np.asarray(spec.weights, dtype=float)
-
-        def integrand(h):
-            h = np.asarray(h, dtype=float)
-            poly = ((shifts - h[..., None]) ** k) @ wq
-            return poly * kernel.psi(params, h)
-        degree = k
-
-    radius = moment_truncation_radius(params, degree, cfg.truncation_eps)
-    res = integrate_interval(integrand, -radius, radius, cfg)
-    if not res.converged:
-        raise QuadratureNonConvergedError(
-            f"central moment quadrature did not converge (operator={spec.kind.value}, k={k}, n={n})"
-        )
-    return res.value * float(n) ** -k
+    t = _kernel(spec).offset_moments(k)
+    h = kernel.psi_moments(spec.params, k)
+    # the odd moments of H vanish, so E[(T - H)^k] = E[(T + H)^k]: every term is nonnegative
+    return math.fsum(math.comb(k, j) * t[j] * h[k - j] for j in range(k + 1)) * float(spec.n) ** -k
 
 
 def _chebyshev_nodes(a: float, b: float, count: int) -> np.ndarray:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -33,7 +32,6 @@ __all__ = [
     "moment_truncation_radius",
     "integrate_interval",
     "integrate_real_line",
-    "gauss_legendre_01",
     "GK15_NODES",
     "GK15_WEIGHTS",
     "G7_WEIGHTS",
@@ -237,16 +235,3 @@ def integrate_real_line(f, decay: TailEnvelope, cfg: QuadratureConfig | None = N
         res.subdivisions_used,
         res.converged,
     )
-
-
-@lru_cache(maxsize=32)
-def gauss_legendre_01(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, 1]; weights sum to 1."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    x, w = np.polynomial.legendre.leggauss(order)
-    nodes = 0.5 * (x + 1.0)
-    weights = 0.5 * w
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights

@@ -7,6 +7,7 @@ not with the code under test.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,9 +26,12 @@ from actconv import (
     psi,
     psi_envelope,
     tail_mass_bound,
+    truncation_radius,
 )
+from actconv.kernel import psi_average, psi_moments
 from actconv.quadrature import moment_truncation_radius
 
+from _oracles import psi_average_mp, psi_raw_moments_mp
 from conftest import PARAM_GRID
 
 
@@ -157,6 +161,65 @@ class TestPsi:
         res = integrate_real_line(lambda h: psi(p, h), TailEnvelope(p))
         assert res.converged
         assert abs(res.value - 1.0) < 1e-8
+
+
+class TestPsiAverage:
+    @pytest.mark.parametrize(
+        "q, beta", [(1.0, 1.0), (2.0, 0.5), (1e-6, 0.05), (1e6, 20.0), (1e-3, 3.0)], ids=lambda v: f"{v:g}"
+    )
+    def test_matches_mpmath(self, q, beta):
+        """The closed form against 30-digit quadrature of psi over [v, v + 1]
+        across the whole window [-R - 1, R] (truncation_eps 1e-12): within
+        1e-16 absolutely, and within 1e-13 relatively where the value is
+        below 1e-3 of the peak."""
+        params = KernelParams(q, beta)
+        radius = truncation_radius(params, 1e-12)
+        vs = np.concatenate((np.linspace(-radius - 1.0, radius, 17), np.linspace(-2.0, 1.0, 9)))
+        with mp.workdps(30):
+            expected = np.array([float(psi_average_mp(q, beta, v)) for v in vs])
+        got = psi_average(params, vs)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-16)
+        tails = expected < 1e-3 * expected.max()
+        assert tails.sum() >= 6
+        np.testing.assert_allclose(got[tails], expected[tails], rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("q, beta", [(1.0, 400.0), (3.0, 700.0)], ids=["q1b400", "q3b700"])
+    def test_sharp_limit(self, q, beta):
+        """At large beta psi is the box 1/2 on [-1, 1], and its average the
+        trapezoid min(1, 3/2 - |v + 1/2|) / 2, away from the kinks at
+        |v + 1/2| = 1/2 and 3/2; beyond beta = 350 the product of the two
+        logarithms' arguments overflows near the peak."""
+        s = np.concatenate((np.linspace(0.0, 0.4, 9), np.linspace(0.6, 1.4, 17), np.linspace(1.6, 3.0, 8)))
+        vs = np.concatenate((s - 0.5, -s - 0.5))
+        trapezoid = np.clip(1.5 - np.abs(vs + 0.5), 0.0, 1.0) / 2.0
+        np.testing.assert_allclose(psi_average(KernelParams(q, beta), vs), trapezoid, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("p", PARAM_GRID, ids=lambda p: f"q{p.q}b{p.beta}")
+    def test_unit_mass(self, p):
+        radius = truncation_radius(p, 1e-14)
+        res = integrate_interval(lambda v: psi_average(p, v), -radius - 1.0, radius)
+        assert res.converged and abs(res.value - 1.0) < 1e-12
+
+    def test_scalar_and_guard(self):
+        p = KernelParams(2.0, 0.5)
+        assert psi_average(p, 0.3) == psi_average(p, np.array([0.3]))[0]
+        with pytest.raises(ValueError):
+            psi_average(p, math.nan)
+
+
+class TestPsiMoments:
+    @pytest.mark.parametrize("q, beta", [(1.0, 1.0), (2.0, 0.5), (1e-3, 3.0)], ids=lambda v: f"{v:g}")
+    def test_matches_mpmath(self, q, beta):
+        """The closed form against 20-digit quadrature of h^j psi(h)."""
+        got = psi_moments(KernelParams(q, beta), 8)
+        expected = [float(m) for m in psi_raw_moments_mp(q, beta, 8)]
+        np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
+        assert got[1::2] == [0.0] * 4
+
+    def test_validation(self, p11):
+        assert psi_moments(p11, 0) == [1.0]
+        with pytest.raises(ValueError):
+            psi_moments(p11, -1)
 
 
 class TestPsiEnvelope:

@@ -45,6 +45,8 @@ from actconv.analysis import CATALOG, MeasurementGrid, _grid_modulus
 from actconv.operators import GridApproximant, OperatorKind, OperatorSpec, TestFunction
 from actconv.quadrature import GK15_NODES
 
+from _oracles import central_moment_mp
+
 P11 = KernelParams(1.0, 1.0)
 SIN = CATALOG["sin"]
 COS = CATALOG["cos"]
@@ -391,6 +393,23 @@ class TestApplyOnGrid:
             apply_on_grid(NAN_RIGHT, B32, np.linspace(-1, 1, 5))
         assert float(re.search(r"u=(\S+) ", str(err.value)).group(1)) > 0.5
 
+    @pytest.mark.parametrize("points", ["uniform", "rows"])
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind.value)
+    def test_non_finite_sample_location_is_a_hole_of_f(self, spec, points):
+        """The u named by the error is a point where f is not finite, for
+        every kind, on the lattice (uniform grid) and on rows.  The hole is
+        wider than any gap between the nodes of a 1/9-wide panel."""
+        hole = TestFunction.from_callable(
+            "hole", lambda u: np.where(np.abs(np.asarray(u) - 0.5123) < 0.02, np.nan, np.sin(u)), 1.0
+        )
+        xs = np.linspace(-1.0, 1.0, 41)
+        if points == "rows":
+            xs = _nudged(xs, 7)
+        with pytest.raises(NonFiniteSampleError, match=f"operator={spec.kind.value}, n=9") as err:
+            apply_on_grid(hole, replace(spec, n=9), xs)
+        u = float(re.search(r"u=(\S+) ", str(err.value)).group(1))
+        assert not np.isfinite(hole(u))
+
 
 def _exact_sin(spec, x):
     """The operator applied to sin, in closed form (mpmath at 30 digits)."""
@@ -529,9 +548,9 @@ class TestLatticeSeeds:
             rows.clear()
             apply_on_grid(ABS, replace(spec, n=100), grid.points)
             # one lattice round and one row evaluation: the pieces of the
-            # panels cut at the sample's kinks, at most two per kink
+            # panels cut at the kinks of f, at most two per kink
             assert attempts == [(2.0, "accepted")]
-            assert len(rows) == 1 and rows[0] <= 2 * len(operators._transformed(ABS, spec)[1])
+            assert len(rows) == 1 and rows[0] <= 2 * len(ABS.kinks)
 
     @pytest.mark.parametrize(
         "q, beta, abs_tol, width",
@@ -539,12 +558,26 @@ class TestLatticeSeeds:
          (1.0, 5.0, 1e-10, 0.5), (1.0, 1.0, 1e-13, 1.0)],
     )
     def test_kernel_width_ladder(self, q, beta, abs_tol, width):
-        """The kernel's own panel width W in h, below 1 for sharp kernels.
-        At beta = 20, panels of width 2 aligned at 0 alone would pass: the
+        """psi's own panel width W in h, below 1 for sharp kernels.  At
+        beta = 20, panels of width 2 aligned at 0 alone would pass: the
         kernel's edges at +-1 sit on their midpoints."""
         params = KernelParams(q, beta)
         radius = truncation_radius(params, QuadratureConfig().truncation_eps)
-        assert operators._kernel_width(params, radius, abs_tol, 1.0) == width
+        assert operators._kernel_width(operators._Kernel(OperatorKind.BASIC, params), radius, abs_tol, 1.0) == width
+
+    @pytest.mark.parametrize(
+        "spec, width",
+        [(OperatorSpec(OperatorKind.KANTOROVICH, 1, KernelParams(1e-3, 3.0)), 1.0),
+         (OperatorSpec(OperatorKind.QUADRATURE, 1, KernelParams(1.0, 20.0), weights=(0.25,) * 4), 0.125)],
+        ids=["kantorovich-q1e-3b3", "quadrature-q1b20"],
+    )
+    def test_averaged_kernel_width_ladder(self, spec, width):
+        """The width follows the kind's kernel: the unit-window average of
+        psi at (1e-3, 3) is smoother than psi (1/2), and the four shifted
+        copies of psi at beta = 20 are as sharp as one."""
+        k = operators._kernel(spec)
+        radius = truncation_radius(spec.params, QuadratureConfig().truncation_eps) + k.shift
+        assert operators._kernel_width(k, radius, 1e-10, 1.0) == width
 
     @pytest.mark.parametrize("n", [9, 1000])
     @pytest.mark.parametrize("params", [KernelParams(1e-3, 3.0), KernelParams(1.0, 20.0)], ids=["q1e-3b3", "q1b20"])
@@ -552,19 +585,21 @@ class TestLatticeSeeds:
         "f, kind", [(SIN, OperatorKind.BASIC), (ABS, OperatorKind.KANTOROVICH)], ids=["sin-basic", "abs-kantorovich"]
     )
     def test_sharp_kernels_stay_on_the_lattice(self, monkeypatch, grid, f, kind, params, n):
-        """Where width-1 panels do not resolve psi, W drops below 1 and the
-        W/n lattice is accepted at the first try; no row is evaluated but
-        the pieces of panels cut at a kink."""
+        """Where width-1 panels do not resolve the kind's kernel, W drops
+        below 1 and the W/n lattice is accepted at the first try; no row is
+        evaluated but the pieces of panels cut at a kink."""
         spec = OperatorSpec(kind, n, params)
-        width = operators._kernel_width(
-            params, truncation_radius(params, QuadratureConfig().truncation_eps), QuadratureConfig().abs_tol, f.sup_norm
-        )
+        k = operators._kernel(spec)
+        radius = truncation_radius(params, QuadratureConfig().truncation_eps) + k.shift
+        width = operators._kernel_width(k, radius, QuadratureConfig().abs_tol, f.sup_norm)
         assert width < 1.0
         attempts, rows = _seed_rounds(monkeypatch)
         out = apply_on_grid(f, spec, grid.points)
         assert attempts == [(width, "accepted")]
-        kinks = len(operators._transformed(f, spec)[1])
-        assert len(rows) == (1 if kinks else 0) and all(count <= 2 * kinks for count in rows)
+        # a kink of f on a lattice edge cuts no panel (the kinks 0 and +-3
+        # of |x| are often on one here), so at most one row evaluation
+        kinks = len(f.kinks)
+        assert len(rows) <= (1 if kinks else 0) and all(count <= 2 * kinks for count in rows)
         picks = np.arange(0, grid.points.size, 100)
         rows_out = apply_on_grid(f, spec, _nudged(grid.points, 777))
         np.testing.assert_allclose(out[picks], rows_out[picks], rtol=0, atol=1e-11)
@@ -597,7 +632,7 @@ class TestLatticeSeeds:
     @pytest.mark.parametrize(
         "f, spec, first",
         [
-            (GAUSS, OperatorSpec(OperatorKind.KANTOROVICH, 4, KernelParams(10.0, 0.5)), (4.0, "missed")),
+            (GAUSS, OperatorSpec(OperatorKind.KANTOROVICH, 4, KernelParams(1.0, 0.5)), (4.0, "missed")),
             (SIN, OperatorSpec(OperatorKind.BASIC, 4, KernelParams(1.0, 0.2)), (8.0, "refused")),
             (ABS, OperatorSpec(OperatorKind.BASIC, 4, KernelParams(1.0, 0.2)), (8.0, "refused")),
         ],
@@ -611,7 +646,7 @@ class TestLatticeSeeds:
         attempts, rows = _seed_rounds(monkeypatch)
         out = apply_on_grid(f, spec, grid.points)
         assert attempts == [first, (1.0, "accepted")]
-        kinks = len(operators._transformed(f, spec)[1])
+        kinks = len(f.kinks)
         # each lattice round that gets as far as its kink pieces evaluates
         # them as rows, at most two per kink
         expected = (first[1] == "missed") + 1 if kinks else 0
@@ -858,10 +893,32 @@ class TestApplyDerivative:
             apply_derivative(ABS, B32, 1, 0.0)
 
 
+class TestKindKernels:
+    @pytest.mark.parametrize("params", [P11, KernelParams(2.0, 0.5), KernelParams(1e-3, 3.0)],
+                             ids=["q1b1", "q2b0.5", "q1e-3b3"])
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind.value)
+    def test_unit_mass(self, spec, params):
+        k = operators._kernel(replace(spec, params=params))
+        radius = truncation_radius(params, 1e-14)
+        res = integrate_interval(k, -radius - k.shift, radius)
+        assert res.converged and abs(res.value - 1.0) < 1e-12
+
+
 class TestCentralMoment:
     def test_basic_odd_vanish(self):
-        for k in (1, 3, 5):
-            assert abs(central_moment(B32, 0.3, k)) < 1e-12
+        for k in (1, 3, 5, 7):
+            assert central_moment(B32, 0.3, k) == 0.0
+
+    @pytest.mark.parametrize("params", [P11, KernelParams(2.0, 0.5)], ids=["q1b1", "q2b0.5"])
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind.value)
+    def test_matches_mpmath(self, spec, params):
+        """n^-k E[(T - H)^k] for k <= 8 against the moments of psi by
+        quadrature of its raw definition (tests/_oracles.py)."""
+        for n in (1, 9, 1000):
+            for k in range(1, 9):
+                got = central_moment(OperatorSpec(spec.kind, n, params, weights=spec.weights), 0.0, k)
+                expected = float(central_moment_mp(spec.kind.value, params.q, params.beta, k, spec.weights)) * n**-k
+                assert got == pytest.approx(expected, rel=1e-13, abs=0), (n, k)
 
     def test_basic_second_moment_frozen(self):
         # (1/n^2) * second absolute moment; frozen oracle 3.6232014670297862 / 100

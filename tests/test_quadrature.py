@@ -18,7 +18,6 @@ from actconv.quadrature import (
     G7_WEIGHTS,
     GK15_NODES,
     GK15_WEIGHTS,
-    gauss_legendre_01,
     moment_truncation_radius,
 )
 
@@ -31,13 +30,6 @@ class TestRuleTables:
     def test_nodes_symmetric_ascending(self):
         assert np.all(np.diff(GK15_NODES) > 0)
         np.testing.assert_allclose(GK15_NODES, -GK15_NODES[::-1], atol=0)
-
-    def test_gauss_legendre_01(self):
-        nodes, weights = gauss_legendre_01(12)
-        assert math.fsum(weights) == pytest.approx(1.0, abs=1e-15)
-        assert np.all((nodes > 0) & (nodes < 1))
-        # degree-3 polynomial integrated exactly
-        assert float(weights @ nodes**3) == pytest.approx(0.25, abs=1e-15)
 
 
 class TestQuadratureConfig:
