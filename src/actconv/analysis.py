@@ -233,7 +233,7 @@ def check_smoothness_preservation(
     """Grid-estimated moduli of f and of the operator output, per theta.
 
     Both sides use the same grid estimator, so the comparison is fair;
-    the slack 4 * abs_tol absorbs quadrature noise in the operator values.
+    the slack 4 * tol absorbs quadrature noise in the operator values.
     """
     cfg = cfg or DEFAULT_CONFIG
     thetas = [float(t) for t in thetas]
@@ -241,7 +241,7 @@ def check_smoothness_preservation(
         raise ValueError("thetas must be positive")
     f_vals = np.asarray(f.eval(grid.points), dtype=float)
     b_vals = apply_on_grid(f, spec, grid.points, cfg)
-    slack = 4.0 * cfg.abs_tol
+    slack = 4.0 * cfg.tol
     out = []
     for theta in thetas:
         if grid.spacing > theta / 4.0:

@@ -44,22 +44,23 @@ from .analysis import (
 from .errors import FlaggedApproximantError, HypothesisNotMetError, NonFiniteSampleError, QuadratureNonConvergedError
 from .kernel import KernelParams
 # apply_on_grid is unused here, but perfbench's tracer test patches this binding
-from .operators import OperatorKind, OperatorSpec, apply_on_grid, compose_mixed, iterate as iterate_operator  # noqa: F401
+from .operators import (  # noqa: F401
+    RESIDUAL_CEILING, OperatorKind, OperatorSpec, apply_on_grid, compose_mixed, iterate as iterate_operator,
+)
 from .quadrature import QuadratureConfig, TailEnvelope, integrate_interval, integrate_real_line, moment_truncation_radius
 from .svgplot import Series, render_loglog
 
 _DEFAULT_WEIGHTS = "0.25,0.25,0.25,0.25"
-_RESIDUAL_CEILING = 1e-6
 
 
 class _Range(click.FloatRange):
-    """A FloatRange that also rejects nan, which passes every comparison
-    with its ends."""
+    """A FloatRange of finite reals: it also rejects nan, which passes every
+    comparison with its ends, and +-inf, which an open end lets through."""
 
     def convert(self, value, param, ctx):
         value = super().convert(value, param, ctx)
-        if math.isnan(value):
-            self.fail(f"{value} is not a number.", param, ctx)
+        if not math.isfinite(value):
+            self.fail(f"{value} is not a finite real.", param, ctx)
         return value
 
 
@@ -269,7 +270,7 @@ def kernel_check(ctx, **kw):
     """Check kernel identities and bounds; nonzero exit on any failure."""
     kw = _merge_config(ctx, "kernel-check", kw)
     params = _make_params(kw["q"], kw["beta"])
-    cfg = QuadratureConfig(abs_tol=kw["quad_tol"], rel_tol=kw["quad_tol"])
+    cfg = QuadratureConfig(kw["quad_tol"])
     alpha = kw["alpha"]
     formats = _parse_formats(kw["formats"])
 
@@ -443,7 +444,7 @@ def approx(ctx, **kw):
     """Sweep measured sup error against the first-order bounds."""
     kw = _merge_config(ctx, "approx", kw)
     params = _make_params(kw["q"], kw["beta"])
-    cfg = QuadratureConfig(abs_tol=kw["quad_tol"], rel_tol=kw["quad_tol"])
+    cfg = QuadratureConfig(kw["quad_tol"])
     grid = _grid_from(kw)
     formats = _parse_formats(kw["formats"])
     functions = [CATALOG[name] for name in kw["fns"]]
@@ -536,7 +537,7 @@ def taylor(ctx, **kw):
     kw = _merge_config(ctx, "taylor", kw)
     order = kw["taylor_order"]
     params = _make_params(kw["q"], kw["beta"])
-    cfg = QuadratureConfig(abs_tol=kw["quad_tol"], rel_tol=kw["quad_tol"])
+    cfg = QuadratureConfig(kw["quad_tol"])
     grid = _grid_from(kw)
     formats = _parse_formats(kw["formats"])
     functions = [CATALOG[name] for name in kw["fns"]]
@@ -610,7 +611,7 @@ def iterate(ctx, **kw):
     """Check iterated-operator errors against r-fold and per-step bounds."""
     kw = _merge_config(ctx, "iterate", kw)
     params = _make_params(kw["q"], kw["beta"])
-    cfg = QuadratureConfig(abs_tol=kw["quad_tol"], rel_tol=kw["quad_tol"])
+    cfg = QuadratureConfig(kw["quad_tol"])
     grid = _grid_from(kw)
     formats = _parse_formats(kw["formats"])
     functions = [CATALOG[name] for name in kw["fns"]]
@@ -632,7 +633,7 @@ def iterate(ctx, **kw):
     offenders = []
     results = []
     tables = []
-    slack = (len(chain) if chain else kw["iterations"]) * _RESIDUAL_CEILING
+    slack = (len(chain) if chain else kw["iterations"]) * RESIDUAL_CEILING
     for f in functions:
         for kind, weights in kinds:
 
@@ -649,16 +650,13 @@ def iterate(ctx, **kw):
             try:
                 if chain:
                     approx = compose_mixed(
-                        f, kind, chain, params, kw["alpha"], domain, kw["nodes"], weights=weights, cfg=cfg,
-                        residual_ceiling=_RESIDUAL_CEILING,
+                        f, kind, chain, params, kw["alpha"], domain, kw["nodes"], weights=weights, cfg=cfg
                     )
                 else:
                     n = int(kw["ns"][0])
                     r = kw["iterations"]
                     spec = OperatorSpec(kind=OperatorKind(kind), n=n, params=params, alpha=kw["alpha"], weights=weights)
-                    approx = iterate_operator(
-                        f, spec, r, domain, kw["nodes"], cfg=cfg, residual_ceiling=_RESIDUAL_CEILING
-                    )
+                    approx = iterate_operator(f, spec, r, domain, kw["nodes"], cfg=cfg)
             except (FlaggedApproximantError, QuadratureNonConvergedError, NonFiniteSampleError) as exc:
                 raise click.ClickException(f"{f.name}/{kind}: {exc}")
             measured = float(np.abs(approx(grid.points) - f.eval(grid.points)).max())

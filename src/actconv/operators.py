@@ -33,12 +33,20 @@ Two evaluation paths share the same nested Kronrod rule:
   their lattice offset, so the kernel is evaluated once, on a table of a
   few thousand values.  The lattice panels are sized to the kernel's own
   scale W/n, W the power of two (from 2^-10 up) at which GK15 panels
-  resolve the kind's kernel to tolerance (for psi at abs_tol = 1e-10,
+  resolve the kind's kernel to tolerance (for psi at tol = 1e-10,
   about 2 / beta: 32 at beta = 0.05, 2 at beta = 1, 1/2 at beta = 5 and
   1/8 at beta = 20).  The lattice places point i at x0 + i h, which
   differs from the double x_i by up to ulp(x_i) / 2, so grids far from
   the origin, where that drift would show in the result, keep the row
   seeds.
+
+Accuracy is set by one knob, ``QuadratureConfig.tol``: both paths accept
+a value v once its error estimate is within ``cfg.allowance(v)`` =
+tol max(1, |v|) (on a grid, v is the largest |value|), and both truncate
+the kernel at ``cfg.radius(params, sup |f|)``, where the mass left out,
+times sup |f|, is at most tol / 100.  The panel limit
+(``quadrature.MAX_SUBDIVISIONS``) and the approximants' residual ceiling
+(``RESIDUAL_CEILING``) are constants.
 
 Iterated and mixed compositions are made tractable by interpolating each
 stage on Chebyshev nodes.  One grid call per stage samples the operator
@@ -57,7 +65,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import kernel
+from . import kernel, quadrature
 from .errors import FlaggedApproximantError, NonFiniteSampleError, QuadratureNonConvergedError
 from .kernel import KernelParams
 from .quadrature import (
@@ -67,7 +75,6 @@ from .quadrature import (
     GK15_WEIGHTS,
     QuadratureConfig,
     integrate_interval,
-    truncation_radius,
 )
 
 __all__ = [
@@ -90,6 +97,8 @@ __all__ = [
 
 # how far quadrature weights may sum from 1
 _WEIGHT_TOL = 1e-12
+#: the largest interpolation residual of an approximant stage that is not flagged
+RESIDUAL_CEILING = 1e-6
 
 
 class OperatorKind(str, Enum):
@@ -243,13 +252,6 @@ def _kernel(spec: OperatorSpec) -> _Kernel:
     return _Kernel(spec.kind, spec.params, spec.weights)
 
 
-def _radius(f: TestFunction, spec: OperatorSpec, cfg: QuadratureConfig) -> float:
-    """psi's truncation radius R for f: the kernel mass outside [-R, R],
-    times sup |f|, is at most ``cfg.truncation_eps``."""
-    eps = min(max(cfg.truncation_eps / max(f.sup_norm, 1.0), 1e-300), 0.5)
-    return truncation_radius(spec.params, eps)
-
-
 def _check_kind(spec: OperatorSpec, expected: OperatorKind):
     if spec.kind is not expected:
         raise ValueError(f"spec.kind must be {expected.value}, got {spec.kind.value}")
@@ -263,7 +265,7 @@ def _apply_scalar(f: TestFunction, spec: OperatorSpec, x: float, cfg: Quadrature
     def integrand(v):
         return np.asarray(f.eval(x - v / n), dtype=float) * k(v)
 
-    radius = _radius(f, spec, cfg)
+    radius = cfg.radius(spec.params, f.sup_norm)
     res = integrate_interval(integrand, -radius - k.shift, radius, cfg)
     # the kernel is finite, so a non-finite integral comes from the samples
     if not math.isfinite(res.value):
@@ -429,17 +431,18 @@ def _contract(weighted: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _kernel_width(k: _Kernel, radius: float, abs_tol: float, scale: float) -> float:
+def _kernel_width(k: _Kernel, radius: float, tol: float, scale: float) -> float:
     """The kernel's own panel scale W in v, a power of two at which GK15
     panels of width W tiling [-R, R] integrate the kind's kernel k with
-    ``scale`` times the sum of their |K15 - G7| estimates within
-    ``abs_tol``: W = 1 if it passes and then doubled while 2 W passes and
-    fits in R, else halved until it passes or reaches 2^-10.  The sum is
+    ``scale`` times the sum of their |K15 - G7| estimates within ``tol``
+    (``cfg.tol``, the grid's allowance at values up to 1): W = 1 if it
+    passes and then doubled while 2 W passes and fits in R, else halved
+    until it passes or reaches 2^-10.  The sum is
     the largest over the tilings offset by 0, W/4, W/2 and 3W/4: aligned at
     0 alone, psi at beta = 20 would pass at W = 2, its edges at +-1 sitting
     on panel midpoints, where K15 and G7 both integrate the odd part
     exactly.  psi is analytic in the strip |Im v| < pi / beta, and so are
-    its averages, so W scales like 1 / beta: for psi at abs_tol = 1e-10
+    its averages, so W scales like 1 / beta: for psi at tol = 1e-10
     and scale 1 it is 4 at beta = 0.5, 2 at beta = 1, 1/2 at
     (q, beta) = (1e-3, 3) and (1, 5), and 1/8 at (1, 20)."""
 
@@ -448,7 +451,7 @@ def _kernel_width(k: _Kernel, radius: float, abs_tol: float, scale: float) -> fl
         mids = (i + np.array([0.0, 0.25, 0.5, 0.75])[:, None] + 0.5) * width
         values = k(mids[:, :, None] + 0.5 * width * GK15_NODES)
         errors = 0.5 * width * np.abs((values * (GK15_WEIGHTS - G7_WEIGHTS)).sum(axis=2))
-        return scale * float(errors.sum(axis=1).max()) <= abs_tol
+        return scale * float(errors.sum(axis=1).max()) <= tol
 
     width = 1.0
     while width > 2.0**-10 and not resolved(width):
@@ -491,7 +494,10 @@ def _lattice(f: TestFunction, spec: OperatorSpec, grid: np.ndarray, reach: float
     span = float(grid[-1]) - x0
     h = span / (size - 1)
     if h * n <= width:
-        m, stride = 1, int(width / (h * n))
+        # clamped at size: the four-cell test below refuses that stride as it
+        # would any larger one, which a subnormal h makes too large (even
+        # inf) for an int
+        m, stride = 1, int(min(width / (h * n), size))
         if stride * h * n > width:
             stride -= 1
     else:
@@ -587,11 +593,6 @@ def _drift(grid: np.ndarray) -> float:
     return float(np.abs((grid - grid[0]) - np.arange(grid.size) * h).max()) + float(np.spacing(span))
 
 
-def _tolerance(values: np.ndarray, cfg: QuadratureConfig) -> float:
-    """The error allowed at every point: max(abs_tol, rel_tol max |value|)."""
-    return max(cfg.abs_tol, cfg.rel_tol * float(np.abs(values).max()))
-
-
 def _merge(panels: _Panels, halves: _Panels, split: np.ndarray) -> _Panels:
     """``panels`` with every split panel replaced in place by its two halves."""
     rows = np.concatenate(([0], np.cumsum(panels.stop - panels.start)))
@@ -612,13 +613,15 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec, xs, cfg: QuadratureConfig
     All points share a single panel decomposition in the sample variable
     u; panels are seeded at the kernel's resolution scale 1/n plus the
     kinks of f, then bisected greedily until the worst point's accumulated
-    error estimate meets tolerance.  Each panel is evaluated only on the
-    grid points within R/n of it, R the truncation radius of the kind's
-    kernel (psi's, plus 1 for the two averaging kinds, see ``_Kernel``),
-    and panels are seeded only where they reach a grid point.
-    Seeds and splits together may use ``cfg.max_subdivisions`` panels per
-    kernel window of width 2R/n spanned by the points' windows
-    [x - R/n, x + R/n].  ``xs`` need not be sorted.
+    error estimate is within ``cfg.allowance`` of the largest |value|,
+    tol max(1, max |value|).  Each panel is evaluated only on the grid
+    points within R/n of it, R the truncation radius of the kind's kernel
+    (psi's, ``cfg.radius(spec.params, f.sup_norm)``, plus 1 for the two
+    averaging kinds, see ``_Kernel``), and panels are seeded only where
+    they reach a grid point.  Seeds and splits together may use
+    ``quadrature.MAX_SUBDIVISIONS`` panels per kernel window of width 2R/n
+    spanned by the points' windows [x - R/n, x + R/n].  ``xs`` need not be
+    sorted.
 
     The seeds, and then each round's new halves, are evaluated as flat
     (panel, grid point) rows, about a thousand rows per kernel call, with
@@ -643,11 +646,11 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec, xs, cfg: QuadratureConfig
     at x0 (see ``_lattice``).  The lattice evaluates the operator at
     x0 + i h, not at the double x_i, so it is taken only when that drift
     (about ulp(x) / 2 far from the origin) can move no value by more than
-    abs_tol / 10; a uniform grid far from the origin, such as
+    tol / 10; a uniform grid far from the origin, such as
     ``np.linspace(1e6, 1e6 + 6, N)``, takes the row path.  The lattice
     panels have width h M or h / m, the widest not above W/n: W is the
     kernel's own scale, the power of two (from 2^-10 up) at which GK15
-    panels of width W resolve the kind's kernel, times sup |f|, to abs_tol
+    panels of width W resolve the kind's kernel, times sup |f|, to tol
     (see ``_kernel_width``; for psi 2 at q = beta = 1, 4 at beta = 0.5,
     1/8 at beta = 20).  When W > 1 and the W/n lattice is refused (panel budget,
     or fewer than four cells) or misses tolerance, the 1/n lattice runs
@@ -671,7 +674,7 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec, xs, cfg: QuadratureConfig
     if not np.all(np.isfinite(xs)):
         raise ValueError("grid points must be finite")
     k, n = _kernel(spec), spec.n
-    radius = _radius(f, spec, cfg) + k.shift
+    radius = cfg.radius(spec.params, f.sup_norm) + k.shift
     reach = radius / n
     # the distinct points in ascending order, and each input point's place
     # among them (np.unique would import numpy.ma)
@@ -688,23 +691,23 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec, xs, cfg: QuadratureConfig
     bounds = np.concatenate(([0], np.flatnonzero(np.diff(grid) > 3.0 * reach) + 1, [grid.size]))
     lows = grid[bounds[:-1]] - reach
     highs = grid[bounds[1:] - 1] + reach
-    caps = [cfg.max_subdivisions * math.ceil((hi - lo) * n / (2.0 * radius)) for lo, hi in zip(lows, highs)]
+    caps = [quadrature.MAX_SUBDIVISIONS * math.ceil((hi - lo) * n / (2.0 * radius)) for lo, hi in zip(lows, highs)]
     budget = sum(caps)
 
     # the lattice moves each point by up to _drift(grid), which moves its
     # value by up to that times sup |(B f)'| <= n sup|f| TV(k); averaging
     # does not raise the total variation, and TV(psi) <= 2 g_max: keep that
-    # below abs_tol / 10
+    # below tol / 10
     slope = 2.0 * n * spec.params.g_max_value * f.sup_norm
     uniform = lows.size == 1 and grid.size >= 2 and np.array_equal(grid, np.linspace(grid[0], grid[-1], grid.size))
-    if uniform and _drift(grid) * slope <= 0.1 * cfg.abs_tol:
+    if uniform and _drift(grid) * slope <= 0.1 * cfg.tol:
         # panels at the kernel's own scale W/n first, then (if W > 1) at 1/n
-        width = _kernel_width(k, radius, cfg.abs_tol, f.sup_norm)
+        width = _kernel_width(k, radius, cfg.tol, f.sup_norm)
         for w in (width, 1.0) if width > 1.0 else (width,):
             lattice = _lattice(f, spec, grid, reach, budget, w)
             if lattice is not None:
                 values, errors = lattice
-                if float(errors.max()) <= _tolerance(values, cfg):
+                if float(errors.max()) <= cfg.allowance(float(np.abs(values).max())):
                     return values[slot]
     # otherwise (and on a uniform grid whose lattice rounds miss tolerance)
     # the seeds are evaluated as rows
@@ -727,7 +730,7 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec, xs, cfg: QuadratureConfig
     panels = _evaluate(f, spec, grid, offset, reach, *seeds.T)
     for _ in range(_MAX_REFINE_ROUNDS):
         total_val, total_err = _totals(panels, grid.size)
-        tol = _tolerance(total_val, cfg)
+        tol = cfg.allowance(float(np.abs(total_val).max()))
         if float(total_err.max()) <= tol:
             return total_val[slot]
         a, b = panels.a, panels.b
@@ -850,14 +853,13 @@ def make_grid_approximant(
     domain: tuple[float, float],
     node_count: int = 64,
     cfg: QuadratureConfig | None = None,
-    residual_ceiling: float = 1e-6,
 ) -> GridApproximant:
     """Interpolate the operator on ``node_count`` Chebyshev extrema over
     ``domain``, from one ``apply_on_grid`` call on the 2 node_count - 1
     extrema: the even ones are the nodes, and at the odd ones, the
     theta-midpoints between nodes where the interpolation error peaks, the
     largest |interpolant - operator| is recorded as the residual.  The
-    approximant is flagged when the residual exceeds ``residual_ceiling``."""
+    approximant is flagged when the residual exceeds ``RESIDUAL_CEILING``."""
     a, b = float(domain[0]), float(domain[1])
     if not b > a:
         raise ValueError(f"domain must satisfy b > a, got {domain!r}")
@@ -867,7 +869,7 @@ def make_grid_approximant(
     values = apply_on_grid(f, spec, fine, cfg)
     approx = GridApproximant((a, b), values[::2])
     approx.residual = float(np.abs(approx(fine[1::2]) - values[1::2]).max())
-    approx.flagged = approx.residual > residual_ceiling
+    approx.flagged = approx.residual > RESIDUAL_CEILING
     return approx
 
 
@@ -877,7 +879,6 @@ def _chain(
     domain: tuple[float, float],
     node_count: int,
     cfg: QuadratureConfig | None,
-    residual_ceiling: float,
 ) -> GridApproximant:
     """Apply the operators of ``specs`` in order, each stage consuming the
     previous stage's approximant (with its clamped extension) as a bounded
@@ -887,19 +888,18 @@ def _chain(
     by the truncation radius over the smallest n, so clamping only ever
     sits in negligible-kernel-mass territory relative to the requested
     domain.  Raises ``FlaggedApproximantError`` at the first stage whose
-    residual exceeds ``residual_ceiling``.
+    residual exceeds ``RESIDUAL_CEILING``.
     """
     if len(specs) > 1:
-        eps = (cfg or DEFAULT_CONFIG).truncation_eps
-        pad = truncation_radius(specs[0].params, eps) / min(s.n for s in specs)
+        pad = (cfg or DEFAULT_CONFIG).radius(specs[0].params, 1.0) / min(s.n for s in specs)
         domain = (float(domain[0]) - pad, float(domain[1]) + pad)
     current = f
     for stage, spec in enumerate(specs, start=1):
-        approx = make_grid_approximant(current, spec, domain, node_count, cfg, residual_ceiling)
+        approx = make_grid_approximant(current, spec, domain, node_count, cfg)
         if approx.flagged:
             raise FlaggedApproximantError(
                 f"stage {stage} (n={spec.n}) approximant residual {approx.residual:.3e} "
-                f"exceeds ceiling {residual_ceiling:.3e}",
+                f"exceeds ceiling {RESIDUAL_CEILING:.3e}",
                 stage=stage,
             )
         current = TestFunction.from_callable(f"{f.name}.stage{stage}", approx, np.abs(approx.values).max())
@@ -913,13 +913,12 @@ def iterate(
     domain: tuple[float, float],
     node_count: int = 64,
     cfg: QuadratureConfig | None = None,
-    residual_ceiling: float = 1e-6,
 ) -> GridApproximant:
     """The r-fold self-composition of the operator: the chain of r equal
     resolutions (see ``compose_mixed``)."""
     if not (isinstance(r, (int, np.integer)) and r >= 1):
         raise ValueError(f"r must be a positive integer, got {r!r}")
-    return _chain(f, [spec] * int(r), domain, node_count, cfg, residual_ceiling)
+    return _chain(f, [spec] * int(r), domain, node_count, cfg)
 
 
 def compose_mixed(
@@ -932,15 +931,14 @@ def compose_mixed(
     node_count: int = 64,
     weights: tuple[float, ...] | None = None,
     cfg: QuadratureConfig | None = None,
-    residual_ceiling: float = 1e-6,
 ) -> GridApproximant:
     """Chain the operator at ascending resolutions k_1 <= ... <= k_r,
     applying the coarsest first; every stage is interpolated and must meet
-    ``residual_ceiling``, else ``FlaggedApproximantError`` names it."""
+    ``RESIDUAL_CEILING``, else ``FlaggedApproximantError`` names it."""
     ns = [int(v) for v in ns]
     if not ns:
         raise ValueError("ns must be a nonempty ascending list")
     if any(b < a for a, b in zip(ns, ns[1:])):
         raise ValueError(f"ns must be ascending (ties allowed), got {ns}")
     specs = [OperatorSpec(kind=OperatorKind(kind), n=n, params=params, alpha=alpha, weights=weights) for n in ns]
-    return _chain(f, specs, domain, node_count, cfg, residual_ceiling)
+    return _chain(f, specs, domain, node_count, cfg)

@@ -17,7 +17,6 @@ must return arrays of the same shape.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,35 +78,44 @@ GK15_WEIGHTS.setflags(write=False)
 G7_WEIGHTS.setflags(write=False)
 
 
+#: the most splits of one ``integrate_interval`` call, and the most panels
+#: per kernel window (width 2R/n) in the grid engine ``operators.apply_on_grid``
+MAX_SUBDIVISIONS = 2000
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and limits governing all integrals.
+    """The one accuracy knob of every integral: ``tol``, a finite real > 0.
 
-    ``truncation_eps`` is the kernel mass allowed outside the truncation
-    window of a real-line integral; it should sit below ``abs_tol``.
-    ``max_subdivisions`` caps the splits of one ``integrate_interval`` call,
-    and the panels per kernel window (width 2R/n, R the truncation radius)
-    in the grid engine ``operators.apply_on_grid``.
+    A result v is accepted once its error estimate is at most
+    ``allowance(v)`` = tol max(1, |v|).  The kernel mass allowed outside a
+    truncation window, ``truncation_eps``, is tol / 100 (kept within
+    [1e-300, 1/2], where a window radius exists), so the truncated tail
+    stays two digits below the allowance.  The refinement limit
+    (``MAX_SUBDIVISIONS``) is a constant.
     """
 
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 2000
-    truncation_eps: float = 1e-12
+    tol: float = 1e-10
 
     def __post_init__(self):
-        for name in ("abs_tol", "rel_tol", "truncation_eps"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-        if self.truncation_eps >= self.abs_tol:
-            warnings.warn(
-                "truncation_eps >= abs_tol: truncated tail mass may dominate "
-                "the integration error",
-                UserWarning,
-                stacklevel=3,  # past the dataclass __init__, to its caller
-            )
+        # nan and +-inf fail the comparisons
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be a finite real > 0, got {self.tol!r}")
+
+    @property
+    def truncation_eps(self) -> float:
+        """The kernel mass allowed outside a truncation window."""
+        return min(max(self.tol / 100.0, 1e-300), 0.5)
+
+    def allowance(self, value: float) -> float:
+        """The error allowed in a result of size |value|: tol max(1, |value|)."""
+        return self.tol * max(1.0, abs(value))
+
+    def radius(self, params: KernelParams, size: float) -> float:
+        """The truncation radius R for an integrand of at most ``size`` times
+        the kernel: size (at least 1) times the kernel mass outside [-R, R]
+        is at most ``truncation_eps``."""
+        return truncation_radius(params, max(self.truncation_eps / max(size, 1.0), 1e-300))
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -169,8 +177,9 @@ def integrate_interval(f, a: float, b: float, cfg: QuadratureConfig | None = Non
     """Adaptive nested-rule integration of f over [a, b].
 
     A panel is accepted once its embedded error fits the budget
-    tol * width / (b - a); otherwise it is bisected.  Exhausting
-    ``max_subdivisions``, or a panel whose error estimate is not finite
+    ``cfg.allowance(I0)`` * width / (b - a), I0 the one-panel value over
+    [a, b]; otherwise it is bisected.  Exhausting ``MAX_SUBDIVISIONS``
+    splits, or a panel whose error estimate is not finite
     (bisection cannot repair a NaN or infinite sample), returns the
     accumulated result flagged non-converged; the caller decides how to
     proceed.
@@ -187,7 +196,7 @@ def integrate_interval(f, a: float, b: float, cfg: QuadratureConfig | None = Non
 
     span = b - a
     i0, e0 = _panel(f, a, b)
-    tol = max(cfg.abs_tol, cfg.rel_tol * abs(i0))
+    tol = cfg.allowance(i0)
     min_width = span * 1e-15
 
     stack = [(a, b, i0, e0)]
@@ -203,7 +212,7 @@ def integrate_interval(f, a: float, b: float, cfg: QuadratureConfig | None = Non
             value += pi
             err += pe
             continue
-        if splits >= cfg.max_subdivisions or not math.isfinite(pe):
+        if splits >= MAX_SUBDIVISIONS or not math.isfinite(pe):
             converged = False
             value += pi
             err += pe
@@ -221,13 +230,12 @@ def integrate_real_line(f, decay: TailEnvelope, cfg: QuadratureConfig | None = N
     """Integrate f over the real line, truncating by the kernel envelope.
 
     ``decay`` asserts |f| <= decay.scale * psi outside the window; the
-    window radius is chosen so the excluded mass stays at or below
-    ``truncation_eps``, which is added to the reported error estimate.
+    window radius is ``cfg.radius(decay.params, decay.scale)``, so the
+    excluded mass stays at or below ``truncation_eps``, which is added to
+    the reported error estimate.
     """
     cfg = cfg or DEFAULT_CONFIG
-    scale = max(float(decay.scale), 1e-30)
-    eps = min(max(cfg.truncation_eps / scale, 1e-300), 0.5)
-    radius = truncation_radius(decay.params, eps)
+    radius = cfg.radius(decay.params, float(decay.scale))
     res = integrate_interval(f, -radius, radius, cfg)
     return IntegralResult(
         res.value,

@@ -35,7 +35,7 @@ from actconv import (
 )
 from actconv.analysis import CATALOG
 from actconv.cli import main as cli_main
-from actconv.operators import OperatorKind, OperatorSpec
+from actconv.operators import RESIDUAL_CEILING, OperatorKind, OperatorSpec
 from actconv.quadrature import moment_truncation_radius
 
 from conftest import PARAM_GRID
@@ -161,7 +161,7 @@ def test_criterion_06_smoothness_preservation():
 def test_criterion_07_derivative_commuting():
     """Finite differences of the operator output match the operator applied
     to the derivative, at 21 points with step 1e-4, within 1e-6."""
-    cfg = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12, truncation_eps=1e-14)
+    cfg = QuadratureConfig(1e-12)
     spec = OperatorSpec(OperatorKind.BASIC, 32, P11)
     step = 1e-4
     sin_f, cos_f = CATALOG["sin"], CATALOG["cos"]
@@ -214,14 +214,14 @@ def test_criterion_09_iterated_bounds():
     bound for a mixed ascending chain."""
     f = CATALOG["sin"]
     spec = OperatorSpec(OperatorKind.BASIC, 32, P11)
-    ceiling = 1e-6
+    ceiling = RESIDUAL_CEILING
     xs = GRID.points
     single = float(np.abs(apply_on_grid(f, spec, xs) - np.sin(xs)).max())
-    triple = iterate(f, spec, 3, GRID.domain, 64, residual_ceiling=ceiling)
+    triple = iterate(f, spec, 3, GRID.domain, 64)
     measured3 = float(np.abs(triple(xs) - np.sin(xs)).max())
     ok = measured3 <= 3.0 * single + 3.0 * ceiling
 
-    chain = compose_mixed(f, "basic", [9, 16, 25], P11, 0.5, GRID.domain, 64, residual_ceiling=ceiling)
+    chain = compose_mixed(f, "basic", [9, 16, 25], P11, 0.5, GRID.domain, 64)
     measured_chain = float(np.abs(chain(xs) - np.sin(xs)).max())
     per_step = [
         jackson_bound("basic", f.modulus(omega_argument("basic", k, 0.5)), P11, k, 0.5, 1.0)

@@ -120,11 +120,11 @@ class TestConvergenceSweep:
         assert first.bound_value is None and first.satisfied is None
         assert math.isfinite(first.measured_sup_error)
 
-    def test_failure_recorded_and_sweep_continues(self, grid):
-        from actconv import QuadratureConfig
+    def test_failure_recorded_and_sweep_continues(self, grid, monkeypatch):
+        from actconv import quadrature
 
-        cfg = QuadratureConfig(max_subdivisions=4, truncation_eps=1e-13)
-        records = run_convergence_sweep(CATALOG["abs"], "basic", [9, 16], 0.5, P11, grid, cfg=cfg)
+        monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 4)
+        records = run_convergence_sweep(CATALOG["abs"], "basic", [9, 16], 0.5, P11, grid)
         assert len(records) == 2
         assert all("QuadratureNonConvergedError" in r.note for r in records)
         assert all(r.satisfied is None for r in records)

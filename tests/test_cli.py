@@ -79,6 +79,14 @@ class TestKernelCheck:
         assert "BOUND VIOLATION: absolute moment k=3: integral did not converge" in result.output
 
 
+    def test_huge_tolerance_fails_rows_not_the_verb(self, runner, tmp_path):
+        """At tol = 100 the truncated kernel mass is capped at 1/2, so every
+        window radius exists and the normalization row fails."""
+        result = _run(runner, ["kernel-check", "--quad-tol", "100", "--out", str(tmp_path)])
+        assert result.exit_code == 1
+        assert "BOUND VIOLATION: normalization" in result.output
+
+
 @pytest.mark.parametrize("q", ["1e-6", "1e6"])
 @pytest.mark.parametrize("beta", ["0.05", "20"])
 def test_kernel_check_corners_pass(runner, q, beta):
@@ -287,9 +295,10 @@ def test_nan_weights_rejected_before_work(runner, tmp_path, verb):
         (["approx", "--domain", "0,inf"], "--domain"),
         (["kernel-check", "--alpha", "nan"], "--alpha"),
         (["approx", "--quad-tol", "nan"], "--quad-tol"),
+        (["approx", "--quad-tol", "inf"], "--quad-tol"),
     ],
     ids=["kernel-check-n", "approx-n", "taylor-n", "iterate-nodes", "iterate-chain", "domain", "alpha-nan",
-         "quad-tol-nan"],
+         "quad-tol-nan", "quad-tol-inf"],
 )
 def test_out_of_range_flag_rejected_before_work(runner, tmp_path, args, option):
     out = tmp_path / "out"

@@ -40,7 +40,7 @@ from actconv import (
     psi,
     truncation_radius,
 )
-from actconv import operators
+from actconv import operators, quadrature
 from actconv.analysis import CATALOG, MeasurementGrid, _grid_modulus
 from actconv.operators import GridApproximant, OperatorKind, OperatorSpec, TestFunction
 from actconv.quadrature import GK15_NODES
@@ -218,10 +218,10 @@ class TestPointEvaluation:
         bound = jackson_bound("basic", SIN.modulus(omega_argument("basic", 32, 0.5)), P11, 32, 0.5, 1.0)
         assert abs(apply_basic(SIN, B32, 0.0)) <= bound.value
 
-    def test_non_convergence_propagates_context(self):
-        cfg = QuadratureConfig(max_subdivisions=1, truncation_eps=1e-13)
+    def test_non_convergence_propagates_context(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 1)
         with pytest.raises(QuadratureNonConvergedError, match="operator=basic"):
-            apply(SIN, B32, 0.5, cfg)
+            apply(SIN, B32, 0.5)
 
     def test_non_finite_x_rejected(self):
         with pytest.raises(ValueError):
@@ -254,6 +254,15 @@ class TestApplyOnGrid:
 
     def test_empty_grid(self):
         assert apply_on_grid(ONE, B32, np.array([])).size == 0
+
+    @pytest.mark.parametrize("q, beta", [(1.0, 1.0), (1.0, 0.2), (100.0, 1.0)])
+    def test_tolerance_below_the_default_tail_mass_is_met(self, q, beta):
+        """The truncated kernel mass follows tol (it is tol / 100), so a
+        tolerance below the default's 1e-12 tail mass is still met."""
+        cfg = QuadratureConfig(1e-13)
+        spec = OperatorSpec(OperatorKind.BASIC, 9, KernelParams(q, beta))
+        out = apply_on_grid(ONE, spec, np.linspace(-3.0, 3.0, 41), cfg)
+        assert float(np.abs(out - 1.0).max()) <= 3.0 * cfg.tol
 
     def test_identity_on_grid(self):
         xs = np.linspace(-3, 3, 101)
@@ -288,10 +297,10 @@ class TestApplyOnGrid:
         monkeypatch.setattr(operators, "_CHUNK_ROWS", 1)
         np.testing.assert_array_equal(apply_on_grid(f, spec, grid.points[::16]), thinned)
 
-    def test_grid_cap_raises_with_context(self):
-        cfg = QuadratureConfig(max_subdivisions=4, truncation_eps=1e-13)
+    def test_grid_cap_raises_with_context(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 4)
         with pytest.raises(QuadratureNonConvergedError, match="n=32"):
-            apply_on_grid(ABS, B32, np.linspace(-1, 1, 5), cfg)
+            apply_on_grid(ABS, B32, np.linspace(-1, 1, 5))
 
     @pytest.mark.parametrize("n, q, beta", [(1000, 1.0, 1.0), (49, 1.0, 20.0), (400, 0.5, 2.0)])
     def test_high_resolution_and_sharp_kernels(self, grid, n, q, beta):
@@ -460,7 +469,7 @@ def _seed_rounds(monkeypatch):
         if out is None:
             outcome = "refused"
         else:
-            met = float(out[1].max()) <= operators._tolerance(out[0], QuadratureConfig())
+            met = float(out[1].max()) <= QuadratureConfig().allowance(float(np.abs(out[0]).max()))
             outcome = "accepted" if met else "missed"
         attempts.append((args[-1], outcome))
         return out
@@ -520,6 +529,18 @@ class TestLatticeSeeds:
         expected = [_exact_sin(spec, x) for x in xs[picks]]
         np.testing.assert_allclose(apply_on_grid(SIN, spec, xs)[picks], expected, rtol=0, atol=1e-10)
 
+    def test_subnormal_step_takes_the_row_path(self, monkeypatch):
+        """A grid step so small that W / (h n) is too large for an int (here
+        inf) fails the four-cell test like any stride above a quarter of the
+        grid, so the call gives the row path's values."""
+        spec = OperatorSpec(OperatorKind.BASIC, 9, P11)
+        xs = np.linspace(0.0, 1e-310, 2001)
+        attempts, _ = _seed_rounds(monkeypatch)
+        out = apply_on_grid(SIN, spec, xs)
+        assert attempts and all(outcome == "refused" for _, outcome in attempts)
+        monkeypatch.setattr(operators, "_lattice", lambda *args: None)
+        np.testing.assert_array_equal(out, apply_on_grid(SIN, spec, xs))
+
     def test_lattice_path_taken_only_on_uniform_grids(self, monkeypatch, grid):
         """Kernel values per call: the lattice needs one table of a few
         thousand, rows need 15 per (panel, point) pair.  The path depends on
@@ -553,17 +574,17 @@ class TestLatticeSeeds:
             assert len(rows) == 1 and rows[0] <= 2 * len(ABS.kinks)
 
     @pytest.mark.parametrize(
-        "q, beta, abs_tol, width",
+        "q, beta, tol, width",
         [(1.0, 1.0, 1e-10, 2.0), (1.0, 0.5, 1e-10, 4.0), (1.0, 20.0, 1e-10, 0.125), (1e-3, 3.0, 1e-10, 0.5),
          (1.0, 5.0, 1e-10, 0.5), (1.0, 1.0, 1e-13, 1.0)],
     )
-    def test_kernel_width_ladder(self, q, beta, abs_tol, width):
+    def test_kernel_width_ladder(self, q, beta, tol, width):
         """psi's own panel width W in h, below 1 for sharp kernels.  At
         beta = 20, panels of width 2 aligned at 0 alone would pass: the
         kernel's edges at +-1 sit on their midpoints."""
         params = KernelParams(q, beta)
         radius = truncation_radius(params, QuadratureConfig().truncation_eps)
-        assert operators._kernel_width(operators._Kernel(OperatorKind.BASIC, params), radius, abs_tol, 1.0) == width
+        assert operators._kernel_width(operators._Kernel(OperatorKind.BASIC, params), radius, tol, 1.0) == width
 
     @pytest.mark.parametrize(
         "spec, width",
@@ -591,7 +612,7 @@ class TestLatticeSeeds:
         spec = OperatorSpec(kind, n, params)
         k = operators._kernel(spec)
         radius = truncation_radius(params, QuadratureConfig().truncation_eps) + k.shift
-        width = operators._kernel_width(k, radius, QuadratureConfig().abs_tol, f.sup_norm)
+        width = operators._kernel_width(k, radius, QuadratureConfig().tol, f.sup_norm)
         assert width < 1.0
         attempts, rows = _seed_rounds(monkeypatch)
         out = apply_on_grid(f, spec, grid.points)
@@ -791,14 +812,14 @@ class TestGridAgainstScalar:
     @given(grid_cases())
     @_scalar_path_misses
     def test_grid_matches_scalar_path(self, case):
-        """Each path meets tol = max(abs_tol, rel_tol |value|) up to the
-        truncated tail mass, so the two agree within twice that."""
+        """Each path meets tol max(1, |value|) up to the truncated tail
+        mass, so the two agree within twice that."""
         f, spec, xs = case
         cfg = QuadratureConfig()
         out = apply_on_grid(f, spec, xs, cfg)
         for x, value in zip(xs, out):
             expected = apply(f, spec, float(x), cfg)
-            tol = max(cfg.abs_tol, cfg.rel_tol * abs(expected))
+            tol = cfg.allowance(expected)
             assert abs(value - expected) <= 2.0 * tol + cfg.truncation_eps, (x, value, expected)
 
 
@@ -830,7 +851,7 @@ class TestWideRangeProperties:
         spec, centre = case
         cfg = QuadratureConfig()
         xs = nodes(centre - 100.0 / spec.n, centre + 100.0 / spec.n, 41)
-        tol = max(cfg.abs_tol, cfg.rel_tol)
+        tol = cfg.tol
         np.testing.assert_allclose(apply_on_grid(ONE, spec, xs, cfg), 1.0, rtol=0, atol=2.0 * tol + cfg.truncation_eps)
         assert apply_on_grid(ABS, spec, xs, cfg).min() >= -tol
 
@@ -880,7 +901,7 @@ class TestApplyDerivative:
 
     def test_finite_difference_cross_validation(self):
         step = 1e-4
-        cfg = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12, truncation_eps=1e-14)
+        cfg = QuadratureConfig(1e-12)
         for x in (-1.0, 0.3, 1.7):
             fd = (apply(SIN, B32, x + step, cfg) - apply(SIN, B32, x - step, cfg)) / (2 * step)
             assert apply_derivative(SIN, B32, 1, x, cfg) == pytest.approx(fd, abs=1e-6)
@@ -1070,9 +1091,10 @@ class TestIterate:
         e3 = np.abs(iterate(SIN, B32, 3, (-3, 3), 64)(xs) - np.sin(xs)).max()
         assert e3 <= 3 * e1 + 3e-6
 
-    def test_flagged_stage_aborts(self):
+    def test_flagged_stage_aborts(self, monkeypatch):
+        monkeypatch.setattr(operators, "RESIDUAL_CEILING", 1e-18)
         with pytest.raises(FlaggedApproximantError) as err:
-            iterate(SIN, B32, 2, (-3, 3), 64, residual_ceiling=1e-18)
+            iterate(SIN, B32, 2, (-3, 3), 64)
         assert err.value.stage == 1
 
     def test_r_validation(self):
@@ -1101,9 +1123,10 @@ class TestComposeMixed:
         compose_mixed(ONE, "basic", [9, 9], P11, 0.5, (-1, 1), 16)
 
     @pytest.mark.parametrize("ns", [[32], [9, 16]], ids=["single", "two-stage"])
-    def test_flagged_stage_aborts(self, ns):
+    def test_flagged_stage_aborts(self, monkeypatch, ns):
+        monkeypatch.setattr(operators, "RESIDUAL_CEILING", 1e-18)
         with pytest.raises(FlaggedApproximantError, match=r"stage 1 \(n=") as err:
-            compose_mixed(SIN, "basic", ns, P11, 0.5, (-3, 3), 8, residual_ceiling=1e-18)
+            compose_mixed(SIN, "basic", ns, P11, 0.5, (-3, 3), 8)
         assert err.value.stage == 1
 
     def test_chain_error_below_sum_of_bounds(self):

@@ -14,6 +14,7 @@ from actconv import (
     psi,
     truncation_radius,
 )
+from actconv import quadrature
 from actconv.quadrature import (
     G7_WEIGHTS,
     GK15_NODES,
@@ -34,16 +35,22 @@ class TestRuleTables:
 
 class TestQuadratureConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(max_subdivisions=0)
+        for tol in (0.0, -1e-10, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite real > 0"):
+                QuadratureConfig(tol)
 
-    def test_truncation_eps_warning(self):
-        with pytest.warns(UserWarning, match="truncation_eps >= abs_tol") as caught:
-            QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13, truncation_eps=1e-12)
-        # attributed to the caller, not to the dataclass-generated __init__
-        assert [w.filename for w in caught] == [__file__]
+    def test_derived_values(self):
+        cfg = QuadratureConfig(1e-13)
+        assert cfg.truncation_eps == 1e-15
+        assert cfg.allowance(0.5) == cfg.allowance(-1.0) == 1e-13
+        assert cfg.allowance(-4.0) == 4e-13
+        # the radius of an integrand of size s < 1 is that of size 1
+        p = KernelParams(2.0, 0.5)
+        assert cfg.radius(p, 1e-3) == cfg.radius(p, 1.0) == truncation_radius(p, 1e-15)
+        assert cfg.radius(p, 10.0) == truncation_radius(p, 1e-16)
+        # a window radius exists at any finite tol
+        assert QuadratureConfig(1e3).truncation_eps == 0.5
+        assert QuadratureConfig(5e-324).truncation_eps == 1e-300
 
 
 class TestIntegrateInterval:
@@ -73,17 +80,16 @@ class TestIntegrateInterval:
         res = integrate_interval(np.abs, -1.0, 2.0)
         assert res.value == pytest.approx(2.5, abs=1e-12)
 
-    def test_non_convergence_flagged(self):
-        cfg = QuadratureConfig(max_subdivisions=2)
-        res = integrate_interval(lambda x: np.sin(50.0 * x * x), 0.0, 10.0, cfg)
+    def test_non_convergence_flagged(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 2)
+        res = integrate_interval(lambda x: np.sin(50.0 * x * x), 0.0, 10.0)
         assert not res.converged
         assert res.subdivisions_used <= 2
 
     def test_non_finite_panel_not_bisected(self):
         """Bisection cannot repair a NaN sample: the panel is kept, and the
         result is NaN and flagged, long before the subdivision cap."""
-        cfg = QuadratureConfig(max_subdivisions=2000)
-        res = integrate_interval(lambda x: np.where(x > 0.9, np.nan, np.sin(x)), 0.0, 1.0, cfg)
+        res = integrate_interval(lambda x: np.where(x > 0.9, np.nan, np.sin(x)), 0.0, 1.0)
         assert not res.converged
         assert math.isnan(res.value)
         assert res.subdivisions_used < 10
