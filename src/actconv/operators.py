@@ -418,16 +418,23 @@ def _totals(panels: _Panels, size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _contract(weighted: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """acc[r, q, e] = sum over nodes k of weighted[q, r, k] table[r, k, e],
-    added in node order: weighted holds the samples at node k of the r-th
-    panel of cell q, times the node's weight, and table the kernel at that
-    node and lattice offset e."""
-    acc = weighted[:, :, 0].T[:, :, None] * table[:, None, 0]
-    term = np.empty_like(acc)
-    for k in range(1, weighted.shape[2]):
-        np.multiply(weighted[:, :, k].T[:, :, None], table[:, None, k], out=term)
-        acc += term
-    return acc
+    """acc[r, q, e] = sum over nodes k of weighted[q, r, k] table[r, k, e]:
+    weighted holds the samples at node k of the r-th panel of cell q, times
+    the node's weight, and table the kernel at that node and lattice offset
+    e.  One matrix product (cells x nodes) @ (nodes x offsets) per panel
+    row r, which BLAS computes with gemm: every entry is its own row times
+    its own column, with the nodes added in the same order whatever the
+    shape, and threads split the rows and columns, never the nodes.  numpy
+    hands a product with a single row or column to gemv or dot instead,
+    whose bits differ, so such a product gets a zero row or column; the
+    entries then depend neither on how many cells and offsets a block holds
+    nor on the BLAS thread count."""
+    cells, offsets = weighted.shape[0], table.shape[2]
+    if cells == 1:
+        weighted = np.concatenate((weighted, np.zeros_like(weighted)))
+    if offsets == 1:
+        table = np.concatenate((table, np.zeros_like(table)), axis=2)
+    return np.matmul(weighted.transpose(1, 0, 2), table)[:, :cells, :offsets]
 
 
 @lru_cache(maxsize=64)
@@ -474,12 +481,13 @@ def _lattice(f: TestFunction, spec: OperatorSpec, grid: np.ndarray, reach: float
     evaluated once, on the table T[r, k, j].  Cells are taken in blocks of
     at most 15 ``_CHUNK_ROWS`` (panel, offset) terms.  Each term, a K15
     value and its |K15 - G7| estimate, is a contraction of the panel's 15
-    weighted samples with T, adding the nodes in order; a cell's
-    panels are added in order, and its terms go to the points by slice
-    sums, over offsets or over cells, whichever is shorter.  A slice adds
-    at most one term to a point, and every point receives its terms in
-    ascending cell order either way, so the totals do not depend on the
-    block size.
+    weighted samples with T: one matrix product per panel row r of the
+    block (``_contract``), whose entries do not depend on the block's shape
+    or the BLAS thread count.  A cell's panels are added in order, and the
+    block's terms go to the points in one ``np.add.at``, indexed by (cell,
+    offset) in row-major order: it adds them in index order, so every point
+    receives its terms in ascending cell order, and the totals do not
+    depend on the block size.
 
     A lattice panel that contains a kink of f is cut there, and the pieces
     go through ``_evaluate``.  Returns the per-point totals of values and
@@ -554,17 +562,12 @@ def _lattice(f: TestFunction, spec: OperatorSpec, grid: np.ndarray, reach: float
         err = _contract(fu[q0:q1, :, _GAUSS] * gauss, block[:, _GAUSS])
         np.subtract(k15, err, out=err)
         np.abs(err, out=err)
-        # each cell's panels summed in order: (2, cells, offsets) terms
-        terms = np.stack((_node_sum(k15.reshape(m, -1)), _node_sum(err.reshape(m, -1))))
-        terms = terms.reshape(2, q1 - q0, e1 - e0)
+        # each cell's panels summed in order: the values, then the error
+        # estimates, of the (cell, offset) terms in row-major order
+        terms = np.concatenate((_node_sum(k15.reshape(m, -1)), _node_sum(err.reshape(m, -1))))
         first = pad + stride * (q_lo + q0) + j_lo + e0  # buffer slot of cell q0's first offset
-        if q1 - q0 <= e1 - e0:
-            for row in range(q1 - q0):
-                s = first + stride * row
-                totals[:, s:s + e1 - e0] += terms[:, row]
-        else:
-            for col in range(e1 - e0 - 1, -1, -1):
-                totals[:, first + col:first + col + stride * (q1 - q0 - 1) + 1:stride] += terms[:, :, col]
+        slots = (first + stride * np.arange(q1 - q0))[:, None] + np.arange(e1 - e0)
+        np.add.at(totals.reshape(-1), np.concatenate((slots.ravel(), slots.ravel() + totals.shape[1])), terms)
     values, errors = totals[:, pad:pad + size]
 
     if cuts.size:
@@ -652,15 +655,19 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec, xs, cfg: QuadratureConfig
     kernel's own scale, the power of two (from 2^-10 up) at which GK15
     panels of width W resolve the kind's kernel, times sup |f|, to tol
     (see ``_kernel_width``; for psi 2 at q = beta = 1, 4 at beta = 0.5,
-    1/8 at beta = 20).  When W > 1 and the W/n lattice is refused (panel budget,
-    or fewer than four cells) or misses tolerance, the 1/n lattice runs
-    next, whose panels are never coarser than the row seeds; when W <= 1
-    the W/n lattice is the only one tried.
+    1/8 at beta = 20).  When the W/n lattice is refused (panel budget, or
+    fewer than four cells) or misses tolerance, the min(W/2, 1)/n lattice
+    runs next: for W > 1 its panels are never coarser than the row seeds,
+    and for W <= 1 it catches a grid whose phase on the tiling the width
+    test did not sample.
     The kind's kernel is evaluated once, on a table of kernel values per
     (node, lattice offset); each (panel, point) K15 term and its
     |K15 - G7| estimate is a 15-node contraction of the panel's weighted
-    samples with the table, and the totals are the same per-point sums as
-    on rows, added in a fixed order.  A lattice panel holding a kink is cut
+    samples with the table, one BLAS matrix product per block of cells,
+    never with a single row or column, so that each entry's nodes are
+    added in one order whatever the block's shape and the BLAS thread
+    count.  The totals are the same per-point sums as on rows, added in
+    ascending cell order.  A lattice panel holding a kink is cut
     there and its pieces are evaluated as rows in the same round.  If a
     lattice round meets tolerance, its totals are the result; if none
     does, the call goes on from the row seeds above (the lattice keeps no
@@ -701,9 +708,10 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec, xs, cfg: QuadratureConfig
     slope = 2.0 * n * spec.params.g_max_value * f.sup_norm
     uniform = lows.size == 1 and grid.size >= 2 and np.array_equal(grid, np.linspace(grid[0], grid[-1], grid.size))
     if uniform and _drift(grid) * slope <= 0.1 * cfg.tol:
-        # panels at the kernel's own scale W/n first, then (if W > 1) at 1/n
+        # panels at the kernel's own scale W/n first, then at min(W/2, 1)/n:
+        # the width test samples four phases of the tiling, not the grid's
         width = _kernel_width(k, radius, cfg.tol, f.sup_norm)
-        for w in (width, 1.0) if width > 1.0 else (width,):
+        for w in (width, min(0.5 * width, 1.0)):
             lattice = _lattice(f, spec, grid, reach, budget, w)
             if lattice is not None:
                 values, errors = lattice

@@ -625,6 +625,20 @@ class TestLatticeSeeds:
         rows_out = apply_on_grid(f, spec, _nudged(grid.points, 777))
         np.testing.assert_allclose(out[picks], rows_out[picks], rtol=0, atol=1e-11)
 
+    def test_kernel_width_halves_after_a_miss_at_the_grid_phase(self, monkeypatch):
+        """The width test samples four phases of the tiling, and W = 1/4
+        passes it at (q, beta) = (1, 12.6); at n = 1913 the lattice of this
+        grid sits at another phase and estimates 1.02e-10, just over the
+        allowance.  The (W/2)/n lattice is tried next and accepted, so no row
+        is evaluated."""
+        n = 1913
+        spec = OperatorSpec(OperatorKind.BASIC, n, KernelParams(1.0, 12.6))
+        xs = np.linspace(-1.9 - 100.0 / n, -1.9 + 100.0 / n, 41)
+        attempts, rows = _seed_rounds(monkeypatch)
+        out = apply_on_grid(ONE, spec, xs)
+        assert attempts == [(0.25, "missed"), (0.125, "accepted")] and rows == []
+        np.testing.assert_allclose(out, apply_on_grid(ONE, spec, _nudged(xs, 20)), rtol=0, atol=1e-11)
+
     def test_kernel_width_lattice_halves_the_terms(self, monkeypatch, grid):
         """Basic sin at n = 100 is accepted on the first, 2/n lattice, with
         at most 55% of the K15 (panel, point) terms of the 1/n lattice."""
@@ -690,6 +704,44 @@ class TestLatticeSeeds:
         monkeypatch.setattr(operators, "_CHUNK_ROWS", 1)
         np.testing.assert_array_equal(apply_on_grid(f, spec, thin), thinned)
 
+    def test_contract_entries_do_not_depend_on_the_block(self):
+        """Every entry of ``_contract`` on a sub-block, down to a single cell
+        or offset, has the bits of the same entry on the whole block, and it
+        is the node-ordered sum within 15 ulp of the sum of |terms|."""
+        rng = np.random.default_rng(3)
+        weighted, table = rng.standard_normal((6, 2, 15)), rng.standard_normal((2, 15, 9))
+        full = operators._contract(weighted, table)
+        terms = weighted.transpose(1, 0, 2)[:, :, :, None] * table[:, None]  # (r, q, k, e)
+        reference = terms[:, :, 0]
+        for k in range(1, 15):
+            reference = reference + terms[:, :, k]
+        np.testing.assert_array_less(np.abs(full - reference), 15 * np.spacing(np.abs(terms).sum(axis=2)))
+        for q0, q1 in [(i, j) for i in range(6) for j in range(i + 1, 7)]:
+            for e0, e1 in [(i, j) for i in range(9) for j in range(i + 1, 10)]:
+                block = operators._contract(weighted[q0:q1], table[:, :, e0:e1])
+                np.testing.assert_array_equal(block, full[:, q0:q1, e0:e1], err_msg=f"cells {q0}:{q1}, offsets {e0}:{e1}")
+
+    @pytest.mark.parametrize(
+        "f, spec",
+        [(ABS, OperatorSpec(OperatorKind.BASIC, 9, P11)), (SIN, OperatorSpec(OperatorKind.BASIC, 1000, P11)),
+         (SIN, OperatorSpec(OperatorKind.KANTOROVICH, 400, P11))],
+        ids=["basic-abs-9", "basic-sin-1000", "kantorovich-sin-400"],
+    )
+    def test_lattice_blocking_is_invisible(self, monkeypatch, grid, f, spec):
+        """The lattice takes its cells in blocks sized by ``_CHUNK_ROWS``,
+        one matrix product per block; the block size changes no bit.  At
+        _CHUNK_ROWS = 1 and 2 every block holds one cell (at n = 9 a cell
+        reaches all 2001 points; at n = 1000 it holds two panels), a product
+        that numpy would hand to gemv but for the zero row ``_contract``
+        adds.  (The outermost cells at n = 400 and 1000 reach one point, but
+        their terms are too small to show a changed bit in the totals;
+        ``test_contract_entries_do_not_depend_on_the_block`` pins that
+        case.)"""
+        expected = apply_on_grid(f, spec, grid.points)
+        for rows in (1, 2, 7):
+            monkeypatch.setattr(operators, "_CHUNK_ROWS", rows)
+            np.testing.assert_array_equal(apply_on_grid(f, spec, grid.points), expected, err_msg=f"{rows} rows")
+
     def test_row_determinism(self, rows_only):
         """``TestGridEngine.test_determinism`` on the row path: an unsorted
         grid with repeated points gives the same bits, point by point."""
@@ -729,8 +781,10 @@ class TestLatticeSeeds:
         assert (after_kb - before_kb) * 1024 <= 16 * rows + 4 * 2**20
 
     def test_output_independent_of_blas_threads(self):
-        """The lattice adds the nodes in order, not with a BLAS product, so
-        the OpenBLAS thread count changes no bit."""
+        """The lattice's BLAS products never have a single row or column,
+        so they run as gemm, which splits rows and columns among threads
+        and adds the nodes of each entry in one order: the OpenBLAS thread
+        count changes no bit."""
         code = (
             "import hashlib\n"
             "import numpy as np\n"
@@ -738,7 +792,8 @@ class TestLatticeSeeds:
             "from actconv.operators import OperatorSpec\n"
             "xs = MeasurementGrid.uniform().points\n"
             "digest = hashlib.sha256()\n"
-            "for fn, kind, n in [('sin', 'basic', 100), ('abs', 'kantorovich', 400), ('sin', 'quadrature', 9)]:\n"
+            "for fn, kind, n in [('sin', 'basic', 100), ('abs', 'kantorovich', 400), ('sin', 'quadrature', 9),\n"
+            "                    ('sin', 'basic', 1000)]:\n"
             "    w = (0.25,) * 4 if kind == 'quadrature' else None\n"
             "    spec = OperatorSpec(kind, n, KernelParams(), weights=w)\n"
             "    digest.update(apply_on_grid(CATALOG[fn], spec, xs).tobytes())\n"
