@@ -107,6 +107,8 @@ def _parse_domain(text: str) -> tuple[float, float]:
 
 def _parse_formats(text: str) -> set[str]:
     formats = {v.strip() for v in text.split(",") if v.strip()}
+    if not formats:
+        raise click.UsageError("--format must not be empty")
     unknown = formats - {"csv", "json", "svg"}
     if unknown:
         raise click.UsageError(f"--format accepts csv,json,svg; got {sorted(unknown)}")
@@ -193,10 +195,11 @@ def _make_params(q: float, beta: float) -> KernelParams:
 
 def _kinds(kw) -> list[tuple[str, tuple[float, ...] | None]]:
     """Every --kind with its weights, checked by OperatorSpec before any
-    sweep runs."""
+    sweep runs; --weights is parsed whichever kinds are selected."""
+    parsed = _parse_list(kw["weights"], "--weights")
     pairs = []
     for kind in map(OperatorKind, kw["kinds"]):
-        weights = _parse_list(kw["weights"], "--weights") if kind is OperatorKind.QUADRATURE else None
+        weights = parsed if kind is OperatorKind.QUADRATURE else None
         try:
             OperatorSpec(kind, 1, KernelParams(), kw["alpha"], weights)
         except ValueError as exc:
@@ -604,7 +607,6 @@ def taylor(ctx, **kw):
 @click.option("--n", "ns", type=_RESOLUTION, multiple=True, default=(32,), show_default=True)
 @click.option("--iterations", type=click.IntRange(min=1), default=3, show_default=True, help="Self-composition count r.")
 @click.option("--chain", default=None, help="Ascending resolutions k1,k2,... (overrides --iterations).")
-@click.option("--nodes", type=click.IntRange(min=8), default=64, show_default=True, help="Approximant nodes per stage.")
 @_sweep_options
 @click.pass_context
 def iterate(ctx, **kw):
@@ -649,14 +651,12 @@ def iterate(ctx, **kw):
 
             try:
                 if chain:
-                    approx = compose_mixed(
-                        f, kind, chain, params, kw["alpha"], domain, kw["nodes"], weights=weights, cfg=cfg
-                    )
+                    approx = compose_mixed(f, kind, chain, params, domain, weights=weights, cfg=cfg)
                 else:
                     n = int(kw["ns"][0])
                     r = kw["iterations"]
                     spec = OperatorSpec(kind=OperatorKind(kind), n=n, params=params, alpha=kw["alpha"], weights=weights)
-                    approx = iterate_operator(f, spec, r, domain, kw["nodes"], cfg=cfg)
+                    approx = iterate_operator(f, spec, r, domain, cfg=cfg)
             except (FlaggedApproximantError, QuadratureNonConvergedError, NonFiniteSampleError) as exc:
                 raise click.ClickException(f"{f.name}/{kind}: {exc}")
             measured = float(np.abs(approx(grid.points) - f.eval(grid.points)).max())
@@ -693,7 +693,6 @@ def iterate(ctx, **kw):
             "alpha": kw["alpha"],
             "functions": [f.name for f in functions],
             "kinds": list(kw["kinds"]),
-            "nodes": kw["nodes"],
             "chain": list(chain) if chain else None,
             "iterations": None if chain else kw["iterations"],
             "ns": None if chain else [int(kw["ns"][0])],

@@ -49,10 +49,14 @@ times sup |f|, is at most tol / 100.  The panel limit
 (``RESIDUAL_CEILING``) are constants.
 
 Iterated and mixed compositions are made tractable by interpolating each
-stage on Chebyshev nodes.  One grid call per stage samples the operator
-on the 2N - 1 Chebyshev extrema: the even ones are the N interpolation
-nodes, and the odd ones, the theta-midpoints between them, give the
-interpolation residual carried on the approximant.
+stage on Chebyshev nodes.  A stage samples the operator on the 2N - 1
+Chebyshev extrema: the even ones are the N interpolation nodes, and the
+odd ones, the theta-midpoints between them, give the interpolation
+residual carried on the approximant.  Each stage picks N itself: from
+N = 17, while the residual exceeds the allowance, the samples become the
+nodes of the next round and only the new midpoints are sampled, so every
+extremum is sampled once.  Each stage's domain is padded by the reach of
+the stages after it, so no stage samples its input where it is clamped.
 """
 
 from __future__ import annotations
@@ -99,6 +103,9 @@ __all__ = [
 _WEIGHT_TOL = 1e-12
 #: the largest interpolation residual of an approximant stage that is not flagged
 RESIDUAL_CEILING = 1e-6
+# the node counts of an approximant stage's first and last rounds
+_FIRST_NODES = 17
+_MAX_NODES = 1025
 
 
 class OperatorKind(str, Enum):
@@ -859,24 +866,34 @@ def make_grid_approximant(
     f: TestFunction,
     spec: OperatorSpec,
     domain: tuple[float, float],
-    node_count: int = 64,
     cfg: QuadratureConfig | None = None,
 ) -> GridApproximant:
-    """Interpolate the operator on ``node_count`` Chebyshev extrema over
-    ``domain``, from one ``apply_on_grid`` call on the 2 node_count - 1
-    extrema: the even ones are the nodes, and at the odd ones, the
-    theta-midpoints between nodes where the interpolation error peaks, the
-    largest |interpolant - operator| is recorded as the residual.  The
-    approximant is flagged when the residual exceeds ``RESIDUAL_CEILING``."""
+    """Interpolate the operator on N Chebyshev extrema over ``domain``,
+    from its values on the 2N - 1 extrema: the even ones are the nodes,
+    and at the odd ones, the theta-midpoints between nodes where the
+    interpolation error peaks, the largest |interpolant - operator| is the
+    residual.  N starts at 17; while the residual exceeds
+    min(``cfg.allowance(max |values|)``, ``RESIDUAL_CEILING``) and N is
+    below 1025, the 2N - 1 sampled extrema become the nodes and one
+    ``apply_on_grid`` call samples the 2N - 2 new midpoints.  The
+    approximant is flagged when the residual still exceeds
+    ``RESIDUAL_CEILING``."""
     a, b = float(domain[0]), float(domain[1])
     if not b > a:
         raise ValueError(f"domain must satisfy b > a, got {domain!r}")
-    if node_count < 8:
-        raise ValueError(f"node_count must be >= 8, got {node_count}")
-    fine = _chebyshev_nodes(a, b, 2 * node_count - 1)
+    cfg = cfg or DEFAULT_CONFIG
+    fine = _chebyshev_nodes(a, b, 2 * _FIRST_NODES - 1)
     values = apply_on_grid(f, spec, fine, cfg)
-    approx = GridApproximant((a, b), values[::2])
-    approx.residual = float(np.abs(approx(fine[1::2]) - values[1::2]).max())
+    while True:
+        approx = GridApproximant((a, b), values[::2])
+        approx.residual = float(np.abs(approx(fine[1::2]) - values[1::2]).max())
+        target = min(cfg.allowance(float(np.abs(values).max())), RESIDUAL_CEILING)
+        if approx.residual <= target or approx.values.size >= _MAX_NODES:
+            break
+        fine = _chebyshev_nodes(a, b, 2 * values.size - 1)
+        sampled, values = values, np.empty(fine.size)
+        values[::2] = sampled
+        values[1::2] = apply_on_grid(f, spec, fine[1::2], cfg)
     approx.flagged = approx.residual > RESIDUAL_CEILING
     return approx
 
@@ -885,25 +902,25 @@ def _chain(
     f: TestFunction,
     specs: Sequence[OperatorSpec],
     domain: tuple[float, float],
-    node_count: int,
     cfg: QuadratureConfig | None,
 ) -> GridApproximant:
     """Apply the operators of ``specs`` in order, each stage consuming the
     previous stage's approximant (with its clamped extension) as a bounded
     continuous function.
 
-    A chain of two or more stages builds every stage on the domain padded
-    by the truncation radius over the smallest n, so clamping only ever
-    sits in negligible-kernel-mass territory relative to the requested
-    domain.  Raises ``FlaggedApproximantError`` at the first stage whose
-    residual exceeds ``RESIDUAL_CEILING``.
+    Stage k is built on the domain padded by the reach (R + shift)/n_j of
+    every later stage j, R the truncation radius at sup |f|: so the last
+    stage sits on the domain itself, and no stage samples its input where
+    that input is clamped, only where the kernel mass left out is below
+    the truncation tolerance.  Raises ``FlaggedApproximantError`` at the
+    first stage whose residual exceeds ``RESIDUAL_CEILING``.
     """
-    if len(specs) > 1:
-        pad = (cfg or DEFAULT_CONFIG).radius(specs[0].params, 1.0) / min(s.n for s in specs)
-        domain = (float(domain[0]) - pad, float(domain[1]) + pad)
+    cfg = cfg or DEFAULT_CONFIG
+    reach = [(cfg.radius(s.params, f.sup_norm) + _kernel(s).shift) / s.n for s in specs]
     current = f
     for stage, spec in enumerate(specs, start=1):
-        approx = make_grid_approximant(current, spec, domain, node_count, cfg)
+        pad = math.fsum(reach[stage:])
+        approx = make_grid_approximant(current, spec, (float(domain[0]) - pad, float(domain[1]) + pad), cfg)
         if approx.flagged:
             raise FlaggedApproximantError(
                 f"stage {stage} (n={spec.n}) approximant residual {approx.residual:.3e} "
@@ -919,14 +936,13 @@ def iterate(
     spec: OperatorSpec,
     r: int,
     domain: tuple[float, float],
-    node_count: int = 64,
     cfg: QuadratureConfig | None = None,
 ) -> GridApproximant:
     """The r-fold self-composition of the operator: the chain of r equal
     resolutions (see ``compose_mixed``)."""
     if not (isinstance(r, (int, np.integer)) and r >= 1):
         raise ValueError(f"r must be a positive integer, got {r!r}")
-    return _chain(f, [spec] * int(r), domain, node_count, cfg)
+    return _chain(f, [spec] * int(r), domain, cfg)
 
 
 def compose_mixed(
@@ -934,9 +950,7 @@ def compose_mixed(
     kind: OperatorKind | str,
     ns: Sequence[int],
     params: KernelParams,
-    alpha: float = 0.5,
     domain: tuple[float, float] = (-3.0, 3.0),
-    node_count: int = 64,
     weights: tuple[float, ...] | None = None,
     cfg: QuadratureConfig | None = None,
 ) -> GridApproximant:
@@ -948,5 +962,5 @@ def compose_mixed(
         raise ValueError("ns must be a nonempty ascending list")
     if any(b < a for a, b in zip(ns, ns[1:])):
         raise ValueError(f"ns must be ascending (ties allowed), got {ns}")
-    specs = [OperatorSpec(kind=OperatorKind(kind), n=n, params=params, alpha=alpha, weights=weights) for n in ns]
-    return _chain(f, specs, domain, node_count, cfg)
+    specs = [OperatorSpec(kind=OperatorKind(kind), n=n, params=params, weights=weights) for n in ns]
+    return _chain(f, specs, domain, cfg)

@@ -217,11 +217,11 @@ def test_criterion_09_iterated_bounds():
     ceiling = RESIDUAL_CEILING
     xs = GRID.points
     single = float(np.abs(apply_on_grid(f, spec, xs) - np.sin(xs)).max())
-    triple = iterate(f, spec, 3, GRID.domain, 64)
+    triple = iterate(f, spec, 3, GRID.domain)
     measured3 = float(np.abs(triple(xs) - np.sin(xs)).max())
     ok = measured3 <= 3.0 * single + 3.0 * ceiling
 
-    chain = compose_mixed(f, "basic", [9, 16, 25], P11, 0.5, GRID.domain, 64)
+    chain = compose_mixed(f, "basic", [9, 16, 25], P11, GRID.domain)
     measured_chain = float(np.abs(chain(xs) - np.sin(xs)).max())
     per_step = [
         jackson_bound("basic", f.modulus(omega_argument("basic", k, 0.5)), P11, k, 0.5, 1.0)

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 
 import numpy as np
 
-from actconv import KernelParams, TestFunction
+from actconv import KernelParams, TestFunction, operators
 from actconv.analysis import CATALOG
 from actconv.cli import _g_slope, main
 
@@ -290,15 +290,18 @@ def test_nan_weights_rejected_before_work(runner, tmp_path, verb):
         (["kernel-check", "--n", "0"], "--n"),
         (["approx", "--n", "0"], "--n"),
         (["taylor", "--n", "0"], "--n"),
-        (["iterate", "--nodes", "4"], "--nodes"),
+        (["iterate", "--iterations", "0"], "--iterations"),
         (["iterate", "--chain", "-1,9"], "--chain"),
         (["approx", "--domain", "0,inf"], "--domain"),
         (["kernel-check", "--alpha", "nan"], "--alpha"),
         (["approx", "--quad-tol", "nan"], "--quad-tol"),
         (["approx", "--quad-tol", "inf"], "--quad-tol"),
+        (["approx", "--kind", "basic", "--weights", "foo"], "--weights"),
+        (["approx", "--format", ""], "--format"),
+        (["kernel-check", "--format", ","], "--format"),
     ],
-    ids=["kernel-check-n", "approx-n", "taylor-n", "iterate-nodes", "iterate-chain", "domain", "alpha-nan",
-         "quad-tol-nan", "quad-tol-inf"],
+    ids=["kernel-check-n", "approx-n", "taylor-n", "iterate-iterations", "iterate-chain", "domain", "alpha-nan",
+         "quad-tol-nan", "quad-tol-inf", "weights-unused", "format-empty", "format-comma"],
 )
 def test_out_of_range_flag_rejected_before_work(runner, tmp_path, args, option):
     out = tmp_path / "out"
@@ -310,8 +313,9 @@ def test_out_of_range_flag_rejected_before_work(runner, tmp_path, args, option):
 
 @pytest.mark.parametrize(
     "verb, line, option",
-    [("approx", "n = 9,0", "--n"), ("kernel-check", "alpha = 1.5", "--alpha"), ("iterate", "nodes = 4", "--nodes")],
-    ids=["n", "alpha", "nodes"],
+    [("approx", "n = 9,0", "--n"), ("kernel-check", "alpha = 1.5", "--alpha"),
+     ("iterate", "iterations = 0", "--iterations")],
+    ids=["n", "alpha", "iterations"],
 )
 def test_config_values_checked_like_flags(runner, tmp_path, verb, line, option):
     cfg = tmp_path / "run.cfg"
@@ -390,7 +394,7 @@ class TestIterate:
         shared = ["--fn", "sin", "--kind", "basic", "--grid-points", "401",
                   "--domain", "-2,2", "--out", str(tmp_path)]
         r_approx = _run(runner, ["approx", "--n", "32"] + shared)
-        r_iter = _run(runner, ["iterate", "--n", "32", "--iterations", "1", "--nodes", "64"] + shared)
+        r_iter = _run(runner, ["iterate", "--n", "32", "--iterations", "1"] + shared)
         assert r_approx.exit_code == 0 and r_iter.exit_code == 0
         approx_err = json.loads((tmp_path / "approx_summary.json").read_text())["results"][0][
             "records"
@@ -422,10 +426,22 @@ class TestIterate:
         assert entry["satisfied"] is True
         assert entry["sum_bound"] <= entry["coarse_bound"]
 
-    def test_flagged_stage_is_a_click_error(self, runner, tmp_path):
-        result = runner.invoke(
-            main, ["iterate", "--nodes", "8", "--grid-points", "101", "--out", str(tmp_path)]
-        )
+    def test_hard_inputs_pass(self, runner, tmp_path):
+        """abs, gauss and cos at n = 9 under every kind: the early stages sit
+        on domains padded out to about +-11 and take several rounds (abs
+        needs hundreds of nodes), yet every stage meets its ceiling and every
+        bound holds."""
+        args = ["iterate", "--n", "9", "--fn", "abs", "--fn", "gauss", "--fn", "cos", "--out", str(tmp_path)]
+        for kind in ("basic", "kantorovich", "quadrature"):
+            args += ["--kind", kind]
+        result = _run(runner, args)
+        assert result.exit_code == 0, result.output
+        payload = json.loads((tmp_path / "iterate_summary.json").read_text())
+        assert len(payload["results"]) == 9 and all(r["satisfied"] for r in payload["results"])
+
+    def test_flagged_stage_is_a_click_error(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(operators, "RESIDUAL_CEILING", 1e-18)
+        result = runner.invoke(main, ["iterate", "--grid-points", "101", "--out", str(tmp_path)])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert "sin/basic: stage 1" in result.output

@@ -5,6 +5,7 @@ formulas; cross-route checks compare the adaptive scalar path against the
 shared-panel grid path and against brute-force sample-space quadrature.
 """
 
+import cmath
 import math
 import os
 import re
@@ -1046,27 +1047,22 @@ class TestCentralMoment:
 
 class TestGridApproximant:
     def test_constant_zero_residual(self):
-        approx = make_grid_approximant(ONE, B32, (-3, 3), 16)
+        approx = make_grid_approximant(ONE, B32, (-3, 3))
         assert approx.residual < 1e-10
         assert not approx.flagged
 
     def test_identity_residual(self):
-        approx = make_grid_approximant(ID, B32, (-3, 3), 64)
+        approx = make_grid_approximant(ID, B32, (-3, 3))
         assert approx.residual <= 1e-8
         xs = np.linspace(-3, 3, 301)
         np.testing.assert_allclose(approx(xs), xs, atol=1e-8)
 
     def test_node_exactness_both_modes(self):
-        approx = make_grid_approximant(SIN, B32, (-2, 2), 24)
+        approx = make_grid_approximant(SIN, B32, (-2, 2))
         np.testing.assert_array_equal(approx(approx.nodes), approx.values)
 
-    def test_refinement_does_not_hurt(self):
-        r64 = make_grid_approximant(SIN, B32, (-3, 3), 64).residual
-        r128 = make_grid_approximant(SIN, B32, (-3, 3), 128).residual
-        assert r128 <= r64 + 1e-10
-
     def test_clamping_and_flag(self):
-        approx = make_grid_approximant(SIN, B32, (-2, 2), 24)
+        approx = make_grid_approximant(SIN, B32, (-2, 2))
         assert not approx.extrapolated
         assert approx(5.0) == approx(2.0)
         assert approx(-5.0) == approx(-2.0)
@@ -1074,15 +1070,13 @@ class TestGridApproximant:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            make_grid_approximant(SIN, B32, (-2, 2), 4)
-        with pytest.raises(ValueError):
-            make_grid_approximant(SIN, B32, (2, -2), 16)
+            make_grid_approximant(SIN, B32, (2, -2))
         with pytest.raises(ValueError):
             GridApproximant((-1, 1), np.array([1.0]))
         with pytest.raises(ValueError):
             GridApproximant((1, 1), np.array([1.0, 1.0]))
 
-    @pytest.mark.parametrize("count", [8, 16, 64, 100])
+    @pytest.mark.parametrize("count", [8, 16, 17, 64, 100, 513, 1025])
     @pytest.mark.parametrize("domain", [(-3.0, 3.0), (-0.7, 2.3), (-45.31, 45.31)])
     def test_nodes_are_the_chebyshev_extrema(self, domain, count):
         """The approximant's nodes are the Chebyshev extrema of its domain,
@@ -1094,19 +1088,44 @@ class TestGridApproximant:
         np.testing.assert_array_equal(GridApproximant(domain, np.zeros(count)).nodes, expected)
         np.testing.assert_array_equal(operators._chebyshev_nodes(a, b, 2 * count - 1)[::2], expected)
 
-    def test_one_grid_call_per_stage(self, monkeypatch):
-        """Each stage samples the operator once, interpolation nodes and
-        residual points together."""
+    def test_each_extremum_sampled_once_per_stage(self, monkeypatch):
+        """A stage samples the 33 extrema of N = 17, then, round by round,
+        only the 2N - 2 midpoints new to the next 2N - 1 extrema: so each
+        Chebyshev extremum of its domain is sampled once.  The first stage
+        sits on the domain padded by the second stage's reach, the last on
+        the domain itself."""
         calls = []
 
-        def counted(f, spec, xs, cfg=None):
-            calls.append(np.size(xs))
+        def recorded(f, spec, xs, cfg=None):
+            calls.append(np.array(xs))
             return apply_on_grid(f, spec, xs, cfg)
 
-        monkeypatch.setattr(operators, "apply_on_grid", counted)
-        approx = iterate(SIN, B32, 3, (-3, 3), 64)
-        assert calls == [2 * 64 - 1] * 3
-        np.testing.assert_array_equal(approx.nodes, operators._chebyshev_nodes(*approx.domain, 64))
+        monkeypatch.setattr(operators, "apply_on_grid", recorded)
+        approx = iterate(ABS, replace(B32, n=9), 2, (-3, 3))
+        starts = [i for i, xs in enumerate(calls) if xs.size == 33]
+        stages = [calls[i:j] for i, j in zip(starts, starts[1:] + [len(calls)])]
+        assert len(stages) == 2 and len(stages[0]) > 1  # abs at n = 9 takes more than one round
+        for rounds in stages:
+            assert [xs.size for xs in rounds] == [33] + [2**k for k in range(5, 4 + len(rounds))]
+            sampled = np.sort(np.concatenate(rounds))
+            domain = rounds[0][0], rounds[0][-1]
+            np.testing.assert_array_equal(sampled, operators._chebyshev_nodes(*domain, sampled.size))
+        assert stages[0][0][0] < -3.0 and stages[0][0][-1] > 3.0
+        assert approx.domain == (-3.0, 3.0) == domain
+        np.testing.assert_array_equal(approx.nodes, operators._chebyshev_nodes(-3.0, 3.0, approx.values.size))
+        assert 2 * approx.values.size - 1 == sampled.size
+
+    def test_rounds_stop_at_the_allowance(self):
+        """A stage stops at the first N whose residual is within the
+        allowance.  The previous round's nodes are the even ones of the
+        final nodes and its midpoints the odd ones, so its residual can be
+        recomputed from the final values: sin on [-5, 5] needs more than
+        17 nodes."""
+        allowance = QuadratureConfig().allowance(1.0)
+        approx = make_grid_approximant(SIN, B32, (-5, 5))
+        assert approx.residual <= allowance and approx.values.size > 17
+        previous = GridApproximant(approx.domain, approx.values[::2])
+        assert np.abs(previous(approx.nodes[1::2]) - approx.values[1::2]).max() > allowance
 
     @pytest.mark.parametrize("n", [9, 32])
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind.value)
@@ -1116,26 +1135,26 @@ class TestGridApproximant:
         smaller than the one measured on a separate 2N-point Chebyshev grid,
         up to the quadrature noise."""
         spec = replace(spec, n=n)
-        approx = make_grid_approximant(f, spec, (-3, 3), 16)
-        check = operators._chebyshev_nodes(-3.0, 3.0, 32)
+        approx = make_grid_approximant(f, spec, (-3, 3))
+        check = operators._chebyshev_nodes(-3.0, 3.0, 2 * approx.values.size)
         doubled = float(np.abs(approx(check) - apply_on_grid(f, spec, check)).max())
         assert approx.residual >= doubled - 1e-12
 
 
 class TestIterate:
     def test_constant_fixed_point(self):
-        approx = iterate(ONE, B32, 3, (-3, 3), 32)
+        approx = iterate(ONE, B32, 3, (-3, 3))
         xs = np.linspace(-3, 3, 101)
         np.testing.assert_allclose(approx(xs), 1.0, atol=1e-9)
 
     def test_identity_fixed_point(self):
-        approx = iterate(ID, B32, 3, (-3, 3), 64)
+        approx = iterate(ID, B32, 3, (-3, 3))
         xs = np.linspace(-3, 3, 101)
         np.testing.assert_allclose(approx(xs), xs, atol=3e-8)
 
     def test_single_iteration_reduces_to_approximant(self):
-        direct = make_grid_approximant(SIN, B32, (-3, 3), 48)
-        once = iterate(SIN, B32, 1, (-3, 3), 48)
+        direct = make_grid_approximant(SIN, B32, (-3, 3))
+        once = iterate(SIN, B32, 1, (-3, 3))
         xs = np.linspace(-3, 3, 101)
         np.testing.assert_allclose(once(xs), direct(xs), atol=0)
 
@@ -1143,29 +1162,29 @@ class TestIterate:
         """r-fold error never beats r single-step errors by more than slack."""
         xs = np.linspace(-3, 3, 801)
         e1 = np.abs(apply_on_grid(SIN, B32, xs) - np.sin(xs)).max()
-        e3 = np.abs(iterate(SIN, B32, 3, (-3, 3), 64)(xs) - np.sin(xs)).max()
+        e3 = np.abs(iterate(SIN, B32, 3, (-3, 3))(xs) - np.sin(xs)).max()
         assert e3 <= 3 * e1 + 3e-6
 
     def test_flagged_stage_aborts(self, monkeypatch):
         monkeypatch.setattr(operators, "RESIDUAL_CEILING", 1e-18)
         with pytest.raises(FlaggedApproximantError) as err:
-            iterate(SIN, B32, 2, (-3, 3), 64)
+            iterate(SIN, B32, 2, (-3, 3))
         assert err.value.stage == 1
 
     def test_r_validation(self):
         with pytest.raises(ValueError):
-            iterate(SIN, B32, 0, (-3, 3), 32)
+            iterate(SIN, B32, 0, (-3, 3))
 
 
 class TestComposeMixed:
     def test_single_element_chain(self):
-        direct = make_grid_approximant(SIN, B32, (-3, 3), 48)
-        chain = compose_mixed(SIN, "basic", [32], P11, 0.5, (-3, 3), 48)
+        direct = make_grid_approximant(SIN, B32, (-3, 3))
+        chain = compose_mixed(SIN, "basic", [32], P11, (-3, 3))
         xs = np.linspace(-3, 3, 101)
         np.testing.assert_allclose(chain(xs), direct(xs), atol=1e-12)
 
     def test_constant_chain(self):
-        chain = compose_mixed(ONE, "basic", [9, 16, 25], P11, 0.5, (-3, 3), 32)
+        chain = compose_mixed(ONE, "basic", [9, 16, 25], P11, (-3, 3))
         xs = np.linspace(-3, 3, 51)
         np.testing.assert_allclose(chain(xs), 1.0, atol=1e-9)
 
@@ -1175,19 +1194,19 @@ class TestComposeMixed:
         with pytest.raises(ValueError):
             compose_mixed(SIN, "basic", [], P11)
         # ties are allowed
-        compose_mixed(ONE, "basic", [9, 9], P11, 0.5, (-1, 1), 16)
+        compose_mixed(ONE, "basic", [9, 9], P11, (-1, 1))
 
     @pytest.mark.parametrize("ns", [[32], [9, 16]], ids=["single", "two-stage"])
     def test_flagged_stage_aborts(self, monkeypatch, ns):
         monkeypatch.setattr(operators, "RESIDUAL_CEILING", 1e-18)
         with pytest.raises(FlaggedApproximantError, match=r"stage 1 \(n=") as err:
-            compose_mixed(SIN, "basic", ns, P11, 0.5, (-3, 3), 8)
+            compose_mixed(SIN, "basic", ns, P11, (-3, 3))
         assert err.value.stage == 1
 
     def test_chain_error_below_sum_of_bounds(self):
         from actconv import jackson_bound, mixed_iterated_bound, omega_argument
 
-        chain = compose_mixed(SIN, "basic", [9, 16, 25], P11, 0.5, (-3, 3), 64)
+        chain = compose_mixed(SIN, "basic", [9, 16, 25], P11, (-3, 3))
         xs = np.linspace(-3, 3, 801)
         measured = np.abs(chain(xs) - np.sin(xs)).max()
         per_step = [
@@ -1197,3 +1216,51 @@ class TestComposeMixed:
         total = mixed_iterated_bound("basic", per_step)
         assert measured <= total.value + 3e-6
         assert total.value <= total.inputs["coarse"]
+
+
+def multiplier(spec):
+    """m with B e^{ix} = m e^{ix}.  The operator samples f at
+    x + (T - H)/n, so m = E e^{-iH/n} E e^{iT/n}: psi-hat(1/n) (``sin_factor``)
+    times 1 (basic), n (e^{i/n} - 1)/i (kantorovich) or the sum of
+    w_s e^{is/(nr)} (quadrature)."""
+    n, c = spec.n, sin_factor(spec.n, spec.params)
+    if spec.kind is OperatorKind.BASIC:
+        return complex(c)
+    if spec.kind is OperatorKind.KANTOROVICH:
+        return c * n * (cmath.exp(1j / n) - 1.0) / 1j
+    return c * sum(w * cmath.exp(1j * s / (n * spec.r)) for s, w in enumerate(spec.weights, start=1))
+
+
+ORACLE_SPECS = [replace(spec, n=n, params=params)
+                for spec in ALL_SPECS for n in (9, 32) for params in (P11, KernelParams(2.0, 0.5))]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 5, 10])
+@pytest.mark.parametrize(
+    "spec", ORACLE_SPECS, ids=lambda s: f"{s.kind.value}-{s.n}-q{s.params.q:g}-b{s.params.beta:g}"
+)
+class TestMultiplierOracle:
+    """r stages map e^{ix} to m_1 ... m_r e^{ix}, so they map sin and cos
+    to its imaginary and real parts: a closed form for chains of any
+    length.  Each stage may add up to 2 tol (its quadrature and its
+    residual) plus the truncation mass tol/100."""
+
+    XS = np.linspace(-3.0, 3.0, 601)
+
+    def check(self, build, specs):
+        tol = QuadratureConfig().tol
+        wave = math.prod(map(multiplier, specs)) * np.exp(1j * self.XS)
+        for f, exact in ((SIN, wave.imag), (COS, wave.real)):
+            error = np.abs(build(f)(self.XS) - exact).max()
+            assert error <= len(specs) * (2.0 * tol + tol / 100), f.name
+
+    def test_iterate(self, spec, r):
+        self.check(lambda f: iterate(f, spec, r, (-3.0, 3.0)), [spec] * r)
+
+    def test_compose_mixed(self, spec, r):
+        """Distinct ascending resolutions n, n + 1, ..., n + r - 1."""
+        ns = list(range(spec.n, spec.n + r))
+        self.check(
+            lambda f: compose_mixed(f, spec.kind, ns, spec.params, (-3.0, 3.0), spec.weights),
+            [replace(spec, n=k) for k in ns],
+        )
