@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,11 +37,15 @@ __all__ = [
 
 # float(math.factorial(k)) overflows beyond this
 _MAX_MOMENT_ORDER = 170
+#: the largest beta: e^-beta, which ``psi_average`` and the wide form of g
+#: are built on, is a normal double up to about 708
+MAX_BETA = 700.0
 
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Deformation ``q`` and rate ``beta`` of the kernel family, both > 0."""
+    """Deformation ``q`` and rate ``beta`` of the kernel family, both > 0,
+    with beta at most ``MAX_BETA``."""
 
     q: float = 1.0
     beta: float = 1.0
@@ -55,6 +60,8 @@ class KernelParams:
             if not math.isfinite(value) or value <= 0.0:
                 raise ValueError(f"{name} must be a positive finite real, got {value!r}")
             object.__setattr__(self, name, value)
+        if self.beta > MAX_BETA:
+            raise ValueError(f"beta must be at most {MAX_BETA:g}, got {self.beta!r}")
 
     @property
     def q_sum(self) -> float:
@@ -71,6 +78,14 @@ class KernelParams:
     def g_argmax(self) -> float:
         """Location of the peak of g: ln(q) / beta."""
         return math.log(self.q) / self.beta
+
+    @cached_property
+    def _wide(self) -> bool:
+        """Whether g and psi need their form in ln w: ``_g_of_w`` can
+        overflow for w up to max(q, 1/q) (not while each of its terms stays
+        below e^700)."""
+        log_q = abs(math.log(self.q))
+        return log_q > 350.0 or self.beta + log_q > 700.0
 
 
 def _prepare(x):
@@ -111,7 +126,19 @@ def _g_of_w(w: np.ndarray, beta: float) -> np.ndarray:
     return w * math.sinh(beta) / (1.0 + 2.0 * math.cosh(beta) * w + w * w)
 
 
-def _g_right(q: float, beta: float, t: np.ndarray) -> np.ndarray:
+def _g_of_log_w(s: np.ndarray, beta: float) -> np.ndarray:
+    # The same g from s = ln w, for any w and beta: g(w) = g(1/w), so with
+    # u = e^-|s| <= 1 and E = e^-beta, g = u (1 - E^2) / (2 (u + E) (1 + u E)),
+    # where nothing overflows (far out, where u underflows, g is 0 as in
+    # _g_of_w where e^-beta t does).
+    u = np.exp(-np.abs(s))
+    e = math.exp(-beta)
+    return u * -math.expm1(-2.0 * beta) / (2.0 * (u + e) * (1.0 + u * e))
+
+
+def _g_right(q: float, beta: float, t: np.ndarray, wide: bool) -> np.ndarray:
+    if wide:
+        return _g_of_log_w(math.log(q) - beta * t, beta)
     return _g_of_w(q * np.exp(-beta * t), beta)
 
 
@@ -122,13 +149,14 @@ def g(params: KernelParams, x) -> float | np.ndarray:
     so the deformed symmetry holds bit-exactly.
     """
     arr, scalar = _prepare(x)
+    wide = params._wide
     out = np.empty_like(arr)
     pos = arr >= 0
     if pos.any():
-        out[pos] = _g_right(params.q, params.beta, arr[pos])
+        out[pos] = _g_right(params.q, params.beta, arr[pos], wide)
     neg = ~pos
     if neg.any():
-        out[neg] = _g_right(1.0 / params.q, params.beta, -arr[neg])
+        out[neg] = _g_right(1.0 / params.q, params.beta, -arr[neg], wide)
     return _ret(out, scalar)
 
 
@@ -139,8 +167,13 @@ def psi(params: KernelParams, x) -> float | np.ndarray:
     point.
     """
     arr, scalar = _prepare(x)
-    # g_q and g_{1/q} share e^{-beta |x|}; forming w = q e and (1/q) e from
-    # one exponential gives the same bits as two calls of _g_right
+    # g_q and g_{1/q} share e^{-beta |x|} (or beta |x|, in the wide form);
+    # forming w = q e and (1/q) e from one exponential gives the same bits
+    # as two calls of _g_right
+    if params._wide:
+        decay = params.beta * np.abs(arr)
+        wq, wr = (_g_of_log_w(math.log(c) - decay, params.beta) for c in (params.q, 1.0 / params.q))
+        return _ret(0.5 * (wq + wr), scalar)
     e = np.exp(-params.beta * np.abs(arr))
     out = 0.5 * (_g_of_w(params.q * e, params.beta) + _g_of_w((1.0 / params.q) * e, params.beta))
     return _ret(out, scalar)

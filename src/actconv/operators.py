@@ -35,7 +35,11 @@ Two evaluation paths share the same nested Kronrod rule:
   scale W/n, W the power of two (from 2^-10 up) at which GK15 panels
   resolve the kind's kernel to tolerance (for psi at tol = 1e-10,
   about 2 / beta: 32 at beta = 0.05, 2 at beta = 1, 1/2 at beta = 5 and
-  1/8 at beta = 20).  The lattice places point i at x0 + i h, which
+  1/8 at beta = 20): a cell of M grid steps holds m panels of width
+  h M / m, the widest not above W/n with small M and m.  f is sampled at
+  the nodes of all lattice panels, about a thousand panels per call, and
+  each block of cells adds its terms to the per-point totals with one
+  ``np.bincount``.  The lattice places point i at x0 + i h, which
   differs from the double x_i by up to ulp(x_i) / 2, so grids far from
   the origin, where that drift would show in the result, keep the row
   seeds.
@@ -444,8 +448,16 @@ def _contract(weighted: np.ndarray, table: np.ndarray) -> np.ndarray:
     return np.matmul(weighted.transpose(1, 0, 2), table)[:, :cells, :offsets]
 
 
+# the most panels of a tiling of [-R, R] at width 1 that ``_kernel_width``
+# evaluates (R up to 65,534: beta down to about 4.3e-4 for psi at tol =
+# 1e-10), and the panels it evaluates at a time (4 x 15 values each, so a
+# chunk's arrays stay below the 128 KiB mmap threshold like a row chunk's)
+_MAX_TILING = 2**17
+_TILING_CHUNK = 256
+
+
 @lru_cache(maxsize=64)
-def _kernel_width(k: _Kernel, radius: float, tol: float, scale: float) -> float:
+def _kernel_width(k: _Kernel, radius: float, tol: float, scale: float) -> float | None:
     """The kernel's own panel scale W in v, a power of two at which GK15
     panels of width W tiling [-R, R] integrate the kind's kernel k with
     ``scale`` times the sum of their |K15 - G7| estimates within ``tol``
@@ -458,15 +470,29 @@ def _kernel_width(k: _Kernel, radius: float, tol: float, scale: float) -> float:
     exactly.  psi is analytic in the strip |Im v| < pi / beta, and so are
     its averages, so W scales like 1 / beta: for psi at tol = 1e-10
     and scale 1 it is 4 at beta = 0.5, 2 at beta = 1, 1/2 at
-    (q, beta) = (1e-3, 3) and (1, 5), and 1/8 at (1, 20)."""
+    (q, beta) = (1e-3, 3) and (1, 5), and 1/8 at (1, 20).
+
+    The kernel is evaluated ``_TILING_CHUNK`` panels at a time.  None when
+    the tiling at width 1 has more than ``_MAX_TILING`` panels: so wide a
+    kernel (R = 2.8e10 at beta = 1e-9) would take hours to tile."""
+
+    def tiling(width: float) -> tuple[int, int]:
+        """The first panel index of the tiling at ``width`` and one past its last."""
+        return math.floor(-radius / width) - 1, math.ceil(radius / width) + 1
 
     def resolved(width: float) -> bool:
-        i = np.arange(math.floor(-radius / width) - 1, math.ceil(radius / width) + 1)
-        mids = (i + np.array([0.0, 0.25, 0.5, 0.75])[:, None] + 0.5) * width
-        values = k(mids[:, :, None] + 0.5 * width * GK15_NODES)
-        errors = 0.5 * width * np.abs((values * (GK15_WEIGHTS - G7_WEIGHTS)).sum(axis=2))
+        i = np.arange(*tiling(width))
+        errors = np.empty((4, i.size))
+        for c0 in range(0, i.size, _TILING_CHUNK):
+            mids = (i[c0:c0 + _TILING_CHUNK] + np.array([0.0, 0.25, 0.5, 0.75])[:, None] + 0.5) * width
+            values = k(mids[:, :, None] + 0.5 * width * GK15_NODES)
+            panel = np.abs((values * (GK15_WEIGHTS - G7_WEIGHTS)).sum(axis=2))
+            errors[:, c0:c0 + _TILING_CHUNK] = 0.5 * width * panel
         return scale * float(errors.sum(axis=1).max()) <= tol
 
+    first, stop = tiling(1.0)
+    if stop - first > _MAX_TILING:
+        return None
     width = 1.0
     while width > 2.0**-10 and not resolved(width):
         width *= 0.5
@@ -476,25 +502,59 @@ def _kernel_width(k: _Kernel, radius: float, tol: float, scale: float) -> float:
     return width
 
 
+def _cell(h: float, n: int, width: float, size: int) -> tuple[int, int]:
+    """The cell (M, m) of the lattice on a grid of ``size`` points with step
+    h: M grid steps holding m panels of width h M / m, the widest not above
+    W / n, W = ``width``.  Either M = 1 or m = 1 unless that leaves the
+    panels below 0.8 W / n (only possible for M, m <= 4); then the widest
+    h M / m with M <= 8 and m <= 4 is taken, M also at most a quarter of
+    the grid steps (larger M grow the kernel table and the peak memory).
+    At n = 400 on 2001 points over [-3, 3] and W = 2, for instance, panels
+    of width h (0.6 W / n) become 5h/3 (W / n)."""
+    if h * n <= width:
+        # clamped at size: the four-cell test in ``_lattice`` refuses that
+        # stride as it would any larger one, which a subnormal h makes too
+        # large (even inf) for an int
+        stride, m = int(min(width / (h * n), size)), 1
+        if stride * h * n > width:
+            stride -= 1
+    else:
+        stride, m = 1, math.ceil(h * n / width)
+        if h * n / m > width:
+            m += 1
+    if stride > 4 or m > 4 or stride * h * n / m >= 0.8 * width:
+        return stride, m
+    for panels in range(2, 5):
+        steps = int(min(8, (size - 1) // 4, panels * width / (h * n)))
+        if steps * h / panels * n > width:
+            steps -= 1
+        if steps * m > stride * panels:  # a wider panel
+            stride, m = steps, panels
+    return stride, m
+
+
 def _lattice(f: TestFunction, spec: OperatorSpec, grid: np.ndarray, reach: float, cap: int, width: float):
     """The seed round on the grid x_i = x0 + i h, from one kernel table.
 
-    The seed panels, of width w = h M or h / m (the widest such value not
-    above W / n, W = ``width`` in the kernel variable), lie on a lattice
-    anchored at x0.  A cell of m panels (one panel when w = h M) steps
-    over ``stride`` grid points (M, or 1), so the kernel value at point i
-    and node k of the cell's r-th panel depends only on (r, k) and the
-    offset j = i - stride q of point i from cell q: the kind's kernel is
-    evaluated once, on the table T[r, k, j].  Cells are taken in blocks of
-    at most 15 ``_CHUNK_ROWS`` (panel, offset) terms.  Each term, a K15
-    value and its |K15 - G7| estimate, is a contraction of the panel's 15
-    weighted samples with T: one matrix product per panel row r of the
-    block (``_contract``), whose entries do not depend on the block's shape
-    or the BLAS thread count.  A cell's panels are added in order, and the
-    block's terms go to the points in one ``np.add.at``, indexed by (cell,
-    offset) in row-major order: it adds them in index order, so every point
-    receives its terms in ascending cell order, and the totals do not
-    depend on the block size.
+    The seed panels, of width w = h M / m (``_cell``: the widest such value
+    not above W / n, W = ``width`` in the kernel variable), lie on a
+    lattice anchored at x0.  A cell of m panels steps over ``stride`` = M
+    grid points, so the kernel value at point i and node k of the cell's
+    r-th panel depends only on (r, k) and the offset j = i - stride q of
+    point i from cell q: the kind's kernel is evaluated once, on the table
+    T[r, k, j].  f is sampled at the nodes of every lattice panel, at most
+    ``_CHUNK_ROWS`` panels per call, and the samples are weighted once.
+    Cells are then taken in blocks of at most 15 ``_CHUNK_ROWS`` (panel,
+    offset) terms.  Each term, a K15 value and its |K15 - G7| estimate, is
+    a contraction of the panel's 15 weighted samples with T: one matrix
+    product per panel row r of the block (``_contract``), whose entries do
+    not depend on the block's shape or the BLAS thread count.  A cell's
+    panels are added in order, and the block's terms go to the points with
+    one ``np.bincount`` each for the values and the estimates: its first
+    weights are the current totals over the block's span, then the terms
+    by (cell, offset) in row-major order, and it adds them in that order.
+    So every point receives its terms in ascending cell order, and the
+    totals do not depend on the block size.
 
     A lattice panel that contains a kink of f is cut there, and the pieces
     go through ``_evaluate``.  Returns the per-point totals of values and
@@ -508,17 +568,7 @@ def _lattice(f: TestFunction, spec: OperatorSpec, grid: np.ndarray, reach: float
     x0 = float(grid[0])
     span = float(grid[-1]) - x0
     h = span / (size - 1)
-    if h * n <= width:
-        # clamped at size: the four-cell test below refuses that stride as it
-        # would any larger one, which a subnormal h makes too large (even
-        # inf) for an int
-        m, stride = 1, int(min(width / (h * n), size))
-        if stride * h * n > width:
-            stride -= 1
-    else:
-        m, stride = math.ceil(h * n / width), 1
-        if h * n / m > width:
-            m += 1
+    stride, m = _cell(h, n, width, size)
     if 4 * stride > size - 1:
         return None
     cell = stride * h
@@ -540,41 +590,50 @@ def _lattice(f: TestFunction, spec: OperatorSpec, grid: np.ndarray, reach: float
     offsets = np.arange(j_lo, j_hi + 1)
     nodes = (np.arange(m)[:, None] + 0.5) * w + 0.5 * w * GK15_NODES  # (m, 15) from the cell's left edge
     table = _kernel(spec)(n * (offsets * h - nodes[:, :, None]))
-    weights = 0.5 * n * w * GK15_WEIGHTS
-    gauss = 0.5 * n * w * G7_WEIGHTS[_GAUSS]
 
-    # the samples of every lattice panel, taken as ``_evaluate`` takes them
+    # the samples of every lattice panel, taken as ``_evaluate`` takes them,
+    # times the G7 and then (in place) the K15 weights
     a, b = edges[:-1], edges[1:]
     fu = np.empty((a.size, GK15_NODES.size))
-    chunk = max(1, _CHUNK_ROWS // GK15_NODES.size)
     anchor = np.array(x0)
-    for p0 in range(0, a.size, chunk):
-        pa, pb = a[p0:p0 + chunk, None], b[p0:p0 + chunk, None]
-        fu[p0:p0 + chunk] = _sample(f, spec, 0.5 * (pa + pb) + 0.5 * (pb - pa) * GK15_NODES, anchor)
+    for p0 in range(0, a.size, _CHUNK_ROWS):
+        pa, pb = a[p0:p0 + _CHUNK_ROWS, None], b[p0:p0 + _CHUNK_ROWS, None]
+        fu[p0:p0 + _CHUNK_ROWS] = _sample(f, spec, 0.5 * (pa + pb) + 0.5 * (pb - pa) * GK15_NODES, anchor)
     fu[at - 1] = 0.0  # a panel cut at a kink leaves the lattice
     fu = fu.reshape(cells, m, GK15_NODES.size)
+    gauss = fu[:, :, _GAUSS] * (0.5 * n * w * G7_WEIGHTS[_GAUSS])
+    fu *= 0.5 * n * w * GK15_WEIGHTS
 
     # a block's (m, cells, offsets) accumulators and (2, cells, offsets)
     # terms stay within 15 _CHUNK_ROWS values, the size of a row chunk's arrays
     per_block = max(1, GK15_NODES.size * _CHUNK_ROWS // (max(m, 2) * offsets.size))
     # a block's terms reach at most this far beyond either end of the grid
     pad = stride * (per_block - 1)
-    totals = np.zeros((2, size + 2 * pad))  # values and error estimates
+    values, errors = totals = np.zeros((2, size + 2 * pad))
+    shape = None
     for q0 in range(0, cells, per_block):
         q1 = min(q0 + per_block, cells)
         e0 = max(j_lo, -stride * (q_lo + q1 - 1)) - j_lo
         e1 = min(j_hi, size - 1 - stride * (q_lo + q0)) - j_lo + 1
         block = table[:, :, e0:e1]
-        k15 = _contract(fu[q0:q1] * weights, block)
-        err = _contract(fu[q0:q1, :, _GAUSS] * gauss, block[:, _GAUSS])
+        k15 = _contract(fu[q0:q1], block)
+        err = _contract(gauss[q0:q1], block[:, _GAUSS])
         np.subtract(k15, err, out=err)
         np.abs(err, out=err)
-        # each cell's panels summed in order: the values, then the error
-        # estimates, of the (cell, offset) terms in row-major order
-        terms = np.concatenate((_node_sum(k15.reshape(m, -1)), _node_sum(err.reshape(m, -1))))
-        first = pad + stride * (q_lo + q0) + j_lo + e0  # buffer slot of cell q0's first offset
-        slots = (first + stride * np.arange(q1 - q0))[:, None] + np.arange(e1 - e0)
-        np.add.at(totals.reshape(-1), np.concatenate((slots.ravel(), slots.ravel() + totals.shape[1])), terms)
+        if m > 1:  # each cell's panels summed in order
+            k15, err = _node_sum(k15.reshape(m, -1)), _node_sum(err.reshape(m, -1))
+        # the block's span of the buffer from cell q0's first offset, and
+        # each (cell, offset) term's place in it (the same for every block
+        # of the same shape)
+        first = pad + stride * (q_lo + q0) + j_lo + e0
+        reached = stride * (q1 - q0 - 1) + e1 - e0
+        if (q1 - q0, e1 - e0) != shape:
+            shape = (q1 - q0, e1 - e0)
+            terms_at = (stride * np.arange(q1 - q0))[:, None] + np.arange(e1 - e0)
+            slots = np.concatenate((np.arange(reached), terms_at.ravel()))
+        for row, terms in ((values, k15), (errors, err)):
+            part = row[first:first + reached]
+            part[:] = np.bincount(slots, np.concatenate((part, terms.ravel())), reached)
     values, errors = totals[:, pad:pad + size]
 
     if cuts.size:
@@ -658,15 +717,17 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec, xs, cfg: QuadratureConfig
     (about ulp(x) / 2 far from the origin) can move no value by more than
     tol / 10; a uniform grid far from the origin, such as
     ``np.linspace(1e6, 1e6 + 6, N)``, takes the row path.  The lattice
-    panels have width h M or h / m, the widest not above W/n: W is the
-    kernel's own scale, the power of two (from 2^-10 up) at which GK15
-    panels of width W resolve the kind's kernel, times sup |f|, to tol
-    (see ``_kernel_width``; for psi 2 at q = beta = 1, 4 at beta = 0.5,
-    1/8 at beta = 20).  When the W/n lattice is refused (panel budget, or
-    fewer than four cells) or misses tolerance, the min(W/2, 1)/n lattice
-    runs next: for W > 1 its panels are never coarser than the row seeds,
-    and for W <= 1 it catches a grid whose phase on the tiling the width
-    test did not sample.
+    panels have width h M / m, the widest not above W/n with M <= 8 and
+    m <= 4 where M = 1 or m = 1 leaves them narrower than 0.8 W/n (see
+    ``_cell``): W is the kernel's own scale, the power of two (from 2^-10
+    up) at which GK15 panels of width W resolve the kind's kernel, times
+    sup |f|, to tol (see ``_kernel_width``; for psi 2 at q = beta = 1, 4 at
+    beta = 0.5, 1/8 at beta = 20).  A kernel too wide to tile (beta below
+    about 4e-4 for psi) takes the row path.  When the W/n lattice is
+    refused (panel budget, or fewer than four cells) or misses tolerance,
+    the min(W/2, 1)/n lattice runs next: for W > 1 its panels are never
+    coarser than the row seeds, and for W <= 1 it catches a grid whose
+    phase on the tiling the width test did not sample.
     The kind's kernel is evaluated once, on a table of kernel values per
     (node, lattice offset); each (panel, point) K15 term and its
     |K15 - G7| estimate is a 15-node contraction of the panel's weighted
@@ -674,8 +735,9 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec, xs, cfg: QuadratureConfig
     never with a single row or column, so that each entry's nodes are
     added in one order whatever the block's shape and the BLAS thread
     count.  The totals are the same per-point sums as on rows, added in
-    ascending cell order.  A lattice panel holding a kink is cut
-    there and its pieces are evaluated as rows in the same round.  If a
+    ascending cell order by one ``np.bincount`` per block of cells, whose
+    first weights are the current totals.  A lattice panel holding a kink
+    is cut there and its pieces are evaluated as rows in the same round.  If a
     lattice round meets tolerance, its totals are the result; if none
     does, the call goes on from the row seeds above (the lattice keeps no
     rows to refine), so refinement rounds, Chebyshev nodes and other grids
@@ -718,7 +780,8 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec, xs, cfg: QuadratureConfig
         # panels at the kernel's own scale W/n first, then at min(W/2, 1)/n:
         # the width test samples four phases of the tiling, not the grid's
         width = _kernel_width(k, radius, cfg.tol, f.sup_norm)
-        for w in (width, min(0.5 * width, 1.0)):
+        # no width: a kernel too wide to tile goes to the rows
+        for w in () if width is None else (width, min(0.5 * width, 1.0)):
             lattice = _lattice(f, spec, grid, reach, budget, w)
             if lattice is not None:
                 values, errors = lattice

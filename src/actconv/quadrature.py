@@ -143,10 +143,14 @@ def truncation_radius(params: KernelParams, eps: float) -> float:
         R = 1 + ln((q + 1/q) / eps) / beta,
 
     clamped to 1 when the envelope already sits below eps at its edge.
+    Where the quotient overflows (q or 1/q above about 1e296 at eps =
+    1e-12), the logarithms are taken apart.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must lie in (0, 1), got {eps!r}")
-    return max(1.0, 1.0 + math.log(params.q_sum / eps) / params.beta)
+    ratio = params.q_sum / eps
+    log_ratio = math.log(ratio) if ratio < math.inf else math.log(params.q_sum) - math.log(eps)
+    return max(1.0, 1.0 + log_ratio / params.beta)
 
 
 def moment_truncation_radius(params: KernelParams, k: int, eps: float) -> float:
@@ -154,14 +158,23 @@ def moment_truncation_radius(params: KernelParams, k: int, eps: float) -> float:
 
     Uses t^k <= 2^k k! e^(t/2) on the envelope, giving
     R = (2 / beta) ln((q + 1/q) e^beta 2^(k+1) k! / (beta^k eps)).
+    Where that argument overflows, its logarithm is taken as a sum.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k == 0:
         return truncation_radius(params, eps)
     b = params.beta
-    arg = params.q_sum * math.exp(b) * 2.0 ** (k + 1) * float(math.factorial(int(k))) / (b**k * eps)
-    return max(truncation_radius(params, eps), (2.0 / b) * math.log(max(arg, 2.0)))
+    try:
+        arg = params.q_sum * math.exp(b) * 2.0 ** (k + 1) * float(math.factorial(int(k))) / (b**k * eps)
+    except (OverflowError, ZeroDivisionError):
+        arg = math.inf
+    if arg < math.inf:
+        log_arg = math.log(max(arg, 2.0))
+    else:
+        log_arg = (math.log(params.q_sum) + b + (k + 1) * math.log(2.0) + math.lgamma(k + 1)
+                   - k * math.log(b) - math.log(eps))
+    return max(truncation_radius(params, eps), (2.0 / b) * log_arg)
 
 
 def _panel(f, a: float, b: float) -> tuple[float, float]:

@@ -311,6 +311,17 @@ def test_out_of_range_flag_rejected_before_work(runner, tmp_path, args, option):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb", ["kernel-check", "approx", "taylor", "iterate"])
+def test_beta_above_the_limit_is_a_usage_error(runner, tmp_path, verb):
+    """Beyond beta = 700 e^-beta leaves the normal doubles; kernel-check
+    died with an OverflowError traceback at --beta 800."""
+    out = tmp_path / "out"
+    result = _run(runner, [verb, "--beta", "800", "--out", str(out)])
+    assert result.exit_code == 2
+    assert "beta must be at most 700" in result.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "verb, line, option",
     [("approx", "n = 9,0", "--n"), ("kernel-check", "alpha = 1.5", "--alpha"),

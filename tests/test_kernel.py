@@ -28,10 +28,10 @@ from actconv import (
     tail_mass_bound,
     truncation_radius,
 )
-from actconv.kernel import psi_average, psi_moments
+from actconv.kernel import MAX_BETA, psi_average, psi_moments
 from actconv.quadrature import moment_truncation_radius
 
-from _oracles import psi_average_mp, psi_raw_moments_mp
+from _oracles import psi_average_mp, psi_mp, psi_raw_moments_mp
 from conftest import PARAM_GRID
 
 
@@ -42,6 +42,15 @@ class TestKernelParams:
                 KernelParams(bad, 1.0)
             with pytest.raises(ValueError):
                 KernelParams(1.0, bad)
+
+    def test_beta_limit(self):
+        """psi_average and the wide form of g are built on e^-beta, a
+        normal double up to beta = 708; the message names the limit."""
+        assert KernelParams(3.0, MAX_BETA).beta == 700.0
+        with pytest.raises(ValueError, match="at most 700"):
+            KernelParams(1.0, np.nextafter(MAX_BETA, math.inf))
+        with pytest.raises(ValueError, match="at most 700"):
+            KernelParams(1.0, 800.0)
 
     def test_q_sum_floor(self):
         assert KernelParams(1.0, 1.0).q_sum == 2.0
@@ -161,6 +170,43 @@ class TestPsi:
         res = integrate_real_line(lambda h: psi(p, h), TailEnvelope(p))
         assert res.converged
         assert abs(res.value - 1.0) < 1e-8
+
+
+class TestWideParameters:
+    """Where g's closed form in w = q e^(-beta t) could overflow (|ln q|
+    above 350, or beta + |ln q| above 700), g and psi take a form in ln w;
+    psi(q = 1e6, beta = 700) was nan at 0 before."""
+
+    @pytest.mark.parametrize(
+        "q, beta",
+        [(1e6, 700.0), (3.0, 700.0), (1e100, 650.0), (1e200, 500.0), (1e300, 700.0), (1e300, 1.0), (1e-300, 0.01)],
+    )
+    def test_psi_matches_mpmath(self, q, beta):
+        """Around both peaks and at 0, against the raw definition at 800
+        digits; the form in ln w is within |ln w| ulp of it."""
+        peak = abs(math.log(q)) / beta
+        xs = np.array([0.0, 0.5, 0.999, 1.0, 1.001, peak - 3.0 / beta, peak, peak + 0.3, peak + 5.0 / beta])
+        xs = np.concatenate((xs, -xs))
+        got = psi(KernelParams(q, beta), xs)
+        with mp.workdps(800):
+            expected = np.array([float(psi_mp(mp.mpf(q), mp.mpf(beta), mp.mpf(x))) for x in xs])
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, expected, rtol=2e-13, atol=0)
+        np.testing.assert_allclose(0.5 * (g(KernelParams(q, beta), xs) + g(KernelParams(q, beta), -xs)), got,
+                                   rtol=1e-15, atol=0)
+
+    def test_narrow_parameters_keep_their_bits(self):
+        """Elsewhere psi is still w sinh(beta) / (1 + 2 w cosh(beta) + w^2)
+        averaged over w = q e and e / q, bit for bit."""
+        xs = np.linspace(-30.0, 30.0, 601)
+        for q, beta in [(1.0, 1.0), (2.0, 0.5), (1e-6, 20.0), (1e150, 0.5), (1e-100, 400.0)]:
+            e = np.exp(-beta * np.abs(xs))
+            expected = 0.5 * sum(w * math.sinh(beta) / (1.0 + 2.0 * math.cosh(beta) * w + w * w)
+                                 for w in (q * e, (1.0 / q) * e))
+            np.testing.assert_array_equal(psi(KernelParams(q, beta), xs), expected)
+
+    def test_psi_average_at_the_limit(self):
+        assert np.all(np.isfinite(psi_average(KernelParams(1e300, MAX_BETA), np.linspace(-3.0, 2.0, 51))))
 
 
 class TestPsiAverage:

@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -282,14 +283,16 @@ class TestApplyOnGrid:
 
     @pytest.mark.parametrize(
         "f, spec",
-        [(ABS, OperatorSpec(OperatorKind.BASIC, 9, P11)), (SIN, OperatorSpec(OperatorKind.KANTOROVICH, 400, P11))],
-        ids=["basic-abs-9", "kantorovich-sin-400"],
+        [(ABS, OperatorSpec(OperatorKind.BASIC, 9, P11)), (SIN, OperatorSpec(OperatorKind.KANTOROVICH, 400, P11)),
+         (SIN, OperatorSpec(OperatorKind.BASIC, 400, P11))],
+        ids=["basic-abs-9", "kantorovich-sin-400", "basic-sin-400"],
     )
     def test_chunking_is_invisible(self, monkeypatch, grid, f, spec):
         """Rows are evaluated and summed in chunks; the chunk size changes no
         bit.  At n = 9 every panel reaches all 2001 points, more rows than
-        one chunk holds.  One row per chunk runs on every 16th grid point to
-        stay quick."""
+        one chunk holds; at n = 400 the lattice cells span 5 grid steps and
+        hold 3 panels, and f is sampled a few panels per call.  One row per
+        chunk runs on every 16th grid point to stay quick."""
         assert grid.points.size > operators._CHUNK_ROWS
         expected = apply_on_grid(f, spec, grid.points)
         thinned = apply_on_grid(f, spec, grid.points[::16])
@@ -344,6 +347,17 @@ class TestApplyOnGrid:
         with mp.workdps(30):
             expected = [float(sin_factor(n, P11) * exact(mp.mpf(x))) for x in xs]
         np.testing.assert_allclose(apply_on_grid(SIN, spec, xs), expected, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("q", [1e-300, 1e300])
+    @pytest.mark.parametrize("kind", [OperatorKind.BASIC, OperatorKind.KANTOROVICH], ids=lambda k: k.value)
+    def test_extreme_q(self, grid, kind, q):
+        """(q + 1/q) / eps overflows here, and the truncation radius was
+        inf; psi's peaks sit at +-ln(q) = +-690.8, so the multiplier carries
+        cos(ln(q) / n) = -0.7978 at n = 25."""
+        spec = OperatorSpec(kind, 25, KernelParams(q, 1.0))
+        exact = (multiplier(spec) * np.exp(1j * grid.points)).imag
+        out = apply_on_grid(SIN, spec, grid.points)
+        assert float(np.abs(out - exact).max()) <= 2.0 * QuadratureConfig().tol
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind.value)
     def test_unsorted_grid(self, spec):
@@ -725,16 +739,17 @@ class TestLatticeSeeds:
     @pytest.mark.parametrize(
         "f, spec",
         [(ABS, OperatorSpec(OperatorKind.BASIC, 9, P11)), (SIN, OperatorSpec(OperatorKind.BASIC, 1000, P11)),
-         (SIN, OperatorSpec(OperatorKind.KANTOROVICH, 400, P11))],
-        ids=["basic-abs-9", "basic-sin-1000", "kantorovich-sin-400"],
+         (SIN, OperatorSpec(OperatorKind.KANTOROVICH, 400, P11)), (SIN, OperatorSpec(OperatorKind.BASIC, 400, P11))],
+        ids=["basic-abs-9", "basic-sin-1000", "kantorovich-sin-400", "basic-sin-400"],
     )
     def test_lattice_blocking_is_invisible(self, monkeypatch, grid, f, spec):
         """The lattice takes its cells in blocks sized by ``_CHUNK_ROWS``,
         one matrix product per block; the block size changes no bit.  At
         _CHUNK_ROWS = 1 and 2 every block holds one cell (at n = 9 a cell
-        reaches all 2001 points; at n = 1000 it holds two panels), a product
-        that numpy would hand to gemv but for the zero row ``_contract``
-        adds.  (The outermost cells at n = 400 and 1000 reach one point, but
+        reaches all 2001 points; at n = 1000 it spans 2 grid steps and holds
+        3 panels, at n = 400 5 steps and 3 panels), a product that numpy
+        would hand to gemv but for the zero row ``_contract`` adds.  (The
+        outermost cells at n = 400 and 1000 reach one point, but
         their terms are too small to show a changed bit in the totals;
         ``test_contract_entries_do_not_depend_on_the_block`` pins that
         case.)"""
@@ -742,6 +757,113 @@ class TestLatticeSeeds:
         for rows in (1, 2, 7):
             monkeypatch.setattr(operators, "_CHUNK_ROWS", rows)
             np.testing.assert_array_equal(apply_on_grid(f, spec, grid.points), expected, err_msg=f"{rows} rows")
+
+    @pytest.mark.parametrize(
+        "n, hn, width, size, cell",
+        [(9, 0.027, 2.0, 2001, (74, 1)), (100, 0.3, 2.0, 2001, (6, 1)), (300, 0.9, 2.0, 2001, (2, 1)),
+         (400, 1.2, 2.0, 2001, (5, 3)), (500, 1.5, 2.0, 2001, (4, 3)), (700, 2.1, 2.0, 2001, (3, 4)),
+         (1000, 3.0, 2.0, 2001, (2, 3)), (1913, 5.739, 2.0, 2001, (1, 3)), (1000, 3.0, 2.0, 9, (2, 3)),
+         (1000, 3.0, 2.0, 5, (1, 2))],
+    )
+    def test_cell_geometry(self, n, hn, width, size, cell):
+        """(M, m): M grid steps and m panels per cell, the panels of width
+        h M / m the widest not above W / n.  One of M, m is 1 unless that
+        leaves them below 0.8 W / n; then M <= 8 (and at most a quarter of
+        the grid steps) and m <= 4."""
+        assert operators._cell(hn / n, n, width, size) == cell
+
+    @pytest.mark.parametrize("cell", [(1, 1), (3, 1), (1, 3), (5, 3), (2, 3), (8, 4)])
+    def test_totals_are_the_ascending_cell_sums(self, monkeypatch, cell):
+        """The lattice adds each block's (cell, offset) terms to the totals
+        with np.bincount, the current totals first; the totals have the bits
+        of np.add.at of all the terms in ascending cell order, the panels of
+        a cell summed first.  The reference contracts all cells at once,
+        over all offsets, with the entries of ``test_contract_entries_do_not_depend_on_the_block``."""
+        stride, m = cell
+        spec = OperatorSpec(OperatorKind.BASIC, 100, P11)
+        xs = np.linspace(-1.0, 2.0, 601)
+        n, h = spec.n, 3.0 / 600
+        reach = truncation_radius(P11, QuadratureConfig().truncation_eps) / n
+        monkeypatch.setattr(operators, "_cell", lambda *args: cell)
+        monkeypatch.setattr(operators, "_CHUNK_ROWS", 64)  # several blocks
+        values, errors = operators._lattice(SIN, spec, xs, reach, 10**6, 2.0)
+
+        w = stride * h / m
+        q_lo, q_hi = math.floor(-reach / (stride * h)), math.ceil((3.0 + reach) / (stride * h)) - 1
+        offsets = np.arange(math.ceil(-reach / h), math.floor((stride * h + reach) / h) + 1)
+        edges = np.arange(m * q_lo, m * (q_hi + 1) + 1) * w
+        mids, halves = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+        fu = SIN(np.array(-1.0) + (mids[:, None] + halves[:, None] * GK15_NODES)).reshape(-1, m, 15)
+        nodes = (np.arange(m)[:, None] + 0.5) * w + 0.5 * w * GK15_NODES
+        table = psi(P11, n * (offsets * h - nodes[:, :, None]))
+        gauss = slice(1, 14, 2)
+        k15 = operators._contract(fu * (0.5 * n * w * quadrature.GK15_WEIGHTS), table)
+        g7 = operators._contract(fu[:, :, gauss] * (0.5 * n * w * quadrature.G7_WEIGHTS[gauss]), table[:, gauss])
+        err = np.abs(k15 - g7)
+        point = (stride * (q_lo + np.arange(q_hi - q_lo + 1)))[:, None] + offsets
+        on_grid = (point >= 0) & (point < xs.size)
+        for got, terms in ((values, k15), (errors, err)):
+            summed = terms[0]
+            for r in range(1, m):
+                summed = summed + terms[r]
+            expected = np.zeros(xs.size)
+            np.add.at(expected, point[on_grid], summed[on_grid])
+            np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("n, panels", [(400, 1230), (1000, 3030)])
+    def test_sampled_panels(self, monkeypatch, grid, n, panels):
+        """Basic sin on the default grid is accepted in the seed round, whose
+        lattice samples f at the nodes of every panel once: at n = 400 its
+        cells span 5 grid steps with 3 panels (2,050 panels of width h
+        before), at n = 1000 2 steps with 3 panels (4,040 of width h / 2)."""
+        attempts, rows = _seed_rounds(monkeypatch)
+        sample, sampled = operators._sample, []
+
+        def counted(f, spec, t, c):
+            sampled.append(t.shape[0])
+            return sample(f, spec, t, c)
+
+        monkeypatch.setattr(operators, "_sample", counted)
+        apply_on_grid(SIN, OperatorSpec(OperatorKind.BASIC, n, P11), grid.points)
+        assert attempts == [(2.0, "accepted")] and rows == []
+        assert sum(sampled) == panels
+
+    @pytest.mark.parametrize("n", [100, 400, 1000])
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind.value)
+    def test_matches_the_multiplier_on_the_default_grid(self, grid, spec, n):
+        """Every point of the default grid against Im(m e^{ix}), m the
+        operator's multiplier (``TestMultiplierOracle``)."""
+        spec = replace(spec, n=n)
+        exact = (multiplier(spec) * np.exp(1j * grid.points)).imag
+        out = apply_on_grid(SIN, spec, grid.points)
+        assert float(np.abs(out - exact).max()) <= 2.0 * QuadratureConfig().tol
+
+    def test_kernel_width_memory_is_bounded(self):
+        """The width test evaluates its tiling _TILING_CHUNK panels at a
+        time, and gives up on a tiling of more than _MAX_TILING panels, for
+        which the row path is taken.  At beta = 1e-9 (R = 2.8e10) it tried
+        to allocate 422 GiB; at beta = 1e-3 it tiles 56,650 panels and
+        finds W = 2048 in a few MB, not the 27 MB of one whole-tiling
+        array."""
+        for beta, width, peak_bytes in [(1e-9, None, 2**16), (1e-5, None, 2**16), (1e-3, 2048.0, 4 * 2**20)]:
+            params = KernelParams(1.0, beta)
+            k = operators._Kernel(OperatorKind.BASIC, params)
+            radius = truncation_radius(params, QuadratureConfig().truncation_eps)
+            tracemalloc.start()
+            try:
+                # uncached, so that every call does the work
+                assert operators._kernel_width.__wrapped__(k, radius, 1e-10, 1.0) == width
+                assert tracemalloc.get_traced_memory()[1] < peak_bytes
+            finally:
+                tracemalloc.stop()
+
+    def test_too_wide_a_kernel_takes_the_row_path(self, monkeypatch):
+        """At beta = 1e-5 no width is tried, and the rows meet tolerance."""
+        attempts, _ = _seed_rounds(monkeypatch)
+        spec = OperatorSpec(OperatorKind.BASIC, 9, KernelParams(1.0, 1e-5))
+        out = apply_on_grid(ONE, spec, np.linspace(-1.0, 1.0, 41))
+        assert attempts == []
+        np.testing.assert_allclose(out, 1.0, rtol=0, atol=1e-9)
 
     def test_row_determinism(self, rows_only):
         """``TestGridEngine.test_determinism`` on the row path: an unsorted

@@ -131,6 +131,28 @@ class TestTruncationRadius:
         with pytest.raises(ValueError):
             truncation_radius(KernelParams(1.0, 1.0), 1.0)
 
+    @pytest.mark.parametrize("q", [1e-300, 1e300, 1.7e308])
+    def test_extreme_q_is_finite(self, q):
+        """(q + 1/q) / eps overflows for q or 1/q above about 1e296; the
+        logarithms are then taken apart.  KernelParams accepts any finite q."""
+        p = KernelParams(q, 1.0)
+        eps = 1e-12
+        assert truncation_radius(p, eps) == pytest.approx(1.0 + math.log(p.q_sum) - math.log(eps), rel=1e-15)
+        assert math.isfinite(QuadratureConfig().radius(p, 1.0))
+        for k in (1, 3, 170):
+            assert math.isfinite(moment_truncation_radius(p, k, eps))
+        assert moment_truncation_radius(p, 3, eps) == pytest.approx(
+            2.0 * (math.log(p.q_sum) + 1.0 + 4.0 * math.log(2.0) + math.log(6.0) - math.log(eps)), rel=1e-14
+        )
+
+    def test_finite_quotients_keep_their_bits(self):
+        for q, beta in [(1.0, 1.0), (2.0, 0.5), (1e-6, 20.0), (1e-290, 1.0)]:
+            p = KernelParams(q, beta)
+            assert truncation_radius(p, 1e-12) == max(1.0, 1.0 + math.log(p.q_sum / 1e-12) / beta)
+            arg = p.q_sum * math.exp(beta) * 2.0**4 * 6.0 / (beta**3 * 1e-13)
+            radius = max(truncation_radius(p, 1e-13), (2.0 / beta) * math.log(max(arg, 2.0)))
+            assert moment_truncation_radius(p, 3, 1e-13) == radius
+
     @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-10])
     def test_tail_below_eps(self, eps):
         p = KernelParams(2.0, 1.0)
