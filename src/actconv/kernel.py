@@ -120,43 +120,104 @@ def nu(params: KernelParams, x) -> float | np.ndarray:
     return _ret(out, scalar)
 
 
-def _g_of_w(w: np.ndarray, beta: float) -> np.ndarray:
+def _magnitude(x, shift: float = 0.0):
+    """x as an array of at least one dimension, |x + shift| in a new
+    buffer, its largest element, and whether x is a scalar.  Raises unless
+    x is finite: the largest |x + shift| is finite exactly when every x
+    is, so one reduction serves as the check."""
+    arr = np.asarray(x, dtype=float)
+    scalar = arr.ndim == 0
+    if scalar:
+        arr = arr.reshape(1)
+    if shift:
+        t = np.add(arr, shift)
+        np.abs(t, out=t)
+    else:
+        t = np.abs(arr)
+    top = float(np.maximum.reduce(t, axis=None, initial=0.0))
+    if not math.isfinite(top):
+        raise ValueError("x must be finite")
+    return arr, t, top, scalar
+
+
+# e^-708 is a normal double (below e^-708.4 they are subnormal): no
+# exponential that g is built on (e^{-beta |x|} and c e^{-beta |x|}, or
+# e^-|ln w| in the wide form) leaves the normal range unless
+# beta max|x| + |ln q| exceeds this
+_NORMAL_DECAY = 708.0
+# the smallest normal double
+_TINY = 2.0**-1022
+
+
+def _g_of_w(w: np.ndarray, beta: float, den: np.ndarray, sq: np.ndarray) -> np.ndarray:
     # Cancellation-free form of (nu(t+1) - nu(t-1)) / 4, valid for t >= 0.
-    # With w = q e^{-beta t}: g = w sinh(beta) / (1 + 2 w cosh(beta) + w^2).
-    return w * math.sinh(beta) / (1.0 + 2.0 * math.cosh(beta) * w + w * w)
+    # With w = q e^{-beta t}: g = w sinh(beta) / (1 + 2 w cosh(beta) + w^2),
+    # computed in place in w (den and sq are scratch) in that order of
+    # operations.
+    np.multiply(w, 2.0 * math.cosh(beta), out=den)
+    den += 1.0
+    np.multiply(w, w, out=sq)
+    den += sq
+    w *= math.sinh(beta)
+    w /= den
+    return w
 
 
-def _g_of_log_w(s: np.ndarray, beta: float) -> np.ndarray:
+def _g_of_log_w(s: np.ndarray, beta: float, den: np.ndarray, tmp: np.ndarray, deep: bool) -> np.ndarray | None:
     # The same g from s = ln w, for any w and beta: g(w) = g(1/w), so with
     # u = e^-|s| <= 1 and E = e^-beta, g = u (1 - E^2) / (2 (u + E) (1 + u E)),
-    # where nothing overflows (far out, where u underflows, g is 0 as in
-    # _g_of_w where e^-beta t does).
-    u = np.exp(-np.abs(s))
+    # where nothing overflows; in place in s (den and tmp are scratch), in
+    # that order of operations.  Returns the elements whose u is below the
+    # normal range if ``deep``, else None.
+    np.abs(s, out=s)
+    np.negative(s, out=s)
+    u = np.exp(s, out=s)
+    tails = u < _TINY if deep else None
     e = math.exp(-beta)
-    return u * -math.expm1(-2.0 * beta) / (2.0 * (u + e) * (1.0 + u * e))
+    np.add(u, e, out=den)
+    den *= 2.0
+    np.multiply(u, e, out=tmp)
+    tmp += 1.0
+    den *= tmp
+    u *= -math.expm1(-2.0 * beta)
+    u /= den
+    return tails
 
 
-def _g_right(q: float, beta: float, t: np.ndarray, wide: bool) -> np.ndarray:
-    if wide:
-        return _g_of_log_w(math.log(q) - beta * t, beta)
-    return _g_of_w(q * np.exp(-beta * t), beta)
+def _g_tail(s: np.ndarray, beta: float) -> np.ndarray:
+    # g from s = ln w where an exponential of the forms above is below the
+    # normal range: it has lost bits there, or all of them, though g may
+    # still be a normal number.  w = e^-|s| (by g(w) = g(1/w)) is then so
+    # small that w^2 is lost next to 1: g = w sinh(beta) / (1 + 2 w
+    # cosh(beta)), each product one exponential of a sum.
+    s = -np.abs(s)
+    return np.exp(s + math.log(math.sinh(beta))) / (1.0 + np.exp(s + math.log(2.0 * math.cosh(beta))))
 
 
 def g(params: KernelParams, x) -> float | np.ndarray:
     """Density (nu(x+1) - nu(x-1)) / 4; strictly positive on the real line.
 
     The negative axis is routed through the reflection g_q(-x) = g_{1/q}(x),
-    so the deformed symmetry holds bit-exactly.
+    so the deformed symmetry holds bit-exactly: every point is taken at
+    t = |x| with c = q or 1/q by its sign.
     """
-    arr, scalar = _prepare(x)
-    wide = params._wide
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    if pos.any():
-        out[pos] = _g_right(params.q, params.beta, arr[pos], wide)
-    neg = ~pos
-    if neg.any():
-        out[neg] = _g_right(1.0 / params.q, params.beta, -arr[neg], wide)
+    arr, t, top, scalar = _magnitude(x)
+    q, beta = params.q, params.beta
+    deep = beta * top + abs(math.log(q)) > _NORMAL_DECAY
+    scratch = np.empty_like(t)
+    if params._wide:
+        t *= beta
+        out = np.subtract(np.where(arr >= 0.0, math.log(q), math.log(1.0 / q)), t)
+        tails = _g_of_log_w(out, beta, t, scratch, deep)
+    else:
+        t *= -beta
+        e = np.exp(t, out=t)
+        out = e * np.where(arr >= 0.0, q, 1.0 / q)
+        tails = (e < _TINY) | (out < _TINY) if deep else None
+        _g_of_w(out, beta, e, scratch)
+    if tails is not None:
+        x = arr[tails]
+        out[tails] = _g_tail(np.where(x >= 0.0, math.log(q), math.log(1.0 / q)) - beta * np.abs(x), beta)
     return _ret(out, scalar)
 
 
@@ -164,18 +225,41 @@ def psi(params: KernelParams, x) -> float | np.ndarray:
     """Symmetrized density (g_q(x) + g_{1/q}(x)) / 2; even, positive, unit mass.
 
     Evaluated through |x|, so psi(x) == psi(-x) holds exactly in floating
-    point.
+    point.  g_q and g_{1/q} are formed from one shared e^{-beta |x|} (beta
+    |x| in the wide form), which gives the bits of two calls of g, in place
+    in four buffers; at q = 1 they coincide, and (g + g) / 2 is g exactly,
+    so g is computed once, in three.
     """
-    arr, scalar = _prepare(x)
-    # g_q and g_{1/q} share e^{-beta |x|} (or beta |x|, in the wide form);
-    # forming w = q e and (1/q) e from one exponential gives the same bits
-    # as two calls of _g_right
-    if params._wide:
-        decay = params.beta * np.abs(arr)
-        wq, wr = (_g_of_log_w(math.log(c) - decay, params.beta) for c in (params.q, 1.0 / params.q))
-        return _ret(0.5 * (wq + wr), scalar)
-    e = np.exp(-params.beta * np.abs(arr))
-    out = 0.5 * (_g_of_w(params.q * e, params.beta) + _g_of_w((1.0 / params.q) * e, params.beta))
+    arr, shared, top, scalar = _magnitude(x)
+    q, beta, wide = params.q, params.beta, params._wide
+    deep = beta * top + abs(math.log(q)) > _NORMAL_DECAY
+    if wide:
+        shared *= beta
+    else:
+        shared *= -beta
+        np.exp(shared, out=shared)
+        # w = c e is at least e for c >= 1, so there e leaves the normal range first
+        low = shared < _TINY if deep else None
+    scratch = np.empty_like(shared), np.empty_like(shared)
+
+    def deformation(c: float, out: np.ndarray) -> np.ndarray:
+        """g_c(|x|) in ``out``, from the shared buffer (``out`` may be it)."""
+        if wide:
+            tails = _g_of_log_w(np.subtract(math.log(c), shared, out=out), beta, *scratch, deep)
+        else:
+            if c != 1.0:
+                np.multiply(shared, c, out=out)
+            tails = low if c >= 1.0 or not deep else out < _TINY
+            _g_of_w(out, beta, *scratch)
+        if tails is not None:
+            out[tails] = _g_tail(math.log(c) - beta * np.abs(arr[tails]), beta)
+        return out
+
+    if q == 1.0:
+        return _ret(deformation(1.0, shared), scalar)
+    out = deformation(q, np.empty_like(shared))
+    out += deformation(1.0 / q, shared)
+    out *= 0.5
     return _ret(out, scalar)
 
 
@@ -193,25 +277,53 @@ def psi_average(params: KernelParams, x) -> float | np.ndarray:
     The last form holds no e^beta, so it stays finite while E is a normal
     number (beta below about 700, as for psi).  One log1p of the product
     keeps the absolute error near 1e-16, and the relative error in the
-    tails is that of the exponentials.
+    tails is that of the exponentials.  The arithmetic runs in place in
+    three buffers; at q = 1, z(t_q) and z(t_{1/q}) coincide and z is
+    computed once, in two.
     """
-    arr, scalar = _prepare(x)
+    _, y, _, scalar = _magnitude(x, 0.5)
     beta = params.beta
     e = math.exp(-beta)
     lift = math.expm1(-beta) * math.expm1(-2.0 * beta)
-    y = beta * np.abs(arr + 0.5) - 1.5 * beta
+    floor = e + e * e
     log_q = math.log(params.q)
-    # far out an exponential overflows and z is 0; at beta above about 350
-    # the product overflows near the peak, and there the logarithms are
-    # taken apart
+    # y = beta |x + 1/2| - 3 beta / 2
+    y *= beta
+    y -= 1.5 * beta
+
+    def z(c: float, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+        """lift / (E + E^2 + e^(y - c) + e^(-y - 3 beta + c)) in ``out``;
+        ``tmp`` may be y itself on its last use."""
+        np.subtract(y, c, out=out)
+        np.exp(out, out=out)
+        np.negative(y, out=tmp)
+        tmp -= 3.0 * beta
+        tmp += c
+        np.exp(tmp, out=tmp)
+        out += floor
+        out += tmp
+        return np.divide(lift, out, out=out)
+
+    # far out an exponential overflows and z is 0; each z is below 1 / E,
+    # so the product is below e^(2 beta) + 2 e^beta, which overflows only at
+    # beta above 354, near the peak, and there the logarithms are taken
+    # apart
     with np.errstate(over="ignore"):
-        z_q, z_inv = (lift / (e + e * e + np.exp(y - c) + np.exp(-y - 3.0 * beta + c)) for c in (log_q, -log_q))
-        both = z_q + z_inv * (1.0 + z_q)
-    out = np.log1p(both)
-    big = np.isinf(both)
-    if big.any():
+        tmp = np.empty_like(y)
+        if log_q == 0.0:
+            z_q = z_inv = z(log_q, tmp, y)
+        else:
+            z_q = z(log_q, np.empty_like(y), tmp)
+            z_inv = z(-log_q, tmp, y)
+        both = np.add(z_q, 1.0, out=y)
+        both *= z_inv
+        both += z_q
+    big = np.isinf(both) if beta > 354.0 else None
+    out = np.log1p(both, out=both)
+    if big is not None:
         out[big] = np.log1p(z_q[big]) + np.log1p(z_inv[big])
-    return _ret(out / (4.0 * beta), scalar)
+    out /= 4.0 * beta
+    return _ret(out, scalar)
 
 
 def _moments_of_sum(a: list[float], b: list[float]) -> list[float]:

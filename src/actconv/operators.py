@@ -456,41 +456,49 @@ _MAX_TILING = 2**17
 _TILING_CHUNK = 256
 
 
+def _tiling(radius: float, width: float) -> tuple[int, int]:
+    """The first panel index of the tiling of [-R, R] at ``width`` and one past its last."""
+    return math.floor(-radius / width) - 1, math.ceil(radius / width) + 1
+
+
 @lru_cache(maxsize=64)
+def _tiling_error(k: _Kernel, radius: float, width: float) -> float:
+    """The sum of the |K15 - G7| estimates of GK15 panels of width W
+    tiling [-R, R] on the kind's kernel k, the largest over the tilings
+    offset by 0, W/4, W/2 and 3W/4: aligned at 0 alone, psi at beta = 20
+    would pass at W = 2, its edges at +-1 sitting on panel midpoints, where
+    K15 and G7 both integrate the odd part exactly.  The kernel is
+    evaluated ``_TILING_CHUNK`` panels at a time.  Cached, so the stages of
+    a chain, whose inputs differ, tile the kernel once per width."""
+    i = np.arange(*_tiling(radius, width))
+    errors = np.empty((4, i.size))
+    for c0 in range(0, i.size, _TILING_CHUNK):
+        mids = (i[c0:c0 + _TILING_CHUNK] + np.array([0.0, 0.25, 0.5, 0.75])[:, None] + 0.5) * width
+        values = k(mids[:, :, None] + 0.5 * width * GK15_NODES)
+        panel = np.abs((values * (GK15_WEIGHTS - G7_WEIGHTS)).sum(axis=2))
+        errors[:, c0:c0 + _TILING_CHUNK] = 0.5 * width * panel
+    return float(errors.sum(axis=1).max())
+
+
 def _kernel_width(k: _Kernel, radius: float, tol: float, scale: float) -> float | None:
     """The kernel's own panel scale W in v, a power of two at which GK15
     panels of width W tiling [-R, R] integrate the kind's kernel k with
-    ``scale`` times the sum of their |K15 - G7| estimates within ``tol``
-    (``cfg.tol``, the grid's allowance at values up to 1): W = 1 if it
-    passes and then doubled while 2 W passes and fits in R, else halved
-    until it passes or reaches 2^-10.  The sum is
-    the largest over the tilings offset by 0, W/4, W/2 and 3W/4: aligned at
-    0 alone, psi at beta = 20 would pass at W = 2, its edges at +-1 sitting
-    on panel midpoints, where K15 and G7 both integrate the odd part
-    exactly.  psi is analytic in the strip |Im v| < pi / beta, and so are
-    its averages, so W scales like 1 / beta: for psi at tol = 1e-10
+    ``scale`` times ``_tiling_error`` within ``tol`` (``cfg.tol``, the
+    grid's allowance at values up to 1): W = 1 if it passes and then
+    doubled while 2 W passes and fits in R, else halved until it passes or
+    reaches 2^-10.  psi is analytic in the strip |Im v| < pi / beta, and so
+    are its averages, so W scales like 1 / beta: for psi at tol = 1e-10
     and scale 1 it is 4 at beta = 0.5, 2 at beta = 1, 1/2 at
     (q, beta) = (1e-3, 3) and (1, 5), and 1/8 at (1, 20).
 
-    The kernel is evaluated ``_TILING_CHUNK`` panels at a time.  None when
-    the tiling at width 1 has more than ``_MAX_TILING`` panels: so wide a
-    kernel (R = 2.8e10 at beta = 1e-9) would take hours to tile."""
-
-    def tiling(width: float) -> tuple[int, int]:
-        """The first panel index of the tiling at ``width`` and one past its last."""
-        return math.floor(-radius / width) - 1, math.ceil(radius / width) + 1
+    None when the tiling at width 1 has more than ``_MAX_TILING`` panels:
+    so wide a kernel (R = 2.8e10 at beta = 1e-9) would take hours to
+    tile."""
 
     def resolved(width: float) -> bool:
-        i = np.arange(*tiling(width))
-        errors = np.empty((4, i.size))
-        for c0 in range(0, i.size, _TILING_CHUNK):
-            mids = (i[c0:c0 + _TILING_CHUNK] + np.array([0.0, 0.25, 0.5, 0.75])[:, None] + 0.5) * width
-            values = k(mids[:, :, None] + 0.5 * width * GK15_NODES)
-            panel = np.abs((values * (GK15_WEIGHTS - G7_WEIGHTS)).sum(axis=2))
-            errors[:, c0:c0 + _TILING_CHUNK] = 0.5 * width * panel
-        return scale * float(errors.sum(axis=1).max()) <= tol
+        return scale * _tiling_error(k, radius, width) <= tol
 
-    first, stop = tiling(1.0)
+    first, stop = _tiling(radius, 1.0)
     if stop - first > _MAX_TILING:
         return None
     width = 1.0
@@ -680,9 +688,10 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec, xs, cfg: QuadratureConfig
     """Evaluate the operator at every point of ``xs`` in one pass.
 
     All points share a single panel decomposition in the sample variable
-    u; panels are seeded at the kernel's resolution scale 1/n plus the
-    kinks of f, then bisected greedily until the worst point's accumulated
-    error estimate is within ``cfg.allowance`` of the largest |value|,
+    u; panels are seeded at the kernel's own scale W/n (see the lattice
+    and row seeds below) plus the kinks of f, then bisected greedily until
+    the worst point's accumulated error estimate is within
+    ``cfg.allowance`` of the largest |value|,
     tol max(1, max |value|).  Each panel is evaluated only on the grid
     points within R/n of it, R the truncation radius of the kind's kernel
     (psi's, ``cfg.radius(spec.params, f.sup_norm)``, plus 1 for the two
@@ -739,9 +748,16 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec, xs, cfg: QuadratureConfig
     first weights are the current totals.  A lattice panel holding a kink
     is cut there and its pieces are evaluated as rows in the same round.  If a
     lattice round meets tolerance, its totals are the result; if none
-    does, the call goes on from the row seeds above (the lattice keeps no
-    rows to refine), so refinement rounds, Chebyshev nodes and other grids
-    take the row path exactly as before.
+    does, the call goes on from the row seeds (the lattice keeps no rows
+    to refine), as refinement rounds, Chebyshev nodes and other grids do.
+
+    Row seeds: each window [lo, hi] is cut into ceil((hi - lo) n / W)
+    equal panels (at least 8, at most its panel budget), W/n wide as the
+    lattice panels are.  Where ulp(max |x|) times the lattice's drift
+    slope 2 n g_max sup |f| exceeds tol / 10, as far from the origin, or
+    the kernel is too wide to tile, they are 1/n wide instead: the points'
+    own rounding then shows in the K15 - G7 estimates as noise, which
+    finer seeds average out.
     """
     cfg = cfg or DEFAULT_CONFIG
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -776,11 +792,17 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec, xs, cfg: QuadratureConfig
     # below tol / 10
     slope = 2.0 * n * spec.params.g_max_value * f.sup_norm
     uniform = lows.size == 1 and grid.size >= 2 and np.array_equal(grid, np.linspace(grid[0], grid[-1], grid.size))
-    if uniform and _drift(grid) * slope <= 0.1 * cfg.tol:
+    lattice_ok = uniform and _drift(grid) * slope <= 0.1 * cfg.tol
+    # the row seeds are W/n wide as well, but stay 1/n wide where the
+    # points' own rounding, ulp(max |x|), could move a value by tol / 10
+    # in the same way: finer seeds average more of that noise out of the
+    # K15 - G7 estimates
+    rows_ok = float(np.spacing(max(abs(grid[0]), abs(grid[-1])))) * slope <= 0.1 * cfg.tol
+    # no width: a kernel too wide to tile takes the rows, seeded at 1/n
+    width = _kernel_width(k, radius, cfg.tol, f.sup_norm) if lattice_ok or rows_ok else None
+    if lattice_ok:
         # panels at the kernel's own scale W/n first, then at min(W/2, 1)/n:
         # the width test samples four phases of the tiling, not the grid's
-        width = _kernel_width(k, radius, cfg.tol, f.sup_norm)
-        # no width: a kernel too wide to tile goes to the rows
         for w in () if width is None else (width, min(0.5 * width, 1.0)):
             lattice = _lattice(f, spec, grid, reach, budget, w)
             if lattice is not None:
@@ -791,9 +813,10 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec, xs, cfg: QuadratureConfig
     # the seeds are evaluated as rows
     anchors = 0.5 * (lows + highs)
     offset = grid - np.repeat(anchors, np.diff(bounds))
+    seed = width if rows_ok and width is not None else 1.0
     seeds = []
     for lo, hi, c, cap in zip(lows.tolist(), highs.tolist(), anchors.tolist(), caps):
-        count = max(2, min(max(math.ceil((hi - lo) * n), 8), cap))
+        count = max(2, min(max(math.ceil((hi - lo) * n / seed), 8), cap))
         edges = np.linspace(lo - c, hi - c, count + 1)
         inner = sorted({kink - c for kink in f.kinks if lo < kink < hi})[: max(0, cap - count)]
         if inner:

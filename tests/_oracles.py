@@ -8,12 +8,16 @@ refreshed:
 
 The reference functions below (psi_mp, psi_average_mp, central_moment_mp,
 ...) also serve the tests directly, at the precision of the caller's
-``mp.workdps`` context.
+``mp.workdps`` context.  ``g_expr``, ``psi_expr`` and ``psi_average_expr``
+are the package's kernel expressions as first written, one numpy temporary
+per operation: the in-place kernels must give their bits.
 """
 
 import functools
+import math
 
 import mpmath as mp
+import numpy as np
 
 
 def nu_mp(q, beta, x):
@@ -26,6 +30,71 @@ def g_mp(q, beta, x):
 
 def psi_mp(q, beta, x):
     return (g_mp(q, beta, x) + g_mp(1 / q, beta, x)) / 2
+
+
+def _g_of_w_expr(w, beta):
+    return w * math.sinh(beta) / (1.0 + 2.0 * math.cosh(beta) * w + w * w)
+
+
+def _g_of_log_w_expr(s, beta):
+    u = np.exp(-np.abs(s))
+    e = math.exp(-beta)
+    return u * -math.expm1(-2.0 * beta) / (2.0 * (u + e) * (1.0 + u * e))
+
+
+def _g_right_expr(q, beta, t, wide):
+    if wide:
+        return _g_of_log_w_expr(math.log(q) - beta * t, beta)
+    return _g_of_w_expr(q * np.exp(-beta * t), beta)
+
+
+def g_expr(params, x):
+    """``kernel.g`` on a 1-d array, each sign of x on its own."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = _g_right_expr(params.q, params.beta, x[pos], params._wide)
+    out[~pos] = _g_right_expr(1.0 / params.q, params.beta, -x[~pos], params._wide)
+    return out
+
+
+def psi_expr(params, x):
+    """``kernel.psi``: both deformations from one exponential of beta |x|."""
+    if params._wide:
+        decay = params.beta * np.abs(x)
+        wq, wr = (_g_of_log_w_expr(math.log(c) - decay, params.beta) for c in (params.q, 1.0 / params.q))
+        return 0.5 * (wq + wr)
+    e = np.exp(-params.beta * np.abs(x))
+    return 0.5 * (_g_of_w_expr(params.q * e, params.beta) + _g_of_w_expr((1.0 / params.q) * e, params.beta))
+
+
+def psi_average_expr(params, x):
+    """``kernel.psi_average``: one log1p of (1 + z_q)(1 + z_1/q) - 1."""
+    beta = params.beta
+    e = math.exp(-beta)
+    lift = math.expm1(-beta) * math.expm1(-2.0 * beta)
+    y = beta * np.abs(x + 0.5) - 1.5 * beta
+    log_q = math.log(params.q)
+    with np.errstate(over="ignore"):
+        z_q, z_inv = (lift / (e + e * e + np.exp(y - c) + np.exp(-y - 3.0 * beta + c)) for c in (log_q, -log_q))
+        both = z_q + z_inv * (1.0 + z_q)
+    out = np.log1p(both)
+    big = np.isinf(both)
+    out[big] = np.log1p(z_q[big]) + np.log1p(z_inv[big])
+    return out / (4.0 * beta)
+
+
+def exponentials_normal(params, x):
+    """Where every exponential that ``psi_expr`` and ``g_expr`` are built on,
+    for both deformations, is a normal double: e^(-beta |x|) and
+    c e^(-beta |x|) for c = q and 1/q, or e^-|ln c - beta |x||, in the wide
+    form.  Elsewhere the kernels take their tails from ln w instead."""
+    tiny = 2.0**-1022
+    t = np.abs(x)
+    if params._wide:
+        return np.all([np.exp(-np.abs(math.log(c) - params.beta * t)) >= tiny
+                       for c in (params.q, 1.0 / params.q)], axis=0)
+    e = np.exp(-params.beta * t)
+    return np.minimum(e, min(params.q, 1.0 / params.q) * e) >= tiny
 
 
 def moment_bound_mp(q, beta, k):

@@ -31,7 +31,16 @@ from actconv import (
 from actconv.kernel import MAX_BETA, psi_average, psi_moments
 from actconv.quadrature import moment_truncation_radius
 
-from _oracles import psi_average_mp, psi_mp, psi_raw_moments_mp
+from _oracles import (
+    exponentials_normal,
+    g_expr,
+    g_mp,
+    psi_average_expr,
+    psi_average_mp,
+    psi_expr,
+    psi_mp,
+    psi_raw_moments_mp,
+)
 from conftest import PARAM_GRID
 
 
@@ -197,16 +206,84 @@ class TestWideParameters:
 
     def test_narrow_parameters_keep_their_bits(self):
         """Elsewhere psi is still w sinh(beta) / (1 + 2 w cosh(beta) + w^2)
-        averaged over w = q e and e / q, bit for bit."""
+        averaged over w = q e and e / q, bit for bit, wherever e and w are
+        normal numbers.  Beyond that, at (1e-100, 400) from |x| = 1.78 on,
+        psi takes its tails from ln w (``TestKernelTails``), where this
+        form gave 0 though psi is still as large as 1e-51."""
         xs = np.linspace(-30.0, 30.0, 601)
         for q, beta in [(1.0, 1.0), (2.0, 0.5), (1e-6, 20.0), (1e150, 0.5), (1e-100, 400.0)]:
+            params = KernelParams(q, beta)
             e = np.exp(-beta * np.abs(xs))
             expected = 0.5 * sum(w * math.sinh(beta) / (1.0 + 2.0 * math.cosh(beta) * w + w * w)
                                  for w in (q * e, (1.0 / q) * e))
-            np.testing.assert_array_equal(psi(KernelParams(q, beta), xs), expected)
+            normal = exponentials_normal(params, xs)
+            assert normal.all() or (q, beta) == (1e-100, 400.0)
+            np.testing.assert_array_equal(psi(params, xs)[normal], expected[normal])
 
     def test_psi_average_at_the_limit(self):
         assert np.all(np.isfinite(psi_average(KernelParams(1e300, MAX_BETA), np.linspace(-3.0, 2.0, 51))))
+
+
+class TestOnePassKernels:
+    """psi, g and psi_average run their arithmetic in place, and psi (and
+    psi_average) compute one deformation at q = 1, without changing a bit
+    of the expressions as first written (``_oracles.psi_expr`` and
+    friends, one temporary per operation)."""
+
+    @pytest.mark.parametrize("beta", [0.05, 1.0, 20.0, 700.0])
+    @pytest.mark.parametrize("q", [1.0, 3.0, 1e-6, 1e6])
+    def test_bits_of_the_expressions(self, q, beta):
+        """On +-0, both peaks and their edges, random points and the tails
+        out to where the exponentials leave the normal range (the wide form
+        at beta = 700, q != 1), all but the elements that take the tails
+        from ln w; scalars too, and psi(x) == psi(-x) exactly."""
+        params = KernelParams(q, beta)
+        rng = np.random.default_rng(11)
+        peak = abs(math.log(q)) / beta
+        reach = 720.0 / beta + peak  # past the normal range of e^(-beta |x|)
+        spots = np.array([0.0, 1.0, peak - 1.0, peak, peak + 1.0, reach])
+        xs = np.concatenate(([0.0, -0.0], spots, -spots, rng.uniform(-3.0, 3.0, 300),
+                             rng.uniform(-reach, reach, 600), np.linspace(-reach, reach, 301)))
+        normal = exponentials_normal(params, xs)
+        assert normal.sum() > 800 and (~normal).sum() > 10
+        for name, kernel, expr in [("psi", psi, psi_expr), ("g", g, g_expr)]:
+            np.testing.assert_array_equal(kernel(params, xs)[normal], expr(params, xs)[normal], err_msg=name)
+        np.testing.assert_array_equal(psi_average(params, xs), psi_average_expr(params, xs))
+        for x in xs[normal][::50]:
+            one = np.array([x])
+            assert psi(params, x) == psi_expr(params, one)[0]
+            assert g(params, x) == g_expr(params, one)[0]
+            assert psi_average(params, x) == psi_average_expr(params, one)[0]
+        np.testing.assert_array_equal(psi(params, xs), psi(params, -xs))
+
+
+class TestKernelTails:
+    """Where e^(-beta |x|), c e^(-beta |x|) or (in the wide form)
+    e^-|ln w| is below the normal range, psi and g take g from ln w, and
+    stay normal numbers wherever g is one."""
+
+    @pytest.mark.parametrize(
+        "q, beta",
+        [(3.0, 700.0), (1.0, 100.0), (1e-6, 20.0), (1e150, 20.0), (1e-100, 355.0), (1e300, 20.0)],
+        ids=lambda v: f"{v:g}",
+    )
+    def test_matches_mpmath(self, q, beta):
+        """Against the raw definition at 800 digits, across the tails of
+        both deformations (psi(1.3) at (3, 700) is 5.2e-92, and at (1, 100)
+        psi(7.5) is 2.6e-283; both used to be 0): within 3e-13 wherever the
+        value is normal, the rounding of beta |x| (below 1500) in ulps."""
+        params = KernelParams(q, beta)
+        reach = 1450.0 / beta + abs(math.log(q)) / beta
+        xs = np.concatenate((np.linspace(-reach, reach, 121), [1.3, 7.5, -7.5]))
+        with mp.workdps(800):
+            q_mp, beta_mp = mp.mpf(q), mp.mpf(beta)
+            expected_psi = np.array([float(psi_mp(q_mp, beta_mp, mp.mpf(x))) for x in xs])
+            expected_g = np.array([float(g_mp(q_mp, beta_mp, mp.mpf(x))) for x in xs])
+        tails = ~exponentials_normal(params, xs)
+        for got, expected in [(psi(params, xs), expected_psi), (g(params, xs), expected_g)]:
+            normal = expected >= 2.0**-1022
+            assert (normal & tails).sum() >= 3
+            np.testing.assert_allclose(got[normal], expected[normal], rtol=3e-13, atol=0)
 
 
 class TestPsiAverage:

@@ -6,6 +6,7 @@ shared-panel grid path and against brute-force sample-space quadrature.
 """
 
 import cmath
+import functools
 import math
 import os
 import re
@@ -510,10 +511,16 @@ class TestLatticeSeeds:
 
     @pytest.mark.parametrize("n", [9, 100, 1000])
     @pytest.mark.parametrize("f", [SIN, ABS], ids=lambda f: f.name)
-    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind.value)
+    @pytest.mark.parametrize(
+        "spec",
+        ALL_SPECS + [replace(s, params=KernelParams(1.0, beta)) for beta in (0.5, 20.0) for s in ALL_SPECS],
+        ids=lambda s: s.kind.value if s.params == P11 else f"{s.kind.value}-beta{s.params.beta:g}",
+    )
     def test_lattice_agrees_with_rows(self, grid, spec, f, n):
         """An interior point moved by one ulp makes the grid non-uniform and
-        sends it down the row path; both paths agree at every point."""
+        sends it down the row path; both paths agree at every point, the
+        rows seeded W/n wide as the lattice's panels are (W = 2 at beta = 1,
+        4 at beta = 0.5 and 1/8 at beta = 20)."""
         spec = replace(spec, n=n)
         nudged = grid.points.copy()
         nudged[777] = np.nextafter(nudged[777], np.inf)
@@ -543,6 +550,42 @@ class TestLatticeSeeds:
         picks = np.arange(0, xs.size, 100)
         expected = [_exact_sin(spec, x) for x in xs[picks]]
         np.testing.assert_allclose(apply_on_grid(SIN, spec, xs)[picks], expected, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("centre, width", [(0.0, 2.0), (1e6, 1.0)], ids=["origin", "far"])
+    def test_row_seeds_at_the_kernel_width(self, monkeypatch, centre, width):
+        """On a grid that is not uniform the seeds are rows: at q = beta = 1
+        each window [lo, hi] seeds ceil((hi - lo) n / W) panels, W = 2 as
+        for the lattice.  Around 1e6, where ulp(x) times the drift slope
+        2 n g_max sup |f| exceeds tol / 10, the seeds stay 1/n wide."""
+        spec = OperatorSpec(OperatorKind.BASIC, 100, P11)
+        xs = centre + np.concatenate((_nudged(np.linspace(-3.0, -1.0, 401), 200), np.linspace(2.0, 3.0, 101)))
+        reach = QuadratureConfig().radius(P11, SIN.sup_norm) / spec.n
+        windows = [(xs[0] - reach, xs[400] + reach), (xs[401] - reach, xs[-1] + reach)]
+        attempts, rows = _seed_rounds(monkeypatch)
+        apply_on_grid(SIN, spec, xs)
+        assert attempts == []
+        assert rows[0] == sum(math.ceil((hi - lo) * spec.n / width) for lo, hi in windows)
+
+    def test_iterate_tiles_the_kernel_once_per_width(self, monkeypatch):
+        """Every ``apply_on_grid`` call of the three stages looks up the
+        kernel's width, and the stages' inputs differ; the tiling's error
+        sum is cached per (kernel, radius, width), so each width is tiled
+        once: 1 and 2 pass at q = beta = 1, and 4 does not."""
+        tiled = []
+        tiling_error = operators._tiling_error.__wrapped__
+
+        @functools.lru_cache(maxsize=None)
+        def counted(k, radius, width):
+            tiled.append(width)
+            return tiling_error(k, radius, width)
+
+        monkeypatch.setattr(operators, "_tiling_error", counted)
+        width = operators._kernel_width
+        lookups = []
+        monkeypatch.setattr(operators, "_kernel_width", lambda *args: lookups.append(args) or width(*args))
+        iterate(SIN, OperatorSpec(OperatorKind.BASIC, 16, P11), 3, (-3.0, 3.0))
+        assert len(lookups) >= 3 and len({args[-1] for args in lookups}) >= 2
+        assert tiled == [1.0, 2.0, 4.0]
 
     def test_subnormal_step_takes_the_row_path(self, monkeypatch):
         """A grid step so small that W / (h n) is too large for an int (here
@@ -849,10 +892,10 @@ class TestLatticeSeeds:
             params = KernelParams(1.0, beta)
             k = operators._Kernel(OperatorKind.BASIC, params)
             radius = truncation_radius(params, QuadratureConfig().truncation_eps)
+            operators._tiling_error.cache_clear()  # so that every call does the work
             tracemalloc.start()
             try:
-                # uncached, so that every call does the work
-                assert operators._kernel_width.__wrapped__(k, radius, 1e-10, 1.0) == width
+                assert operators._kernel_width(k, radius, 1e-10, 1.0) == width
                 assert tracemalloc.get_traced_memory()[1] < peak_bytes
             finally:
                 tracemalloc.stop()
