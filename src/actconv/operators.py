@@ -38,11 +38,11 @@ Two evaluation paths share the same nested Kronrod rule:
   1/8 at beta = 20): a cell of M grid steps holds m panels of width
   h M / m, the widest not above W/n with small M and m.  f is sampled at
   the nodes of all lattice panels, about a thousand panels per call, and
-  each block of cells adds its terms to the per-point totals with one
-  ``np.bincount``.  The lattice places point i at x0 + i h, which
-  differs from the double x_i by up to ulp(x_i) / 2, so grids far from
-  the origin, where that drift would show in the result, keep the row
-  seeds.
+  the terms of all cells at M consecutive offsets (a slab) reach the
+  per-point totals by one in-place add.  The lattice places point i at
+  x0 + i h, which differs from the double x_i by up to ulp(x_i) / 2, so
+  grids far from the origin, where that drift would show in the result,
+  keep the row seeds.
 
 Accuracy is set by one knob, ``QuadratureConfig.tol``: both paths accept
 a value v once its error estimate is within ``cfg.allowance(v)`` =
@@ -552,26 +552,34 @@ def _lattice(f: TestFunction, spec: OperatorSpec, grid: np.ndarray, reach: float
     point i from cell q: the kind's kernel is evaluated once, on the table
     T[r, k, j].  f is sampled at the nodes of every lattice panel, at most
     ``_CHUNK_ROWS`` panels per call, and the samples are weighted once.
-    Cells are then taken in blocks of at most 15 ``_CHUNK_ROWS`` (panel,
-    offset) terms.  Each term, a K15 value and its |K15 - G7| estimate, is
-    a contraction of the panel's 15 weighted samples with T: one matrix
-    product per panel row r of the block (``_contract``), whose entries do
-    not depend on the block's shape or the BLAS thread count.  A cell's
-    panels are added in order, and the block's terms go to the points with
-    one ``np.bincount`` each for the values and the estimates: its first
-    weights are the current totals over the block's span, then the terms
-    by (cell, offset) in row-major order, and it adds them in that order.
-    So every point receives its terms in ascending cell order, and the
-    totals do not depend on the block size.
+    Each term, a K15 value and its |K15 - G7| estimate, is a contraction
+    of the panel's 15 weighted samples with T.  The terms of cell q at the
+    offsets [p M, (p + 1) M), slab p, land on the M points M (q + p) + s,
+    0 <= s < M, which no other cell's slab-p terms reach: a slab of all
+    cells is one in-place add onto a contiguous run of the totals.  T
+    covers whole slabs, zero outside the offsets within reach (a zero
+    term changes no total).  The slabs are taken in groups at least 32
+    offsets wide (wider for wide cells, while a group's terms stay within
+    15 ``_CHUNK_ROWS`` values); a group's cells that reach the grid are
+    contracted in sub-blocks of at most 15 ``_CHUNK_ROWS`` (panel, offset)
+    terms, one matrix product per panel row r (``_contract``), whose
+    entries do not depend on the sub-block's shape or the BLAS thread
+    count, and a cell's panels are added in order.  Groups go from the
+    last slab down, and so do the slabs within a group, so every point
+    receives its terms in ascending cell order, as ``np.add.at`` would
+    add them, whatever the sub-block size.
 
     A lattice panel that contains a kink of f is cut there, and the pieces
     go through ``_evaluate``.  Returns the per-point totals of values and
     error estimates; or None when the seeds would exceed the panel budget
     ``cap``, or when a cell spans more than a quarter of the grid, so that
-    a table value would serve fewer than four cells: there the lattice was
-    measured 1.5 to 5.8 times slower than rows, at four cells 0.8 to 1.4
-    times, and from eight cells on 0.2 to 1.0 times (grids of 41 to 2001
-    points, n = 1 and 4)."""
+    a table value would serve fewer than four cells.  Against rows, the
+    lattice was measured at 0.3 to 1.4 times the time at two or three
+    cells, 0.2 to 0.8 times at four and 0.2 to 1.1 times at eight (grids
+    of 41 to 2001 points, n = 1 and 4, panels no wider than W / n); but a
+    refused W/n lattice gives way to the min(W/2, 1)/n one, with twice the
+    cells, and without the refusal such calls took 0.4 to 1.8 times as
+    long (the W/n lattice missing tolerance at beta = 0.5)."""
     n, size = spec.n, grid.size
     x0 = float(grid[0])
     span = float(grid[-1]) - x0
@@ -595,9 +603,14 @@ def _lattice(f: TestFunction, spec: OperatorSpec, grid: np.ndarray, reach: float
     if edges.size - 1 + cuts.size > cap:
         return None
 
-    offsets = np.arange(j_lo, j_hi + 1)
+    # the offsets in whole slabs of M = stride, the table zero outside
+    # [j_lo, j_hi]: a zero term changes no total
+    p_lo, p_hi = j_lo // stride, j_hi // stride
+    offsets = np.arange(p_lo * stride, (p_hi + 1) * stride)
     nodes = (np.arange(m)[:, None] + 0.5) * w + 0.5 * w * GK15_NODES  # (m, 15) from the cell's left edge
     table = _kernel(spec)(n * (offsets * h - nodes[:, :, None]))
+    table[:, :, :j_lo - offsets[0]] = 0.0
+    table[:, :, j_hi + 1 - offsets[0]:] = 0.0
 
     # the samples of every lattice panel, taken as ``_evaluate`` takes them,
     # times the G7 and then (in place) the K15 weights
@@ -612,37 +625,39 @@ def _lattice(f: TestFunction, spec: OperatorSpec, grid: np.ndarray, reach: float
     gauss = fu[:, :, _GAUSS] * (0.5 * n * w * G7_WEIGHTS[_GAUSS])
     fu *= 0.5 * n * w * GK15_WEIGHTS
 
-    # a block's (m, cells, offsets) accumulators and (2, cells, offsets)
-    # terms stay within 15 _CHUNK_ROWS values, the size of a row chunk's arrays
-    per_block = max(1, GK15_NODES.size * _CHUNK_ROWS // (max(m, 2) * offsets.size))
-    # a block's terms reach at most this far beyond either end of the grid
-    pad = stride * (per_block - 1)
-    values, errors = totals = np.zeros((2, size + 2 * pad))
-    shape = None
-    for q0 in range(0, cells, per_block):
-        q1 = min(q0 + per_block, cells)
-        e0 = max(j_lo, -stride * (q_lo + q1 - 1)) - j_lo
-        e1 = min(j_hi, size - 1 - stride * (q_lo + q0)) - j_lo + 1
-        block = table[:, :, e0:e1]
-        k15 = _contract(fu[q0:q1], block)
-        err = _contract(gauss[q0:q1], block[:, _GAUSS])
-        np.subtract(k15, err, out=err)
-        np.abs(err, out=err)
-        if m > 1:  # each cell's panels summed in order
-            k15, err = _node_sum(k15.reshape(m, -1)), _node_sum(err.reshape(m, -1))
-        # the block's span of the buffer from cell q0's first offset, and
-        # each (cell, offset) term's place in it (the same for every block
-        # of the same shape)
-        first = pad + stride * (q_lo + q0) + j_lo + e0
-        reached = stride * (q1 - q0 - 1) + e1 - e0
-        if (q1 - q0, e1 - e0) != shape:
-            shape = (q1 - q0, e1 - e0)
-            terms_at = (stride * np.arange(q1 - q0))[:, None] + np.arange(e1 - e0)
-            slots = np.concatenate((np.arange(reached), terms_at.ravel()))
-        for row, terms in ((values, k15), (errors, err)):
-            part = row[first:first + reached]
-            part[:] = np.bincount(slots, np.concatenate((part, terms.ravel())), reached)
-    values, errors = totals[:, pad:pad + size]
+    # groups of slabs, from the last slab down: at least 32 offsets wide,
+    # and wider while the group's terms of all cells stay within 15
+    # _CHUNK_ROWS values (wide cells, fewer groups and products)
+    group = max(-(-32 // stride), GK15_NODES.size * _CHUNK_ROWS // (stride * cells))
+    # the totals (values, estimates) of point i at [:, M group + i]: the
+    # terms of a group's cells reach at most a group's rows beyond the grid
+    totals = np.zeros((2, (-(-size // stride) + 2 * group) * stride))
+    # a group's terms of the cells that reach the grid, by slab, cell and
+    # offset within the slab
+    buffer = np.empty((2, min(group, p_hi + 1 - p_lo), cells, stride))
+    for top in range(p_hi, p_lo - 1, -group):
+        low = max(top - group + 1, p_lo)
+        block = table[:, :, (low - p_lo) * stride:(top + 1 - p_lo) * stride]
+        first, last = max(q_lo, -top), min(q_hi, (size - 1) // stride - low)
+        terms = buffer[:, :top + 1 - low, :last + 1 - first]
+        # contracted in sub-blocks whose (m, cells, offsets) products stay
+        # within 15 _CHUNK_ROWS values
+        per_block = max(1, GK15_NODES.size * _CHUNK_ROWS // (m * block.shape[2]))
+        for q0 in range(first, last + 1, per_block):
+            q1 = min(q0 + per_block, last + 1)
+            k15 = _contract(fu[q0 - q_lo:q1 - q_lo], block)
+            err = _contract(gauss[q0 - q_lo:q1 - q_lo], block[:, _GAUSS])
+            np.subtract(k15, err, out=err)
+            np.abs(err, out=err)
+            if m > 1:  # each cell's panels summed in order
+                k15, err = _node_sum(k15.reshape(m, -1)), _node_sum(err.reshape(m, -1))
+            terms[0, :, q0 - first:q1 - first] = k15.reshape(q1 - q0, -1, stride).transpose(1, 0, 2)
+            terms[1, :, q0 - first:q1 - first] = err.reshape(q1 - q0, -1, stride).transpose(1, 0, 2)
+        for p in range(top, low - 1, -1):
+            # slab p puts cell q's terms on the points M (q + p) + s, 0 <= s < M
+            r0 = (group + first + p) * stride
+            totals[:, r0:r0 + (last + 1 - first) * stride] += terms[:, p - low].reshape(2, -1)
+    values, errors = totals[:, group * stride:group * stride + size]
 
     if cuts.size:
         # the pieces of the cut panels: runs of lattice edges and cuts that
@@ -740,12 +755,13 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec, xs, cfg: QuadratureConfig
     The kind's kernel is evaluated once, on a table of kernel values per
     (node, lattice offset); each (panel, point) K15 term and its
     |K15 - G7| estimate is a 15-node contraction of the panel's weighted
-    samples with the table, one BLAS matrix product per block of cells,
-    never with a single row or column, so that each entry's nodes are
-    added in one order whatever the block's shape and the BLAS thread
-    count.  The totals are the same per-point sums as on rows, added in
-    ascending cell order by one ``np.bincount`` per block of cells, whose
-    first weights are the current totals.  A lattice panel holding a kink
+    samples with the table, one BLAS matrix product per group of offsets
+    and sub-block of cells, never with a single row or column, so that
+    each entry's nodes are added in one order whatever the block's shape
+    and the BLAS thread count.  The totals are the same per-point sums as
+    on rows, added in ascending cell order: the terms at the M offsets of
+    a slab land on distinct points and are added in place at once, the
+    slabs from the last offset down.  A lattice panel holding a kink
     is cut there and its pieces are evaluated as rows in the same round.  If a
     lattice round meets tolerance, its totals are the result; if none
     does, the call goes on from the row seeds (the lattice keeps no rows

@@ -779,25 +779,55 @@ class TestLatticeSeeds:
                 block = operators._contract(weighted[q0:q1], table[:, :, e0:e1])
                 np.testing.assert_array_equal(block, full[:, q0:q1, e0:e1], err_msg=f"cells {q0}:{q1}, offsets {e0}:{e1}")
 
+    def test_lattice_products_stay_small(self, monkeypatch, grid):
+        """Every BLAS product of the lattice, (cells x nodes) @ (nodes x
+        offsets) per panel row, has m k n <= 15 * 15 * _CHUNK_ROWS: on a
+        2-core host, with OpenBLAS at its default two threads,
+        (2222 x 15) @ (15 x 30) took 65 us and (2730 x 15) @ (15 x 30)
+        8 ms.  Checked on the
+        shapes of the default sweep (sin, each kind, n = 9..49, at beta = 1
+        and, as ``approx --beta 20`` runs it, at beta = 20) and of the
+        benchmark's high-resolution calls (sin and abs at n = 100, 400 and
+        1000)."""
+        products = []
+        matmul = np.matmul
+
+        def recorded(a, b, *args, **kwargs):
+            products.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+            return matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", recorded)
+        calls = [(SIN, replace(spec, n=n, params=KernelParams(1.0, beta)))
+                 for spec in ALL_SPECS for n in (9, 16, 25, 36, 49) for beta in (1.0, 20.0)]
+        calls += [(f, replace(spec, n=n)) for spec in ALL_SPECS for n in (100, 400, 1000) for f in (SIN, ABS)]
+        calls.append((SIN, OperatorSpec(OperatorKind.BASIC, 100, KernelParams(2.0, 0.5))))
+        for f, spec in calls:
+            apply_on_grid(f, spec, grid.points)
+        assert len(products) >= 2 * len(calls)
+        assert max(products) <= 15 * 15 * operators._CHUNK_ROWS
+
     @pytest.mark.parametrize(
         "f, spec",
         [(ABS, OperatorSpec(OperatorKind.BASIC, 9, P11)), (SIN, OperatorSpec(OperatorKind.BASIC, 1000, P11)),
-         (SIN, OperatorSpec(OperatorKind.KANTOROVICH, 400, P11)), (SIN, OperatorSpec(OperatorKind.BASIC, 400, P11))],
-        ids=["basic-abs-9", "basic-sin-1000", "kantorovich-sin-400", "basic-sin-400"],
+         (SIN, OperatorSpec(OperatorKind.KANTOROVICH, 400, P11)), (SIN, OperatorSpec(OperatorKind.BASIC, 400, P11)),
+         (SIN, OperatorSpec(OperatorKind.KANTOROVICH, 9, P11)), (SIN, replace(Q32, n=9))],
+        ids=["basic-abs-9", "basic-sin-1000", "kantorovich-sin-400", "basic-sin-400", "kantorovich-sin-9",
+             "quadrature-sin-9"],
     )
     def test_lattice_blocking_is_invisible(self, monkeypatch, grid, f, spec):
-        """The lattice takes its cells in blocks sized by ``_CHUNK_ROWS``,
-        one matrix product per block; the block size changes no bit.  At
-        _CHUNK_ROWS = 1 and 2 every block holds one cell (at n = 9 a cell
-        reaches all 2001 points; at n = 1000 it spans 2 grid steps and holds
-        3 panels, at n = 400 5 steps and 3 panels), a product that numpy
-        would hand to gemv but for the zero row ``_contract`` adds.  (The
-        outermost cells at n = 400 and 1000 reach one point, but
+        """The lattice contracts each group of slabs in sub-blocks of cells
+        sized by ``_CHUNK_ROWS``, one matrix product per sub-block and panel
+        row; the sub-block size changes no bit.  At _CHUNK_ROWS = 1 and 2
+        every sub-block holds one cell (at n = 9 a cell spans 74 grid steps,
+        each slab a group of its own; at n = 1000 it spans 2 grid steps and
+        holds 3 panels, at n = 400 5 steps and 3 panels), a product that
+        numpy would hand to gemv but for the zero row ``_contract`` adds.
+        (The outermost cells at n = 400 and 1000 reach one point, but
         their terms are too small to show a changed bit in the totals;
         ``test_contract_entries_do_not_depend_on_the_block`` pins that
         case.)"""
         expected = apply_on_grid(f, spec, grid.points)
-        for rows in (1, 2, 7):
+        for rows in (1, 2, 7, 64):
             monkeypatch.setattr(operators, "_CHUNK_ROWS", rows)
             np.testing.assert_array_equal(apply_on_grid(f, spec, grid.points), expected, err_msg=f"{rows} rows")
 
@@ -815,21 +845,29 @@ class TestLatticeSeeds:
         the grid steps) and m <= 4."""
         assert operators._cell(hn / n, n, width, size) == cell
 
-    @pytest.mark.parametrize("cell", [(1, 1), (3, 1), (1, 3), (5, 3), (2, 3), (8, 4)])
+    @pytest.mark.parametrize("cell", [(1, 1), (3, 1), (1, 3), (5, 3), (2, 3), (8, 4), (74, 1), (13, 1)])
     def test_totals_are_the_ascending_cell_sums(self, monkeypatch, cell):
-        """The lattice adds each block's (cell, offset) terms to the totals
-        with np.bincount, the current totals first; the totals have the bits
-        of np.add.at of all the terms in ascending cell order, the panels of
-        a cell summed first.  The reference contracts all cells at once,
-        over all offsets, with the entries of ``test_contract_entries_do_not_depend_on_the_block``."""
+        """The lattice adds its terms to the totals a slab at a time: the
+        offsets [p M, (p + 1) M) of every cell that reaches the grid in one
+        in-place add, slabs in descending p within groups of at least 32
+        offsets, the groups from the last offset down, and the cells of a
+        group in sub-blocks.  The totals have the bits of np.add.at of all
+        the terms in ascending cell order, the panels of a cell summed
+        first.  At _CHUNK_ROWS = 7 a (74, 1) group is one slab of 74
+        offsets, its cells taken one at a time; at 64 a (13, 1) group is
+        three slabs of 13, its cells taken 24 at a time.  The reference
+        contracts all cells at once, over all offsets, with the entries of
+        ``test_contract_entries_do_not_depend_on_the_block``."""
         stride, m = cell
         spec = OperatorSpec(OperatorKind.BASIC, 100, P11)
         xs = np.linspace(-1.0, 2.0, 601)
         n, h = spec.n, 3.0 / 600
         reach = truncation_radius(P11, QuadratureConfig().truncation_eps) / n
         monkeypatch.setattr(operators, "_cell", lambda *args: cell)
-        monkeypatch.setattr(operators, "_CHUNK_ROWS", 64)  # several blocks
-        values, errors = operators._lattice(SIN, spec, xs, reach, 10**6, 2.0)
+        totals = []
+        for rows in (7, 64):  # several sub-blocks per group
+            monkeypatch.setattr(operators, "_CHUNK_ROWS", rows)
+            totals.append(operators._lattice(SIN, spec, xs, reach, 10**6, 2.0))
 
         w = stride * h / m
         q_lo, q_hi = math.floor(-reach / (stride * h)), math.ceil((3.0 + reach) / (stride * h)) - 1
@@ -845,13 +883,14 @@ class TestLatticeSeeds:
         err = np.abs(k15 - g7)
         point = (stride * (q_lo + np.arange(q_hi - q_lo + 1)))[:, None] + offsets
         on_grid = (point >= 0) & (point < xs.size)
-        for got, terms in ((values, k15), (errors, err)):
-            summed = terms[0]
-            for r in range(1, m):
-                summed = summed + terms[r]
-            expected = np.zeros(xs.size)
-            np.add.at(expected, point[on_grid], summed[on_grid])
-            np.testing.assert_array_equal(got, expected)
+        for values, errors in totals:
+            for got, terms in ((values, k15), (errors, err)):
+                summed = terms[0]
+                for r in range(1, m):
+                    summed = summed + terms[r]
+                expected = np.zeros(xs.size)
+                np.add.at(expected, point[on_grid], summed[on_grid])
+                np.testing.assert_array_equal(got, expected)
 
     @pytest.mark.parametrize("n, panels", [(400, 1230), (1000, 3030)])
     def test_sampled_panels(self, monkeypatch, grid, n, panels):
