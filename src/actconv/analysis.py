@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -147,7 +148,7 @@ def sup_error(f, approximation, grid: MeasurementGrid) -> float:
 
 def run_convergence_sweep(
     f: TestFunction,
-    kind: OperatorKind | str,
+    kind: OperatorKind | str | Sequence[OperatorKind | str],
     ns,
     alpha: float,
     params: KernelParams,
@@ -165,62 +166,86 @@ def run_convergence_sweep(
     ``jackson_bound`` (N = 0) or ``taylor_bound`` (N >= 1); otherwise the
     record carries no bound and ``satisfied`` is None.
 
+    ``kind`` may also be a sequence of kinds, ``weights`` being the
+    quadrature kind's; the result is then one list of records per kind,
+    each that of the kind's own sweep bit for bit.  At each n one
+    ``apply_on_grid`` call evaluates all kinds (kinds whose kernels have
+    the same width share its lattice pass); should it fail, each kind is
+    evaluated again alone, so a failure lands only in its own kind's
+    records.
+
     Individual failures are recorded in the ``note`` field and the sweep
     continues; records come back ordered by n.
     """
-    kind = OperatorKind(kind)
+    single = isinstance(kind, (OperatorKind, str))
+    kinds = [OperatorKind(k) for k in ([kind] if single else kind)]
     cfg = cfg or DEFAULT_CONFIG
     fN = f.derivative(order) if order else f
-    records = []
+    records: list[list[ConvergenceRecord]] = [[] for _ in kinds]
     for n in sorted(int(v) for v in ns):
-        spec = OperatorSpec(kind=kind, n=n, params=params, alpha=alpha, weights=weights)
+        specs = [OperatorSpec(kind=k, n=n, params=params, alpha=alpha,
+                              weights=weights if k is OperatorKind.QUADRATURE else None) for k in kinds]
         try:
             window_edge(n, alpha)
             hypothesis_met = True
         except HypothesisNotMetError:
             hypothesis_met = False
-        note = ""
-        measured = math.nan
-        bound_value: float | None = None
-        bound_kind = ""
-        satisfied: bool | None = None
-        try:
+        rows = [None] * len(specs)
+        if len(specs) > 1:
+            try:
+                rows = list(apply_on_grid(f, specs, grid.points, cfg))
+            except Exception:  # evaluated kind by kind, each failure in its own records
+                pass
+        for spec, values, out in zip(specs, rows, records):
+            out.append(_record(f, fN, spec, values, grid, order, hypothesis_met, cfg))
+    return records[0] if single else records
+
+
+def _record(f: TestFunction, fN: TestFunction, spec: OperatorSpec, values: np.ndarray | None,
+            grid: MeasurementGrid, order: int, hypothesis_met: bool, cfg: QuadratureConfig) -> ConvergenceRecord:
+    """One sweep record from the kind's values at the grid points (None:
+    evaluate them here); a failure goes into its note."""
+    kind, n, alpha, params = spec.kind, spec.n, spec.alpha, spec.params
+    note = ""
+    measured = math.nan
+    bound_value: float | None = None
+    bound_kind = ""
+    satisfied: bool | None = None
+    try:
+        if values is None:
             values = apply_on_grid(f, spec, grid.points, cfg)
-            correction = np.zeros_like(grid.points)
-            for k in range(1, order + 1):
-                moment = central_moment(spec, 0.0, k)
-                correction += np.asarray(f.derivatives[k - 1](grid.points), dtype=float) * (
-                    moment / math.factorial(k)
-                )
-            measured = float(np.abs(values - np.asarray(f.eval(grid.points), dtype=float) - correction).max())
-            if hypothesis_met and fN.modulus is not None:
-                omega = float(fN.modulus(bounds_mod.omega_argument(kind, n, alpha)))
-                if order:
-                    report = bounds_mod.taylor_bound(kind, omega, params, n, alpha, order, fN.sup_norm)
-                else:
-                    report = bounds_mod.jackson_bound(kind, omega, params, n, alpha, fN.sup_norm)
-                bound_value = report.value
-                bound_kind = report.kind.value
-                satisfied = measured <= bound_value
-        except Exception as exc:  # keep sweeping; the record carries the failure
-            note = f"{type(exc).__name__}: {exc}"
-        records.append(
-            ConvergenceRecord(
-                function=f.name,
-                kind=kind.value,
-                n=n,
-                alpha=alpha,
-                q=params.q,
-                beta=params.beta,
-                measured_sup_error=measured,
-                bound_value=bound_value,
-                bound_kind=bound_kind,
-                hypothesis_met=hypothesis_met,
-                satisfied=satisfied,
-                note=note,
+        correction = np.zeros_like(grid.points)
+        for k in range(1, order + 1):
+            moment = central_moment(spec, 0.0, k)
+            correction += np.asarray(f.derivatives[k - 1](grid.points), dtype=float) * (
+                moment / math.factorial(k)
             )
-        )
-    return records
+        measured = float(np.abs(values - np.asarray(f.eval(grid.points), dtype=float) - correction).max())
+        if hypothesis_met and fN.modulus is not None:
+            omega = float(fN.modulus(bounds_mod.omega_argument(kind, n, alpha)))
+            if order:
+                report = bounds_mod.taylor_bound(kind, omega, params, n, alpha, order, fN.sup_norm)
+            else:
+                report = bounds_mod.jackson_bound(kind, omega, params, n, alpha, fN.sup_norm)
+            bound_value = report.value
+            bound_kind = report.kind.value
+            satisfied = measured <= bound_value
+    except Exception as exc:  # keep sweeping; the record carries the failure
+        note = f"{type(exc).__name__}: {exc}"
+    return ConvergenceRecord(
+        function=f.name,
+        kind=kind.value,
+        n=n,
+        alpha=alpha,
+        q=params.q,
+        beta=params.beta,
+        measured_sup_error=measured,
+        bound_value=bound_value,
+        bound_kind=bound_kind,
+        hypothesis_met=hypothesis_met,
+        satisfied=satisfied,
+        note=note,
+    )
 
 
 def check_smoothness_preservation(

@@ -208,6 +208,13 @@ def _kinds(kw) -> list[tuple[str, tuple[float, ...] | None]]:
     return pairs
 
 
+def _sweep(f, kinds, kw, params, grid, cfg, order: int = 0):
+    """Each kind with the records of its sweep, all kinds swept at once."""
+    names = [kind for kind, _ in kinds]
+    return zip(names, run_convergence_sweep(f, names, kw["ns"], kw["alpha"], params, grid,
+                                            dict(kinds).get(OperatorKind.QUADRATURE.value), cfg, order))
+
+
 class _Table(NamedTuple):
     """Rows of one CSV file, with the ``render_loglog`` arguments of its SVG
     plot when it has one."""
@@ -458,8 +465,7 @@ def approx(ctx, **kw):
     results = []
     tables = []
     for f in functions:
-        for kind, weights in kinds:
-            records = run_convergence_sweep(f, kind, kw["ns"], kw["alpha"], params, grid, weights, cfg)
+        for kind, records in _sweep(f, kinds, kw, params, grid, cfg):
             offenders += _offences(records)
             csv_rows = []
             rates = []
@@ -557,8 +563,7 @@ def taylor(ctx, **kw):
         if f.derivative(order).modulus is None:
             click.echo(f"{f.name}: skipped (no closed-form modulus for derivative {order})")
             continue
-        for kind, weights in kinds:
-            records = run_convergence_sweep(f, kind, kw["ns"], kw["alpha"], params, grid, weights, cfg, order)
+        for kind, records in _sweep(f, kinds, kw, params, grid, cfg, order):
             offenders += _offences(records)
             for rec in records:
                 bound = math.nan if rec.bound_value is None else rec.bound_value

@@ -42,7 +42,11 @@ Two evaluation paths share the same nested Kronrod rule:
   per-point totals by one in-place add.  The lattice places point i at
   x0 + i h, which differs from the double x_i by up to ulp(x_i) / 2, so
   grids far from the origin, where that drift would show in the result,
-  keep the row seeds.
+  keep the row seeds.  Given several specs of one n (the kinds of a sweep
+  step), ``apply_on_grid`` returns one row per spec: the kinds whose
+  kernel widths W agree take their first lattice round in one pass, with
+  f sampled once and their kernel tables stacked, and everything after
+  that stays per kind, each row bit for bit the kind's own call.
 
 Accuracy is set by one knob, ``QuadratureConfig.tol``: both paths accept
 a value v once its error estimate is within ``cfg.allowance(v)`` =
@@ -370,15 +374,16 @@ def _chunks(start: np.ndarray, stop: np.ndarray, max_panels: int):
         c0 = c1
 
 
-def _sample(f: TestFunction, spec: OperatorSpec, t: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """f at the nodes u = c + t, every value finite."""
+def _sample(f: TestFunction, specs: Sequence[OperatorSpec], t: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """f at the nodes u = c + t, every value finite; the error names the
+    kinds the samples serve."""
     u = c + t
     fu = np.asarray(f.eval(u), dtype=float)
     finite = np.isfinite(fu)
     if not finite.all():
         raise NonFiniteSampleError(
             f"{f.name} is not finite at u={float(u.flat[int(np.argmin(finite))])!r} "
-            f"(operator={spec.kind.value}, n={spec.n})"
+            f"(operator={'/'.join(s.kind.value for s in specs)}, n={specs[0].n})"
         )
     return fu
 
@@ -399,7 +404,7 @@ def _evaluate(f: TestFunction, spec: OperatorSpec, grid: np.ndarray, offset: np.
     worst = np.zeros(a.size)
     for c0, c1, p0, p1, counts, point in _chunks(start, stop, max(1, _CHUNK_ROWS // GK15_NODES.size)):
         t = mid[p0:p1, None] + half[p0:p1, None] * GK15_NODES
-        fu = _sample(f, spec, t, c[p0:p1, None])
+        fu = _sample(f, [spec], t, c[p0:p1, None])
         # node-major (15, rows) arrays of n ((x - c) - t); the K15 terms
         # overwrite the kernel values
         arg = np.repeat(t.T, counts, axis=1)
@@ -541,106 +546,144 @@ def _cell(h: float, n: int, width: float, size: int) -> tuple[int, int]:
     return stride, m
 
 
-def _lattice(f: TestFunction, spec: OperatorSpec, grid: np.ndarray, reach: float, cap: int, width: float):
-    """The seed round on the grid x_i = x0 + i h, from one kernel table.
+def _lattice(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, reaches: Sequence[float],
+             caps: Sequence[int], width: float) -> list:
+    """The seed round of the kinds of ``specs`` (one n) on the grid
+    x_i = x0 + i h, from one table of their kernels.
 
     The seed panels, of width w = h M / m (``_cell``: the widest such value
     not above W / n, W = ``width`` in the kernel variable), lie on a
     lattice anchored at x0.  A cell of m panels steps over ``stride`` = M
     grid points, so the kernel value at point i and node k of the cell's
     r-th panel depends only on (r, k) and the offset j = i - stride q of
-    point i from cell q: the kind's kernel is evaluated once, on the table
-    T[r, k, j].  f is sampled at the nodes of every lattice panel, at most
-    ``_CHUNK_ROWS`` panels per call, and the samples are weighted once.
-    Each term, a K15 value and its |K15 - G7| estimate, is a contraction
-    of the panel's 15 weighted samples with T.  The terms of cell q at the
-    offsets [p M, (p + 1) M), slab p, land on the M points M (q + p) + s,
-    0 <= s < M, which no other cell's slab-p terms reach: a slab of all
-    cells is one in-place add onto a contiguous run of the totals.  T
-    covers whole slabs, zero outside the offsets within reach (a zero
-    term changes no total).  The slabs are taken in groups at least 32
-    offsets wide (wider for wide cells, while a group's terms stay within
-    15 ``_CHUNK_ROWS`` values); a group's cells that reach the grid are
-    contracted in sub-blocks of at most 15 ``_CHUNK_ROWS`` (panel, offset)
+    point i from cell q: each kind's kernel is evaluated once, on the table
+    T[r, k, j, kind], the kinds stacked on the last axis.  f is sampled
+    once, at the nodes of every lattice panel within the largest reach, at
+    most ``_CHUNK_ROWS`` panels per call, and the samples are weighted
+    once.  Each term, a K15 value and its |K15 - G7| estimate, is a
+    contraction of the panel's 15 weighted samples with T, every kind at
+    once.  The terms of cell q at the offsets [p M, (p + 1) M), slab p,
+    land on the M points M (q + p) + s, 0 <= s < M, which no other cell's
+    slab-p terms reach: a slab of all cells and kinds is one in-place add
+    onto a contiguous run of the totals, held as (point, kind).  A kind's
+    table is zero outside the offsets within its own reach, so its terms
+    of the cells beyond its reach land off the grid, or are zeroed where
+    rounding lets them reach it (a zero term changes no total): each
+    kind's totals are those it would get alone.  The slabs
+    are taken in groups at least 32 columns (offsets times kinds) wide
+    (wider for wide cells, while a group's terms stay within 15
+    ``_CHUNK_ROWS`` values); a group's cells that reach the grid are
+    contracted in sub-blocks of at most 15 ``_CHUNK_ROWS`` (panel, column)
     terms, one matrix product per panel row r (``_contract``), whose
     entries do not depend on the sub-block's shape or the BLAS thread
-    count, and a cell's panels are added in order.  Groups go from the
-    last slab down, and so do the slabs within a group, so every point
-    receives its terms in ascending cell order, as ``np.add.at`` would
-    add them, whatever the sub-block size.
+    count, and a cell's panels are added in order as their terms are
+    copied into slab order.  Groups go from the last slab down, and so do
+    the slabs within a group, so every point receives its terms in
+    ascending cell order, as ``np.add.at`` would add them, whatever the
+    sub-block size and whichever kinds share the pass.
 
-    A lattice panel that contains a kink of f is cut there, and the pieces
-    go through ``_evaluate``.  Returns the per-point totals of values and
-    error estimates; or None when the seeds would exceed the panel budget
-    ``cap``, or when a cell spans more than a quarter of the grid, so that
-    a table value would serve fewer than four cells.  Against rows, the
-    lattice was measured at 0.3 to 1.4 times the time at two or three
-    cells, 0.2 to 0.8 times at four and 0.2 to 1.1 times at eight (grids
-    of 41 to 2001 points, n = 1 and 4, panels no wider than W / n); but a
-    refused W/n lattice gives way to the min(W/2, 1)/n one, with twice the
-    cells, and without the refusal such calls took 0.4 to 1.8 times as
-    long (the W/n lattice missing tolerance at beta = 0.5)."""
-    n, size = spec.n, grid.size
+    A lattice panel that contains a kink of f is cut there, and each
+    kind's pieces go through ``_evaluate``.  Returns, per kind, the
+    per-point totals of values and error estimates; or None when its seeds
+    would exceed its panel budget ``caps``, or, for every kind, when a cell
+    spans more than a quarter of the grid, so that a table value would
+    serve fewer than four cells.  Against rows, the lattice was measured at
+    0.3 to 1.4 times the time at two or three cells, 0.2 to 0.8 times at
+    four and 0.2 to 1.1 times at eight (grids of 41 to 2001 points, n = 1
+    and 4, panels no wider than W / n); but a refused W/n lattice gives way
+    to the min(W/2, 1)/n one, with twice the cells, and without the
+    refusal such calls took 0.4 to 1.8 times as long (the W/n lattice
+    missing tolerance at beta = 0.5)."""
+    n, size = specs[0].n, grid.size
+    results = [None] * len(specs)
     x0 = float(grid[0])
     span = float(grid[-1]) - x0
     h = span / (size - 1)
     stride, m = _cell(h, n, width, size)
     if 4 * stride > size - 1:
-        return None
+        return results
     cell = stride * h
     w = cell / m
-    q_lo, q_hi = math.floor(-reach / cell), math.ceil((span + reach) / cell) - 1
-    cells = q_hi - q_lo + 1
-    # offsets j of the points within reach of a cell, clipped to the grid
-    j_lo = max(math.ceil(-reach / h), -stride * q_hi)
-    j_hi = min(math.floor((cell + reach) / h), size - 1 - stride * q_lo)
+    # each kind's cells within its reach of the grid, and the offsets j of
+    # the points within its reach of a cell, clipped to the grid
+    lows = [math.floor(-reach / cell) for reach in reaches]
+    highs = [math.ceil((span + reach) / cell) - 1 for reach in reaches]
+    j_lo = [max(math.ceil(-reach / h), -stride * hi) for reach, hi in zip(reaches, highs)]
+    j_hi = [min(math.floor((cell + reach) / h), size - 1 - stride * lo) for reach, lo in zip(reaches, lows)]
 
+    q_lo, q_hi = min(lows), max(highs)
+    cells = q_hi - q_lo + 1
     edges = np.arange(m * q_lo, m * (q_hi + 1) + 1) * w
     cuts = np.array(sorted({k - x0 for k in f.kinks if edges[0] < k - x0 < edges[-1]}), dtype=float)
     at = np.searchsorted(edges, cuts)  # edges[at - 1] < cut <= edges[at]
     inner = edges[at] != cuts
     cuts, at = cuts[inner], at[inner]
-    if edges.size - 1 + cuts.size > cap:
-        return None
+    # a kind's own cuts lie within its own cells
+    own = [[cut for cut in cuts.tolist() if edges[m * (lo - q_lo)] < cut < edges[m * (hi + 1 - q_lo)]]
+           for lo, hi in zip(lows, highs)]
+    taken = [i for i, cap in enumerate(caps) if m * (highs[i] + 1 - lows[i]) + len(own[i]) <= cap]
+    if not taken:
+        return results
+    kinds = len(taken)
 
-    # the offsets in whole slabs of M = stride, the table zero outside
-    # [j_lo, j_hi]: a zero term changes no total
-    p_lo, p_hi = j_lo // stride, j_hi // stride
+    # the offsets in whole slabs of M = stride, each kind's table zero
+    # outside its [j_lo, j_hi]: a zero term changes no total
+    p_lo, p_hi = min(j_lo[i] for i in taken) // stride, max(j_hi[i] for i in taken) // stride
     offsets = np.arange(p_lo * stride, (p_hi + 1) * stride)
     nodes = (np.arange(m)[:, None] + 0.5) * w + 0.5 * w * GK15_NODES  # (m, 15) from the cell's left edge
-    table = _kernel(spec)(n * (offsets * h - nodes[:, :, None]))
-    table[:, :, :j_lo - offsets[0]] = 0.0
-    table[:, :, j_hi + 1 - offsets[0]:] = 0.0
+    arg = n * (offsets * h - nodes[:, :, None])
+    if kinds == 1:
+        table = _kernel(specs[taken[0]])(arg)[..., None]
+    else:
+        # filled a kind at a time: one kernel's values and temporaries live
+        # beside the table, not every kind's
+        table = np.empty(arg.shape + (kinds,))
+        for t, i in enumerate(taken):
+            table[..., t] = _kernel(specs[i])(arg)
+    for t, i in enumerate(taken):
+        table[:, :, :j_lo[i] - offsets[0], t] = 0.0
+        table[:, :, j_hi[i] + 1 - offsets[0]:, t] = 0.0
 
     # the samples of every lattice panel, taken as ``_evaluate`` takes them,
     # times the G7 and then (in place) the K15 weights
     a, b = edges[:-1], edges[1:]
     fu = np.empty((a.size, GK15_NODES.size))
     anchor = np.array(x0)
+    served = [specs[i] for i in taken]
     for p0 in range(0, a.size, _CHUNK_ROWS):
         pa, pb = a[p0:p0 + _CHUNK_ROWS, None], b[p0:p0 + _CHUNK_ROWS, None]
-        fu[p0:p0 + _CHUNK_ROWS] = _sample(f, spec, 0.5 * (pa + pb) + 0.5 * (pb - pa) * GK15_NODES, anchor)
+        fu[p0:p0 + _CHUNK_ROWS] = _sample(f, served, 0.5 * (pa + pb) + 0.5 * (pb - pa) * GK15_NODES, anchor)
     fu[at - 1] = 0.0  # a panel cut at a kink leaves the lattice
     fu = fu.reshape(cells, m, GK15_NODES.size)
     gauss = fu[:, :, _GAUSS] * (0.5 * n * w * G7_WEIGHTS[_GAUSS])
     fu *= 0.5 * n * w * GK15_WEIGHTS
 
-    # groups of slabs, from the last slab down: at least 32 offsets wide,
-    # and wider while the group's terms of all cells stay within 15
-    # _CHUNK_ROWS values (wide cells, fewer groups and products)
-    group = max(-(-32 // stride), GK15_NODES.size * _CHUNK_ROWS // (stride * cells))
-    # the totals (values, estimates) of point i at [:, M group + i]: the
-    # terms of a group's cells reach at most a group's rows beyond the grid
-    totals = np.zeros((2, (-(-size // stride) + 2 * group) * stride))
+    # a slab's columns: M offsets times the kinds.  Groups of slabs, from
+    # the last slab down: at least 32 columns wide, and wider while the
+    # group's terms of all cells stay within 15 _CHUNK_ROWS values (wide
+    # cells, fewer groups and products)
+    cols = stride * kinds
+    # a kind's terms of the cells beyond its own reach land off the grid
+    # (its table is zero beyond its offsets) unless rounding in those
+    # bounds lets them reach it: then they are zeroed
+    beyond = [(t, lows[i] if stride * (lows[i] - 1) + j_hi[i] >= 0 else q_lo,
+               highs[i] if stride * (highs[i] + 1) + j_lo[i] <= size - 1 else q_hi) for t, i in enumerate(taken)]
+    beyond = [cut for cut in beyond if cut[1] > q_lo or cut[2] < q_hi]
+    group = max(-(-32 // cols), GK15_NODES.size * _CHUNK_ROWS // (cols * cells))
+    # the totals (values, estimates) of point i and the t-th kind at
+    # [:, cols (group + i // M) + kinds (i % M) + t]: the terms of a
+    # group's cells reach at most a group's rows beyond the grid
+    totals = np.zeros((2, (-(-size // stride) + 2 * group) * cols))
     # a group's terms of the cells that reach the grid, by slab, cell and
-    # offset within the slab
-    buffer = np.empty((2, min(group, p_hi + 1 - p_lo), cells, stride))
+    # column within the slab
+    buffer = np.empty((2, min(group, p_hi + 1 - p_lo), cells, cols))
+    record = np.dtype(f"V{cols * buffer.itemsize}")
     for top in range(p_hi, p_lo - 1, -group):
         low = max(top - group + 1, p_lo)
-        block = table[:, :, (low - p_lo) * stride:(top + 1 - p_lo) * stride]
+        block = table[:, :, (low - p_lo) * stride:(top + 1 - p_lo) * stride].reshape(m, GK15_NODES.size, -1)
         first, last = max(q_lo, -top), min(q_hi, (size - 1) // stride - low)
         terms = buffer[:, :top + 1 - low, :last + 1 - first]
-        # contracted in sub-blocks whose (m, cells, offsets) products stay
+        # contracted in sub-blocks whose (m, cells, columns) products stay
         # within 15 _CHUNK_ROWS values
         per_block = max(1, GK15_NODES.size * _CHUNK_ROWS // (m * block.shape[2]))
         for q0 in range(first, last + 1, per_block):
@@ -649,29 +692,42 @@ def _lattice(f: TestFunction, spec: OperatorSpec, grid: np.ndarray, reach: float
             err = _contract(gauss[q0 - q_lo:q1 - q_lo], block[:, _GAUSS])
             np.subtract(k15, err, out=err)
             np.abs(err, out=err)
-            if m > 1:  # each cell's panels summed in order
-                k15, err = _node_sum(k15.reshape(m, -1)), _node_sum(err.reshape(m, -1))
-            terms[0, :, q0 - first:q1 - first] = k15.reshape(q1 - q0, -1, stride).transpose(1, 0, 2)
-            terms[1, :, q0 - first:q1 - first] = err.reshape(q1 - q0, -1, stride).transpose(1, 0, 2)
+            for out, panel in zip(terms[:, :, q0 - first:q1 - first], (k15, err)):
+                # each cell's panels summed in order, in place
+                for r in range(1, m):
+                    panel[0] += panel[r]
+                # then copied into slab order a slab's columns at a time, as
+                # one record each
+                out.view(record)[..., 0] = panel[0].view(record).T
+        if beyond:
+            by_kind = terms.reshape(terms.shape[:3] + (stride, kinds))
+            for t, lo, hi in beyond:
+                if lo > first:
+                    by_kind[:, :, :lo - first, :, t] = 0.0
+                if hi < last:
+                    by_kind[:, :, max(0, hi + 1 - first):, :, t] = 0.0
         for p in range(top, low - 1, -1):
             # slab p puts cell q's terms on the points M (q + p) + s, 0 <= s < M
-            r0 = (group + first + p) * stride
-            totals[:, r0:r0 + (last + 1 - first) * stride] += terms[:, p - low].reshape(2, -1)
-    values, errors = totals[:, group * stride:group * stride + size]
+            r0 = (group + first + p) * cols
+            totals[:, r0:r0 + (last + 1 - first) * cols] += terms[:, p - low].reshape(2, -1)
+    totals = totals.reshape(2, -1, kinds)[:, group * stride:group * stride + size]
 
-    if cuts.size:
-        # the pieces of the cut panels: runs of lattice edges and cuts that
-        # start or end at a cut
-        merged = np.concatenate((edges, cuts))
-        rank = np.argsort(merged, kind="stable")
-        merged, at_cut = merged[rank], rank >= edges.size
-        piece = at_cut[:-1] | at_cut[1:]
-        a, b = merged[:-1][piece], merged[1:][piece]
-        pieces = _evaluate(f, spec, grid, grid - x0, reach, a, b, np.full(a.size, x0))
-        piece_values, piece_errors = _totals(pieces, size)
-        values += piece_values
-        errors += piece_errors
-    return values, errors
+    for t, i in enumerate(taken):
+        values, errors = totals[:, :, t]
+        if own[i]:
+            # the pieces of the kind's cut panels: runs of lattice edges and
+            # cuts that start or end at a cut
+            merged = np.concatenate((edges, own[i]))
+            rank = np.argsort(merged, kind="stable")
+            merged, at_cut = merged[rank], rank >= edges.size
+            piece = at_cut[:-1] | at_cut[1:]
+            a, b = merged[:-1][piece], merged[1:][piece]
+            pieces = _evaluate(f, specs[i], grid, grid - x0, reaches[i], a, b, np.full(a.size, x0))
+            piece_values, piece_errors = _totals(pieces, size)
+            values += piece_values
+            errors += piece_errors
+        results[i] = values, errors
+    return results
 
 
 def _drift(grid: np.ndarray) -> float:
@@ -699,8 +755,102 @@ def _merge(panels: _Panels, halves: _Panels, split: np.ndarray) -> _Panels:
     return _Panels(*(np.concatenate(cols) for cols in zip(*pieces)))
 
 
-def apply_on_grid(f: TestFunction, spec: OperatorSpec, xs, cfg: QuadratureConfig | None = None) -> np.ndarray:
+class _Windows(NamedTuple):
+    """One kind's seeding windows on the sorted grid: window w holds the
+    points bounds[w]:bounds[w + 1], their kernel windows span
+    [lows[w], highs[w]], and it may use ``caps[w]`` panels; a panel
+    reaches the points within R/n of it."""
+
+    reach: float
+    bounds: np.ndarray
+    lows: np.ndarray
+    highs: np.ndarray
+    caps: list[int]
+
+    @property
+    def budget(self) -> int:
+        return sum(self.caps)
+
+
+def _windows(grid: np.ndarray, radius: float, n: int) -> _Windows:
+    """Seed only the union of the points' kernel windows [x - R/n, x + R/n]:
+    a panel anywhere else reaches no grid point.  Windows are split only at
+    gaps over 3R/n, so no panel reaches a point of another window."""
+    reach = radius / n
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(grid) > 3.0 * reach) + 1, [grid.size]))
+    lows = grid[bounds[:-1]] - reach
+    highs = grid[bounds[1:] - 1] + reach
+    caps = [quadrature.MAX_SUBDIVISIONS * math.ceil((hi - lo) * n / (2.0 * radius)) for lo, hi in zip(lows, highs)]
+    return _Windows(reach, bounds, lows, highs, caps)
+
+
+def _rows(f: TestFunction, spec: OperatorSpec, grid: np.ndarray, win: _Windows, seed: float,
+          cfg: QuadratureConfig) -> np.ndarray:
+    """The operator on the sorted grid from row seeds ``seed``/n wide, refined
+    until the worst point meets tolerance."""
+    n, reach, budget = spec.n, win.reach, win.budget
+    anchors = 0.5 * (win.lows + win.highs)
+    offset = grid - np.repeat(anchors, np.diff(win.bounds))
+    seeds = []
+    for lo, hi, c, cap in zip(win.lows.tolist(), win.highs.tolist(), anchors.tolist(), win.caps):
+        count = max(2, min(max(math.ceil((hi - lo) * n / seed), 8), cap))
+        edges = np.linspace(lo - c, hi - c, count + 1)
+        inner = sorted({kink - c for kink in f.kinks if lo < kink < hi})[: max(0, cap - count)]
+        if inner:
+            # sorted, without repeats (np.unique would import numpy.ma)
+            edges = np.sort(np.concatenate((edges, inner)))
+            edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
+        seeds.append(np.column_stack((edges[:-1], edges[1:], np.full(edges.size - 1, c))))
+
+    # the list stays in ascending order (splits replace a panel by its
+    # halves in place), so every total sums in one deterministic order
+    seeds = np.concatenate(seeds)
+    panels = _evaluate(f, spec, grid, offset, reach, *seeds.T)
+    for _ in range(_MAX_REFINE_ROUNDS):
+        total_val, total_err = _totals(panels, grid.size)
+        tol = cfg.allowance(float(np.abs(total_val).max()))
+        if float(total_err.max()) <= tol:
+            return total_val
+        a, b = panels.a, panels.b
+        cutoff = max(0.25 * float(panels.worst.max()), tol / (4.0 * a.size))
+        split = (panels.worst >= cutoff) & ((b - a) > 1e-14)
+        n_split = int(split.sum())
+        if not n_split or a.size + n_split > budget:
+            break
+        mid = 0.5 * (a[split] + b[split])
+        halves = np.column_stack((a[split], mid, mid, b[split])).reshape(-1, 2)
+        anchor = np.repeat(panels.c[split], 2)
+        panels = _merge(panels, _evaluate(f, spec, grid, offset, reach, *halves.T, anchor), split)
+
+    _, total_err = _totals(panels, grid.size)
+    worst_x = float(grid[int(np.argmax(total_err))])
+    raise QuadratureNonConvergedError(
+        f"operator quadrature did not converge on the grid "
+        f"(operator={spec.kind.value}, x={worst_x}, n={n})"
+    )
+
+
+def _met(lattice, cfg: QuadratureConfig) -> np.ndarray | None:
+    """A lattice round's values if it ran and meets tolerance, else None."""
+    if lattice is None:
+        return None
+    values, errors = lattice
+    return values if float(errors.max()) <= cfg.allowance(float(np.abs(values).max())) else None
+
+
+def apply_on_grid(f: TestFunction, spec: OperatorSpec | Sequence[OperatorSpec], xs,
+                  cfg: QuadratureConfig | None = None) -> np.ndarray:
     """Evaluate the operator at every point of ``xs`` in one pass.
+
+    ``spec`` may also be a sequence of specs with one n, such as the kinds
+    of one sweep step: the result then has one row of values per spec, each
+    bit for bit the values of its own call.  The set-up (sorting, the
+    uniformity and drift checks) is shared, and the first lattice round of
+    every kind whose kernel width W is the same is one pass: one sampling of
+    f and one table of the kinds' kernels (see ``_lattice``).  Everything
+    after that stays per kind: a kind with another W, one whose lattice
+    misses tolerance or is refused, its kink pieces and the row path.  The
+    call raises if any kind fails.
 
     All points share a single panel decomposition in the sample variable
     u; panels are seeded at the kernel's own scale W/n (see the lattice
@@ -757,15 +907,16 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec, xs, cfg: QuadratureConfig
     |K15 - G7| estimate is a 15-node contraction of the panel's weighted
     samples with the table, one BLAS matrix product per group of offsets
     and sub-block of cells, never with a single row or column, so that
-    each entry's nodes are added in one order whatever the block's shape
-    and the BLAS thread count.  The totals are the same per-point sums as
-    on rows, added in ascending cell order: the terms at the M offsets of
-    a slab land on distinct points and are added in place at once, the
-    slabs from the last offset down.  A lattice panel holding a kink
-    is cut there and its pieces are evaluated as rows in the same round.  If a
-    lattice round meets tolerance, its totals are the result; if none
-    does, the call goes on from the row seeds (the lattice keeps no rows
-    to refine), as refinement rounds, Chebyshev nodes and other grids do.
+    each entry's nodes are added in one order whatever the block's shape,
+    the kinds that share it and the BLAS thread count.  The totals are the
+    same per-point sums as on rows, added in ascending cell order: the
+    terms at the M offsets of a slab land on distinct points and are added
+    in place at once, the slabs from the last offset down.  A lattice panel
+    holding a kink is cut there and its pieces are evaluated as rows in the
+    same round.  If a lattice round meets tolerance, its totals are the
+    result; if none does, the call goes on from the row seeds (the lattice
+    keeps no rows to refine), as refinement rounds, Chebyshev nodes and
+    other grids do.
 
     Row seeds: each window [lo, hi] is cut into ceil((hi - lo) n / W)
     equal panels (at least 8, at most its panel budget), W/n wide as the
@@ -776,97 +927,77 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec, xs, cfg: QuadratureConfig
     finer seeds average out.
     """
     cfg = cfg or DEFAULT_CONFIG
+    single = isinstance(spec, OperatorSpec)
+    specs = [spec] if single else list(spec)
+    if not specs or any(s.n != specs[0].n for s in specs):
+        raise ValueError(f"specs must be a nonempty sequence with one n, got {[s.n for s in specs]}")
+    n = specs[0].n
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if xs.size == 0:
-        return np.empty(0)
+        return np.empty(0) if single else np.empty((len(specs), 0))
     if not np.all(np.isfinite(xs)):
         raise ValueError("grid points must be finite")
-    k, n = _kernel(spec), spec.n
-    radius = cfg.radius(spec.params, f.sup_norm) + k.shift
-    reach = radius / n
     # the distinct points in ascending order, and each input point's place
-    # among them (np.unique would import numpy.ma)
-    order = np.argsort(xs, kind="stable")
-    ranked = xs[order]
-    distinct = np.concatenate(([True], ranked[1:] != ranked[:-1]))
-    grid = ranked[distinct]
-    slot = np.empty(xs.size, dtype=np.intp)
-    slot[order] = np.cumsum(distinct) - 1
+    # among them (np.unique would import numpy.ma); strictly ascending
+    # points are their own
+    if np.all(xs[1:] > xs[:-1]):
+        grid, slot = xs, slice(None)
+    else:
+        order = np.argsort(xs, kind="stable")
+        ranked = xs[order]
+        distinct = np.concatenate(([True], ranked[1:] != ranked[:-1]))
+        grid = ranked[distinct]
+        slot = np.empty(xs.size, dtype=np.intp)
+        slot[order] = np.cumsum(distinct) - 1
 
-    # seed only the union of the points' kernel windows [x - R/n, x + R/n]:
-    # a panel anywhere else reaches no grid point.  Windows are split only at
-    # gaps over 3R/n, so no panel reaches a point of another window.
-    bounds = np.concatenate(([0], np.flatnonzero(np.diff(grid) > 3.0 * reach) + 1, [grid.size]))
-    lows = grid[bounds[:-1]] - reach
-    highs = grid[bounds[1:] - 1] + reach
-    caps = [quadrature.MAX_SUBDIVISIONS * math.ceil((hi - lo) * n / (2.0 * radius)) for lo, hi in zip(lows, highs)]
-    budget = sum(caps)
+    uniform = grid.size >= 2 and np.array_equal(grid, np.linspace(grid[0], grid[-1], grid.size))
+    drift = _drift(grid) if uniform else None
+    # per kind: the seeding windows, the kernel width W, the row seeds'
+    # width, and whether the lattice is tried
+    windows, widths, seeds, tried = [], [], [], []
+    for i, s in enumerate(specs):
+        k = _kernel(s)
+        radius = cfg.radius(s.params, f.sup_norm) + k.shift
+        win = _windows(grid, radius, n)
+        windows.append(win)
+        # the lattice moves each point by up to _drift(grid), which moves its
+        # value by up to that times sup |(B f)'| <= n sup|f| TV(k); averaging
+        # does not raise the total variation, and TV(psi) <= 2 g_max: keep
+        # that below tol / 10
+        slope = 2.0 * n * s.params.g_max_value * f.sup_norm
+        lattice_ok = uniform and win.lows.size == 1 and drift * slope <= 0.1 * cfg.tol
+        # the row seeds are W/n wide as well, but stay 1/n wide where the
+        # points' own rounding, ulp(max |x|), could move a value by tol / 10
+        # in the same way: finer seeds average more of that noise out of the
+        # K15 - G7 estimates
+        rows_ok = float(np.spacing(max(abs(grid[0]), abs(grid[-1])))) * slope <= 0.1 * cfg.tol
+        # no width: a kernel too wide to tile takes the rows, seeded at 1/n
+        width = _kernel_width(k, radius, cfg.tol, f.sup_norm) if lattice_ok or rows_ok else None
+        widths.append(width)
+        seeds.append(width if rows_ok and width is not None else 1.0)
+        if lattice_ok and width is not None:
+            tried.append(i)
 
-    # the lattice moves each point by up to _drift(grid), which moves its
-    # value by up to that times sup |(B f)'| <= n sup|f| TV(k); averaging
-    # does not raise the total variation, and TV(psi) <= 2 g_max: keep that
-    # below tol / 10
-    slope = 2.0 * n * spec.params.g_max_value * f.sup_norm
-    uniform = lows.size == 1 and grid.size >= 2 and np.array_equal(grid, np.linspace(grid[0], grid[-1], grid.size))
-    lattice_ok = uniform and _drift(grid) * slope <= 0.1 * cfg.tol
-    # the row seeds are W/n wide as well, but stay 1/n wide where the
-    # points' own rounding, ulp(max |x|), could move a value by tol / 10
-    # in the same way: finer seeds average more of that noise out of the
-    # K15 - G7 estimates
-    rows_ok = float(np.spacing(max(abs(grid[0]), abs(grid[-1])))) * slope <= 0.1 * cfg.tol
-    # no width: a kernel too wide to tile takes the rows, seeded at 1/n
-    width = _kernel_width(k, radius, cfg.tol, f.sup_norm) if lattice_ok or rows_ok else None
-    if lattice_ok:
-        # panels at the kernel's own scale W/n first, then at min(W/2, 1)/n:
-        # the width test samples four phases of the tiling, not the grid's
-        for w in () if width is None else (width, min(0.5 * width, 1.0)):
-            lattice = _lattice(f, spec, grid, reach, budget, w)
-            if lattice is not None:
-                values, errors = lattice
-                if float(errors.max()) <= cfg.allowance(float(np.abs(values).max())):
-                    return values[slot]
-    # otherwise (and on a uniform grid whose lattice rounds miss tolerance)
-    # the seeds are evaluated as rows
-    anchors = 0.5 * (lows + highs)
-    offset = grid - np.repeat(anchors, np.diff(bounds))
-    seed = width if rows_ok and width is not None else 1.0
-    seeds = []
-    for lo, hi, c, cap in zip(lows.tolist(), highs.tolist(), anchors.tolist(), caps):
-        count = max(2, min(max(math.ceil((hi - lo) * n / seed), 8), cap))
-        edges = np.linspace(lo - c, hi - c, count + 1)
-        inner = sorted({kink - c for kink in f.kinks if lo < kink < hi})[: max(0, cap - count)]
-        if inner:
-            # sorted, without repeats (np.unique would import numpy.ma)
-            edges = np.sort(np.concatenate((edges, inner)))
-            edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
-        seeds.append(np.column_stack((edges[:-1], edges[1:], np.full(edges.size - 1, c))))
-
-    # the list stays in ascending order (splits replace a panel by its
-    # halves in place), so every total sums in one deterministic order
-    seeds = np.concatenate(seeds)
-    panels = _evaluate(f, spec, grid, offset, reach, *seeds.T)
-    for _ in range(_MAX_REFINE_ROUNDS):
-        total_val, total_err = _totals(panels, grid.size)
-        tol = cfg.allowance(float(np.abs(total_val).max()))
-        if float(total_err.max()) <= tol:
-            return total_val[slot]
-        a, b = panels.a, panels.b
-        cutoff = max(0.25 * float(panels.worst.max()), tol / (4.0 * a.size))
-        split = (panels.worst >= cutoff) & ((b - a) > 1e-14)
-        n_split = int(split.sum())
-        if not n_split or a.size + n_split > budget:
-            break
-        mid = 0.5 * (a[split] + b[split])
-        halves = np.column_stack((a[split], mid, mid, b[split])).reshape(-1, 2)
-        anchor = np.repeat(panels.c[split], 2)
-        panels = _merge(panels, _evaluate(f, spec, grid, offset, reach, *halves.T, anchor), split)
-
-    _, total_err = _totals(panels, grid.size)
-    worst_x = float(grid[int(np.argmax(total_err))])
-    raise QuadratureNonConvergedError(
-        f"operator quadrature did not converge on the grid "
-        f"(operator={spec.kind.value}, x={worst_x}, n={n})"
-    )
+    values = [None] * len(specs)
+    # the first lattice round at the kernel's own scale W/n, one pass for
+    # the kinds of each W
+    for width in dict.fromkeys(widths[i] for i in tried):
+        kinds = [i for i in tried if widths[i] == width]
+        rounds = _lattice(f, [specs[i] for i in kinds], grid, [windows[i].reach for i in kinds],
+                          [windows[i].budget for i in kinds], width)
+        for i, lattice in zip(kinds, rounds):
+            values[i] = _met(lattice, cfg)
+    for i, (s, win) in enumerate(zip(specs, windows)):
+        if values[i] is None and i in tried:
+            # then at min(W/2, 1)/n: the width test samples four phases of
+            # the tiling, not the grid's
+            values[i] = _met(_lattice(f, [s], grid, [win.reach], [win.budget], min(0.5 * widths[i], 1.0))[0], cfg)
+        if values[i] is None:
+            # otherwise (and on a uniform grid whose lattice rounds miss
+            # tolerance) the seeds are evaluated as rows
+            values[i] = _rows(f, s, grid, win, seeds[i], cfg)
+    rows = np.stack([v[slot] for v in values])
+    return rows[0] if single else rows
 
 
 def central_moment(spec: OperatorSpec, x: float, k: int) -> float:

@@ -8,6 +8,7 @@ import pytest
 from actconv import (
     KernelParams,
     MeasurementGrid,
+    QuadratureNonConvergedError,
     check_smoothness_preservation,
     estimate_modulus,
     fit_rate,
@@ -128,6 +129,40 @@ class TestConvergenceSweep:
         assert len(records) == 2
         assert all("QuadratureNonConvergedError" in r.note for r in records)
         assert all(r.satisfied is None for r in records)
+
+    @pytest.mark.parametrize("order", [0, 2])
+    def test_kinds_swept_together(self, grid, order):
+        """Several kinds in one sweep: each n is evaluated in one
+        ``apply_on_grid`` call, and each kind's records are those of its
+        own sweep, bit for bit."""
+        weights = (0.25,) * 4
+        kinds = ["basic", "kantorovich", "quadrature"]
+        sweeps = run_convergence_sweep(CATALOG["sin"], kinds, [16, 9], 0.5, P11, grid, weights, order=order)
+        assert sweeps == [run_convergence_sweep(CATALOG["sin"], kind, [16, 9], 0.5, P11, grid,
+                                                weights if kind == "quadrature" else None, order=order)
+                          for kind in kinds]
+        assert [[(r.kind, r.n) for r in records] for records in sweeps] == [[(k, 9), (k, 16)] for k in kinds]
+
+    def test_failure_stays_with_its_kind(self, grid, monkeypatch):
+        """When one kind's evaluation raises, only that kind's records
+        carry the note; the other kinds' records are those of their own
+        sweeps, bit for bit."""
+        from actconv import kernel
+
+        weights = (0.25,) * 4
+        alone = {kind: run_convergence_sweep(CATALOG["sin"], kind, [9, 16], 0.5, P11, grid, w)
+                 for kind, w in (("basic", None), ("quadrature", weights))}
+
+        def fail(params, x):
+            raise QuadratureNonConvergedError("the kantorovich kernel failed")
+
+        monkeypatch.setattr(kernel, "psi_average", fail)
+        basic, kantorovich, quadrature = run_convergence_sweep(
+            CATALOG["sin"], ["basic", "kantorovich", "quadrature"], [9, 16], 0.5, P11, grid, weights)
+        assert basic == alone["basic"] and quadrature == alone["quadrature"]
+        for rec in kantorovich:
+            assert rec.kind == "kantorovich" and rec.satisfied is None and math.isnan(rec.measured_sup_error)
+            assert rec.note == "QuadratureNonConvergedError: the kantorovich kernel failed"
 
     def test_no_closed_form_modulus_gives_no_bound(self, grid):
         """A grid-sampled modulus only bounds the true one from below, so it

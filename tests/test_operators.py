@@ -481,14 +481,15 @@ def _seed_rounds(monkeypatch):
     lattice, evaluate = operators._lattice, operators._evaluate
 
     def recorded_lattice(*args):
-        out = lattice(*args)
-        if out is None:
-            outcome = "refused"
-        else:
-            met = float(out[1].max()) <= QuadratureConfig().allowance(float(np.abs(out[0]).max()))
-            outcome = "accepted" if met else "missed"
-        attempts.append((args[-1], outcome))
-        return out
+        results = lattice(*args)
+        for out in results:  # one per kind of the pass
+            if out is None:
+                outcome = "refused"
+            else:
+                met = float(out[1].max()) <= QuadratureConfig().allowance(float(np.abs(out[0]).max()))
+                outcome = "accepted" if met else "missed"
+            attempts.append((args[-1], outcome))
+        return results
 
     def recorded_evaluate(*args):
         rows.append(args[5].size)
@@ -596,7 +597,7 @@ class TestLatticeSeeds:
         attempts, _ = _seed_rounds(monkeypatch)
         out = apply_on_grid(SIN, spec, xs)
         assert attempts and all(outcome == "refused" for _, outcome in attempts)
-        monkeypatch.setattr(operators, "_lattice", lambda *args: None)
+        monkeypatch.setattr(operators, "_lattice", lambda f, specs, *args: [None] * len(specs))
         np.testing.assert_array_equal(out, apply_on_grid(SIN, spec, xs))
 
     def test_lattice_path_taken_only_on_uniform_grids(self, monkeypatch, grid):
@@ -788,7 +789,8 @@ class TestLatticeSeeds:
         shapes of the default sweep (sin, each kind, n = 9..49, at beta = 1
         and, as ``approx --beta 20`` runs it, at beta = 20) and of the
         benchmark's high-resolution calls (sin and abs at n = 100, 400 and
-        1000)."""
+        1000), and of the three kinds in one pass (n = 9, 49 and 1000 at
+        beta = 1 and 20)."""
         products = []
         matmul = np.matmul
 
@@ -801,6 +803,8 @@ class TestLatticeSeeds:
                  for spec in ALL_SPECS for n in (9, 16, 25, 36, 49) for beta in (1.0, 20.0)]
         calls += [(f, replace(spec, n=n)) for spec in ALL_SPECS for n in (100, 400, 1000) for f in (SIN, ABS)]
         calls.append((SIN, OperatorSpec(OperatorKind.BASIC, 100, KernelParams(2.0, 0.5))))
+        # three kinds in one pass, as a sweep step makes it
+        calls += [(SIN, _kinds(n, KernelParams(1.0, beta))) for n in (9, 49, 1000) for beta in (1.0, 20.0)]
         for f, spec in calls:
             apply_on_grid(f, spec, grid.points)
         assert len(products) >= 2 * len(calls)
@@ -867,7 +871,7 @@ class TestLatticeSeeds:
         totals = []
         for rows in (7, 64):  # several sub-blocks per group
             monkeypatch.setattr(operators, "_CHUNK_ROWS", rows)
-            totals.append(operators._lattice(SIN, spec, xs, reach, 10**6, 2.0))
+            totals.append(operators._lattice(SIN, [spec], xs, [reach], [10**6], 2.0)[0])
 
         w = stride * h / m
         q_lo, q_hi = math.floor(-reach / (stride * h)), math.ceil((3.0 + reach) / (stride * h)) - 1
@@ -1065,6 +1069,105 @@ def _scalar_path_misses(test):
         reason = "scalar apply is off by more than its tolerance"
         test = example(case).xfail(reason=reason, raises=AssertionError)(test)
     return test
+
+
+def _kinds(n, params):
+    """The three kinds at one n, as a sweep step holds them."""
+    return [OperatorSpec(OperatorKind.BASIC, n, params), OperatorSpec(OperatorKind.KANTOROVICH, n, params),
+            OperatorSpec(OperatorKind.QUADRATURE, n, params, weights=(0.25, 0.25, 0.25, 0.25))]
+
+
+BATCH_GRIDS = {
+    "uniform-2001": np.linspace(-3.0, 3.0, 2001),
+    "uniform-41": np.linspace(-3.0, 3.0, 41),
+    "chebyshev": operators._chebyshev_nodes(-3.0, 3.0, 257),
+    "far": np.linspace(1e6, 1e6 + 6.0, 601),
+}
+
+
+class TestBatchedKinds:
+    """``apply_on_grid`` with several specs of one n, as a sweep step
+    holds them: the kinds whose kernels have the same width W share one
+    lattice pass (one sampling of f, one table of their kernels), and
+    each row has the bits of the kind's own call."""
+
+    @pytest.mark.parametrize("xs", list(BATCH_GRIDS))
+    @pytest.mark.parametrize("n", [1, 4, 9, 49, 400, 1000])
+    @pytest.mark.parametrize("f", [SIN, ABS, GAUSS], ids=lambda f: f.name)
+    @pytest.mark.parametrize("params", [KernelParams(1.0, 1.0), KernelParams(2.0, 0.5), KernelParams(1.0, 20.0),
+                                        KernelParams(1e-3, 3.0)], ids=lambda p: f"q{p.q:g}-beta{p.beta:g}")
+    def test_rows_have_the_bits_of_single_calls(self, params, f, n, xs):
+        """At (1e-3, 3) basic and quadrature have W = 1/2 and kantorovich
+        W = 1, so the kinds split into two passes; the Chebyshev nodes and
+        the grid around 1e6 take the row path, kind by kind."""
+        xs = BATCH_GRIDS[xs]
+        specs = _kinds(n, params)
+        rows = apply_on_grid(f, specs, xs)
+        assert rows.shape == (len(specs), xs.size)
+        for spec, row in zip(specs, rows):
+            np.testing.assert_array_equal(row, apply_on_grid(f, spec, xs), err_msg=spec.kind.value)
+
+    @pytest.mark.parametrize("params, passes", [(P11, [3]), (KernelParams(1e-3, 3.0), [2, 1])],
+                             ids=["one-width", "two-widths"])
+    def test_kinds_of_one_width_share_a_pass(self, monkeypatch, grid, params, passes):
+        """The first lattice round is one pass per kernel width W: all three
+        kinds at q = beta = 1 (W = 2), basic and quadrature (W = 1/2) apart
+        from kantorovich (W = 1) at (1e-3, 3)."""
+        kinds = []
+        lattice = operators._lattice
+
+        def recorded(f, specs, *args):
+            kinds.append(len(specs))
+            return lattice(f, specs, *args)
+
+        monkeypatch.setattr(operators, "_lattice", recorded)
+        apply_on_grid(SIN, _kinds(9, params), grid.points)
+        assert kinds == passes
+
+    def test_cells_beyond_a_kinds_reach_add_nothing(self, monkeypatch):
+        """A pass takes the cells of the largest reach.  A kind with a
+        smaller reach R has its terms of the cells beyond R zeroed where
+        they could reach the grid: here R is exactly two cells on a grid
+        of step 2^-8, so the cell just beyond it puts its last in-reach
+        offset on the first point, and the one beyond the other end on the
+        last point.  Each kind's totals are those of its own pass."""
+        monkeypatch.setattr(operators, "_cell", lambda *args: (4, 1))
+        xs = np.linspace(-1.0, 1.0, 513)
+        cell = 4 * 2.0**-8
+        specs = _kinds(9, P11)[:2]
+        reaches = [2.0 * cell, 2.0 * cell + 1.0 / 9]
+        together = operators._lattice(SIN, specs, xs, reaches, [10**6] * 2, 2.0)
+        for spec, reach, (values, errors) in zip(specs, reaches, together):
+            alone_values, alone_errors = operators._lattice(SIN, [spec], xs, [reach], [10**6], 2.0)[0]
+            np.testing.assert_array_equal(values, alone_values)
+            np.testing.assert_array_equal(errors, alone_errors)
+
+    def test_default_sweep_makes_one_call_per_n(self, monkeypatch, tmp_path):
+        """``actconv approx`` sweeps its three kinds at n = 9, 16, 25, 36
+        and 49 in five ``apply_on_grid`` calls, not fifteen."""
+        from click.testing import CliRunner
+
+        from actconv import analysis
+        from actconv.cli import main
+
+        calls = []
+        original = analysis.apply_on_grid
+
+        def counted(f, spec, xs, cfg=None):
+            calls.append([(s.kind.value, s.n) for s in spec])
+            return original(f, spec, xs, cfg)
+
+        monkeypatch.setattr(analysis, "apply_on_grid", counted)
+        result = CliRunner().invoke(main, ["approx", "--out", str(tmp_path)], catch_exceptions=False)
+        assert result.exit_code == 0
+        assert calls == [[(kind.value, n) for kind in OperatorKind] for n in (9, 16, 25, 36, 49)]
+
+    def test_specs_share_one_n(self, grid):
+        with pytest.raises(ValueError, match="one n"):
+            apply_on_grid(SIN, [B32, replace(K32, n=16)], grid.points)
+        with pytest.raises(ValueError, match="one n"):
+            apply_on_grid(SIN, [], grid.points)
+        assert apply_on_grid(SIN, ALL_SPECS, []).shape == (3, 0)
 
 
 class TestGridAgainstScalar:
