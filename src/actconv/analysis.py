@@ -167,7 +167,8 @@ def run_convergence_sweep(
     record carries no bound and ``satisfied`` is None.
 
     ``kind`` may also be a sequence of kinds, ``weights`` being the
-    quadrature kind's; the result is then one list of records per kind,
+    quadrature kind's (given without that kind, they raise ValueError as
+    for a single kind); the result is then one list of records per kind,
     each that of the kind's own sweep bit for bit.  At each n one
     ``apply_on_grid`` call evaluates all kinds (kinds whose kernels have
     the same width share its lattice pass); should it fail, each kind is
@@ -179,12 +180,15 @@ def run_convergence_sweep(
     """
     single = isinstance(kind, (OperatorKind, str))
     kinds = [OperatorKind(k) for k in ([kind] if single else kind)]
+    # weights go to the quadrature kind; with no such kind every spec gets
+    # them, and rejects them
+    weighted = OperatorKind.QUADRATURE not in kinds
     cfg = cfg or DEFAULT_CONFIG
     fN = f.derivative(order) if order else f
     records: list[list[ConvergenceRecord]] = [[] for _ in kinds]
     for n in sorted(int(v) for v in ns):
         specs = [OperatorSpec(kind=k, n=n, params=params, alpha=alpha,
-                              weights=weights if k is OperatorKind.QUADRATURE else None) for k in kinds]
+                              weights=weights if weighted or k is OperatorKind.QUADRATURE else None) for k in kinds]
         try:
             window_edge(n, alpha)
             hypothesis_met = True

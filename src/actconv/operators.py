@@ -566,10 +566,9 @@ def _lattice(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, r
     land on the M points M (q + p) + s, 0 <= s < M, which no other cell's
     slab-p terms reach: a slab of all cells and kinds is one in-place add
     onto a contiguous run of the totals, held as (point, kind).  A kind's
-    table is zero outside the offsets within its own reach, so its terms
-    of the cells beyond its reach land off the grid, or are zeroed where
-    rounding lets them reach it (a zero term changes no total): each
-    kind's totals are those it would get alone.  The slabs
+    table is zero outside the offsets within its own reach, and its terms
+    of the cells beyond its own reach are zeroed (a zero term changes no
+    total): each kind's totals are those it would get alone.  The slabs
     are taken in groups at least 32 columns (offsets times kinds) wide
     (wider for wide cells, while a group's terms stay within 15
     ``_CHUNK_ROWS`` values); a group's cells that reach the grid are
@@ -632,14 +631,11 @@ def _lattice(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, r
     offsets = np.arange(p_lo * stride, (p_hi + 1) * stride)
     nodes = (np.arange(m)[:, None] + 0.5) * w + 0.5 * w * GK15_NODES  # (m, 15) from the cell's left edge
     arg = n * (offsets * h - nodes[:, :, None])
-    if kinds == 1:
-        table = _kernel(specs[taken[0]])(arg)[..., None]
-    else:
-        # filled a kind at a time: one kernel's values and temporaries live
-        # beside the table, not every kind's
-        table = np.empty(arg.shape + (kinds,))
-        for t, i in enumerate(taken):
-            table[..., t] = _kernel(specs[i])(arg)
+    # filled a kind at a time: one kernel's values and temporaries live
+    # beside the table, not every kind's
+    table = np.empty(arg.shape + (kinds,))
+    for t, i in enumerate(taken):
+        table[..., t] = _kernel(specs[i])(arg)
     for t, i in enumerate(taken):
         table[:, :, :j_lo[i] - offsets[0], t] = 0.0
         table[:, :, j_hi[i] + 1 - offsets[0]:, t] = 0.0
@@ -663,12 +659,9 @@ def _lattice(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, r
     # group's terms of all cells stay within 15 _CHUNK_ROWS values (wide
     # cells, fewer groups and products)
     cols = stride * kinds
-    # a kind's terms of the cells beyond its own reach land off the grid
-    # (its table is zero beyond its offsets) unless rounding in those
-    # bounds lets them reach it: then they are zeroed
-    beyond = [(t, lows[i] if stride * (lows[i] - 1) + j_hi[i] >= 0 else q_lo,
-               highs[i] if stride * (highs[i] + 1) + j_lo[i] <= size - 1 else q_hi) for t, i in enumerate(taken)]
-    beyond = [cut for cut in beyond if cut[1] > q_lo or cut[2] < q_hi]
+    # a kind's terms of the cells beyond its own [lows, highs] are zeroed:
+    # its own call has no such cells
+    beyond = [(t, lows[i], highs[i]) for t, i in enumerate(taken) if lows[i] > q_lo or highs[i] < q_hi]
     group = max(-(-32 // cols), GK15_NODES.size * _CHUNK_ROWS // (cols * cells))
     # the totals (values, estimates) of point i and the t-th kind at
     # [:, cols (group + i // M) + kinds (i % M) + t]: the terms of a
@@ -938,17 +931,13 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec | Sequence[OperatorSpec], 
     if not np.all(np.isfinite(xs)):
         raise ValueError("grid points must be finite")
     # the distinct points in ascending order, and each input point's place
-    # among them (np.unique would import numpy.ma); strictly ascending
-    # points are their own
-    if np.all(xs[1:] > xs[:-1]):
-        grid, slot = xs, slice(None)
-    else:
-        order = np.argsort(xs, kind="stable")
-        ranked = xs[order]
-        distinct = np.concatenate(([True], ranked[1:] != ranked[:-1]))
-        grid = ranked[distinct]
-        slot = np.empty(xs.size, dtype=np.intp)
-        slot[order] = np.cumsum(distinct) - 1
+    # among them (np.unique would import numpy.ma)
+    order = np.argsort(xs, kind="stable")
+    ranked = xs[order]
+    distinct = np.concatenate(([True], ranked[1:] != ranked[:-1]))
+    grid = ranked[distinct]
+    slot = np.empty(xs.size, dtype=np.intp)
+    slot[order] = np.cumsum(distinct) - 1
 
     uniform = grid.size >= 2 and np.array_equal(grid, np.linspace(grid[0], grid[-1], grid.size))
     drift = _drift(grid) if uniform else None

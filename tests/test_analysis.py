@@ -164,6 +164,13 @@ class TestConvergenceSweep:
             assert rec.kind == "kantorovich" and rec.satisfied is None and math.isnan(rec.measured_sup_error)
             assert rec.note == "QuadratureNonConvergedError: the kantorovich kernel failed"
 
+    @pytest.mark.parametrize("kind", ["basic", ["basic", "kantorovich"]])
+    def test_weights_without_the_quadrature_kind_raise(self, grid, kind):
+        """Weights given to a sweep with no quadrature kind are rejected,
+        not dropped, for one kind as for several."""
+        with pytest.raises(ValueError, match="only meaningful for the quadrature kind"):
+            run_convergence_sweep(CATALOG["sin"], kind, [9], 0.5, P11, grid, (1.0,))
+
     def test_no_closed_form_modulus_gives_no_bound(self, grid):
         """A grid-sampled modulus only bounds the true one from below, so it
         never becomes a right-hand side: the error is measured, unchecked."""

@@ -1126,11 +1126,11 @@ class TestBatchedKinds:
 
     def test_cells_beyond_a_kinds_reach_add_nothing(self, monkeypatch):
         """A pass takes the cells of the largest reach.  A kind with a
-        smaller reach R has its terms of the cells beyond R zeroed where
-        they could reach the grid: here R is exactly two cells on a grid
-        of step 2^-8, so the cell just beyond it puts its last in-reach
-        offset on the first point, and the one beyond the other end on the
-        last point.  Each kind's totals are those of its own pass."""
+        smaller reach R has its terms of the cells beyond R zeroed: here R
+        is exactly two cells on a grid of step 2^-8, so the cell just
+        beyond it puts its last in-reach offset on the first point, and the
+        one beyond the other end on the last point.  Each kind's totals are
+        those of its own pass."""
         monkeypatch.setattr(operators, "_cell", lambda *args: (4, 1))
         xs = np.linspace(-1.0, 1.0, 513)
         cell = 4 * 2.0**-8
