@@ -375,11 +375,14 @@ def _g_slope(params: KernelParams, x: float) -> float:
 
 
 def _peak_location(params: KernelParams, center: float) -> tuple[float, bool]:
-    """Where g' changes sign in [center - 5, center + 5], found by
+    """Where g' changes sign in [center - w, center + w], found by
     bisection on its sign to a relative 1e-12 (g is unimodal), and whether
     g(center) is at least g at every bracket point (101 points over the
-    interval and every bisection midpoint) to within 4 ulp."""
-    lo, hi = center - 5.0, center + 5.0
+    interval and every bisection midpoint) to within 4 ulp.  The half-width
+    w = min(5, 1 + 600 / beta) keeps the inner slope at each end above
+    e^-600, so at large beta the bracket's slopes do not underflow to 0."""
+    half = min(5.0, 1.0 + 600.0 / params.beta)
+    lo, hi = center - half, center + half
     points = list(np.linspace(lo, hi, 101))
     if not (_g_slope(params, lo) > 0.0 > _g_slope(params, hi)):
         return math.inf, False

@@ -16,7 +16,8 @@ quadrature.  Everything else samples f itself, at its own kinks.
 Two evaluation paths share the same nested Kronrod rule:
 
 * ``apply`` (and the kind-specific wrappers) integrate a single point
-  adaptively in the kernel variable v,
+  adaptively in the kernel variable v, with the window's seed panels cut
+  at the kinks of f, v = n (x - kink), as the grid engine cuts its panels,
 * ``apply_on_grid`` evaluates a whole grid of points at once by sharing
   one panel decomposition in the sample variable u, where the kinks of f
   sit at fixed locations; panels refine until the worst grid point meets
@@ -281,7 +282,8 @@ def _apply_scalar(f: TestFunction, spec: OperatorSpec, x: float, cfg: Quadrature
         return np.asarray(f.eval(x - v / n), dtype=float) * k(v)
 
     radius = cfg.radius(spec.params, f.sup_norm)
-    res = integrate_interval(integrand, -radius - k.shift, radius, cfg)
+    # the kinks of f(x - v / n) in the kernel variable, where panels are cut
+    res = integrate_interval(integrand, -radius - k.shift, radius, cfg, [n * (x - kink) for kink in f.kinks])
     # the kernel is finite, so a non-finite integral comes from the samples
     if not math.isfinite(res.value):
         raise NonFiniteSampleError(

@@ -186,14 +186,19 @@ def _panel(f, a: float, b: float) -> tuple[float, float]:
     return i15, abs(i15 - i7)
 
 
-def integrate_interval(f, a: float, b: float, cfg: QuadratureConfig | None = None) -> IntegralResult:
+def integrate_interval(f, a: float, b: float, cfg: QuadratureConfig | None = None,
+                       breaks=()) -> IntegralResult:
     """Adaptive nested-rule integration of f over [a, b].
 
-    A panel is accepted once its embedded error fits the budget
-    ``cfg.allowance(I0)`` * width / (b - a), I0 the one-panel value over
-    [a, b]; otherwise it is bisected.  Exhausting ``MAX_SUBDIVISIONS``
-    splits, or a panel whose error estimate is not finite
-    (bisection cannot repair a NaN or infinite sample), returns the
+    The seed panels run between a, the ``breaks`` that lie strictly
+    inside (a, b) (sorted, without repeats; other points are ignored) and
+    b, as QUADPACK's QAGP seeds them, so a kink of f at a break is never
+    bisected.  A panel is accepted once its embedded error fits the budget
+    ``cfg.allowance(I0)`` * width / (b - a), I0 the sum of the seed
+    panels' values, added left to right (the one-panel value over [a, b]
+    when no break lies inside); otherwise it is bisected.  Exhausting
+    ``MAX_SUBDIVISIONS`` splits, or a panel whose error estimate is not
+    finite (bisection cannot repair a NaN or infinite sample), returns the
     accumulated result flagged non-converged; the caller decides how to
     proceed.
     """
@@ -208,11 +213,12 @@ def integrate_interval(f, a: float, b: float, cfg: QuadratureConfig | None = Non
         return IntegralResult(0.0, 0.0, 0, True)
 
     span = b - a
-    i0, e0 = _panel(f, a, b)
-    tol = cfg.allowance(i0)
+    edges = [a, *sorted({float(t) for t in breaks if a < t < b}), b]
+    seeds = [(lo, hi, *_panel(f, lo, hi)) for lo, hi in zip(edges[:-1], edges[1:])]
+    tol = cfg.allowance(sum(seed[2] for seed in seeds))
     min_width = span * 1e-15
 
-    stack = [(a, b, i0, e0)]
+    stack = seeds[::-1]
     value = 0.0
     err = 0.0
     splits = 0

@@ -56,17 +56,29 @@ class TestKernelCheck:
         assert result.exit_code == 0
         assert "hypothesis not met" in result.output
 
-    def test_wrong_peak_closed_form_detected(self, runner, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("beta", ["1", "700"])
+    def test_wrong_peak_closed_form_detected(self, runner, tmp_path, monkeypatch, beta):
         """The peak search finds the true argmax, so a closed form off by
         1e-5 fails its row."""
         shifted = property(lambda p: math.log(p.q) / p.beta + 1e-5)
         monkeypatch.setattr(KernelParams, "g_argmax", shifted)
-        result = _run(runner, ["kernel-check", "--out", str(tmp_path)])
+        result = _run(runner, ["kernel-check", "--beta", beta, "--out", str(tmp_path)])
         assert result.exit_code == 1
         rows = (tmp_path / "kernel_check.csv").read_text().splitlines()
         peak = [row for row in rows if row.startswith("peak location")]
         assert len(peak) == 1 and peak[0].endswith(",FAIL")
         assert "BOUND VIOLATION: peak location" in result.output
+
+    @pytest.mark.parametrize("q, beta", [("1", "200"), ("3", "700"), ("1e-6", "700"), ("1e6", "700")])
+    def test_peak_found_at_sharp_kernels(self, runner, tmp_path, q, beta):
+        """The bracket narrows to ln(q)/beta +- (1 + 600/beta) at large beta,
+        so the slopes at its ends stay above underflow and the peak row
+        passes."""
+        result = _run(runner, ["kernel-check", "--q", q, "--beta", beta, "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        rows = (tmp_path / "kernel_check.csv").read_text().splitlines()
+        peak = [row for row in rows if row.startswith("peak location")]
+        assert len(peak) == 1 and peak[0].endswith(",PASS")
 
     def test_unconverged_integral_fails_its_row(self, runner, tmp_path):
         """At 1e-18 the k = 3 moment integral stops after its 2000 splits

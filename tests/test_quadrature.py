@@ -80,6 +80,24 @@ class TestIntegrateInterval:
         res = integrate_interval(np.abs, -1.0, 2.0)
         assert res.value == pytest.approx(2.5, abs=1e-12)
 
+    @pytest.mark.parametrize("f", [lambda h: psi(KernelParams(2.0, 0.5), h),
+                                   lambda h: h**3 * psi(KernelParams(2.0, 0.5), h), np.sin],
+                             ids=["psi", "h3-psi", "sin"])
+    @pytest.mark.parametrize("breaks", [(), (-25.0, 20.0, 30.0), (-20.0, -20.0, 20.0, math.nan)])
+    def test_breaks_outside_keep_the_bits(self, f, breaks):
+        """Breaks at or outside the ends of (a, b) seed no panel: the result
+        is the no-break call's, field by field."""
+        assert integrate_interval(f, -20.0, 20.0, breaks=breaks) == integrate_interval(f, -20.0, 20.0)
+
+    def test_break_at_the_kink(self):
+        """|t - 0.3| is linear on each side of its kink, so panels seeded at
+        the kink are exact without a split; bisection needs at least 20."""
+        f = lambda t: np.abs(t - 0.3)
+        cut = integrate_interval(f, -1.0, 2.0, breaks=(0.3,))
+        assert cut.subdivisions_used == 0
+        assert cut.value == pytest.approx(2.29, abs=1e-15)
+        assert integrate_interval(f, -1.0, 2.0).subdivisions_used >= 20
+
     def test_non_convergence_flagged(self, monkeypatch):
         monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 2)
         res = integrate_interval(lambda x: np.sin(50.0 * x * x), 0.0, 10.0)
