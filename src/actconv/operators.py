@@ -43,17 +43,21 @@ Two evaluation paths share the same nested Kronrod rule:
   per-point totals by one in-place add.  The lattice places point i at
   x0 + i h, which differs from the double x_i by up to ulp(x_i) / 2, so
   grids far from the origin, where that drift would show in the result,
-  keep the row seeds.  Given several specs of one n (the kinds of a sweep
-  step), ``apply_on_grid`` returns one row per spec: the kinds whose
-  kernel widths W agree take their first lattice round in one pass, with
-  f sampled once and their kernel tables stacked, and everything after
-  that stays per kind, each row bit for bit the kind's own call.
+  keep the row seeds.  Given several specs of one n and one params (the
+  kinds of a sweep step), ``apply_on_grid`` returns one row per spec: the
+  kinds share the windows and checks, and those whose kernel widths W
+  agree take each lattice round in one pass, with f sampled once and
+  their kernel tables stacked; each row is bit for bit the kind's own
+  call.
 
 Accuracy is set by one knob, ``QuadratureConfig.tol``: both paths accept
 a value v once its error estimate is within ``cfg.allowance(v)`` =
 tol max(1, |v|) (on a grid, v is the largest |value|), and both truncate
-the kernel at ``cfg.radius(params, sup |f|)``, where the mass left out,
-times sup |f|, is at most tol / 100.  The panel limit
+every kind's kernel to one window [-R - 1, R + 1], R =
+``cfg.radius(params, sup |f|)`` the radius beyond which psi's mass, times
+sup |f|, is at most tol / 100 (averaging moves that mass left by at most
+1, see ``_Kernel``; scalar ``apply`` stops at R, above which no kind has
+more).  The panel limit
 (``quadrature.MAX_SUBDIVISIONS``) and the approximants' residual ceiling
 (``RESIDUAL_CEILING``) are constants.
 
@@ -223,17 +227,13 @@ class _Kernel:
     offset: 0 (basic), uniform on [0, 1] (kantorovich), or s/r with weight
     w_s (quadrature).  So k(v) = E psi(v + T): psi, ``kernel.psi_average``,
     or sum_s w_s psi(v + s/r).  Averaging keeps k positive with unit mass
-    and moves psi's mass left by at most ``shift``, so the truncation
-    window [-R, R] of psi becomes [-R - shift, R]."""
+    and moves psi's mass left by at most 1, so every kind is truncated to
+    the one window [-R - 1, R + 1] around psi's [-R, R]; the mass that
+    basic gains there is below tol / 100."""
 
     kind: OperatorKind
     params: KernelParams
     weights: tuple[float, ...] | None = None
-
-    @property
-    def shift(self) -> float:
-        """The largest value of T."""
-        return 0.0 if self.kind is OperatorKind.BASIC else 1.0
 
     def __call__(self, v):
         if self.kind is OperatorKind.BASIC:
@@ -282,8 +282,9 @@ def _apply_scalar(f: TestFunction, spec: OperatorSpec, x: float, cfg: Quadrature
         return np.asarray(f.eval(x - v / n), dtype=float) * k(v)
 
     radius = cfg.radius(spec.params, f.sup_norm)
-    # the kinks of f(x - v / n) in the kernel variable, where panels are cut
-    res = integrate_interval(integrand, -radius - k.shift, radius, cfg, [n * (x - kink) for kink in f.kinks])
+    # no kind's kernel has mass above R beyond tol / 100; the kinks of
+    # f(x - v / n) in the kernel variable, where panels are cut
+    res = integrate_interval(integrand, -radius - 1.0, radius, cfg, [n * (x - kink) for kink in f.kinks])
     # the kernel is finite, so a non-finite integral comes from the samples
     if not math.isfinite(res.value):
         raise NonFiniteSampleError(
@@ -548,8 +549,8 @@ def _cell(h: float, n: int, width: float, size: int) -> tuple[int, int]:
     return stride, m
 
 
-def _lattice(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, reaches: Sequence[float],
-             caps: Sequence[int], width: float) -> list:
+def _lattice(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, reach: float, cap: int,
+             width: float) -> list:
     """The seed round of the kinds of ``specs`` (one n) on the grid
     x_i = x0 + i h, from one table of their kernels.
 
@@ -559,20 +560,21 @@ def _lattice(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, r
     grid points, so the kernel value at point i and node k of the cell's
     r-th panel depends only on (r, k) and the offset j = i - stride q of
     point i from cell q: each kind's kernel is evaluated once, on the table
-    T[r, k, j, kind], the kinds stacked on the last axis.  f is sampled
-    once, at the nodes of every lattice panel within the largest reach, at
-    most ``_CHUNK_ROWS`` panels per call, and the samples are weighted
-    once.  Each term, a K15 value and its |K15 - G7| estimate, is a
-    contraction of the panel's 15 weighted samples with T, every kind at
-    once.  The terms of cell q at the offsets [p M, (p + 1) M), slab p,
-    land on the M points M (q + p) + s, 0 <= s < M, which no other cell's
-    slab-p terms reach: a slab of all cells and kinds is one in-place add
-    onto a contiguous run of the totals, held as (point, kind).  A kind's
-    table is zero outside the offsets within its own reach, and its terms
-    of the cells beyond its own reach are zeroed (a zero term changes no
-    total): each kind's totals are those it would get alone.  The slabs
-    are taken in groups at least 32 columns (offsets times kinds) wide
-    (wider for wide cells, while a group's terms stay within 15
+    T[r, k, j, kind], the kinds stacked on the last axis.  Every kind's
+    kernel is truncated to one window (see ``_Kernel``), so a panel reaches
+    the points within ``reach`` of it whatever the kind, and the kinds
+    share the cells, the offsets and the kink cuts.  f is sampled once, at
+    the nodes of every lattice panel within reach of the grid, at most
+    ``_CHUNK_ROWS`` panels per call, and the samples are weighted once.
+    Each term, a K15 value and its |K15 - G7| estimate, is a contraction of
+    the panel's 15 weighted samples with T, every kind at once.  The terms
+    of cell q at the offsets [p M, (p + 1) M), slab p, land on the M points
+    M (q + p) + s, 0 <= s < M, which no other cell's slab-p terms reach: a
+    slab of all cells and kinds is one in-place add onto a contiguous run
+    of the totals, held as (point, kind).  The table is zero at the offsets
+    of the whole slabs beyond reach (a zero term changes no total).  The
+    slabs are taken in groups at least 32 columns (offsets times kinds)
+    wide (wider for wide cells, while a group's terms stay within 15
     ``_CHUNK_ROWS`` values); a group's cells that reach the grid are
     contracted in sub-blocks of at most 15 ``_CHUNK_ROWS`` (panel, column)
     terms, one matrix product per panel row r (``_contract``), whose
@@ -581,12 +583,13 @@ def _lattice(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, r
     copied into slab order.  Groups go from the last slab down, and so do
     the slabs within a group, so every point receives its terms in
     ascending cell order, as ``np.add.at`` would add them, whatever the
-    sub-block size and whichever kinds share the pass.
+    sub-block size and whichever kinds share the pass: each kind's totals
+    are those it would get alone.
 
-    A lattice panel that contains a kink of f is cut there, and each
-    kind's pieces go through ``_evaluate``.  Returns, per kind, the
-    per-point totals of values and error estimates; or None when its seeds
-    would exceed its panel budget ``caps``, or, for every kind, when a cell
+    A lattice panel that contains a kink of f is cut there, and the pieces
+    go through ``_evaluate`` for each kind.  Returns, per kind, the
+    per-point totals of values and error estimates; or None for every kind
+    when the seeds would exceed the panel budget ``cap``, or when a cell
     spans more than a quarter of the grid, so that a table value would
     serve fewer than four cells.  Against rows, the lattice was measured at
     0.3 to 1.4 times the time at two or three cells, 0.2 to 0.8 times at
@@ -595,62 +598,52 @@ def _lattice(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, r
     to the min(W/2, 1)/n one, with twice the cells, and without the
     refusal such calls took 0.4 to 1.8 times as long (the W/n lattice
     missing tolerance at beta = 0.5)."""
-    n, size = specs[0].n, grid.size
-    results = [None] * len(specs)
+    n, size, kinds = specs[0].n, grid.size, len(specs)
+    refused = [None] * kinds
     x0 = float(grid[0])
     span = float(grid[-1]) - x0
     h = span / (size - 1)
     stride, m = _cell(h, n, width, size)
     if 4 * stride > size - 1:
-        return results
+        return refused
     cell = stride * h
     w = cell / m
-    # each kind's cells within its reach of the grid, and the offsets j of
-    # the points within its reach of a cell, clipped to the grid
-    lows = [math.floor(-reach / cell) for reach in reaches]
-    highs = [math.ceil((span + reach) / cell) - 1 for reach in reaches]
-    j_lo = [max(math.ceil(-reach / h), -stride * hi) for reach, hi in zip(reaches, highs)]
-    j_hi = [min(math.floor((cell + reach) / h), size - 1 - stride * lo) for reach, lo in zip(reaches, lows)]
-
-    q_lo, q_hi = min(lows), max(highs)
+    # the cells within reach of the grid, and the offsets j of the points
+    # within reach of a cell, clipped to the grid
+    q_lo, q_hi = math.floor(-reach / cell), math.ceil((span + reach) / cell) - 1
+    j_lo = max(math.ceil(-reach / h), -stride * q_hi)
+    j_hi = min(math.floor((cell + reach) / h), size - 1 - stride * q_lo)
     cells = q_hi - q_lo + 1
     edges = np.arange(m * q_lo, m * (q_hi + 1) + 1) * w
     cuts = np.array(sorted({k - x0 for k in f.kinks if edges[0] < k - x0 < edges[-1]}), dtype=float)
     at = np.searchsorted(edges, cuts)  # edges[at - 1] < cut <= edges[at]
     inner = edges[at] != cuts
     cuts, at = cuts[inner], at[inner]
-    # a kind's own cuts lie within its own cells
-    own = [[cut for cut in cuts.tolist() if edges[m * (lo - q_lo)] < cut < edges[m * (hi + 1 - q_lo)]]
-           for lo, hi in zip(lows, highs)]
-    taken = [i for i, cap in enumerate(caps) if m * (highs[i] + 1 - lows[i]) + len(own[i]) <= cap]
-    if not taken:
-        return results
-    kinds = len(taken)
+    if m * cells + cuts.size > cap:
+        return refused
 
-    # the offsets in whole slabs of M = stride, each kind's table zero
-    # outside its [j_lo, j_hi]: a zero term changes no total
-    p_lo, p_hi = min(j_lo[i] for i in taken) // stride, max(j_hi[i] for i in taken) // stride
+    # the offsets in whole slabs of M = stride, the table zero outside
+    # [j_lo, j_hi]
+    p_lo, p_hi = j_lo // stride, j_hi // stride
     offsets = np.arange(p_lo * stride, (p_hi + 1) * stride)
     nodes = (np.arange(m)[:, None] + 0.5) * w + 0.5 * w * GK15_NODES  # (m, 15) from the cell's left edge
     arg = n * (offsets * h - nodes[:, :, None])
     # filled a kind at a time: one kernel's values and temporaries live
     # beside the table, not every kind's
     table = np.empty(arg.shape + (kinds,))
-    for t, i in enumerate(taken):
-        table[..., t] = _kernel(specs[i])(arg)
-    for t, i in enumerate(taken):
-        table[:, :, :j_lo[i] - offsets[0], t] = 0.0
-        table[:, :, j_hi[i] + 1 - offsets[0]:, t] = 0.0
+    for t, spec in enumerate(specs):
+        table[..., t] = _kernel(spec)(arg)
+    table[:, :, :j_lo - offsets[0]] = 0.0
+    table[:, :, j_hi + 1 - offsets[0]:] = 0.0
 
     # the samples of every lattice panel, taken as ``_evaluate`` takes them,
     # times the G7 and then (in place) the K15 weights
     a, b = edges[:-1], edges[1:]
     fu = np.empty((a.size, GK15_NODES.size))
     anchor = np.array(x0)
-    served = [specs[i] for i in taken]
     for p0 in range(0, a.size, _CHUNK_ROWS):
         pa, pb = a[p0:p0 + _CHUNK_ROWS, None], b[p0:p0 + _CHUNK_ROWS, None]
-        fu[p0:p0 + _CHUNK_ROWS] = _sample(f, served, 0.5 * (pa + pb) + 0.5 * (pb - pa) * GK15_NODES, anchor)
+        fu[p0:p0 + _CHUNK_ROWS] = _sample(f, specs, 0.5 * (pa + pb) + 0.5 * (pb - pa) * GK15_NODES, anchor)
     fu[at - 1] = 0.0  # a panel cut at a kink leaves the lattice
     fu = fu.reshape(cells, m, GK15_NODES.size)
     gauss = fu[:, :, _GAUSS] * (0.5 * n * w * G7_WEIGHTS[_GAUSS])
@@ -661,9 +654,6 @@ def _lattice(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, r
     # group's terms of all cells stay within 15 _CHUNK_ROWS values (wide
     # cells, fewer groups and products)
     cols = stride * kinds
-    # a kind's terms of the cells beyond its own [lows, highs] are zeroed:
-    # its own call has no such cells
-    beyond = [(t, lows[i], highs[i]) for t, i in enumerate(taken) if lows[i] > q_lo or highs[i] < q_hi]
     group = max(-(-32 // cols), GK15_NODES.size * _CHUNK_ROWS // (cols * cells))
     # the totals (values, estimates) of point i and the t-th kind at
     # [:, cols (group + i // M) + kinds (i % M) + t]: the terms of a
@@ -694,35 +684,24 @@ def _lattice(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, r
                 # then copied into slab order a slab's columns at a time, as
                 # one record each
                 out.view(record)[..., 0] = panel[0].view(record).T
-        if beyond:
-            by_kind = terms.reshape(terms.shape[:3] + (stride, kinds))
-            for t, lo, hi in beyond:
-                if lo > first:
-                    by_kind[:, :, :lo - first, :, t] = 0.0
-                if hi < last:
-                    by_kind[:, :, max(0, hi + 1 - first):, :, t] = 0.0
         for p in range(top, low - 1, -1):
             # slab p puts cell q's terms on the points M (q + p) + s, 0 <= s < M
             r0 = (group + first + p) * cols
             totals[:, r0:r0 + (last + 1 - first) * cols] += terms[:, p - low].reshape(2, -1)
     totals = totals.reshape(2, -1, kinds)[:, group * stride:group * stride + size]
 
-    for t, i in enumerate(taken):
-        values, errors = totals[:, :, t]
-        if own[i]:
-            # the pieces of the kind's cut panels: runs of lattice edges and
-            # cuts that start or end at a cut
-            merged = np.concatenate((edges, own[i]))
-            rank = np.argsort(merged, kind="stable")
-            merged, at_cut = merged[rank], rank >= edges.size
-            piece = at_cut[:-1] | at_cut[1:]
-            a, b = merged[:-1][piece], merged[1:][piece]
-            pieces = _evaluate(f, specs[i], grid, grid - x0, reaches[i], a, b, np.full(a.size, x0))
-            piece_values, piece_errors = _totals(pieces, size)
-            values += piece_values
-            errors += piece_errors
-        results[i] = values, errors
-    return results
+    if cuts.size:
+        # the pieces of the cut panels: runs of lattice edges and cuts that
+        # start or end at a cut
+        merged = np.concatenate((edges, cuts))
+        rank = np.argsort(merged, kind="stable")
+        merged, at_cut = merged[rank], rank >= edges.size
+        piece = at_cut[:-1] | at_cut[1:]
+        a, b = merged[:-1][piece], merged[1:][piece]
+        for t, spec in enumerate(specs):
+            totals[:, :, t] += _totals(_evaluate(f, spec, grid, grid - x0, reach, a, b, np.full(a.size, x0)), size)
+    # per kind, its (values, errors)
+    return list(totals.transpose(2, 0, 1))
 
 
 def _drift(grid: np.ndarray) -> float:
@@ -751,10 +730,10 @@ def _merge(panels: _Panels, halves: _Panels, split: np.ndarray) -> _Panels:
 
 
 class _Windows(NamedTuple):
-    """One kind's seeding windows on the sorted grid: window w holds the
-    points bounds[w]:bounds[w + 1], their kernel windows span
-    [lows[w], highs[w]], and it may use ``caps[w]`` panels; a panel
-    reaches the points within R/n of it."""
+    """The seeding windows on the sorted grid: window w holds the points
+    bounds[w]:bounds[w + 1], their kernel windows span [lows[w], highs[w]],
+    and it may use ``caps[w]`` panels; a panel reaches the points within
+    ``reach`` = R/n of it, R the radius of the kernel window."""
 
     reach: float
     bounds: np.ndarray
@@ -837,15 +816,15 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec | Sequence[OperatorSpec], 
                   cfg: QuadratureConfig | None = None) -> np.ndarray:
     """Evaluate the operator at every point of ``xs`` in one pass.
 
-    ``spec`` may also be a sequence of specs with one n, such as the kinds
-    of one sweep step: the result then has one row of values per spec, each
-    bit for bit the values of its own call.  The set-up (sorting, the
-    uniformity and drift checks) is shared, and the first lattice round of
-    every kind whose kernel width W is the same is one pass: one sampling of
-    f and one table of the kinds' kernels (see ``_lattice``).  Everything
-    after that stays per kind: a kind with another W, one whose lattice
-    misses tolerance or is refused, its kink pieces and the row path.  The
-    call raises if any kind fails.
+    ``spec`` may also be a sequence of specs with one n and one ``params``
+    (else a ValueError), such as the kinds of one sweep step: the result
+    then has one row of values per spec, each bit for bit the values of its
+    own call.  Every kind's kernel has the same window, so the set-up
+    (sorting, the seeding windows, the uniformity and drift checks) is done
+    once, and each lattice round is one pass for the kinds whose kernel
+    widths W agree: one sampling of f and one table of the kinds' kernels
+    (see ``_lattice``).  The kink pieces and the row path stay per kind.
+    The call raises if any kind fails.
 
     All points share a single panel decomposition in the sample variable
     u; panels are seeded at the kernel's own scale W/n (see the lattice
@@ -853,13 +832,13 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec | Sequence[OperatorSpec], 
     the worst point's accumulated error estimate is within
     ``cfg.allowance`` of the largest |value|,
     tol max(1, max |value|).  Each panel is evaluated only on the grid
-    points within R/n of it, R the truncation radius of the kind's kernel
-    (psi's, ``cfg.radius(spec.params, f.sup_norm)``, plus 1 for the two
-    averaging kinds, see ``_Kernel``), and panels are seeded only where
-    they reach a grid point.  Seeds and splits together may use
-    ``quadrature.MAX_SUBDIVISIONS`` panels per kernel window of width 2R/n
-    spanned by the points' windows [x - R/n, x + R/n].  ``xs`` need not be
-    sorted.
+    points within (R + 1)/n of it, R = ``cfg.radius(spec.params,
+    f.sup_norm)`` the truncation radius of psi and [-R - 1, R + 1] every
+    kind's kernel window (see ``_Kernel``), and panels are seeded only
+    where they reach a grid point.  Seeds and splits together may use
+    ``quadrature.MAX_SUBDIVISIONS`` panels per kernel window of width
+    2 (R + 1)/n spanned by the points' windows [x - (R + 1)/n,
+    x + (R + 1)/n].  ``xs`` need not be sorted.
 
     The seeds, and then each round's new halves, are evaluated as flat
     (panel, grid point) rows, about a thousand rows per kernel call, with
@@ -870,11 +849,11 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec | Sequence[OperatorSpec], 
     chunk size.
 
     Each seeding window [lo, hi] (windows are split at gaps wider than
-    3R/n between sorted points) has the anchor c = (lo + hi) / 2.  Panel
-    edges and kink seeds are held as offsets from c, each point's x - c is
-    computed once, and the kernel argument is n ((x - c) - t) for a node
-    offset t; f is evaluated at c + t.  The rounding of
-    the kernel argument is thus about n ulp(x - c), not n ulp(x), and the
+    3 (R + 1)/n between sorted points) has the anchor c = (lo + hi) / 2.
+    Panel edges and kink seeds are held as offsets from c, each point's
+    x - c is computed once, and the kernel argument is n ((x - c) - t) for
+    a node offset t; f is evaluated at c + t.  The rounding of the kernel
+    argument is thus about n ulp(x - c), not n ulp(x), and the
     result far from the origin is as accurate as near it.  On a window
     symmetric about 0, c is exactly 0.
 
@@ -897,7 +876,7 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec | Sequence[OperatorSpec], 
     the min(W/2, 1)/n lattice runs next: for W > 1 its panels are never
     coarser than the row seeds, and for W <= 1 it catches a grid whose
     phase on the tiling the width test did not sample.
-    The kind's kernel is evaluated once, on a table of kernel values per
+    Each kind's kernel is evaluated once, on a table of kernel values per
     (node, lattice offset); each (panel, point) K15 term and its
     |K15 - G7| estimate is a 15-node contraction of the panel's weighted
     samples with the table, one BLAS matrix product per group of offsets
@@ -924,9 +903,10 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec | Sequence[OperatorSpec], 
     cfg = cfg or DEFAULT_CONFIG
     single = isinstance(spec, OperatorSpec)
     specs = [spec] if single else list(spec)
-    if not specs or any(s.n != specs[0].n for s in specs):
-        raise ValueError(f"specs must be a nonempty sequence with one n, got {[s.n for s in specs]}")
-    n = specs[0].n
+    if not specs or any((s.n, s.params) != (specs[0].n, specs[0].params) for s in specs):
+        raise ValueError(f"specs must be a nonempty sequence with one n and one params, got "
+                         f"{[(s.n, s.params) for s in specs]}")
+    n, params = specs[0].n, specs[0].params
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if xs.size == 0:
         return np.empty(0) if single else np.empty((len(specs), 0))
@@ -941,52 +921,44 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec | Sequence[OperatorSpec], 
     slot = np.empty(xs.size, dtype=np.intp)
     slot[order] = np.cumsum(distinct) - 1
 
+    # every kind's kernel window, [-R - 1, R + 1] (see ``_Kernel``)
+    radius = cfg.radius(params, f.sup_norm) + 1.0
+    win = _windows(grid, radius, n)
     uniform = grid.size >= 2 and np.array_equal(grid, np.linspace(grid[0], grid[-1], grid.size))
-    drift = _drift(grid) if uniform else None
-    # per kind: the seeding windows, the kernel width W, the row seeds'
-    # width, and whether the lattice is tried
-    windows, widths, seeds, tried = [], [], [], []
-    for i, s in enumerate(specs):
-        k = _kernel(s)
-        radius = cfg.radius(s.params, f.sup_norm) + k.shift
-        win = _windows(grid, radius, n)
-        windows.append(win)
-        # the lattice moves each point by up to _drift(grid), which moves its
-        # value by up to that times sup |(B f)'| <= n sup|f| TV(k); averaging
-        # does not raise the total variation, and TV(psi) <= 2 g_max: keep
-        # that below tol / 10
-        slope = 2.0 * n * s.params.g_max_value * f.sup_norm
-        lattice_ok = uniform and win.lows.size == 1 and drift * slope <= 0.1 * cfg.tol
-        # the row seeds are W/n wide as well, but stay 1/n wide where the
-        # points' own rounding, ulp(max |x|), could move a value by tol / 10
-        # in the same way: finer seeds average more of that noise out of the
-        # K15 - G7 estimates
-        rows_ok = float(np.spacing(max(abs(grid[0]), abs(grid[-1])))) * slope <= 0.1 * cfg.tol
-        # no width: a kernel too wide to tile takes the rows, seeded at 1/n
-        width = _kernel_width(k, radius, cfg.tol, f.sup_norm) if lattice_ok or rows_ok else None
-        widths.append(width)
-        seeds.append(width if rows_ok and width is not None else 1.0)
-        if lattice_ok and width is not None:
-            tried.append(i)
+    # the lattice moves each point by up to _drift(grid), which moves its
+    # value by up to that times sup |(B f)'| <= n sup|f| TV(k); averaging
+    # does not raise the total variation, and TV(psi) <= 2 g_max: keep that
+    # below tol / 10
+    slope = 2.0 * n * params.g_max_value * f.sup_norm
+    lattice_ok = uniform and win.lows.size == 1 and _drift(grid) * slope <= 0.1 * cfg.tol
+    # the row seeds are W/n wide as well, but stay 1/n wide where the
+    # points' own rounding, ulp(max |x|), could move a value by tol / 10 in
+    # the same way: finer seeds average more of that noise out of the
+    # K15 - G7 estimates
+    rows_ok = float(np.spacing(max(abs(grid[0]), abs(grid[-1])))) * slope <= 0.1 * cfg.tol
+    # per kind the kernel width W; None for a kernel too wide to tile, which
+    # takes the rows, seeded at 1/n
+    widths = [_kernel_width(_kernel(s), radius, cfg.tol, f.sup_norm) if lattice_ok or rows_ok else None
+              for s in specs]
 
     values = [None] * len(specs)
-    # the first lattice round at the kernel's own scale W/n, one pass for
-    # the kinds of each W
-    for width in dict.fromkeys(widths[i] for i in tried):
-        kinds = [i for i in tried if widths[i] == width]
-        rounds = _lattice(f, [specs[i] for i in kinds], grid, [windows[i].reach for i in kinds],
-                          [windows[i].budget for i in kinds], width)
-        for i, lattice in zip(kinds, rounds):
-            values[i] = _met(lattice, cfg)
-    for i, (s, win) in enumerate(zip(specs, windows)):
-        if values[i] is None and i in tried:
-            # then at min(W/2, 1)/n: the width test samples four phases of
-            # the tiling, not the grid's
-            values[i] = _met(_lattice(f, [s], grid, [win.reach], [win.budget], min(0.5 * widths[i], 1.0))[0], cfg)
+    if lattice_ok:
+        # the lattice at the kernel's own scale W/n, then at min(W/2, 1)/n
+        # for the kinds that missed or were refused (the width test samples
+        # four phases of the tiling, not the grid's): one pass for the kinds
+        # of each width
+        lattice = {i: w for i, w in enumerate(widths) if w is not None}
+        for _ in range(2):
+            for width in dict.fromkeys(lattice.values()):
+                kinds = [i for i, w in lattice.items() if w == width]
+                for i, out in zip(kinds, _lattice(f, [specs[i] for i in kinds], grid, win.reach, win.budget, width)):
+                    values[i] = _met(out, cfg)
+            lattice = {i: min(0.5 * w, 1.0) for i, w in lattice.items() if values[i] is None}
+    for i, (s, width) in enumerate(zip(specs, widths)):
         if values[i] is None:
             # otherwise (and on a uniform grid whose lattice rounds miss
             # tolerance) the seeds are evaluated as rows
-            values[i] = _rows(f, s, grid, win, seeds[i], cfg)
+            values[i] = _rows(f, s, grid, win, width if rows_ok and width is not None else 1.0, cfg)
     rows = np.stack([v[slot] for v in values])
     return rows[0] if single else rows
 
@@ -1132,7 +1104,7 @@ def _chain(
     previous stage's approximant (with its clamped extension) as a bounded
     continuous function.
 
-    Stage k is built on the domain padded by the reach (R + shift)/n_j of
+    Stage k is built on the domain padded by the reach (R + 1)/n_j of
     every later stage j, R the truncation radius at sup |f|: so the last
     stage sits on the domain itself, and no stage samples its input where
     that input is clamped, only where the kernel mass left out is below
@@ -1140,7 +1112,7 @@ def _chain(
     first stage whose residual exceeds ``RESIDUAL_CEILING``.
     """
     cfg = cfg or DEFAULT_CONFIG
-    reach = [(cfg.radius(s.params, f.sup_norm) + _kernel(s).shift) / s.n for s in specs]
+    reach = [(cfg.radius(s.params, f.sup_norm) + 1.0) / s.n for s in specs]
     current = f
     for stage, spec in enumerate(specs, start=1):
         pad = math.fsum(reach[stage:])
