@@ -1151,6 +1151,23 @@ class TestBatchedKinds:
         apply_on_grid(SIN, _kinds(9, params), grid.points)
         assert kinds == passes
 
+    def test_one_reach_pass_has_the_totals_of_single_kind_passes(self, monkeypatch):
+        """A pass of all three kinds takes one reach: here exactly two cells
+        of 4 steps on a grid of step 2^-8, so two cells lie beyond either
+        end of the grid and the table is zeroed at the offsets 13 to 15 of
+        its last slab.  Each kind's totals are those of its own pass at
+        that reach."""
+        monkeypatch.setattr(operators, "_cell", lambda *args: (4, 1))
+        xs = np.linspace(-1.0, 1.0, 513)
+        reach = 2.0 * 4 * 2.0**-8
+        specs = _kinds(9, P11)
+        together = operators._lattice(SIN, specs, xs, reach, 10**6, 2.0)
+        assert len(together) == len(specs)
+        for spec, (values, errors) in zip(specs, together):
+            alone_values, alone_errors = operators._lattice(SIN, [spec], xs, reach, 10**6, 2.0)[0]
+            np.testing.assert_array_equal(values, alone_values, err_msg=spec.kind.value)
+            np.testing.assert_array_equal(errors, alone_errors, err_msg=spec.kind.value)
+
     def test_default_sweep_makes_one_call_per_n(self, monkeypatch, tmp_path):
         """``actconv approx`` sweeps its three kinds at n = 9, 16, 25, 36
         and 49 in five ``apply_on_grid`` calls, not fifteen."""
