@@ -194,42 +194,12 @@ def _g_tail(s: np.ndarray, beta: float) -> np.ndarray:
     return np.exp(s + math.log(math.sinh(beta))) / (1.0 + np.exp(s + math.log(2.0 * math.cosh(beta))))
 
 
-def g(params: KernelParams, x) -> float | np.ndarray:
-    """Density (nu(x+1) - nu(x-1)) / 4; strictly positive on the real line.
-
-    The negative axis is routed through the reflection g_q(-x) = g_{1/q}(x),
-    so the deformed symmetry holds bit-exactly: every point is taken at
-    t = |x| with c = q or 1/q by its sign.
-    """
-    arr, t, top, scalar = _magnitude(x)
-    q, beta = params.q, params.beta
-    deep = beta * top + abs(math.log(q)) > _NORMAL_DECAY
-    scratch = np.empty_like(t)
-    if params._wide:
-        t *= beta
-        out = np.subtract(np.where(arr >= 0.0, math.log(q), math.log(1.0 / q)), t)
-        tails = _g_of_log_w(out, beta, t, scratch, deep)
-    else:
-        t *= -beta
-        e = np.exp(t, out=t)
-        out = e * np.where(arr >= 0.0, q, 1.0 / q)
-        tails = (e < _TINY) | (out < _TINY) if deep else None
-        _g_of_w(out, beta, e, scratch)
-    if tails is not None:
-        x = arr[tails]
-        out[tails] = _g_tail(np.where(x >= 0.0, math.log(q), math.log(1.0 / q)) - beta * np.abs(x), beta)
-    return _ret(out, scalar)
-
-
-def psi(params: KernelParams, x) -> float | np.ndarray:
-    """Symmetrized density (g_q(x) + g_{1/q}(x)) / 2; even, positive, unit mass.
-
-    Evaluated through |x|, so psi(x) == psi(-x) holds exactly in floating
-    point.  g_q and g_{1/q} are formed from one shared e^{-beta |x|} (beta
-    |x| in the wide form), which gives the bits of two calls of g, in place
-    in four buffers; at q = 1 they coincide, and (g + g) / 2 is g exactly,
-    so g is computed once, in three.
-    """
+def _deformations(params: KernelParams, x) -> tuple[np.ndarray, list[np.ndarray], bool]:
+    """x as an array of at least one dimension, [g_q(|x|), g_{1/q}(|x|)],
+    and whether x is a scalar.  Both are formed from one shared
+    e^{-beta |x|} (beta |x| in the wide form), in place in four buffers,
+    with the bits of g at t = |x| and c = q or 1/q; at q = 1 they coincide,
+    and the list holds g_1(|x|) once, computed in three."""
     arr, shared, top, scalar = _magnitude(x)
     q, beta, wide = params.q, params.beta, params._wide
     deep = beta * top + abs(math.log(q)) > _NORMAL_DECAY
@@ -241,9 +211,9 @@ def psi(params: KernelParams, x) -> float | np.ndarray:
         # w = c e is at least e for c >= 1, so there e leaves the normal range first
         low = shared < _TINY if deep else None
     scratch = np.empty_like(shared), np.empty_like(shared)
-
-    def deformation(c: float, out: np.ndarray) -> np.ndarray:
-        """g_c(|x|) in ``out``, from the shared buffer (``out`` may be it)."""
+    # g_{1/q} last, as it overwrites the shared buffer
+    deformed = [shared] if q == 1.0 else [np.empty_like(shared), shared]
+    for c, out in zip((q, 1.0 / q), deformed):
         if wide:
             tails = _g_of_log_w(np.subtract(math.log(c), shared, out=out), beta, *scratch, deep)
         else:
@@ -253,13 +223,32 @@ def psi(params: KernelParams, x) -> float | np.ndarray:
             _g_of_w(out, beta, *scratch)
         if tails is not None:
             out[tails] = _g_tail(math.log(c) - beta * np.abs(arr[tails]), beta)
-        return out
+    return arr, deformed, scalar
 
-    if q == 1.0:
-        return _ret(deformation(1.0, shared), scalar)
-    out = deformation(q, np.empty_like(shared))
-    out += deformation(1.0 / q, shared)
-    out *= 0.5
+
+def g(params: KernelParams, x) -> float | np.ndarray:
+    """Density (nu(x+1) - nu(x-1)) / 4; strictly positive on the real line.
+
+    The negative axis is routed through the reflection g_q(-x) = g_{1/q}(x),
+    so the deformed symmetry holds bit-exactly: every point is taken at
+    t = |x| with c = q or 1/q by its sign.
+    """
+    arr, deformed, scalar = _deformations(params, x)
+    return _ret(np.where(arr >= 0.0, deformed[0], deformed[-1]), scalar)
+
+
+def psi(params: KernelParams, x) -> float | np.ndarray:
+    """Symmetrized density (g_q(x) + g_{1/q}(x)) / 2; even, positive, unit mass.
+
+    Evaluated through |x|, so psi(x) == psi(-x) holds exactly in floating
+    point, with the bits of two calls of g (see ``_deformations``); at
+    q = 1, (g + g) / 2 is g exactly, so g is taken once.
+    """
+    _, deformed, scalar = _deformations(params, x)
+    out = deformed[0]
+    if len(deformed) == 2:
+        out += deformed[1]
+        out *= 0.5
     return _ret(out, scalar)
 
 

@@ -32,9 +32,9 @@ Two evaluation paths share the same nested Kronrod rule:
   seed round runs on a lattice of panels anchored at the first point
   instead: the kernel term of a (panel, point) pair then depends only on
   their lattice offset, so the kernel is evaluated once, on a table of a
-  few thousand values.  The lattice panels are sized to the kernel's own
+  few thousand values.  The lattice panels are sized to the kernels'
   scale W/n, W the power of two (from 2^-10 up) at which GK15 panels
-  resolve the kind's kernel to tolerance (for psi at tol = 1e-10,
+  resolve psi, and so every kind's kernel, to tolerance (at tol = 1e-10,
   about 2 / beta: 32 at beta = 0.05, 2 at beta = 1, 1/2 at beta = 5 and
   1/8 at beta = 20): a cell of M grid steps holds m panels of width
   h M / m, the widest not above W/n with small M and m.  f is sampled at
@@ -45,8 +45,8 @@ Two evaluation paths share the same nested Kronrod rule:
   grids far from the origin, where that drift would show in the result,
   keep the row seeds.  Given several specs of one n and one params (the
   kinds of a sweep step), ``apply_on_grid`` returns one row per spec: the
-  kinds share the windows and checks, and those whose kernel widths W
-  agree take each lattice round in one pass, with f sampled once and
+  kinds share the windows, the checks and W, and each lattice round is one
+  pass of the kinds still short of tolerance, with f sampled once and
   their kernel tables stacked; each row is bit for bit the kind's own
   call.
 
@@ -470,41 +470,45 @@ def _tiling(radius: float, width: float) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=64)
-def _tiling_error(k: _Kernel, radius: float, width: float) -> float:
+def _tiling_error(params: KernelParams, radius: float, width: float) -> float:
     """The sum of the |K15 - G7| estimates of GK15 panels of width W
-    tiling [-R, R] on the kind's kernel k, the largest over the tilings
-    offset by 0, W/4, W/2 and 3W/4: aligned at 0 alone, psi at beta = 20
-    would pass at W = 2, its edges at +-1 sitting on panel midpoints, where
-    K15 and G7 both integrate the odd part exactly.  The kernel is
-    evaluated ``_TILING_CHUNK`` panels at a time.  Cached, so the stages of
-    a chain, whose inputs differ, tile the kernel once per width."""
+    tiling [-R, R] on psi, the largest over the tilings offset by 0, W/4,
+    W/2 and 3W/4: aligned at 0 alone, psi at beta = 20 would pass at
+    W = 2, its edges at +-1 sitting on panel midpoints, where K15 and G7
+    both integrate the odd part exactly.  psi is evaluated
+    ``_TILING_CHUNK`` panels at a time.  Cached, so the stages of a chain,
+    whose inputs differ, tile psi once per width."""
     i = np.arange(*_tiling(radius, width))
     errors = np.empty((4, i.size))
     for c0 in range(0, i.size, _TILING_CHUNK):
         mids = (i[c0:c0 + _TILING_CHUNK] + np.array([0.0, 0.25, 0.5, 0.75])[:, None] + 0.5) * width
-        values = k(mids[:, :, None] + 0.5 * width * GK15_NODES)
+        values = kernel.psi(params, mids[:, :, None] + 0.5 * width * GK15_NODES)
         panel = np.abs((values * (GK15_WEIGHTS - G7_WEIGHTS)).sum(axis=2))
         errors[:, c0:c0 + _TILING_CHUNK] = 0.5 * width * panel
     return float(errors.sum(axis=1).max())
 
 
-def _kernel_width(k: _Kernel, radius: float, tol: float, scale: float) -> float | None:
-    """The kernel's own panel scale W in v, a power of two at which GK15
-    panels of width W tiling [-R, R] integrate the kind's kernel k with
+def _kernel_width(params: KernelParams, radius: float, tol: float, scale: float) -> float | None:
+    """The panel scale W in v of every kind's kernel: a power of two at
+    which GK15 panels of width W tiling [-R, R] integrate psi with
     ``scale`` times ``_tiling_error`` within ``tol`` (``cfg.tol``, the
     grid's allowance at values up to 1): W = 1 if it passes and then
     doubled while 2 W passes and fits in R, else halved until it passes or
-    reaches 2^-10.  psi is analytic in the strip |Im v| < pi / beta, and so
-    are its averages, so W scales like 1 / beta: for psi at tol = 1e-10
-    and scale 1 it is 4 at beta = 0.5, 2 at beta = 1, 1/2 at
-    (q, beta) = (1e-3, 3) and (1, 5), and 1/8 at (1, 20).
+    reaches 2^-10.  psi is analytic in |Im v| < pi / beta, so W scales like
+    1 / beta: at tol = 1e-10 and scale 1 it is 4 at beta = 0.5, 2 at
+    beta = 1, 1/2 at (q, beta) = (1e-3, 3) and (1, 5), and 1/8 at (1, 20).
+    It serves every kind: k = E psi(. + T) (see ``_Kernel``) and K15 - G7
+    is linear, so by the triangle inequality a kind's summed |K15 - G7|
+    over a tiling is at most the T-average of psi's over the tilings
+    shifted by T, which the four offsets sample; the lattice's second
+    round catches a grid phase they miss.
 
     None when the tiling at width 1 has more than ``_MAX_TILING`` panels:
     so wide a kernel (R = 2.8e10 at beta = 1e-9) would take hours to
     tile."""
 
     def resolved(width: float) -> bool:
-        return scale * _tiling_error(k, radius, width) <= tol
+        return scale * _tiling_error(params, radius, width) <= tol
 
     first, stop = _tiling(radius, 1.0)
     if stop - first > _MAX_TILING:
@@ -819,15 +823,15 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec | Sequence[OperatorSpec], 
     ``spec`` may also be a sequence of specs with one n and one ``params``
     (else a ValueError), such as the kinds of one sweep step: the result
     then has one row of values per spec, each bit for bit the values of its
-    own call.  Every kind's kernel has the same window, so the set-up
-    (sorting, the seeding windows, the uniformity and drift checks) is done
-    once, and each lattice round is one pass for the kinds whose kernel
-    widths W agree: one sampling of f and one table of the kinds' kernels
-    (see ``_lattice``).  The kink pieces and the row path stay per kind.
-    The call raises if any kind fails.
+    own call.  Every kind's kernel has the same window and width W, so the
+    set-up (sorting, the seeding windows, the uniformity and drift checks,
+    W) is done once, and each lattice round is one pass of the kinds that
+    have not met tolerance: one sampling of f and one table of their
+    kernels (see ``_lattice``).  The kink pieces and the row path stay per
+    kind.  The call raises if any kind fails.
 
     All points share a single panel decomposition in the sample variable
-    u; panels are seeded at the kernel's own scale W/n (see the lattice
+    u; panels are seeded at the kernels' scale W/n (see the lattice
     and row seeds below) plus the kinks of f, then bisected greedily until
     the worst point's accumulated error estimate is within
     ``cfg.allowance`` of the largest |value|,
@@ -858,39 +862,38 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec | Sequence[OperatorSpec], 
     symmetric about 0, c is exactly 0.
 
     Lattice seeds: when the sorted distinct points are exactly
-    ``np.linspace(x0, x1, N)`` (N >= 2), form one seeding window and span
-    at least four lattice cells, the seed round runs on a lattice anchored
-    at x0 (see ``_lattice``).  The lattice evaluates the operator at
-    x0 + i h, not at the double x_i, so it is taken only when that drift
-    (about ulp(x) / 2 far from the origin) can move no value by more than
-    tol / 10; a uniform grid far from the origin, such as
+    ``np.linspace(x0, x1, N)`` (N >= 2), form one seeding window and span at
+    least four lattice cells, the seed round runs on a lattice anchored at
+    x0 (see ``_lattice``).  The lattice evaluates the operator at x0 + i h,
+    not at the double x_i, so it is taken only when that drift (about
+    ulp(x) / 2 far from the origin) can move no value by more than tol / 10;
+    a uniform grid far from the origin, such as
     ``np.linspace(1e6, 1e6 + 6, N)``, takes the row path.  The lattice
     panels have width h M / m, the widest not above W/n with M <= 8 and
     m <= 4 where M = 1 or m = 1 leaves them narrower than 0.8 W/n (see
-    ``_cell``): W is the kernel's own scale, the power of two (from 2^-10
-    up) at which GK15 panels of width W resolve the kind's kernel, times
-    sup |f|, to tol (see ``_kernel_width``; for psi 2 at q = beta = 1, 4 at
-    beta = 0.5, 1/8 at beta = 20).  A kernel too wide to tile (beta below
-    about 4e-4 for psi) takes the row path.  When the W/n lattice is
-    refused (panel budget, or fewer than four cells) or misses tolerance,
-    the min(W/2, 1)/n lattice runs next: for W > 1 its panels are never
-    coarser than the row seeds, and for W <= 1 it catches a grid whose
-    phase on the tiling the width test did not sample.
-    Each kind's kernel is evaluated once, on a table of kernel values per
-    (node, lattice offset); each (panel, point) K15 term and its
-    |K15 - G7| estimate is a 15-node contraction of the panel's weighted
-    samples with the table, one BLAS matrix product per group of offsets
-    and sub-block of cells, never with a single row or column, so that
-    each entry's nodes are added in one order whatever the block's shape,
-    the kinds that share it and the BLAS thread count.  The totals are the
-    same per-point sums as on rows, added in ascending cell order: the
-    terms at the M offsets of a slab land on distinct points and are added
-    in place at once, the slabs from the last offset down.  A lattice panel
-    holding a kink is cut there and its pieces are evaluated as rows in the
-    same round.  If a lattice round meets tolerance, its totals are the
-    result; if none does, the call goes on from the row seeds (the lattice
-    keeps no rows to refine), as refinement rounds, Chebyshev nodes and
-    other grids do.
+    ``_cell``): W is the power of two (from 2^-10 up) at which GK15 panels
+    of width W resolve psi, times sup |f|, to tol, and with it every kind's
+    kernel (see ``_kernel_width``; 2 at q = beta = 1, 4 at beta = 0.5,
+    1/8 at beta = 20).  A kernel too wide to tile (beta below about 4e-4)
+    takes the row path.  When the W/n lattice is refused (panel budget, or
+    fewer than four cells) or misses tolerance, the min(W/2, 1)/n lattice
+    runs next: for W > 1 its panels are never coarser than the row seeds,
+    and for W <= 1 it catches a grid whose phase on the tiling the width
+    test did not sample.  Each kind's kernel is evaluated once, on a table
+    of kernel values per (node, lattice offset); each (panel, point) K15
+    term and its |K15 - G7| estimate is a 15-node contraction of the panel's
+    weighted samples with the table, one BLAS matrix product per group of
+    offsets and sub-block of cells, never with a single row or column, so
+    that each entry's nodes are added in one order whatever the block's
+    shape, the kinds that share it and the BLAS thread count.  The totals
+    are the same per-point sums as on rows, added in ascending cell order:
+    the terms at the M offsets of a slab land on distinct points and are
+    added in place at once, the slabs from the last offset down.  A lattice
+    panel holding a kink is cut there and its pieces are evaluated as rows
+    in the same round.  If a lattice round meets tolerance, its totals are
+    the result; if none does, the call goes on from the row seeds (the
+    lattice keeps no rows to refine), as refinement rounds, Chebyshev nodes
+    and other grids do.
 
     Row seeds: each window [lo, hi] is cut into ceil((hi - lo) n / W)
     equal panels (at least 8, at most its panel budget), W/n wide as the
@@ -936,29 +939,25 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec | Sequence[OperatorSpec], 
     # the same way: finer seeds average more of that noise out of the
     # K15 - G7 estimates
     rows_ok = float(np.spacing(max(abs(grid[0]), abs(grid[-1])))) * slope <= 0.1 * cfg.tol
-    # per kind the kernel width W; None for a kernel too wide to tile, which
-    # takes the rows, seeded at 1/n
-    widths = [_kernel_width(_kernel(s), radius, cfg.tol, f.sup_norm) if lattice_ok or rows_ok else None
-              for s in specs]
+    # the kernels' width W, from psi (see ``_kernel_width``); None for a
+    # kernel too wide to tile, which takes the rows, seeded at 1/n
+    width = _kernel_width(params, radius, cfg.tol, f.sup_norm) if lattice_ok or rows_ok else None
 
     values = [None] * len(specs)
-    if lattice_ok:
-        # the lattice at the kernel's own scale W/n, then at min(W/2, 1)/n
-        # for the kinds that missed or were refused (the width test samples
-        # four phases of the tiling, not the grid's): one pass for the kinds
-        # of each width
-        lattice = {i: w for i, w in enumerate(widths) if w is not None}
-        for _ in range(2):
-            for width in dict.fromkeys(lattice.values()):
-                kinds = [i for i, w in lattice.items() if w == width]
-                for i, out in zip(kinds, _lattice(f, [specs[i] for i in kinds], grid, win.reach, win.budget, width)):
+    if lattice_ok and width is not None:
+        # W/n, then min(W/2, 1)/n (the width test samples four phases of
+        # the tiling, not the grid's): each round one pass of the unmet kinds
+        for seed in (width, min(0.5 * width, 1.0)):
+            unmet = [i for i, v in enumerate(values) if v is None]
+            if unmet:
+                for i, out in zip(unmet, _lattice(f, [specs[i] for i in unmet], grid, win.reach, win.budget, seed)):
                     values[i] = _met(out, cfg)
-            lattice = {i: min(0.5 * w, 1.0) for i, w in lattice.items() if values[i] is None}
-    for i, (s, width) in enumerate(zip(specs, widths)):
+    seed = width if rows_ok and width is not None else 1.0
+    for i, s in enumerate(specs):
         if values[i] is None:
             # otherwise (and on a uniform grid whose lattice rounds miss
             # tolerance) the seeds are evaluated as rows
-            values[i] = _rows(f, s, grid, win, width if rows_ok and width is not None else 1.0, cfg)
+            values[i] = _rows(f, s, grid, win, seed, cfg)
     rows = np.stack([v[slot] for v in values])
     return rows[0] if single else rows
 

@@ -645,21 +645,17 @@ class TestLatticeSeeds:
         kernel's edges at +-1 sit on their midpoints."""
         params = KernelParams(q, beta)
         radius = truncation_radius(params, QuadratureConfig().truncation_eps)
-        assert operators._kernel_width(operators._Kernel(OperatorKind.BASIC, params), radius, tol, 1.0) == width
+        assert operators._kernel_width(params, radius, tol, 1.0) == width
 
-    @pytest.mark.parametrize(
-        "spec, width",
-        [(OperatorSpec(OperatorKind.KANTOROVICH, 1, KernelParams(1e-3, 3.0)), 1.0),
-         (OperatorSpec(OperatorKind.QUADRATURE, 1, KernelParams(1.0, 20.0), weights=(0.25,) * 4), 0.125)],
-        ids=["kantorovich-q1e-3b3", "quadrature-q1b20"],
-    )
-    def test_averaged_kernel_width_ladder(self, spec, width):
-        """The width follows the kind's kernel: the unit-window average of
-        psi at (1e-3, 3) is smoother than psi (1/2), and the four shifted
-        copies of psi at beta = 20 are as sharp as one."""
-        k = operators._kernel(spec)
-        radius = truncation_radius(spec.params, QuadratureConfig().truncation_eps) + 1.0
-        assert operators._kernel_width(k, radius, 1e-10, 1.0) == width
+    def test_averaged_kernel_takes_the_width_of_psi(self, monkeypatch, grid):
+        """Every kind takes psi's width: for sin at (1e-3, 3), GK15 panels of
+        width 1 would resolve the unit-window average of psi, and psi needs
+        1/2.  The kantorovich call is accepted on its first lattice, at
+        W = 1/2, and evaluates no rows (sin has no kinks to cut at)."""
+        spec = OperatorSpec(OperatorKind.KANTOROVICH, 9, KernelParams(1e-3, 3.0))
+        attempts, rows = _seed_rounds(monkeypatch)
+        apply_on_grid(SIN, spec, grid.points)
+        assert attempts == [(0.5, "accepted")] and rows == []
 
     @pytest.mark.parametrize("n", [9, 1000])
     @pytest.mark.parametrize("params", [KernelParams(1e-3, 3.0), KernelParams(1.0, 20.0)], ids=["q1e-3b3", "q1b20"])
@@ -667,13 +663,12 @@ class TestLatticeSeeds:
         "f, kind", [(SIN, OperatorKind.BASIC), (ABS, OperatorKind.KANTOROVICH)], ids=["sin-basic", "abs-kantorovich"]
     )
     def test_sharp_kernels_stay_on_the_lattice(self, monkeypatch, grid, f, kind, params, n):
-        """Where width-1 panels do not resolve the kind's kernel, W drops
-        below 1 and the W/n lattice is accepted at the first try; no row is
-        evaluated but the pieces of panels cut at a kink."""
+        """Where width-1 panels do not resolve psi, W drops below 1 and the
+        W/n lattice is accepted at the first try; no row is evaluated but
+        the pieces of panels cut at a kink."""
         spec = OperatorSpec(kind, n, params)
-        k = operators._kernel(spec)
         radius = truncation_radius(params, QuadratureConfig().truncation_eps) + 1.0
-        width = operators._kernel_width(k, radius, QuadratureConfig().tol, f.sup_norm)
+        width = operators._kernel_width(params, radius, QuadratureConfig().tol, f.sup_norm)
         assert width < 1.0
         attempts, rows = _seed_rounds(monkeypatch)
         out = apply_on_grid(f, spec, grid.points)
@@ -940,12 +935,11 @@ class TestLatticeSeeds:
         array."""
         for beta, width, peak_bytes in [(1e-9, None, 2**16), (1e-5, None, 2**16), (1e-3, 2048.0, 4 * 2**20)]:
             params = KernelParams(1.0, beta)
-            k = operators._Kernel(OperatorKind.BASIC, params)
             radius = truncation_radius(params, QuadratureConfig().truncation_eps)
             operators._tiling_error.cache_clear()  # so that every call does the work
             tracemalloc.start()
             try:
-                assert operators._kernel_width(k, radius, 1e-10, 1.0) == width
+                assert operators._kernel_width(params, radius, 1e-10, 1.0) == width
                 assert tracemalloc.get_traced_memory()[1] < peak_bytes
             finally:
                 tracemalloc.stop()
@@ -1114,19 +1108,22 @@ BATCH_GRIDS = {
 
 class TestBatchedKinds:
     """``apply_on_grid`` with several specs of one n, as a sweep step
-    holds them: the kinds whose kernels have the same width W share one
-    lattice pass (one sampling of f, one table of their kernels), and
+    holds them: the kinds that have not met tolerance share each lattice
+    round's pass (one sampling of f, one table of their kernels), and
     each row has the bits of the kind's own call."""
 
     @pytest.mark.parametrize("xs", list(BATCH_GRIDS))
     @pytest.mark.parametrize("n", [1, 4, 9, 49, 400, 1000])
     @pytest.mark.parametrize("f", [SIN, ABS, GAUSS], ids=lambda f: f.name)
     @pytest.mark.parametrize("params", [KernelParams(1.0, 1.0), KernelParams(2.0, 0.5), KernelParams(1.0, 20.0),
-                                        KernelParams(1e-3, 3.0)], ids=lambda p: f"q{p.q:g}-beta{p.beta:g}")
+                                        KernelParams(1e-3, 3.0), KernelParams(1.0, 3.0)],
+                             ids=lambda p: f"q{p.q:g}-beta{p.beta:g}")
     def test_rows_have_the_bits_of_single_calls(self, params, f, n, xs):
-        """At (1e-3, 3) basic and quadrature have W = 1/2 and kantorovich
-        W = 1, so the kinds split into two passes; the Chebyshev nodes and
-        the grid around 1e6 take the row path, kind by kind."""
+        """At (1, 3) the shared W = 1 pass misses for sin and gauss: for
+        every kind at n <= 9 on 2001 points, and for basic alone (or basic
+        and quadrature) at n = 49 and 400 there and at n <= 49 on 41 points,
+        so the second pass holds a subset of the kinds; the Chebyshev nodes
+        and the grid around 1e6 take the row path, kind by kind."""
         xs = BATCH_GRIDS[xs]
         specs = _kinds(n, params)
         rows = apply_on_grid(f, specs, xs)
@@ -1134,12 +1131,12 @@ class TestBatchedKinds:
         for spec, row in zip(specs, rows):
             np.testing.assert_array_equal(row, apply_on_grid(f, spec, xs), err_msg=spec.kind.value)
 
-    @pytest.mark.parametrize("params, passes", [(P11, [3]), (KernelParams(1e-3, 3.0), [2, 1])],
+    @pytest.mark.parametrize("params, passes", [(P11, [3]), (KernelParams(1e-3, 3.0), [3])],
                              ids=["one-width", "two-widths"])
     def test_kinds_of_one_width_share_a_pass(self, monkeypatch, grid, params, passes):
-        """The first lattice round is one pass per kernel width W: all three
-        kinds at q = beta = 1 (W = 2), basic and quadrature (W = 1/2) apart
-        from kantorovich (W = 1) at (1e-3, 3)."""
+        """All kinds take psi's width W, so the first lattice round is one
+        pass of all three: at q = beta = 1 (W = 2), and at (1e-3, 3)
+        (W = 1/2), where kantorovich's own kernel would pass at W = 1."""
         kinds = []
         lattice = operators._lattice
 
