@@ -501,7 +501,10 @@ def _kernel_width(params: KernelParams, radius: float, tol: float, scale: float)
     is linear, so by the triangle inequality a kind's summed |K15 - G7|
     over a tiling is at most the T-average of psi's over the tilings
     shifted by T, which the four offsets sample; the lattice's second
-    round catches a grid phase they miss.
+    round catches a grid phase they miss.  Over beta in [0.05, 20] it is
+    1/2, 1 or 2 times the closed-form seed width of
+    ``quadrature.integrate_real_line`` (tested), until both come from one
+    bound on psi's strip.
 
     None when the tiling at width 1 has more than ``_MAX_TILING`` panels:
     so wide a kernel (R = 2.8e10 at beta = 1e-9) would take hours to

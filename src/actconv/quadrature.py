@@ -8,10 +8,12 @@ results are deterministic (identical inputs give bit-identical outputs).
 
 Real-line integrals of kernel-dominated integrands are truncated to a
 window [-R, R] chosen from the kernel's exponential envelope, with the
-excluded tail mass folded into the reported error estimate.
+excluded tail mass folded into the reported error estimate, and seeded
+with panels at the kernel's own scale.
 
-Integrands are called with numpy arrays of abscissae (15 per panel) and
-must return arrays of the same shape.
+Integrands are called with 1-d numpy arrays of abscissae: the seed panels
+all at once, 15 nodes each, then 15 per split panel.  They must work
+elementwise on arrays of any length and return arrays of the same shape.
 """
 
 from __future__ import annotations
@@ -177,13 +179,29 @@ def moment_truncation_radius(params: KernelParams, k: int, eps: float) -> float:
     return max(truncation_radius(params, eps), (2.0 / b) * log_arg)
 
 
-def _panel(f, a: float, b: float) -> tuple[float, float]:
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    y = np.asarray(f(mid + half * GK15_NODES), dtype=float)
+def _rule(half: float, y: np.ndarray) -> tuple[float, float]:
+    """K15 and |K15 - G7| of a panel of half-width ``half`` from its 15 values."""
     i15 = half * float(GK15_WEIGHTS @ y)
     i7 = half * float(G7_WEIGHTS @ y)
     return i15, abs(i15 - i7)
+
+
+def _panel(f, a: float, b: float) -> tuple[float, float]:
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    return _rule(half, np.asarray(f(mid + half * GK15_NODES), dtype=float))
+
+
+def _seeds(f, edges: list[float]) -> list[tuple[float, float, float, float]]:
+    """The panels (a, b, K15, |K15 - G7|) between consecutive ``edges``, all
+    from one call of f on their 15 nodes each: every panel gets the bits
+    ``_panel`` gives it."""
+    lo = np.array(edges[:-1])
+    hi = np.array(edges[1:])
+    half = 0.5 * (hi - lo)
+    nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * GK15_NODES
+    y = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    return [(a, b, *_rule(h, row)) for a, b, h, row in zip(edges[:-1], edges[1:], half.tolist(), y)]
 
 
 def integrate_interval(f, a: float, b: float, cfg: QuadratureConfig | None = None,
@@ -193,7 +211,9 @@ def integrate_interval(f, a: float, b: float, cfg: QuadratureConfig | None = Non
     The seed panels run between a, the ``breaks`` that lie strictly
     inside (a, b) (sorted, without repeats; other points are ignored) and
     b, as QUADPACK's QAGP seeds them, so a kink of f at a break is never
-    bisected.  A panel is accepted once its embedded error fits the budget
+    bisected.  The P seed panels are evaluated in one call of f on their
+    15 P nodes; each keeps the bits a one-panel call gives it.  A panel is
+    accepted once its embedded error fits the budget
     ``cfg.allowance(I0)`` * width / (b - a), I0 the sum of the seed
     panels' values, added left to right (the one-panel value over [a, b]
     when no break lies inside); otherwise it is bisected.  Exhausting
@@ -214,7 +234,7 @@ def integrate_interval(f, a: float, b: float, cfg: QuadratureConfig | None = Non
 
     span = b - a
     edges = [a, *sorted({float(t) for t in breaks if a < t < b}), b]
-    seeds = [(lo, hi, *_panel(f, lo, hi)) for lo, hi in zip(edges[:-1], edges[1:])]
+    seeds = _seeds(f, edges)
     tol = cfg.allowance(sum(seed[2] for seed in seeds))
     min_width = span * 1e-15
 
@@ -245,17 +265,40 @@ def integrate_interval(f, a: float, b: float, cfg: QuadratureConfig | None = Non
     return IntegralResult(value, err, splits, converged)
 
 
+#: the most seed panels of ``integrate_real_line``
+_MAX_SEEDS = 128
+
+
+def _seed_width(params: KernelParams, radius: float) -> float:
+    """The seed panel width W of a real-line integral over [-R, R]: the
+    widest power of two not above 2 / beta, widened to the narrowest power
+    of two at which the multiples of W cut [-R, R] into at most
+    ``_MAX_SEEDS`` panels (W >= R / 64), so a sharp kernel (beta = 700,
+    R about 1 to 2) is not cut into hundreds of panels.  A power of two
+    keeps the multiples exact; W is within a factor of two of the grid
+    engine's tiled ``operators._kernel_width`` for beta in [0.05, 20]."""
+    # frexp(x) = (m, e) with x = m 2^e, 1/2 <= m < 1
+    fine = math.ldexp(1.0, math.frexp(2.0 / params.beta)[1] - 1)
+    m, e = math.frexp(radius / (_MAX_SEEDS // 2))
+    return max(fine, math.ldexp(1.0, e - 1 if m == 0.5 else e))
+
+
 def integrate_real_line(f, decay: TailEnvelope, cfg: QuadratureConfig | None = None) -> IntegralResult:
     """Integrate f over the real line, truncating by the kernel envelope.
 
     ``decay`` asserts |f| <= decay.scale * psi outside the window; the
     window radius is ``cfg.radius(decay.params, decay.scale)``, so the
     excluded mass stays at or below ``truncation_eps``, which is added to
-    the reported error estimate.
+    the reported error estimate.  The window is seeded at the multiples
+    of W = ``_seed_width``: psi is analytic in |Im v| < pi / beta, so
+    GK15 panels of width about 2 / beta resolve it, mostly without a
+    split, and all seeds take one call of f.
     """
     cfg = cfg or DEFAULT_CONFIG
     radius = cfg.radius(decay.params, float(decay.scale))
-    res = integrate_interval(f, -radius, radius, cfg)
+    width = _seed_width(decay.params, radius)
+    count = math.ceil(radius / width)
+    res = integrate_interval(f, -radius, radius, cfg, [k * width for k in range(1 - count, count)])
     return IntegralResult(
         res.value,
         res.error_estimate + cfg.truncation_eps,

@@ -32,6 +32,20 @@ def psi_mp(q, beta, x):
     return (g_mp(q, beta, x) + g_mp(1 / q, beta, x)) / 2
 
 
+def psi_mass_mp(q, beta, radius):
+    """The mass of psi on [-R, R] in closed form: nu(x) = tanh(beta (x - c) / 2),
+    c = ln(q) / beta, has the antiderivative (2 / beta) ln cosh(beta (x - c) / 2),
+    so g's mass is a sum of four of its values, at the working precision."""
+    q, beta, radius = mp.mpf(q), mp.mpf(beta), mp.mpf(radius)
+
+    def g_mass(c):
+        def nu_int(x):
+            return 2 / beta * mp.log(mp.cosh(beta * (x - c) / 2))
+        return (nu_int(radius + 1) - nu_int(1 - radius) - nu_int(radius - 1) + nu_int(-radius - 1)) / 4
+
+    return (g_mass(mp.log(q) / beta) + g_mass(-mp.log(q) / beta)) / 2
+
+
 def _g_of_w_expr(w, beta):
     return w * math.sinh(beta) / (1.0 + 2.0 * math.cosh(beta) * w + w * w)
 

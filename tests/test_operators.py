@@ -647,6 +647,22 @@ class TestLatticeSeeds:
         radius = truncation_radius(params, QuadratureConfig().truncation_eps)
         assert operators._kernel_width(params, radius, tol, 1.0) == width
 
+    def test_kernel_width_is_within_a_factor_two_of_the_real_line_seeds(self):
+        """The grid engine's tiled W and the closed-form seed width of
+        ``integrate_real_line`` (the widest power of two not above 2 / beta,
+        capped at 128 panels) both follow psi's analytic strip: over
+        beta in [0.05, 20] they differ by at most one power of two."""
+        cfg = QuadratureConfig()
+        ratios = set()
+        for beta in np.geomspace(0.05, 20.0, 121).tolist():
+            for q in (1e-6, 1e-3, 0.5, 1.0, 2.0, 31.6, 1e3, 1e6):
+                for scale in (1.0, 3.0):
+                    params = KernelParams(q, beta)
+                    radius = cfg.radius(params, scale)
+                    width = operators._kernel_width(params, radius + 1.0, cfg.tol, scale)
+                    ratios.add(width / quadrature._seed_width(params, radius))
+        assert ratios <= {0.5, 1.0, 2.0}
+
     def test_averaged_kernel_takes_the_width_of_psi(self, monkeypatch, grid):
         """Every kind takes psi's width: for sin at (1e-3, 3), GK15 panels of
         width 1 would resolve the unit-window average of psi, and psi needs

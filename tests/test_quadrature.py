@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -21,6 +22,23 @@ from actconv.quadrature import (
     GK15_WEIGHTS,
     moment_truncation_radius,
 )
+
+from _oracles import psi_mass_mp
+
+# a 16 x 16 log grid of (q, beta) over the benchmark's range of normalization
+# draws, and the corners of KernelParams past it
+_MASS_GRID = [(q, beta) for q in np.geomspace(1e-6, 1e6, 16).tolist() for beta in np.geomspace(0.05, 20.0, 16).tolist()]
+_MASS_EDGES = [(1e300, 700.0), (1.0, 700.0), (1.0, 1e-9), (1e6, 0.05)]
+
+
+def _spy(f, sizes):
+    """f, recording the size of every argument it is called with."""
+
+    def spied(x):
+        sizes.append(x.size)
+        return f(x)
+
+    return spied
 
 
 class TestRuleTables:
@@ -97,6 +115,29 @@ class TestIntegrateInterval:
         assert cut.subdivisions_used == 0
         assert cut.value == pytest.approx(2.29, abs=1e-15)
         assert integrate_interval(f, -1.0, 2.0).subdivisions_used >= 20
+
+    @pytest.mark.parametrize("f, a, b, breaks", [
+        (np.cos, -3.0, 3.0, (0.5,)),
+        (np.cos, -3.0, 3.0, (-1.5, 0.25, 2.0, 9.0)),
+        (np.exp, -1.0, 2.0, tuple(np.linspace(-0.9, 1.9, 29).tolist())),
+        (lambda h: psi(KernelParams(2.0, 0.5), h), -20.0, 20.0, (-4.0, 0.0, 4.0)),
+        (lambda h: h**3 * psi(KernelParams(1e-3, 3.0), h), -20.0, 20.0, (-2.0, 1.0)),
+    ], ids=["one-break", "three-breaks", "thirty-panels", "psi-splits", "h3-psi-splits"])
+    def test_seeds_are_one_call(self, f, a, b, breaks):
+        """The seed panels are evaluated in one call on their 15 nodes each,
+        every later call is one panel's 15; with no split the value is, bit
+        for bit, the left-to-right sum of one-panel calls on the pieces."""
+        sizes = []
+        res = integrate_interval(_spy(f, sizes), a, b, breaks=breaks)
+        edges = [a, *(t for t in breaks if a < t < b), b]
+        assert sizes == [15 * (len(edges) - 1)] + [15] * (2 * res.subdivisions_used)
+        if res.subdivisions_used == 0:
+            value = 0.0
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                piece = integrate_interval(f, lo, hi)
+                assert piece.subdivisions_used == 0
+                value += piece.value
+            assert res.value == value
 
     def test_non_convergence_flagged(self, monkeypatch):
         monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 2)
@@ -194,6 +235,36 @@ class TestIntegrateRealLine:
         res = integrate_real_line(lambda h: psi(p11, h), TailEnvelope(p11))
         assert abs(res.value - 1.0) < 1e-10
         assert res.error_estimate >= 1e-12  # includes the truncation allowance
+
+    @pytest.mark.parametrize("q, beta", _MASS_GRID + _MASS_EDGES)
+    def test_psi_mass(self, q, beta):
+        """Converged and within 2 tol of psi's closed-form mass on [-R, R]."""
+        params = KernelParams(q, beta)
+        cfg = QuadratureConfig()
+        res = integrate_real_line(lambda h: psi(params, h), TailEnvelope(params), cfg)
+        with mp.workdps(50):
+            mass = float(psi_mass_mp(q, beta, cfg.radius(params, 1.0)))
+        assert res.converged
+        assert abs(res.value - mass) <= 2.0 * cfg.tol
+
+    def test_psi_mass_calls(self):
+        """Seeded at psi's width, the grid's 256 integrals take 344
+        integrand calls (bisected from one panel, about 42 each)."""
+        sizes = []
+        for q, beta in _MASS_GRID:
+            params = KernelParams(q, beta)
+            integrate_real_line(_spy(lambda h, p=params: psi(p, h), sizes), TailEnvelope(params))
+        assert len(sizes) == 344
+
+    @pytest.mark.parametrize("q, beta, width", [
+        (1.0, 1.0, 2.0), (2.0, 0.5, 4.0), (1e-6, 20.0, 1 / 16), (1.0, 1e-9, 2.0**30),
+        # 2 / beta rounds down to 1/512, widened until [-R, R] (R = 2.03 and
+        # 1.04) takes at most 128 panels
+        (1e300, 700.0, 1 / 16), (1.0, 700.0, 1 / 32),
+    ])
+    def test_seed_width(self, q, beta, width):
+        params = KernelParams(q, beta)
+        assert quadrature._seed_width(params, QuadratureConfig().radius(params, 1.0)) == width
 
     def test_odd_kernel_moment(self, p11):
         res = integrate_real_line(lambda h: h * psi(p11, h), TailEnvelope(p11, 30.0))
