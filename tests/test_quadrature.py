@@ -249,7 +249,7 @@ class TestIntegrateRealLine:
 
     def test_psi_mass_calls(self):
         """Seeded at psi's width, the grid's 256 integrals take 344
-        integrand calls (bisected from one panel, about 42 each)."""
+        integrand calls: most are resolved by their one seed call."""
         sizes = []
         for q, beta in _MASS_GRID:
             params = KernelParams(q, beta)
