@@ -47,7 +47,9 @@ from .kernel import KernelParams
 from .operators import (  # noqa: F401
     RESIDUAL_CEILING, OperatorKind, OperatorSpec, apply_on_grid, compose_mixed, iterate as iterate_operator,
 )
-from .quadrature import QuadratureConfig, TailEnvelope, integrate_interval, integrate_real_line, moment_truncation_radius
+from .quadrature import (
+    QuadratureConfig, TailEnvelope, integrate_interval, integrate_real_line, kernel_breaks, moment_truncation_radius,
+)
 from .svgplot import Series, render_loglog
 
 _DEFAULT_WEIGHTS = "0.25,0.25,0.25,0.25"
@@ -331,13 +333,14 @@ def kernel_check(ctx, **kw):
             record(f"tail mass n={n} alpha={alpha}", math.nan, math.nan, "hypothesis not met")
             continue
         m = kernel.window_edge(n, alpha)
-        radius = moment_truncation_radius(params, 0, cfg.truncation_eps)
-        tail = integrate_interval(lambda h: kernel.psi(params, h), m, max(radius, m + 1.0), cfg)
+        end = max(moment_truncation_radius(params, 0, cfg.truncation_eps), m + 1.0)
+        tail = integrate_interval(lambda h: kernel.psi(params, h), m, end, cfg, kernel_breaks(params, m, end, cfg))
         record(f"tail mass n={n} alpha={alpha}", 2.0 * tail.value, bound, converged=tail.converged)
 
     for k in range(1, 6):
         radius = moment_truncation_radius(params, k, cfg.truncation_eps)
-        moment = integrate_interval(lambda h: h**k * kernel.psi(params, h), 0.0, radius, cfg)
+        moment = integrate_interval(lambda h: h**k * kernel.psi(params, h), 0.0, radius, cfg,
+                                    kernel_breaks(params, 0.0, radius, cfg))
         record(f"absolute moment k={k}", 2.0 * moment.value, kernel.moment_bound(params, k), converged=moment.converged)
 
     width = max(len(r["check"]) for r in rows) + 2

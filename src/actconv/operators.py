@@ -33,11 +33,11 @@ Two evaluation paths share the same nested Kronrod rule:
   instead: the kernel term of a (panel, point) pair then depends only on
   their lattice offset, so the kernel is evaluated once, on a table of a
   few thousand values.  The lattice panels are sized to the kernels'
-  scale W/n, W the power of two (from 2^-10 up) at which GK15 panels
-  resolve psi, and so every kind's kernel, to tolerance (at tol = 1e-10,
-  about 2 / beta: 32 at beta = 0.05, 2 at beta = 1, 1/2 at beta = 5 and
-  1/8 at beta = 20): a cell of M grid steps holds m panels of width
-  h M / m, the widest not above W/n with small M and m.  f is sampled at
+  scale W/n, W = ``QuadratureConfig.width``, the power of two at which
+  GK15 panels resolve psi, and so every kind's kernel, to tolerance, in
+  closed form from psi's analytic strip (at tol = 1e-10, about 2 / beta:
+  32 at beta = 0.05, 2 at beta = 1, 1/8 at beta = 20): a cell of M grid
+  steps holds m panels of width h M / m, the widest not above W/n with small M and m.  f is sampled at
   the nodes of all lattice panels, about a thousand panels per call, and
   the terms of all cells at M consecutive offsets (a slab) reach the
   per-point totals by one in-place add.  The lattice places point i at
@@ -77,7 +77,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -456,75 +455,6 @@ def _contract(weighted: np.ndarray, table: np.ndarray) -> np.ndarray:
     return np.matmul(weighted.transpose(1, 0, 2), table)[:, :cells, :offsets]
 
 
-# the most panels of a tiling of [-R, R] at width 1 that ``_kernel_width``
-# evaluates (R up to 65,534: beta down to about 4.3e-4 for psi at tol =
-# 1e-10), and the panels it evaluates at a time (4 x 15 values each, so a
-# chunk's arrays stay below the 128 KiB mmap threshold like a row chunk's)
-_MAX_TILING = 2**17
-_TILING_CHUNK = 256
-
-
-def _tiling(radius: float, width: float) -> tuple[int, int]:
-    """The first panel index of the tiling of [-R, R] at ``width`` and one past its last."""
-    return math.floor(-radius / width) - 1, math.ceil(radius / width) + 1
-
-
-@lru_cache(maxsize=64)
-def _tiling_error(params: KernelParams, radius: float, width: float) -> float:
-    """The sum of the |K15 - G7| estimates of GK15 panels of width W
-    tiling [-R, R] on psi, the largest over the tilings offset by 0, W/4,
-    W/2 and 3W/4: aligned at 0 alone, psi at beta = 20 would pass at
-    W = 2, its edges at +-1 sitting on panel midpoints, where K15 and G7
-    both integrate the odd part exactly.  psi is evaluated
-    ``_TILING_CHUNK`` panels at a time.  Cached, so the stages of a chain,
-    whose inputs differ, tile psi once per width."""
-    i = np.arange(*_tiling(radius, width))
-    errors = np.empty((4, i.size))
-    for c0 in range(0, i.size, _TILING_CHUNK):
-        mids = (i[c0:c0 + _TILING_CHUNK] + np.array([0.0, 0.25, 0.5, 0.75])[:, None] + 0.5) * width
-        values = kernel.psi(params, mids[:, :, None] + 0.5 * width * GK15_NODES)
-        panel = np.abs((values * (GK15_WEIGHTS - G7_WEIGHTS)).sum(axis=2))
-        errors[:, c0:c0 + _TILING_CHUNK] = 0.5 * width * panel
-    return float(errors.sum(axis=1).max())
-
-
-def _kernel_width(params: KernelParams, radius: float, tol: float, scale: float) -> float | None:
-    """The panel scale W in v of every kind's kernel: a power of two at
-    which GK15 panels of width W tiling [-R, R] integrate psi with
-    ``scale`` times ``_tiling_error`` within ``tol`` (``cfg.tol``, the
-    grid's allowance at values up to 1): W = 1 if it passes and then
-    doubled while 2 W passes and fits in R, else halved until it passes or
-    reaches 2^-10.  psi is analytic in |Im v| < pi / beta, so W scales like
-    1 / beta: at tol = 1e-10 and scale 1 it is 4 at beta = 0.5, 2 at
-    beta = 1, 1/2 at (q, beta) = (1e-3, 3) and (1, 5), and 1/8 at (1, 20).
-    It serves every kind: k = E psi(. + T) (see ``_Kernel``) and K15 - G7
-    is linear, so by the triangle inequality a kind's summed |K15 - G7|
-    over a tiling is at most the T-average of psi's over the tilings
-    shifted by T, which the four offsets sample; the lattice's second
-    round catches a grid phase they miss.  Over beta in [0.05, 20] it is
-    1/2, 1 or 2 times the closed-form seed width of
-    ``quadrature.integrate_real_line`` (tested), until both come from one
-    bound on psi's strip.
-
-    None when the tiling at width 1 has more than ``_MAX_TILING`` panels:
-    so wide a kernel (R = 2.8e10 at beta = 1e-9) would take hours to
-    tile."""
-
-    def resolved(width: float) -> bool:
-        return scale * _tiling_error(params, radius, width) <= tol
-
-    first, stop = _tiling(radius, 1.0)
-    if stop - first > _MAX_TILING:
-        return None
-    width = 1.0
-    while width > 2.0**-10 and not resolved(width):
-        width *= 0.5
-    if width == 1.0:
-        while 2.0 * width <= radius and resolved(2.0 * width):
-            width *= 2.0
-    return width
-
-
 def _cell(h: float, n: int, width: float, size: int) -> tuple[int, int]:
     """The cell (M, m) of the lattice on a grid of ``size`` points with step
     h: M grid steps holding m panels of width h M / m, the widest not above
@@ -874,15 +804,15 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec | Sequence[OperatorSpec], 
     ``np.linspace(1e6, 1e6 + 6, N)``, takes the row path.  The lattice
     panels have width h M / m, the widest not above W/n with M <= 8 and
     m <= 4 where M = 1 or m = 1 leaves them narrower than 0.8 W/n (see
-    ``_cell``): W is the power of two (from 2^-10 up) at which GK15 panels
-    of width W resolve psi, times sup |f|, to tol, and with it every kind's
-    kernel (see ``_kernel_width``; 2 at q = beta = 1, 4 at beta = 0.5,
-    1/8 at beta = 20).  A kernel too wide to tile (beta below about 4e-4)
-    takes the row path.  When the W/n lattice is refused (panel budget, or
-    fewer than four cells) or misses tolerance, the min(W/2, 1)/n lattice
-    runs next: for W > 1 its panels are never coarser than the row seeds,
-    and for W <= 1 it catches a grid whose phase on the tiling the width
-    test did not sample.  Each kind's kernel is evaluated once, on a table
+    ``_cell``): W = ``cfg.width(params, sup |f|)`` is the power of two at
+    which GK15 panels of width W resolve psi, times sup |f|, to tol, and
+    with it every kind's kernel (2 at q = beta = 1, 1/8 at beta = 20).  A
+    window radius above 65,535 (beta below about 4.3e-4) takes the row
+    path.  When the W/n lattice is refused (panel budget, or fewer than
+    four cells) or misses tolerance, the min(W/2, 1)/n lattice runs next:
+    for W > 1 its panels are never coarser than the row seeds, and for
+    W <= 1 it catches a W, an estimate from psi's strip, too wide for f or
+    for the grid's phase.  Each kind's kernel is evaluated once, on a table
     of kernel values per (node, lattice offset); each (panel, point) K15
     term and its |K15 - G7| estimate is a 15-node contraction of the panel's
     weighted samples with the table, one BLAS matrix product per group of
@@ -902,7 +832,7 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec | Sequence[OperatorSpec], 
     equal panels (at least 8, at most its panel budget), W/n wide as the
     lattice panels are.  Where ulp(max |x|) times the lattice's drift
     slope 2 n g_max sup |f| exceeds tol / 10, as far from the origin, or
-    the kernel is too wide to tile, they are 1/n wide instead: the points'
+    the window radius is above 65,535, they are 1/n wide instead: the points'
     own rounding then shows in the K15 - G7 estimates as noise, which
     finer seeds average out.
     """
@@ -930,32 +860,33 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec | Sequence[OperatorSpec], 
     # every kind's kernel window, [-R - 1, R + 1] (see ``_Kernel``)
     radius = cfg.radius(params, f.sup_norm) + 1.0
     win = _windows(grid, radius, n)
+    # a window radius above 65,535 (beta below about 4.3e-4 at tol = 1e-10)
+    # takes the rows, seeded at 1/n, where a call no budget covers fails soonest
+    narrow = radius <= 65535.0
     uniform = grid.size >= 2 and np.array_equal(grid, np.linspace(grid[0], grid[-1], grid.size))
     # the lattice moves each point by up to _drift(grid), which moves its
     # value by up to that times sup |(B f)'| <= n sup|f| TV(k); averaging
     # does not raise the total variation, and TV(psi) <= 2 g_max: keep that
     # below tol / 10
     slope = 2.0 * n * params.g_max_value * f.sup_norm
-    lattice_ok = uniform and win.lows.size == 1 and _drift(grid) * slope <= 0.1 * cfg.tol
+    lattice_ok = narrow and uniform and win.lows.size == 1 and _drift(grid) * slope <= 0.1 * cfg.tol
     # the row seeds are W/n wide as well, but stay 1/n wide where the
     # points' own rounding, ulp(max |x|), could move a value by tol / 10 in
     # the same way: finer seeds average more of that noise out of the
     # K15 - G7 estimates
-    rows_ok = float(np.spacing(max(abs(grid[0]), abs(grid[-1])))) * slope <= 0.1 * cfg.tol
-    # the kernels' width W, from psi (see ``_kernel_width``); None for a
-    # kernel too wide to tile, which takes the rows, seeded at 1/n
-    width = _kernel_width(params, radius, cfg.tol, f.sup_norm) if lattice_ok or rows_ok else None
+    rows_ok = narrow and float(np.spacing(max(abs(grid[0]), abs(grid[-1])))) * slope <= 0.1 * cfg.tol
+    width = cfg.width(params, f.sup_norm)
 
     values = [None] * len(specs)
-    if lattice_ok and width is not None:
-        # W/n, then min(W/2, 1)/n (the width test samples four phases of
-        # the tiling, not the grid's): each round one pass of the unmet kinds
+    if lattice_ok:
+        # W/n, then min(W/2, 1)/n (W follows psi's strip, not the grid's
+        # phase): each round one pass of the unmet kinds
         for seed in (width, min(0.5 * width, 1.0)):
             unmet = [i for i, v in enumerate(values) if v is None]
             if unmet:
                 for i, out in zip(unmet, _lattice(f, [specs[i] for i in unmet], grid, win.reach, win.budget, seed)):
                     values[i] = _met(out, cfg)
-    seed = width if rows_ok and width is not None else 1.0
+    seed = width if rows_ok else 1.0
     for i, s in enumerate(specs):
         if values[i] is None:
             # otherwise (and on a uniform grid whose lattice rounds miss

@@ -33,6 +33,7 @@ __all__ = [
     "moment_truncation_radius",
     "integrate_interval",
     "integrate_real_line",
+    "kernel_breaks",
     "GK15_NODES",
     "GK15_WEIGHTS",
     "G7_WEIGHTS",
@@ -118,6 +119,23 @@ class QuadratureConfig:
         the kernel: size (at least 1) times the kernel mass outside [-R, R]
         is at most ``truncation_eps``."""
         return truncation_radius(params, max(self.truncation_eps / max(size, 1.0), 1e-300))
+
+    def width(self, params: KernelParams, size: float) -> float:
+        """The GK15 panel width W that resolves ``size`` times psi to tol:
+        the largest power of two not above min(R, 4 pi / (beta (rho -
+        1/rho))), R = ``radius(params, size)``, and at least 2^-10.  psi is
+        analytic in |Im v| < pi / beta, reached by the Bernstein ellipse
+        rho of a panel of width W, whose G7 error ~rho^-14 dominates
+        |K15 - G7|; rho = (size min(10, 2 / beta) / tol)^(1/14), the
+        constants fitted on GK15 tilings of psi (Trefethen, SIAM Review 50,
+        2008).  At tol = 1e-10 and size 1, W is 4 at beta = 0.5, 2 at
+        beta = 1, 1/2 at beta = 3 and 1/8 at beta = 20."""
+        rho = (size * min(10.0, 2.0 / params.beta) / self.tol) ** (1.0 / 14.0)
+        limit = self.radius(params, size)
+        if rho > 1.0:
+            limit = min(limit, 4.0 * math.pi / (params.beta * (rho - 1.0 / rho)))
+        # frexp(x) = (m, e) with x = m 2^e, 1/2 <= m < 1
+        return max(2.0**-10, math.ldexp(1.0, math.frexp(limit)[1] - 1))
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -265,22 +283,22 @@ def integrate_interval(f, a: float, b: float, cfg: QuadratureConfig | None = Non
     return IntegralResult(value, err, splits, converged)
 
 
-#: the most seed panels of ``integrate_real_line``
+#: the most seed panels of ``kernel_breaks``
 _MAX_SEEDS = 128
 
 
-def _seed_width(params: KernelParams, radius: float) -> float:
-    """The seed panel width W of a real-line integral over [-R, R]: the
-    widest power of two not above 2 / beta, widened to the narrowest power
-    of two at which the multiples of W cut [-R, R] into at most
-    ``_MAX_SEEDS`` panels (W >= R / 64), so a sharp kernel (beta = 700,
-    R about 1 to 2) is not cut into hundreds of panels.  A power of two
-    keeps the multiples exact; W is within a factor of two of the grid
-    engine's tiled ``operators._kernel_width`` for beta in [0.05, 20]."""
-    # frexp(x) = (m, e) with x = m 2^e, 1/2 <= m < 1
-    fine = math.ldexp(1.0, math.frexp(2.0 / params.beta)[1] - 1)
-    m, e = math.frexp(radius / (_MAX_SEEDS // 2))
-    return max(fine, math.ldexp(1.0, e - 1 if m == 0.5 else e))
+def kernel_breaks(params: KernelParams, a: float, b: float, cfg: QuadratureConfig | None = None,
+                  size: float = 1.0) -> list[float]:
+    """The multiples inside (a, b) of the kernel's panel width W =
+    ``cfg.width(params, size)``, the seed breaks of an integral of up to
+    ``size`` times psi over [a, b].  W is widened to the narrowest power
+    of two that cuts [a, b] into at most ``_MAX_SEEDS`` panels, so a sharp
+    kernel (beta = 700, R about 1 to 2) is not cut into hundreds of
+    panels.  A power of two keeps the multiples exact."""
+    cfg = cfg or DEFAULT_CONFIG
+    m, e = math.frexp((b - a) / _MAX_SEEDS)
+    width = max(cfg.width(params, size), math.ldexp(1.0, e - 1 if m == 0.5 else e))
+    return [k * width for k in range(math.floor(a / width) + 1, math.ceil(b / width))]
 
 
 def integrate_real_line(f, decay: TailEnvelope, cfg: QuadratureConfig | None = None) -> IntegralResult:
@@ -289,16 +307,15 @@ def integrate_real_line(f, decay: TailEnvelope, cfg: QuadratureConfig | None = N
     ``decay`` asserts |f| <= decay.scale * psi outside the window; the
     window radius is ``cfg.radius(decay.params, decay.scale)``, so the
     excluded mass stays at or below ``truncation_eps``, which is added to
-    the reported error estimate.  The window is seeded at the multiples
-    of W = ``_seed_width``: psi is analytic in |Im v| < pi / beta, so
-    GK15 panels of width about 2 / beta resolve it, mostly without a
-    split, and all seeds take one call of f.
+    the reported error estimate.  The window is seeded at
+    ``kernel_breaks``, the multiples of the kernel's panel width W
+    (``cfg.width``): GK15 panels of width W resolve psi, mostly without
+    a split, and all seeds take one call of f.
     """
     cfg = cfg or DEFAULT_CONFIG
-    radius = cfg.radius(decay.params, float(decay.scale))
-    width = _seed_width(decay.params, radius)
-    count = math.ceil(radius / width)
-    res = integrate_interval(f, -radius, radius, cfg, [k * width for k in range(1 - count, count)])
+    scale = float(decay.scale)
+    radius = cfg.radius(decay.params, scale)
+    res = integrate_interval(f, -radius, radius, cfg, kernel_breaks(decay.params, -radius, radius, cfg, scale))
     return IntegralResult(
         res.value,
         res.error_estimate + cfg.truncation_eps,

@@ -10,7 +10,9 @@ The reference functions below (psi_mp, psi_average_mp, central_moment_mp,
 ...) also serve the tests directly, at the precision of the caller's
 ``mp.workdps`` context.  ``g_expr``, ``psi_expr`` and ``psi_average_expr``
 are the package's kernel expressions as first written, one numpy temporary
-per operation: the in-place kernels must give their bits.
+per operation: the in-place kernels must give their bits.  ``tiled_width``
+measures the kernel's panel width on GK15 tilings of psi, the reference of
+the closed form ``QuadratureConfig.width``.
 """
 
 import functools
@@ -79,6 +81,34 @@ def psi_expr(params, x):
         return 0.5 * (wq + wr)
     e = np.exp(-params.beta * np.abs(x))
     return 0.5 * (_g_of_w_expr(params.q * e, params.beta) + _g_of_w_expr((1.0 / params.q) * e, params.beta))
+
+
+def tiled_width(params, radius, tol, scale):
+    """The kernel's panel width measured on psi, the reference of
+    ``QuadratureConfig.width``: the power of two W at which GK15 panels of
+    width W tiling [-R, R] integrate psi with ``scale`` times their summed
+    |K15 - G7| within ``tol``, the largest sum over the tilings offset by
+    0, W/4, W/2 and 3W/4 (aligned at 0 alone, psi at beta = 20 would pass
+    at W = 2, its edges at +-1 on panel midpoints).  W = 1 if it passes
+    and then doubled while 2 W passes and fits in R, else halved until it
+    passes or reaches 2^-10.  Each tiling is one array, so R / W should
+    stay within a few thousand panels."""
+    from actconv.quadrature import G7_WEIGHTS, GK15_NODES, GK15_WEIGHTS
+
+    def resolved(width):
+        i = np.arange(math.floor(-radius / width) - 1, math.ceil(radius / width) + 1)
+        mids = (i + np.array([0.0, 0.25, 0.5, 0.75])[:, None] + 0.5) * width
+        values = psi_expr(params, mids[:, :, None] + 0.5 * width * GK15_NODES)
+        errors = 0.5 * width * np.abs((values * (GK15_WEIGHTS - G7_WEIGHTS)).sum(axis=2))
+        return scale * float(errors.sum(axis=1).max()) <= tol
+
+    width = 1.0
+    while width > 2.0**-10 and not resolved(width):
+        width *= 0.5
+    if width == 1.0:
+        while 2.0 * width <= radius and resolved(2.0 * width):
+            width *= 2.0
+    return width
 
 
 def psi_average_expr(params, x):

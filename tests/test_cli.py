@@ -13,9 +13,10 @@ from click.testing import CliRunner
 
 import numpy as np
 
-from actconv import KernelParams, TestFunction, operators
+from actconv import KernelParams, TestFunction, cli, operators, quadrature
 from actconv.analysis import CATALOG
 from actconv.cli import _g_slope, main
+from actconv.quadrature import integrate_interval
 
 
 @pytest.fixture
@@ -45,6 +46,24 @@ class TestKernelCheck:
         assert (tmp_path / "kernel_check.csv").exists()
         payload = json.loads((tmp_path / "kernel_check_summary.json").read_text())
         assert payload["all_satisfied"] is True
+
+    def test_kernel_integrals_are_seeded_at_the_kernel_width(self, runner, tmp_path, monkeypatch):
+        """The tail-mass and absolute-moment rows seed their integrals at
+        the multiples of psi's panel width, as the normalization row does,
+        so a default run takes 8 splits or fewer (59 from one panel each)."""
+        splits = []
+
+        def spied(*args, **kw):
+            res = integrate_interval(*args, **kw)
+            splits.append(res.subdivisions_used)
+            return res
+
+        monkeypatch.setattr(cli, "integrate_interval", spied)
+        monkeypatch.setattr(quadrature, "integrate_interval", spied)
+        result = _run(runner, ["kernel-check", "--out", str(tmp_path)])
+        assert result.exit_code == 0
+        # the normalization, a tail mass at each of the four default n, five moments
+        assert len(splits) == 10 and sum(splits) <= 8
 
     def test_invalid_q_rejected_before_compute(self, runner):
         result = _run(runner, ["kernel-check", "--q", "-1"])

@@ -6,14 +6,12 @@ shared-panel grid path and against brute-force sample-space quadrature.
 """
 
 import cmath
-import functools
 import math
 import os
 import random
 import re
 import subprocess
 import sys
-import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -569,27 +567,6 @@ class TestLatticeSeeds:
         assert attempts == []
         assert rows[0] == sum(math.ceil((hi - lo) * spec.n / width) for lo, hi in windows)
 
-    def test_iterate_tiles_the_kernel_once_per_width(self, monkeypatch):
-        """Every ``apply_on_grid`` call of the three stages looks up the
-        kernel's width, and the stages' inputs differ; the tiling's error
-        sum is cached per (kernel, radius, width), so each width is tiled
-        once: 1 and 2 pass at q = beta = 1, and 4 does not."""
-        tiled = []
-        tiling_error = operators._tiling_error.__wrapped__
-
-        @functools.lru_cache(maxsize=None)
-        def counted(k, radius, width):
-            tiled.append(width)
-            return tiling_error(k, radius, width)
-
-        monkeypatch.setattr(operators, "_tiling_error", counted)
-        width = operators._kernel_width
-        lookups = []
-        monkeypatch.setattr(operators, "_kernel_width", lambda *args: lookups.append(args) or width(*args))
-        iterate(SIN, OperatorSpec(OperatorKind.BASIC, 16, P11), 3, (-3.0, 3.0))
-        assert len(lookups) >= 3 and len({args[-1] for args in lookups}) >= 2
-        assert tiled == [1.0, 2.0, 4.0]
-
     def test_subnormal_step_takes_the_row_path(self, monkeypatch):
         """A grid step so small that W / (h n) is too large for an int (here
         inf) fails the four-cell test like any stride above a quarter of the
@@ -637,31 +614,13 @@ class TestLatticeSeeds:
     @pytest.mark.parametrize(
         "q, beta, tol, width",
         [(1.0, 1.0, 1e-10, 2.0), (1.0, 0.5, 1e-10, 4.0), (1.0, 20.0, 1e-10, 0.125), (1e-3, 3.0, 1e-10, 0.5),
-         (1.0, 5.0, 1e-10, 0.5), (1.0, 1.0, 1e-13, 1.0)],
+         (1.0, 5.0, 1e-10, 0.5), (1.0, 1.0, 1e-13, 1.0), (1.0, 1e-3, 1e-10, 2048.0)],
     )
     def test_kernel_width_ladder(self, q, beta, tol, width):
-        """psi's own panel width W in h, below 1 for sharp kernels.  At
-        beta = 20, panels of width 2 aligned at 0 alone would pass: the
-        kernel's edges at +-1 sit on their midpoints."""
-        params = KernelParams(q, beta)
-        radius = truncation_radius(params, QuadratureConfig().truncation_eps)
-        assert operators._kernel_width(params, radius, tol, 1.0) == width
-
-    def test_kernel_width_is_within_a_factor_two_of_the_real_line_seeds(self):
-        """The grid engine's tiled W and the closed-form seed width of
-        ``integrate_real_line`` (the widest power of two not above 2 / beta,
-        capped at 128 panels) both follow psi's analytic strip: over
-        beta in [0.05, 20] they differ by at most one power of two."""
-        cfg = QuadratureConfig()
-        ratios = set()
-        for beta in np.geomspace(0.05, 20.0, 121).tolist():
-            for q in (1e-6, 1e-3, 0.5, 1.0, 2.0, 31.6, 1e3, 1e6):
-                for scale in (1.0, 3.0):
-                    params = KernelParams(q, beta)
-                    radius = cfg.radius(params, scale)
-                    width = operators._kernel_width(params, radius + 1.0, cfg.tol, scale)
-                    ratios.add(width / quadrature._seed_width(params, radius))
-        assert ratios <= {0.5, 1.0, 2.0}
+        """psi's own panel width W in h, below 1 for sharp kernels and
+        2048 at beta = 1e-3, in closed form: no kernel evaluation, however
+        wide the window (R = 28,325 at beta = 1e-3)."""
+        assert QuadratureConfig(tol).width(KernelParams(q, beta), 1.0) == width
 
     def test_averaged_kernel_takes_the_width_of_psi(self, monkeypatch, grid):
         """Every kind takes psi's width: for sin at (1e-3, 3), GK15 panels of
@@ -683,8 +642,7 @@ class TestLatticeSeeds:
         W/n lattice is accepted at the first try; no row is evaluated but
         the pieces of panels cut at a kink."""
         spec = OperatorSpec(kind, n, params)
-        radius = truncation_radius(params, QuadratureConfig().truncation_eps) + 1.0
-        width = operators._kernel_width(params, radius, QuadratureConfig().tol, f.sup_norm)
+        width = QuadratureConfig().width(params, f.sup_norm)
         assert width < 1.0
         attempts, rows = _seed_rounds(monkeypatch)
         out = apply_on_grid(f, spec, grid.points)
@@ -698,14 +656,15 @@ class TestLatticeSeeds:
         np.testing.assert_allclose(out[picks], rows_out[picks], rtol=0, atol=1e-11)
 
     def test_kernel_width_halves_after_a_miss_at_the_grid_phase(self, monkeypatch):
-        """The width test samples four phases of the tiling, and W = 1/4
-        passes it at (q, beta) = (1, 12.6); at n = 1913 the lattice of this
-        grid sits at another phase and estimates 1.02e-10, just over the
-        allowance.  The (W/2)/n lattice is tried next and accepted, so no row
-        is evaluated."""
+        """GK15 tilings of psi at (q, beta) = (1, 12.6) with panels of width
+        1/4 are within tol at four phases (the closed form takes 1/8); at
+        n = 1913 the W = 1/4 lattice of this grid sits at another phase and
+        estimates 1.02e-10, just over the allowance.  The (W/2)/n lattice
+        is tried next and accepted, so no row is evaluated."""
         n = 1913
         spec = OperatorSpec(OperatorKind.BASIC, n, KernelParams(1.0, 12.6))
         xs = np.linspace(-1.9 - 100.0 / n, -1.9 + 100.0 / n, 41)
+        monkeypatch.setattr(QuadratureConfig, "width", lambda self, params, size: 0.25)
         attempts, rows = _seed_rounds(monkeypatch)
         out = apply_on_grid(ONE, spec, xs)
         assert attempts == [(0.25, "missed"), (0.125, "accepted")] and rows == []
@@ -729,7 +688,7 @@ class TestLatticeSeeds:
         wide = apply_on_grid(SIN, spec, grid.points)
         assert attempts == [(2.0, "accepted")] and rows == []
         wide_terms, terms[0] = terms[0], 0
-        monkeypatch.setattr(operators, "_kernel_width", lambda *args: 1.0)
+        monkeypatch.setattr(QuadratureConfig, "width", lambda self, params, size: 1.0)
         attempts.clear()
         narrow = apply_on_grid(SIN, spec, grid.points)
         assert attempts == [(1.0, "accepted")]
@@ -942,24 +901,6 @@ class TestLatticeSeeds:
         out = apply_on_grid(SIN, spec, grid.points)
         assert float(np.abs(out - exact).max()) <= 2.0 * QuadratureConfig().tol
 
-    def test_kernel_width_memory_is_bounded(self):
-        """The width test evaluates its tiling _TILING_CHUNK panels at a
-        time, and gives up on a tiling of more than _MAX_TILING panels, for
-        which the row path is taken.  At beta = 1e-9 (R = 2.8e10) it tried
-        to allocate 422 GiB; at beta = 1e-3 it tiles 56,650 panels and
-        finds W = 2048 in a few MB, not the 27 MB of one whole-tiling
-        array."""
-        for beta, width, peak_bytes in [(1e-9, None, 2**16), (1e-5, None, 2**16), (1e-3, 2048.0, 4 * 2**20)]:
-            params = KernelParams(1.0, beta)
-            radius = truncation_radius(params, QuadratureConfig().truncation_eps)
-            operators._tiling_error.cache_clear()  # so that every call does the work
-            tracemalloc.start()
-            try:
-                assert operators._kernel_width(params, radius, 1e-10, 1.0) == width
-                assert tracemalloc.get_traced_memory()[1] < peak_bytes
-            finally:
-                tracemalloc.stop()
-
     def test_too_wide_a_kernel_takes_the_row_path(self, monkeypatch):
         """At beta = 1e-5 no width is tried, and the rows meet tolerance."""
         attempts, _ = _seed_rounds(monkeypatch)
@@ -1132,14 +1073,13 @@ class TestBatchedKinds:
     @pytest.mark.parametrize("n", [1, 4, 9, 49, 400, 1000])
     @pytest.mark.parametrize("f", [SIN, ABS, GAUSS], ids=lambda f: f.name)
     @pytest.mark.parametrize("params", [KernelParams(1.0, 1.0), KernelParams(2.0, 0.5), KernelParams(1.0, 20.0),
-                                        KernelParams(1e-3, 3.0), KernelParams(1.0, 3.0)],
+                                        KernelParams(1e-3, 3.0), KernelParams(1.0, 3.0), KernelParams(1.0, 2.54)],
                              ids=lambda p: f"q{p.q:g}-beta{p.beta:g}")
     def test_rows_have_the_bits_of_single_calls(self, params, f, n, xs):
-        """At (1, 3) the shared W = 1 pass misses for sin and gauss: for
-        every kind at n <= 9 on 2001 points, and for basic alone (or basic
-        and quadrature) at n = 49 and 400 there and at n <= 49 on 41 points,
-        so the second pass holds a subset of the kinds; the Chebyshev nodes
-        and the grid around 1e6 take the row path, kind by kind."""
+        """At (1, 2.54) and n = 1 the shared W = 1 pass on 2001 points
+        misses for basic sin and gauss alone, so the second pass holds a
+        subset of the kinds; the Chebyshev nodes and the grid around 1e6
+        take the row path, kind by kind."""
         xs = BATCH_GRIDS[xs]
         specs = _kinds(n, params)
         rows = apply_on_grid(f, specs, xs)
@@ -1163,6 +1103,16 @@ class TestBatchedKinds:
         monkeypatch.setattr(operators, "_lattice", recorded)
         apply_on_grid(SIN, _kinds(9, params), grid.points)
         assert kinds == passes
+
+    @pytest.mark.parametrize("n", [9, 400])
+    def test_closed_form_width_needs_one_round_at_beta_3(self, monkeypatch, grid, n):
+        """At (q, beta) = (1, 3) the width is 1/2 from the start, and the
+        three kinds of sin are accepted on its lattice in one pass.  A GK15
+        tiling of psi passes at W = 1, whose lattice misses for sin there,
+        so a W = 1 start costs a second round."""
+        attempts, rows = _seed_rounds(monkeypatch)
+        apply_on_grid(SIN, _kinds(n, KernelParams(1.0, 3.0)), grid.points)
+        assert attempts == [(0.5, "accepted")] * 3 and rows == []
 
     def test_one_reach_pass_has_the_totals_of_single_kind_passes(self, monkeypatch):
         """A pass of all three kinds takes one reach: here exactly two cells

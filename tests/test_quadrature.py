@@ -23,7 +23,7 @@ from actconv.quadrature import (
     moment_truncation_radius,
 )
 
-from _oracles import psi_mass_mp
+from _oracles import psi_mass_mp, tiled_width
 
 # a 16 x 16 log grid of (q, beta) over the benchmark's range of normalization
 # draws, and the corners of KernelParams past it
@@ -248,23 +248,45 @@ class TestIntegrateRealLine:
         assert abs(res.value - mass) <= 2.0 * cfg.tol
 
     def test_psi_mass_calls(self):
-        """Seeded at psi's width, the grid's 256 integrals take 344
+        """Seeded at psi's width, the grid's 256 integrals take 448
         integrand calls: most are resolved by their one seed call."""
         sizes = []
         for q, beta in _MASS_GRID:
             params = KernelParams(q, beta)
             integrate_real_line(_spy(lambda h, p=params: psi(p, h), sizes), TailEnvelope(params))
-        assert len(sizes) == 344
+        assert len(sizes) == 448
 
     @pytest.mark.parametrize("q, beta, width", [
-        (1.0, 1.0, 2.0), (2.0, 0.5, 4.0), (1e-6, 20.0, 1 / 16), (1.0, 1e-9, 2.0**30),
-        # 2 / beta rounds down to 1/512, widened until [-R, R] (R = 2.03 and
-        # 1.04) takes at most 128 panels
+        (1.0, 1.0, 2.0), (2.0, 0.5, 4.0), (1e-6, 20.0, 1 / 8), (1.0, 1e-9, 2.0**30),
+        # psi's width is 1/256, widened until [-R, R] (R = 2.03 and 1.04)
+        # takes at most 128 panels
         (1e300, 700.0, 1 / 16), (1.0, 700.0, 1 / 32),
     ])
     def test_seed_width(self, q, beta, width):
+        """The seeds of ``integrate_real_line`` over [-R, R]: the multiples
+        of W inside it."""
         params = KernelParams(q, beta)
-        assert quadrature._seed_width(params, QuadratureConfig().radius(params, 1.0)) == width
+        radius = QuadratureConfig().radius(params, 1.0)
+        count = math.ceil(radius / width)
+        assert quadrature.kernel_breaks(params, -radius, radius) == [k * width for k in range(1 - count, count)]
+
+    def test_width_follows_the_tiling(self):
+        """The closed-form width from psi's strip against GK15 tilings of
+        psi over beta in [0.05, 20], eight q, sup |f| in {1, 3} and tol
+        from 1e-6 to 1e-14: the same W in at least 95% of the cases (3,803
+        of 3,936), else half or twice it, and never wider at the default
+        tol."""
+        counts = {}
+        for tol in (1e-6, 1e-8, 1e-10, 1e-12, 1e-13, 1e-14):
+            cfg = QuadratureConfig(tol)
+            for beta in np.geomspace(0.05, 20.0, 41).tolist():
+                for q in (1e-6, 1e-3, 0.5, 1.0, 2.0, 31.6, 1e3, 1e6):
+                    for size in (1.0, 3.0):
+                        params = KernelParams(q, beta)
+                        ratio = cfg.width(params, size) / tiled_width(params, cfg.radius(params, size) + 1.0, tol, size)
+                        assert ratio in (0.5, 1.0, 2.0) and not (tol == 1e-10 and ratio > 1.0), (q, beta, size, tol)
+                        counts[ratio] = counts.get(ratio, 0) + 1
+        assert counts[1.0] >= 0.95 * sum(counts.values())
 
     def test_odd_kernel_moment(self, p11):
         res = integrate_real_line(lambda h: h * psi(p11, h), TailEnvelope(p11, 30.0))
