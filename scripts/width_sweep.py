@@ -3,8 +3,10 @@ sweep of kernels, for comparing kernel-width rules between source trees.
 
 For q in {1e-3, 1, 31.6}, 27 beta log-spaced over [0.05, 20] and n in
 {9, 100} (162 calls per tol), it counts the lattice K15 (panel, point)
-terms, the row-path (panel, point) rows and the lattice rounds that miss
-tolerance, at tol 1e-8, 1e-10 and 1e-12, and prints them as JSON:
+terms, the row-path (panel, point) rows, the lattice rounds that miss
+tolerance or are refused (per kind), and the lattice passes after a
+call's first (second rounds), at tol 1e-8, 1e-10 and 1e-12, and prints
+them as JSON:
 
     PYTHONPATH=src python3 scripts/width_sweep.py
 
@@ -21,7 +23,8 @@ from actconv.operators import OperatorKind, OperatorSpec
 
 
 def sweep(cfg: QuadratureConfig) -> dict:
-    counts = {"terms": 0, "rows": 0, "missed": 0}
+    counts = {"terms": 0, "rows": 0, "missed": 0, "refused": 0, "second": 0}
+    passes = [0]  # lattice passes of the current call
     contract, evaluate, lattice = operators._contract, operators._evaluate, operators._lattice
 
     def counted_contract(weighted, table):
@@ -35,10 +38,15 @@ def sweep(cfg: QuadratureConfig) -> dict:
         counts["rows"] += panels.values.size
         return panels
 
-    def counted_lattice(*args):
-        outs = lattice(*args)
-        counts["missed"] += sum(out is not None and float(out[1].max()) > cfg.allowance(float(np.abs(out[0]).max()))
-                                for out in outs)
+    def counted_lattice(f, specs, *args):
+        outs = lattice(f, specs, *args)
+        passes[0] += 1
+        counts["second"] += passes[0] > 1
+        # a refused pass is None, or a None per kind in older trees
+        if outs is None or all(out is None for out in outs):
+            counts["refused"] += len(specs)
+        else:
+            counts["missed"] += sum(float(out[1].max()) > cfg.allowance(float(np.abs(out[0]).max())) for out in outs)
         return outs
 
     operators._contract, operators._evaluate, operators._lattice = counted_contract, counted_evaluate, counted_lattice
@@ -50,6 +58,7 @@ def sweep(cfg: QuadratureConfig) -> dict:
                 for n in (9, 100):
                     specs = [OperatorSpec(OperatorKind.BASIC, n, params), OperatorSpec(OperatorKind.KANTOROVICH, n, params),
                              OperatorSpec(OperatorKind.QUADRATURE, n, params, weights=(0.25, 0.25, 0.25, 0.25))]
+                    passes[0] = 0
                     operators.apply_on_grid(CATALOG["sin"], specs, xs, cfg)
     finally:
         operators._contract, operators._evaluate, operators._lattice = contract, evaluate, lattice

@@ -170,10 +170,9 @@ def run_convergence_sweep(
     quadrature kind's (given without that kind, they raise ValueError as
     for a single kind); the result is then one list of records per kind,
     each that of the kind's own sweep bit for bit.  At each n one
-    ``apply_on_grid`` call evaluates all kinds (kinds whose kernels have
-    the same width share its lattice pass); should it fail, each kind is
-    evaluated again alone, so a failure lands only in its own kind's
-    records.
+    ``apply_on_grid`` call evaluates all kinds, which share its lattice
+    passes; should it fail, each kind is evaluated again alone, so a
+    failure lands only in its own kind's records.
 
     Individual failures are recorded in the ``note`` field and the sweep
     continues; records come back ordered by n.

@@ -86,13 +86,14 @@ def jackson_bound(
         omega_at + 2 (q + 1/q) sup_norm / e^{beta (n^{1-alpha} - 1)}.
 
     ``omega_at`` must already be the modulus at the argument returned by
-    ``omega_argument`` for this kind.
+    ``omega_argument`` for this kind.  (q + 1/q) e^{-beta (m - 1)} is one
+    exponential of a sum, as in ``kernel.tail_mass_bound``.
     """
     kind = OperatorKind(kind)
     m = window_edge(n, alpha)
     if omega_at < 0 or sup_norm < 0:
         raise ValueError("omega_at and sup_norm must be nonnegative")
-    tail = 2.0 * params.q_sum * sup_norm * math.exp(-params.beta * (m - 1.0))
+    tail = 2.0 * sup_norm * math.exp(math.log(params.q_sum) - params.beta * (m - 1.0))
     return BoundReport(
         kind=_JACKSON[kind],
         value=omega_at + tail,
@@ -135,7 +136,10 @@ def taylor_bound(
     """Bound on the Taylor-corrected residual of order N.
 
     ``omega_N`` is the modulus of the N-th derivative at 1/n^alpha (basic)
-    or 1/n + 1/n^alpha (kantorovich/quadrature).
+    or 1/n + 1/n^alpha (kantorovich/quadrature).  The tail factor
+    (q + 1/q) e^beta e^{-beta m / 2} is one exponential,
+    e^{beta (1 - m/2) + ln(q + 1/q)}: apart, e^beta (q + 1/q) overflows
+    where e^{-beta m / 2} underflows (q = 1e300, beta = 700).
     """
     kind = OperatorKind(kind)
     if not (isinstance(N, int) and N >= 1):
@@ -143,23 +147,19 @@ def taylor_bound(
     m = window_edge(n, alpha)
     if omega_N < 0 or sup_norm_fN < 0:
         raise ValueError("omega_N and sup_norm_fN must be nonnegative")
-    q_sum, beta = params.q_sum, params.beta
+    beta = params.beta
     fact = float(math.factorial(N))
-    decay = math.exp(-beta * m / 2.0)
+    tail = math.exp(beta * (1.0 - m / 2.0) + math.log(params.q_sum))
     if kind is OperatorKind.BASIC:
         value = (
             omega_N / (float(n) ** (alpha * N) * fact)
-            + 2.0 ** (N + 2) * sup_norm_fN * math.exp(beta) * q_sum / (float(n) ** N * beta**N) * decay
+            + 2.0 ** (N + 2) * sup_norm_fN / (float(n) ** N * beta**N) * tail
         )
     else:
         arg = 1.0 / n + 1.0 / float(n) ** alpha
         value = (
             omega_N * arg**N / fact
-            + (2.0**N * sup_norm_fN / (float(n) ** N * fact))
-            * q_sum
-            * math.exp(beta)
-            * decay
-            * (1.0 + 2.0 ** (N + 1) * fact / beta**N)
+            + (2.0**N * sup_norm_fN / (float(n) ** N * fact)) * tail * (1.0 + 2.0 ** (N + 1) * fact / beta**N)
         )
     return BoundReport(
         kind=_TAYLOR[kind],

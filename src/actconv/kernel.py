@@ -378,13 +378,15 @@ def window_edge(n: int, alpha: float) -> float:
 
 def tail_mass_bound(params: KernelParams, n: int, alpha: float) -> float:
     """Upper bound (q + 1/q) e^{-beta (n^{1-alpha} - 1)} on the kernel mass
-    outside the window |h| >= n^{1-alpha}.
+    outside the window |h| >= n^{1-alpha}, as one exponential of
+    ln(q + 1/q) - beta (n^{1-alpha} - 1): apart, the exponential
+    underflows to 0 (q = 1e300, beta = 700) where the product does not.
 
     Requires n^{1-alpha} > 2 (see ``window_edge``).
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    return params.q_sum * math.exp(-params.beta * (window_edge(n, alpha) - 1.0))
+    return math.exp(math.log(params.q_sum) - params.beta * (window_edge(n, alpha) - 1.0))
 
 
 def moment_bound(params: KernelParams, k: int) -> float:

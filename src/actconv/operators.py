@@ -37,13 +37,16 @@ Two evaluation paths share the same nested Kronrod rule:
   GK15 panels resolve psi, and so every kind's kernel, to tolerance, in
   closed form from psi's analytic strip (at tol = 1e-10, about 2 / beta:
   32 at beta = 0.05, 2 at beta = 1, 1/8 at beta = 20): a cell of M grid
-  steps holds m panels of width h M / m, the widest not above W/n with small M and m.  f is sampled at
+  steps, at most a quarter of the grid, holds m panels of width h M / m,
+  the widest not above W/n with small M and m.  f is sampled at
   the nodes of all lattice panels, about a thousand panels per call, and
   the terms of all cells at M consecutive offsets (a slab) reach the
-  per-point totals by one in-place add.  The lattice places point i at
+  per-point totals by one in-place add.  W/n is the one seed width: a
+  lattice that misses tolerance is tried once more at (W/2)/n, and the
+  row seeds are W/n wide too.  The lattice places point i at
   x0 + i h, which differs from the double x_i by up to ulp(x_i) / 2, so
   grids far from the origin, where that drift would show in the result,
-  keep the row seeds.  Given several specs of one n and one params (the
+  take the row seeds.  Given several specs of one n and one params (the
   kinds of a sweep step), ``apply_on_grid`` returns one row per spec: the
   kinds share the windows, the checks and W, and each lattice round is one
   pass of the kinds still short of tolerance, with f sampled once and
@@ -458,17 +461,17 @@ def _contract(weighted: np.ndarray, table: np.ndarray) -> np.ndarray:
 def _cell(h: float, n: int, width: float, size: int) -> tuple[int, int]:
     """The cell (M, m) of the lattice on a grid of ``size`` points with step
     h: M grid steps holding m panels of width h M / m, the widest not above
-    W / n, W = ``width``.  Either M = 1 or m = 1 unless that leaves the
-    panels below 0.8 W / n (only possible for M, m <= 4); then the widest
-    h M / m with M <= 8 and m <= 4 is taken, M also at most a quarter of
-    the grid steps (larger M grow the kernel table and the peak memory).
-    At n = 400 on 2001 points over [-3, 3] and W = 2, for instance, panels
-    of width h (0.6 W / n) become 5h/3 (W / n)."""
+    W / n, W = ``width``, with M at most a quarter of the grid steps (and at
+    least 1), so that the grid spans at least four cells: a wide kernel on
+    a short grid gets narrower panels (at n = 4 and beta = 0.2 on 2001
+    points over [-3, 3], W = 8 and M = 500, not 666).  Either M = 1 or
+    m = 1 unless that leaves the panels below 0.8 W / n (only possible for
+    M, m <= 4); then the widest h M / m with M <= 8 and m <= 4 is taken.
+    At n = 400 on that grid and W = 2, for instance, panels of width h
+    (0.6 W / n) become 5h/3 (W / n)."""
     if h * n <= width:
-        # clamped at size: the four-cell test in ``_lattice`` refuses that
-        # stride as it would any larger one, which a subnormal h makes too
-        # large (even inf) for an int
-        stride, m = int(min(width / (h * n), size)), 1
+        # W / (h n) is inf for a subnormal h: the clamp comes first
+        stride, m = int(min(width / (h * n), max(1, (size - 1) // 4))), 1
         if stride * h * n > width:
             stride -= 1
     else:
@@ -487,7 +490,7 @@ def _cell(h: float, n: int, width: float, size: int) -> tuple[int, int]:
 
 
 def _lattice(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, reach: float, cap: int,
-             width: float) -> list:
+             width: float) -> list | None:
     """The seed round of the kinds of ``specs`` (one n) on the grid
     x_i = x0 + i h, from one table of their kernels.
 
@@ -525,25 +528,18 @@ def _lattice(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, r
 
     A lattice panel that contains a kink of f is cut there, and the pieces
     go through ``_evaluate`` for each kind.  Returns, per kind, the
-    per-point totals of values and error estimates; or None for every kind
-    when the seeds would exceed the panel budget ``cap``, or when a cell
-    spans more than a quarter of the grid, so that a table value would
-    serve fewer than four cells.  Against rows, the lattice was measured at
-    0.3 to 1.4 times the time at two or three cells, 0.2 to 0.8 times at
-    four and 0.2 to 1.1 times at eight (grids of 41 to 2001 points, n = 1
-    and 4, panels no wider than W / n); but a refused W/n lattice gives way
-    to the min(W/2, 1)/n one, with twice the cells, and without the
-    refusal such calls took 0.4 to 1.8 times as long (the W/n lattice
-    missing tolerance at beta = 0.5)."""
+    per-point totals of values and error estimates; or None when the seeds
+    would exceed the panel budget ``cap``."""
     n, size, kinds = specs[0].n, grid.size, len(specs)
-    refused = [None] * kinds
     x0 = float(grid[0])
     span = float(grid[-1]) - x0
     h = span / (size - 1)
     stride, m = _cell(h, n, width, size)
-    if 4 * stride > size - 1:
-        return refused
     cell = stride * h
+    # the cells within reach, counted in floats first (one of slack for the
+    # rounding): under a subnormal h their number is too large for an int
+    if (span + 2.0 * reach) / cell > cap + 1:
+        return None
     w = cell / m
     # the cells within reach of the grid, and the offsets j of the points
     # within reach of a cell, clipped to the grid
@@ -557,7 +553,7 @@ def _lattice(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, r
     inner = edges[at] != cuts
     cuts, at = cuts[inner], at[inner]
     if m * cells + cuts.size > cap:
-        return refused
+        return None
 
     # the offsets in whole slabs of M = stride, the table zero outside
     # [j_lo, j_hi]
@@ -742,9 +738,7 @@ def _rows(f: TestFunction, spec: OperatorSpec, grid: np.ndarray, win: _Windows, 
 
 
 def _met(lattice, cfg: QuadratureConfig) -> np.ndarray | None:
-    """A lattice round's values if it ran and meets tolerance, else None."""
-    if lattice is None:
-        return None
+    """A lattice round's values if they meet tolerance, else None."""
     values, errors = lattice
     return values if float(errors.max()) <= cfg.allowance(float(np.abs(values).max())) else None
 
@@ -795,24 +789,23 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec | Sequence[OperatorSpec], 
     symmetric about 0, c is exactly 0.
 
     Lattice seeds: when the sorted distinct points are exactly
-    ``np.linspace(x0, x1, N)`` (N >= 2), form one seeding window and span at
-    least four lattice cells, the seed round runs on a lattice anchored at
-    x0 (see ``_lattice``).  The lattice evaluates the operator at x0 + i h,
-    not at the double x_i, so it is taken only when that drift (about
-    ulp(x) / 2 far from the origin) can move no value by more than tol / 10;
-    a uniform grid far from the origin, such as
-    ``np.linspace(1e6, 1e6 + 6, N)``, takes the row path.  The lattice
-    panels have width h M / m, the widest not above W/n with M <= 8 and
-    m <= 4 where M = 1 or m = 1 leaves them narrower than 0.8 W/n (see
-    ``_cell``): W = ``cfg.width(params, sup |f|)`` is the power of two at
-    which GK15 panels of width W resolve psi, times sup |f|, to tol, and
-    with it every kind's kernel (2 at q = beta = 1, 1/8 at beta = 20).  A
-    window radius above 65,535 (beta below about 4.3e-4) takes the row
-    path.  When the W/n lattice is refused (panel budget, or fewer than
-    four cells) or misses tolerance, the min(W/2, 1)/n lattice runs next:
-    for W > 1 its panels are never coarser than the row seeds, and for
-    W <= 1 it catches a W, an estimate from psi's strip, too wide for f or
-    for the grid's phase.  Each kind's kernel is evaluated once, on a table
+    ``np.linspace(x0, x1, N)`` (N >= 2) and form one seeding window, the
+    seed round runs on a lattice anchored at x0 (see ``_lattice``).  The
+    lattice evaluates the operator at x0 + i h, not at the double x_i, so
+    it is taken only when that drift (about ulp(x) / 2 far from the origin)
+    can move no value by more than tol / 10; a uniform grid far from the
+    origin, such as ``np.linspace(1e6, 1e6 + 6, N)``, takes the row path.
+    The lattice panels have width h M / m, the widest not above W/n with
+    M <= 8 and m <= 4 where M = 1 or m = 1 leaves them narrower than
+    0.8 W/n, and M at most a quarter of the grid steps (see ``_cell``):
+    W = ``cfg.width(params, sup |f|)`` is the power of two at which GK15
+    panels of width W resolve psi, times sup |f|, to tol, and with it every
+    kind's kernel (2 at q = beta = 1, 1/8 at beta = 20).  A window radius
+    above 65,535 (beta below about 4.3e-4) takes the row path, and a
+    lattice over the panel budget is refused.  When the W/n lattice misses
+    tolerance, the (W/2)/n lattice runs next for the kinds it missed: W is
+    an estimate from psi's strip, and for some f or grid phases it misses
+    by a hair.  Each kind's kernel is evaluated once, on a table
     of kernel values per (node, lattice offset); each (panel, point) K15
     term and its |K15 - G7| estimate is a 15-node contraction of the panel's
     weighted samples with the table, one BLAS matrix product per group of
@@ -830,11 +823,8 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec | Sequence[OperatorSpec], 
 
     Row seeds: each window [lo, hi] is cut into ceil((hi - lo) n / W)
     equal panels (at least 8, at most its panel budget), W/n wide as the
-    lattice panels are.  Where ulp(max |x|) times the lattice's drift
-    slope 2 n g_max sup |f| exceeds tol / 10, as far from the origin, or
-    the window radius is above 65,535, they are 1/n wide instead: the points'
-    own rounding then shows in the K15 - G7 estimates as noise, which
-    finer seeds average out.
+    lattice panels are.  Above a window radius of 65,535 they are 1/n wide
+    instead, so that a call no budget covers fails soonest.
     """
     cfg = cfg or DEFAULT_CONFIG
     single = isinstance(spec, OperatorSpec)
@@ -863,6 +853,7 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec | Sequence[OperatorSpec], 
     # a window radius above 65,535 (beta below about 4.3e-4 at tol = 1e-10)
     # takes the rows, seeded at 1/n, where a call no budget covers fails soonest
     narrow = radius <= 65535.0
+    width = cfg.width(params, f.sup_norm)
     uniform = grid.size >= 2 and np.array_equal(grid, np.linspace(grid[0], grid[-1], grid.size))
     # the lattice moves each point by up to _drift(grid), which moves its
     # value by up to that times sup |(B f)'| <= n sup|f| TV(k); averaging
@@ -870,23 +861,20 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec | Sequence[OperatorSpec], 
     # below tol / 10
     slope = 2.0 * n * params.g_max_value * f.sup_norm
     lattice_ok = narrow and uniform and win.lows.size == 1 and _drift(grid) * slope <= 0.1 * cfg.tol
-    # the row seeds are W/n wide as well, but stay 1/n wide where the
-    # points' own rounding, ulp(max |x|), could move a value by tol / 10 in
-    # the same way: finer seeds average more of that noise out of the
-    # K15 - G7 estimates
-    rows_ok = narrow and float(np.spacing(max(abs(grid[0]), abs(grid[-1])))) * slope <= 0.1 * cfg.tol
-    width = cfg.width(params, f.sup_norm)
 
     values = [None] * len(specs)
     if lattice_ok:
-        # W/n, then min(W/2, 1)/n (W follows psi's strip, not the grid's
-        # phase): each round one pass of the unmet kinds
-        for seed in (width, min(0.5 * width, 1.0)):
+        # W/n, then (W/2)/n for the kinds it missed (W follows psi's strip,
+        # not the grid's phase): each round one pass of the unmet kinds; a
+        # lattice over the panel budget at W/n is over it at W/2 too
+        for seed in (width, 0.5 * width):
             unmet = [i for i, v in enumerate(values) if v is None]
-            if unmet:
-                for i, out in zip(unmet, _lattice(f, [specs[i] for i in unmet], grid, win.reach, win.budget, seed)):
-                    values[i] = _met(out, cfg)
-    seed = width if rows_ok else 1.0
+            outs = _lattice(f, [specs[i] for i in unmet], grid, win.reach, win.budget, seed) if unmet else None
+            if outs is None:
+                break
+            for i, out in zip(unmet, outs):
+                values[i] = _met(out, cfg)
+    seed = width if narrow else 1.0
     for i, s in enumerate(specs):
         if values[i] is None:
             # otherwise (and on a uniform grid whose lattice rounds miss

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import pytest
 
 from actconv import (
@@ -16,6 +17,7 @@ from actconv import (
     omega_argument,
     taylor_bound,
 )
+from actconv.kernel import tail_mass_bound
 
 P11 = KernelParams(1.0, 1.0)
 KINDS = ("basic", "kantorovich", "quadrature")
@@ -149,6 +151,43 @@ class TestTaylorBound:
             for n in (9, 16, 25, 36, 49)
         ]
         assert all(b < a for a, b in zip(values, values[1:]))
+
+
+def _tails(q, beta, n, N):
+    """The tail terms of ``tail_mass_bound``, ``jackson_bound`` (sup|f| = 1)
+    and ``taylor_bound`` (basic, then averaging; sup|f^(N)| = 1) at
+    alpha = 0.5, in 50-digit mpmath."""
+    with mp.workdps(50):
+        q, beta, n = mp.mpf(q), mp.mpf(beta), mp.mpf(n)
+        q_sum, m, fact = q + 1 / q, mp.sqrt(n), mp.factorial(N)
+        mass = q_sum * mp.exp(-beta * (m - 1))
+        decay = q_sum * mp.exp(beta) * mp.exp(-beta * m / 2)
+        basic = 2 ** (N + 2) / (n**N * beta**N) * decay
+        averaging = 2**N / (n**N * fact) * decay * (1 + 2 ** (N + 1) * fact / beta**N)
+        return [float(v) for v in (mass, 2 * mass, basic, averaging)]
+
+
+class TestExtremeTails:
+    """Each tail is one exponential of a sum of logarithms: apart, (q + 1/q)
+    e^beta overflows and e^{-beta m} underflows at (1e300, 700), and their
+    product was nan (``taylor_bound``) or 0.0 (``tail_mass_bound``)."""
+
+    @pytest.mark.parametrize("N", [1, 2])
+    @pytest.mark.parametrize("n", [9, 36])
+    @pytest.mark.parametrize("q, beta", [(1e300, 700.0), (1e-300, 700.0), (1.0, 1.0), (1e6, 0.05)])
+    def test_tails_match_mpmath(self, q, beta, n, N):
+        params = KernelParams(q, beta)
+        got = [
+            tail_mass_bound(params, n, 0.5),
+            jackson_bound("basic", 0.0, params, n, 0.5, 1.0).value,
+            taylor_bound("basic", 0.0, params, n, 0.5, N, 1.0).value,
+            taylor_bound("kantorovich", 0.0, params, n, 0.5, N, 1.0).value,
+        ]
+        for value, exact in zip(got, _tails(q, beta, n, N)):
+            assert math.isfinite(value)
+            # below 2.2e-308 (at beta = 700) a double holds fewer digits:
+            # allow a few of its steps of 2^-1074 there
+            assert abs(value - exact) <= 1e-13 * exact + 4 * 2.0**-1074, (value, exact)
 
 
 class TestIteratedBounds:

@@ -481,7 +481,7 @@ def _seed_rounds(monkeypatch):
 
     def recorded_lattice(*args):
         results = lattice(*args)
-        for out in results:  # one per kind of the pass
+        for out in results or [None] * len(args[1]):  # one per kind of the pass
             if out is None:
                 outcome = "refused"
             else:
@@ -551,13 +551,12 @@ class TestLatticeSeeds:
         expected = [_exact_sin(spec, x) for x in xs[picks]]
         np.testing.assert_allclose(apply_on_grid(SIN, spec, xs)[picks], expected, rtol=0, atol=1e-10)
 
-    @pytest.mark.parametrize("centre, width", [(0.0, 2.0), (1e6, 1.0)], ids=["origin", "far"])
-    def test_row_seeds_at_the_kernel_width(self, monkeypatch, centre, width):
+    @pytest.mark.parametrize("centre", [0.0, 1e6], ids=["origin", "far"])
+    def test_row_seeds_at_the_kernel_width(self, monkeypatch, centre):
         """On a grid that is not uniform the seeds are rows: at q = beta = 1
         each window [lo, hi] (the points' kernel windows, (R + 1)/n either
         side) seeds ceil((hi - lo) n / W) panels, W = 2 as for the
-        lattice.  Around 1e6, where ulp(x) times the drift slope
-        2 n g_max sup |f| exceeds tol / 10, the seeds stay 1/n wide."""
+        lattice, near the origin and around 1e6 alike."""
         spec = OperatorSpec(OperatorKind.BASIC, 100, P11)
         xs = centre + np.concatenate((_nudged(np.linspace(-3.0, -1.0, 401), 200), np.linspace(2.0, 3.0, 101)))
         reach = (QuadratureConfig().radius(P11, SIN.sup_norm) + 1.0) / spec.n
@@ -565,18 +564,20 @@ class TestLatticeSeeds:
         attempts, rows = _seed_rounds(monkeypatch)
         apply_on_grid(SIN, spec, xs)
         assert attempts == []
-        assert rows[0] == sum(math.ceil((hi - lo) * spec.n / width) for lo, hi in windows)
+        assert rows[0] == sum(math.ceil((hi - lo) * spec.n / 2.0) for lo, hi in windows)
 
     def test_subnormal_step_takes_the_row_path(self, monkeypatch):
         """A grid step so small that W / (h n) is too large for an int (here
-        inf) fails the four-cell test like any stride above a quarter of the
-        grid, so the call gives the row path's values."""
+        inf) gets a cell of a quarter of the grid, and its kernel window
+        would take more cells than any budget: the lattice is refused
+        before anything is counted in ints, and the call gives the row
+        path's values."""
         spec = OperatorSpec(OperatorKind.BASIC, 9, P11)
         xs = np.linspace(0.0, 1e-310, 2001)
         attempts, _ = _seed_rounds(monkeypatch)
         out = apply_on_grid(SIN, spec, xs)
-        assert attempts and all(outcome == "refused" for _, outcome in attempts)
-        monkeypatch.setattr(operators, "_lattice", lambda f, specs, *args: [None] * len(specs))
+        assert attempts == [(2.0, "refused")]
+        monkeypatch.setattr(operators, "_lattice", lambda *args: None)
         np.testing.assert_array_equal(out, apply_on_grid(SIN, spec, xs))
 
     def test_lattice_path_taken_only_on_uniform_grids(self, monkeypatch, grid):
@@ -695,28 +696,60 @@ class TestLatticeSeeds:
         assert wide_terms <= 0.55 * terms[0]
         np.testing.assert_allclose(wide, narrow, rtol=0, atol=1e-12)
 
+    def test_default_verbs_take_one_seed_width(self, monkeypatch, tmp_path):
+        """The default ``approx``, ``taylor`` and ``iterate`` (alone and as
+        the 9, 16, 25 chain) run on the first seed width: every lattice
+        pass is at W and is accepted, and every row evaluation (the
+        approximants' Chebyshev nodes) is seeded at W/n."""
+        from click.testing import CliRunner
+
+        from actconv.cli import main
+
+        cfg = QuadratureConfig()
+        passes, seeds = [], []
+        lattice, rows = operators._lattice, operators._rows
+
+        def spied_lattice(f, specs, grid, reach, cap, width):
+            outs = lattice(f, specs, grid, reach, cap, width)
+            accepted = outs is not None and all(operators._met(out, cfg) is not None for out in outs)
+            passes.append((width == cfg.width(specs[0].params, f.sup_norm), accepted))
+            return outs
+
+        def spied_rows(f, spec, grid, win, seed, cfg_):
+            seeds.append(seed == cfg_.width(spec.params, f.sup_norm))
+            return rows(f, spec, grid, win, seed, cfg_)
+
+        monkeypatch.setattr(operators, "_lattice", spied_lattice)
+        monkeypatch.setattr(operators, "_rows", spied_rows)
+        for argv in (["approx"], ["taylor"], ["iterate"], ["iterate", "--chain", "9,16,25"]):
+            result = CliRunner().invoke(main, [*argv, "--out", str(tmp_path)], catch_exceptions=False)
+            assert result.exit_code == 0, result.output
+        assert passes == [(True, True)] * 8
+        assert seeds == [True] * 10
+
     @pytest.mark.parametrize(
-        "f, spec, first",
+        "f, spec, expected",
         [
-            (GAUSS, OperatorSpec(OperatorKind.KANTOROVICH, 4, KernelParams(1.0, 0.5)), (4.0, "missed")),
-            (SIN, OperatorSpec(OperatorKind.BASIC, 4, KernelParams(1.0, 0.2)), (8.0, "refused")),
-            (ABS, OperatorSpec(OperatorKind.BASIC, 4, KernelParams(1.0, 0.2)), (8.0, "refused")),
+            (GAUSS, OperatorSpec(OperatorKind.KANTOROVICH, 4, KernelParams(1.0, 0.5)),
+             [(4.0, "missed"), (2.0, "accepted")]),
+            (SIN, OperatorSpec(OperatorKind.BASIC, 4, KernelParams(1.0, 0.2)), [(8.0, "accepted")]),
+            (ABS, OperatorSpec(OperatorKind.BASIC, 4, KernelParams(1.0, 0.2)), [(8.0, "accepted")]),
         ],
-        ids=["gauss-missed", "sin-refused", "abs-refused"],
+        ids=["gauss-missed", "sin-clamped", "abs-clamped"],
     )
-    def test_kernel_width_falls_back_to_the_1_over_n_lattice(self, monkeypatch, grid, f, spec, first):
-        """A W/n lattice that misses tolerance, or is refused (at beta = 0.2
-        and n = 4 a cell of width 8/n spans 666 of the 2001 points, under
-        four cells), gives way to the 1/n lattice, which is accepted; no
-        row is evaluated but the pieces of panels cut at a kink."""
+    def test_wide_cells_are_clamped_and_a_miss_halves_the_width(self, monkeypatch, grid, f, spec, expected):
+        """At beta = 0.2 and n = 4 a cell of width 8/n would span 666 of the
+        2001 points, under four cells: it is clamped to 500 steps, and that
+        lattice is accepted.  A W/n lattice that misses tolerance gives way
+        to the (W/2)/n one, which is accepted.  No row is evaluated: the
+        kinks 0 and +-3 of |x| lie on the edges of the cells, 1.5 wide."""
+        cells, cell = [], operators._cell
+        monkeypatch.setattr(operators, "_cell", lambda *args: cells.append(cell(*args)) or cells[-1])
         attempts, rows = _seed_rounds(monkeypatch)
         out = apply_on_grid(f, spec, grid.points)
-        assert attempts == [first, (1.0, "accepted")]
-        kinks = len(f.kinks)
-        # each lattice round that gets as far as its kink pieces evaluates
-        # them as rows, at most two per kink
-        expected = (first[1] == "missed") + 1 if kinks else 0
-        assert len(rows) == expected and all(count <= 2 * kinks for count in rows)
+        assert attempts == expected and rows == []
+        if spec.params.beta == 0.2:
+            assert cells == [(500, 1)]
         np.testing.assert_allclose(out, apply_on_grid(f, spec, _nudged(grid.points, 777)), rtol=0, atol=1e-11)
 
     @pytest.mark.parametrize(
@@ -812,13 +845,14 @@ class TestLatticeSeeds:
         [(9, 0.027, 2.0, 2001, (74, 1)), (100, 0.3, 2.0, 2001, (6, 1)), (300, 0.9, 2.0, 2001, (2, 1)),
          (400, 1.2, 2.0, 2001, (5, 3)), (500, 1.5, 2.0, 2001, (4, 3)), (700, 2.1, 2.0, 2001, (3, 4)),
          (1000, 3.0, 2.0, 2001, (2, 3)), (1913, 5.739, 2.0, 2001, (1, 3)), (1000, 3.0, 2.0, 9, (2, 3)),
-         (1000, 3.0, 2.0, 5, (1, 2))],
+         (1000, 3.0, 2.0, 5, (1, 2)), (4, 0.012, 8.0, 2001, (500, 1))],
     )
     def test_cell_geometry(self, n, hn, width, size, cell):
         """(M, m): M grid steps and m panels per cell, the panels of width
-        h M / m the widest not above W / n.  One of M, m is 1 unless that
-        leaves them below 0.8 W / n; then M <= 8 (and at most a quarter of
-        the grid steps) and m <= 4."""
+        h M / m the widest not above W / n, and M at most a quarter of the
+        grid steps (W / (h n) = 666 steps at n = 4 and W = 8 on the
+        default grid become 500).  One of M, m is 1 unless that leaves them
+        below 0.8 W / n; then M <= 8 and m <= 4."""
         assert operators._cell(hn / n, n, width, size) == cell
 
     @pytest.mark.parametrize("cell", [(1, 1), (3, 1), (1, 3), (5, 3), (2, 3), (8, 4), (74, 1), (13, 1)])
