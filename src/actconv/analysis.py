@@ -363,6 +363,12 @@ def _gauss(x):
     return np.exp(-x * x)
 
 
+def _gauss_strip(y):
+    """sup over real x of |exp(-(x + iy)^2)| = exp(y^2 - x^2) at x = 0."""
+    y = np.asarray(y, dtype=float)
+    return np.exp(y * y)
+
+
 def _gauss_d1(x):
     x = np.asarray(x, dtype=float)
     return -2.0 * x * np.exp(-x * x)
@@ -382,6 +388,8 @@ CATALOG: dict[str, TestFunction] = {
         derivative_sup_norms=(1.0, 1.0, 1.0, 1.0),
         modulus=_omega_trig,
         derivative_moduli=(_omega_trig, _omega_trig, _omega_trig, _omega_trig),
+        # |sin(x + iy)|^2 = sin^2 x + sinh^2 y <= cosh^2 y
+        strip=np.cosh,
     ),
     "cos": TestFunction(
         name="cos",
@@ -391,6 +399,8 @@ CATALOG: dict[str, TestFunction] = {
         derivative_sup_norms=(1.0, 1.0, 1.0, 1.0),
         modulus=_omega_trig,
         derivative_moduli=(_omega_trig, _omega_trig, _omega_trig, _omega_trig),
+        # |cos(x + iy)|^2 = cos^2 x + sinh^2 y <= cosh^2 y
+        strip=np.cosh,
     ),
     # |x| clamped at the working-domain edge so it stays bounded; the kink
     # at 0 is what the non-smooth test cases are after
@@ -409,6 +419,7 @@ CATALOG: dict[str, TestFunction] = {
         derivative_sup_norms=(_GAUSS_LIP, 2.0),
         modulus=_omega_gauss,
         derivative_moduli=(_omega_gauss_d1, _omega_gauss_d2),
+        strip=_gauss_strip,
     ),
     # unbounded globally; sup_norm is the working-domain sup.  Used for the
     # identity-reproduction facts, not for bounded-function error bounds.
@@ -429,6 +440,7 @@ CATALOG: dict[str, TestFunction] = {
         derivative_sup_norms=(0.0, 0.0),
         modulus=_zero,
         derivative_moduli=(_zero, _zero),
+        strip=_const_array(1.0),
     ),
 }
 

@@ -13,12 +13,22 @@ basic, the unit-window average psi_average(v) = integral of psi(v + t)
 over t in [0, 1] for kantorovich, and sum_s w_s psi(v + s/r) for
 quadrature.  Everything else samples f itself, at its own kinks.
 
-Two evaluation paths share the same nested Kronrod rule:
+Every kind's kernel is analytic in the strip |Im v| < pi / beta, with
+|k(v + iy)| <= k(v) / cos^2(beta y / 2).  So for f with a strip majorant
+(``TestFunction.strip``) and no kinks, ``apply_on_grid`` takes the
+trapezoidal rule B f(x) ~ tau sum_{|j| <= J} k(j tau) f(x - j tau / n),
+whose error has an a-priori bound (Trefethen & Weideman, SIAM Review 56,
+2014): tau is the largest step whose proven error stays within tol, and
+a call no step can serve is refused before anything is evaluated (see
+``_rule``).  The kinds of a call share tau, and on a uniform grid the
+samples of f as well, and each kind has one kernel vector k(j tau).
+Every other call takes a nested Kronrod rule, on one of two paths:
 
 * ``apply`` (and the kind-specific wrappers) integrate a single point
   adaptively in the kernel variable v, with the window's seed panels cut
   at the kinks of f, v = n (x - kink), as the grid engine cuts its panels,
-* ``apply_on_grid`` evaluates a whole grid of points at once by sharing
+* ``apply_on_grid``, for f with kinks or without a majorant, evaluates a
+  whole grid of points at once by sharing
   one panel decomposition in the sample variable u, where the kinks of f
   sit at fixed locations; panels refine until the worst grid point meets
   tolerance.  The new panels of a refinement round are evaluated
@@ -38,7 +48,8 @@ Two evaluation paths share the same nested Kronrod rule:
   closed form from psi's analytic strip (at tol = 1e-10, about 2 / beta:
   32 at beta = 0.05, 2 at beta = 1, 1/8 at beta = 20): a cell of M grid
   steps, at most a quarter of the grid, holds m panels of width h M / m,
-  the widest not above W/n with small M and m.  f is sampled at
+  the widest not above W/n with small M and m; a table of more kernel
+  values than the W/n row seeds evaluate is refused.  f is sampled at
   the nodes of all lattice panels, about a thousand panels per call, and
   the terms of all cells at M consecutive offsets (a slab) reach the
   per-point totals by one in-place add.  W/n is the one seed width: a
@@ -53,9 +64,10 @@ Two evaluation paths share the same nested Kronrod rule:
   their kernel tables stacked; each row is bit for bit the kind's own
   call.
 
-Accuracy is set by one knob, ``QuadratureConfig.tol``: both paths accept
-a value v once its error estimate is within ``cfg.allowance(v)`` =
-tol max(1, |v|) (on a grid, v is the largest |value|), and both truncate
+Accuracy is set by one knob, ``QuadratureConfig.tol``: the Kronrod paths
+accept a value v once its error estimate is within ``cfg.allowance(v)`` =
+tol max(1, |v|) (on a grid, v is the largest |value|), the trapezoidal
+rule's proven error is within tol, and every path truncates
 every kind's kernel to one window [-R - 1, R + 1], R =
 ``cfg.radius(params, sup |f|)`` the radius beyond which psi's mass, times
 sup |f|, is at most tol / 100 (averaging moves that mass left by at most
@@ -178,6 +190,11 @@ class TestFunction:
     modulus of continuity, and ``kinks`` lists points where f is not
     smooth (used to seed panel boundaries).  ``derivatives`` hold
     analytic derivative evaluators with their own sup norms and moduli.
+    ``strip`` (when present) is a strip majorant: f extends to an entire
+    function with sup over real x of |f(x + iy)| at most strip(y) for
+    y >= 0, nondecreasing in y and evaluated elementwise on arrays; with
+    it, and no kinks, ``apply_on_grid`` takes the trapezoidal rule with a
+    proven error.  Derivatives get none.
     """
 
     name: str
@@ -188,6 +205,7 @@ class TestFunction:
     modulus: Callable[[float], float] | None = None
     derivative_moduli: tuple = ()
     kinks: tuple[float, ...] = ()
+    strip: Callable[[np.ndarray], np.ndarray] | None = None
 
     __test__ = False  # not a pytest test class despite the name
 
@@ -558,6 +576,16 @@ def _lattice(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, r
     # the offsets in whole slabs of M = stride, the table zero outside
     # [j_lo, j_hi]
     p_lo, p_hi = j_lo // stride, j_hi // stride
+    # a table of more kernel values per kind than the row seeds of this
+    # width evaluate (15 per (panel, point) row) is refused: at n = 1 and
+    # beta = 0.05 it spans the kernel window at grid-step resolution, and
+    # takes hundreds of MiB and six times the rows' time
+    seeds = max(2, min(max(math.ceil((span + 2.0 * reach) * n / width), 8), cap))
+    ends = np.linspace(x0 - reach, x0 + span + reach, seeds + 1)
+    rows = int((np.searchsorted(grid, ends[1:] + reach, side="right")
+                - np.searchsorted(grid, ends[:-1] - reach, side="left")).sum())
+    if m * (p_hi + 1 - p_lo) * stride > rows:
+        return None
     offsets = np.arange(p_lo * stride, (p_hi + 1) * stride)
     nodes = (np.arange(m)[:, None] + 0.5) * w + 0.5 * w * GK15_NODES  # (m, 15) from the cell's left edge
     arg = n * (offsets * h - nodes[:, :, None])
@@ -743,6 +771,232 @@ def _met(lattice, cfg: QuadratureConfig) -> np.ndarray | None:
     return values if float(errors.max()) <= cfg.allowance(float(np.abs(values).max())) else None
 
 
+# the strip half-widths a at which the trapezoidal step is sized: fractions
+# of the kernels' half-width pi / beta, dense towards both ends, and
+# multiples of n, about where the majorant of f(x - v / n) starts to grow
+_STRIP_FRACTIONS = 1.0 / (1.0 + np.exp(-np.linspace(-12.0, 12.0, 481)))
+_STRIP_MULTIPLES = 10.0 ** np.linspace(-3.0, 3.0, 241)
+# the disc radii of the Cauchy estimate of sup |f'| from the strip majorant
+_DISC_RADII = 10.0 ** np.linspace(-2.0, 3.0, 101)
+# significant bits of the step tau / n off the sample lattice: j tau / n is
+# then exact, and so is x - j tau / n wherever the spacing of x allows
+_STEP_BITS = 8
+_ULP = 2.0**-52
+
+
+def _strip(f: TestFunction, n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Strip half-widths a in (0, pi / beta) and ln M(a): M(a) =
+    strip(a / n) / cos^2(beta a / 2) bounds every kind's integrand
+    f(x - v / n) k(v) on the lines Im v = +-a, integrated over Re v."""
+    a = np.concatenate((_STRIP_FRACTIONS * (math.pi / beta), _STRIP_MULTIPLES * n))
+    a = a[a < math.pi / beta]
+    with np.errstate(over="ignore", divide="ignore"):
+        return a, np.log(np.asarray(f.strip(a / n), dtype=float)) - 2.0 * np.log(np.cos(0.5 * beta * a))
+
+
+def _step(strip: tuple[np.ndarray, np.ndarray], budget: float) -> float:
+    """The largest step tau whose aliasing is within ``budget`` at some a:
+    tau = 2 pi a / ln(1 + 2 M / budget) (inf for a zero majorant)."""
+    a, log_m = strip
+    with np.errstate(divide="ignore"):
+        return float((2.0 * math.pi * a / np.logaddexp(0.0, math.log(2.0 / budget) + log_m)).max())
+
+
+def _aliasing(strip: tuple[np.ndarray, np.ndarray], step: float) -> float:
+    """The least bound 2 M / (e^(2 pi a / tau) - 1) over a on the aliasing
+    error of the trapezoidal rule of step tau (Trefethen & Weideman, SIAM
+    Review 56, 2014, Thm 5.1)."""
+    a, log_m = strip
+    z = 2.0 * math.pi * a / step
+    return float(np.exp(math.log(2.0) + log_m - z - np.log(-np.expm1(-z))).min())
+
+
+def _half(radius: float, step: float) -> int:
+    """J: the nodes j tau, |j| <= J, reach a step past the kernel window."""
+    return math.ceil(radius / step) + 1
+
+
+def _rounding(half: int, radius: float, beta: float, size: float) -> float:
+    """The floating-point error of the rule's value at sup |f| = ``size``:
+    the ordered sum of 2J + 1 products, each kernel value's relative error
+    from its argument and exponential (up to beta R), and a few ulp for
+    each factor."""
+    return (2 * half + 2.0 * beta * radius + 16) * _ULP * size
+
+
+class _Rule(NamedTuple):
+    """The trapezoidal rule of one ``apply_on_grid`` call: the step tau,
+    J, the proven error bound, and the sample lattice (x0, d, k, p), on
+    which point i takes f at x0 + (p i - k j) d, or None: f is sampled at
+    x_i - j tau / n."""
+
+    step: float
+    half: int
+    bound: float
+    lattice: tuple[float, float, int, int] | None
+
+
+def _rule(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, radius: float,
+          drift: float | None, cfg: QuadratureConfig) -> _Rule:
+    """The trapezoidal rule of the kinds of ``specs`` on the sorted grid,
+    or ``QuadratureNonConvergedError`` when its proven error exceeds tol
+    or its 2J + 1 nodes exceed 15 ``quadrature.MAX_SUBDIVISIONS``.  The
+    step is the largest (over the strip widths of ``_strip``) whose
+    aliasing and rounding stay within nine tenths of what truncation and
+    ``drift`` leave of tol; the rest is for the rounding of the sample
+    positions.  ``drift`` bounds the value error of the lattice on a
+    uniform grid that may take it: tau is then rounded down to k h n or
+    h n / p, while the lattice x0 + m h / p is no longer than the (2J + 1)
+    samples per point of direct sampling.  Otherwise tau / n is rounded
+    down to ``_STEP_BITS`` significant bits."""
+    n, params, size = specs[0].n, specs[0].params, f.sup_norm
+    beta, tol = params.beta, cfg.tol
+    strip = _strip(f, n, beta)
+    spare = tol - cfg.truncation_eps - (drift or 0.0)
+    budget = 0.9 * spare
+    # |f'| <= strip(r) / r by Cauchy's estimate on a disc of radius r
+    with np.errstate(over="ignore"):
+        slope = float((np.asarray(f.strip(_DISC_RADII), dtype=float) / _DISC_RADII).min())
+    # the step whose aliasing fits the budget less the rounding at its own
+    # J: J grows from round to round until it is stable
+    step = _step(strip, budget)
+    half = _half(radius, step)
+    for _ in range(16):
+        rest = budget - _rounding(half, radius, beta, size)
+        if rest <= 0.0:
+            break
+        step = _step(strip, rest)
+        if _half(radius, step) == half:
+            break
+        half = _half(radius, step)
+    # no wider than the window (a zero majorant would allow any step)
+    step = min(step, radius)
+
+    lattice = None
+    x0, last = float(grid[0]), float(grid[-1])
+    h = (last - x0) / (grid.size - 1) if grid.size > 1 else 0.0
+    hn = h * n
+    # a lattice no longer than direct sampling's (2J + 1) samples per
+    # point has k < size or p < 2J + 2 (compared in floats: under a
+    # subnormal step the ratios are too large for an int)
+    if drift is not None and hn > 0.0 and step / hn < grid.size and hn / step < 2 * half + 2:
+        k, p = (math.floor(step / hn), 1) if step >= hn else (1, math.ceil(hn / step))
+        shared, shared_half = k * n * (h / p), _half(radius, k * n * (h / p))
+        # m h / p and x0 + m h / p rounded, and tau / n against k h / p
+        position = 4.0 * _ULP * (max(abs(x0), abs(last)) + (radius + 2.0 * shared) / n)
+        if (p * (grid.size - 1) + 2 * k * shared_half + 1 <= (2 * shared_half + 1) * grid.size
+                and slope * position <= spare - budget):
+            lattice, step, half = (x0, h / p, k, p), shared, shared_half
+    if lattice is None:
+        drift = None
+        mantissa, exponent = math.frexp(step / n)
+        quantum = math.ldexp(1.0, exponent - _STEP_BITS)
+        spacing = math.floor(math.ldexp(mantissa, _STEP_BITS)) * quantum
+        step, half = spacing * n, _half(radius, spacing * n)
+        # x - j tau / n is exact where the spacing of x and the quantum of
+        # tau / n are at least the spacing of the largest |x - j tau / n|
+        reach = np.abs(grid) + half * spacing
+        exact = np.minimum(np.spacing(np.abs(grid)), quantum) >= np.spacing(reach)
+        position = float(np.where(exact, 0.0, 0.5 * np.spacing(reach)).max())
+    bound = (_aliasing(strip, step) + cfg.truncation_eps + _rounding(half, radius, beta, size)
+             + slope * position + (drift or 0.0))
+    nodes, limit = 2 * half + 1, GK15_NODES.size * quadrature.MAX_SUBDIVISIONS
+    names = f"operator={'/'.join(s.kind.value for s in specs)}, n={n}"
+    if nodes > limit:
+        raise QuadratureNonConvergedError(
+            f"operator quadrature did not converge: the trapezoidal rule at step tau={step:.6g} "
+            f"needs 2J + 1 = {nodes} kernel nodes, over the budget of {limit}; refused before "
+            f"sampling ({names})"
+        )
+    if not bound <= tol:
+        raise QuadratureNonConvergedError(
+            f"operator quadrature did not converge: the trapezoidal rule's proven error {bound:.3g} "
+            f"at step tau={step:.6g} with {nodes} kernel nodes exceeds tol={tol:.3g}; refused "
+            f"before sampling ({names})"
+        )
+    return _Rule(step, half, bound, lattice)
+
+
+def _trapezoid(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, rule: _Rule) -> list[np.ndarray]:
+    """The kinds of ``specs`` on the sorted grid by ``rule``: one kernel
+    vector tau k(j tau) per kind, and the samples of f shared by the
+    kinds.  The sums run over blocks of at most 15 ``_CHUNK_ROWS`` terms,
+    a run of nodes at a run of points, with the points' running sums as
+    the block's first row: ``_node_sum`` adds every point's terms in node
+    order, one at a time, so each kind's values are those of its own call
+    whatever the block size."""
+    step, half = rule.step, rule.half
+    j = np.arange(-half, half + 1)
+    weights = [step * _kernel(spec)(j * step) for spec in specs]
+    if rule.lattice:
+        x0, d, k, p = rule.lattice
+        lattice = _sample(f, specs, d * np.arange(-k * half, p * (grid.size - 1) + k * half + 1), np.array(x0))
+        item = lattice.itemsize
+    else:
+        offsets = -(j * (step / specs[0].n))[:, None]
+    values = [np.empty(grid.size) for _ in specs]
+    # about 64 nodes by 240 points: long enough rows for numpy's loops
+    cols = max(1, GK15_NODES.size * _CHUNK_ROWS // 64)
+    rows = max(1, GK15_NODES.size * _CHUNK_ROWS // cols - 1)
+    # node-major terms: a product in the layout of a strided view could
+    # put the nodes innermost, where numpy sums pairwise
+    terms = np.empty((rows + 1, cols))
+    for i0 in range(0, grid.size, cols):
+        i1 = min(i0 + cols, grid.size)
+        for r0 in range(0, j.size, rows):
+            r1 = min(r0 + rows, j.size)
+            if rule.lattice:
+                # node j at point i: the sample at m = p i - k j, shifted by
+                # k J; the view stays within the lattice
+                samples = np.lib.stride_tricks.as_strided(
+                    lattice[2 * k * half + p * i0 - k * r0:], (r1 - r0, i1 - i0), (-k * item, p * item),
+                    writeable=False,
+                )
+            else:
+                samples = _sample(f, specs, offsets[r0:r1], grid[None, i0:i1])
+            block = terms[(0 if r0 else 1):r1 - r0 + 1, :i1 - i0]
+            for out, w in zip(values, weights):
+                if r0:
+                    block[0] = out[i0:i1]
+                np.multiply(samples, w[r0:r1, None], out=block[-(r1 - r0):])
+                out[i0:i1] = _node_sum(block)
+    return values
+
+
+def _kronrod(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, radius: float,
+             drift: float | None, cfg: QuadratureConfig) -> list[np.ndarray]:
+    """The kinds of ``specs`` on the sorted grid by the Gauss-Kronrod
+    engine: lattice rounds while ``drift`` allows them, then rows for the
+    kinds they missed (see ``apply_on_grid``)."""
+    n, params = specs[0].n, specs[0].params
+    win = _windows(grid, radius, n)
+    # a window radius above 65,535 (beta below about 4.3e-4 at tol = 1e-10)
+    # takes the rows, seeded at 1/n, where a call no budget covers fails soonest
+    narrow = radius <= 65535.0
+    width = cfg.width(params, f.sup_norm)
+    lattice_ok = narrow and drift is not None and win.lows.size == 1
+
+    values = [None] * len(specs)
+    if lattice_ok:
+        # W/n, then (W/2)/n for the kinds it missed (W follows psi's strip,
+        # not the grid's phase): each round one pass of the unmet kinds; a
+        # lattice over the panel budget at W/n is over it at W/2 too
+        for seed in (width, 0.5 * width):
+            unmet = [i for i, v in enumerate(values) if v is None]
+            outs = _lattice(f, [specs[i] for i in unmet], grid, win.reach, win.budget, seed) if unmet else None
+            if outs is None:
+                break
+            for i, out in zip(unmet, outs):
+                values[i] = _met(out, cfg)
+    seed = width if narrow else 1.0
+    for i, s in enumerate(specs):
+        if values[i] is None:
+            # otherwise (and on a uniform grid whose lattice rounds miss
+            # tolerance) the seeds are evaluated as rows
+            values[i] = _rows(f, s, grid, win, seed, cfg)
+    return values
+
+
 def apply_on_grid(f: TestFunction, spec: OperatorSpec | Sequence[OperatorSpec], xs,
                   cfg: QuadratureConfig | None = None) -> np.ndarray:
     """Evaluate the operator at every point of ``xs`` in one pass.
@@ -756,6 +1010,38 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec | Sequence[OperatorSpec], 
     have not met tolerance: one sampling of f and one table of their
     kernels (see ``_lattice``).  The kink pieces and the row path stay per
     kind.  The call raises if any kind fails.
+
+    There are three paths.  f with a strip majorant and no kinks (the
+    catalog's sin, cos, gauss and one) takes the trapezoidal rule
+    tau sum_{|j| <= J} k(j tau) f(x - j tau / n), J = ceil((R + 1) / tau)
+    + 1.  Every kind's kernel k is analytic in |Im v| < pi / beta: psi's
+    denominator is (w + e^beta)(w + e^-beta), w = q e^(-beta v), and
+    |w + c| >= (|w| + c) cos(arg w / 2), so |psi(v + iy)| <= psi(v) /
+    cos^2(beta y / 2), which the averaging kinds inherit.  For any strip
+    half-width a < pi / beta the rule's aliasing error is then at most
+    2 M / (e^(2 pi a / tau) - 1), M = strip(a / n) / cos^2(beta a / 2)
+    (Trefethen & Weideman, SIAM Review 56, 2014, Thm 5.1).  Its step tau
+    is the largest whose aliasing, plus the truncated mass tol / 100, the
+    rounding of the sum (about (2J + 1) u sup |f|), the rounding of the
+    sample positions and, on a lattice, its drift, stays within tol; the
+    call raises ``QuadratureNonConvergedError`` before f or a kernel is
+    evaluated when no step does, or when its 2J + 1 nodes exceed 15
+    ``quadrature.MAX_SUBDIVISIONS`` (see ``_rule``).  There is no error
+    estimate and no refinement.  The kinds share tau; each has one kernel
+    vector tau k(j tau).  On a uniform grid that passes the drift check
+    below, tau is rounded down to k h n or h n / p, and all kinds share
+    one vector of samples of f on the lattice x0 + m h / p; any other grid
+    samples f at x_i - j tau / n, with tau / n rounded down to 8
+    significant bits, so that j tau / n and the kernel arguments j tau are
+    exact, and so is x_i - j tau / n wherever the spacing of x_i allows
+    (far from the origin too).  The sums run in node order, block by
+    block (see ``_trapezoid``), so each row is bit for bit its kind's own
+    call whatever the block size, and no BLAS routine is involved.
+
+    f with kinks (abs) or without a majorant (``id``, derivatives,
+    ``from_callable`` functions such as an approximant stage) takes the
+    Gauss-Kronrod engine below: the lattice on a uniform grid, the rows
+    on any other.
 
     All points share a single panel decomposition in the sample variable
     u; panels are seeded at the kernels' scale W/n (see the lattice
@@ -802,7 +1088,10 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec | Sequence[OperatorSpec], 
     panels of width W resolve psi, times sup |f|, to tol, and with it every
     kind's kernel (2 at q = beta = 1, 1/8 at beta = 20).  A window radius
     above 65,535 (beta below about 4.3e-4) takes the row path, and a
-    lattice over the panel budget is refused.  When the W/n lattice misses
+    lattice over the panel budget is refused, as is one whose table holds
+    more kernel values per kind than the W/n row seeds evaluate (15 per
+    (panel, point) row; at n = 1 and beta = 0.05 the table spans the
+    kernel window at grid-step resolution).  When the W/n lattice misses
     tolerance, the (W/2)/n lattice runs next for the kinds it missed: W is
     an estimate from psi's strip, and for some f or grid phases it misses
     by a hair.  Each kind's kernel is evaluated once, on a table
@@ -849,37 +1138,18 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec | Sequence[OperatorSpec], 
 
     # every kind's kernel window, [-R - 1, R + 1] (see ``_Kernel``)
     radius = cfg.radius(params, f.sup_norm) + 1.0
-    win = _windows(grid, radius, n)
-    # a window radius above 65,535 (beta below about 4.3e-4 at tol = 1e-10)
-    # takes the rows, seeded at 1/n, where a call no budget covers fails soonest
-    narrow = radius <= 65535.0
-    width = cfg.width(params, f.sup_norm)
     uniform = grid.size >= 2 and np.array_equal(grid, np.linspace(grid[0], grid[-1], grid.size))
-    # the lattice moves each point by up to _drift(grid), which moves its
+    # a lattice moves each point by up to _drift(grid), which moves its
     # value by up to that times sup |(B f)'| <= n sup|f| TV(k); averaging
-    # does not raise the total variation, and TV(psi) <= 2 g_max: keep that
-    # below tol / 10
-    slope = 2.0 * n * params.g_max_value * f.sup_norm
-    lattice_ok = narrow and uniform and win.lows.size == 1 and _drift(grid) * slope <= 0.1 * cfg.tol
-
-    values = [None] * len(specs)
-    if lattice_ok:
-        # W/n, then (W/2)/n for the kinds it missed (W follows psi's strip,
-        # not the grid's phase): each round one pass of the unmet kinds; a
-        # lattice over the panel budget at W/n is over it at W/2 too
-        for seed in (width, 0.5 * width):
-            unmet = [i for i, v in enumerate(values) if v is None]
-            outs = _lattice(f, [specs[i] for i in unmet], grid, win.reach, win.budget, seed) if unmet else None
-            if outs is None:
-                break
-            for i, out in zip(unmet, outs):
-                values[i] = _met(out, cfg)
-    seed = width if narrow else 1.0
-    for i, s in enumerate(specs):
-        if values[i] is None:
-            # otherwise (and on a uniform grid whose lattice rounds miss
-            # tolerance) the seeds are evaluated as rows
-            values[i] = _rows(f, s, grid, win, seed, cfg)
+    # does not raise the total variation, and TV(psi) <= 2 g_max: a lattice
+    # is taken only while that stays below tol / 10
+    drift = _drift(grid) * 2.0 * n * params.g_max_value * f.sup_norm if uniform else math.inf
+    if drift > 0.1 * cfg.tol:
+        drift = None
+    if f.strip is not None and not f.kinks:
+        values = _trapezoid(f, specs, grid, _rule(f, specs, grid, radius, drift, cfg))
+    else:
+        values = _kronrod(f, specs, grid, radius, drift, cfg)
     rows = np.stack([v[slot] for v in values])
     return rows[0] if single else rows
 

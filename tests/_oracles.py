@@ -182,6 +182,44 @@ def central_moment_mp(kind, q, beta, k, weights=None, dps=20):
         return mp.fsum(mp.binomial(k, j) * t[j] * (-1) ** (k - j) * h[k - j] for j in range(k + 1))
 
 
+def psi_hat_mp(q, beta, w):
+    """psi's characteristic function E e^(i w H): psi is the law of
+    U + L + S ln(q) / beta, U uniform on [-1, 1], L logistic of scale
+    1 / beta and S = +-1, so it is sinc(w) (pi w / beta) / sinh(pi w / beta)
+    cos(w ln(q) / beta)."""
+    z = mp.pi * w / beta
+    return mp.sinc(w) * (z / mp.sinh(z) if z else mp.mpf(1)) * mp.cos(w * mp.log(q) / beta)
+
+
+def gauss_operator_mp(kind, q, beta, n, x, weights=None, dps=30):
+    """The operator of ``kind`` applied to exp(-u^2), at x, through the
+    characteristic functions: exp(-u^2) = (1 / (2 sqrt(pi))) integral of
+    exp(-t^2 / 4) e^(itu) dt and the operator samples f at x + (T - H)/n,
+    so B f(x) = (1 / sqrt(pi)) integral over t > 0 of exp(-t^2 / 4)
+    psi-hat(t / n) Re(e^(itx) E e^(itT/n)) dt.  The integrand is smooth,
+    below e^-400 beyond t = 40 and below e^-100 where pi t / (beta n) >
+    100, and it is integrated in pieces shorter than its oscillations."""
+    with mp.workdps(dps):
+        q, beta, x = mp.mpf(q), mp.mpf(beta), mp.mpf(x)
+
+        def offset(w):
+            if kind == "basic":
+                return mp.mpf(1)
+            if kind == "kantorovich":
+                return (mp.expj(w) - 1) / (1j * w) if w else mp.mpf(1)
+            r = len(weights)
+            return mp.fsum(mp.mpf(wt) * mp.expj(w * s / r) for s, wt in enumerate(weights, 1))
+
+        def integrand(t):
+            w = t / n
+            return mp.exp(-t * t / 4) * psi_hat_mp(q, beta, w) * mp.re(mp.expj(t * x) * offset(w))
+
+        end = min(mp.mpf(40), 100 * beta * n / mp.pi + 1)
+        frequency = 1 + abs(x) + (abs(mp.log(q)) + 1) / (beta * n) + mp.mpf(1) / n
+        pieces = mp.linspace(0, end, int(mp.ceil(end * frequency)) + 1)
+        return mp.quad(integrand, pieces, method="gauss-legendre") / mp.sqrt(mp.pi)
+
+
 def main():
     mp.mp.dps = 50
     rows = [

@@ -47,7 +47,7 @@ from actconv.analysis import CATALOG, MeasurementGrid, _grid_modulus
 from actconv.operators import GridApproximant, OperatorKind, OperatorSpec, TestFunction
 from actconv.quadrature import GK15_NODES
 
-from _oracles import central_moment_mp
+from _oracles import central_moment_mp, gauss_operator_mp, psi_average_mp, psi_mp
 
 P11 = KernelParams(1.0, 1.0)
 SIN = CATALOG["sin"]
@@ -56,6 +56,10 @@ ABS = CATALOG["abs"]
 GAUSS = CATALOG["gauss"]
 ID = CATALOG["id"]
 ONE = CATALOG["one"]
+# the analytic catalog functions as from_callable makes them: the same
+# evaluator and sup norm, no strip majorant, so apply_on_grid evaluates them
+# on the Gauss-Kronrod lattice or rows, as it does an approximant stage
+GK_SIN, GK_GAUSS, GK_ONE = (TestFunction.from_callable(f.name, f.eval, f.sup_norm) for f in (SIN, GAUSS, ONE))
 
 B32 = OperatorSpec(OperatorKind.BASIC, 32, P11)
 K32 = OperatorSpec(OperatorKind.KANTOROVICH, 32, P11)
@@ -282,24 +286,30 @@ class TestApplyOnGrid:
         np.testing.assert_array_equal(c, a[perm])
 
     @pytest.mark.parametrize(
-        "f, spec",
-        [(ABS, OperatorSpec(OperatorKind.BASIC, 9, P11)), (SIN, OperatorSpec(OperatorKind.KANTOROVICH, 400, P11)),
-         (SIN, OperatorSpec(OperatorKind.BASIC, 400, P11))],
-        ids=["basic-abs-9", "kantorovich-sin-400", "basic-sin-400"],
+        "f, spec, chebyshev",
+        [(ABS, OperatorSpec(OperatorKind.BASIC, 9, P11), False),
+         (SIN, OperatorSpec(OperatorKind.KANTOROVICH, 400, P11), False),
+         (SIN, OperatorSpec(OperatorKind.BASIC, 400, P11), False), (SIN, OperatorSpec(OperatorKind.BASIC, 9, P11), False),
+         (GAUSS, replace(Q32, n=49), True)],
+        ids=["basic-abs-9", "kantorovich-sin-400", "basic-sin-400", "basic-sin-9", "quadrature-gauss-49-chebyshev"],
     )
-    def test_chunking_is_invisible(self, monkeypatch, grid, f, spec):
+    def test_chunking_is_invisible(self, monkeypatch, grid, f, spec, chebyshev):
         """Rows are evaluated and summed in chunks; the chunk size changes no
-        bit.  At n = 9 every panel reaches all 2001 points, more rows than
-        one chunk holds; at n = 400 the lattice cells span 5 grid steps and
-        hold 3 panels, and f is sampled a few panels per call.  One row per
-        chunk runs on every 16th grid point to stay quick."""
-        assert grid.points.size > operators._CHUNK_ROWS
-        expected = apply_on_grid(f, spec, grid.points)
-        thinned = apply_on_grid(f, spec, grid.points[::16])
+        bit.  At n = 9 every panel of |x| reaches all 2001 points, more rows
+        than one chunk holds.  sin and gauss take the trapezoidal rule, whose
+        sums run over blocks of points sized by the chunk: at n = 400 on the
+        sample lattice of step h / 2 (p = 2), at n = 9 on the grid's own
+        lattice (p = 1, tau = 24 h n), and on Chebyshev nodes by direct
+        sampling.  One point per block runs on every 16th point to stay
+        quick."""
+        points = operators._chebyshev_nodes(-3.0, 3.0, grid.points.size) if chebyshev else grid.points
+        assert points.size > operators._CHUNK_ROWS
+        expected = apply_on_grid(f, spec, points)
+        thinned = apply_on_grid(f, spec, points[::16])
         monkeypatch.setattr(operators, "_CHUNK_ROWS", 7)
-        np.testing.assert_array_equal(apply_on_grid(f, spec, grid.points), expected)
+        np.testing.assert_array_equal(apply_on_grid(f, spec, points), expected)
         monkeypatch.setattr(operators, "_CHUNK_ROWS", 1)
-        np.testing.assert_array_equal(apply_on_grid(f, spec, grid.points[::16]), thinned)
+        np.testing.assert_array_equal(apply_on_grid(f, spec, points[::16]), thinned)
 
     def test_grid_cap_raises_with_context(self, monkeypatch):
         monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 4)
@@ -328,9 +338,12 @@ class TestApplyOnGrid:
     @pytest.mark.parametrize("n", [9, 1000])
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind.value)
     def test_far_from_origin(self, spec, n):
-        """Kernel arguments and inner shifts are offsets from the anchor of
-        each seeding window, so points far from the origin are as accurate
-        as points near it.  The closed forms are evaluated in mpmath:
+        """sin takes the trapezoidal rule, whose kernel arguments j tau and
+        sample points x - j tau / n are exact here, so points far from the
+        origin are as accurate as points near it (the row path holds
+        offsets from the anchor of each seeding window for that; see
+        ``TestLatticeSeeds.test_far_from_origin``).  The closed forms are
+        evaluated in mpmath:
         rounding x + 1/(2n) to a double alone is off by up to
         ulp(1e7) / 2 = 9.3e-10."""
         spec = replace(spec, n=n)
@@ -510,7 +523,7 @@ class TestLatticeSeeds:
     one kernel table; any other grid takes the row path."""
 
     @pytest.mark.parametrize("n", [9, 100, 1000])
-    @pytest.mark.parametrize("f", [SIN, ABS], ids=lambda f: f.name)
+    @pytest.mark.parametrize("f", [GK_SIN, ABS], ids=lambda f: f.name)
     @pytest.mark.parametrize(
         "spec",
         ALL_SPECS + [replace(s, params=KernelParams(1.0, beta)) for beta in (0.5, 20.0) for s in ALL_SPECS],
@@ -533,7 +546,7 @@ class TestLatticeSeeds:
     def test_lattice_matches_closed_form(self, grid, spec, n):
         spec = replace(spec, n=n)
         xs = grid.points
-        out = apply_on_grid(SIN, spec, xs)
+        out = apply_on_grid(GK_SIN, spec, xs)
         picks = np.arange(0, xs.size, 50)
         expected = [_exact_sin(spec, x) for x in xs[picks]]
         np.testing.assert_allclose(out[picks], expected, rtol=0, atol=1e-12)
@@ -549,7 +562,7 @@ class TestLatticeSeeds:
         xs = np.linspace(centre, centre + 6.0, 2001)
         picks = np.arange(0, xs.size, 100)
         expected = [_exact_sin(spec, x) for x in xs[picks]]
-        np.testing.assert_allclose(apply_on_grid(SIN, spec, xs)[picks], expected, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(apply_on_grid(GK_SIN, spec, xs)[picks], expected, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("centre", [0.0, 1e6], ids=["origin", "far"])
     def test_row_seeds_at_the_kernel_width(self, monkeypatch, centre):
@@ -562,7 +575,7 @@ class TestLatticeSeeds:
         reach = (QuadratureConfig().radius(P11, SIN.sup_norm) + 1.0) / spec.n
         windows = [(xs[0] - reach, xs[400] + reach), (xs[401] - reach, xs[-1] + reach)]
         attempts, rows = _seed_rounds(monkeypatch)
-        apply_on_grid(SIN, spec, xs)
+        apply_on_grid(GK_SIN, spec, xs)
         assert attempts == []
         assert rows[0] == sum(math.ceil((hi - lo) * spec.n / 2.0) for lo, hi in windows)
 
@@ -575,10 +588,10 @@ class TestLatticeSeeds:
         spec = OperatorSpec(OperatorKind.BASIC, 9, P11)
         xs = np.linspace(0.0, 1e-310, 2001)
         attempts, _ = _seed_rounds(monkeypatch)
-        out = apply_on_grid(SIN, spec, xs)
+        out = apply_on_grid(GK_SIN, spec, xs)
         assert attempts == [(2.0, "refused")]
         monkeypatch.setattr(operators, "_lattice", lambda *args: None)
-        np.testing.assert_array_equal(out, apply_on_grid(SIN, spec, xs))
+        np.testing.assert_array_equal(out, apply_on_grid(GK_SIN, spec, xs))
 
     def test_lattice_path_taken_only_on_uniform_grids(self, monkeypatch, grid):
         """Kernel values per call: the lattice needs one table of a few
@@ -595,9 +608,9 @@ class TestLatticeSeeds:
             "unsorted": rng.uniform(-3.0, 3.0, xs.size),
         }
         for name, points in lattice_grids.items():
-            assert _kernel_values(monkeypatch, SIN, spec, points) < 5 * xs.size, name
+            assert _kernel_values(monkeypatch, GK_SIN, spec, points) < 5 * xs.size, name
         for name, points in row_grids.items():
-            assert _kernel_values(monkeypatch, SIN, spec, points) > 100 * xs.size, name
+            assert _kernel_values(monkeypatch, GK_SIN, spec, points) > 100 * xs.size, name
 
     def test_kinks_converge_in_the_seed_round(self, monkeypatch, grid):
         """Lattice panels holding a kink of |x| are cut there; the pieces'
@@ -630,13 +643,13 @@ class TestLatticeSeeds:
         W = 1/2, and evaluates no rows (sin has no kinks to cut at)."""
         spec = OperatorSpec(OperatorKind.KANTOROVICH, 9, KernelParams(1e-3, 3.0))
         attempts, rows = _seed_rounds(monkeypatch)
-        apply_on_grid(SIN, spec, grid.points)
+        apply_on_grid(GK_SIN, spec, grid.points)
         assert attempts == [(0.5, "accepted")] and rows == []
 
     @pytest.mark.parametrize("n", [9, 1000])
     @pytest.mark.parametrize("params", [KernelParams(1e-3, 3.0), KernelParams(1.0, 20.0)], ids=["q1e-3b3", "q1b20"])
     @pytest.mark.parametrize(
-        "f, kind", [(SIN, OperatorKind.BASIC), (ABS, OperatorKind.KANTOROVICH)], ids=["sin-basic", "abs-kantorovich"]
+        "f, kind", [(GK_SIN, OperatorKind.BASIC), (ABS, OperatorKind.KANTOROVICH)], ids=["sin-basic", "abs-kantorovich"]
     )
     def test_sharp_kernels_stay_on_the_lattice(self, monkeypatch, grid, f, kind, params, n):
         """Where width-1 panels do not resolve psi, W drops below 1 and the
@@ -656,6 +669,31 @@ class TestLatticeSeeds:
         rows_out = apply_on_grid(f, spec, _nudged(grid.points, 777))
         np.testing.assert_allclose(out[picks], rows_out[picks], rtol=0, atol=1e-11)
 
+    def test_wide_tables_are_refused(self, monkeypatch, grid, tmp_path):
+        """The lattice refuses a kernel table of more values per kind than
+        the W/n row seeds evaluate (15 per (panel, point) row).  Three-kind
+        |x| at n = 1 and beta = 0.05 would tabulate its 590-wide kernel
+        window at grid-step resolution, 5.9 million values per kind (1.0 s
+        and 319 MiB, against 0.17 s and 2.2 MiB on rows): it takes the rows.
+        The six |x| calls of the benchmark's grid-highres (n = 100 and 400,
+        every kind) and the default ``approx --fn abs`` keep the lattice."""
+        from click.testing import CliRunner
+
+        from actconv.cli import main
+
+        attempts, rows = _seed_rounds(monkeypatch)
+        apply_on_grid(ABS, _kinds(1, KernelParams(1.0, 0.05)), grid.points)
+        assert attempts == [(32.0, "refused")] * 3 and len(rows) == 3
+        attempts.clear()
+        for n in (100, 400):
+            for spec in ALL_SPECS:
+                apply_on_grid(ABS, replace(spec, n=n), grid.points)
+        assert attempts == [(2.0, "accepted")] * 6
+        attempts.clear()
+        result = CliRunner().invoke(main, ["approx", "--fn", "abs", "--out", str(tmp_path)], catch_exceptions=False)
+        assert result.exit_code == 0, result.output
+        assert attempts == [(2.0, "accepted")] * 15
+
     def test_kernel_width_halves_after_a_miss_at_the_grid_phase(self, monkeypatch):
         """GK15 tilings of psi at (q, beta) = (1, 12.6) with panels of width
         1/4 are within tol at four phases (the closed form takes 1/8); at
@@ -667,9 +705,9 @@ class TestLatticeSeeds:
         xs = np.linspace(-1.9 - 100.0 / n, -1.9 + 100.0 / n, 41)
         monkeypatch.setattr(QuadratureConfig, "width", lambda self, params, size: 0.25)
         attempts, rows = _seed_rounds(monkeypatch)
-        out = apply_on_grid(ONE, spec, xs)
+        out = apply_on_grid(GK_ONE, spec, xs)
         assert attempts == [(0.25, "missed"), (0.125, "accepted")] and rows == []
-        np.testing.assert_allclose(out, apply_on_grid(ONE, spec, _nudged(xs, 20)), rtol=0, atol=1e-11)
+        np.testing.assert_allclose(out, apply_on_grid(GK_ONE, spec, _nudged(xs, 20)), rtol=0, atol=1e-11)
 
     def test_kernel_width_lattice_halves_the_terms(self, monkeypatch, grid):
         """Basic sin at n = 100 is accepted on the first, 2/n lattice, with
@@ -686,53 +724,59 @@ class TestLatticeSeeds:
 
         monkeypatch.setattr(operators, "_contract", counted)
         attempts, rows = _seed_rounds(monkeypatch)
-        wide = apply_on_grid(SIN, spec, grid.points)
+        wide = apply_on_grid(GK_SIN, spec, grid.points)
         assert attempts == [(2.0, "accepted")] and rows == []
         wide_terms, terms[0] = terms[0], 0
         monkeypatch.setattr(QuadratureConfig, "width", lambda self, params, size: 1.0)
         attempts.clear()
-        narrow = apply_on_grid(SIN, spec, grid.points)
+        narrow = apply_on_grid(GK_SIN, spec, grid.points)
         assert attempts == [(1.0, "accepted")]
         assert wide_terms <= 0.55 * terms[0]
         np.testing.assert_allclose(wide, narrow, rtol=0, atol=1e-12)
 
     def test_default_verbs_take_one_seed_width(self, monkeypatch, tmp_path):
         """The default ``approx``, ``taylor`` and ``iterate`` (alone and as
-        the 9, 16, 25 chain) run on the first seed width: every lattice
-        pass is at W and is accepted, and every row evaluation (the
-        approximants' Chebyshev nodes) is seeded at W/n."""
+        the 9, 16, 25 chain) apply the operators to sin by the trapezoidal
+        rule: the sweeps' eight three-kind calls on the shared sample
+        lattice of the uniform grid, and iterate's first stages on their
+        Chebyshev nodes by direct sampling.  No lattice pass is made, and
+        every row evaluation (the later stages, whose approximants have no
+        strip majorant) is seeded at W/n."""
         from click.testing import CliRunner
 
         from actconv.cli import main
 
-        cfg = QuadratureConfig()
-        passes, seeds = [], []
-        lattice, rows = operators._lattice, operators._rows
+        rules, passes, seeds = [], [], []
+        trapezoid, lattice, rows = operators._trapezoid, operators._lattice, operators._rows
 
-        def spied_lattice(f, specs, grid, reach, cap, width):
-            outs = lattice(f, specs, grid, reach, cap, width)
-            accepted = outs is not None and all(operators._met(out, cfg) is not None for out in outs)
-            passes.append((width == cfg.width(specs[0].params, f.sup_norm), accepted))
-            return outs
+        def spied_trapezoid(f, specs, grid, rule):
+            rules.append((f.name, len(specs), rule.lattice is not None))
+            return trapezoid(f, specs, grid, rule)
+
+        def spied_lattice(*args):
+            passes.append(args[-1])
+            return lattice(*args)
 
         def spied_rows(f, spec, grid, win, seed, cfg_):
             seeds.append(seed == cfg_.width(spec.params, f.sup_norm))
             return rows(f, spec, grid, win, seed, cfg_)
 
+        monkeypatch.setattr(operators, "_trapezoid", spied_trapezoid)
         monkeypatch.setattr(operators, "_lattice", spied_lattice)
         monkeypatch.setattr(operators, "_rows", spied_rows)
         for argv in (["approx"], ["taylor"], ["iterate"], ["iterate", "--chain", "9,16,25"]):
             result = CliRunner().invoke(main, [*argv, "--out", str(tmp_path)], catch_exceptions=False)
             assert result.exit_code == 0, result.output
-        assert passes == [(True, True)] * 8
-        assert seeds == [True] * 10
+        assert rules == [("sin", 3, True)] * 8 + [("sin", 1, False)] * 4
+        assert passes == []
+        assert seeds == [True] * 6
 
     @pytest.mark.parametrize(
         "f, spec, expected",
         [
-            (GAUSS, OperatorSpec(OperatorKind.KANTOROVICH, 4, KernelParams(1.0, 0.5)),
+            (GK_GAUSS, OperatorSpec(OperatorKind.KANTOROVICH, 4, KernelParams(1.0, 0.5)),
              [(4.0, "missed"), (2.0, "accepted")]),
-            (SIN, OperatorSpec(OperatorKind.BASIC, 4, KernelParams(1.0, 0.2)), [(8.0, "accepted")]),
+            (GK_SIN, OperatorSpec(OperatorKind.BASIC, 4, KernelParams(1.0, 0.2)), [(8.0, "accepted")]),
             (ABS, OperatorSpec(OperatorKind.BASIC, 4, KernelParams(1.0, 0.2)), [(8.0, "accepted")]),
         ],
         ids=["gauss-missed", "sin-clamped", "abs-clamped"],
@@ -754,7 +798,7 @@ class TestLatticeSeeds:
 
     @pytest.mark.parametrize(
         "f, spec",
-        [(ABS, OperatorSpec(OperatorKind.BASIC, 9, P11)), (SIN, OperatorSpec(OperatorKind.KANTOROVICH, 400, P11))],
+        [(ABS, OperatorSpec(OperatorKind.BASIC, 9, P11)), (GK_SIN, OperatorSpec(OperatorKind.KANTOROVICH, 400, P11))],
         ids=["basic-abs-9", "kantorovich-sin-400"],
     )
     def test_row_chunking_is_invisible(self, monkeypatch, rows_only, grid, f, spec):
@@ -804,12 +848,12 @@ class TestLatticeSeeds:
             return matmul(a, b, *args, **kwargs)
 
         monkeypatch.setattr(np, "matmul", recorded)
-        calls = [(SIN, replace(spec, n=n, params=KernelParams(1.0, beta)))
+        calls = [(GK_SIN, replace(spec, n=n, params=KernelParams(1.0, beta)))
                  for spec in ALL_SPECS for n in (9, 16, 25, 36, 49) for beta in (1.0, 20.0)]
-        calls += [(f, replace(spec, n=n)) for spec in ALL_SPECS for n in (100, 400, 1000) for f in (SIN, ABS)]
-        calls.append((SIN, OperatorSpec(OperatorKind.BASIC, 100, KernelParams(2.0, 0.5))))
+        calls += [(f, replace(spec, n=n)) for spec in ALL_SPECS for n in (100, 400, 1000) for f in (GK_SIN, ABS)]
+        calls.append((GK_SIN, OperatorSpec(OperatorKind.BASIC, 100, KernelParams(2.0, 0.5))))
         # three kinds in one pass, as a sweep step makes it
-        calls += [(SIN, _kinds(n, KernelParams(1.0, beta))) for n in (9, 49, 1000) for beta in (1.0, 20.0)]
+        calls += [(GK_SIN, _kinds(n, KernelParams(1.0, beta))) for n in (9, 49, 1000) for beta in (1.0, 20.0)]
         for f, spec in calls:
             apply_on_grid(f, spec, grid.points)
         assert len(products) >= 2 * len(calls)
@@ -817,9 +861,9 @@ class TestLatticeSeeds:
 
     @pytest.mark.parametrize(
         "f, spec",
-        [(ABS, OperatorSpec(OperatorKind.BASIC, 9, P11)), (SIN, OperatorSpec(OperatorKind.BASIC, 1000, P11)),
-         (SIN, OperatorSpec(OperatorKind.KANTOROVICH, 400, P11)), (SIN, OperatorSpec(OperatorKind.BASIC, 400, P11)),
-         (SIN, OperatorSpec(OperatorKind.KANTOROVICH, 9, P11)), (SIN, replace(Q32, n=9))],
+        [(ABS, OperatorSpec(OperatorKind.BASIC, 9, P11)), (GK_SIN, OperatorSpec(OperatorKind.BASIC, 1000, P11)),
+         (GK_SIN, OperatorSpec(OperatorKind.KANTOROVICH, 400, P11)), (GK_SIN, OperatorSpec(OperatorKind.BASIC, 400, P11)),
+         (GK_SIN, OperatorSpec(OperatorKind.KANTOROVICH, 9, P11)), (GK_SIN, replace(Q32, n=9))],
         ids=["basic-abs-9", "basic-sin-1000", "kantorovich-sin-400", "basic-sin-400", "kantorovich-sin-9",
              "quadrature-sin-9"],
     )
@@ -917,7 +961,7 @@ class TestLatticeSeeds:
             return sample(f, spec, t, c)
 
         monkeypatch.setattr(operators, "_sample", counted)
-        apply_on_grid(SIN, OperatorSpec(OperatorKind.BASIC, n, P11), grid.points)
+        apply_on_grid(GK_SIN, OperatorSpec(OperatorKind.BASIC, n, P11), grid.points)
         assert attempts == [(2.0, "accepted")] and rows == []
         stride, m = cell
         width = stride * (6.0 / (grid.points.size - 1))
@@ -932,14 +976,14 @@ class TestLatticeSeeds:
         operator's multiplier (``TestMultiplierOracle``)."""
         spec = replace(spec, n=n)
         exact = (multiplier(spec) * np.exp(1j * grid.points)).imag
-        out = apply_on_grid(SIN, spec, grid.points)
+        out = apply_on_grid(GK_SIN, spec, grid.points)
         assert float(np.abs(out - exact).max()) <= 2.0 * QuadratureConfig().tol
 
     def test_too_wide_a_kernel_takes_the_row_path(self, monkeypatch):
         """At beta = 1e-5 no width is tried, and the rows meet tolerance."""
         attempts, _ = _seed_rounds(monkeypatch)
         spec = OperatorSpec(OperatorKind.BASIC, 9, KernelParams(1.0, 1e-5))
-        out = apply_on_grid(ONE, spec, np.linspace(-1.0, 1.0, 41))
+        out = apply_on_grid(GK_ONE, spec, np.linspace(-1.0, 1.0, 41))
         assert attempts == []
         np.testing.assert_allclose(out, 1.0, rtol=0, atol=1e-9)
 
@@ -947,11 +991,11 @@ class TestLatticeSeeds:
         """``TestGridEngine.test_determinism`` on the row path: an unsorted
         grid with repeated points gives the same bits, point by point."""
         xs = _nudged(np.linspace(-2, 2, 51), 25)
-        a = apply_on_grid(GAUSS, K32, xs)
-        np.testing.assert_array_equal(a, apply_on_grid(GAUSS, K32, xs))
+        a = apply_on_grid(GK_GAUSS, K32, xs)
+        np.testing.assert_array_equal(a, apply_on_grid(GK_GAUSS, K32, xs))
         perm = np.random.default_rng(7).permutation(np.concatenate((np.arange(xs.size), [3, 3, 40])))
-        c = apply_on_grid(GAUSS, K32, xs[perm])
-        np.testing.assert_array_equal(c, apply_on_grid(GAUSS, K32, xs[perm]))
+        c = apply_on_grid(GK_GAUSS, K32, xs[perm])
+        np.testing.assert_array_equal(c, apply_on_grid(GK_GAUSS, K32, xs[perm]))
         np.testing.assert_array_equal(c, a[perm])
 
     def test_row_peak_memory_is_the_stored_rows(self):
@@ -968,8 +1012,9 @@ class TestLatticeSeeds:
             "xs = np.linspace(-3.0, 3.0, int(sys.argv[1]))\n"
             "xs[777] = np.nextafter(xs[777], np.inf)\n"
             "operators._lattice = None  # a call that takes the lattice fails\n"
+            "sin = operators.TestFunction.from_callable('sin', np.sin, 1.0)  # no strip majorant\n"
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            "apply_on_grid(CATALOG['sin'], OperatorSpec('kantorovich', 400, KernelParams()), xs)\n"
+            "apply_on_grid(sin, OperatorSpec('kantorovich', 400, KernelParams()), xs)\n"
             "print(before, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
         )
         points, n = 20001, 400
@@ -990,14 +1035,16 @@ class TestLatticeSeeds:
             "import hashlib\n"
             "import numpy as np\n"
             "from actconv import CATALOG, KernelParams, MeasurementGrid, apply_on_grid\n"
-            "from actconv.operators import OperatorSpec\n"
+            "from actconv.operators import OperatorSpec, TestFunction\n"
             "xs = MeasurementGrid.uniform().points\n"
             "digest = hashlib.sha256()\n"
             "for fn, kind, n in [('sin', 'basic', 100), ('abs', 'kantorovich', 400), ('sin', 'quadrature', 9),\n"
             "                    ('sin', 'basic', 1000)]:\n"
             "    w = (0.25,) * 4 if kind == 'quadrature' else None\n"
             "    spec = OperatorSpec(kind, n, KernelParams(), weights=w)\n"
-            "    digest.update(apply_on_grid(CATALOG[fn], spec, xs).tobytes())\n"
+            "    # sin without its strip majorant takes the lattice\n"
+            "    f = CATALOG['abs'] if fn == 'abs' else TestFunction.from_callable('sin', np.sin, 1.0)\n"
+            "    digest.update(apply_on_grid(f, spec, xs).tobytes())\n"
             "print(digest.hexdigest())\n"
         )
         digests = []
@@ -1135,7 +1182,7 @@ class TestBatchedKinds:
             return lattice(f, specs, *args)
 
         monkeypatch.setattr(operators, "_lattice", recorded)
-        apply_on_grid(SIN, _kinds(9, params), grid.points)
+        apply_on_grid(GK_SIN, _kinds(9, params), grid.points)
         assert kinds == passes
 
     @pytest.mark.parametrize("n", [9, 400])
@@ -1145,7 +1192,7 @@ class TestBatchedKinds:
         tiling of psi passes at W = 1, whose lattice misses for sin there,
         so a W = 1 start costs a second round."""
         attempts, rows = _seed_rounds(monkeypatch)
-        apply_on_grid(SIN, _kinds(n, KernelParams(1.0, 3.0)), grid.points)
+        apply_on_grid(GK_SIN, _kinds(n, KernelParams(1.0, 3.0)), grid.points)
         assert attempts == [(0.5, "accepted")] * 3 and rows == []
 
     def test_one_reach_pass_has_the_totals_of_single_kind_passes(self, monkeypatch):
@@ -1193,6 +1240,137 @@ class TestBatchedKinds:
         with pytest.raises(ValueError, match="one params"):
             apply_on_grid(SIN, [B32, replace(K32, params=KernelParams(2.0, 0.5))], grid.points)
         assert apply_on_grid(SIN, ALL_SPECS, []).shape == (3, 0)
+
+
+def _rule_of(f, spec, xs, cfg=None):
+    """``apply_on_grid``'s values and the trapezoidal rule it took."""
+    rules = []
+    trapezoid = operators._trapezoid
+
+    def recorded(f, specs, grid, rule):
+        rules.append(rule)
+        return trapezoid(f, specs, grid, rule)
+
+    operators._trapezoid = recorded
+    try:
+        out = apply_on_grid(f, spec, xs, cfg)
+    finally:
+        operators._trapezoid = trapezoid
+    assert len(rules) == 1
+    return out, rules[0]
+
+
+@st.composite
+def rule_cases(draw):
+    """An operator from the whole supported range (q log-uniform in
+    [1e-6, 1e6], beta in [0.05, 20], n up to 1000, every kind) and up to 41
+    points in [-5, 5]: random ones, sampled directly, or a short
+    np.linspace grid, which may take the sample lattice."""
+    q = 10.0 ** draw(st.floats(-6.0, 6.0))
+    params = KernelParams(q, 10.0 ** draw(st.floats(math.log10(0.05), math.log10(20.0))))
+    kind = draw(st.sampled_from(list(OperatorKind)))
+    weights = None
+    if kind is OperatorKind.QUADRATURE:
+        raw = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4).filter(lambda w: sum(w) > 0.1))
+        weights = tuple(w / math.fsum(raw) for w in raw)
+    spec = OperatorSpec(kind, draw(st.integers(1, 1000)), params, weights=weights)
+    if draw(st.booleans()):
+        xs = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=5)))
+    else:
+        start = draw(st.floats(-5.0, 4.0))
+        xs = np.linspace(start, start + draw(st.floats(0.01, 1.0)), draw(st.integers(2, 41)))
+    return spec, xs
+
+
+class TestTrapezoidalRule:
+    """f with a strip majorant and no kinks (sin, cos, gauss, one) is
+    evaluated by the trapezoidal rule tau sum k(j tau) f(x - j tau / n),
+    one kernel vector per kind, at the largest step whose proven error is
+    within tol."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=rule_cases(), f=st.sampled_from([SIN, COS]))
+    # a grid step of 3.3e-186: the step ratio of the sample lattice is far
+    # too large for an int, so the call samples f directly
+    @example(case=(OperatorSpec(OperatorKind.BASIC, 9, P11), np.linspace(0.0, 6.6e-183, 2001)), f=SIN)
+    @example(case=(replace(Q32, params=KernelParams(1e6, 0.05)), np.linspace(-3.0, 3.0, 41)), f=COS)
+    def test_error_within_the_proven_bound(self, case, f):
+        """Against the closed form Im or Re of m e^{ix}, m the multiplier:
+        |value - exact| <= proven bound <= the allowance."""
+        spec, xs = case
+        cfg = QuadratureConfig()
+        out, rule = _rule_of(f, spec, xs, cfg)
+        wave = multiplier(spec) * np.exp(1j * xs)
+        exact = wave.imag if f is SIN else wave.real
+        assert float(np.abs(out - exact).max()) <= rule.bound <= cfg.allowance(float(np.abs(out).max()))
+
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(case=rule_cases())
+    def test_gauss_error_within_the_proven_bound(self, case):
+        """Against 30-digit mpmath (``_oracles.gauss_operator_mp``) at the
+        first and last point of a bounded number of draws."""
+        spec, xs = case
+        cfg = QuadratureConfig()
+        out, rule = _rule_of(GAUSS, spec, xs, cfg)
+        p = spec.params
+        for i in (0, -1):
+            exact = float(gauss_operator_mp(spec.kind.value, p.q, p.beta, spec.n, float(xs[i]), spec.weights))
+            assert abs(out[i] - exact) <= rule.bound <= cfg.allowance(float(np.abs(out).max()))
+
+    def test_oracle_matches_the_definition(self):
+        """``gauss_operator_mp`` against mpmath quadrature of the operator's
+        definition, the integral of exp(-(x - v/n)^2) k(v) dv, for the basic
+        and kantorovich kinds, and against n + 1 in place of n."""
+        q, beta, n, x = 2.0, 0.5, 3, -1.2
+        with mp.workdps(20):
+            c = mp.log(q) / beta
+            bends = [-80, -c - 2, -c - 1, -c + 1, c - 2, c - 1, c + 1, 80]
+            for kind, k in (("basic", lambda v: psi_mp(q, beta, v)), ("kantorovich", lambda v: psi_average_mp(q, beta, v))):
+                direct = mp.quad(lambda v: mp.exp(-(x - v / n) ** 2) * k(v), bends, method="gauss-legendre")
+                assert abs(direct - gauss_operator_mp(kind, q, beta, n, x)) < 1e-20, kind
+                assert abs(direct - gauss_operator_mp(kind, q, beta, n + 1, x)) > 1e-3, kind
+
+    @pytest.mark.parametrize("f, twin, beta", [(GAUSS, GK_GAUSS, 2.39), (SIN, GK_SIN, 2.54), (GAUSS, GK_GAUSS, 2.54)],
+                             ids=["gauss-2.39", "sin-2.54", "gauss-2.54"])
+    def test_n1_lattice_misses_take_one_pass(self, monkeypatch, grid, f, twin, beta):
+        """At n = 1 the closed-form W = 1 lattice misses tolerance for basic
+        gauss at (q, beta) = (1, 2.39) and for sin and gauss at (1, 2.54),
+        and a W = 1/2 round follows; the rule takes one pass, on the sample
+        lattice, its step sized by f's scale n as well as psi's strip."""
+        spec = OperatorSpec(OperatorKind.BASIC, 1, KernelParams(1.0, beta))
+        attempts, rows = _seed_rounds(monkeypatch)
+        apply_on_grid(twin, spec, grid.points)
+        assert attempts == [(1.0, "missed"), (0.5, "accepted")] and rows == []
+        attempts.clear()
+        _, rule = _rule_of(f, spec, grid.points)
+        assert attempts == [] and rows == [] and rule.lattice is not None
+
+    @pytest.mark.parametrize(
+        "beta, tol, match",
+        [(1e-9, 1e-10, r"tau=\S+ needs 2J \+ 1 = \d+ kernel nodes, over the budget of 30000"),
+         (1.0, 1e-17, r"proven error \S+ at step tau=\S+ with \d+ kernel nodes exceeds tol=1e-17")],
+        ids=["beta-1e-9", "tol-1e-17"],
+    )
+    def test_refused_before_sampling(self, monkeypatch, grid, beta, tol, match):
+        """At beta = 1e-9 (R about 2.8e10) 2J + 1 exceeds the node budget,
+        and at tol = 1e-17 the rounding of the sum alone exceeds tol: the
+        call raises naming tau and the node count, before f or a kernel is
+        evaluated (the rows took 1.6 to 2.4 s and 154 MB at beta = 1e-9)."""
+        calls = {"f": 0, "kernel": 0}
+
+        def counted(name, fn):
+            def spy(*args):
+                calls[name] += 1
+                return fn(*args)
+            return spy
+
+        f = replace(SIN, eval=counted("f", SIN.eval))
+        for name in ("psi", "psi_average"):
+            monkeypatch.setattr(operators.kernel, name, counted("kernel", getattr(operators.kernel, name)))
+        for spec in ALL_SPECS:
+            with pytest.raises(QuadratureNonConvergedError, match=match):
+                apply_on_grid(f, replace(spec, n=9, params=KernelParams(1.0, beta)), grid.points, QuadratureConfig(tol))
+        assert calls == {"f": 0, "kernel": 0}
 
 
 class TestGridAgainstScalar:
