@@ -170,8 +170,9 @@ def run_convergence_sweep(
     quadrature kind's (given without that kind, they raise ValueError as
     for a single kind); the result is then one list of records per kind,
     each that of the kind's own sweep bit for bit.  At each n one
-    ``apply_on_grid`` call evaluates all kinds, which share its lattice
-    passes; should it fail, each kind is evaluated again alone, so a
+    ``apply_on_grid`` call evaluates all kinds, which share its set-up, the
+    trapezoidal rule's samples and the hinge panels; should it fail, each
+    kind is evaluated again alone, so a
     failure lands only in its own kind's records.
 
     Individual failures are recorded in the ``note`` field and the sweep
@@ -410,6 +411,9 @@ CATALOG: dict[str, TestFunction] = {
         sup_norm=_ABS_CLAMP,
         modulus=_omega_abs,
         kinks=(-_ABS_CLAMP, 0.0, _ABS_CLAMP),
+        # min(|x|, 3) = 3 + |x| - (|x - 3| + |x + 3|) / 2: the smooth part is 3
+        jumps=(-1.0, 2.0, -1.0),
+        strip=_const_array(_ABS_CLAMP),
     ),
     "gauss": TestFunction(
         name="gauss",

@@ -22,13 +22,20 @@ whose error has an a-priori bound (Trefethen & Weideman, SIAM Review 56,
 a call no step can serve is refused before anything is evaluated (see
 ``_rule``).  The kinds of a call share tau, and on a uniform grid the
 samples of f as well, and each kind has one kernel vector k(j tau).
-Every other call takes a nested Kronrod rule, on one of two paths:
+A kinked f that declares its slope jumps j_k (the catalog's abs) is
+a + sum_k (j_k / 2) |u - k| with a smooth, and the operators are linear
+and commute with translation: B f(x) = f(x - EW) + [B a(x) - a(x - EW)]
++ sum_k j_k g(x - k), W = V / n with V ~ k, and g(y) = E(W - y)+ -
+(EW - y)+.  The rule gives B a, and one kernel call per kind on GK15
+panels cut at the abscissae n (x - k) gives g at every point (see
+``_kinked``).  Every other call takes a nested Kronrod rule, on one of
+two paths:
 
 * ``apply`` (and the kind-specific wrappers) integrate a single point
   adaptively in the kernel variable v, with the window's seed panels cut
   at the kinks of f, v = n (x - kink), as the grid engine cuts its panels,
-* ``apply_on_grid``, for f with kinks or without a majorant, evaluates a
-  whole grid of points at once by sharing
+* ``apply_on_grid``, for f without a majorant or kinked without jumps,
+  evaluates a whole grid of points at once as rows, sharing
   one panel decomposition in the sample variable u, where the kinks of f
   sit at fixed locations; panels refine until the worst grid point meets
   tolerance.  The new panels of a refinement round are evaluated
@@ -38,36 +45,17 @@ Every other call takes a nested Kronrod rule, on one of two paths:
   points with their kernel windows) has an anchor c at its centre.  Panel
   nodes are held as offsets t from c, kernel arguments are formed as
   n ((x - c) - t), and f is evaluated at c + t; so the rounding does not
-  grow with |x|.  On a uniform grid, as ``np.linspace`` builds it, the
-  seed round runs on a lattice of panels anchored at the first point
-  instead: the kernel term of a (panel, point) pair then depends only on
-  their lattice offset, so the kernel is evaluated once, on a table of a
-  few thousand values.  The lattice panels are sized to the kernels'
-  scale W/n, W = ``QuadratureConfig.width``, the power of two at which
-  GK15 panels resolve psi, and so every kind's kernel, to tolerance, in
-  closed form from psi's analytic strip (at tol = 1e-10, about 2 / beta:
-  32 at beta = 0.05, 2 at beta = 1, 1/8 at beta = 20): a cell of M grid
-  steps, at most a quarter of the grid, holds m panels of width h M / m,
-  the widest not above W/n with small M and m; a table of more kernel
-  values than the W/n row seeds evaluate is refused.  f is sampled at
-  the nodes of all lattice panels, about a thousand panels per call, and
-  the terms of all cells at M consecutive offsets (a slab) reach the
-  per-point totals by one in-place add.  W/n is the one seed width: a
-  lattice that misses tolerance is tried once more at (W/2)/n, and the
-  row seeds are W/n wide too.  The lattice places point i at
-  x0 + i h, which differs from the double x_i by up to ulp(x_i) / 2, so
-  grids far from the origin, where that drift would show in the result,
-  take the row seeds.  Given several specs of one n and one params (the
-  kinds of a sweep step), ``apply_on_grid`` returns one row per spec: the
-  kinds share the windows, the checks and W, and each lattice round is one
-  pass of the kinds still short of tolerance, with f sampled once and
-  their kernel tables stacked; each row is bit for bit the kind's own
-  call.
+  grow with |x|.  The seeds are W/n wide, W = ``QuadratureConfig.width``
+  the power of two at which GK15 panels resolve psi, and so every kind's
+  kernel, to tolerance, in closed form from psi's analytic strip (at
+  tol = 1e-10, about 2 / beta: 32 at beta = 0.05, 2 at beta = 1, 1/8 at
+  beta = 20); the hinge panels are at most W wide too.
 
 Accuracy is set by one knob, ``QuadratureConfig.tol``: the Kronrod paths
 accept a value v once its error estimate is within ``cfg.allowance(v)`` =
 tol max(1, |v|) (on a grid, v is the largest |value|), the trapezoidal
-rule's proven error is within tol, and every path truncates
+rule's proven error is within tol, the hinge path's rule takes half of
+tol and its estimate the rest of the allowance, and every path truncates
 every kind's kernel to one window [-R - 1, R + 1], R =
 ``cfg.radius(params, sup |f|)`` the radius beyond which psi's mass, times
 sup |f|, is at most tol / 100 (averaging moves that mass left by at most
@@ -188,13 +176,18 @@ class TestFunction:
     ``sup_norm`` bounds |f| on the working domain, ``modulus`` (when
     present) is a closed-form value of, or certified upper bound on, the
     modulus of continuity, and ``kinks`` lists points where f is not
-    smooth (used to seed panel boundaries).  ``derivatives`` hold
-    analytic derivative evaluators with their own sup norms and moduli.
-    ``strip`` (when present) is a strip majorant: f extends to an entire
-    function with sup over real x of |f(x + iy)| at most strip(y) for
-    y >= 0, nondecreasing in y and evaluated elementwise on arrays; with
-    it, and no kinks, ``apply_on_grid`` takes the trapezoidal rule with a
-    proven error.  Derivatives get none.
+    smooth (used to seed panel boundaries).  ``jumps`` (when present)
+    holds the slope jumps f'(k+) - f'(k-) at the kinks, in their order:
+    f is then a + sum_k (j_k / 2) |u - k| with a smooth at the kinks.
+    ``derivatives`` hold analytic derivative evaluators with their own
+    sup norms and moduli.  ``strip`` (when present) is a strip majorant
+    of the smooth part a (f itself, without kinks): a extends to an
+    entire function with sup over real x of |a(x + iy)| at most strip(y)
+    for y >= 0, nondecreasing in y and evaluated elementwise on arrays;
+    with it ``apply_on_grid`` takes the trapezoidal rule with a proven
+    error, plus the hinge sums for the kinks.  A kinked f with a strip
+    needs its jumps (else ValueError), and jumps must be finite and as
+    many as the kinks.  Derivatives get neither.
     """
 
     name: str
@@ -206,8 +199,19 @@ class TestFunction:
     derivative_moduli: tuple = ()
     kinks: tuple[float, ...] = ()
     strip: Callable[[np.ndarray], np.ndarray] | None = None
+    jumps: tuple[float, ...] = ()
 
     __test__ = False  # not a pytest test class despite the name
+
+    def __post_init__(self):
+        jumps = tuple(float(j) for j in self.jumps)
+        if not all(math.isfinite(j) for j in jumps):
+            raise ValueError(f"jumps must be finite, got {jumps}")
+        if jumps and len(jumps) != len(self.kinks):
+            raise ValueError(f"jumps must be as many as the kinks, got {len(jumps)} for {len(self.kinks)}")
+        if self.kinks and self.strip is not None and not jumps:
+            raise ValueError(f"{self.name} has kinks and a strip majorant but no slope jumps")
+        object.__setattr__(self, "jumps", jumps)
 
     def __call__(self, x):
         return self.eval(x)
@@ -230,6 +234,7 @@ class TestFunction:
             modulus=self.derivative_moduli[k - 1] if k <= len(self.derivative_moduli) else None,
             derivative_moduli=self.derivative_moduli[k:],
             kinks=(),
+            jumps=(),
         )
 
     @classmethod
@@ -456,218 +461,10 @@ def _totals(panels: _Panels, size: int) -> tuple[np.ndarray, np.ndarray]:
     return values, errors
 
 
-def _contract(weighted: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """acc[r, q, e] = sum over nodes k of weighted[q, r, k] table[r, k, e]:
-    weighted holds the samples at node k of the r-th panel of cell q, times
-    the node's weight, and table the kernel at that node and lattice offset
-    e.  One matrix product (cells x nodes) @ (nodes x offsets) per panel
-    row r, which BLAS computes with gemm: every entry is its own row times
-    its own column, with the nodes added in the same order whatever the
-    shape, and threads split the rows and columns, never the nodes.  numpy
-    hands a product with a single row or column to gemv or dot instead,
-    whose bits differ, so such a product gets a zero row or column; the
-    entries then depend neither on how many cells and offsets a block holds
-    nor on the BLAS thread count."""
-    cells, offsets = weighted.shape[0], table.shape[2]
-    if cells == 1:
-        weighted = np.concatenate((weighted, np.zeros_like(weighted)))
-    if offsets == 1:
-        table = np.concatenate((table, np.zeros_like(table)), axis=2)
-    return np.matmul(weighted.transpose(1, 0, 2), table)[:, :cells, :offsets]
-
-
-def _cell(h: float, n: int, width: float, size: int) -> tuple[int, int]:
-    """The cell (M, m) of the lattice on a grid of ``size`` points with step
-    h: M grid steps holding m panels of width h M / m, the widest not above
-    W / n, W = ``width``, with M at most a quarter of the grid steps (and at
-    least 1), so that the grid spans at least four cells: a wide kernel on
-    a short grid gets narrower panels (at n = 4 and beta = 0.2 on 2001
-    points over [-3, 3], W = 8 and M = 500, not 666).  Either M = 1 or
-    m = 1 unless that leaves the panels below 0.8 W / n (only possible for
-    M, m <= 4); then the widest h M / m with M <= 8 and m <= 4 is taken.
-    At n = 400 on that grid and W = 2, for instance, panels of width h
-    (0.6 W / n) become 5h/3 (W / n)."""
-    if h * n <= width:
-        # W / (h n) is inf for a subnormal h: the clamp comes first
-        stride, m = int(min(width / (h * n), max(1, (size - 1) // 4))), 1
-        if stride * h * n > width:
-            stride -= 1
-    else:
-        stride, m = 1, math.ceil(h * n / width)
-        if h * n / m > width:
-            m += 1
-    if stride > 4 or m > 4 or stride * h * n / m >= 0.8 * width:
-        return stride, m
-    for panels in range(2, 5):
-        steps = int(min(8, (size - 1) // 4, panels * width / (h * n)))
-        if steps * h / panels * n > width:
-            steps -= 1
-        if steps * m > stride * panels:  # a wider panel
-            stride, m = steps, panels
-    return stride, m
-
-
-def _lattice(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, reach: float, cap: int,
-             width: float) -> list | None:
-    """The seed round of the kinds of ``specs`` (one n) on the grid
-    x_i = x0 + i h, from one table of their kernels.
-
-    The seed panels, of width w = h M / m (``_cell``: the widest such value
-    not above W / n, W = ``width`` in the kernel variable), lie on a
-    lattice anchored at x0.  A cell of m panels steps over ``stride`` = M
-    grid points, so the kernel value at point i and node k of the cell's
-    r-th panel depends only on (r, k) and the offset j = i - stride q of
-    point i from cell q: each kind's kernel is evaluated once, on the table
-    T[r, k, j, kind], the kinds stacked on the last axis.  Every kind's
-    kernel is truncated to one window (see ``_Kernel``), so a panel reaches
-    the points within ``reach`` of it whatever the kind, and the kinds
-    share the cells, the offsets and the kink cuts.  f is sampled once, at
-    the nodes of every lattice panel within reach of the grid, at most
-    ``_CHUNK_ROWS`` panels per call, and the samples are weighted once.
-    Each term, a K15 value and its |K15 - G7| estimate, is a contraction of
-    the panel's 15 weighted samples with T, every kind at once.  The terms
-    of cell q at the offsets [p M, (p + 1) M), slab p, land on the M points
-    M (q + p) + s, 0 <= s < M, which no other cell's slab-p terms reach: a
-    slab of all cells and kinds is one in-place add onto a contiguous run
-    of the totals, held as (point, kind).  The table is zero at the offsets
-    of the whole slabs beyond reach (a zero term changes no total).  The
-    slabs are taken in groups at least 32 columns (offsets times kinds)
-    wide (wider for wide cells, while a group's terms stay within 15
-    ``_CHUNK_ROWS`` values); a group's cells that reach the grid are
-    contracted in sub-blocks of at most 15 ``_CHUNK_ROWS`` (panel, column)
-    terms, one matrix product per panel row r (``_contract``), whose
-    entries do not depend on the sub-block's shape or the BLAS thread
-    count, and a cell's panels are added in order as their terms are
-    copied into slab order.  Groups go from the last slab down, and so do
-    the slabs within a group, so every point receives its terms in
-    ascending cell order, as ``np.add.at`` would add them, whatever the
-    sub-block size and whichever kinds share the pass: each kind's totals
-    are those it would get alone.
-
-    A lattice panel that contains a kink of f is cut there, and the pieces
-    go through ``_evaluate`` for each kind.  Returns, per kind, the
-    per-point totals of values and error estimates; or None when the seeds
-    would exceed the panel budget ``cap``."""
-    n, size, kinds = specs[0].n, grid.size, len(specs)
-    x0 = float(grid[0])
-    span = float(grid[-1]) - x0
-    h = span / (size - 1)
-    stride, m = _cell(h, n, width, size)
-    cell = stride * h
-    # the cells within reach, counted in floats first (one of slack for the
-    # rounding): under a subnormal h their number is too large for an int
-    if (span + 2.0 * reach) / cell > cap + 1:
-        return None
-    w = cell / m
-    # the cells within reach of the grid, and the offsets j of the points
-    # within reach of a cell, clipped to the grid
-    q_lo, q_hi = math.floor(-reach / cell), math.ceil((span + reach) / cell) - 1
-    j_lo = max(math.ceil(-reach / h), -stride * q_hi)
-    j_hi = min(math.floor((cell + reach) / h), size - 1 - stride * q_lo)
-    cells = q_hi - q_lo + 1
-    edges = np.arange(m * q_lo, m * (q_hi + 1) + 1) * w
-    cuts = np.array(sorted({k - x0 for k in f.kinks if edges[0] < k - x0 < edges[-1]}), dtype=float)
-    at = np.searchsorted(edges, cuts)  # edges[at - 1] < cut <= edges[at]
-    inner = edges[at] != cuts
-    cuts, at = cuts[inner], at[inner]
-    if m * cells + cuts.size > cap:
-        return None
-
-    # the offsets in whole slabs of M = stride, the table zero outside
-    # [j_lo, j_hi]
-    p_lo, p_hi = j_lo // stride, j_hi // stride
-    # a table of more kernel values per kind than the row seeds of this
-    # width evaluate (15 per (panel, point) row) is refused: at n = 1 and
-    # beta = 0.05 it spans the kernel window at grid-step resolution, and
-    # takes hundreds of MiB and six times the rows' time
-    seeds = max(2, min(max(math.ceil((span + 2.0 * reach) * n / width), 8), cap))
-    ends = np.linspace(x0 - reach, x0 + span + reach, seeds + 1)
-    rows = int((np.searchsorted(grid, ends[1:] + reach, side="right")
-                - np.searchsorted(grid, ends[:-1] - reach, side="left")).sum())
-    if m * (p_hi + 1 - p_lo) * stride > rows:
-        return None
-    offsets = np.arange(p_lo * stride, (p_hi + 1) * stride)
-    nodes = (np.arange(m)[:, None] + 0.5) * w + 0.5 * w * GK15_NODES  # (m, 15) from the cell's left edge
-    arg = n * (offsets * h - nodes[:, :, None])
-    # filled a kind at a time: one kernel's values and temporaries live
-    # beside the table, not every kind's
-    table = np.empty(arg.shape + (kinds,))
-    for t, spec in enumerate(specs):
-        table[..., t] = _kernel(spec)(arg)
-    table[:, :, :j_lo - offsets[0]] = 0.0
-    table[:, :, j_hi + 1 - offsets[0]:] = 0.0
-
-    # the samples of every lattice panel, taken as ``_evaluate`` takes them,
-    # times the G7 and then (in place) the K15 weights
-    a, b = edges[:-1], edges[1:]
-    fu = np.empty((a.size, GK15_NODES.size))
-    anchor = np.array(x0)
-    for p0 in range(0, a.size, _CHUNK_ROWS):
-        pa, pb = a[p0:p0 + _CHUNK_ROWS, None], b[p0:p0 + _CHUNK_ROWS, None]
-        fu[p0:p0 + _CHUNK_ROWS] = _sample(f, specs, 0.5 * (pa + pb) + 0.5 * (pb - pa) * GK15_NODES, anchor)
-    fu[at - 1] = 0.0  # a panel cut at a kink leaves the lattice
-    fu = fu.reshape(cells, m, GK15_NODES.size)
-    gauss = fu[:, :, _GAUSS] * (0.5 * n * w * G7_WEIGHTS[_GAUSS])
-    fu *= 0.5 * n * w * GK15_WEIGHTS
-
-    # a slab's columns: M offsets times the kinds.  Groups of slabs, from
-    # the last slab down: at least 32 columns wide, and wider while the
-    # group's terms of all cells stay within 15 _CHUNK_ROWS values (wide
-    # cells, fewer groups and products)
-    cols = stride * kinds
-    group = max(-(-32 // cols), GK15_NODES.size * _CHUNK_ROWS // (cols * cells))
-    # the totals (values, estimates) of point i and the t-th kind at
-    # [:, cols (group + i // M) + kinds (i % M) + t]: the terms of a
-    # group's cells reach at most a group's rows beyond the grid
-    totals = np.zeros((2, (-(-size // stride) + 2 * group) * cols))
-    # a group's terms of the cells that reach the grid, by slab, cell and
-    # column within the slab
-    buffer = np.empty((2, min(group, p_hi + 1 - p_lo), cells, cols))
-    record = np.dtype(f"V{cols * buffer.itemsize}")
-    for top in range(p_hi, p_lo - 1, -group):
-        low = max(top - group + 1, p_lo)
-        block = table[:, :, (low - p_lo) * stride:(top + 1 - p_lo) * stride].reshape(m, GK15_NODES.size, -1)
-        first, last = max(q_lo, -top), min(q_hi, (size - 1) // stride - low)
-        terms = buffer[:, :top + 1 - low, :last + 1 - first]
-        # contracted in sub-blocks whose (m, cells, columns) products stay
-        # within 15 _CHUNK_ROWS values
-        per_block = max(1, GK15_NODES.size * _CHUNK_ROWS // (m * block.shape[2]))
-        for q0 in range(first, last + 1, per_block):
-            q1 = min(q0 + per_block, last + 1)
-            k15 = _contract(fu[q0 - q_lo:q1 - q_lo], block)
-            err = _contract(gauss[q0 - q_lo:q1 - q_lo], block[:, _GAUSS])
-            np.subtract(k15, err, out=err)
-            np.abs(err, out=err)
-            for out, panel in zip(terms[:, :, q0 - first:q1 - first], (k15, err)):
-                # each cell's panels summed in order, in place
-                for r in range(1, m):
-                    panel[0] += panel[r]
-                # then copied into slab order a slab's columns at a time, as
-                # one record each
-                out.view(record)[..., 0] = panel[0].view(record).T
-        for p in range(top, low - 1, -1):
-            # slab p puts cell q's terms on the points M (q + p) + s, 0 <= s < M
-            r0 = (group + first + p) * cols
-            totals[:, r0:r0 + (last + 1 - first) * cols] += terms[:, p - low].reshape(2, -1)
-    totals = totals.reshape(2, -1, kinds)[:, group * stride:group * stride + size]
-
-    if cuts.size:
-        # the pieces of the cut panels: runs of lattice edges and cuts that
-        # start or end at a cut
-        merged = np.concatenate((edges, cuts))
-        rank = np.argsort(merged, kind="stable")
-        merged, at_cut = merged[rank], rank >= edges.size
-        piece = at_cut[:-1] | at_cut[1:]
-        a, b = merged[:-1][piece], merged[1:][piece]
-        for t, spec in enumerate(specs):
-            totals[:, :, t] += _totals(_evaluate(f, spec, grid, grid - x0, reach, a, b, np.full(a.size, x0)), size)
-    # per kind, its (values, errors)
-    return list(totals.transpose(2, 0, 1))
-
-
 def _drift(grid: np.ndarray) -> float:
-    """How far the points of a uniform grid lie from the lattice points
-    x0 + i h that ``_lattice`` evaluates at, h the mean spacing: the largest
+    """How far the points of a uniform grid lie from the points x0 + i h of
+    the trapezoidal rule's sample lattice (see ``_rule``), h the mean
+    spacing: the largest
     |(x_i - x0) - i h| as computed, plus one ulp of the span for the
     rounding of that difference.  np.linspace rounds each point to a
     double, so far from the origin this is about ulp(x) / 2."""
@@ -702,10 +499,6 @@ class _Windows(NamedTuple):
     highs: np.ndarray
     caps: list[int]
 
-    @property
-    def budget(self) -> int:
-        return sum(self.caps)
-
 
 def _windows(grid: np.ndarray, radius: float, n: int) -> _Windows:
     """Seed only the union of the points' kernel windows [x - R/n, x + R/n]:
@@ -723,7 +516,7 @@ def _rows(f: TestFunction, spec: OperatorSpec, grid: np.ndarray, win: _Windows, 
           cfg: QuadratureConfig) -> np.ndarray:
     """The operator on the sorted grid from row seeds ``seed``/n wide, refined
     until the worst point meets tolerance."""
-    n, reach, budget = spec.n, win.reach, win.budget
+    n, reach, budget = spec.n, win.reach, sum(win.caps)
     anchors = 0.5 * (win.lows + win.highs)
     offset = grid - np.repeat(anchors, np.diff(win.bounds))
     seeds = []
@@ -763,12 +556,6 @@ def _rows(f: TestFunction, spec: OperatorSpec, grid: np.ndarray, win: _Windows, 
         f"operator quadrature did not converge on the grid "
         f"(operator={spec.kind.value}, x={worst_x}, n={n})"
     )
-
-
-def _met(lattice, cfg: QuadratureConfig) -> np.ndarray | None:
-    """A lattice round's values if they meet tolerance, else None."""
-    values, errors = lattice
-    return values if float(errors.max()) <= cfg.allowance(float(np.abs(values).max())) else None
 
 
 # the strip half-widths a at which the trapezoidal step is sized: fractions
@@ -837,9 +624,10 @@ class _Rule(NamedTuple):
 
 
 def _rule(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, radius: float,
-          drift: float | None, cfg: QuadratureConfig) -> _Rule:
+          drift: float | None, cfg: QuadratureConfig, tol: float) -> _Rule:
     """The trapezoidal rule of the kinds of ``specs`` on the sorted grid,
-    or ``QuadratureNonConvergedError`` when its proven error exceeds tol
+    or ``QuadratureNonConvergedError`` when its proven error exceeds
+    ``tol`` (``cfg.tol``, or the share of it that the hinge sums leave)
     or its 2J + 1 nodes exceed 15 ``quadrature.MAX_SUBDIVISIONS``.  The
     step is the largest (over the strip widths of ``_strip``) whose
     aliasing and rounding stay within nine tenths of what truncation and
@@ -850,7 +638,7 @@ def _rule(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, radi
     samples per point of direct sampling.  Otherwise tau / n is rounded
     down to ``_STEP_BITS`` significant bits."""
     n, params, size = specs[0].n, specs[0].params, f.sup_norm
-    beta, tol = params.beta, cfg.tol
+    beta = params.beta
     strip = _strip(f, n, beta)
     spare = tol - cfg.truncation_eps - (drift or 0.0)
     budget = 0.9 * spare
@@ -964,36 +752,145 @@ def _trapezoid(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray,
 
 
 def _kronrod(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, radius: float,
-             drift: float | None, cfg: QuadratureConfig) -> list[np.ndarray]:
-    """The kinds of ``specs`` on the sorted grid by the Gauss-Kronrod
-    engine: lattice rounds while ``drift`` allows them, then rows for the
-    kinds they missed (see ``apply_on_grid``)."""
+             cfg: QuadratureConfig) -> list[np.ndarray]:
+    """The kinds of ``specs`` on the sorted grid by the Gauss-Kronrod rows,
+    each kind on its own (see ``apply_on_grid``)."""
     n, params = specs[0].n, specs[0].params
     win = _windows(grid, radius, n)
     # a window radius above 65,535 (beta below about 4.3e-4 at tol = 1e-10)
-    # takes the rows, seeded at 1/n, where a call no budget covers fails soonest
-    narrow = radius <= 65535.0
-    width = cfg.width(params, f.sup_norm)
-    lattice_ok = narrow and drift is not None and win.lows.size == 1
+    # seeds the rows at 1/n, where a call no budget covers fails soonest
+    seed = cfg.width(params, f.sup_norm) if radius <= 65535.0 else 1.0
+    return [_rows(f, s, grid, win, seed, cfg) for s in specs]
 
-    values = [None] * len(specs)
-    if lattice_ok:
-        # W/n, then (W/2)/n for the kinds it missed (W follows psi's strip,
-        # not the grid's phase): each round one pass of the unmet kinds; a
-        # lattice over the panel budget at W/n is over it at W/2 too
+
+def _smooth(f: TestFunction) -> TestFunction:
+    """The smooth part a = f - sum_k (j_k / 2) |u - k| of a kinked f, with
+    f's name, sup norm and strip majorant."""
+
+    def smooth(u):
+        u = np.asarray(u, dtype=float)
+        out = np.asarray(f.eval(u), dtype=float)
+        for kink, jump in zip(f.kinks, f.jumps):
+            out = out - 0.5 * jump * np.abs(u - kink)
+        return out
+
+    return TestFunction.from_callable(f.name, smooth, f.sup_norm, strip=f.strip)
+
+
+def _scan(terms: np.ndarray) -> tuple[np.ndarray, int]:
+    """Running sums along the last axis of ``terms`` (..., P), each term
+    included, and the number of additions behind each: blocks of B terms,
+    B about sqrt(P), are summed in order, then the block totals, so a sum's
+    rounding is within (B + P / B) ulp of the sum of |terms|, not P ulp."""
+    size = terms.shape[-1]
+    block = max(1, math.isqrt(size))
+    pad = np.zeros(terms.shape[:-1] + (-size % block,))
+    local = np.cumsum(np.concatenate((terms, pad), axis=-1).reshape(terms.shape[:-1] + (-1, block)), axis=-1)
+    local[..., 1:, :] += np.cumsum(local[..., :-1, -1], axis=-1)[..., None]
+    return local.reshape(terms.shape[:-1] + (-1,))[..., :size], block + local.shape[-2]
+
+
+def _hinge_panels(breaks: np.ndarray, width: float, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The edges of the panels that cut each gap between consecutive
+    ``breaks`` into equal panels at most ``width`` wide, and the index of
+    the first panel after each break ``breaks[at]``."""
+    gaps = np.diff(breaks)
+    counts = np.ceil(gaps / width).astype(np.intp)
+    first = np.cumsum(counts) - counts
+    gap = np.repeat(np.arange(gaps.size), counts)
+    lo = breaks[gap] + gaps[gap] * ((np.arange(gap.size) - first[gap]) / counts[gap])
+    return np.append(lo, breaks[-1]), first[at]
+
+
+def _hinges(spec: OperatorSpec, s: np.ndarray, edges: np.ndarray, after: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """n g(s / n) at every abscissa s = n (x - k) in the kernel window, and
+    its error estimate, from one kernel call on the GK15 panels between
+    ``edges``; ``after`` holds the index of the first panel above each s.
+
+    g(y) = E(W - y)+ - (EW - y)+, W = V / n and V ~ k: s reads its short
+    side, E(V - s)+ for s >= EV and E(s - V)+ below, from sums of the
+    panels' mass and first moment above or below s (``_scan``).  The
+    estimate sums their |K15 - G7| alike (the moment's about each panel's
+    midpoint), plus the rounding of the sums."""
+    lo, hi = edges[:-1], edges[1:]
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    # node-major (15, panels) arrays; the nodes' offsets from the midpoints
+    offsets = half * GK15_NODES[:, None]
+    k = _kernel(spec)(mid + offsets)
+    weighted = GK15_WEIGHTS[:, None] * k
+    gauss = G7_WEIGHTS[_GAUSS, None] * k[_GAUSS]
+    mass = half * _node_sum(weighted)
+    centred = half * _node_sum(weighted * offsets)
+    mass_err = np.abs(mass - half * _node_sum(gauss))
+    centred_err = np.abs(centred - half * _node_sum(gauss * offsets[_GAUSS]))
+    moment = mid * mass + centred
+    # up[:, p]: the sums over the panels from p on; low[:, p]: over those before p
+    up, steps = _scan(np.stack((mass, moment, mass_err, centred_err + mid * mass_err))[:, ::-1])
+    up = up[:, ::-1][:, after]
+    low, _ = _scan(np.stack((mass, moment, mass_err, centred_err - mid * mass_err)))
+    low = np.concatenate((np.zeros((4, 1)), low), axis=1)[:, after]
+    upper = s >= -_kernel(spec).offset_moments(1)[1]
+    value = np.where(upper, up[1] - s * up[0], s * low[0] - low[1])
+    estimate = np.where(upper, up[3] - s * up[2], low[3] + s * low[2])
+    # each sum's rounding (see ``_scan``), and that of s times a mass sum
+    estimate += (steps + 2) * _ULP * (float(np.abs(moment).sum()) + np.abs(s) * float(mass.sum()))
+    return value, estimate
+
+
+def _kinked(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, radius: float,
+            drift: float | None, cfg: QuadratureConfig) -> list[np.ndarray]:
+    """The kinds of ``specs`` on the sorted grid for f = a + sum_k (j_k / 2)
+    |u - k| with a strip majorant of a (see ``apply_on_grid``).  The rule's
+    bound, the rounding of the samples of a and the hinge estimate share
+    the allowance; the kinds the hinges at W miss are tried at W/2, and
+    the rest take the rows, as all kinds do where that rounding alone
+    exceeds a quarter of tol (on grids far from the kinks)."""
+    n, params = specs[0].n, specs[0].params
+    smooth = _smooth(f)
+    rule = _rule(smooth, specs, grid, radius, drift, cfg, 0.5 * cfg.tol)
+    kinks, jumps = np.array(f.kinks), np.array(f.jumps)
+    # a sample of a rounds by a few ulp of the sum of |j_k| |u - k|, at u up
+    # to the rule's J tau / n beyond the grid, and B a and a(x - EW) each
+    # take such samples
+    reach = np.maximum(np.abs(grid[0] - kinks), np.abs(grid[-1] - kinks)) + rule.half * rule.step / n
+    noise = 2.0 * (kinks.size + 2) * _ULP * (f.sup_norm + 0.5 * float(np.sum(np.abs(jumps) * reach)))
+    if noise > 0.25 * cfg.tol:
+        return _kronrod(f, specs, grid, radius, cfg)
+    s = n * (grid - kinks[:, None])
+    # the (kink, point) pairs whose abscissa lies within the window, kink by kink
+    kink, point = np.nonzero(np.abs(s) < radius)
+    s = s[kink, point]
+    # the window's ends and the abscissae, sorted, without repeats
+    breaks = np.sort(np.concatenate(([-radius, radius], s)))
+    breaks = breaks[np.concatenate(([True], breaks[1:] != breaks[:-1]))]
+    at = np.searchsorted(breaks, s)
+    width = cfg.width(params, f.sup_norm)
+    # the rows' budget per kernel window, beyond one panel per gap (in floats)
+    gaps = np.diff(breaks)
+    extra = float(np.ceil(gaps / width).sum()) - gaps.size
+    if extra > quadrature.MAX_SUBDIVISIONS:
+        raise QuadratureNonConvergedError(
+            f"operator quadrature did not converge: the hinge sums at width W={width:.6g} need "
+            f"{extra:.6g} panels beyond the {gaps.size} cut at the abscissae, over the budget of "
+            f"{quadrature.MAX_SUBDIVISIONS}; refused before sampling "
+            f"(operator={'/'.join(s.kind.value for s in specs)}, n={n})"
+        )
+    panels, values = {}, []
+    for spec, smooth_value in zip(specs, _trapezoid(smooth, specs, grid, rule)):
+        shifted = grid + _kernel(spec).offset_moments(1)[1] / n  # x - EW = x + E T / n
+        base = _sample(f, [spec], shifted, 0.0) + (smooth_value - _sample(smooth, [spec], shifted, 0.0))
         for seed in (width, 0.5 * width):
-            unmet = [i for i, v in enumerate(values) if v is None]
-            outs = _lattice(f, [specs[i] for i in unmet], grid, win.reach, win.budget, seed) if unmet else None
-            if outs is None:
+            if seed not in panels:
+                panels[seed] = _hinge_panels(breaks, seed, at)
+            hinge, estimate = _hinges(spec, s, *panels[seed])
+            # each point's terms added kink by kink
+            value = base + np.bincount(point, hinge * (jumps[kink] / n), grid.size)
+            error = np.bincount(point, estimate * (np.abs(jumps[kink]) / n), grid.size)
+            if rule.bound + noise + float(error.max()) <= cfg.allowance(float(np.abs(value).max())):
                 break
-            for i, out in zip(unmet, outs):
-                values[i] = _met(out, cfg)
-    seed = width if narrow else 1.0
-    for i, s in enumerate(specs):
-        if values[i] is None:
-            # otherwise (and on a uniform grid whose lattice rounds miss
-            # tolerance) the seeds are evaluated as rows
-            values[i] = _rows(f, s, grid, win, seed, cfg)
+        else:
+            value = _kronrod(f, [spec], grid, radius, cfg)[0]
+        values.append(value)
     return values
 
 
@@ -1005,11 +902,10 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec | Sequence[OperatorSpec], 
     (else a ValueError), such as the kinds of one sweep step: the result
     then has one row of values per spec, each bit for bit the values of its
     own call.  Every kind's kernel has the same window and width W, so the
-    set-up (sorting, the seeding windows, the uniformity and drift checks,
-    W) is done once, and each lattice round is one pass of the kinds that
-    have not met tolerance: one sampling of f and one table of their
-    kernels (see ``_lattice``).  The kink pieces and the row path stay per
-    kind.  The call raises if any kind fails.
+    set-up (sorting, the uniformity and drift checks, the trapezoidal
+    rule's step and samples, the hinge panels) is done once; the kernel
+    vectors, the hinge sums and the rows stay per kind.  The call raises
+    if any kind fails.
 
     There are three paths.  f with a strip majorant and no kinks (the
     catalog's sin, cos, gauss and one) takes the trapezoidal rule
@@ -1020,100 +916,52 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec | Sequence[OperatorSpec], 
     cos^2(beta y / 2), which the averaging kinds inherit.  For any strip
     half-width a < pi / beta the rule's aliasing error is then at most
     2 M / (e^(2 pi a / tau) - 1), M = strip(a / n) / cos^2(beta a / 2)
-    (Trefethen & Weideman, SIAM Review 56, 2014, Thm 5.1).  Its step tau
-    is the largest whose aliasing, plus the truncated mass tol / 100, the
-    rounding of the sum (about (2J + 1) u sup |f|), the rounding of the
-    sample positions and, on a lattice, its drift, stays within tol; the
-    call raises ``QuadratureNonConvergedError`` before f or a kernel is
-    evaluated when no step does, or when its 2J + 1 nodes exceed 15
-    ``quadrature.MAX_SUBDIVISIONS`` (see ``_rule``).  There is no error
-    estimate and no refinement.  The kinds share tau; each has one kernel
-    vector tau k(j tau).  On a uniform grid that passes the drift check
-    below, tau is rounded down to k h n or h n / p, and all kinds share
-    one vector of samples of f on the lattice x0 + m h / p; any other grid
-    samples f at x_i - j tau / n, with tau / n rounded down to 8
-    significant bits, so that j tau / n and the kernel arguments j tau are
-    exact, and so is x_i - j tau / n wherever the spacing of x_i allows
-    (far from the origin too).  The sums run in node order, block by
-    block (see ``_trapezoid``), so each row is bit for bit its kind's own
-    call whatever the block size, and no BLAS routine is involved.
+    (Trefethen & Weideman, SIAM Review 56, 2014, Thm 5.1).  tau is the
+    largest step whose aliasing, truncation, rounding and drift stay
+    within tol, and a call no step serves is refused before f or a kernel
+    is evaluated (see ``_rule``); there is no estimate and no refinement.
+    On a uniform grid, as ``np.linspace`` builds it, whose drift from
+    x0 + i h moves no value by more than tol / 10, all kinds share one
+    vector of samples of f on the lattice x0 + m h / p; any other grid
+    samples f at x_i - j tau / n, exact wherever the spacing of x_i allows
+    (see ``_trapezoid``).
 
-    f with kinks (abs) or without a majorant (``id``, derivatives,
-    ``from_callable`` functions such as an approximant stage) takes the
-    Gauss-Kronrod engine below: the lattice on a uniform grid, the rows
-    on any other.
+    f with kinks, a strip majorant of its smooth part a and slope jumps
+    (abs) takes B f(x) = f(x - EW) + [B a(x) - a(x - EW)] + sum_k j_k
+    g(x - k), g(y) = E(W - y)+ - (EW - y)+, W = V / n, V ~ k: B a by the
+    rule above at half of tol, and g from one kernel call per kind on
+    GK15 panels at most W wide cut at the abscissae n (x - k) inside the
+    kernel window (see ``_kinked`` and ``_hinges``).  A kind whose
+    estimate misses the allowance reruns the sums at W/2, then takes the
+    rows; a grid far from the kinks takes the rows at once.
 
-    All points share a single panel decomposition in the sample variable
-    u; panels are seeded at the kernels' scale W/n (see the lattice
-    and row seeds below) plus the kinks of f, then bisected greedily until
-    the worst point's accumulated error estimate is within
-    ``cfg.allowance`` of the largest |value|,
-    tol max(1, max |value|).  Each panel is evaluated only on the grid
+    f without a majorant (``id``, derivatives, ``from_callable`` functions
+    such as an approximant stage), or kinked without jumps, takes the
+    Gauss-Kronrod rows.  All points share a single panel decomposition in
+    the sample variable u; panels are seeded W/n wide,
+    W = ``cfg.width(params, sup |f|)``, plus the kinks of f, then bisected
+    greedily until the worst point's accumulated error estimate is within
+    ``cfg.allowance`` of the largest |value|, tol max(1, max |value|).
+    Each window [lo, hi] is cut into ceil((hi - lo) n / W) equal seeds (at
+    least 8, at most its panel budget); above a window radius of 65,535
+    (beta below about 4.3e-4) they are 1/n wide instead, so that a call no
+    budget covers fails soonest.  Each panel is evaluated only on the grid
     points within (R + 1)/n of it, R = ``cfg.radius(spec.params,
     f.sup_norm)`` the truncation radius of psi and [-R - 1, R + 1] every
     kind's kernel window (see ``_Kernel``), and panels are seeded only
     where they reach a grid point.  Seeds and splits together may use
     ``quadrature.MAX_SUBDIVISIONS`` panels per kernel window of width
     2 (R + 1)/n spanned by the points' windows [x - (R + 1)/n,
-    x + (R + 1)/n].  ``xs`` need not be sorted.
+    x + (R + 1)/n], which are split at gaps wider than 3 (R + 1)/n between
+    sorted points, each window's nodes held as offsets from its centre
+    (see the module docstring).  The seeds, and then each round's new
+    halves, are evaluated as flat (panel, grid point) rows, about a
+    thousand rows per kernel call, with one call of f for the nodes of the
+    chunk's panels, so f must work elementwise on arrays of any shape.
+    ``xs`` need not be sorted.
 
-    The seeds, and then each round's new halves, are evaluated as flat
-    (panel, grid point) rows, about a thousand rows per kernel call, with
-    one call of f for the nodes of the chunk's panels.  f thus receives
-    (panels, 15) arrays, up to about a thousand nodes, not 15 nodes, and
-    must work elementwise on arrays of any shape.  Node sums and per-point
-    totals are added in a fixed order, so the output does not depend on the
-    chunk size.
-
-    Each seeding window [lo, hi] (windows are split at gaps wider than
-    3 (R + 1)/n between sorted points) has the anchor c = (lo + hi) / 2.
-    Panel edges and kink seeds are held as offsets from c, each point's
-    x - c is computed once, and the kernel argument is n ((x - c) - t) for
-    a node offset t; f is evaluated at c + t.  The rounding of the kernel
-    argument is thus about n ulp(x - c), not n ulp(x), and the
-    result far from the origin is as accurate as near it.  On a window
-    symmetric about 0, c is exactly 0.
-
-    Lattice seeds: when the sorted distinct points are exactly
-    ``np.linspace(x0, x1, N)`` (N >= 2) and form one seeding window, the
-    seed round runs on a lattice anchored at x0 (see ``_lattice``).  The
-    lattice evaluates the operator at x0 + i h, not at the double x_i, so
-    it is taken only when that drift (about ulp(x) / 2 far from the origin)
-    can move no value by more than tol / 10; a uniform grid far from the
-    origin, such as ``np.linspace(1e6, 1e6 + 6, N)``, takes the row path.
-    The lattice panels have width h M / m, the widest not above W/n with
-    M <= 8 and m <= 4 where M = 1 or m = 1 leaves them narrower than
-    0.8 W/n, and M at most a quarter of the grid steps (see ``_cell``):
-    W = ``cfg.width(params, sup |f|)`` is the power of two at which GK15
-    panels of width W resolve psi, times sup |f|, to tol, and with it every
-    kind's kernel (2 at q = beta = 1, 1/8 at beta = 20).  A window radius
-    above 65,535 (beta below about 4.3e-4) takes the row path, and a
-    lattice over the panel budget is refused, as is one whose table holds
-    more kernel values per kind than the W/n row seeds evaluate (15 per
-    (panel, point) row; at n = 1 and beta = 0.05 the table spans the
-    kernel window at grid-step resolution).  When the W/n lattice misses
-    tolerance, the (W/2)/n lattice runs next for the kinds it missed: W is
-    an estimate from psi's strip, and for some f or grid phases it misses
-    by a hair.  Each kind's kernel is evaluated once, on a table
-    of kernel values per (node, lattice offset); each (panel, point) K15
-    term and its |K15 - G7| estimate is a 15-node contraction of the panel's
-    weighted samples with the table, one BLAS matrix product per group of
-    offsets and sub-block of cells, never with a single row or column, so
-    that each entry's nodes are added in one order whatever the block's
-    shape, the kinds that share it and the BLAS thread count.  The totals
-    are the same per-point sums as on rows, added in ascending cell order:
-    the terms at the M offsets of a slab land on distinct points and are
-    added in place at once, the slabs from the last offset down.  A lattice
-    panel holding a kink is cut there and its pieces are evaluated as rows
-    in the same round.  If a lattice round meets tolerance, its totals are
-    the result; if none does, the call goes on from the row seeds (the
-    lattice keeps no rows to refine), as refinement rounds, Chebyshev nodes
-    and other grids do.
-
-    Row seeds: each window [lo, hi] is cut into ceil((hi - lo) n / W)
-    equal panels (at least 8, at most its panel budget), W/n wide as the
-    lattice panels are.  Above a window radius of 65,535 they are 1/n wide
-    instead, so that a call no budget covers fails soonest.
+    No path calls a BLAS routine: every sum runs in a fixed order, so the
+    output depends neither on the chunk size nor on the BLAS thread count.
     """
     cfg = cfg or DEFAULT_CONFIG
     single = isinstance(spec, OperatorSpec)
@@ -1146,10 +994,12 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec | Sequence[OperatorSpec], 
     drift = _drift(grid) * 2.0 * n * params.g_max_value * f.sup_norm if uniform else math.inf
     if drift > 0.1 * cfg.tol:
         drift = None
-    if f.strip is not None and not f.kinks:
-        values = _trapezoid(f, specs, grid, _rule(f, specs, grid, radius, drift, cfg))
+    if f.strip is None:
+        values = _kronrod(f, specs, grid, radius, cfg)
+    elif f.kinks:
+        values = _kinked(f, specs, grid, radius, drift, cfg)
     else:
-        values = _kronrod(f, specs, grid, radius, drift, cfg)
+        values = _trapezoid(f, specs, grid, _rule(f, specs, grid, radius, drift, cfg, cfg.tol))
     rows = np.stack([v[slot] for v in values])
     return rows[0] if single else rows
 

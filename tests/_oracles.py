@@ -220,6 +220,51 @@ def gauss_operator_mp(kind, q, beta, n, x, weights=None, dps=30):
         return mp.quad(integrand, pieces, method="gauss-legendre") / mp.sqrt(mp.pi)
 
 
+def _abs_clamped_integral_mp(u):
+    """The integral of min(|t|, 3) over t in [0, u]."""
+    if abs(u) <= 3:
+        return u * abs(u) / 2
+    return mp.sign(u) * (mp.mpf(9) / 2 + 3 * (abs(u) - 3))
+
+
+def abs_operator_mp(kind, q, beta, n, x, weights=None, dps=30):
+    """The operator of ``kind`` applied to the catalog's min(|u|, 3), at x:
+    the operator samples f at x + (T - H)/n, H ~ psi and T the kind's
+    offset, so B f(x) is the integral over h of psi(h) E f(x + (T - h)/n),
+    the expectation over T in closed form (for kantorovich n times the
+    integral of f over [z, z + 1/n], z = x - h/n).  mpmath.quad splits the
+    real line where psi bends (+-ln(q)/beta +-1) and where the samples
+    cross a kink k of f: at h = n (x - k) + t for the kind's offsets t (0
+    and 1 for kantorovich's window ends)."""
+    with mp.workdps(dps):
+        q, beta, x, n = mp.mpf(q), mp.mpf(beta), mp.mpf(x), mp.mpf(n)
+        if kind == "basic":
+            offsets = [(mp.mpf(0), mp.mpf(1))]
+        elif kind == "quadrature":
+            r = len(weights)
+            offsets = [(mp.mpf(s) / r, mp.mpf(w)) for s, w in enumerate(weights, 1)]
+        else:
+            offsets = []
+
+        def sampled(h):
+            z = x - h / n
+            if kind == "kantorovich":
+                return n * (_abs_clamped_integral_mp(z + 1 / n) - _abs_clamped_integral_mp(z))
+            return mp.fsum(w * min(abs(z + t / n), 3) for t, w in offsets)
+
+        # psi_mp with nu(x) = tanh(beta (x - c) / 2), c = ln(q) / beta
+        c, b = mp.log(q) / beta, beta / 2
+
+        def psi(h):
+            return (mp.tanh(b * (h + 1 - c)) - mp.tanh(b * (h - 1 - c))
+                    + mp.tanh(b * (h + 1 + c)) - mp.tanh(b * (h - 1 + c))) / 8
+
+        shifts = [0, 1] if kind == "kantorovich" else [t for t, _ in offsets]
+        points = {c - 1, c + 1, -c - 1, -c + 1}
+        points |= {n * (x - k) + t for k in (-3, 0, 3) for t in shifts}
+        return mp.quad(lambda h: psi(h) * sampled(h), [-mp.inf, *sorted(points), mp.inf])
+
+
 def main():
     mp.mp.dps = 50
     rows = [

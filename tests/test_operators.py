@@ -45,9 +45,8 @@ from actconv import (
 from actconv import operators, quadrature
 from actconv.analysis import CATALOG, MeasurementGrid, _grid_modulus
 from actconv.operators import GridApproximant, OperatorKind, OperatorSpec, TestFunction
-from actconv.quadrature import GK15_NODES
 
-from _oracles import central_moment_mp, gauss_operator_mp, psi_average_mp, psi_mp
+from _oracles import abs_operator_mp, central_moment_mp, gauss_operator_mp, psi_average_mp, psi_mp
 
 P11 = KernelParams(1.0, 1.0)
 SIN = CATALOG["sin"]
@@ -56,10 +55,11 @@ ABS = CATALOG["abs"]
 GAUSS = CATALOG["gauss"]
 ID = CATALOG["id"]
 ONE = CATALOG["one"]
-# the analytic catalog functions as from_callable makes them: the same
-# evaluator and sup norm, no strip majorant, so apply_on_grid evaluates them
-# on the Gauss-Kronrod lattice or rows, as it does an approximant stage
+# the catalog functions as from_callable makes them: the same evaluator,
+# sup norm and kinks, no strip majorant and no slope jumps, so apply_on_grid
+# evaluates them on the Gauss-Kronrod rows, as it does an approximant stage
 GK_SIN, GK_GAUSS, GK_ONE = (TestFunction.from_callable(f.name, f.eval, f.sup_norm) for f in (SIN, GAUSS, ONE))
+GK_ABS = TestFunction.from_callable(ABS.name, ABS.eval, ABS.sup_norm, kinks=ABS.kinks)
 
 B32 = OperatorSpec(OperatorKind.BASIC, 32, P11)
 K32 = OperatorSpec(OperatorKind.KANTOROVICH, 32, P11)
@@ -146,6 +146,32 @@ class TestTestFunction:
     def test_missing_derivative_raises(self):
         with pytest.raises(ValueError, match="analytic"):
             ABS.derivative(1)
+
+    @pytest.mark.parametrize("jumps", [(math.nan, 2.0, -1.0), (-1.0, math.inf, -1.0)])
+    def test_jumps_must_be_finite(self, jumps):
+        with pytest.raises(ValueError, match="finite"):
+            replace(ABS, jumps=jumps)
+
+    @pytest.mark.parametrize("jumps", [(2.0,), (-1.0, 2.0, -1.0, 0.0)])
+    def test_jumps_must_be_as_many_as_the_kinks(self, jumps):
+        with pytest.raises(ValueError, match="as many as the kinks"):
+            replace(ABS, jumps=jumps)
+
+    def test_kinks_with_a_strip_need_jumps(self):
+        """Without its jumps a kinked f's strip majorant would bound a
+        smooth part nobody can form; a kinked f without a strip (on the
+        rows) needs none."""
+        with pytest.raises(ValueError, match="no slope jumps"):
+            replace(ABS, jumps=())
+        assert GK_ABS.jumps == () and GK_ABS.strip is None
+
+    def test_derivative_clears_jumps(self):
+        """The derivative of a hinge is a step: neither kinks nor jumps
+        carry over to it."""
+        f = replace(ABS, derivatives=(np.sign,), derivative_sup_norms=(1.0,))
+        d1 = f.derivative(1)
+        assert d1.kinks == () and d1.jumps == () and d1.strip is None
+        assert f.jumps == (-1.0, 2.0, -1.0)
 
     def test_modulus_upper_bounds_sampled(self):
         """Catalog moduli dominate dense sampled moduli (soundness)."""
@@ -294,9 +320,10 @@ class TestApplyOnGrid:
         ids=["basic-abs-9", "kantorovich-sin-400", "basic-sin-400", "basic-sin-9", "quadrature-gauss-49-chebyshev"],
     )
     def test_chunking_is_invisible(self, monkeypatch, grid, f, spec, chebyshev):
-        """Rows are evaluated and summed in chunks; the chunk size changes no
-        bit.  At n = 9 every panel of |x| reaches all 2001 points, more rows
-        than one chunk holds.  sin and gauss take the trapezoidal rule, whose
+        """Kernel values and trapezoid sums are evaluated in chunks; the
+        chunk size changes no bit.  |x| takes the rule for its smooth part
+        and the hinge sums, whose quadrature kernel is evaluated in chunks;
+        sin and gauss take the trapezoidal rule, whose
         sums run over blocks of points sized by the chunk: at n = 400 on the
         sample lattice of step h / 2 (p = 2), at n = 9 on the grid's own
         lattice (p = 1, tau = 24 h n), and on Chebyshev nodes by direct
@@ -434,8 +461,8 @@ class TestApplyOnGrid:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind.value)
     def test_non_finite_sample_location_is_a_hole_of_f(self, spec, points):
         """The u named by the error is a point where f is not finite, for
-        every kind, on the lattice (uniform grid) and on rows.  The hole is
-        wider than any gap between the nodes of a 1/9-wide panel."""
+        every kind, on the rows of a uniform grid and of another one.  The
+        hole is wider than any gap between the nodes of a 1/9-wide panel."""
         hole = TestFunction.from_callable(
             "hole", lambda u: np.where(np.abs(np.asarray(u) - 0.5123) < 0.02, np.nan, np.sin(u)), 1.0
         )
@@ -462,65 +489,39 @@ def _exact_sin(spec, x):
         return float(sin_factor(n, spec.params) * value)
 
 
-def _kernel_values(monkeypatch, f, spec, xs):
-    """How many kernel values one apply_on_grid call evaluates."""
-    count = [0]
-    psi_ = operators.kernel.psi
-
-    def counted(params, x):
-        count[0] += np.size(x)
-        return psi_(params, x)
-
-    monkeypatch.setattr(operators.kernel, "psi", counted)
-    apply_on_grid(f, spec, xs)
-    monkeypatch.setattr(operators.kernel, "psi", psi_)
-    return count[0]
-
-
 def _nudged(xs, i):
     """``xs`` with point i moved up by one ulp: no longer np.linspace, so
-    apply_on_grid evaluates it on the row path."""
+    apply_on_grid samples it directly, not on the trapezoid's lattice."""
     out = np.array(xs, dtype=float)
     out[i] = np.nextafter(out[i], np.inf)
     return out
 
 
-def _seed_rounds(monkeypatch):
-    """Record each lattice round of the apply_on_grid calls that follow, as
-    (width, "accepted" | "missed" | "refused"), and the number of panels
-    of each row evaluation."""
-    attempts, rows = [], []
-    lattice, evaluate = operators._lattice, operators._evaluate
-
-    def recorded_lattice(*args):
-        results = lattice(*args)
-        for out in results or [None] * len(args[1]):  # one per kind of the pass
-            if out is None:
-                outcome = "refused"
-            else:
-                met = float(out[1].max()) <= QuadratureConfig().allowance(float(np.abs(out[0]).max()))
-                outcome = "accepted" if met else "missed"
-            attempts.append((args[-1], outcome))
-        return results
+def _row_panels(monkeypatch):
+    """The number of panels of each row evaluation of the apply_on_grid
+    calls that follow."""
+    rows = []
+    evaluate = operators._evaluate
 
     def recorded_evaluate(*args):
         rows.append(args[5].size)
         return evaluate(*args)
 
-    monkeypatch.setattr(operators, "_lattice", recorded_lattice)
     monkeypatch.setattr(operators, "_evaluate", recorded_evaluate)
-    return attempts, rows
+    return rows
 
 
 @pytest.fixture
 def rows_only(monkeypatch):
-    """Fail the test if a call takes the lattice."""
-    monkeypatch.setattr(operators, "_lattice", lambda *args: pytest.fail("the lattice was taken"))
+    """Fail the test if a call takes the trapezoidal rule or the hinge sums."""
+    for name in ("_trapezoid", "_hinges"):
+        monkeypatch.setattr(operators, name, lambda *args, name=name: pytest.fail(f"{name} was taken"))
 
 
-class TestLatticeSeeds:
-    """On a grid built by np.linspace the seed round runs on a lattice from
-    one kernel table; any other grid takes the row path."""
+class TestRows:
+    """f without a strip majorant (``id``, derivatives, approximant stages,
+    the ``from_callable`` twins here) and kinked f without slope jumps take
+    the Gauss-Kronrod rows, on every grid."""
 
     @pytest.mark.parametrize("n", [9, 100, 1000])
     @pytest.mark.parametrize("f", [GK_SIN, ABS], ids=lambda f: f.name)
@@ -529,11 +530,11 @@ class TestLatticeSeeds:
         ALL_SPECS + [replace(s, params=KernelParams(1.0, beta)) for beta in (0.5, 20.0) for s in ALL_SPECS],
         ids=lambda s: s.kind.value if s.params == P11 else f"{s.kind.value}-beta{s.params.beta:g}",
     )
-    def test_lattice_agrees_with_rows(self, grid, spec, f, n):
-        """An interior point moved by one ulp makes the grid non-uniform and
-        sends it down the row path; both paths agree at every point, the
-        rows seeded W/n wide as the lattice's panels are (W = 2 at beta = 1,
-        4 at beta = 0.5 and 1/8 at beta = 20)."""
+    def test_uniform_grid_agrees_with_a_nudged_one(self, grid, spec, f, n):
+        """An interior point moved by one ulp makes the grid non-uniform:
+        the rows (sin) see another grid, and the rule for the smooth part
+        of |x| samples it directly instead of on its lattice, and both
+        agree with the uniform grid at every point."""
         spec = replace(spec, n=n)
         nudged = grid.points.copy()
         nudged[777] = np.nextafter(nudged[777], np.inf)
@@ -543,7 +544,7 @@ class TestLatticeSeeds:
 
     @pytest.mark.parametrize("n", [9, 100, 400, 1000])
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind.value)
-    def test_lattice_matches_closed_form(self, grid, spec, n):
+    def test_rows_match_closed_form(self, grid, spec, n):
         spec = replace(spec, n=n)
         xs = grid.points
         out = apply_on_grid(GK_SIN, spec, xs)
@@ -556,8 +557,9 @@ class TestLatticeSeeds:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind.value)
     def test_far_from_origin(self, spec, centre, n):
         """np.linspace rounds each point to a double, up to ulp(x) / 2 =
-        9.3e-10 away from the lattice point x0 + i h at 1e7: such a grid
-        takes the row path and stays within tolerance at its own points."""
+        9.3e-10 away from x0 + i h at 1e7: the rows hold offsets from the
+        anchor of each seeding window and stay within tolerance at the
+        grid's own points."""
         spec = replace(spec, n=n)
         xs = np.linspace(centre, centre + 6.0, 2001)
         picks = np.arange(0, xs.size, 100)
@@ -566,64 +568,16 @@ class TestLatticeSeeds:
 
     @pytest.mark.parametrize("centre", [0.0, 1e6], ids=["origin", "far"])
     def test_row_seeds_at_the_kernel_width(self, monkeypatch, centre):
-        """On a grid that is not uniform the seeds are rows: at q = beta = 1
-        each window [lo, hi] (the points' kernel windows, (R + 1)/n either
-        side) seeds ceil((hi - lo) n / W) panels, W = 2 as for the
-        lattice, near the origin and around 1e6 alike."""
+        """At q = beta = 1 each window [lo, hi] (the points' kernel windows,
+        (R + 1)/n either side) seeds ceil((hi - lo) n / W) panels, W = 2,
+        near the origin and around 1e6 alike."""
         spec = OperatorSpec(OperatorKind.BASIC, 100, P11)
         xs = centre + np.concatenate((_nudged(np.linspace(-3.0, -1.0, 401), 200), np.linspace(2.0, 3.0, 101)))
         reach = (QuadratureConfig().radius(P11, SIN.sup_norm) + 1.0) / spec.n
         windows = [(xs[0] - reach, xs[400] + reach), (xs[401] - reach, xs[-1] + reach)]
-        attempts, rows = _seed_rounds(monkeypatch)
+        rows = _row_panels(monkeypatch)
         apply_on_grid(GK_SIN, spec, xs)
-        assert attempts == []
         assert rows[0] == sum(math.ceil((hi - lo) * spec.n / 2.0) for lo, hi in windows)
-
-    def test_subnormal_step_takes_the_row_path(self, monkeypatch):
-        """A grid step so small that W / (h n) is too large for an int (here
-        inf) gets a cell of a quarter of the grid, and its kernel window
-        would take more cells than any budget: the lattice is refused
-        before anything is counted in ints, and the call gives the row
-        path's values."""
-        spec = OperatorSpec(OperatorKind.BASIC, 9, P11)
-        xs = np.linspace(0.0, 1e-310, 2001)
-        attempts, _ = _seed_rounds(monkeypatch)
-        out = apply_on_grid(GK_SIN, spec, xs)
-        assert attempts == [(2.0, "refused")]
-        monkeypatch.setattr(operators, "_lattice", lambda *args: None)
-        np.testing.assert_array_equal(out, apply_on_grid(GK_SIN, spec, xs))
-
-    def test_lattice_path_taken_only_on_uniform_grids(self, monkeypatch, grid):
-        """Kernel values per call: the lattice needs one table of a few
-        thousand, rows need 15 per (panel, point) pair.  The path depends on
-        the sorted distinct points, so a shuffled uniform grid with repeats
-        takes the lattice too."""
-        spec = OperatorSpec(OperatorKind.BASIC, 100, P11)
-        xs = grid.points
-        rng = np.random.default_rng(5)
-        shuffled = rng.permutation(np.concatenate((xs, xs[:40])))
-        lattice_grids = {"linspace": xs, "shuffled-linspace": shuffled}
-        row_grids = {
-            "chebyshev": operators._chebyshev_nodes(-3.0, 3.0, xs.size),
-            "unsorted": rng.uniform(-3.0, 3.0, xs.size),
-        }
-        for name, points in lattice_grids.items():
-            assert _kernel_values(monkeypatch, GK_SIN, spec, points) < 5 * xs.size, name
-        for name, points in row_grids.items():
-            assert _kernel_values(monkeypatch, GK_SIN, spec, points) > 100 * xs.size, name
-
-    def test_kinks_converge_in_the_seed_round(self, monkeypatch, grid):
-        """Lattice panels holding a kink of |x| are cut there; the pieces'
-        rows are the only rows the call evaluates."""
-        attempts, rows = _seed_rounds(monkeypatch)
-        for spec in ALL_SPECS:
-            attempts.clear()
-            rows.clear()
-            apply_on_grid(ABS, replace(spec, n=100), grid.points)
-            # one lattice round and one row evaluation: the pieces of the
-            # panels cut at the kinks of f, at most two per kink
-            assert attempts == [(2.0, "accepted")]
-            assert len(rows) == 1 and rows[0] <= 2 * len(ABS.kinks)
 
     @pytest.mark.parametrize(
         "q, beta, tol, width",
@@ -636,174 +590,46 @@ class TestLatticeSeeds:
         wide the window (R = 28,325 at beta = 1e-3)."""
         assert QuadratureConfig(tol).width(KernelParams(q, beta), 1.0) == width
 
-    def test_averaged_kernel_takes_the_width_of_psi(self, monkeypatch, grid):
-        """Every kind takes psi's width: for sin at (1e-3, 3), GK15 panels of
-        width 1 would resolve the unit-window average of psi, and psi needs
-        1/2.  The kantorovich call is accepted on its first lattice, at
-        W = 1/2, and evaluates no rows (sin has no kinks to cut at)."""
-        spec = OperatorSpec(OperatorKind.KANTOROVICH, 9, KernelParams(1e-3, 3.0))
-        attempts, rows = _seed_rounds(monkeypatch)
-        apply_on_grid(GK_SIN, spec, grid.points)
-        assert attempts == [(0.5, "accepted")] and rows == []
-
-    @pytest.mark.parametrize("n", [9, 1000])
-    @pytest.mark.parametrize("params", [KernelParams(1e-3, 3.0), KernelParams(1.0, 20.0)], ids=["q1e-3b3", "q1b20"])
-    @pytest.mark.parametrize(
-        "f, kind", [(GK_SIN, OperatorKind.BASIC), (ABS, OperatorKind.KANTOROVICH)], ids=["sin-basic", "abs-kantorovich"]
-    )
-    def test_sharp_kernels_stay_on_the_lattice(self, monkeypatch, grid, f, kind, params, n):
-        """Where width-1 panels do not resolve psi, W drops below 1 and the
-        W/n lattice is accepted at the first try; no row is evaluated but
-        the pieces of panels cut at a kink."""
-        spec = OperatorSpec(kind, n, params)
-        width = QuadratureConfig().width(params, f.sup_norm)
-        assert width < 1.0
-        attempts, rows = _seed_rounds(monkeypatch)
-        out = apply_on_grid(f, spec, grid.points)
-        assert attempts == [(width, "accepted")]
-        # a kink of f on a lattice edge cuts no panel (the kinks 0 and +-3
-        # of |x| are often on one here), so at most one row evaluation
-        kinks = len(f.kinks)
-        assert len(rows) <= (1 if kinks else 0) and all(count <= 2 * kinks for count in rows)
-        picks = np.arange(0, grid.points.size, 100)
-        rows_out = apply_on_grid(f, spec, _nudged(grid.points, 777))
-        np.testing.assert_allclose(out[picks], rows_out[picks], rtol=0, atol=1e-11)
-
-    def test_wide_tables_are_refused(self, monkeypatch, grid, tmp_path):
-        """The lattice refuses a kernel table of more values per kind than
-        the W/n row seeds evaluate (15 per (panel, point) row).  Three-kind
-        |x| at n = 1 and beta = 0.05 would tabulate its 590-wide kernel
-        window at grid-step resolution, 5.9 million values per kind (1.0 s
-        and 319 MiB, against 0.17 s and 2.2 MiB on rows): it takes the rows.
-        The six |x| calls of the benchmark's grid-highres (n = 100 and 400,
-        every kind) and the default ``approx --fn abs`` keep the lattice."""
-        from click.testing import CliRunner
-
-        from actconv.cli import main
-
-        attempts, rows = _seed_rounds(monkeypatch)
-        apply_on_grid(ABS, _kinds(1, KernelParams(1.0, 0.05)), grid.points)
-        assert attempts == [(32.0, "refused")] * 3 and len(rows) == 3
-        attempts.clear()
-        for n in (100, 400):
-            for spec in ALL_SPECS:
-                apply_on_grid(ABS, replace(spec, n=n), grid.points)
-        assert attempts == [(2.0, "accepted")] * 6
-        attempts.clear()
-        result = CliRunner().invoke(main, ["approx", "--fn", "abs", "--out", str(tmp_path)], catch_exceptions=False)
-        assert result.exit_code == 0, result.output
-        assert attempts == [(2.0, "accepted")] * 15
-
-    def test_kernel_width_halves_after_a_miss_at_the_grid_phase(self, monkeypatch):
-        """GK15 tilings of psi at (q, beta) = (1, 12.6) with panels of width
-        1/4 are within tol at four phases (the closed form takes 1/8); at
-        n = 1913 the W = 1/4 lattice of this grid sits at another phase and
-        estimates 1.02e-10, just over the allowance.  The (W/2)/n lattice
-        is tried next and accepted, so no row is evaluated."""
-        n = 1913
-        spec = OperatorSpec(OperatorKind.BASIC, n, KernelParams(1.0, 12.6))
-        xs = np.linspace(-1.9 - 100.0 / n, -1.9 + 100.0 / n, 41)
-        monkeypatch.setattr(QuadratureConfig, "width", lambda self, params, size: 0.25)
-        attempts, rows = _seed_rounds(monkeypatch)
-        out = apply_on_grid(GK_ONE, spec, xs)
-        assert attempts == [(0.25, "missed"), (0.125, "accepted")] and rows == []
-        np.testing.assert_allclose(out, apply_on_grid(GK_ONE, spec, _nudged(xs, 20)), rtol=0, atol=1e-11)
-
-    def test_kernel_width_lattice_halves_the_terms(self, monkeypatch, grid):
-        """Basic sin at n = 100 is accepted on the first, 2/n lattice, with
-        at most 55% of the K15 (panel, point) terms of the 1/n lattice."""
-        spec = OperatorSpec(OperatorKind.BASIC, 100, P11)
-        contract = operators._contract
-        terms = [0]
-
-        def counted(weighted, table):
-            acc = contract(weighted, table)
-            if weighted.shape[2] == GK15_NODES.size:  # the K15 contraction, not the G7 one
-                terms[0] += acc.size
-            return acc
-
-        monkeypatch.setattr(operators, "_contract", counted)
-        attempts, rows = _seed_rounds(monkeypatch)
-        wide = apply_on_grid(GK_SIN, spec, grid.points)
-        assert attempts == [(2.0, "accepted")] and rows == []
-        wide_terms, terms[0] = terms[0], 0
-        monkeypatch.setattr(QuadratureConfig, "width", lambda self, params, size: 1.0)
-        attempts.clear()
-        narrow = apply_on_grid(GK_SIN, spec, grid.points)
-        assert attempts == [(1.0, "accepted")]
-        assert wide_terms <= 0.55 * terms[0]
-        np.testing.assert_allclose(wide, narrow, rtol=0, atol=1e-12)
-
     def test_default_verbs_take_one_seed_width(self, monkeypatch, tmp_path):
         """The default ``approx``, ``taylor`` and ``iterate`` (alone and as
         the 9, 16, 25 chain) apply the operators to sin by the trapezoidal
         rule: the sweeps' eight three-kind calls on the shared sample
         lattice of the uniform grid, and iterate's first stages on their
-        Chebyshev nodes by direct sampling.  No lattice pass is made, and
-        every row evaluation (the later stages, whose approximants have no
-        strip majorant) is seeded at W/n."""
+        Chebyshev nodes by direct sampling.  Every row evaluation (the
+        later stages, whose approximants have no strip majorant) is seeded
+        at W/n."""
         from click.testing import CliRunner
 
         from actconv.cli import main
 
-        rules, passes, seeds = [], [], []
-        trapezoid, lattice, rows = operators._trapezoid, operators._lattice, operators._rows
+        rules, seeds = [], []
+        trapezoid, rows = operators._trapezoid, operators._rows
 
         def spied_trapezoid(f, specs, grid, rule):
             rules.append((f.name, len(specs), rule.lattice is not None))
             return trapezoid(f, specs, grid, rule)
-
-        def spied_lattice(*args):
-            passes.append(args[-1])
-            return lattice(*args)
 
         def spied_rows(f, spec, grid, win, seed, cfg_):
             seeds.append(seed == cfg_.width(spec.params, f.sup_norm))
             return rows(f, spec, grid, win, seed, cfg_)
 
         monkeypatch.setattr(operators, "_trapezoid", spied_trapezoid)
-        monkeypatch.setattr(operators, "_lattice", spied_lattice)
         monkeypatch.setattr(operators, "_rows", spied_rows)
         for argv in (["approx"], ["taylor"], ["iterate"], ["iterate", "--chain", "9,16,25"]):
             result = CliRunner().invoke(main, [*argv, "--out", str(tmp_path)], catch_exceptions=False)
             assert result.exit_code == 0, result.output
         assert rules == [("sin", 3, True)] * 8 + [("sin", 1, False)] * 4
-        assert passes == []
         assert seeds == [True] * 6
 
     @pytest.mark.parametrize(
-        "f, spec, expected",
-        [
-            (GK_GAUSS, OperatorSpec(OperatorKind.KANTOROVICH, 4, KernelParams(1.0, 0.5)),
-             [(4.0, "missed"), (2.0, "accepted")]),
-            (GK_SIN, OperatorSpec(OperatorKind.BASIC, 4, KernelParams(1.0, 0.2)), [(8.0, "accepted")]),
-            (ABS, OperatorSpec(OperatorKind.BASIC, 4, KernelParams(1.0, 0.2)), [(8.0, "accepted")]),
-        ],
-        ids=["gauss-missed", "sin-clamped", "abs-clamped"],
-    )
-    def test_wide_cells_are_clamped_and_a_miss_halves_the_width(self, monkeypatch, grid, f, spec, expected):
-        """At beta = 0.2 and n = 4 a cell of width 8/n would span 666 of the
-        2001 points, under four cells: it is clamped to 500 steps, and that
-        lattice is accepted.  A W/n lattice that misses tolerance gives way
-        to the (W/2)/n one, which is accepted.  No row is evaluated: the
-        kinks 0 and +-3 of |x| lie on the edges of the cells, 1.5 wide."""
-        cells, cell = [], operators._cell
-        monkeypatch.setattr(operators, "_cell", lambda *args: cells.append(cell(*args)) or cells[-1])
-        attempts, rows = _seed_rounds(monkeypatch)
-        out = apply_on_grid(f, spec, grid.points)
-        assert attempts == expected and rows == []
-        if spec.params.beta == 0.2:
-            assert cells == [(500, 1)]
-        np.testing.assert_allclose(out, apply_on_grid(f, spec, _nudged(grid.points, 777)), rtol=0, atol=1e-11)
-
-    @pytest.mark.parametrize(
         "f, spec",
-        [(ABS, OperatorSpec(OperatorKind.BASIC, 9, P11)), (GK_SIN, OperatorSpec(OperatorKind.KANTOROVICH, 400, P11))],
+        [(GK_ABS, OperatorSpec(OperatorKind.BASIC, 9, P11)), (GK_SIN, OperatorSpec(OperatorKind.KANTOROVICH, 400, P11))],
         ids=["basic-abs-9", "kantorovich-sin-400"],
     )
     def test_row_chunking_is_invisible(self, monkeypatch, rows_only, grid, f, spec):
-        """``TestGridEngine.test_chunking_is_invisible`` on the row path,
-        which refinement rounds and every other grid still take."""
+        """``TestApplyOnGrid.test_chunking_is_invisible`` on the rows: at
+        n = 9 every panel of |x| reaches all 2001 points, more rows than one
+        chunk holds."""
         xs, thin = _nudged(grid.points, 777), _nudged(grid.points[::16], 50)
         expected = apply_on_grid(f, spec, xs)
         thinned = apply_on_grid(f, spec, thin)
@@ -811,163 +637,6 @@ class TestLatticeSeeds:
         np.testing.assert_array_equal(apply_on_grid(f, spec, xs), expected)
         monkeypatch.setattr(operators, "_CHUNK_ROWS", 1)
         np.testing.assert_array_equal(apply_on_grid(f, spec, thin), thinned)
-
-    def test_contract_entries_do_not_depend_on_the_block(self):
-        """Every entry of ``_contract`` on a sub-block, down to a single cell
-        or offset, has the bits of the same entry on the whole block, and it
-        is the node-ordered sum within 15 ulp of the sum of |terms|."""
-        rng = np.random.default_rng(3)
-        weighted, table = rng.standard_normal((6, 2, 15)), rng.standard_normal((2, 15, 9))
-        full = operators._contract(weighted, table)
-        terms = weighted.transpose(1, 0, 2)[:, :, :, None] * table[:, None]  # (r, q, k, e)
-        reference = terms[:, :, 0]
-        for k in range(1, 15):
-            reference = reference + terms[:, :, k]
-        np.testing.assert_array_less(np.abs(full - reference), 15 * np.spacing(np.abs(terms).sum(axis=2)))
-        for q0, q1 in [(i, j) for i in range(6) for j in range(i + 1, 7)]:
-            for e0, e1 in [(i, j) for i in range(9) for j in range(i + 1, 10)]:
-                block = operators._contract(weighted[q0:q1], table[:, :, e0:e1])
-                np.testing.assert_array_equal(block, full[:, q0:q1, e0:e1], err_msg=f"cells {q0}:{q1}, offsets {e0}:{e1}")
-
-    def test_lattice_products_stay_small(self, monkeypatch, grid):
-        """Every BLAS product of the lattice, (cells x nodes) @ (nodes x
-        offsets) per panel row, has m k n <= 15 * 15 * _CHUNK_ROWS: on a
-        2-core host, with OpenBLAS at its default two threads,
-        (2222 x 15) @ (15 x 30) took 65 us and (2730 x 15) @ (15 x 30)
-        8 ms.  Checked on the
-        shapes of the default sweep (sin, each kind, n = 9..49, at beta = 1
-        and, as ``approx --beta 20`` runs it, at beta = 20) and of the
-        benchmark's high-resolution calls (sin and abs at n = 100, 400 and
-        1000), and of the three kinds in one pass (n = 9, 49 and 1000 at
-        beta = 1 and 20)."""
-        products = []
-        matmul = np.matmul
-
-        def recorded(a, b, *args, **kwargs):
-            products.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
-            return matmul(a, b, *args, **kwargs)
-
-        monkeypatch.setattr(np, "matmul", recorded)
-        calls = [(GK_SIN, replace(spec, n=n, params=KernelParams(1.0, beta)))
-                 for spec in ALL_SPECS for n in (9, 16, 25, 36, 49) for beta in (1.0, 20.0)]
-        calls += [(f, replace(spec, n=n)) for spec in ALL_SPECS for n in (100, 400, 1000) for f in (GK_SIN, ABS)]
-        calls.append((GK_SIN, OperatorSpec(OperatorKind.BASIC, 100, KernelParams(2.0, 0.5))))
-        # three kinds in one pass, as a sweep step makes it
-        calls += [(GK_SIN, _kinds(n, KernelParams(1.0, beta))) for n in (9, 49, 1000) for beta in (1.0, 20.0)]
-        for f, spec in calls:
-            apply_on_grid(f, spec, grid.points)
-        assert len(products) >= 2 * len(calls)
-        assert max(products) <= 15 * 15 * operators._CHUNK_ROWS
-
-    @pytest.mark.parametrize(
-        "f, spec",
-        [(ABS, OperatorSpec(OperatorKind.BASIC, 9, P11)), (GK_SIN, OperatorSpec(OperatorKind.BASIC, 1000, P11)),
-         (GK_SIN, OperatorSpec(OperatorKind.KANTOROVICH, 400, P11)), (GK_SIN, OperatorSpec(OperatorKind.BASIC, 400, P11)),
-         (GK_SIN, OperatorSpec(OperatorKind.KANTOROVICH, 9, P11)), (GK_SIN, replace(Q32, n=9))],
-        ids=["basic-abs-9", "basic-sin-1000", "kantorovich-sin-400", "basic-sin-400", "kantorovich-sin-9",
-             "quadrature-sin-9"],
-    )
-    def test_lattice_blocking_is_invisible(self, monkeypatch, grid, f, spec):
-        """The lattice contracts each group of slabs in sub-blocks of cells
-        sized by ``_CHUNK_ROWS``, one matrix product per sub-block and panel
-        row; the sub-block size changes no bit.  At _CHUNK_ROWS = 1 and 2
-        every sub-block holds one cell (at n = 9 a cell spans 74 grid steps,
-        each slab a group of its own; at n = 1000 it spans 2 grid steps and
-        holds 3 panels, at n = 400 5 steps and 3 panels), a product that
-        numpy would hand to gemv but for the zero row ``_contract`` adds.
-        (The outermost cells at n = 400 and 1000 reach one point, but
-        their terms are too small to show a changed bit in the totals;
-        ``test_contract_entries_do_not_depend_on_the_block`` pins that
-        case.)"""
-        expected = apply_on_grid(f, spec, grid.points)
-        for rows in (1, 2, 7, 64):
-            monkeypatch.setattr(operators, "_CHUNK_ROWS", rows)
-            np.testing.assert_array_equal(apply_on_grid(f, spec, grid.points), expected, err_msg=f"{rows} rows")
-
-    @pytest.mark.parametrize(
-        "n, hn, width, size, cell",
-        [(9, 0.027, 2.0, 2001, (74, 1)), (100, 0.3, 2.0, 2001, (6, 1)), (300, 0.9, 2.0, 2001, (2, 1)),
-         (400, 1.2, 2.0, 2001, (5, 3)), (500, 1.5, 2.0, 2001, (4, 3)), (700, 2.1, 2.0, 2001, (3, 4)),
-         (1000, 3.0, 2.0, 2001, (2, 3)), (1913, 5.739, 2.0, 2001, (1, 3)), (1000, 3.0, 2.0, 9, (2, 3)),
-         (1000, 3.0, 2.0, 5, (1, 2)), (4, 0.012, 8.0, 2001, (500, 1))],
-    )
-    def test_cell_geometry(self, n, hn, width, size, cell):
-        """(M, m): M grid steps and m panels per cell, the panels of width
-        h M / m the widest not above W / n, and M at most a quarter of the
-        grid steps (W / (h n) = 666 steps at n = 4 and W = 8 on the
-        default grid become 500).  One of M, m is 1 unless that leaves them
-        below 0.8 W / n; then M <= 8 and m <= 4."""
-        assert operators._cell(hn / n, n, width, size) == cell
-
-    @pytest.mark.parametrize("cell", [(1, 1), (3, 1), (1, 3), (5, 3), (2, 3), (8, 4), (74, 1), (13, 1)])
-    def test_totals_are_the_ascending_cell_sums(self, monkeypatch, cell):
-        """The lattice adds its terms to the totals a slab at a time: the
-        offsets [p M, (p + 1) M) of every cell that reaches the grid in one
-        in-place add, slabs in descending p within groups of at least 32
-        offsets, the groups from the last offset down, and the cells of a
-        group in sub-blocks.  The totals have the bits of np.add.at of all
-        the terms in ascending cell order, the panels of a cell summed
-        first.  At _CHUNK_ROWS = 7 a (74, 1) group is one slab of 74
-        offsets, its cells taken one at a time; at 64 a (13, 1) group is
-        three slabs of 13, its cells taken 24 at a time.  The reference
-        contracts all cells at once, over all offsets, with the entries of
-        ``test_contract_entries_do_not_depend_on_the_block``."""
-        stride, m = cell
-        spec = OperatorSpec(OperatorKind.BASIC, 100, P11)
-        xs = np.linspace(-1.0, 2.0, 601)
-        n, h = spec.n, 3.0 / 600
-        reach = (truncation_radius(P11, QuadratureConfig().truncation_eps) + 1.0) / n
-        monkeypatch.setattr(operators, "_cell", lambda *args: cell)
-        totals = []
-        for rows in (7, 64):  # several sub-blocks per group
-            monkeypatch.setattr(operators, "_CHUNK_ROWS", rows)
-            totals.append(operators._lattice(SIN, [spec], xs, reach, 10**6, 2.0)[0])
-
-        w = stride * h / m
-        q_lo, q_hi = math.floor(-reach / (stride * h)), math.ceil((3.0 + reach) / (stride * h)) - 1
-        offsets = np.arange(math.ceil(-reach / h), math.floor((stride * h + reach) / h) + 1)
-        edges = np.arange(m * q_lo, m * (q_hi + 1) + 1) * w
-        mids, halves = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
-        fu = SIN(np.array(-1.0) + (mids[:, None] + halves[:, None] * GK15_NODES)).reshape(-1, m, 15)
-        nodes = (np.arange(m)[:, None] + 0.5) * w + 0.5 * w * GK15_NODES
-        table = psi(P11, n * (offsets * h - nodes[:, :, None]))
-        gauss = slice(1, 14, 2)
-        k15 = operators._contract(fu * (0.5 * n * w * quadrature.GK15_WEIGHTS), table)
-        g7 = operators._contract(fu[:, :, gauss] * (0.5 * n * w * quadrature.G7_WEIGHTS[gauss]), table[:, gauss])
-        err = np.abs(k15 - g7)
-        point = (stride * (q_lo + np.arange(q_hi - q_lo + 1)))[:, None] + offsets
-        on_grid = (point >= 0) & (point < xs.size)
-        for values, errors in totals:
-            for got, terms in ((values, k15), (errors, err)):
-                summed = terms[0]
-                for r in range(1, m):
-                    summed = summed + terms[r]
-                expected = np.zeros(xs.size)
-                np.add.at(expected, point[on_grid], summed[on_grid])
-                np.testing.assert_array_equal(got, expected)
-
-    @pytest.mark.parametrize("n, cell", [(400, (5, 3)), (1000, (2, 3))])
-    def test_sampled_panels(self, monkeypatch, grid, n, cell):
-        """Basic sin on the default grid is accepted in the seed round, whose
-        lattice samples f at the nodes of every panel once: the m panels of
-        each cell within the reach (R + 1)/n of the grid.  At n = 400 its
-        cells span 5 grid steps with 3 panels (2,050 panels of width h
-        before), at n = 1000 2 steps with 3 panels (4,040 of width h / 2)."""
-        attempts, rows = _seed_rounds(monkeypatch)
-        sample, sampled = operators._sample, []
-
-        def counted(f, spec, t, c):
-            sampled.append(t.shape[0])
-            return sample(f, spec, t, c)
-
-        monkeypatch.setattr(operators, "_sample", counted)
-        apply_on_grid(GK_SIN, OperatorSpec(OperatorKind.BASIC, n, P11), grid.points)
-        assert attempts == [(2.0, "accepted")] and rows == []
-        stride, m = cell
-        width = stride * (6.0 / (grid.points.size - 1))
-        reach = (QuadratureConfig().radius(P11, SIN.sup_norm) + 1.0) / n
-        cells = math.ceil((6.0 + reach) / width) - math.floor(-reach / width)
-        assert sum(sampled) == m * cells
 
     @pytest.mark.parametrize("n", [100, 400, 1000])
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind.value)
@@ -980,15 +649,15 @@ class TestLatticeSeeds:
         assert float(np.abs(out - exact).max()) <= 2.0 * QuadratureConfig().tol
 
     def test_too_wide_a_kernel_takes_the_row_path(self, monkeypatch):
-        """At beta = 1e-5 no width is tried, and the rows meet tolerance."""
-        attempts, _ = _seed_rounds(monkeypatch)
+        """At beta = 1e-5 the rows are seeded 1/n wide, and meet tolerance."""
+        rows = _row_panels(monkeypatch)
         spec = OperatorSpec(OperatorKind.BASIC, 9, KernelParams(1.0, 1e-5))
         out = apply_on_grid(GK_ONE, spec, np.linspace(-1.0, 1.0, 41))
-        assert attempts == []
+        assert rows
         np.testing.assert_allclose(out, 1.0, rtol=0, atol=1e-9)
 
     def test_row_determinism(self, rows_only):
-        """``TestGridEngine.test_determinism`` on the row path: an unsorted
+        """``TestApplyOnGrid.test_determinism`` on the rows: an unsorted
         grid with repeated points gives the same bits, point by point."""
         xs = _nudged(np.linspace(-2, 2, 51), 25)
         a = apply_on_grid(GK_GAUSS, K32, xs)
@@ -1011,7 +680,6 @@ class TestLatticeSeeds:
             "from actconv.operators import OperatorSpec\n"
             "xs = np.linspace(-3.0, 3.0, int(sys.argv[1]))\n"
             "xs[777] = np.nextafter(xs[777], np.inf)\n"
-            "operators._lattice = None  # a call that takes the lattice fails\n"
             "sin = operators.TestFunction.from_callable('sin', np.sin, 1.0)  # no strip majorant\n"
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
             "apply_on_grid(sin, OperatorSpec('kantorovich', 400, KernelParams()), xs)\n"
@@ -1027,10 +695,9 @@ class TestLatticeSeeds:
         assert (after_kb - before_kb) * 1024 <= 16 * rows + 4 * 2**20
 
     def test_output_independent_of_blas_threads(self):
-        """The lattice's BLAS products never have a single row or column,
-        so they run as gemm, which splits rows and columns among threads
-        and adds the nodes of each entry in one order: the OpenBLAS thread
-        count changes no bit."""
+        """No path of the grid engine calls BLAS: the rows, the trapezoidal
+        rule and the hinge sums add their terms in a fixed order, so the
+        OpenBLAS thread count changes no bit."""
         code = (
             "import hashlib\n"
             "import numpy as np\n"
@@ -1042,7 +709,7 @@ class TestLatticeSeeds:
             "                    ('sin', 'basic', 1000)]:\n"
             "    w = (0.25,) * 4 if kind == 'quadrature' else None\n"
             "    spec = OperatorSpec(kind, n, KernelParams(), weights=w)\n"
-            "    # sin without its strip majorant takes the lattice\n"
+            "    # sin without its strip majorant takes the rows, abs the hinge sums\n"
             "    f = CATALOG['abs'] if fn == 'abs' else TestFunction.from_callable('sin', np.sin, 1.0)\n"
             "    digest.update(apply_on_grid(f, spec, xs).tobytes())\n"
             "print(digest.hexdigest())\n"
@@ -1146,9 +813,8 @@ BATCH_GRIDS = {
 
 class TestBatchedKinds:
     """``apply_on_grid`` with several specs of one n, as a sweep step
-    holds them: the kinds that have not met tolerance share each lattice
-    round's pass (one sampling of f, one table of their kernels), and
-    each row has the bits of the kind's own call."""
+    holds them: the kinds share the trapezoidal rule's step and samples and
+    the hinge panels, and each row has the bits of the kind's own call."""
 
     @pytest.mark.parametrize("xs", list(BATCH_GRIDS))
     @pytest.mark.parametrize("n", [1, 4, 9, 49, 400, 1000])
@@ -1157,60 +823,16 @@ class TestBatchedKinds:
                                         KernelParams(1e-3, 3.0), KernelParams(1.0, 3.0), KernelParams(1.0, 2.54)],
                              ids=lambda p: f"q{p.q:g}-beta{p.beta:g}")
     def test_rows_have_the_bits_of_single_calls(self, params, f, n, xs):
-        """At (1, 2.54) and n = 1 the shared W = 1 pass on 2001 points
-        misses for basic sin and gauss alone, so the second pass holds a
-        subset of the kinds; the Chebyshev nodes and the grid around 1e6
-        take the row path, kind by kind."""
+        """The uniform grids share the rule's sample lattice, the Chebyshev
+        nodes and the grid around 1e6 are sampled directly; at n = 1 and
+        beta = 1 |x| may pass its hinge sums at W for some kinds and at
+        W/2 for others."""
         xs = BATCH_GRIDS[xs]
         specs = _kinds(n, params)
         rows = apply_on_grid(f, specs, xs)
         assert rows.shape == (len(specs), xs.size)
         for spec, row in zip(specs, rows):
             np.testing.assert_array_equal(row, apply_on_grid(f, spec, xs), err_msg=spec.kind.value)
-
-    @pytest.mark.parametrize("params, passes", [(P11, [3]), (KernelParams(1e-3, 3.0), [3])],
-                             ids=["one-width", "two-widths"])
-    def test_kinds_of_one_width_share_a_pass(self, monkeypatch, grid, params, passes):
-        """All kinds take psi's width W, so the first lattice round is one
-        pass of all three: at q = beta = 1 (W = 2), and at (1e-3, 3)
-        (W = 1/2), where kantorovich's own kernel would pass at W = 1."""
-        kinds = []
-        lattice = operators._lattice
-
-        def recorded(f, specs, *args):
-            kinds.append(len(specs))
-            return lattice(f, specs, *args)
-
-        monkeypatch.setattr(operators, "_lattice", recorded)
-        apply_on_grid(GK_SIN, _kinds(9, params), grid.points)
-        assert kinds == passes
-
-    @pytest.mark.parametrize("n", [9, 400])
-    def test_closed_form_width_needs_one_round_at_beta_3(self, monkeypatch, grid, n):
-        """At (q, beta) = (1, 3) the width is 1/2 from the start, and the
-        three kinds of sin are accepted on its lattice in one pass.  A GK15
-        tiling of psi passes at W = 1, whose lattice misses for sin there,
-        so a W = 1 start costs a second round."""
-        attempts, rows = _seed_rounds(monkeypatch)
-        apply_on_grid(GK_SIN, _kinds(n, KernelParams(1.0, 3.0)), grid.points)
-        assert attempts == [(0.5, "accepted")] * 3 and rows == []
-
-    def test_one_reach_pass_has_the_totals_of_single_kind_passes(self, monkeypatch):
-        """A pass of all three kinds takes one reach: here exactly two cells
-        of 4 steps on a grid of step 2^-8, so two cells lie beyond either
-        end of the grid and the table is zeroed at the offsets 13 to 15 of
-        its last slab.  Each kind's totals are those of its own pass at
-        that reach."""
-        monkeypatch.setattr(operators, "_cell", lambda *args: (4, 1))
-        xs = np.linspace(-1.0, 1.0, 513)
-        reach = 2.0 * 4 * 2.0**-8
-        specs = _kinds(9, P11)
-        together = operators._lattice(SIN, specs, xs, reach, 10**6, 2.0)
-        assert len(together) == len(specs)
-        for spec, (values, errors) in zip(specs, together):
-            alone_values, alone_errors = operators._lattice(SIN, [spec], xs, reach, 10**6, 2.0)[0]
-            np.testing.assert_array_equal(values, alone_values, err_msg=spec.kind.value)
-            np.testing.assert_array_equal(errors, alone_errors, err_msg=spec.kind.value)
 
     def test_default_sweep_makes_one_call_per_n(self, monkeypatch, tmp_path):
         """``actconv approx`` sweeps its three kinds at n = 9, 16, 25, 36
@@ -1330,20 +952,17 @@ class TestTrapezoidalRule:
                 assert abs(direct - gauss_operator_mp(kind, q, beta, n, x)) < 1e-20, kind
                 assert abs(direct - gauss_operator_mp(kind, q, beta, n + 1, x)) > 1e-3, kind
 
-    @pytest.mark.parametrize("f, twin, beta", [(GAUSS, GK_GAUSS, 2.39), (SIN, GK_SIN, 2.54), (GAUSS, GK_GAUSS, 2.54)],
+    @pytest.mark.parametrize("f, beta", [(GAUSS, 2.39), (SIN, 2.54), (GAUSS, 2.54)],
                              ids=["gauss-2.39", "sin-2.54", "gauss-2.54"])
-    def test_n1_lattice_misses_take_one_pass(self, monkeypatch, grid, f, twin, beta):
-        """At n = 1 the closed-form W = 1 lattice misses tolerance for basic
-        gauss at (q, beta) = (1, 2.39) and for sin and gauss at (1, 2.54),
-        and a W = 1/2 round follows; the rule takes one pass, on the sample
-        lattice, its step sized by f's scale n as well as psi's strip."""
+    def test_n1_lattice_misses_take_one_pass(self, monkeypatch, grid, f, beta):
+        """At n = 1 GK15 panels of the closed-form W = 1 missed tolerance
+        for basic gauss at (q, beta) = (1, 2.39) and for sin and gauss at
+        (1, 2.54); the rule takes one pass, on the sample lattice, its step
+        sized by f's scale n as well as psi's strip, and evaluates no row."""
         spec = OperatorSpec(OperatorKind.BASIC, 1, KernelParams(1.0, beta))
-        attempts, rows = _seed_rounds(monkeypatch)
-        apply_on_grid(twin, spec, grid.points)
-        assert attempts == [(1.0, "missed"), (0.5, "accepted")] and rows == []
-        attempts.clear()
+        rows = _row_panels(monkeypatch)
         _, rule = _rule_of(f, spec, grid.points)
-        assert attempts == [] and rows == [] and rule.lattice is not None
+        assert rows == [] and rule.lattice is not None
 
     @pytest.mark.parametrize(
         "beta, tol, match",
@@ -1371,6 +990,133 @@ class TestTrapezoidalRule:
             with pytest.raises(QuadratureNonConvergedError, match=match):
                 apply_on_grid(f, replace(spec, n=9, params=KernelParams(1.0, beta)), grid.points, QuadratureConfig(tol))
         assert calls == {"f": 0, "kernel": 0}
+
+
+HINGE_GRIDS = {
+    "default": np.linspace(-3.0, 3.0, 2001),
+    "chebyshev-257": operators._chebyshev_nodes(-3.0, 3.0, 257),
+    "one-point": np.array([0.0017]),
+    "far": np.linspace(1e6, 1e6 + 6.0, 2001),
+}
+
+
+def _hinge_calls(monkeypatch):
+    """The panel width of every hinge evaluation of the apply_on_grid
+    calls that follow, as (kind, width), and the kinds that take the rows."""
+    hinges, rows = [], []
+    evaluate, kronrod = operators._hinges, operators._kronrod
+
+    def recorded_hinges(spec, s, edges, after):
+        hinges.append((spec.kind.value, float(np.diff(edges).max())))
+        return evaluate(spec, s, edges, after)
+
+    def recorded_kronrod(f, specs, *args):
+        rows.extend(s.kind.value for s in specs)
+        return kronrod(f, specs, *args)
+
+    monkeypatch.setattr(operators, "_hinges", recorded_hinges)
+    monkeypatch.setattr(operators, "_kronrod", recorded_kronrod)
+    return hinges, rows
+
+
+class TestHinges:
+    """Kinked f with a strip majorant of its smooth part and slope jumps
+    (the catalog's |x| clamped at 3) is evaluated as f(x - EW) + [B a(x) -
+    a(x - EW)] + sum_k j_k g(x - k): the trapezoidal rule for a, and one
+    kernel call on GK15 panels for the hinges."""
+
+    @pytest.mark.parametrize("xs", list(HINGE_GRIDS))
+    @pytest.mark.parametrize("q, beta, n", [(1.0, 0.05, 1), (1e6, 0.05, 1), (2.0, 0.5, 100), (1.0, 20.0, 400)],
+                             ids=lambda v: f"{v:g}")
+    @pytest.mark.parametrize("kind", list(OperatorKind), ids=lambda k: k.value)
+    def test_abs_within_the_allowance_of_the_oracle(self, kind, q, beta, n, xs):
+        """Against 30-digit mpmath (``_oracles.abs_operator_mp``) at the
+        points nearest the kink 0 and nearest 2.9, inside the kink 3's
+        kernel window; around 1e6 every kink is out of reach and f is 3."""
+        xs = HINGE_GRIDS[xs]
+        weights = (0.25, 0.25, 0.25, 0.25) if kind is OperatorKind.QUADRATURE else None
+        spec = OperatorSpec(kind, n, KernelParams(q, beta), weights=weights)
+        cfg = QuadratureConfig()
+        out = apply_on_grid(ABS, spec, xs, cfg)
+        allowance = cfg.allowance(float(np.abs(out).max()))
+        for i in sorted({int(np.argmin(np.abs(xs - x))) for x in (0.0017, 2.9)}):
+            exact = float(abs_operator_mp(kind.value, q, beta, n, float(xs[i]), weights))
+            assert abs(out[i] - exact) <= allowance, (float(xs[i]), out[i], exact)
+
+    def test_a_miss_at_w_halves_the_width(self, monkeypatch, grid):
+        """At (q, beta) = (1e6, 0.05) and n = 1 the hinge estimate at W = 32
+        is about 2e-10, over what the rule's bound leaves of the allowance
+        3e-10: each kind's sums run once more at W/2 = 16, which meets it,
+        on the panels the kinds share, and no kind takes the rows."""
+        hinges, rows = _hinge_calls(monkeypatch)
+        apply_on_grid(ABS, _kinds(1, KernelParams(1e6, 0.05)), grid.points)
+        width = QuadratureConfig().width(KernelParams(1e6, 0.05), ABS.sup_norm)
+        assert width == 32.0
+        assert [kind for kind, _ in hinges] == ["basic", "basic", "kantorovich", "kantorovich",
+                                                "quadrature", "quadrature"]
+        assert all(w <= width for _, w in hinges[::2]) and all(w <= width / 2 for _, w in hinges[1::2])
+        assert rows == []
+
+    def test_two_misses_take_the_rows(self, monkeypatch):
+        """When GK15 panels at W and W/2 both miss, the kind takes the rows,
+        which give the bits of its twin without jumps.  Here W is forced to
+        64 times psi's own (2 at q = beta = 1) on one point, whose three
+        abscissae cut the window into gaps up to 27 wide: both runs take a
+        panel per gap."""
+        width = QuadratureConfig.width
+        monkeypatch.setattr(QuadratureConfig, "width", lambda self, params, size: 64.0 * width(self, params, size))
+        hinges, rows = _hinge_calls(monkeypatch)
+        spec, xs = OperatorSpec(OperatorKind.BASIC, 9, P11), HINGE_GRIDS["one-point"]
+        out = apply_on_grid(ABS, spec, xs)
+        assert len(hinges) == 2 and hinges[0] == hinges[1] and 20.0 < hinges[0][1] < 64.0
+        assert rows == ["basic"]
+        np.testing.assert_array_equal(out, apply_on_grid(GK_ABS, spec, xs))
+
+    def test_tiny_tol_takes_the_rows(self, monkeypatch, grid):
+        """At tol = 1e-11, beta = 0.05 and n = 1 the rounding of the samples
+        of a = f - sum_k (j_k / 2) |u - k|, whose hinges reach 600 beyond
+        the grid, alone exceeds a quarter of tol: every kind takes the rows
+        before any hinge is evaluated, and meets tol there."""
+        hinges, rows = _hinge_calls(monkeypatch)
+        cfg = QuadratureConfig(1e-11)
+        specs = _kinds(1, KernelParams(1.0, 0.05))
+        out = apply_on_grid(ABS, specs, grid.points, cfg)
+        assert hinges == [] and rows == ["basic", "kantorovich", "quadrature"]
+        x = float(grid.points[1000])
+        for spec, row in zip(specs, out):
+            exact = float(abs_operator_mp(spec.kind.value, 1.0, 0.05, 1, x, spec.weights))
+            assert abs(row[1000] - exact) <= cfg.allowance(3.0), spec.kind.value
+
+    def test_refused_before_sampling(self, monkeypatch, grid):
+        """At beta = 1e-9 (R about 2.9e10) the rule for the smooth part of
+        |x| cannot meet its share of tol: every kind is refused before f or
+        a kernel is evaluated (counted, not timed)."""
+        calls = {"f": 0, "kernel": 0}
+
+        def counted(name, fn):
+            def spy(*args):
+                calls[name] += 1
+                return fn(*args)
+            return spy
+
+        f = replace(ABS, eval=counted("f", ABS.eval))
+        for name in ("psi", "psi_average"):
+            monkeypatch.setattr(operators.kernel, name, counted("kernel", getattr(operators.kernel, name)))
+        for spec in ALL_SPECS:
+            with pytest.raises(QuadratureNonConvergedError, match="refused before sampling"):
+                apply_on_grid(f, replace(spec, n=9, params=KernelParams(1.0, 1e-9)), grid.points)
+        assert calls == {"f": 0, "kernel": 0}
+
+    def test_no_blas_product(self, monkeypatch, grid):
+        """No path calls a BLAS product, whose bits may follow the block's
+        shape or the thread count: the hinge sums, the rule and the rows of
+        the default sweep's and the benchmark's grid calls run with
+        np.matmul and np.dot disabled."""
+        for name in ("matmul", "dot"):
+            monkeypatch.setattr(np, name, lambda *args, name=name, **kw: pytest.fail(f"np.{name} was called"))
+        for f in (ABS, GK_ABS, SIN, GK_SIN):
+            for n in (9, 100, 400):
+                apply_on_grid(f, _kinds(n, P11), grid.points)
 
 
 class TestGridAgainstScalar:
@@ -1437,7 +1183,7 @@ class TestScalarPathKinks:
         [-R - 1, R] (R = 30.4 for |x| <= 3), so the call has the bits of one
         without kinks."""
         spec = replace(spec, n=49)
-        assert apply(ABS, spec, 1.5) == apply(replace(ABS, kinks=()), spec, 1.5)
+        assert apply(ABS, spec, 1.5) == apply(replace(ABS, kinks=(), jumps=()), spec, 1.5)
 
 @st.composite
 def wide_specs(draw):
@@ -1455,9 +1201,9 @@ def wide_specs(draw):
 
 class TestWideRangeProperties:
     """Constants are reproduced and |x| maps to a nonnegative function over
-    the whole parameter range, on a uniform grid (lattice seeds, whose
-    panels are narrower than 1/n for sharp kernels) and on Chebyshev nodes
-    (row seeds).  The grids span 200 kernel units h around a drawn centre,
+    the whole parameter range, on a uniform grid (the trapezoid's sample
+    lattice) and on Chebyshev nodes (sampled directly).  The grids span 200
+    kernel units h around a drawn centre,
     so a call's work does not grow with n."""
 
     @pytest.mark.parametrize("nodes", [np.linspace, operators._chebyshev_nodes], ids=["uniform", "chebyshev"])
