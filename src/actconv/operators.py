@@ -14,7 +14,9 @@ over t in [0, 1] for kantorovich, and sum_s w_s psi(v + s/r) for
 quadrature.  Everything else samples f itself, at its own kinks.
 
 Every kind's kernel is analytic in the strip |Im v| < pi / beta, with
-|k(v + iy)| <= k(v) / cos^2(beta y / 2).  So for f with a strip majorant
+|k(v + iy)| <= k(v) / cos^2(beta y / 2): psi's denominator is (w + e^beta)
+(w + e^-beta), w = q e^(-beta v), and |w + c| >= (|w| + c) cos(arg w / 2),
+and the averaging kinds inherit the bound.  So for f with a strip majorant
 (``TestFunction.strip``) and no kinks, ``apply_on_grid`` takes the
 trapezoidal rule B f(x) ~ tau sum_{|j| <= J} k(j tau) f(x - j tau / n),
 whose error has an a-priori bound (Trefethen & Weideman, SIAM Review 56,
@@ -27,40 +29,33 @@ a + sum_k (j_k / 2) |u - k| with a smooth, and the operators are linear
 and commute with translation: B f(x) = f(x - EW) + [B a(x) - a(x - EW)]
 + sum_k j_k g(x - k), W = V / n with V ~ k, and g(y) = E(W - y)+ -
 (EW - y)+.  The rule gives B a, and one kernel call per kind on GK15
-panels cut at the abscissae n (x - k) gives g at every point (see
-``_kinked``).  Every other call takes a nested Kronrod rule, on one of
-two paths:
+panels cut at the abscissae n (x - k), their width set beforehand by a
+proven bound (see ``_kinked``), gives g at every point.  Every other
+call takes a nested Kronrod rule, on one of two paths:
 
 * ``apply`` (and the kind-specific wrappers) integrate a single point
   adaptively in the kernel variable v, with the window's seed panels cut
   at the kinks of f, v = n (x - kink), as the grid engine cuts its panels,
 * ``apply_on_grid``, for f without a majorant or kinked without jumps,
-  evaluates a whole grid of points at once as rows, sharing
-  one panel decomposition in the sample variable u, where the kinks of f
-  sit at fixed locations; panels refine until the worst grid point meets
-  tolerance.  The new panels of a refinement round are evaluated
-  together, in chunks of (panel, grid point) rows, so f is called with
-  (panels, 15) arrays holding the nodes of many panels: it must work
-  elementwise on arrays of any shape.  Each seeding window (a run of grid
-  points with their kernel windows) has an anchor c at its centre.  Panel
-  nodes are held as offsets t from c, kernel arguments are formed as
-  n ((x - c) - t), and f is evaluated at c + t; so the rounding does not
-  grow with |x|.  The seeds are W/n wide, W = ``QuadratureConfig.width``
-  the power of two at which GK15 panels resolve psi, and so every kind's
-  kernel, to tolerance, in closed form from psi's analytic strip (at
-  tol = 1e-10, about 2 / beta: 32 at beta = 0.05, 2 at beta = 1, 1/8 at
-  beta = 20); the hinge panels are at most W wide too.
+  evaluates a whole grid of points at once as (panel, grid point) rows
+  (see there), sharing one panel decomposition in the sample variable u,
+  where the kinks of f sit at fixed locations.  Each seeding window (a
+  run of grid points with their kernel windows) has an anchor c at its
+  centre: panel nodes are held as offsets t from c, kernel arguments are
+  formed as n ((x - c) - t), and f is evaluated at c + t, so the rounding
+  does not grow with |x|.  The seeds are W/n wide, W =
+  ``QuadratureConfig.width`` (at tol = 1e-10 about 2 / beta: 32 at beta =
+  0.05, 2 at beta = 1, 1/8 at beta = 20), where the hinge panels start.
 
 Accuracy is set by one knob, ``QuadratureConfig.tol``: the Kronrod paths
 accept a value v once its error estimate is within ``cfg.allowance(v)`` =
-tol max(1, |v|) (on a grid, v is the largest |value|), the trapezoidal
-rule's proven error is within tol, the hinge path's rule takes half of
-tol and its estimate the rest of the allowance, and every path truncates
-every kind's kernel to one window [-R - 1, R + 1], R =
-``cfg.radius(params, sup |f|)`` the radius beyond which psi's mass, times
-sup |f|, is at most tol / 100 (averaging moves that mass left by at most
-1, see ``_Kernel``; scalar ``apply`` stops at R, above which no kind has
-more).  The panel limit
+tol max(1, |v|) (on a grid, v is the largest |value|), the proven errors
+of the trapezoidal rule, and of the hinge path in all, are within tol,
+and every path truncates every kind's kernel to one window [-R - 1,
+R + 1], R = ``cfg.radius(params, sup |f|)`` the radius beyond which
+psi's mass, times sup |f|, is at most tol / 100 (averaging moves that
+mass left by at most 1, see ``_Kernel``; scalar ``apply`` stops at R,
+above which no kind has more).  The panel limit
 (``quadrature.MAX_SUBDIVISIONS``) and the approximants' residual ceiling
 (``RESIDUAL_CEILING``) are constants.
 
@@ -603,12 +598,12 @@ def _half(radius: float, step: float) -> int:
     return math.ceil(radius / step) + 1
 
 
-def _rounding(half: int, radius: float, beta: float, size: float) -> float:
-    """The floating-point error of the rule's value at sup |f| = ``size``:
-    the ordered sum of 2J + 1 products, each kernel value's relative error
-    from its argument and exponential (up to beta R), and a few ulp for
-    each factor."""
-    return (2 * half + 2.0 * beta * radius + 16) * _ULP * size
+def _rounding(additions: int, radius: float, beta: float, size: float) -> float:
+    """The floating-point error of an ordered sum of kernel-weighted terms
+    of total size ``size``: an ulp per addition, each kernel value's
+    relative error from its argument and exponential (up to beta R), and a
+    few ulp for each factor."""
+    return (additions + 2.0 * beta * radius + 16) * _ULP * size
 
 
 class _Rule(NamedTuple):
@@ -633,10 +628,11 @@ def _rule(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, radi
     aliasing and rounding stay within nine tenths of what truncation and
     ``drift`` leave of tol; the rest is for the rounding of the sample
     positions.  ``drift`` bounds the value error of the lattice on a
-    uniform grid that may take it: tau is then rounded down to k h n or
-    h n / p, while the lattice x0 + m h / p is no longer than the (2J + 1)
-    samples per point of direct sampling.  Otherwise tau / n is rounded
-    down to ``_STEP_BITS`` significant bits."""
+    uniform grid that may take it: tau is then rounded down to k h n / p
+    (p = 1 from 2 h n up, k = 1 below h n, and between the coarsest p > 1
+    that gains on h n first), while the lattice x0 + m h / p is no longer
+    than the (2J + 1) samples per point of direct sampling.  Otherwise
+    tau / n is rounded down to ``_STEP_BITS`` significant bits."""
     n, params, size = specs[0].n, specs[0].params, f.sup_norm
     beta = params.beta
     strip = _strip(f, n, beta)
@@ -650,7 +646,7 @@ def _rule(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, radi
     step = _step(strip, budget)
     half = _half(radius, step)
     for _ in range(16):
-        rest = budget - _rounding(half, radius, beta, size)
+        rest = budget - _rounding(2 * half, radius, beta, size)
         if rest <= 0.0:
             break
         step = _step(strip, rest)
@@ -668,13 +664,18 @@ def _rule(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, radi
     # point has k < size or p < 2J + 2 (compared in floats: under a
     # subnormal step the ratios are too large for an int)
     if drift is not None and hn > 0.0 and step / hn < grid.size and hn / step < 2 * half + 2:
-        k, p = (math.floor(step / hn), 1) if step >= hn else (1, math.ceil(hn / step))
-        shared, shared_half = k * n * (h / p), _half(radius, k * n * (h / p))
-        # m h / p and x0 + m h / p rounded, and tau / n against k h / p
-        position = 4.0 * _ULP * (max(abs(x0), abs(last)) + (radius + 2.0 * shared) / n)
-        if (p * (grid.size - 1) + 2 * k * shared_half + 1 <= (2 * shared_half + 1) * grid.size
-                and slope * position <= spare - budget):
-            lattice, step, half = (x0, h / p, k, p), shared, shared_half
+        cells = [(math.floor(step / hn), 1) if step >= hn else (1, math.ceil(hn / step))]
+        if hn < step < 2.0 * hn:  # first the coarsest h / p with k h n / p in (h n, tau]
+            p = math.ceil(hn / (step - hn))
+            cells.insert(0, (math.floor(step * p / hn), p))
+        for k, p in cells:
+            shared, shared_half = k * n * (h / p), _half(radius, k * n * (h / p))
+            # m h / p and x0 + m h / p rounded, and tau / n against k h / p
+            position = 4.0 * _ULP * (max(abs(x0), abs(last)) + (radius + 2.0 * shared) / n)
+            if (p * (grid.size - 1) + 2 * k * shared_half + 1 <= (2 * shared_half + 1) * grid.size
+                    and slope * position <= spare - budget):
+                lattice, step, half = (x0, h / p, k, p), shared, shared_half
+                break
     if lattice is None:
         drift = None
         mantissa, exponent = math.frexp(step / n)
@@ -686,7 +687,7 @@ def _rule(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, radi
         reach = np.abs(grid) + half * spacing
         exact = np.minimum(np.spacing(np.abs(grid)), quantum) >= np.spacing(reach)
         position = float(np.where(exact, 0.0, 0.5 * np.spacing(reach)).max())
-    bound = (_aliasing(strip, step) + cfg.truncation_eps + _rounding(half, radius, beta, size)
+    bound = (_aliasing(strip, step) + cfg.truncation_eps + _rounding(2 * half, radius, beta, size)
              + slope * position + (drift or 0.0))
     nodes, limit = 2 * half + 1, GK15_NODES.size * quadrature.MAX_SUBDIVISIONS
     names = f"operator={'/'.join(s.kind.value for s in specs)}, n={n}"
@@ -777,17 +778,17 @@ def _smooth(f: TestFunction) -> TestFunction:
     return TestFunction.from_callable(f.name, smooth, f.sup_norm, strip=f.strip)
 
 
-def _scan(terms: np.ndarray) -> tuple[np.ndarray, int]:
+def _scan(terms: np.ndarray) -> np.ndarray:
     """Running sums along the last axis of ``terms`` (..., P), each term
-    included, and the number of additions behind each: blocks of B terms,
-    B about sqrt(P), are summed in order, then the block totals, so a sum's
-    rounding is within (B + P / B) ulp of the sum of |terms|, not P ulp."""
+    included: blocks of B terms, B about sqrt(P), are summed in order, then
+    the block totals, so a sum's rounding is within (B + P / B) ulp of the
+    sum of |terms|, not P ulp."""
     size = terms.shape[-1]
     block = max(1, math.isqrt(size))
     pad = np.zeros(terms.shape[:-1] + (-size % block,))
     local = np.cumsum(np.concatenate((terms, pad), axis=-1).reshape(terms.shape[:-1] + (-1, block)), axis=-1)
     local[..., 1:, :] += np.cumsum(local[..., :-1, -1], axis=-1)[..., None]
-    return local.reshape(terms.shape[:-1] + (-1,))[..., :size], block + local.shape[-2]
+    return local.reshape(terms.shape[:-1] + (-1,))[..., :size]
 
 
 def _hinge_panels(breaks: np.ndarray, width: float, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -802,49 +803,62 @@ def _hinge_panels(breaks: np.ndarray, width: float, at: np.ndarray) -> tuple[np.
     return np.append(lo, breaks[-1]), first[at]
 
 
-def _hinges(spec: OperatorSpec, s: np.ndarray, edges: np.ndarray, after: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """n g(s / n) at every abscissa s = n (x - k) in the kernel window, and
-    its error estimate, from one kernel call on the GK15 panels between
-    ``edges``; ``after`` holds the index of the first panel above each s.
+def _hinges(spec: OperatorSpec, s: np.ndarray, edges: np.ndarray, after: np.ndarray) -> np.ndarray:
+    """n g(s / n) at every abscissa s = n (x - k) in the kernel window, from
+    one kernel call on the GK15 panels between ``edges``; ``after`` holds
+    the index of the first panel above each s.
 
     g(y) = E(W - y)+ - (EW - y)+, W = V / n and V ~ k: s reads its short
     side, E(V - s)+ for s >= EV and E(s - V)+ below, from sums of the
-    panels' mass and first moment above or below s (``_scan``).  The
-    estimate sums their |K15 - G7| alike (the moment's about each panel's
-    midpoint), plus the rounding of the sums."""
+    panels' mass and first moment above or below s (``_scan``)."""
     lo, hi = edges[:-1], edges[1:]
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     # node-major (15, panels) arrays; the nodes' offsets from the midpoints
     offsets = half * GK15_NODES[:, None]
-    k = _kernel(spec)(mid + offsets)
-    weighted = GK15_WEIGHTS[:, None] * k
-    gauss = G7_WEIGHTS[_GAUSS, None] * k[_GAUSS]
+    weighted = GK15_WEIGHTS[:, None] * _kernel(spec)(mid + offsets)
     mass = half * _node_sum(weighted)
-    centred = half * _node_sum(weighted * offsets)
-    mass_err = np.abs(mass - half * _node_sum(gauss))
-    centred_err = np.abs(centred - half * _node_sum(gauss * offsets[_GAUSS]))
-    moment = mid * mass + centred
+    moment = mid * mass + half * _node_sum(weighted * offsets)
     # up[:, p]: the sums over the panels from p on; low[:, p]: over those before p
-    up, steps = _scan(np.stack((mass, moment, mass_err, centred_err + mid * mass_err))[:, ::-1])
-    up = up[:, ::-1][:, after]
-    low, _ = _scan(np.stack((mass, moment, mass_err, centred_err - mid * mass_err)))
-    low = np.concatenate((np.zeros((4, 1)), low), axis=1)[:, after]
+    up = _scan(np.stack((mass, moment))[:, ::-1])[:, ::-1][:, after]
+    low = np.concatenate((np.zeros((2, 1)), _scan(np.stack((mass, moment)))), axis=1)[:, after]
     upper = s >= -_kernel(spec).offset_moments(1)[1]
-    value = np.where(upper, up[1] - s * up[0], s * low[0] - low[1])
-    estimate = np.where(upper, up[3] - s * up[2], low[3] + s * low[2])
-    # each sum's rounding (see ``_scan``), and that of s times a mass sum
-    estimate += (steps + 2) * _ULP * (float(np.abs(moment).sum()) + np.abs(s) * float(mass.sum()))
-    return value, estimate
+    return np.where(upper, up[1] - s * up[0], s * low[0] - low[1])
+
+
+def _hinge_bound(params: KernelParams, radius: float, edges: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The error of ``_hinges`` at each abscissa s on the panels between
+    ``edges``, for every kind, before any kernel call: a quadrature and a
+    rounding part.  k <= g_max and |k(v + iy)| <= k(v) / cos^2(beta y / 2),
+    so on a panel of half-width L the Bernstein ellipse rho = (b + sqrt(b^2
+    + L^2)) / L reaching Im v = b < pi / beta has |k| <= M = g_max /
+    cos^2(beta b / 2), and GK15 (exact to degree 22, positive weights)
+    misses the mass by at most 8 L M rho^-22 / (rho - 1) (Trefethen, SIAM
+    Review 50, 2008) and the moment about the midpoint by that times L (rho
+    + 1/rho) / 2, b best for the widest panel; |mid - s| <= R + |s|.  The
+    rounding (``_rounding``, of the ``_scan`` and node sums) is of sums of
+    at most (E|V| + 1) / 2 + 2 |s| on s's short side, V = H - T, H ~ U +
+    L / beta +- ln(q) / beta (``kernel.psi_moments``): E|V| <= 3/2 + (2 ln 2
+    + |ln q|) / beta."""
+    beta, half = params.beta, 0.5 * np.diff(edges)
+    # r = 1 / rho, and the ellipse's half-axis L (rho + 1/rho) / 2 is sqrt(b^2 + L^2)
+    strips, widest = _STRIP_FRACTIONS * (math.pi / beta), float(half.max())
+    r = widest / (strips + np.hypot(strips, widest))
+    b = float(strips[np.argmin(r**23 / (1.0 - r) / np.cos(0.5 * beta * strips) ** 2)])
+    r = half / (b + np.hypot(b, half))
+    mass = 8.0 * half * params.g_max_value / math.cos(0.5 * beta * b) ** 2 * r**23 / (1.0 - r)
+    error = math.fsum(mass * np.hypot(b, half)) + (radius + np.abs(s)) * math.fsum(mass)
+    block = max(1, math.isqrt(half.size))  # as ``_scan`` blocks the sums
+    size = 0.5 * (2.5 + (2.0 * math.log(2.0) + abs(math.log(params.q))) / beta) + 2.0 * np.abs(s)
+    return error, _rounding(block + -(-half.size // block) + 16, radius, beta, size)
 
 
 def _kinked(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, radius: float,
             drift: float | None, cfg: QuadratureConfig) -> list[np.ndarray]:
     """The kinds of ``specs`` on the sorted grid for f = a + sum_k (j_k / 2)
-    |u - k| with a strip majorant of a (see ``apply_on_grid``).  The rule's
-    bound, the rounding of the samples of a and the hinge estimate share
-    the allowance; the kinds the hinges at W miss are tried at W/2, and
-    the rest take the rows, as all kinds do where that rounding alone
-    exceeds a quarter of tol (on grids far from the kinks)."""
+    |u - k| with a strip majorant of a (see ``apply_on_grid``): the rule
+    for a takes half of tol, the rounding of the samples of a at most a
+    quarter, and ``_hinge_bound`` times |j_k| / n the rest, W halved until
+    it fits, or every kind takes the rows where a rounding alone does not."""
     n, params = specs[0].n, specs[0].params
     smooth = _smooth(f)
     rule = _rule(smooth, specs, grid, radius, drift, cfg, 0.5 * cfg.tol)
@@ -854,8 +868,6 @@ def _kinked(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, ra
     # take such samples
     reach = np.maximum(np.abs(grid[0] - kinks), np.abs(grid[-1] - kinks)) + rule.half * rule.step / n
     noise = 2.0 * (kinks.size + 2) * _ULP * (f.sup_norm + 0.5 * float(np.sum(np.abs(jumps) * reach)))
-    if noise > 0.25 * cfg.tol:
-        return _kronrod(f, specs, grid, radius, cfg)
     s = n * (grid - kinks[:, None])
     # the (kink, point) pairs whose abscissa lies within the window, kink by kink
     kink, point = np.nonzero(np.abs(s) < radius)
@@ -864,33 +876,34 @@ def _kinked(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, ra
     breaks = np.sort(np.concatenate(([-radius, radius], s)))
     breaks = breaks[np.concatenate(([True], breaks[1:] != breaks[:-1]))]
     at = np.searchsorted(breaks, s)
-    width = cfg.width(params, f.sup_norm)
-    # the rows' budget per kernel window, beyond one panel per gap (in floats)
     gaps = np.diff(breaks)
-    extra = float(np.ceil(gaps / width).sum()) - gaps.size
-    if extra > quadrature.MAX_SUBDIVISIONS:
-        raise QuadratureNonConvergedError(
-            f"operator quadrature did not converge: the hinge sums at width W={width:.6g} need "
-            f"{extra:.6g} panels beyond the {gaps.size} cut at the abscissae, over the budget of "
-            f"{quadrature.MAX_SUBDIVISIONS}; refused before sampling "
-            f"(operator={'/'.join(s.kind.value for s in specs)}, n={n})"
-        )
-    panels, values = {}, []
+    share = cfg.tol - rule.bound - noise
+    weight = np.abs(jumps[kink]) / n
+    width = cfg.width(params, f.sup_norm)
+    while True:
+        # the rows' budget per kernel window, beyond one panel per gap (in floats)
+        extra = float(np.ceil(gaps / width).sum()) - gaps.size
+        if extra > quadrature.MAX_SUBDIVISIONS:
+            raise QuadratureNonConvergedError(
+                f"operator quadrature did not converge: the hinge sums at width W={width:.6g} need "
+                f"{extra:.6g} panels beyond the {gaps.size} cut at the abscissae, over the budget of "
+                f"{quadrature.MAX_SUBDIVISIONS}; refused before sampling "
+                f"(operator={'/'.join(s.kind.value for s in specs)}, n={n})"
+            )
+        edges, after = _hinge_panels(breaks, width, at)
+        error, rounding = (np.bincount(point, e * weight, grid.size).max() for e in _hinge_bound(params, radius, edges, s))
+        # halving W lowers the quadrature part only
+        if noise > 0.25 * cfg.tol or rounding > share:
+            return _kronrod(f, specs, grid, radius, cfg)
+        if error + rounding <= share:
+            break
+        width *= 0.5
+    values = []
     for spec, smooth_value in zip(specs, _trapezoid(smooth, specs, grid, rule)):
         shifted = grid + _kernel(spec).offset_moments(1)[1] / n  # x - EW = x + E T / n
         base = _sample(f, [spec], shifted, 0.0) + (smooth_value - _sample(smooth, [spec], shifted, 0.0))
-        for seed in (width, 0.5 * width):
-            if seed not in panels:
-                panels[seed] = _hinge_panels(breaks, seed, at)
-            hinge, estimate = _hinges(spec, s, *panels[seed])
-            # each point's terms added kink by kink
-            value = base + np.bincount(point, hinge * (jumps[kink] / n), grid.size)
-            error = np.bincount(point, estimate * (np.abs(jumps[kink]) / n), grid.size)
-            if rule.bound + noise + float(error.max()) <= cfg.allowance(float(np.abs(value).max())):
-                break
-        else:
-            value = _kronrod(f, [spec], grid, radius, cfg)[0]
-        values.append(value)
+        # each point's terms added kink by kink
+        values.append(base + np.bincount(point, _hinges(spec, s, edges, after) * (jumps[kink] / n), grid.size))
     return values
 
 
@@ -910,55 +923,41 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec | Sequence[OperatorSpec], 
     There are three paths.  f with a strip majorant and no kinks (the
     catalog's sin, cos, gauss and one) takes the trapezoidal rule
     tau sum_{|j| <= J} k(j tau) f(x - j tau / n), J = ceil((R + 1) / tau)
-    + 1.  Every kind's kernel k is analytic in |Im v| < pi / beta: psi's
-    denominator is (w + e^beta)(w + e^-beta), w = q e^(-beta v), and
-    |w + c| >= (|w| + c) cos(arg w / 2), so |psi(v + iy)| <= psi(v) /
-    cos^2(beta y / 2), which the averaging kinds inherit.  For any strip
-    half-width a < pi / beta the rule's aliasing error is then at most
-    2 M / (e^(2 pi a / tau) - 1), M = strip(a / n) / cos^2(beta a / 2)
-    (Trefethen & Weideman, SIAM Review 56, 2014, Thm 5.1).  tau is the
-    largest step whose aliasing, truncation, rounding and drift stay
-    within tol, and a call no step serves is refused before f or a kernel
-    is evaluated (see ``_rule``); there is no estimate and no refinement.
-    On a uniform grid, as ``np.linspace`` builds it, whose drift from
-    x0 + i h moves no value by more than tol / 10, all kinds share one
-    vector of samples of f on the lattice x0 + m h / p; any other grid
-    samples f at x_i - j tau / n, exact wherever the spacing of x_i allows
-    (see ``_trapezoid``).
+    + 1, at the largest step whose proven error is within tol, or refuses
+    before f or a kernel is evaluated (see ``_rule``).  On a uniform grid,
+    as ``np.linspace`` builds it, whose drift from x0 + i h moves no value
+    by more than tol / 10, all kinds share one vector of samples of f on
+    the lattice x0 + m h / p; any other grid samples f at x_i - j tau / n,
+    exact wherever the spacing of x_i allows (see ``_trapezoid``).
 
     f with kinks, a strip majorant of its smooth part a and slope jumps
     (abs) takes B f(x) = f(x - EW) + [B a(x) - a(x - EW)] + sum_k j_k
     g(x - k), g(y) = E(W - y)+ - (EW - y)+, W = V / n, V ~ k: B a by the
     rule above at half of tol, and g from one kernel call per kind on
     GK15 panels at most W wide cut at the abscissae n (x - k) inside the
-    kernel window (see ``_kinked`` and ``_hinges``).  A kind whose
-    estimate misses the allowance reruns the sums at W/2, then takes the
-    rows; a grid far from the kinks takes the rows at once.
+    kernel window, W halved beforehand while their proven bound misses
+    what the rule leaves of tol (see ``_kinked``).  A grid far from the
+    kinks takes the rows.
 
     f without a majorant (``id``, derivatives, ``from_callable`` functions
     such as an approximant stage), or kinked without jumps, takes the
-    Gauss-Kronrod rows.  All points share a single panel decomposition in
-    the sample variable u; panels are seeded W/n wide,
-    W = ``cfg.width(params, sup |f|)``, plus the kinks of f, then bisected
-    greedily until the worst point's accumulated error estimate is within
-    ``cfg.allowance`` of the largest |value|, tol max(1, max |value|).
-    Each window [lo, hi] is cut into ceil((hi - lo) n / W) equal seeds (at
-    least 8, at most its panel budget); above a window radius of 65,535
-    (beta below about 4.3e-4) they are 1/n wide instead, so that a call no
-    budget covers fails soonest.  Each panel is evaluated only on the grid
-    points within (R + 1)/n of it, R = ``cfg.radius(spec.params,
-    f.sup_norm)`` the truncation radius of psi and [-R - 1, R + 1] every
-    kind's kernel window (see ``_Kernel``), and panels are seeded only
-    where they reach a grid point.  Seeds and splits together may use
-    ``quadrature.MAX_SUBDIVISIONS`` panels per kernel window of width
-    2 (R + 1)/n spanned by the points' windows [x - (R + 1)/n,
-    x + (R + 1)/n], which are split at gaps wider than 3 (R + 1)/n between
-    sorted points, each window's nodes held as offsets from its centre
-    (see the module docstring).  The seeds, and then each round's new
-    halves, are evaluated as flat (panel, grid point) rows, about a
-    thousand rows per kernel call, with one call of f for the nodes of the
-    chunk's panels, so f must work elementwise on arrays of any shape.
-    ``xs`` need not be sorted.
+    Gauss-Kronrod rows: all points share one panel decomposition in the
+    sample variable u, seeded W/n wide, W = ``cfg.width(params, sup |f|)``
+    (1/n above a window radius of 65,535, beta below about 4.3e-4, so that
+    a call no budget covers fails soonest), at least 8 and at most the
+    panel budget per window, plus the kinks of f, then bisected greedily
+    until the worst point's accumulated error estimate is within
+    ``cfg.allowance`` of the largest |value|.  A panel is evaluated only on
+    the grid points within (R + 1)/n of it, the reach of every kind's
+    kernel window [-R - 1, R + 1] (see ``_Kernel``), and seeded only where
+    it reaches one.  The points' windows [x - (R + 1)/n, x + (R + 1)/n],
+    split at gaps over 3 (R + 1)/n, may use ``quadrature.MAX_SUBDIVISIONS``
+    panels per kernel window of width 2 (R + 1)/n they span, their nodes
+    held as offsets from their centres (see the module docstring).  The
+    seeds, then each round's new halves, are evaluated as flat (panel,
+    grid point) rows, about a thousand per kernel call, with one call of f
+    for the nodes of the chunk's panels, so f must work elementwise on
+    arrays of any shape.  ``xs`` need not be sorted.
 
     No path calls a BLAS routine: every sum runs in a fixed order, so the
     output depends neither on the chunk size nor on the BLAS thread count.

@@ -265,6 +265,38 @@ def abs_operator_mp(kind, q, beta, n, x, weights=None, dps=30):
         return mp.quad(lambda h: psi(h) * sampled(h), [-mp.inf, *sorted(points), mp.inf])
 
 
+def hinge_mp(kind, q, beta, s, radius, weights=None, dps=30):
+    """The short side of the hinge n g(s / n) on the kernel window
+    [-radius, radius], as the package sums it: the integral of (v - s) k(v)
+    over [s, radius] for s at or above the kernel's mean -E T, else of
+    (s - v) k(v) over [-radius, s], with k(v) = E psi(v + T) for the kind's
+    offset T.  psi is a sum of four +-tanh(beta (v + a) / 2) / 8, so the
+    kantorovich kernel, the integral of psi over [v, v + 1], is a sum of
+    their antiderivatives ln cosh(beta (v + a) / 2) / (4 beta); mpmath.quad
+    splits the window where k bends (+-ln(q)/beta +-1, less the offsets)."""
+    with mp.workdps(dps):
+        q, beta, s, radius = mp.mpf(q), mp.mpf(beta), mp.mpf(s), mp.mpf(radius)
+        c, b = mp.log(q) / beta, beta / 2
+        if kind == "kantorovich":
+            offsets, mean = [0, 1], mp.mpf(-0.5)
+            shifts = ((1, 1 - c), (-1, -1 - c), (1, 1 + c), (-1, -1 + c))
+
+            def kernel(v):
+                return mp.fsum(sign * (mp.log(mp.cosh(b * (v + 1 + a))) - mp.log(mp.cosh(b * (v + a))))
+                               for sign, a in shifts) / (8 * b)
+        else:
+            pairs = [(mp.mpf(0), mp.mpf(1))] if kind == "basic" else [
+                (mp.mpf(i) / len(weights), mp.mpf(w)) for i, w in enumerate(weights, 1)]
+            offsets, mean = [t for t, _ in pairs], -mp.fsum(t * w for t, w in pairs)
+
+            def kernel(v):
+                return mp.fsum(w * psi_mp(q, beta, v + t) for t, w in pairs)
+
+        lo, hi, sign = (s, radius, 1) if s >= mean else (-radius, s, -1)
+        bends = sorted({e * c + d - t for e in (1, -1) for d in (1, -1) for t in offsets} - {lo, hi})
+        return mp.quad(lambda v: sign * (v - s) * kernel(v), [lo, *(p for p in bends if lo < p < hi), hi])
+
+
 def main():
     mp.mp.dps = 50
     rows = [

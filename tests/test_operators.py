@@ -46,7 +46,7 @@ from actconv import operators, quadrature
 from actconv.analysis import CATALOG, MeasurementGrid, _grid_modulus
 from actconv.operators import GridApproximant, OperatorKind, OperatorSpec, TestFunction
 
-from _oracles import abs_operator_mp, central_moment_mp, gauss_operator_mp, psi_average_mp, psi_mp
+from _oracles import abs_operator_mp, central_moment_mp, gauss_operator_mp, hinge_mp, psi_average_mp, psi_mp
 
 P11 = KernelParams(1.0, 1.0)
 SIN = CATALOG["sin"]
@@ -964,6 +964,22 @@ class TestTrapezoidalRule:
         _, rule = _rule_of(f, spec, grid.points)
         assert rows == [] and rule.lattice is not None
 
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind.value)
+    def test_coarse_lattice_keeps_its_step(self, spec):
+        """On np.linspace(-3, 3, 126) at n = 9 (q = beta = 1) the step is
+        about 1.55 h n: rounded down to h n (k = p = 1) it took J = 72 nodes
+        a side.  The lattice h / 2 keeps tau = 3 h n / 2, within 10% of the
+        step of direct sampling (tau / n rounded to 8 bits), and J = 48."""
+        xs = np.linspace(-3.0, 3.0, 126)
+        spec, cfg = replace(spec, n=9), QuadratureConfig()
+        out, rule = _rule_of(SIN, spec, xs, cfg)
+        radius = cfg.radius(spec.params, SIN.sup_norm) + 1.0
+        direct = operators._rule(SIN, [spec], xs, radius, None, cfg, cfg.tol)
+        assert rule.lattice is not None and rule.lattice[2:] == (3, 2) and rule.half == 48
+        assert abs(rule.step - direct.step) <= 0.1 * direct.step
+        wave = multiplier(spec) * np.exp(1j * xs)
+        assert float(np.abs(out - wave.imag).max()) <= rule.bound <= cfg.allowance(float(np.abs(out).max()))
+
     @pytest.mark.parametrize(
         "beta, tol, match",
         [(1e-9, 1e-10, r"tau=\S+ needs 2J \+ 1 = \d+ kernel nodes, over the budget of 30000"),
@@ -1001,7 +1017,7 @@ HINGE_GRIDS = {
 
 
 def _hinge_calls(monkeypatch):
-    """The panel width of every hinge evaluation of the apply_on_grid
+    """The widest panel of every hinge evaluation of the apply_on_grid
     calls that follow, as (kind, width), and the kinds that take the rows."""
     hinges, rows = [], []
     evaluate, kronrod = operators._hinges, operators._kronrod
@@ -1017,6 +1033,16 @@ def _hinge_calls(monkeypatch):
     monkeypatch.setattr(operators, "_hinges", recorded_hinges)
     monkeypatch.setattr(operators, "_kronrod", recorded_kronrod)
     return hinges, rows
+
+
+@st.composite
+def hinge_cases(draw):
+    """An operator as ``rule_cases`` draws it, and one point whose abscissa
+    n (x - k) at a drawn kink k of |x| lies within 30 of 0 and inside the
+    kernel window."""
+    spec, _ = draw(rule_cases())
+    reach = min(30.0, QuadratureConfig().radius(spec.params, ABS.sup_norm))
+    return spec, draw(st.sampled_from(ABS.kinks)) + draw(st.floats(-reach, reach)) / spec.n
 
 
 class TestHinges:
@@ -1043,34 +1069,93 @@ class TestHinges:
             exact = float(abs_operator_mp(kind.value, q, beta, n, float(xs[i]), weights))
             assert abs(out[i] - exact) <= allowance, (float(xs[i]), out[i], exact)
 
-    def test_a_miss_at_w_halves_the_width(self, monkeypatch, grid):
-        """At (q, beta) = (1e6, 0.05) and n = 1 the hinge estimate at W = 32
-        is about 2e-10, over what the rule's bound leaves of the allowance
-        3e-10: each kind's sums run once more at W/2 = 16, which meets it,
+    def test_one_pass_at_w(self, monkeypatch, grid):
+        """At (q, beta) = (1e6, 0.05) and n = 1 the |K15 - G7| estimate at
+        W = 32 was about 2e-10 and the sums ran again at W/2; the proven
+        bound meets its share at W = 32, so each kind's sums run once there,
         on the panels the kinds share, and no kind takes the rows."""
         hinges, rows = _hinge_calls(monkeypatch)
         apply_on_grid(ABS, _kinds(1, KernelParams(1e6, 0.05)), grid.points)
         width = QuadratureConfig().width(KernelParams(1e6, 0.05), ABS.sup_norm)
         assert width == 32.0
-        assert [kind for kind, _ in hinges] == ["basic", "basic", "kantorovich", "kantorovich",
-                                                "quadrature", "quadrature"]
-        assert all(w <= width for _, w in hinges[::2]) and all(w <= width / 2 for _, w in hinges[1::2])
+        assert [kind for kind, _ in hinges] == ["basic", "kantorovich", "quadrature"]
+        assert all(width / 2 < w <= width for _, w in hinges)
         assert rows == []
 
-    def test_two_misses_take_the_rows(self, monkeypatch):
-        """When GK15 panels at W and W/2 both miss, the kind takes the rows,
-        which give the bits of its twin without jumps.  Here W is forced to
-        64 times psi's own (2 at q = beta = 1) on one point, whose three
-        abscissae cut the window into gaps up to 27 wide: both runs take a
-        panel per gap."""
+    def test_wide_width_is_halved_before_any_kernel_call(self, monkeypatch):
+        """With W forced to 64 times psi's own (2 at q = beta = 1), the
+        proven bound at one point, whose three abscissae cut the window into
+        gaps up to 27 wide, misses: W is halved until it fits before any
+        kernel is evaluated (counted, not timed), then the sums run once,
+        within the allowance of the oracle."""
         width = QuadratureConfig.width
         monkeypatch.setattr(QuadratureConfig, "width", lambda self, params, size: 64.0 * width(self, params, size))
-        hinges, rows = _hinge_calls(monkeypatch)
-        spec, xs = OperatorSpec(OperatorKind.BASIC, 9, P11), HINGE_GRIDS["one-point"]
-        out = apply_on_grid(ABS, spec, xs)
-        assert len(hinges) == 2 and hinges[0] == hinges[1] and 20.0 < hinges[0][1] < 64.0
-        assert rows == ["basic"]
-        np.testing.assert_array_equal(out, apply_on_grid(GK_ABS, spec, xs))
+        events = []
+        panels, hinges = operators._hinge_panels, operators._hinges
+
+        def recorded_panels(breaks, width, at):
+            events.append(("panels", width))
+            return panels(breaks, width, at)
+
+        def recorded_hinges(spec, s, edges, after):
+            events.append(("hinges", float(np.diff(edges).max())))
+            return hinges(spec, s, edges, after)
+
+        psi = operators.kernel.psi
+        monkeypatch.setattr(operators.kernel, "psi", lambda *args: events.append(("kernel", None)) or psi(*args))
+        monkeypatch.setattr(operators, "_hinge_panels", recorded_panels)
+        monkeypatch.setattr(operators, "_hinges", recorded_hinges)
+        _, rows = _hinge_calls(monkeypatch)
+        spec, x = OperatorSpec(OperatorKind.BASIC, 9, P11), 0.0017
+        out = apply_on_grid(ABS, spec, [x])
+        names = [name for name, _ in events]
+        widths = [w for name, w in events if name == "panels"]
+        assert widths == [128.0 / 2**i for i in range(len(widths))]
+        assert widths[-1] == width(QuadratureConfig(), P11, ABS.sup_norm)
+        assert "panels" not in names[names.index("kernel"):]
+        assert names.count("hinges") == 1 and [w for name, w in events if name == "hinges"][0] <= widths[-1]
+        assert rows == []
+        exact = float(abs_operator_mp("basic", 1.0, 1.0, 9, x))
+        assert abs(out[0] - exact) <= QuadratureConfig().allowance(out[0])
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(case=hinge_cases())
+    def test_proven_bound_holds(self, case):
+        """At every abscissa s of the point the hinge sums are within their
+        proven bound of the window's exact short side (``_oracles.hinge_mp``),
+        the bound times |j_k| / n summed over the kinks is within a quarter
+        of tol, and the value is within the allowance of the oracle."""
+        spec, x = case
+        cfg = QuadratureConfig()
+        calls, bounds = [], []
+        hinges, bound = operators._hinges, operators._hinge_bound
+
+        def recorded_hinges(spec, s, edges, after):
+            calls.append((s, hinges(spec, s, edges, after)))
+            return calls[-1][1]
+
+        def recorded_bound(*args):
+            parts = bound(*args)
+            bounds.append(sum(parts))
+            return parts
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(operators, "_hinges", recorded_hinges)
+            patch.setattr(operators, "_hinge_bound", recorded_bound)
+            out = float(apply_on_grid(ABS, spec, [x], cfg)[0])
+        p, n = spec.params, spec.n
+        radius = cfg.radius(p, ABS.sup_norm) + 1.0
+        # the kinks whose abscissa n (x - k) lies within the window, in order
+        weights = [abs(j) / n for k, j in zip(ABS.kinks, ABS.jumps) if abs(n * (x - k)) < radius]
+        [(s, values)] = calls
+        proven = bounds[-1]
+        assert s.size == len(weights) >= 1
+        for i in range(s.size):
+            exact = float(hinge_mp(spec.kind.value, p.q, p.beta, float(s[i]), radius, spec.weights))
+            assert abs(values[i] - exact) <= proven[i], (float(s[i]), values[i], exact, proven[i])
+        assert float(np.dot(proven, weights)) <= 0.25 * cfg.tol
+        exact = float(abs_operator_mp(spec.kind.value, p.q, p.beta, n, x, spec.weights))
+        assert abs(out - exact) <= cfg.allowance(out)
 
     def test_tiny_tol_takes_the_rows(self, monkeypatch, grid):
         """At tol = 1e-11, beta = 0.05 and n = 1 the rounding of the samples
@@ -1085,6 +1170,22 @@ class TestHinges:
         x = float(grid.points[1000])
         for spec, row in zip(specs, out):
             exact = float(abs_operator_mp(spec.kind.value, 1.0, 0.05, 1, x, spec.weights))
+            assert abs(row[1000] - exact) <= cfg.allowance(3.0), spec.kind.value
+
+    def test_hinge_rounding_over_its_share_takes_the_rows(self, monkeypatch, grid):
+        """At (q, beta) = (1e6, 0.05), n = 1 and tol = 5e-11 the samples of a
+        round by less than a quarter of tol, but the hinge sums over the
+        kernel's mean |V| of about 280, on about 5000 panels, round by more
+        than the rule and that rounding leave: halving W would not help, so
+        every kind takes the rows before any hinge is evaluated."""
+        hinges, rows = _hinge_calls(monkeypatch)
+        cfg = QuadratureConfig(5e-11)
+        specs = _kinds(1, KernelParams(1e6, 0.05))
+        out = apply_on_grid(ABS, specs, grid.points, cfg)
+        assert hinges == [] and rows == ["basic", "kantorovich", "quadrature"]
+        x = float(grid.points[1000])
+        for spec, row in zip(specs, out):
+            exact = float(abs_operator_mp(spec.kind.value, 1e6, 0.05, 1, x, spec.weights))
             assert abs(row[1000] - exact) <= cfg.allowance(3.0), spec.kind.value
 
     def test_refused_before_sampling(self, monkeypatch, grid):
