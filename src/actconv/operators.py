@@ -28,10 +28,12 @@ A kinked f that declares its slope jumps j_k (the catalog's abs) is
 a + sum_k (j_k / 2) |u - k| with a smooth, and the operators are linear
 and commute with translation: B f(x) = f(x - EW) + [B a(x) - a(x - EW)]
 + sum_k j_k g(x - k), W = V / n with V ~ k, and g(y) = E(W - y)+ -
-(EW - y)+.  The rule gives B a, and one kernel call per kind on GK15
-panels cut at the abscissae n (x - k), their width set beforehand by a
-proven bound (see ``_kinked``), gives g at every point.  Every other
-call takes a nested Kronrod rule, on one of two paths:
+(EW - y)+.  The rule gives B a (a bounded entire a is constant, and
+then the bracket is 0 and the rule is sized but not run), and one kernel
+call per kind on GK15 panels cut at the abscissae n (x - k), their width
+set beforehand by a proven bound (see ``_kinked``), gives g at every
+point.  Every other call takes a nested Kronrod rule, on one of two
+paths:
 
 * ``apply`` (and the kind-specific wrappers) integrate a single point
   adaptively in the kernel variable v, with the window's seed panels cut
@@ -180,9 +182,11 @@ class TestFunction:
     entire function with sup over real x of |a(x + iy)| at most strip(y)
     for y >= 0, nondecreasing in y and evaluated elementwise on arrays;
     with it ``apply_on_grid`` takes the trapezoidal rule with a proven
-    error, plus the hinge sums for the kinks.  A kinked f with a strip
-    needs its jumps (else ValueError), and jumps must be finite and as
-    many as the kinks.  Derivatives get neither.
+    error, plus the hinge sums for the kinks.  A strip finite at infinity
+    bounds a on the whole plane, so a is constant (Liouville): a kinked f
+    then needs no rule for a.  A kinked f with a strip needs its jumps
+    (else ValueError), and jumps must be finite and as many as the kinks.
+    Derivatives get neither.
     """
 
     name: str
@@ -709,41 +713,47 @@ def _rule(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, radi
 def _trapezoid(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, rule: _Rule) -> list[np.ndarray]:
     """The kinds of ``specs`` on the sorted grid by ``rule``: one kernel
     vector tau k(j tau) per kind, and the samples of f shared by the
-    kinds.  The sums run over blocks of at most 15 ``_CHUNK_ROWS`` terms,
-    a run of nodes at a run of points, with the points' running sums as
-    the block's first row: ``_node_sum`` adds every point's terms in node
-    order, one at a time, so each kind's values are those of its own call
-    whatever the block size."""
+    kinds, on the sample lattice through one strided view that every
+    block slices.  The sums run over blocks of at most 15 ``_CHUNK_ROWS``
+    terms (below the 128 KiB mmap threshold): all 2J + 1 nodes at a run of
+    points where they fit, else a run of nodes at a run of points, with
+    the points' running sums as the block's first row.  ``_node_sum`` adds
+    every point's terms in node order, one at a time, so each kind's
+    values are those of its own call whatever the block size."""
     step, half = rule.step, rule.half
     j = np.arange(-half, half + 1)
     weights = [step * _kernel(spec)(j * step) for spec in specs]
     if rule.lattice:
         x0, d, k, p = rule.lattice
         lattice = _sample(f, specs, d * np.arange(-k * half, p * (grid.size - 1) + k * half + 1), np.array(x0))
-        item = lattice.itemsize
+        # node j at point i: the sample at m = p i - k j, shifted by k J
+        view = np.lib.stride_tricks.as_strided(
+            lattice[2 * k * half:], (j.size, grid.size), (-k * lattice.itemsize, p * lattice.itemsize),
+            writeable=False,
+        )
     else:
         offsets = -(j * (step / specs[0].n))[:, None]
     values = [np.empty(grid.size) for _ in specs]
-    # about 64 nodes by 240 points: long enough rows for numpy's loops
-    cols = max(1, GK15_NODES.size * _CHUNK_ROWS // 64)
-    rows = max(1, GK15_NODES.size * _CHUNK_ROWS // cols - 1)
-    # node-major terms: a product in the layout of a strided view could
-    # put the nodes innermost, where numpy sums pairwise
-    terms = np.empty((rows + 1, cols))
+    budget = GK15_NODES.size * _CHUNK_ROWS
+    if j.size <= budget:
+        rows, cols = j.size, budget // j.size
+    else:
+        # 240 points at the default budget: long enough rows for numpy's loops
+        cols = max(1, budget // 64)
+        rows = max(1, budget // cols - 1)
+    # node-major terms, one more row for the running sums where the nodes
+    # are split: a product in the layout of the strided view could put the
+    # nodes innermost, where numpy sums pairwise
+    terms = np.empty((rows + (rows < j.size), cols))
     for i0 in range(0, grid.size, cols):
         i1 = min(i0 + cols, grid.size)
         for r0 in range(0, j.size, rows):
             r1 = min(r0 + rows, j.size)
             if rule.lattice:
-                # node j at point i: the sample at m = p i - k j, shifted by
-                # k J; the view stays within the lattice
-                samples = np.lib.stride_tricks.as_strided(
-                    lattice[2 * k * half + p * i0 - k * r0:], (r1 - r0, i1 - i0), (-k * item, p * item),
-                    writeable=False,
-                )
+                samples = view[r0:r1, i0:i1]
             else:
                 samples = _sample(f, specs, offsets[r0:r1], grid[None, i0:i1])
-            block = terms[(0 if r0 else 1):r1 - r0 + 1, :i1 - i0]
+            block = terms[:r1 - r0 + (r0 > 0), :i1 - i0]
             for out, w in zip(values, weights):
                 if r0:
                     block[0] = out[i0:i1]
@@ -858,7 +868,11 @@ def _kinked(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, ra
     |u - k| with a strip majorant of a (see ``apply_on_grid``): the rule
     for a takes half of tol, the rounding of the samples of a at most a
     quarter, and ``_hinge_bound`` times |j_k| / n the rest, W halved until
-    it fits, or every kind takes the rows where a rounding alone does not."""
+    it fits, or every kind takes the rows where a rounding alone does not.
+    A strip finite at infinity makes a constant, so B a - a(x - EW) is 0:
+    the rule is sized and its bound counted as for any a, but it is not
+    run and a is not sampled.  A strip that is inf or nan at infinity, or
+    raises there, says nothing of a, which then takes the rule."""
     n, params = specs[0].n, specs[0].params
     smooth = _smooth(f)
     rule = _rule(smooth, specs, grid, radius, drift, cfg, 0.5 * cfg.tol)
@@ -898,10 +912,19 @@ def _kinked(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, ra
         if error + rounding <= share:
             break
         width *= 0.5
+    # a bounded entire a is constant (see above)
+    try:
+        with np.errstate(all="ignore"):
+            constant = bool(np.isfinite(np.asarray(f.strip(np.array([math.inf])), dtype=float)).all())
+    except (ArithmeticError, ValueError):
+        constant = False
+    smooth_values = None if constant else _trapezoid(smooth, specs, grid, rule)
     values = []
-    for spec, smooth_value in zip(specs, _trapezoid(smooth, specs, grid, rule)):
+    for i, spec in enumerate(specs):
         shifted = grid + _kernel(spec).offset_moments(1)[1] / n  # x - EW = x + E T / n
-        base = _sample(f, [spec], shifted, 0.0) + (smooth_value - _sample(smooth, [spec], shifted, 0.0))
+        base = _sample(f, [spec], shifted, 0.0)
+        if smooth_values is not None:
+            base = base + (smooth_values[i] - _sample(smooth, [spec], shifted, 0.0))
         # each point's terms added kink by kink
         values.append(base + np.bincount(point, _hinges(spec, s, edges, after) * (jumps[kink] / n), grid.size))
     return values
@@ -936,8 +959,10 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec | Sequence[OperatorSpec], 
     rule above at half of tol, and g from one kernel call per kind on
     GK15 panels at most W wide cut at the abscissae n (x - k) inside the
     kernel window, W halved beforehand while their proven bound misses
-    what the rule leaves of tol (see ``_kinked``).  A grid far from the
-    kinks takes the rows.
+    what the rule leaves of tol (see ``_kinked``).  Where the strip is
+    finite at infinity a is constant and the bracket is 0: the rule is
+    sized, and refuses as above, but neither it nor a is evaluated.  A
+    grid far from the kinks takes the rows.
 
     f without a majorant (``id``, derivatives, ``from_callable`` functions
     such as an approximant stage), or kinked without jumps, takes the

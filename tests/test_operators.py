@@ -316,19 +316,20 @@ class TestApplyOnGrid:
         [(ABS, OperatorSpec(OperatorKind.BASIC, 9, P11), False),
          (SIN, OperatorSpec(OperatorKind.KANTOROVICH, 400, P11), False),
          (SIN, OperatorSpec(OperatorKind.BASIC, 400, P11), False), (SIN, OperatorSpec(OperatorKind.BASIC, 9, P11), False),
-         (GAUSS, replace(Q32, n=49), True)],
-        ids=["basic-abs-9", "kantorovich-sin-400", "basic-sin-400", "basic-sin-9", "quadrature-gauss-49-chebyshev"],
+         (GAUSS, replace(Q32, n=49), True), (SIN, [replace(s, n=100) for s in ALL_SPECS], False)],
+        ids=["basic-abs-9", "kantorovich-sin-400", "basic-sin-400", "basic-sin-9", "quadrature-gauss-49-chebyshev",
+             "three-kinds-sin-100"],
     )
     def test_chunking_is_invisible(self, monkeypatch, grid, f, spec, chebyshev):
         """Kernel values and trapezoid sums are evaluated in chunks; the
-        chunk size changes no bit.  |x| takes the rule for its smooth part
-        and the hinge sums, whose quadrature kernel is evaluated in chunks;
-        sin and gauss take the trapezoidal rule, whose
-        sums run over blocks of points sized by the chunk: at n = 400 on the
-        sample lattice of step h / 2 (p = 2), at n = 9 on the grid's own
-        lattice (p = 1, tau = 24 h n), and on Chebyshev nodes by direct
-        sampling.  One point per block runs on every 16th point to stay
-        quick."""
+        chunk size changes no bit.  |x| takes the hinge sums, whose
+        quadrature kernel is evaluated in chunks; sin and gauss take the
+        trapezoidal rule, whose sums run over blocks of points sized by the
+        chunk: at n = 400 on the sample lattice of step h / 2 (p = 2), at
+        n = 9 on the grid's own lattice (p = 1, tau = 24 h n), at n = 100
+        for three kinds on one lattice (tau = 2 h n), and on Chebyshev nodes
+        by direct sampling.  One point per block runs on every 16th point to
+        stay quick."""
         points = operators._chebyshev_nodes(-3.0, 3.0, grid.points.size) if chebyshev else grid.points
         assert points.size > operators._CHUNK_ROWS
         expected = apply_on_grid(f, spec, points)
@@ -337,6 +338,37 @@ class TestApplyOnGrid:
         np.testing.assert_array_equal(apply_on_grid(f, spec, points), expected)
         monkeypatch.setattr(operators, "_CHUNK_ROWS", 1)
         np.testing.assert_array_equal(apply_on_grid(f, spec, points[::16]), thinned)
+
+    @pytest.mark.parametrize("chebyshev", [False, True], ids=["lattice", "chebyshev"])
+    def test_nodes_are_split_only_past_the_block_budget(self, monkeypatch, grid, chebyshev):
+        """A trapezoid block spans all 2J + 1 nodes while they fit the
+        budget of 15 ``_CHUNK_ROWS`` terms.  Three-kind sin at (q, beta) =
+        (1, 0.05) and n = 1 takes about 270 nodes: at ``_CHUNK_ROWS`` = 16
+        (240 terms) they are split into runs of nodes at a few points, with
+        the points' running sums as each block's first row, in a terms
+        buffer of at most 240 values, and every value keeps its bits."""
+        points = operators._chebyshev_nodes(-3.0, 3.0, grid.points.size) if chebyshev else grid.points
+        specs = [replace(s, n=1, params=KernelParams(1.0, 0.05)) for s in ALL_SPECS]
+        blocks = []
+        node_sum = operators._node_sum
+
+        def recorded(terms):
+            # the trapezoid's blocks are views of its terms buffer; the
+            # quadrature kind's kernel sums arrays of its own
+            if terms.base is not None:
+                blocks.append((terms.shape, terms.base.size))
+            return node_sum(terms)
+
+        monkeypatch.setattr(operators, "_node_sum", recorded)
+        expected, rule = _rule_of(SIN, specs, points)
+        nodes = 2 * rule.half + 1
+        assert (rule.lattice is None) == chebyshev and nodes > 15 * 16
+        assert blocks and all(shape[0] == nodes and size <= 15 * operators._CHUNK_ROWS for shape, size in blocks)
+        blocks.clear()
+        monkeypatch.setattr(operators, "_CHUNK_ROWS", 16)
+        np.testing.assert_array_equal(apply_on_grid(SIN, specs, points), expected)
+        assert all(shape[0] < nodes and size <= 15 * 16 for shape, size in blocks)
+        assert max(shape[1] for shape, _ in blocks) > 1
 
     def test_grid_cap_raises_with_context(self, monkeypatch):
         monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 4)
@@ -532,8 +564,8 @@ class TestRows:
     )
     def test_uniform_grid_agrees_with_a_nudged_one(self, grid, spec, f, n):
         """An interior point moved by one ulp makes the grid non-uniform:
-        the rows (sin) see another grid, and the rule for the smooth part
-        of |x| samples it directly instead of on its lattice, and both
+        the rows (sin) see another grid, and the hinge sums of |x| (whose
+        constant smooth part takes no rule) another abscissa, and both
         agree with the uniform grid at every point."""
         spec = replace(spec, n=n)
         nudged = grid.points.copy()
@@ -1035,6 +1067,41 @@ def _hinge_calls(monkeypatch):
     return hinges, rows
 
 
+def _smooth_calls(monkeypatch):
+    """The trapezoidal passes and the calls of the smooth part a of the
+    kinked apply_on_grid calls that follow."""
+    calls = {"trapezoid": 0, "a": 0}
+    smooth, trapezoid = operators._smooth, operators._trapezoid
+
+    def counted_smooth(f):
+        a = smooth(f)
+
+        def counted(u):
+            calls["a"] += 1
+            return a.eval(u)
+
+        return replace(a, eval=counted)
+
+    def counted_trapezoid(*args):
+        calls["trapezoid"] += 1
+        return trapezoid(*args)
+
+    monkeypatch.setattr(operators, "_smooth", counted_smooth)
+    monkeypatch.setattr(operators, "_trapezoid", counted_trapezoid)
+    return calls
+
+
+def _overflows_at_infinity(y):
+    """3 where y is finite; math.ceil raises OverflowError at infinity."""
+    return np.array([3.0 + 0.0 * math.ceil(v) for v in np.ravel(y)])
+
+
+# sin(u) + min(|u|, 3): the kinks and jumps of |x| clamped at 3, and the
+# smooth part sin u + 3, whose strip majorant cosh y + 3 grows without bound
+SIN_ABS = TestFunction.from_callable("sin+abs", lambda u: np.sin(u) + ABS.eval(u), 4.0, kinks=ABS.kinks,
+                                     jumps=ABS.jumps, strip=lambda y: np.cosh(y) + 3.0)
+
+
 @st.composite
 def hinge_cases(draw):
     """An operator as ``rule_cases`` draws it, and one point whose abscissa
@@ -1048,8 +1115,9 @@ def hinge_cases(draw):
 class TestHinges:
     """Kinked f with a strip majorant of its smooth part and slope jumps
     (the catalog's |x| clamped at 3) is evaluated as f(x - EW) + [B a(x) -
-    a(x - EW)] + sum_k j_k g(x - k): the trapezoidal rule for a, and one
-    kernel call on GK15 panels for the hinges."""
+    a(x - EW)] + sum_k j_k g(x - k): the trapezoidal rule for a (none
+    where a is constant), and one kernel call on GK15 panels for the
+    hinges."""
 
     @pytest.mark.parametrize("xs", list(HINGE_GRIDS))
     @pytest.mark.parametrize("q, beta, n", [(1.0, 0.05, 1), (1e6, 0.05, 1), (2.0, 0.5, 100), (1.0, 20.0, 400)],
@@ -1068,6 +1136,46 @@ class TestHinges:
         for i in sorted({int(np.argmin(np.abs(xs - x))) for x in (0.0017, 2.9)}):
             exact = float(abs_operator_mp(kind.value, q, beta, n, float(xs[i]), weights))
             assert abs(out[i] - exact) <= allowance, (float(xs[i]), out[i], exact)
+
+    @pytest.mark.parametrize("specs", [[spec] for spec in ALL_SPECS] + [ALL_SPECS],
+                             ids=["basic", "kantorovich", "quadrature", "three-kinds"])
+    def test_constant_smooth_part_takes_no_rule(self, monkeypatch, grid, specs):
+        """The smooth part of |x| clamped at 3 is a = 3, with the strip
+        majorant 3, finite at infinity: a bounded entire a is constant
+        (Liouville), so B a - a(x - EW) is 0, and the call runs no
+        trapezoidal pass and evaluates a nowhere."""
+        calls = _smooth_calls(monkeypatch)
+        apply_on_grid(ABS, [replace(spec, n=9) for spec in specs], grid.points)
+        assert calls == {"trapezoid": 0, "a": 0}
+
+    @pytest.mark.parametrize("kind", list(OperatorKind), ids=lambda k: k.value)
+    def test_smooth_part_that_is_not_constant_takes_the_rule(self, monkeypatch, grid, kind):
+        """sin(u) + min(|u|, 3) has the smooth part sin u + 3, its strip
+        majorant cosh y + 3 infinite at infinity: the call runs one
+        trapezoidal pass for it, and its values lie within the allowance of
+        the multiplier closed form for sin plus ``_oracles.abs_operator_mp``
+        at the points nearest the kink 0 and nearest 2.9."""
+        calls = _smooth_calls(monkeypatch)
+        weights = (0.25, 0.25, 0.25, 0.25) if kind is OperatorKind.QUADRATURE else None
+        spec, cfg = OperatorSpec(kind, 9, P11, weights=weights), QuadratureConfig()
+        xs = grid.points
+        out = apply_on_grid(SIN_ABS, spec, xs, cfg)
+        assert calls["trapezoid"] == 1 and calls["a"] > 0
+        wave = (multiplier(spec) * np.exp(1j * xs)).imag
+        allowance = cfg.allowance(float(np.abs(out).max()))
+        for i in sorted({int(np.argmin(np.abs(xs - x))) for x in (0.0017, 2.9)}):
+            exact = wave[i] + float(abs_operator_mp(kind.value, 1.0, 1.0, 9, float(xs[i]), weights))
+            assert abs(out[i] - exact) <= allowance, (float(xs[i]), out[i], exact)
+
+    @pytest.mark.parametrize("strip", [lambda y: 3.0 + 0.0 * y, _overflows_at_infinity], ids=["nan", "raises"])
+    def test_strip_not_finite_at_infinity_takes_the_rule(self, grid, strip):
+        """A strip majorant of the smooth part of |x| that is nan at
+        infinity (3 + 0 y) or raises there proves nothing about a: the call
+        runs the trapezoidal pass (``_rule_of`` asserts one), and its values
+        lie within the rule's proven bound of the constant branch's."""
+        specs = [replace(spec, n=9) for spec in ALL_SPECS]
+        out, rule = _rule_of(replace(ABS, strip=strip), specs, grid.points)
+        assert float(np.abs(out - apply_on_grid(ABS, specs, grid.points)).max()) <= rule.bound
 
     def test_one_pass_at_w(self, monkeypatch, grid):
         """At (q, beta) = (1e6, 0.05) and n = 1 the |K15 - G7| estimate at
