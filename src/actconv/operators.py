@@ -16,50 +16,39 @@ quadrature.  Everything else samples f itself, at its own kinks.
 Every kind's kernel is analytic in the strip |Im v| < pi / beta, with
 |k(v + iy)| <= k(v) / cos^2(beta y / 2): psi's denominator is (w + e^beta)
 (w + e^-beta), w = q e^(-beta v), and |w + c| >= (|w| + c) cos(arg w / 2),
-and the averaging kinds inherit the bound.  So for f with a strip majorant
-(``TestFunction.strip``) and no kinks, ``apply_on_grid`` takes the
-trapezoidal rule B f(x) ~ tau sum_{|j| <= J} k(j tau) f(x - j tau / n),
-whose error has an a-priori bound (Trefethen & Weideman, SIAM Review 56,
-2014): tau is the largest step whose proven error stays within tol, and
-a call no step can serve is refused before anything is evaluated (see
-``_rule``).  The kinds of a call share tau, and on a uniform grid the
-samples of f as well, and each kind has one kernel vector k(j tau).
-A kinked f that declares its slope jumps j_k (the catalog's abs) is
-a + sum_k (j_k / 2) |u - k| with a smooth, and the operators are linear
-and commute with translation: B f(x) = f(x - EW) + [B a(x) - a(x - EW)]
-+ sum_k j_k g(x - k), W = V / n with V ~ k, and g(y) = E(W - y)+ -
-(EW - y)+.  The rule gives B a (a bounded entire a is constant, and
-then the bracket is 0 and the rule is sized but not run), and one kernel
-call per kind on GK15 panels cut at the abscissae n (x - k), their width
-set beforehand by a proven bound (see ``_kinked``), gives g at every
-point.  Every other call takes a nested Kronrod rule, on one of two
-paths:
+and the averaging kinds inherit the bound.  ``apply_on_grid`` has one
+engine, the trapezoidal rule B f(x) ~ tau sum_{|j| <= J} k(j tau)
+f(x - j tau / n), which converges exponentially (Trefethen & Weideman,
+SIAM Review 56, 2014).  For f with a strip majorant
+(``TestFunction.strip``) its error has an a-priori bound: tau is the
+largest step whose proven error stays within tol, and a call no step can
+serve is refused before anything is evaluated (see ``_rule``).  For f
+without one (``id``, approximant stages) tau is halved from a step sized
+for a constant until two successive halvings agree (see ``_estimate``).
+The kinds of a call share tau and the samples of f.  A kinked f declares
+its slope jumps j_k (the catalog's abs): it is a + sum_k (j_k / 2) |u - k|
+with a smooth, and the operators are linear and commute with
+translation, so B f(x) = f(x - EW) + [B a(x) - a(x - EW)] + sum_k j_k
+g(x - k), W = V / n with V ~ k, and g(y) = E(W - y)+ - (EW - y)+.  The
+rule gives B a (a bounded entire a is constant, and then the bracket is
+0 and the rule is sized but not run), and one kernel call per kind on
+GK15 panels cut at the abscissae n (x - k), their width set beforehand by
+a proven bound (see ``_kinked``), gives g at every point.  ``apply`` (and
+the kind-specific wrappers) integrate a single point adaptively in the
+kernel variable v by a nested Kronrod rule, with the window's seed panels
+cut at the kinks of f, v = n (x - kink).
 
-* ``apply`` (and the kind-specific wrappers) integrate a single point
-  adaptively in the kernel variable v, with the window's seed panels cut
-  at the kinks of f, v = n (x - kink), as the grid engine cuts its panels,
-* ``apply_on_grid``, for f without a majorant or kinked without jumps,
-  evaluates a whole grid of points at once as (panel, grid point) rows
-  (see there), sharing one panel decomposition in the sample variable u,
-  where the kinks of f sit at fixed locations.  Each seeding window (a
-  run of grid points with their kernel windows) has an anchor c at its
-  centre: panel nodes are held as offsets t from c, kernel arguments are
-  formed as n ((x - c) - t), and f is evaluated at c + t, so the rounding
-  does not grow with |x|.  The seeds are W/n wide, W =
-  ``QuadratureConfig.width`` (at tol = 1e-10 about 2 / beta: 32 at beta =
-  0.05, 2 at beta = 1, 1/8 at beta = 20), where the hinge panels start.
-
-Accuracy is set by one knob, ``QuadratureConfig.tol``: the Kronrod paths
-accept a value v once its error estimate is within ``cfg.allowance(v)`` =
-tol max(1, |v|) (on a grid, v is the largest |value|), the proven errors
-of the trapezoidal rule, and of the hinge path in all, are within tol,
-and every path truncates every kind's kernel to one window [-R - 1,
-R + 1], R = ``cfg.radius(params, sup |f|)`` the radius beyond which
-psi's mass, times sup |f|, is at most tol / 100 (averaging moves that
-mass left by at most 1, see ``_Kernel``; scalar ``apply`` stops at R,
-above which no kind has more).  The panel limit
-(``quadrature.MAX_SUBDIVISIONS``) and the approximants' residual ceiling
-(``RESIDUAL_CEILING``) are constants.
+Accuracy is set by one knob, ``QuadratureConfig.tol``: ``apply`` and the
+estimated rule accept a value v once its error estimate is within
+``cfg.allowance(v)`` = tol max(1, |v|) (on a grid, v is the largest
+|value|), the proven errors of the trapezoidal rule, and of the hinge
+path in all, are within tol, and every path truncates every kind's
+kernel to one window [-R - 1, R + 1], R = ``cfg.radius(params, sup |f|)``
+the radius beyond which psi's mass, times sup |f|, is at most tol / 100
+(averaging moves that mass left by at most 1, see ``_Kernel``; scalar
+``apply`` stops at R, above which no kind has more).  The panel and node
+limit (``quadrature.MAX_SUBDIVISIONS``) and the approximants' residual
+ceiling (``RESIDUAL_CEILING``) are constants.
 
 Iterated and mixed compositions are made tractable by interpolating each
 stage on Chebyshev nodes.  A stage samples the operator on the 2N - 1
@@ -86,7 +75,6 @@ from .errors import FlaggedApproximantError, NonFiniteSampleError, QuadratureNon
 from .kernel import KernelParams
 from .quadrature import (
     DEFAULT_CONFIG,
-    G7_WEIGHTS,
     GK15_NODES,
     GK15_WEIGHTS,
     QuadratureConfig,
@@ -173,20 +161,21 @@ class TestFunction:
     ``sup_norm`` bounds |f| on the working domain, ``modulus`` (when
     present) is a closed-form value of, or certified upper bound on, the
     modulus of continuity, and ``kinks`` lists points where f is not
-    smooth (used to seed panel boundaries).  ``jumps`` (when present)
-    holds the slope jumps f'(k+) - f'(k-) at the kinks, in their order:
-    f is then a + sum_k (j_k / 2) |u - k| with a smooth at the kinks.
-    ``derivatives`` hold analytic derivative evaluators with their own
-    sup norms and moduli.  ``strip`` (when present) is a strip majorant
-    of the smooth part a (f itself, without kinks): a extends to an
-    entire function with sup over real x of |a(x + iy)| at most strip(y)
-    for y >= 0, nondecreasing in y and evaluated elementwise on arrays;
-    with it ``apply_on_grid`` takes the trapezoidal rule with a proven
-    error, plus the hinge sums for the kinks.  A strip finite at infinity
-    bounds a on the whole plane, so a is constant (Liouville): a kinked f
-    then needs no rule for a.  A kinked f with a strip needs its jumps
-    (else ValueError), and jumps must be finite and as many as the kinks.
-    Derivatives get neither.
+    smooth, with ``jumps`` the slope jumps f'(k+) - f'(k-) there, in their
+    order: f is a + sum_k (j_k / 2) |u - k| with a smooth at the kinks.  A
+    kinked f needs its jumps (else ValueError), and jumps must be finite
+    and as many as the kinks.  ``derivatives`` hold analytic derivative
+    evaluators with their own sup norms and moduli.  ``strip`` (when
+    present) is a strip majorant of the smooth part a (f itself, without
+    kinks): a extends to an entire function with sup over real x of
+    |a(x + iy)| at most strip(y) for y >= 0, nondecreasing in y and
+    evaluated elementwise on arrays; with it ``apply_on_grid`` takes the
+    trapezoidal rule at a proven step, without it at an estimated one.  A
+    strip finite at infinity bounds a on the whole plane, so a is constant
+    (Liouville): a kinked f then needs no rule for a.  The derivatives of
+    a kink-free f with a strip get one by Cauchy's estimate on discs of
+    radius r: |a^(k)(x + iy)| <= k! strip(y + r) / r^k, the least over
+    ``_DISC_RADII``; derivatives of a kinked f get none.
     """
 
     name: str
@@ -208,8 +197,8 @@ class TestFunction:
             raise ValueError(f"jumps must be finite, got {jumps}")
         if jumps and len(jumps) != len(self.kinks):
             raise ValueError(f"jumps must be as many as the kinks, got {len(jumps)} for {len(self.kinks)}")
-        if self.kinks and self.strip is not None and not jumps:
-            raise ValueError(f"{self.name} has kinks and a strip majorant but no slope jumps")
+        if self.kinks and not jumps:
+            raise ValueError(f"{self.name} has kinks but no slope jumps")
         object.__setattr__(self, "jumps", jumps)
 
     def __call__(self, x):
@@ -232,13 +221,26 @@ class TestFunction:
             derivative_sup_norms=self.derivative_sup_norms[k:],
             modulus=self.derivative_moduli[k - 1] if k <= len(self.derivative_moduli) else None,
             derivative_moduli=self.derivative_moduli[k:],
-            kinks=(),
-            jumps=(),
+            strip=None if self.strip is None or self.kinks else _cauchy(self.strip, k),
         )
 
     @classmethod
     def from_callable(cls, name: str, fn: Callable, sup_norm: float, **kwargs) -> "TestFunction":
         return cls(name=name, eval=fn, sup_norm=float(sup_norm), **kwargs)
+
+
+def _cauchy(strip: Callable, k: int) -> Callable:
+    """The strip majorant k! min_r strip(y + r) / r^k of the k-th
+    derivative of a function with the strip majorant ``strip`` (see
+    ``TestFunction``), taken in logarithms so that r^k cannot overflow."""
+
+    def derived(y):
+        y = np.asarray(y, dtype=float)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            logs = np.log(np.asarray(strip(y[..., None] + _DISC_RADII), dtype=float)) - k * np.log(_DISC_RADII)
+            return np.exp(math.lgamma(k + 1) + logs.min(axis=-1))
+
+    return derived
 
 
 @dataclass(frozen=True)
@@ -265,8 +267,8 @@ class _Kernel:
         if self.kind is OperatorKind.KANTOROVICH:
             return kernel.psi_average(self.params, v)
         # one psi call per block of v on its (r, size) array of shifted
-        # arguments, which holds at most the values of a row chunk's
-        # (15, rows) arrays; the weighted rows are added in order
+        # arguments, which holds at most the values of one block of the
+        # grid engine; the weighted rows are added in order
         v = np.asarray(v, dtype=float)
         r = len(self.weights)
         shifts = np.arange(1, r + 1)[:, None] / r
@@ -351,54 +353,15 @@ def apply_derivative(f: TestFunction, spec: OperatorSpec, k: int, x: float, cfg:
     return apply(f.derivative(k), spec, x, cfg)
 
 
-# flat (panel, grid point) rows per kernel call: 1024 rows of 15 nodes keep
-# each chunk's float64 temporaries below glibc's default 128 KiB mmap threshold
+# the block budget of the grid engine's sums: 15 _CHUNK_ROWS float64 values
+# stay below glibc's default 128 KiB mmap threshold
 _CHUNK_ROWS = 1024
-_MAX_REFINE_ROUNDS = 48
-_GAUSS = slice(1, 14, 2)  # the G7 nodes among the GK15 nodes (G7_WEIGHTS is zero elsewhere)
 
 
 def _node_sum(terms: np.ndarray) -> np.ndarray:
     """Column sums of a (nodes, rows) array, adding the nodes in order for
     any row count: numpy reduces a lone column pairwise."""
     return np.add.reduce(terms) if terms.shape[1] > 1 else sum(terms)
-
-
-class _Panels(NamedTuple):
-    """Panels [c + a, c + b] in ascending order, held as offsets a, b from
-    the anchor c of their seeding window, the slice start:stop of the sorted
-    grid within reach of each, and each panel's largest row error; then the
-    flat rows, ordered by panel and then point: the K15 value and the
-    K15 - G7 error estimate of the panel at the point.  The kernel mass a
-    panel puts on the points outside its slice lies outside the truncation
-    window."""
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    start: np.ndarray
-    stop: np.ndarray
-    worst: np.ndarray
-    values: np.ndarray
-    errors: np.ndarray
-
-
-def _chunks(start: np.ndarray, stop: np.ndarray, max_panels: int):
-    """Cut the flat rows of panels with grid slices start:stop into runs of
-    at most ``_CHUNK_ROWS`` rows from at most ``max_panels`` panels; yield
-    each run's rows c0:c1, its panels p0:p1 with their row counts in the
-    run, and every row's grid point."""
-    ends = np.cumsum(stop - start)
-    begins = ends - (stop - start)
-    shift = start - begins  # a row's grid point is the row plus its panel's shift
-    c0, total = 0, int(ends[-1])
-    while c0 < total:
-        p0 = int(np.searchsorted(ends, c0, side="right"))
-        c1 = min(c0 + _CHUNK_ROWS, int(ends[min(p0 + max_panels, ends.size) - 1]))
-        p1 = int(np.searchsorted(ends, c1, side="left")) + 1
-        counts = np.minimum(ends[p0:p1], c1) - np.maximum(begins[p0:p1], c0)
-        yield c0, c1, p0, p1, counts, np.arange(c0, c1) + np.repeat(shift[p0:p1], counts)
-        c0 = c1
 
 
 def _sample(f: TestFunction, specs: Sequence[OperatorSpec], t: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -415,51 +378,6 @@ def _sample(f: TestFunction, specs: Sequence[OperatorSpec], t: np.ndarray, c: np
     return fu
 
 
-def _evaluate(f: TestFunction, spec: OperatorSpec, grid: np.ndarray, offset: np.ndarray, reach: float,
-              a: np.ndarray, b: np.ndarray, c: np.ndarray) -> _Panels:
-    """Rows of the panels [c + a, c + b] on the sorted grid, a chunk at a
-    time: one call of f for the nodes of the chunk's panels (at most
-    ``_CHUNK_ROWS`` nodes) and one kernel call for its rows.  ``offset``
-    holds each grid point's offset from the anchor of its window."""
-    k, n = _kernel(spec), spec.n
-    start = np.searchsorted(grid, c + a - reach, side="left")
-    stop = np.searchsorted(grid, c + b + reach, side="right")
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    scale = n * half
-    values = np.empty(int((stop - start).sum()))
-    errors = np.empty_like(values)
-    worst = np.zeros(a.size)
-    for c0, c1, p0, p1, counts, point in _chunks(start, stop, max(1, _CHUNK_ROWS // GK15_NODES.size)):
-        t = mid[p0:p1, None] + half[p0:p1, None] * GK15_NODES
-        fu = _sample(f, [spec], t, c[p0:p1, None])
-        # node-major (15, rows) arrays of n ((x - c) - t); the K15 terms
-        # overwrite the kernel values
-        arg = np.repeat(t.T, counts, axis=1)
-        np.subtract(offset[point], arg, out=arg)
-        arg *= n
-        terms = k(arg)
-        rows = np.repeat(scale[p0:p1], counts)
-        g7 = rows * _node_sum(terms[_GAUSS] * np.repeat((G7_WEIGHTS * fu)[:, _GAUSS].T, counts, axis=1))
-        terms *= np.repeat((GK15_WEIGHTS * fu).T, counts, axis=1)
-        k15 = rows * _node_sum(terms)
-        err = np.abs(k15 - g7)
-        values[c0:c1] = k15
-        errors[c0:c1] = err
-        # a panel without rows in the chunk (one that reaches no grid point) keeps 0
-        worst[p0:p1] = np.maximum(worst[p0:p1], np.maximum.reduceat(err, np.cumsum(counts) - counts) * (counts > 0))
-    return _Panels(a, b, c, start, stop, worst, values, errors)
-
-
-def _totals(panels: _Panels, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point sums of the panels' values and error estimates, in list order."""
-    values = np.zeros(size)
-    errors = np.zeros(size)
-    for c0, c1, _, _, _, point in _chunks(panels.start, panels.stop, _CHUNK_ROWS):
-        np.add.at(values, point, panels.values[c0:c1])
-        np.add.at(errors, point, panels.errors[c0:c1])
-    return values, errors
-
-
 def _drift(grid: np.ndarray) -> float:
     """How far the points of a uniform grid lie from the points x0 + i h of
     the trapezoidal rule's sample lattice (see ``_rule``), h the mean
@@ -472,112 +390,27 @@ def _drift(grid: np.ndarray) -> float:
     return float(np.abs((grid - grid[0]) - np.arange(grid.size) * h).max()) + float(np.spacing(span))
 
 
-def _merge(panels: _Panels, halves: _Panels, split: np.ndarray) -> _Panels:
-    """``panels`` with every split panel replaced in place by its two halves."""
-    rows = np.concatenate(([0], np.cumsum(panels.stop - panels.start)))
-    half_rows = np.concatenate(([0], np.cumsum(halves.stop - halves.start)))
-    done = 2 * np.concatenate(([0], np.cumsum(split)))  # halves before each panel
-    edges = [0, *(np.flatnonzero(np.diff(split)) + 1).tolist(), split.size]
-    pieces = []
-    for i, j in zip(edges[:-1], edges[1:]):
-        # runs of kept panels and runs of split ones alternate
-        src, rs, p, q = (halves, half_rows, done[i], done[j]) if split[i] else (panels, rows, i, j)
-        pieces.append([col[p:q] for col in src[:-2]] + [col[rs[p]:rs[q]] for col in src[-2:]])
-    return _Panels(*(np.concatenate(cols) for cols in zip(*pieces)))
-
-
-class _Windows(NamedTuple):
-    """The seeding windows on the sorted grid: window w holds the points
-    bounds[w]:bounds[w + 1], their kernel windows span [lows[w], highs[w]],
-    and it may use ``caps[w]`` panels; a panel reaches the points within
-    ``reach`` = R/n of it, R the radius of the kernel window."""
-
-    reach: float
-    bounds: np.ndarray
-    lows: np.ndarray
-    highs: np.ndarray
-    caps: list[int]
-
-
-def _windows(grid: np.ndarray, radius: float, n: int) -> _Windows:
-    """Seed only the union of the points' kernel windows [x - R/n, x + R/n]:
-    a panel anywhere else reaches no grid point.  Windows are split only at
-    gaps over 3R/n, so no panel reaches a point of another window."""
-    reach = radius / n
-    bounds = np.concatenate(([0], np.flatnonzero(np.diff(grid) > 3.0 * reach) + 1, [grid.size]))
-    lows = grid[bounds[:-1]] - reach
-    highs = grid[bounds[1:] - 1] + reach
-    caps = [quadrature.MAX_SUBDIVISIONS * math.ceil((hi - lo) * n / (2.0 * radius)) for lo, hi in zip(lows, highs)]
-    return _Windows(reach, bounds, lows, highs, caps)
-
-
-def _rows(f: TestFunction, spec: OperatorSpec, grid: np.ndarray, win: _Windows, seed: float,
-          cfg: QuadratureConfig) -> np.ndarray:
-    """The operator on the sorted grid from row seeds ``seed``/n wide, refined
-    until the worst point meets tolerance."""
-    n, reach, budget = spec.n, win.reach, sum(win.caps)
-    anchors = 0.5 * (win.lows + win.highs)
-    offset = grid - np.repeat(anchors, np.diff(win.bounds))
-    seeds = []
-    for lo, hi, c, cap in zip(win.lows.tolist(), win.highs.tolist(), anchors.tolist(), win.caps):
-        count = max(2, min(max(math.ceil((hi - lo) * n / seed), 8), cap))
-        edges = np.linspace(lo - c, hi - c, count + 1)
-        inner = sorted({kink - c for kink in f.kinks if lo < kink < hi})[: max(0, cap - count)]
-        if inner:
-            # sorted, without repeats (np.unique would import numpy.ma)
-            edges = np.sort(np.concatenate((edges, inner)))
-            edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
-        seeds.append(np.column_stack((edges[:-1], edges[1:], np.full(edges.size - 1, c))))
-
-    # the list stays in ascending order (splits replace a panel by its
-    # halves in place), so every total sums in one deterministic order
-    seeds = np.concatenate(seeds)
-    panels = _evaluate(f, spec, grid, offset, reach, *seeds.T)
-    for _ in range(_MAX_REFINE_ROUNDS):
-        total_val, total_err = _totals(panels, grid.size)
-        tol = cfg.allowance(float(np.abs(total_val).max()))
-        if float(total_err.max()) <= tol:
-            return total_val
-        a, b = panels.a, panels.b
-        cutoff = max(0.25 * float(panels.worst.max()), tol / (4.0 * a.size))
-        split = (panels.worst >= cutoff) & ((b - a) > 1e-14)
-        n_split = int(split.sum())
-        if not n_split or a.size + n_split > budget:
-            break
-        mid = 0.5 * (a[split] + b[split])
-        halves = np.column_stack((a[split], mid, mid, b[split])).reshape(-1, 2)
-        anchor = np.repeat(panels.c[split], 2)
-        panels = _merge(panels, _evaluate(f, spec, grid, offset, reach, *halves.T, anchor), split)
-
-    _, total_err = _totals(panels, grid.size)
-    worst_x = float(grid[int(np.argmax(total_err))])
-    raise QuadratureNonConvergedError(
-        f"operator quadrature did not converge on the grid "
-        f"(operator={spec.kind.value}, x={worst_x}, n={n})"
-    )
-
-
 # the strip half-widths a at which the trapezoidal step is sized: fractions
 # of the kernels' half-width pi / beta, dense towards both ends, and
 # multiples of n, about where the majorant of f(x - v / n) starts to grow
 _STRIP_FRACTIONS = 1.0 / (1.0 + np.exp(-np.linspace(-12.0, 12.0, 481)))
 _STRIP_MULTIPLES = 10.0 ** np.linspace(-3.0, 3.0, 241)
-# the disc radii of the Cauchy estimate of sup |f'| from the strip majorant
+# the disc radii of the Cauchy estimates of derivatives from a strip majorant
 _DISC_RADII = 10.0 ** np.linspace(-2.0, 3.0, 101)
-# significant bits of the step tau / n off the sample lattice: j tau / n is
-# then exact, and so is x - j tau / n wherever the spacing of x allows
+# significant bits of the step tau / n off the uniform lattice: the samples
+# c - j tau / n, c a multiple of tau / n, are then exact
 _STEP_BITS = 8
 _ULP = 2.0**-52
 
 
-def _strip(f: TestFunction, n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+def _strip(strip: Callable, n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Strip half-widths a in (0, pi / beta) and ln M(a): M(a) =
     strip(a / n) / cos^2(beta a / 2) bounds every kind's integrand
     f(x - v / n) k(v) on the lines Im v = +-a, integrated over Re v."""
     a = np.concatenate((_STRIP_FRACTIONS * (math.pi / beta), _STRIP_MULTIPLES * n))
     a = a[a < math.pi / beta]
     with np.errstate(over="ignore", divide="ignore"):
-        return a, np.log(np.asarray(f.strip(a / n), dtype=float)) - 2.0 * np.log(np.cos(0.5 * beta * a))
+        return a, np.log(np.asarray(strip(a / n), dtype=float)) - 2.0 * np.log(np.cos(0.5 * beta * a))
 
 
 def _step(strip: tuple[np.ndarray, np.ndarray], budget: float) -> float:
@@ -612,39 +445,75 @@ def _rounding(additions: int, radius: float, beta: float, size: float) -> float:
 
 class _Rule(NamedTuple):
     """The trapezoidal rule of one ``apply_on_grid`` call: the step tau,
-    J, the proven error bound, and the sample lattice (x0, d, k, p), on
-    which point i takes f at x0 + (p i - k j) d, or None: f is sampled at
-    x_i - j tau / n."""
+    J, the error bound (proven, or the target of ``_estimate``), and the
+    sample lattice.  On a uniform grid that is (x0, d, k, p): point i
+    takes f at x0 + (p i - k j) d.  Otherwise it is None: point i takes f
+    at c_i - j tau / n, c_i the multiple of ``anchor`` nearest x_i, and
+    its kernel at n (x_i - c_i) + j tau."""
 
     step: float
     half: int
     bound: float
     lattice: tuple[float, float, int, int] | None
+    anchor: float
+
+
+def _refuse(specs: Sequence[OperatorSpec], why: str):
+    raise QuadratureNonConvergedError(
+        f"operator quadrature did not converge: {why}; refused before sampling "
+        f"(operator={'/'.join(s.kind.value for s in specs)}, n={specs[0].n})"
+    )
+
+
+def _check(rule: _Rule, grid: np.ndarray, specs: Sequence[OperatorSpec]):
+    """Refuse a rule of more than 15 ``quadrature.MAX_SUBDIVISIONS`` nodes,
+    or one whose samples off the uniform lattice, integers times tau / n
+    (at most ``_STEP_BITS`` significant bits), are not all doubles."""
+    nodes, limit = 2 * rule.half + 1, GK15_NODES.size * quadrature.MAX_SUBDIVISIONS
+    if nodes > limit:
+        _refuse(specs, f"the trapezoidal rule at step tau={rule.step:.6g} needs 2J + 1 = {nodes} kernel nodes, "
+                       f"over the budget of {limit}")
+    spacing, reach = rule.step / specs[0].n, float(np.abs(grid).max())
+    if rule.lattice is None and ((reach + rule.anchor) / spacing + rule.half + 2.0) * 2**_STEP_BITS > 2.0**53:
+        _refuse(specs, f"the samples at step tau / n={spacing:.6g} around |x|={reach:.6g} are not all doubles")
 
 
 def _rule(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, radius: float,
           drift: float | None, cfg: QuadratureConfig, tol: float) -> _Rule:
     """The trapezoidal rule of the kinds of ``specs`` on the sorted grid,
-    or ``QuadratureNonConvergedError`` when its proven error exceeds
-    ``tol`` (``cfg.tol``, or the share of it that the hinge sums leave)
-    or its 2J + 1 nodes exceed 15 ``quadrature.MAX_SUBDIVISIONS``.  The
-    step is the largest (over the strip widths of ``_strip``) whose
-    aliasing and rounding stay within nine tenths of what truncation and
-    ``drift`` leave of tol; the rest is for the rounding of the sample
+    or ``QuadratureNonConvergedError`` before anything is evaluated when
+    its error bound exceeds ``tol`` (``cfg.tol``, or the share of it that
+    the hinge sums leave) or it fails ``_check``.
+
+    With a strip majorant of f the step is the largest (over the strip
+    widths of ``_strip``) whose aliasing and rounding stay within nine
+    tenths of what truncation and ``drift`` leave of tol, and the bound is
+    proven.  Without one it is the step so proven for a constant of size
+    sup |f|, at most ``cfg.width`` (never above R): the first of
+    ``_estimate``, whose bound is ``tol``, the target, its aliasing left
+    to the estimate.  The rest of tol is for the rounding of the sample
     positions.  ``drift`` bounds the value error of the lattice on a
     uniform grid that may take it: tau is then rounded down to k h n / p
     (p = 1 from 2 h n up, k = 1 below h n, and between the coarsest p > 1
     that gains on h n first), while the lattice x0 + m h / p is no longer
-    than the (2J + 1) samples per point of direct sampling.  Otherwise
-    tau / n is rounded down to ``_STEP_BITS`` significant bits."""
+    than the (2J + 1) samples per point of the other layout and its
+    position rounding fits, weighed by sup |f'| <= strip(r) / r (Cauchy's
+    estimate on a disc of radius r) or, without a strip, as a shift of x
+    by sup |(B f)'| <= n sup |f| 2 g_max.  Otherwise tau / n is rounded
+    down to ``_STEP_BITS`` significant bits: the samples are exact, and
+    the kernel arguments n (x_i - c_i) + j tau round by delta <= ulp (R +
+    4 tau), which moves a value by at most sup |f| TV(k) delta <= sup |f|
+    2 g_max delta."""
     n, params, size = specs[0].n, specs[0].params, f.sup_norm
     beta = params.beta
-    strip = _strip(f, n, beta)
     spare = tol - cfg.truncation_eps - (drift or 0.0)
     budget = 0.9 * spare
-    # |f'| <= strip(r) / r by Cauchy's estimate on a disc of radius r
-    with np.errstate(over="ignore"):
-        slope = float((np.asarray(f.strip(_DISC_RADII), dtype=float) / _DISC_RADII).min())
+    if f.strip is None:
+        strip, slope = _strip(lambda y: np.full(np.shape(y), size), n, beta), 2.0 * n * params.g_max_value * size
+    else:
+        strip = _strip(f.strip, n, beta)
+        with np.errstate(over="ignore"):
+            slope = float((np.asarray(f.strip(_DISC_RADII), dtype=float) / _DISC_RADII).min())
     # the step whose aliasing fits the budget less the rounding at its own
     # J: J grows from round to round until it is stable
     step = _step(strip, budget)
@@ -659,13 +528,16 @@ def _rule(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, radi
         half = _half(radius, step)
     # no wider than the window (a zero majorant would allow any step)
     step = min(step, radius)
+    if f.strip is None:
+        step = min(step, cfg.width(params, size))
+        half = _half(radius, step)
 
     lattice = None
     x0, last = float(grid[0]), float(grid[-1])
     h = (last - x0) / (grid.size - 1) if grid.size > 1 else 0.0
     hn = h * n
-    # a lattice no longer than direct sampling's (2J + 1) samples per
-    # point has k < size or p < 2J + 2 (compared in floats: under a
+    # a lattice no longer than the (2J + 1) samples per point of the other
+    # layout has k < size or p < 2J + 2 (compared in floats: under a
     # subnormal step the ratios are too large for an int)
     if drift is not None and hn > 0.0 and step / hn < grid.size and hn / step < 2 * half + 2:
         cells = [(math.floor(step / hn), 1) if step >= hn else (1, math.ceil(hn / step))]
@@ -675,64 +547,71 @@ def _rule(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, radi
         for k, p in cells:
             shared, shared_half = k * n * (h / p), _half(radius, k * n * (h / p))
             # m h / p and x0 + m h / p rounded, and tau / n against k h / p
-            position = 4.0 * _ULP * (max(abs(x0), abs(last)) + (radius + 2.0 * shared) / n)
+            position = slope * 4.0 * _ULP * (max(abs(x0), abs(last)) + (radius + 2.0 * shared) / n)
             if (p * (grid.size - 1) + 2 * k * shared_half + 1 <= (2 * shared_half + 1) * grid.size
-                    and slope * position <= spare - budget):
+                    and position <= spare - budget):
                 lattice, step, half = (x0, h / p, k, p), shared, shared_half
                 break
     if lattice is None:
         drift = None
         mantissa, exponent = math.frexp(step / n)
-        quantum = math.ldexp(1.0, exponent - _STEP_BITS)
-        spacing = math.floor(math.ldexp(mantissa, _STEP_BITS)) * quantum
+        spacing = math.floor(math.ldexp(mantissa, _STEP_BITS)) * math.ldexp(1.0, exponent - _STEP_BITS)
         step, half = spacing * n, _half(radius, spacing * n)
-        # x - j tau / n is exact where the spacing of x and the quantum of
-        # tau / n are at least the spacing of the largest |x - j tau / n|
-        reach = np.abs(grid) + half * spacing
-        exact = np.minimum(np.spacing(np.abs(grid)), quantum) >= np.spacing(reach)
-        position = float(np.where(exact, 0.0, 0.5 * np.spacing(reach)).max())
-    bound = (_aliasing(strip, step) + cfg.truncation_eps + _rounding(2 * half, radius, beta, size)
-             + slope * position + (drift or 0.0))
-    nodes, limit = 2 * half + 1, GK15_NODES.size * quadrature.MAX_SUBDIVISIONS
-    names = f"operator={'/'.join(s.kind.value for s in specs)}, n={n}"
-    if nodes > limit:
-        raise QuadratureNonConvergedError(
-            f"operator quadrature did not converge: the trapezoidal rule at step tau={step:.6g} "
-            f"needs 2J + 1 = {nodes} kernel nodes, over the budget of {limit}; refused before "
-            f"sampling ({names})"
-        )
+        position = size * 2.0 * params.g_max_value * _ULP * (radius + 4.0 * step)
+    rule = _Rule(step, half, tol, lattice, step / n)
+    _check(rule, grid, specs)
+    bound = ((_aliasing(strip, step) if f.strip else 0.0) + cfg.truncation_eps
+             + _rounding(2 * half, radius, beta, size) + position + (drift or 0.0))
     if not bound <= tol:
-        raise QuadratureNonConvergedError(
-            f"operator quadrature did not converge: the trapezoidal rule's proven error {bound:.3g} "
-            f"at step tau={step:.6g} with {nodes} kernel nodes exceeds tol={tol:.3g}; refused "
-            f"before sampling ({names})"
-        )
-    return _Rule(step, half, bound, lattice)
+        _refuse(specs, f"the trapezoidal rule's {'proven' if f.strip else 'non-aliasing'} error {bound:.3g} at "
+                       f"step tau={step:.6g} with {2 * half + 1} kernel nodes exceeds tol={tol:.3g}")
+    return rule._replace(bound=bound) if f.strip else rule
 
 
-def _trapezoid(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, rule: _Rule) -> list[np.ndarray]:
-    """The kinds of ``specs`` on the sorted grid by ``rule``: one kernel
-    vector tau k(j tau) per kind, and the samples of f shared by the
-    kinds, on the sample lattice through one strided view that every
-    block slices.  The sums run over blocks of at most 15 ``_CHUNK_ROWS``
-    terms (below the 128 KiB mmap threshold): all 2J + 1 nodes at a run of
-    points where they fit, else a run of nodes at a run of points, with
-    the points' running sums as the block's first row.  ``_node_sum`` adds
-    every point's terms in node order, one at a time, so each kind's
-    values are those of its own call whatever the block size."""
-    step, half = rule.step, rule.half
-    j = np.arange(-half, half + 1)
-    weights = [step * _kernel(spec)(j * step) for spec in specs]
+def _trapezoid(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, rule: _Rule,
+               odd: bool = False) -> list[np.ndarray]:
+    """The kinds of ``specs`` on the sorted grid by ``rule``, over all its
+    nodes j, or (``odd``) the odd ones alone.  f is sampled once per
+    lattice position that some point needs and shared by the kinds: on the
+    uniform lattice through one strided view with one kernel vector
+    tau k(j tau) per kind; otherwise gathered per point, with the kernel
+    evaluated once per (point, node) pair.  The sums run over blocks of at
+    most 15 ``_CHUNK_ROWS`` terms (below the 128 KiB mmap threshold): all
+    the nodes at a run of points where they fit, else a run of nodes at a
+    run of points, with the points' running sums as the block's first row.
+    ``_node_sum`` adds every point's terms in node order, one at a time, so
+    each kind's values are those of its own call whatever the block
+    size."""
+    step, half, n = rule.step, rule.half, specs[0].n
+    gap = 2 if odd else 1
+    j = np.arange(-half + (odd and half % 2 == 0), half + 1, gap)
+    kernels = [_kernel(spec) for spec in specs]
     if rule.lattice:
         x0, d, k, p = rule.lattice
         lattice = _sample(f, specs, d * np.arange(-k * half, p * (grid.size - 1) + k * half + 1), np.array(x0))
         # node j at point i: the sample at m = p i - k j, shifted by k J
         view = np.lib.stride_tricks.as_strided(
-            lattice[2 * k * half:], (j.size, grid.size), (-k * lattice.itemsize, p * lattice.itemsize),
+            lattice[k * (half - j[0]):], (j.size, grid.size), (-k * gap * lattice.itemsize, p * lattice.itemsize),
             writeable=False,
         )
+        weights = [step * kern(j * step) for kern in kernels]
     else:
-        offsets = -(j * (step / specs[0].n))[:, None]
+        # point i is anchored at c_i = a_i anchor, and its node j sits at the
+        # index c_i / d - j of the lattice of d = tau / n; every index shares
+        # the residue r of the first node's, so they are r + gap s for slots
+        # s, point i reaching s = top_i - t for its node t.  The slots come
+        # in ascending order, each point adding those above the previous top
+        d = step / n
+        a = np.rint(grid / rule.anchor)
+        phase = n * (grid - a * rule.anchor)
+        first = a.astype(np.int64) * round(rule.anchor / d) - j[0]
+        r = int(first[0] % gap)
+        top = (first - r) // gap
+        fresh = np.maximum(top - (j.size - 1), np.append(top[0] - (j.size - 1), top[:-1] + 1))
+        ends = np.cumsum(top - fresh + 1)
+        slots = np.repeat(top + 1 - ends, top - fresh + 1) + np.arange(ends[-1])
+        base = ends - 1  # where each point's top slot sits among them
+        samples = _sample(f, specs, (r + gap * slots) * d, 0.0)
     values = [np.empty(grid.size) for _ in specs]
     budget = GK15_NODES.size * _CHUNK_ROWS
     if j.size <= budget:
@@ -750,28 +629,49 @@ def _trapezoid(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray,
         for r0 in range(0, j.size, rows):
             r1 = min(r0 + rows, j.size)
             if rule.lattice:
-                samples = view[r0:r1, i0:i1]
+                block_samples = view[r0:r1, i0:i1]
             else:
-                samples = _sample(f, specs, offsets[r0:r1], grid[None, i0:i1])
+                block_samples = samples[base[None, i0:i1] - np.arange(r0, r1)[:, None]]
+                arg = phase[None, i0:i1] + (j[r0:r1] * step)[:, None]
             block = terms[:r1 - r0 + (r0 > 0), :i1 - i0]
-            for out, w in zip(values, weights):
+            for i, (out, kern) in enumerate(zip(values, kernels)):
+                w = weights[i][r0:r1, None] if rule.lattice else step * kern(arg)
                 if r0:
                     block[0] = out[i0:i1]
-                np.multiply(samples, w[r0:r1, None], out=block[-(r1 - r0):])
+                np.multiply(block_samples, w, out=block[-(r1 - r0):])
                 out[i0:i1] = _node_sum(block)
     return values
 
 
-def _kronrod(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, radius: float,
-             cfg: QuadratureConfig) -> list[np.ndarray]:
-    """The kinds of ``specs`` on the sorted grid by the Gauss-Kronrod rows,
-    each kind on its own (see ``apply_on_grid``)."""
-    n, params = specs[0].n, specs[0].params
-    win = _windows(grid, radius, n)
-    # a window radius above 65,535 (beta below about 4.3e-4 at tol = 1e-10)
-    # seeds the rows at 1/n, where a call no budget covers fails soonest
-    seed = cfg.width(params, f.sup_norm) if radius <= 65535.0 else 1.0
-    return [_rows(f, s, grid, win, seed, cfg) for s in specs]
+def _estimate(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, rule: _Rule, radius: float,
+              tol: float) -> list[np.ndarray]:
+    """The kinds of ``specs`` on the sorted grid for f without a strip
+    majorant: the trapezoidal rule from ``rule`` (see ``_rule``), halved
+    while any kind runs on, each halving adding only the new odd nodes:
+    T_(tau/2) = T_tau / 2 + (tau / 2) sum_odd.  A kind stops at its own
+    level, once two successive halvings each change its values by at most
+    tol max(1, max |T|): an estimate, as the rule converges exponentially
+    (Trefethen & Weideman, SIAM Review 56, 2014), not a bound.  A level
+    that fails ``_check`` is refused before it is sampled."""
+    values = _trapezoid(f, specs, grid, rule)
+    agreed = [0] * len(specs)
+    running = list(range(len(specs)))
+    while running:
+        # on the uniform lattice k halves while it is even, else p doubles;
+        # off it the anchors stay
+        step, lattice = 0.5 * rule.step, rule.lattice
+        if lattice:
+            x0, d, k, p = lattice
+            lattice = (x0, d, k // 2, p) if k % 2 == 0 else (x0, 0.5 * d, k, 2 * p)
+        rule = rule._replace(step=step, half=_half(radius, step), lattice=lattice)
+        _check(rule, grid, specs)
+        for i, odd in zip(running, _trapezoid(f, [specs[i] for i in running], grid, rule, odd=True)):
+            halved = 0.5 * values[i] + odd
+            change = float(np.abs(halved - values[i]).max())
+            agreed[i] = agreed[i] + 1 if change <= tol * max(1.0, float(np.abs(halved).max())) else 0
+            values[i] = halved
+        running = [i for i in running if agreed[i] < 2]
+    return values
 
 
 def _smooth(f: TestFunction) -> TestFunction:
@@ -865,23 +765,35 @@ def _hinge_bound(params: KernelParams, radius: float, edges: np.ndarray, s: np.n
 def _kinked(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, radius: float,
             drift: float | None, cfg: QuadratureConfig) -> list[np.ndarray]:
     """The kinds of ``specs`` on the sorted grid for f = a + sum_k (j_k / 2)
-    |u - k| with a strip majorant of a (see ``apply_on_grid``): the rule
-    for a takes half of tol, the rounding of the samples of a at most a
-    quarter, and ``_hinge_bound`` times |j_k| / n the rest, W halved until
-    it fits, or every kind takes the rows where a rounding alone does not.
-    A strip finite at infinity makes a constant, so B a - a(x - EW) is 0:
-    the rule is sized and its bound counted as for any a, but it is not
-    run and a is not sampled.  A strip that is inf or nan at infinity, or
-    raises there, says nothing of a, which then takes the rule."""
+    |u - k| (see ``apply_on_grid``): the rule for a takes half of tol
+    (proven with a strip majorant of a, else ``_estimate``), the
+    rounding of the samples of a at most a quarter, and ``_hinge_bound``
+    times |j_k| / n the rest, W halved until it fits; a call whose
+    rounding alone does not fit is refused before sampling.  A strip
+    finite at infinity makes a constant, so B a - a(x - EW) is 0: the rule
+    is sized and its bound counted as for any a, but it is not run and a
+    is not sampled, so its samples' rounding is 0.  A strip that is inf
+    or nan at infinity, or raises there, says nothing of a."""
     n, params = specs[0].n, specs[0].params
     smooth = _smooth(f)
     rule = _rule(smooth, specs, grid, radius, drift, cfg, 0.5 * cfg.tol)
+    # a bounded entire a is constant (see above)
+    try:
+        with np.errstate(all="ignore"):
+            constant = f.strip is not None and bool(
+                np.isfinite(np.asarray(f.strip(np.array([math.inf])), dtype=float)).all())
+    except (ArithmeticError, ValueError):
+        constant = False
     kinks, jumps = np.array(f.kinks), np.array(f.jumps)
     # a sample of a rounds by a few ulp of the sum of |j_k| |u - k|, at u up
-    # to the rule's J tau / n beyond the grid, and B a and a(x - EW) each
-    # take such samples
+    # to the rule's J tau / n beyond the grid (no halving reaches further),
+    # and B a and a(x - EW) each take such samples
     reach = np.maximum(np.abs(grid[0] - kinks), np.abs(grid[-1] - kinks)) + rule.half * rule.step / n
-    noise = 2.0 * (kinks.size + 2) * _ULP * (f.sup_norm + 0.5 * float(np.sum(np.abs(jumps) * reach)))
+    noise = 0.0 if constant else (
+        2.0 * (kinks.size + 2) * _ULP * (f.sup_norm + 0.5 * float(np.sum(np.abs(jumps) * reach))))
+    if noise > 0.25 * cfg.tol:
+        _refuse(specs, f"the samples of the smooth part of {f.name} round by {noise:.3g}, over a quarter of "
+                       f"tol={cfg.tol:.3g}")
     s = n * (grid - kinks[:, None])
     # the (kink, point) pairs whose abscissa lies within the window, kink by kink
     kink, point = np.nonzero(np.abs(s) < radius)
@@ -895,30 +807,26 @@ def _kinked(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, ra
     weight = np.abs(jumps[kink]) / n
     width = cfg.width(params, f.sup_norm)
     while True:
-        # the rows' budget per kernel window, beyond one panel per gap (in floats)
+        # the panel budget per kernel window, beyond one panel per gap (in floats)
         extra = float(np.ceil(gaps / width).sum()) - gaps.size
         if extra > quadrature.MAX_SUBDIVISIONS:
-            raise QuadratureNonConvergedError(
-                f"operator quadrature did not converge: the hinge sums at width W={width:.6g} need "
-                f"{extra:.6g} panels beyond the {gaps.size} cut at the abscissae, over the budget of "
-                f"{quadrature.MAX_SUBDIVISIONS}; refused before sampling "
-                f"(operator={'/'.join(s.kind.value for s in specs)}, n={n})"
-            )
+            _refuse(specs, f"the hinge sums at width W={width:.6g} need {extra:.6g} panels beyond the "
+                           f"{gaps.size} cut at the abscissae, over the budget of {quadrature.MAX_SUBDIVISIONS}")
         edges, after = _hinge_panels(breaks, width, at)
         error, rounding = (np.bincount(point, e * weight, grid.size).max() for e in _hinge_bound(params, radius, edges, s))
         # halving W lowers the quadrature part only
-        if noise > 0.25 * cfg.tol or rounding > share:
-            return _kronrod(f, specs, grid, radius, cfg)
+        if rounding > share:
+            _refuse(specs, f"the hinge sums round by {rounding:.3g}, over their share {share:.3g} of "
+                           f"tol={cfg.tol:.3g}")
         if error + rounding <= share:
             break
         width *= 0.5
-    # a bounded entire a is constant (see above)
-    try:
-        with np.errstate(all="ignore"):
-            constant = bool(np.isfinite(np.asarray(f.strip(np.array([math.inf])), dtype=float)).all())
-    except (ArithmeticError, ValueError):
-        constant = False
-    smooth_values = None if constant else _trapezoid(smooth, specs, grid, rule)
+    if constant:
+        smooth_values = None
+    elif smooth.strip is None:
+        smooth_values = _estimate(smooth, specs, grid, rule, radius, 0.5 * cfg.tol)
+    else:
+        smooth_values = _trapezoid(smooth, specs, grid, rule)
     values = []
     for i, spec in enumerate(specs):
         shifted = grid + _kernel(spec).offset_moments(1)[1] / n  # x - EW = x + E T / n
@@ -937,55 +845,43 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec | Sequence[OperatorSpec], 
     ``spec`` may also be a sequence of specs with one n and one ``params``
     (else a ValueError), such as the kinds of one sweep step: the result
     then has one row of values per spec, each bit for bit the values of its
-    own call.  Every kind's kernel has the same window and width W, so the
-    set-up (sorting, the uniformity and drift checks, the trapezoidal
-    rule's step and samples, the hinge panels) is done once; the kernel
-    vectors, the hinge sums and the rows stay per kind.  The call raises
-    if any kind fails.
+    own call.  The set-up (sorting, the uniformity and drift checks, the
+    trapezoidal rule's steps and samples, the hinge panels) is shared; the
+    kernel values and the hinge sums stay per kind.  The call raises if any
+    kind fails.  ``xs`` need not be sorted.
 
-    There are three paths.  f with a strip majorant and no kinks (the
-    catalog's sin, cos, gauss and one) takes the trapezoidal rule
-    tau sum_{|j| <= J} k(j tau) f(x - j tau / n), J = ceil((R + 1) / tau)
-    + 1, at the largest step whose proven error is within tol, or refuses
-    before f or a kernel is evaluated (see ``_rule``).  On a uniform grid,
-    as ``np.linspace`` builds it, whose drift from x0 + i h moves no value
-    by more than tol / 10, all kinds share one vector of samples of f on
-    the lattice x0 + m h / p; any other grid samples f at x_i - j tau / n,
-    exact wherever the spacing of x_i allows (see ``_trapezoid``).
+    Every path takes the trapezoidal rule tau sum_{|j| <= J} k(j tau)
+    f(x - j tau / n), J = ceil((R + 1) / tau) + 1.  f with a strip
+    majorant and no kinks (the catalog's sin, cos, gauss and one, and their
+    derivatives) takes it at the largest step whose proven error is within
+    tol, or is refused before f or a kernel is evaluated (see ``_rule``).
+    f without one (``id``, ``from_callable`` functions such as an
+    approximant stage) takes it from the step proven for a constant of
+    size sup |f| (at most W = ``cfg.width``), halved, adding only the new
+    nodes, until two successive halvings each change a kind's values by at
+    most ``cfg.allowance`` of its largest |value| (see ``_estimate``), or
+    is refused once a level needs more than 15
+    ``quadrature.MAX_SUBDIVISIONS`` nodes.  On a uniform grid (as
+    ``np.linspace`` builds it, drifting from x0 + i h by no more than moves
+    a value by tol / 10) the kinds share one vector of samples of f on the
+    lattice x0 + m h / p and each has one kernel vector.  Any other grid
+    samples f once at each multiple of tau / n that some point needs (an
+    approximant pays for every sample) and evaluates the kernel at
+    n (x_i - c_i) + j tau for each (point, node) pair, c_i the multiple
+    nearest x_i (see ``_trapezoid``).  f is called with 1-d arrays and
+    must work elementwise.
 
-    f with kinks, a strip majorant of its smooth part a and slope jumps
-    (abs) takes B f(x) = f(x - EW) + [B a(x) - a(x - EW)] + sum_k j_k
-    g(x - k), g(y) = E(W - y)+ - (EW - y)+, W = V / n, V ~ k: B a by the
-    rule above at half of tol, and g from one kernel call per kind on
-    GK15 panels at most W wide cut at the abscissae n (x - k) inside the
-    kernel window, W halved beforehand while their proven bound misses
-    what the rule leaves of tol (see ``_kinked``).  Where the strip is
-    finite at infinity a is constant and the bracket is 0: the rule is
-    sized, and refuses as above, but neither it nor a is evaluated.  A
-    grid far from the kinks takes the rows.
-
-    f without a majorant (``id``, derivatives, ``from_callable`` functions
-    such as an approximant stage), or kinked without jumps, takes the
-    Gauss-Kronrod rows: all points share one panel decomposition in the
-    sample variable u, seeded W/n wide, W = ``cfg.width(params, sup |f|)``
-    (1/n above a window radius of 65,535, beta below about 4.3e-4, so that
-    a call no budget covers fails soonest), at least 8 and at most the
-    panel budget per window, plus the kinks of f, then bisected greedily
-    until the worst point's accumulated error estimate is within
-    ``cfg.allowance`` of the largest |value|.  A panel is evaluated only on
-    the grid points within (R + 1)/n of it, the reach of every kind's
-    kernel window [-R - 1, R + 1] (see ``_Kernel``), and seeded only where
-    it reaches one.  The points' windows [x - (R + 1)/n, x + (R + 1)/n],
-    split at gaps over 3 (R + 1)/n, may use ``quadrature.MAX_SUBDIVISIONS``
-    panels per kernel window of width 2 (R + 1)/n they span, their nodes
-    held as offsets from their centres (see the module docstring).  The
-    seeds, then each round's new halves, are evaluated as flat (panel,
-    grid point) rows, about a thousand per kernel call, with one call of f
-    for the nodes of the chunk's panels, so f must work elementwise on
-    arrays of any shape.  ``xs`` need not be sorted.
+    A kinked f (with its slope jumps, see ``TestFunction``) takes B f(x) =
+    f(x - EW) + [B a(x) - a(x - EW)] + sum_k j_k g(x - k) (see the module
+    docstring): B a by the rule above at half of tol, and g from one
+    kernel call per kind on GK15 panels at most W wide cut at the
+    abscissae n (x - k), W halved beforehand while their proven bound
+    misses what the rule leaves of tol (see ``_kinked``).  Where the strip
+    of a is finite at infinity a is constant: the rule is sized, and
+    refuses as above, but neither it nor a is evaluated.
 
     No path calls a BLAS routine: every sum runs in a fixed order, so the
-    output depends neither on the chunk size nor on the BLAS thread count.
+    output depends neither on the block size nor on the BLAS thread count.
     """
     cfg = cfg or DEFAULT_CONFIG
     single = isinstance(spec, OperatorSpec)
@@ -1018,10 +914,10 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec | Sequence[OperatorSpec], 
     drift = _drift(grid) * 2.0 * n * params.g_max_value * f.sup_norm if uniform else math.inf
     if drift > 0.1 * cfg.tol:
         drift = None
-    if f.strip is None:
-        values = _kronrod(f, specs, grid, radius, cfg)
-    elif f.kinks:
+    if f.kinks:
         values = _kinked(f, specs, grid, radius, drift, cfg)
+    elif f.strip is None:
+        values = _estimate(f, specs, grid, _rule(f, specs, grid, radius, drift, cfg, cfg.tol), radius, cfg.tol)
     else:
         values = _trapezoid(f, specs, grid, _rule(f, specs, grid, radius, drift, cfg, cfg.tol))
     rows = np.stack([v[slot] for v in values])

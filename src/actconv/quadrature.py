@@ -81,8 +81,9 @@ GK15_WEIGHTS.setflags(write=False)
 G7_WEIGHTS.setflags(write=False)
 
 
-#: the most splits of one ``integrate_interval`` call, and the most panels
-#: per kernel window (width 2R/n) in the grid engine ``operators.apply_on_grid``
+#: the most splits of one ``integrate_interval`` call; 15 times it is the
+#: most trapezoidal nodes, and it is the most hinge panels beyond the cuts
+#: per kernel window, of one ``operators.apply_on_grid`` call
 MAX_SUBDIVISIONS = 2000
 
 
@@ -129,7 +130,10 @@ class QuadratureConfig:
         |K15 - G7|; rho = (size min(10, 2 / beta) / tol)^(1/14), the
         constants fitted on GK15 tilings of psi (Trefethen, SIAM Review 50,
         2008).  At tol = 1e-10 and size 1, W is 4 at beta = 0.5, 2 at
-        beta = 1, 1/2 at beta = 3 and 1/8 at beta = 20."""
+        beta = 1, 1/2 at beta = 3 and 1/8 at beta = 20.  It seeds the
+        real-line integrals (``kernel_breaks``) and the hinge panels of
+        ``operators.apply_on_grid``, and caps the first step of its
+        estimated trapezoidal rule (f without a strip majorant)."""
         rho = (size * min(10.0, 2.0 / params.beta) / self.tol) ** (1.0 / 14.0)
         limit = self.radius(params, size)
         if rho > 1.0:

@@ -56,10 +56,11 @@ GAUSS = CATALOG["gauss"]
 ID = CATALOG["id"]
 ONE = CATALOG["one"]
 # the catalog functions as from_callable makes them: the same evaluator,
-# sup norm and kinks, no strip majorant and no slope jumps, so apply_on_grid
-# evaluates them on the Gauss-Kronrod rows, as it does an approximant stage
-GK_SIN, GK_GAUSS, GK_ONE = (TestFunction.from_callable(f.name, f.eval, f.sup_norm) for f in (SIN, GAUSS, ONE))
-GK_ABS = TestFunction.from_callable(ABS.name, ABS.eval, ABS.sup_norm, kinks=ABS.kinks)
+# sup norm, kinks and slope jumps, and no strip majorant, so apply_on_grid
+# takes the trapezoidal rule at an estimated step, as it does for an
+# approximant stage
+EST_SIN, EST_GAUSS, EST_ONE = (TestFunction.from_callable(f.name, f.eval, f.sup_norm) for f in (SIN, GAUSS, ONE))
+EST_ABS = TestFunction.from_callable(ABS.name, ABS.eval, ABS.sup_norm, kinks=ABS.kinks, jumps=ABS.jumps)
 
 B32 = OperatorSpec(OperatorKind.BASIC, 32, P11)
 K32 = OperatorSpec(OperatorKind.KANTOROVICH, 32, P11)
@@ -159,11 +160,34 @@ class TestTestFunction:
 
     def test_kinks_with_a_strip_need_jumps(self):
         """Without its jumps a kinked f's strip majorant would bound a
-        smooth part nobody can form; a kinked f without a strip (on the
-        rows) needs none."""
+        smooth part nobody can form."""
         with pytest.raises(ValueError, match="no slope jumps"):
             replace(ABS, jumps=())
-        assert GK_ABS.jumps == () and GK_ABS.strip is None
+        assert EST_ABS.jumps == ABS.jumps and EST_ABS.strip is None
+
+    def test_kinks_without_a_strip_need_jumps(self):
+        """Every kinked f takes the hinge sums, which need its slope jumps,
+        with or without a strip majorant of its smooth part."""
+        with pytest.raises(ValueError, match="abs has kinks but no slope jumps"):
+            TestFunction.from_callable(ABS.name, ABS.eval, ABS.sup_norm, kinks=ABS.kinks)
+
+    @pytest.mark.parametrize("f", [SIN, COS, GAUSS, ONE], ids=lambda f: f.name)
+    def test_derivatives_carry_cauchys_strip(self, f):
+        """The k-th derivative of a kink-free f with a strip majorant gets
+        k! min_r strip(y + r) / r^k: it majorizes the derivative on the
+        lines Im z = y (checked on a sample of x against the analytic
+        derivative, by complex finite differences of f for gauss)."""
+        xs = np.linspace(-3.0, 3.0, 61)
+        for k in range(1, len(f.derivatives) + 1):
+            d = f.derivative(k)
+            for y in (0.0, 0.5, 2.0):
+                z = xs + 1j * y
+                # the k-th derivative by Cauchy's integral on a circle of radius 0.1
+                theta = np.exp(2j * np.pi * np.arange(64) / 64)
+                values = np.exp(-(z[:, None] + 0.1 * theta) ** 2) if f is GAUSS else {
+                    "sin": np.sin, "cos": np.cos, "one": lambda w: np.ones_like(w)}[f.name](z[:, None] + 0.1 * theta)
+                exact = math.factorial(k) * (values / (0.1 * theta) ** k).mean(axis=1)
+                assert float(np.abs(exact).max()) <= float(d.strip(np.array([y]))[0]) + 1e-9, (k, y)
 
     def test_derivative_clears_jumps(self):
         """The derivative of a hinge is a step: neither kinks nor jumps
@@ -397,12 +421,11 @@ class TestApplyOnGrid:
     @pytest.mark.parametrize("n", [9, 1000])
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind.value)
     def test_far_from_origin(self, spec, n):
-        """sin takes the trapezoidal rule, whose kernel arguments j tau and
-        sample points x - j tau / n are exact here, so points far from the
-        origin are as accurate as points near it (the row path holds
-        offsets from the anchor of each seeding window for that; see
-        ``TestLatticeSeeds.test_far_from_origin``).  The closed forms are
-        evaluated in mpmath:
+        """sin takes the trapezoidal rule, whose samples are exact multiples
+        of tau / n and whose kernel arguments are formed from the multiple
+        nearest each point, so points far from the origin are as accurate
+        as points near it (see ``TestEstimate.test_far_from_origin``).  The
+        closed forms are evaluated in mpmath:
         rounding x + 1/(2n) to a double alone is off by up to
         ulp(1e7) / 2 = 9.3e-10."""
         spec = replace(spec, n=n)
@@ -438,11 +461,11 @@ class TestApplyOnGrid:
         expected = apply_on_grid(ABS, spec, xs)[perm]
         np.testing.assert_allclose(apply_on_grid(ABS, spec, xs[perm]), expected, rtol=0, atol=1e-14)
 
-    def test_peak_memory_is_the_stored_rows(self):
-        """One process's peak RSS grows by the stored rows of a call (a K15
-        value and an error estimate, 16 bytes, per (panel, point) pair) plus
-        a fixed allowance for one chunk's temporaries, not by any working set
-        the size of a whole round."""
+    def test_peak_memory_is_a_few_vectors(self):
+        """One process's peak RSS grows by a few vectors of the grid's size
+        (the lattice samples, the values: 16 doubles per point) plus a fixed
+        allowance for one block's temporaries, not by a working set of
+        every (point, node) pair."""
         # a spawned process inherits its parent's peak RSS as its own, a
         # forked one starts from its parent's size: measure in a fork of the
         # small subprocess, not in the subprocess itself
@@ -458,16 +481,11 @@ class TestApplyOnGrid:
             "apply_on_grid(CATALOG['sin'], OperatorSpec('kantorovich', 400, KernelParams()), xs)\n"
             "print(before, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
         )
-        points, n = 20001, 400
+        points = 20001
         proc = _python(code, points)
         assert proc.returncode == 0, proc.stderr
         before_kb, after_kb = map(int, proc.stdout.split())
-        # panels of width 1/n over [-3 - R/n, 3 + R/n], each reaching the
-        # points within R/n of it
-        reach = truncation_radius(P11, QuadratureConfig().truncation_eps) / n
-        spacing = 6.0 / (points - 1)
-        rows = math.ceil((6.0 + 2.0 * reach) * n) * (math.ceil((2.0 * reach + 1.0 / n) / spacing) + 2)
-        assert (after_kb - before_kb) * 1024 <= 16 * rows + 4 * 2**20
+        assert (after_kb - before_kb) * 1024 <= 16 * 8 * points + 4 * 2**20
 
     def test_kink_seeding_leaves_numpy_ma_unloaded(self):
         """Kink seeds are merged without np.unique, which imports numpy.ma
@@ -489,17 +507,18 @@ class TestApplyOnGrid:
             apply_on_grid(NAN_RIGHT, B32, np.linspace(-1, 1, 5))
         assert float(re.search(r"u=(\S+) ", str(err.value)).group(1)) > 0.5
 
-    @pytest.mark.parametrize("points", ["uniform", "rows"])
+    @pytest.mark.parametrize("points", ["uniform", "nudged"])
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind.value)
     def test_non_finite_sample_location_is_a_hole_of_f(self, spec, points):
         """The u named by the error is a point where f is not finite, for
-        every kind, on the rows of a uniform grid and of another one.  The
-        hole is wider than any gap between the nodes of a 1/9-wide panel."""
+        every kind, on the uniform lattice and off it.  f has no strip
+        majorant: its estimate halves the step until the samples fall into
+        the hole."""
         hole = TestFunction.from_callable(
             "hole", lambda u: np.where(np.abs(np.asarray(u) - 0.5123) < 0.02, np.nan, np.sin(u)), 1.0
         )
         xs = np.linspace(-1.0, 1.0, 41)
-        if points == "rows":
+        if points == "nudged":
             xs = _nudged(xs, 7)
         with pytest.raises(NonFiniteSampleError, match=f"operator={spec.kind.value}, n=9") as err:
             apply_on_grid(hole, replace(spec, n=9), xs)
@@ -529,34 +548,48 @@ def _nudged(xs, i):
     return out
 
 
-def _row_panels(monkeypatch):
-    """The number of panels of each row evaluation of the apply_on_grid
-    calls that follow."""
-    rows = []
-    evaluate = operators._evaluate
+def _estimates(monkeypatch):
+    """The first rule and the number of levels of every ``_estimate`` call
+    of the apply_on_grid calls that follow, as (f name, first rule,
+    levels)."""
+    calls = []
+    estimate, trapezoid = operators._estimate, operators._trapezoid
 
-    def recorded_evaluate(*args):
-        rows.append(args[5].size)
-        return evaluate(*args)
+    def recorded_estimate(f, specs, grid, rule, radius, tol):
+        calls.append([f.name, rule, 1])
+        return estimate(f, specs, grid, rule, radius, tol)
 
-    monkeypatch.setattr(operators, "_evaluate", recorded_evaluate)
-    return rows
+    def recorded_trapezoid(f, specs, grid, rule, odd=False):
+        if odd:
+            calls[-1][2] += 1
+        return trapezoid(f, specs, grid, rule, odd)
+
+    monkeypatch.setattr(operators, "_estimate", recorded_estimate)
+    monkeypatch.setattr(operators, "_trapezoid", recorded_trapezoid)
+    return calls
 
 
 @pytest.fixture
-def rows_only(monkeypatch):
-    """Fail the test if a call takes the trapezoidal rule or the hinge sums."""
-    for name in ("_trapezoid", "_hinges"):
-        monkeypatch.setattr(operators, name, lambda *args, name=name: pytest.fail(f"{name} was taken"))
+def estimated_only(monkeypatch):
+    """Fail the test if a call takes the trapezoidal rule at a proven step."""
+    rule = operators._rule
+
+    def guarded(f, *args):
+        if f.strip is not None:
+            pytest.fail(f"{f.name} took a proven step")
+        return rule(f, *args)
+
+    monkeypatch.setattr(operators, "_rule", guarded)
 
 
-class TestRows:
-    """f without a strip majorant (``id``, derivatives, approximant stages,
-    the ``from_callable`` twins here) and kinked f without slope jumps take
-    the Gauss-Kronrod rows, on every grid."""
+class TestEstimate:
+    """f without a strip majorant (``id``, approximant stages, the
+    ``from_callable`` twins here) takes the trapezoidal rule at an
+    estimated step, halved until two successive halvings agree, on every
+    grid; a kinked twin takes it for its smooth part."""
 
     @pytest.mark.parametrize("n", [9, 100, 1000])
-    @pytest.mark.parametrize("f", [GK_SIN, ABS], ids=lambda f: f.name)
+    @pytest.mark.parametrize("f", [EST_SIN, ABS], ids=lambda f: f.name)
     @pytest.mark.parametrize(
         "spec",
         ALL_SPECS + [replace(s, params=KernelParams(1.0, beta)) for beta in (0.5, 20.0) for s in ALL_SPECS],
@@ -564,9 +597,10 @@ class TestRows:
     )
     def test_uniform_grid_agrees_with_a_nudged_one(self, grid, spec, f, n):
         """An interior point moved by one ulp makes the grid non-uniform:
-        the rows (sin) see another grid, and the hinge sums of |x| (whose
-        constant smooth part takes no rule) another abscissa, and both
-        agree with the uniform grid at every point."""
+        the estimate for sin gathers its samples off the uniform lattice,
+        and the hinge sums of |x| (whose constant smooth part takes no
+        rule) see another abscissa, and both agree with the uniform grid at
+        every point."""
         spec = replace(spec, n=n)
         nudged = grid.points.copy()
         nudged[777] = np.nextafter(nudged[777], np.inf)
@@ -576,10 +610,10 @@ class TestRows:
 
     @pytest.mark.parametrize("n", [9, 100, 400, 1000])
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind.value)
-    def test_rows_match_closed_form(self, grid, spec, n):
+    def test_matches_closed_form(self, grid, spec, n):
         spec = replace(spec, n=n)
         xs = grid.points
-        out = apply_on_grid(GK_SIN, spec, xs)
+        out = apply_on_grid(EST_SIN, spec, xs)
         picks = np.arange(0, xs.size, 50)
         expected = [_exact_sin(spec, x) for x in xs[picks]]
         np.testing.assert_allclose(out[picks], expected, rtol=0, atol=1e-12)
@@ -589,27 +623,38 @@ class TestRows:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind.value)
     def test_far_from_origin(self, spec, centre, n):
         """np.linspace rounds each point to a double, up to ulp(x) / 2 =
-        9.3e-10 away from x0 + i h at 1e7: the rows hold offsets from the
-        anchor of each seeding window and stay within tolerance at the
-        grid's own points."""
+        9.3e-10 away from x0 + i h at 1e7, too far for the uniform lattice:
+        the samples are multiples of tau / n, exact, and the kernel
+        arguments n (x - c) + j tau are formed from the nearest such
+        multiple c, so the values stay within tolerance at the grid's own
+        points."""
         spec = replace(spec, n=n)
         xs = np.linspace(centre, centre + 6.0, 2001)
         picks = np.arange(0, xs.size, 100)
         expected = [_exact_sin(spec, x) for x in xs[picks]]
-        np.testing.assert_allclose(apply_on_grid(GK_SIN, spec, xs)[picks], expected, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(apply_on_grid(EST_SIN, spec, xs)[picks], expected, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("centre", [0.0, 1e6], ids=["origin", "far"])
-    def test_row_seeds_at_the_kernel_width(self, monkeypatch, centre):
-        """At q = beta = 1 each window [lo, hi] (the points' kernel windows,
-        (R + 1)/n either side) seeds ceil((hi - lo) n / W) panels, W = 2,
-        near the origin and around 1e6 alike."""
-        spec = OperatorSpec(OperatorKind.BASIC, 100, P11)
-        xs = centre + np.concatenate((_nudged(np.linspace(-3.0, -1.0, 401), 200), np.linspace(2.0, 3.0, 101)))
-        reach = (QuadratureConfig().radius(P11, SIN.sup_norm) + 1.0) / spec.n
-        windows = [(xs[0] - reach, xs[400] + reach), (xs[401] - reach, xs[-1] + reach)]
-        rows = _row_panels(monkeypatch)
-        apply_on_grid(GK_SIN, spec, xs)
-        assert rows[0] == sum(math.ceil((hi - lo) * spec.n / 2.0) for lo, hi in windows)
+    @pytest.mark.parametrize("beta", [1.0, 0.05, 20.0])
+    def test_first_step_is_the_least_of_three(self, monkeypatch, centre, beta):
+        """The first step is the lesser of the step proven for a constant of
+        size sup |f| (tau / n rounded down to 8 significant bits off the
+        uniform lattice) and the width W (which is at most R); every later
+        level halves it and keeps the anchors, and at least two halvings
+        run."""
+        spec = OperatorSpec(OperatorKind.BASIC, 100, KernelParams(1.0, beta))
+        cfg = QuadratureConfig()
+        xs = centre + _nudged(np.linspace(-3.0, 3.0, 401), 200)
+        calls = _estimates(monkeypatch)
+        apply_on_grid(EST_SIN, spec, xs, cfg)
+        [(_, rule, levels)] = calls
+        radius = cfg.radius(spec.params, 1.0) + 1.0
+        constant = replace(EST_SIN, strip=lambda y: np.ones(np.shape(y)))
+        proven = operators._rule(constant, [spec], xs, radius, None, cfg, cfg.tol)
+        assert cfg.width(spec.params, 1.0) <= radius - 1.0
+        assert rule.lattice is None and rule.anchor == rule.step / spec.n
+        assert rule.step == min(proven.step, cfg.width(spec.params, 1.0))
+        assert levels >= 3
 
     @pytest.mark.parametrize(
         "q, beta, tol, width",
@@ -622,46 +667,47 @@ class TestRows:
         wide the window (R = 28,325 at beta = 1e-3)."""
         assert QuadratureConfig(tol).width(KernelParams(q, beta), 1.0) == width
 
-    def test_default_verbs_take_one_seed_width(self, monkeypatch, tmp_path):
+    def test_default_verbs_take_the_estimate_for_later_stages(self, monkeypatch, tmp_path):
         """The default ``approx``, ``taylor`` and ``iterate`` (alone and as
-        the 9, 16, 25 chain) apply the operators to sin by the trapezoidal
-        rule: the sweeps' eight three-kind calls on the shared sample
-        lattice of the uniform grid, and iterate's first stages on their
-        Chebyshev nodes by direct sampling.  Every row evaluation (the
-        later stages, whose approximants have no strip majorant) is seeded
-        at W/n."""
+        the 9, 16, 25 chain) apply the operators to sin at a proven step:
+        the sweeps' eight three-kind calls on the shared sample lattice of
+        the uniform grid, and iterate's first stages on their Chebyshev
+        nodes off it.  The later stages, whose approximants have no strip
+        majorant, take the estimate, off the uniform lattice too, and each
+        starts at most W wide."""
         from click.testing import CliRunner
 
         from actconv.cli import main
 
-        rules, seeds = [], []
-        trapezoid, rows = operators._trapezoid, operators._rows
+        rules = []
+        trapezoid = operators._trapezoid
 
-        def spied_trapezoid(f, specs, grid, rule):
-            rules.append((f.name, len(specs), rule.lattice is not None))
-            return trapezoid(f, specs, grid, rule)
-
-        def spied_rows(f, spec, grid, win, seed, cfg_):
-            seeds.append(seed == cfg_.width(spec.params, f.sup_norm))
-            return rows(f, spec, grid, win, seed, cfg_)
+        def spied_trapezoid(f, specs, grid, rule, odd=False):
+            if not odd:
+                rules.append((f.name.split(".")[0], len(specs), rule.lattice is not None))
+            return trapezoid(f, specs, grid, rule, odd)
 
         monkeypatch.setattr(operators, "_trapezoid", spied_trapezoid)
-        monkeypatch.setattr(operators, "_rows", spied_rows)
+        calls = _estimates(monkeypatch)
         for argv in (["approx"], ["taylor"], ["iterate"], ["iterate", "--chain", "9,16,25"]):
             result = CliRunner().invoke(main, [*argv, "--out", str(tmp_path)], catch_exceptions=False)
             assert result.exit_code == 0, result.output
-        assert rules == [("sin", 3, True)] * 8 + [("sin", 1, False)] * 4
-        assert seeds == [True] * 6
+        proven = len(rules) - len(calls)
+        assert rules[:proven] == [("sin", 3, True)] * 8 + [("sin", 1, False)] * 4
+        assert len(calls) >= 6 and all(name.startswith("sin.stage") for name, _, _ in calls)
+        assert all(rule.lattice is None and rule.step <= QuadratureConfig().width(P11, 1.0) for _, rule, _ in calls)
 
     @pytest.mark.parametrize(
         "f, spec",
-        [(GK_ABS, OperatorSpec(OperatorKind.BASIC, 9, P11)), (GK_SIN, OperatorSpec(OperatorKind.KANTOROVICH, 400, P11))],
+        [(EST_ABS, OperatorSpec(OperatorKind.BASIC, 9, P11)), (EST_SIN, OperatorSpec(OperatorKind.KANTOROVICH, 400, P11))],
         ids=["basic-abs-9", "kantorovich-sin-400"],
     )
-    def test_row_chunking_is_invisible(self, monkeypatch, rows_only, grid, f, spec):
-        """``TestApplyOnGrid.test_chunking_is_invisible`` on the rows: at
-        n = 9 every panel of |x| reaches all 2001 points, more rows than one
-        chunk holds."""
+    def test_chunking_is_invisible(self, monkeypatch, estimated_only, grid, f, spec):
+        """``TestApplyOnGrid.test_chunking_is_invisible`` on the estimate,
+        off the uniform lattice: the gathered samples and the kernel at
+        each (point, node) pair are taken a block at a time, and at n = 9
+        every level's nodes at all 2001 points are more terms than one
+        block holds."""
         xs, thin = _nudged(grid.points, 777), _nudged(grid.points[::16], 50)
         expected = apply_on_grid(f, spec, xs)
         thinned = apply_on_grid(f, spec, thin)
@@ -677,32 +723,38 @@ class TestRows:
         operator's multiplier (``TestMultiplierOracle``)."""
         spec = replace(spec, n=n)
         exact = (multiplier(spec) * np.exp(1j * grid.points)).imag
-        out = apply_on_grid(GK_SIN, spec, grid.points)
+        out = apply_on_grid(EST_SIN, spec, grid.points)
         assert float(np.abs(out - exact).max()) <= 2.0 * QuadratureConfig().tol
 
-    def test_too_wide_a_kernel_takes_the_row_path(self, monkeypatch):
-        """At beta = 1e-5 the rows are seeded 1/n wide, and meet tolerance."""
-        rows = _row_panels(monkeypatch)
-        spec = OperatorSpec(OperatorKind.BASIC, 9, KernelParams(1.0, 1e-5))
-        out = apply_on_grid(GK_ONE, spec, np.linspace(-1.0, 1.0, 41))
-        assert rows
+    @pytest.mark.parametrize("n, beta", [(9, 1e-5), (1, 1e-3)])
+    def test_wide_kernel_meets_tolerance(self, monkeypatch, n, beta):
+        """At beta = 1e-5 (R about 2.8e6) and n = 9, and at beta = 1e-3 and
+        n = 1, the estimate's nodes stay within budget and meet
+        tolerance."""
+        calls = _estimates(monkeypatch)
+        spec = OperatorSpec(OperatorKind.BASIC, n, KernelParams(1.0, beta))
+        out = apply_on_grid(EST_ONE, spec, np.linspace(-1.0, 1.0, 41))
+        assert len(calls) == 1
         np.testing.assert_allclose(out, 1.0, rtol=0, atol=1e-9)
 
-    def test_row_determinism(self, rows_only):
-        """``TestApplyOnGrid.test_determinism`` on the rows: an unsorted
-        grid with repeated points gives the same bits, point by point."""
+    def test_determinism(self, estimated_only):
+        """``TestApplyOnGrid.test_determinism`` on the estimate: an
+        unsorted grid with repeated points gives the same bits, point by
+        point."""
         xs = _nudged(np.linspace(-2, 2, 51), 25)
-        a = apply_on_grid(GK_GAUSS, K32, xs)
-        np.testing.assert_array_equal(a, apply_on_grid(GK_GAUSS, K32, xs))
+        a = apply_on_grid(EST_GAUSS, K32, xs)
+        np.testing.assert_array_equal(a, apply_on_grid(EST_GAUSS, K32, xs))
         perm = np.random.default_rng(7).permutation(np.concatenate((np.arange(xs.size), [3, 3, 40])))
-        c = apply_on_grid(GK_GAUSS, K32, xs[perm])
-        np.testing.assert_array_equal(c, apply_on_grid(GK_GAUSS, K32, xs[perm]))
+        c = apply_on_grid(EST_GAUSS, K32, xs[perm])
+        np.testing.assert_array_equal(c, apply_on_grid(EST_GAUSS, K32, xs[perm]))
         np.testing.assert_array_equal(c, a[perm])
 
-    def test_row_peak_memory_is_the_stored_rows(self):
-        """``TestGridEngine.test_peak_memory_is_the_stored_rows`` on the row
-        path, whose rows a call stores: 16 bytes per (panel, point) pair plus
-        one chunk's temporaries."""
+    def test_peak_memory_is_a_few_vectors(self):
+        """``TestApplyOnGrid.test_peak_memory_is_a_few_vectors`` on the
+        estimate off the uniform lattice, whose gathered samples and
+        per-point indices are a few vectors of the grid's size: 16 doubles
+        per point plus one block's temporaries, not a working set of every
+        (point, node) pair."""
         code = (
             "import os, resource, sys\n"
             "if os.fork():\n"
@@ -717,18 +769,15 @@ class TestRows:
             "apply_on_grid(sin, OperatorSpec('kantorovich', 400, KernelParams()), xs)\n"
             "print(before, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
         )
-        points, n = 20001, 400
+        points = 20001
         proc = _python(code, points)
         assert proc.returncode == 0, proc.stderr
         before_kb, after_kb = map(int, proc.stdout.split())
-        reach = truncation_radius(P11, QuadratureConfig().truncation_eps) / n
-        spacing = 6.0 / (points - 1)
-        rows = math.ceil((6.0 + 2.0 * reach) * n) * (math.ceil((2.0 * reach + 1.0 / n) / spacing) + 2)
-        assert (after_kb - before_kb) * 1024 <= 16 * rows + 4 * 2**20
+        assert (after_kb - before_kb) * 1024 <= 16 * 8 * points + 4 * 2**20
 
     def test_output_independent_of_blas_threads(self):
-        """No path of the grid engine calls BLAS: the rows, the trapezoidal
-        rule and the hinge sums add their terms in a fixed order, so the
+        """No path of the grid engine calls BLAS: the proven and estimated
+        rules and the hinge sums add their terms in a fixed order, so the
         OpenBLAS thread count changes no bit."""
         code = (
             "import hashlib\n"
@@ -741,9 +790,10 @@ class TestRows:
             "                    ('sin', 'basic', 1000)]:\n"
             "    w = (0.25,) * 4 if kind == 'quadrature' else None\n"
             "    spec = OperatorSpec(kind, n, KernelParams(), weights=w)\n"
-            "    # sin without its strip majorant takes the rows, abs the hinge sums\n"
+            "    # sin without its strip majorant takes the estimate, abs the hinge sums\n"
             "    f = CATALOG['abs'] if fn == 'abs' else TestFunction.from_callable('sin', np.sin, 1.0)\n"
             "    digest.update(apply_on_grid(f, spec, xs).tobytes())\n"
+            "    digest.update(apply_on_grid(f, spec, xs[::-1] + 1e-3).tobytes())\n"
             "print(digest.hexdigest())\n"
         )
         digests = []
@@ -755,6 +805,31 @@ class TestRows:
             assert proc.returncode == 0, proc.stderr
             digests.append(proc.stdout.strip())
         assert digests[0] == digests[1]
+
+    def test_two_agreements_are_needed(self, monkeypatch, grid):
+        """One agreement is not enough: sin without its strip at (q, beta)
+        = (1, 0.05) and n = 1 stopped 6e-2 off the multiplier after one.
+        Every kind runs until two successive halvings agree, and lands
+        within twice the tolerance of the multiplier."""
+        calls = _estimates(monkeypatch)
+        specs = _kinds(1, KernelParams(1.0, 0.05))
+        out = apply_on_grid(EST_SIN, specs, grid.points)
+        [(_, _, levels)] = calls
+        assert levels >= 3
+        for spec, row in zip(specs, out):
+            exact = (multiplier(spec) * np.exp(1j * grid.points)).imag
+            assert float(np.abs(row - exact).max()) <= 2.0 * QuadratureConfig().tol, spec.kind.value
+
+    def test_refused_past_the_node_budget(self, monkeypatch, grid):
+        """A level that would need more than 15 ``MAX_SUBDIVISIONS`` nodes
+        is refused before it is sampled: at q = beta = 1 and n = 32 the
+        first two levels take 109 and 215 nodes, within a budget of 300,
+        and the third, which two agreements need, would take 425."""
+        monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 20)
+        f, calls = _counted_calls(monkeypatch, EST_SIN)
+        with pytest.raises(QuadratureNonConvergedError, match=r"needs 2J \+ 1 = 425 kernel nodes, over the budget of 300"):
+            apply_on_grid(f, B32, grid.points)
+        assert calls["f"] == 2
 
 
 @st.composite
@@ -863,6 +938,27 @@ class TestBatchedKinds:
         specs = _kinds(n, params)
         rows = apply_on_grid(f, specs, xs)
         assert rows.shape == (len(specs), xs.size)
+        for spec, row in zip(specs, rows):
+            np.testing.assert_array_equal(row, apply_on_grid(f, spec, xs), err_msg=spec.kind.value)
+
+    @pytest.mark.parametrize("xs", list(BATCH_GRIDS))
+    @pytest.mark.parametrize("n", [1, 9, 400])
+    @pytest.mark.parametrize("f", [EST_SIN, EST_ABS], ids=lambda f: f.name)
+    @pytest.mark.parametrize("params", [KernelParams(1.0, 1.0), KernelParams(1.0, 0.05)],
+                             ids=lambda p: f"q{p.q:g}-beta{p.beta:g}")
+    def test_estimated_rows_have_the_bits_of_single_calls(self, params, f, n, xs):
+        """Without a strip majorant the kinds share the estimate's samples
+        level by level, and each stops at its own level, as it does alone.
+        Around 1e6 the samples of the smooth part of |x|, not known to be
+        constant, round by too much: the batch is refused as each kind is."""
+        specs = _kinds(n, params)
+        if f is EST_ABS and xs == "far":
+            for batch in [specs] + [[spec] for spec in specs]:
+                with pytest.raises(QuadratureNonConvergedError, match="over a quarter of tol"):
+                    apply_on_grid(f, batch, BATCH_GRIDS[xs])
+            return
+        xs = BATCH_GRIDS[xs]
+        rows = apply_on_grid(f, specs, xs)
         for spec, row in zip(specs, rows):
             np.testing.assert_array_equal(row, apply_on_grid(f, spec, xs), err_msg=spec.kind.value)
 
@@ -986,15 +1082,35 @@ class TestTrapezoidalRule:
 
     @pytest.mark.parametrize("f, beta", [(GAUSS, 2.39), (SIN, 2.54), (GAUSS, 2.54)],
                              ids=["gauss-2.39", "sin-2.54", "gauss-2.54"])
-    def test_n1_lattice_misses_take_one_pass(self, monkeypatch, grid, f, beta):
+    def test_n1_lattice_misses_take_one_pass(self, grid, f, beta):
         """At n = 1 GK15 panels of the closed-form W = 1 missed tolerance
         for basic gauss at (q, beta) = (1, 2.39) and for sin and gauss at
-        (1, 2.54); the rule takes one pass, on the sample lattice, its step
-        sized by f's scale n as well as psi's strip, and evaluates no row."""
+        (1, 2.54); the rule takes one pass (``_rule_of`` asserts it), on the
+        sample lattice, its step sized by f's scale n as well as psi's
+        strip."""
         spec = OperatorSpec(OperatorKind.BASIC, 1, KernelParams(1.0, beta))
-        rows = _row_panels(monkeypatch)
         _, rule = _rule_of(f, spec, grid.points)
-        assert rows == [] and rule.lattice is not None
+        assert rule.lattice is not None
+
+    @pytest.mark.parametrize("f", [SIN, EST_SIN], ids=["proven", "estimated"])
+    def test_samples_must_be_doubles(self, f):
+        """Off the uniform lattice the samples are integers times tau / n,
+        tau / n of 8 significant bits: around 1e15 at n = 32 they are not
+        all doubles, and the call is refused before f is evaluated."""
+        with pytest.raises(QuadratureNonConvergedError, match=r"around \|x\|=1e\+15 are not all doubles; refused"):
+            apply_on_grid(replace(f, eval=lambda u: pytest.fail("f was sampled")), B32, [1e15, 1e15 + 1.0])
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind.value)
+    def test_derivative_takes_the_proven_rule(self, monkeypatch, grid, spec):
+        """``SIN.derivative(3)`` = -cos carries Cauchy's strip majorant, so
+        it takes ``_rule``, and B(-cos) = -Re(m e^{ix}) within 2 tol."""
+        names = []
+        rule = operators._rule
+        monkeypatch.setattr(operators, "_rule", lambda f, *args: names.append(f.name) or rule(f, *args))
+        out = apply_on_grid(SIN.derivative(3), spec, grid.points)
+        assert names == ["sin^(3)"]
+        exact = -(multiplier(spec) * np.exp(1j * grid.points)).real
+        assert float(np.abs(out - exact).max()) <= 2.0 * QuadratureConfig().tol
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind.value)
     def test_coarse_lattice_keeps_its_step(self, spec):
@@ -1022,7 +1138,7 @@ class TestTrapezoidalRule:
         """At beta = 1e-9 (R about 2.8e10) 2J + 1 exceeds the node budget,
         and at tol = 1e-17 the rounding of the sum alone exceeds tol: the
         call raises naming tau and the node count, before f or a kernel is
-        evaluated (the rows took 1.6 to 2.4 s and 154 MB at beta = 1e-9)."""
+        evaluated."""
         calls = {"f": 0, "kernel": 0}
 
         def counted(name, fn):
@@ -1050,21 +1166,32 @@ HINGE_GRIDS = {
 
 def _hinge_calls(monkeypatch):
     """The widest panel of every hinge evaluation of the apply_on_grid
-    calls that follow, as (kind, width), and the kinds that take the rows."""
-    hinges, rows = [], []
-    evaluate, kronrod = operators._hinges, operators._kronrod
+    calls that follow, as (kind, width)."""
+    hinges = []
+    evaluate = operators._hinges
 
     def recorded_hinges(spec, s, edges, after):
         hinges.append((spec.kind.value, float(np.diff(edges).max())))
         return evaluate(spec, s, edges, after)
 
-    def recorded_kronrod(f, specs, *args):
-        rows.extend(s.kind.value for s in specs)
-        return kronrod(f, specs, *args)
-
     monkeypatch.setattr(operators, "_hinges", recorded_hinges)
-    monkeypatch.setattr(operators, "_kronrod", recorded_kronrod)
-    return hinges, rows
+    return hinges
+
+
+def _counted_calls(monkeypatch, f):
+    """f with its calls counted, and the kernel calls of the apply_on_grid
+    calls that follow counted beside them."""
+    calls = {"f": 0, "kernel": 0}
+
+    def counted(name, fn):
+        def spy(*args):
+            calls[name] += 1
+            return fn(*args)
+        return spy
+
+    for name in ("psi", "psi_average"):
+        monkeypatch.setattr(operators.kernel, name, counted("kernel", getattr(operators.kernel, name)))
+    return replace(f, eval=counted("f", f.eval)), calls
 
 
 def _smooth_calls(monkeypatch):
@@ -1181,14 +1308,13 @@ class TestHinges:
         """At (q, beta) = (1e6, 0.05) and n = 1 the |K15 - G7| estimate at
         W = 32 was about 2e-10 and the sums ran again at W/2; the proven
         bound meets its share at W = 32, so each kind's sums run once there,
-        on the panels the kinds share, and no kind takes the rows."""
-        hinges, rows = _hinge_calls(monkeypatch)
+        on the panels the kinds share."""
+        hinges = _hinge_calls(monkeypatch)
         apply_on_grid(ABS, _kinds(1, KernelParams(1e6, 0.05)), grid.points)
         width = QuadratureConfig().width(KernelParams(1e6, 0.05), ABS.sup_norm)
         assert width == 32.0
         assert [kind for kind, _ in hinges] == ["basic", "kantorovich", "quadrature"]
         assert all(width / 2 < w <= width for _, w in hinges)
-        assert rows == []
 
     def test_wide_width_is_halved_before_any_kernel_call(self, monkeypatch):
         """With W forced to 64 times psi's own (2 at q = beta = 1), the
@@ -1213,7 +1339,6 @@ class TestHinges:
         monkeypatch.setattr(operators.kernel, "psi", lambda *args: events.append(("kernel", None)) or psi(*args))
         monkeypatch.setattr(operators, "_hinge_panels", recorded_panels)
         monkeypatch.setattr(operators, "_hinges", recorded_hinges)
-        _, rows = _hinge_calls(monkeypatch)
         spec, x = OperatorSpec(OperatorKind.BASIC, 9, P11), 0.0017
         out = apply_on_grid(ABS, spec, [x])
         names = [name for name, _ in events]
@@ -1222,7 +1347,6 @@ class TestHinges:
         assert widths[-1] == width(QuadratureConfig(), P11, ABS.sup_norm)
         assert "panels" not in names[names.index("kernel"):]
         assert names.count("hinges") == 1 and [w for name, w in events if name == "hinges"][0] <= widths[-1]
-        assert rows == []
         exact = float(abs_operator_mp("basic", 1.0, 1.0, 9, x))
         assert abs(out[0] - exact) <= QuadratureConfig().allowance(out[0])
 
@@ -1265,65 +1389,83 @@ class TestHinges:
         exact = float(abs_operator_mp(spec.kind.value, p.q, p.beta, n, x, spec.weights))
         assert abs(out - exact) <= cfg.allowance(out)
 
-    def test_tiny_tol_takes_the_rows(self, monkeypatch, grid):
-        """At tol = 1e-11, beta = 0.05 and n = 1 the rounding of the samples
-        of a = f - sum_k (j_k / 2) |u - k|, whose hinges reach 600 beyond
-        the grid, alone exceeds a quarter of tol: every kind takes the rows
-        before any hinge is evaluated, and meets tol there."""
-        hinges, rows = _hinge_calls(monkeypatch)
+    def test_tiny_tol_with_a_constant_smooth_part(self, monkeypatch, grid):
+        """At tol = 1e-11, beta = 0.05 and n = 1 the samples of a = f -
+        sum_k (j_k / 2) |u - k|, whose hinges reach 600 beyond the grid,
+        would round by over a quarter of tol; the smooth part of |x| is
+        constant and never sampled, so every kind takes its hinge sums and
+        meets tol."""
+        hinges = _hinge_calls(monkeypatch)
         cfg = QuadratureConfig(1e-11)
         specs = _kinds(1, KernelParams(1.0, 0.05))
         out = apply_on_grid(ABS, specs, grid.points, cfg)
-        assert hinges == [] and rows == ["basic", "kantorovich", "quadrature"]
+        assert [kind for kind, _ in hinges] == ["basic", "kantorovich", "quadrature"]
         x = float(grid.points[1000])
         for spec, row in zip(specs, out):
             exact = float(abs_operator_mp(spec.kind.value, 1.0, 0.05, 1, x, spec.weights))
             assert abs(row[1000] - exact) <= cfg.allowance(3.0), spec.kind.value
 
-    def test_hinge_rounding_over_its_share_takes_the_rows(self, monkeypatch, grid):
-        """At (q, beta) = (1e6, 0.05), n = 1 and tol = 5e-11 the samples of a
-        round by less than a quarter of tol, but the hinge sums over the
-        kernel's mean |V| of about 280, on about 5000 panels, round by more
-        than the rule and that rounding leave: halving W would not help, so
-        every kind takes the rows before any hinge is evaluated."""
-        hinges, rows = _hinge_calls(monkeypatch)
-        cfg = QuadratureConfig(5e-11)
-        specs = _kinds(1, KernelParams(1e6, 0.05))
-        out = apply_on_grid(ABS, specs, grid.points, cfg)
-        assert hinges == [] and rows == ["basic", "kantorovich", "quadrature"]
-        x = float(grid.points[1000])
-        for spec, row in zip(specs, out):
-            exact = float(abs_operator_mp(spec.kind.value, 1e6, 0.05, 1, x, spec.weights))
-            assert abs(row[1000] - exact) <= cfg.allowance(3.0), spec.kind.value
+    def test_sample_rounding_over_its_share_is_refused(self, monkeypatch, grid):
+        """sin(u) + min(|u|, 3) at tol = 1e-11, beta = 0.05 and n = 1: its
+        smooth part sin u + 3 is sampled, and those samples round by over a
+        quarter of tol, so every kind is refused before f or a kernel is
+        evaluated."""
+        f, calls = _counted_calls(monkeypatch, SIN_ABS)
+        with pytest.raises(QuadratureNonConvergedError, match="over a quarter of tol=1e-11; refused before sampling"):
+            apply_on_grid(f, _kinds(1, KernelParams(1.0, 0.05)), grid.points, QuadratureConfig(1e-11))
+        assert calls == {"f": 0, "kernel": 0}
+
+    def test_hinge_rounding_over_its_share_is_refused(self, monkeypatch, grid):
+        """At (q, beta) = (1e6, 0.05), n = 1 and tol = 5e-11 the hinge sums
+        over the kernel's mean |V| of about 280, on about 5000 panels,
+        round by more than the rule leaves: halving W would not help, so
+        every kind is refused before f or a kernel is evaluated."""
+        f, calls = _counted_calls(monkeypatch, ABS)
+        with pytest.raises(QuadratureNonConvergedError, match=r"hinge sums round by \S+, over their share"):
+            apply_on_grid(f, _kinds(1, KernelParams(1e6, 0.05)), grid.points, QuadratureConfig(5e-11))
+        assert calls == {"f": 0, "kernel": 0}
+
+    @pytest.mark.parametrize("n, beta", [(9, 1.0), (49, 1.0), (1, 0.05)])
+    def test_far_grid_is_f_at_the_mean_shift(self, n, beta):
+        """On np.linspace(1e6, 1e6 + 6, 2001) every kink of |x| is out of
+        reach and the smooth part is constant, so no sample of it rounds
+        and the call is not refused: every value is f(x - EW) = 3.0
+        exactly."""
+        out = apply_on_grid(ABS, _kinds(n, KernelParams(1.0, beta)), np.linspace(1e6, 1e6 + 6.0, 2001))
+        assert np.all(out == 3.0)
 
     def test_refused_before_sampling(self, monkeypatch, grid):
         """At beta = 1e-9 (R about 2.9e10) the rule for the smooth part of
         |x| cannot meet its share of tol: every kind is refused before f or
         a kernel is evaluated (counted, not timed)."""
-        calls = {"f": 0, "kernel": 0}
-
-        def counted(name, fn):
-            def spy(*args):
-                calls[name] += 1
-                return fn(*args)
-            return spy
-
-        f = replace(ABS, eval=counted("f", ABS.eval))
-        for name in ("psi", "psi_average"):
-            monkeypatch.setattr(operators.kernel, name, counted("kernel", getattr(operators.kernel, name)))
+        f, calls = _counted_calls(monkeypatch, ABS)
         for spec in ALL_SPECS:
             with pytest.raises(QuadratureNonConvergedError, match="refused before sampling"):
                 apply_on_grid(f, replace(spec, n=9, params=KernelParams(1.0, 1e-9)), grid.points)
         assert calls == {"f": 0, "kernel": 0}
 
+    @pytest.mark.parametrize("kind", list(OperatorKind), ids=lambda k: k.value)
+    def test_smooth_part_without_a_strip_takes_the_estimate(self, monkeypatch, grid, kind):
+        """|x| without its strip majorant (``EST_ABS``) takes the estimate
+        for its smooth part 3, and meets the allowance of the oracle at the
+        points nearest the kink 0 and nearest 2.9."""
+        calls = _estimates(monkeypatch)
+        weights = (0.25, 0.25, 0.25, 0.25) if kind is OperatorKind.QUADRATURE else None
+        spec, cfg = OperatorSpec(kind, 9, P11, weights=weights), QuadratureConfig()
+        out = apply_on_grid(EST_ABS, spec, grid.points, cfg)
+        assert len(calls) == 1
+        for i in sorted({int(np.argmin(np.abs(grid.points - x))) for x in (0.0017, 2.9)}):
+            exact = float(abs_operator_mp(kind.value, 1.0, 1.0, 9, float(grid.points[i]), weights))
+            assert abs(out[i] - exact) <= cfg.allowance(3.0), (float(grid.points[i]), out[i], exact)
+
     def test_no_blas_product(self, monkeypatch, grid):
         """No path calls a BLAS product, whose bits may follow the block's
-        shape or the thread count: the hinge sums, the rule and the rows of
-        the default sweep's and the benchmark's grid calls run with
-        np.matmul and np.dot disabled."""
+        shape or the thread count: the hinge sums and the proven and
+        estimated rules of the default sweep's and the benchmark's grid
+        calls run with np.matmul and np.dot disabled."""
         for name in ("matmul", "dot"):
             monkeypatch.setattr(np, name, lambda *args, name=name, **kw: pytest.fail(f"np.{name} was called"))
-        for f in (ABS, GK_ABS, SIN, GK_SIN):
+        for f in (ABS, EST_ABS, SIN, EST_SIN):
             for n in (9, 100, 400):
                 apply_on_grid(f, _kinds(n, P11), grid.points)
 
