@@ -171,9 +171,9 @@ def run_convergence_sweep(
     for a single kind); the result is then one list of records per kind,
     each that of the kind's own sweep bit for bit.  At each n one
     ``apply_on_grid`` call evaluates all kinds, which share its set-up, the
-    trapezoidal rule's samples and the hinge panels; should it fail, each
-    kind is evaluated again alone, so a
-    failure lands only in its own kind's records.
+    trapezoidal rule's samples and the hinges' abscissae; should it fail,
+    each kind is evaluated again alone, so a failure lands only in its own
+    kind's records.
 
     Individual failures are recorded in the ``note`` field and the sweep
     continues; records come back ordered by n.

@@ -6,8 +6,9 @@ symmetrized density ``psi`` (the even average of ``g`` at ``q`` and
 ``1/q``), with its unit-window average ``psi_average``.  Alongside the point
 evaluators, this module carries the analytic constants attached to the
 family: the global maximum of ``g``, an exponential envelope valid for
-arguments >= 1, the moments of ``psi`` in closed form, and closed-form upper
-bounds for tail mass and absolute moments of ``psi``.
+arguments >= 1, the moments of ``psi`` in closed form, closed-form upper
+bounds for tail mass and absolute moments of ``psi``, and the complete
+Fermi-Dirac integrals ``fermi_dirac`` in which its integrals are exact.
 
 All evaluators accept scalars or numpy arrays and are pure functions.
 """
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -33,6 +34,7 @@ __all__ = [
     "window_edge",
     "tail_mass_bound",
     "moment_bound",
+    "fermi_dirac",
 ]
 
 # float(math.factorial(k)) overflows beyond this
@@ -345,6 +347,118 @@ def psi_moments(params: KernelParams, k: int) -> list[float]:
         logistic[j] = math.factorial(j) * a[j // 2] * (math.pi / params.beta) ** j
         sign[j] = c**j
     return _moments_of_sum(_moments_of_sum(uniform, logistic), sign)
+
+
+# eta(j) = F_j(0) = (1 - 2^(1 - j)) zeta(j) for j = 0..6, eta(0) = 1/2
+_ETA = (0.5, math.log(2.0), math.pi**2 / 12.0, 0.75 * 1.2020569031595942, 7.0 * math.pi**4 / 720.0,
+        0.9375 * 1.0369277551433699, 31.0 * math.pi**6 / 30240.0)
+# Taylor terms of F_s (falling like pi^-k); series terms leaving an ulp at
+# x = -1 and at ln(u/2) / 8; the widest stencil the Taylor branch takes
+_TERMS, _SERIES_TERMS, _FEW_TERMS, _NARROW, _U = 64, 38, 8, 0.5, 2.0**-53
+
+
+@lru_cache(maxsize=None)
+def _taylor(s: int) -> np.ndarray:
+    """The first ``_TERMS`` Taylor coefficients of F_s about 0: F_0(x) =
+    1 / (1 + e^-x) = (1 + tanh(x / 2)) / 2, 2 tanh' = 1 - tanh^2 gives the
+    odd coefficients of tanh(x / 2) one by one (the products of each sum
+    share one sign), and F_s' = F_(s-1)."""
+    if s:
+        return np.concatenate(([_ETA[s]], _taylor(s - 1)[:-1] / np.arange(1, _TERMS)))
+    t = [1.0, 0.5] + [0.0] * (_TERMS - 2)
+    for k in range(2, _TERMS - 1, 2):
+        t[k + 1] = -sum(t[i] * t[k - i] for i in range(1, k, 2)) / (2 * k + 2)
+    return 0.5 * np.array(t)
+
+
+def _shifted(coeffs: np.ndarray, steps: tuple[float, ...]) -> np.ndarray:
+    """The coefficients of sum_i sigma_i p(x + o_i), the centred differences
+    of widths ``steps`` of the polynomial p with ``coeffs`` (ascending): the
+    sum of e_j p^(j)(x), e_j the Taylor coefficients of the stencil's symbol
+    sum_i sigma_i e^(o_i t) = prod_h 2 sinh(h t / 2)."""
+    if not steps:
+        return coeffs
+    j = np.arange(coeffs.size)
+    factorial, e = np.cumprod(np.maximum(j, 1.0)), (j == 0) * 1.0
+    for h in steps:
+        e = np.convolve(e, np.where(j % 2, 2.0 * (0.5 * h) ** j / factorial, 0.0))[:j.size]
+    out = np.zeros(coeffs.size)
+    for i in np.flatnonzero(e):  # p^(i) has the coefficients (k + i)! / k! c_(k+i)
+        out[:j.size - i] += e[i] * coeffs[i:] * (factorial[i:] / factorial[:j.size - i])
+    return out
+
+
+@lru_cache(maxsize=64)
+def _polynomials(s: int, steps: tuple[float, ...]) -> tuple:
+    """For D_h1 ... D_hm F_s: the coefficients (-1)^(k+1) prod_h -expm1(-k
+    h) / k^s of its series in e^(x + w/2); the differenced P_s (the Taylor
+    terms of s's parity, doubled); and, if the stencil is narrow, the
+    differenced Taylor polynomial (highest first, its terms reaching 2^-60
+    at |x| = 1 + w) and its rounding bound on |x| <= 1 + w/2."""
+    k = np.arange(1, _SERIES_TERMS + 1)
+    series = (-1.0) ** (k + 1) * np.prod([-np.expm1(-k * h) for h in steps], axis=0) / k**s
+    c = _taylor(s)
+    poly = _shifted(np.where(np.arange(s + 1) % 2 == s % 2, 2.0 * c[:s + 1], 0.0), steps)
+    if sum(steps) > _NARROW:
+        return series, poly, None, math.inf
+    c = c[:min(_TERMS, s + 1 + math.ceil(60.0 * math.log(2.0) / math.log(math.pi / (1.0 + sum(steps)))))]
+    size = np.add.reduce(_shifted(np.abs(c), steps) * (1.0 + 0.5 * sum(steps)) ** np.arange(c.size))
+    return series, poly, _shifted(c, steps)[::-1], (2 * c.size + 16) * _U * size
+
+
+def _series(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sum_k c_k e^(k z) for z <= -1 (``_polynomials``), 38 terms or from
+    z = ln(u/2) / 8 on 8, each leaving less than an ulp, as the rows of a
+    table summed in order (a dummy column stops numpy summing a lone one
+    pairwise): each value depends on its z alone.  Its rounding bound: 3
+    ulp per term and |z| for z = x -+ w/2, of |c_1| e^z / (1 - e^z)."""
+    values = np.empty(z.size)
+    many = z > math.log(0.5 * _U) / _FEW_TERMS
+    for part, terms in ((many, _SERIES_TERMS), (~many, _FEW_TERMS)):
+        rows = np.exp(np.arange(1.0, terms + 1.0)[:, None] * np.append(z[part], -1.0))
+        values[part] = np.add.reduce(rows * coeffs[:terms, None])[:-1]
+    return values, (160.0 + np.abs(z)) * _U * abs(coeffs[0]) * np.exp(z) / -np.expm1(z) + 2.0**-1068
+
+
+def fermi_dirac(s: int, x, steps: tuple[float, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
+    """The complete Fermi-Dirac integral F_s(x) = -Li_s(-e^x) (DLMF 25.12)
+    for s = 1..6, elementwise, or with m <= s ``steps`` its centred
+    differences D_h1 ... D_hm F_s(x), D_h F(x) = F(x + h/2) - F(x - h/2),
+    and a bound on the rounding error of each value: a few ulp per
+    operation times the terms' size, and the rounding of the points x +-
+    h/2.  With the stencil's points all below -1, F_s is the series sum_k
+    (-1)^(k+1) e^(kx) / k^s; above 1, P_s(x) - (-1)^s F_s(-x), P_s(x) = 2
+    sum_(m <= s/2) eta(2m) x^(s-2m) / (s-2m)!; else its Taylor series about
+    0 (radius pi).  Each branch differences its terms in closed form (e^(kx)
+    by the symbol prod_h 2 sinh(kh/2), a polynomial by its derivatives), so
+    a narrow stencil does not cancel; a wider one that straddles [-1, 1]
+    sums its 2^m points."""
+    if not (s in range(1, 7) and len(steps) <= s):
+        raise ValueError(f"fermi_dirac takes s in 1..6 and at most s steps, got s={s!r}, {len(steps)} steps")
+    steps = tuple(float(h) for h in steps)
+    flat = np.asarray(x, dtype=float).reshape(-1)
+    half = 0.5 * math.fsum(steps)
+    series, poly, taylor, bound = _polynomials(s, steps)
+    below, above = flat + half <= -1.0, flat - half >= 1.0
+    middle = ~(below | above)
+    # both tails in one series, above in e^-(x - w/2); the middle is overwritten
+    values, errors = _series(series, np.where(below, flat + half, np.minimum(half - flat, -1.0)))
+    # P_s and its differences have nonnegative coefficients, so at x >= 1 no term cancels
+    lead = np.polyval(poly[::-1], flat[above])
+    values[above] = lead + (-1) ** (s + len(steps) + 1) * values[above]
+    errors[above] += (3 * s + 8) * _U * lead + _U * np.abs(values[above])
+    if taylor is not None:
+        values[middle], errors[middle] = np.polyval(taylor, flat[middle]), bound
+    elif middle.any():
+        # the 2^m points of the stencil, offsets sums of +-h/2, with their signs
+        offsets, signs = np.zeros(1), np.ones(1)
+        for h in steps:
+            offsets, signs = np.concatenate((offsets + 0.5 * h, offsets - 0.5 * h)), np.concatenate((signs, -signs))
+        points = flat[middle][:, None] + offsets
+        parts, error = fermi_dirac(s, points)
+        values[middle] = np.add.reduce(parts * signs, axis=1)
+        errors[middle] = np.add.reduce(error + (np.abs(points) + s + signs.size) * _U * np.abs(parts), axis=1)
+    return values.reshape(np.shape(x)), errors.reshape(np.shape(x))
 
 
 def psi_envelope(params: KernelParams, x) -> float | np.ndarray:

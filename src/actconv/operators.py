@@ -19,46 +19,31 @@ Every kind's kernel is analytic in the strip |Im v| < pi / beta, with
 and the averaging kinds inherit the bound.  ``apply_on_grid`` has one
 engine, the trapezoidal rule B f(x) ~ tau sum_{|j| <= J} k(j tau)
 f(x - j tau / n), which converges exponentially (Trefethen & Weideman,
-SIAM Review 56, 2014).  For f with a strip majorant
-(``TestFunction.strip``) its error has an a-priori bound: tau is the
-largest step whose proven error stays within tol, and a call no step can
-serve is refused before anything is evaluated (see ``_rule``).  For f
-without one (``id``, approximant stages) tau is halved from a step sized
-for a constant until two successive halvings agree (see ``_estimate``).
-The kinds of a call share tau and the samples of f.  A kinked f declares
-its slope jumps j_k (the catalog's abs): it is a + sum_k (j_k / 2) |u - k|
-with a smooth, and the operators are linear and commute with
-translation, so B f(x) = f(x - EW) + [B a(x) - a(x - EW)] + sum_k j_k
-g(x - k), W = V / n with V ~ k, and g(y) = E(W - y)+ - (EW - y)+.  The
-rule gives B a (a bounded entire a is constant, and then the bracket is
-0 and the rule is sized but not run), and one kernel call per kind on
-GK15 panels cut at the abscissae n (x - k), their width set beforehand by
-a proven bound (see ``_kinked``), gives g at every point.  ``apply`` (and
-the kind-specific wrappers) integrate a single point adaptively in the
-kernel variable v by a nested Kronrod rule, with the window's seed panels
-cut at the kinks of f, v = n (x - kink).
+SIAM Review 56, 2014): at a proven step for f with a strip majorant
+(``TestFunction.strip``, see ``_rule``), else at an estimated one (see
+``_estimate``), the kinds of a call sharing tau and the samples of f.  A
+kinked f declares its slope jumps j_k (the catalog's abs): it is a +
+sum_k (j_k / 2) |u - k| with a smooth, and the operators are linear and
+commute with translation, so B f(x) = f(x - EW) + [B a(x) - a(x - EW)] +
+sum_k j_k g(x - k), W = V / n with V ~ k, and g(y) = E(W - y)+ - (EW -
+y)+.  The rule gives B a (a bounded entire a is constant, and then the
+bracket is 0 and the rule is sized but not run), and g is a difference
+of complete Fermi-Dirac integrals (``_Kernel.hinge``), with no kernel
+call.  ``apply`` (and the kind-specific wrappers) integrate a single
+point adaptively in the kernel variable v by a nested Kronrod rule, with
+the window's seed panels cut at the kinks of f, v = n (x - kink).
 
 Accuracy is set by one knob, ``QuadratureConfig.tol``: ``apply`` and the
 estimated rule accept a value v once its error estimate is within
 ``cfg.allowance(v)`` = tol max(1, |v|) (on a grid, v is the largest
-|value|), the proven errors of the trapezoidal rule, and of the hinge
-path in all, are within tol, and every path truncates every kind's
-kernel to one window [-R - 1, R + 1], R = ``cfg.radius(params, sup |f|)``
-the radius beyond which psi's mass, times sup |f|, is at most tol / 100
-(averaging moves that mass left by at most 1, see ``_Kernel``; scalar
-``apply`` stops at R, above which no kind has more).  The panel and node
-limit (``quadrature.MAX_SUBDIVISIONS``) and the approximants' residual
-ceiling (``RESIDUAL_CEILING``) are constants.
+|value|), the proven errors of the trapezoidal rule, with the hinges'
+rounding, are within tol, and every kind's kernel is truncated to [-R -
+1, R + 1], R = ``cfg.radius(params, sup |f|)`` (see ``_Kernel``).
 
-Iterated and mixed compositions are made tractable by interpolating each
-stage on Chebyshev nodes.  A stage samples the operator on the 2N - 1
-Chebyshev extrema: the even ones are the N interpolation nodes, and the
-odd ones, the theta-midpoints between them, give the interpolation
-residual carried on the approximant.  Each stage picks N itself: from
-N = 17, while the residual exceeds the allowance, the samples become the
-nodes of the next round and only the new midpoints are sampled, so every
-extremum is sampled once.  Each stage's domain is padded by the reach of
-the stages after it, so no stage samples its input where it is clamped.
+Iterated and mixed compositions interpolate each stage on Chebyshev
+extrema, N of them from 17 up until the residual at the midpoints meets
+the allowance (see ``make_grid_approximant``), each stage's domain padded
+by the reach of the stages after it (see ``_chain``).
 """
 
 from __future__ import annotations
@@ -73,13 +58,7 @@ import numpy as np
 from . import kernel, quadrature
 from .errors import FlaggedApproximantError, NonFiniteSampleError, QuadratureNonConvergedError
 from .kernel import KernelParams
-from .quadrature import (
-    DEFAULT_CONFIG,
-    GK15_NODES,
-    GK15_WEIGHTS,
-    QuadratureConfig,
-    integrate_interval,
-)
+from .quadrature import DEFAULT_CONFIG, GK15_NODES, QuadratureConfig, integrate_interval
 
 __all__ = [
     "OperatorKind",
@@ -289,6 +268,32 @@ class _Kernel:
         r = len(self.weights)
         return [math.fsum(w * (s / r) ** j for s, w in enumerate(self.weights, start=1)) for j in range(k + 1)]
 
+    def hinge(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """n g(s / n) = E(V - s)+ - (EV - s)+, V ~ k, at the abscissae s in
+        closed form with a bound on its error: E(V - s)+ for s >= EV = -E T,
+        else E(s - V)+.  V = H - T, H = U + L / beta + S ln(q) / beta
+        (``kernel.psi_moments``), so E(H - y)+ = sum_S D_2beta F_2(-beta y +
+        S ln q) / (4 beta^2) (``kernel.fermi_dirac``): basic and quadrature
+        take it at y = s + T above and, H being even, -(s + T) below;
+        kantorovich averages it over T in [0, 1], sum_S D_2beta D_beta
+        F_3(-beta (y + 1/2) + S ln q) / (4 beta^3), at y = s above and, as -1
+        - V ~ V, -1 - s below.  Each moves by at most 1 / (2 beta) per unit of
+        its argument, whose rounding adds 3 ulp of |s| + 2 + |ln q| / beta."""
+        beta, log_q = self.params.beta, math.log(self.params.q)
+        upper = s >= -self.offset_moments(1)[1]
+        if self.kind is OperatorKind.KANTOROVICH:
+            order, steps, weights = 3, (2.0 * beta, beta), np.ones(1)
+            y = np.where(upper, s, -1.0 - s)[None] + 0.5
+        else:
+            order, steps, weights = 2, (2.0 * beta,), np.asarray(self.weights or (1.0,))
+            shifts = np.arange(1, weights.size + 1)[:, None] / weights.size if self.weights else np.zeros((1, 1))
+            y = np.where(upper, s + shifts, -(s + shifts))
+        values, errors = kernel.fermi_dirac(order, np.stack((log_q - beta * y, -log_q - beta * y)), steps)
+        scale = weights[:, None] / (4.0 * beta**order)
+        hinge = _node_sum((values[0] + values[1]) * scale)
+        return hinge, (_node_sum((errors[0] + errors[1]) * scale) + 8.0 * _ULP * hinge
+                       + 3.0 * _ULP * (np.abs(s) + 2.0 + abs(log_q) / beta))
+
 
 def _kernel(spec: OperatorSpec) -> _Kernel:
     return _Kernel(spec.kind, spec.params, spec.weights)
@@ -482,8 +487,8 @@ def _rule(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, radi
           drift: float | None, cfg: QuadratureConfig, tol: float) -> _Rule:
     """The trapezoidal rule of the kinds of ``specs`` on the sorted grid,
     or ``QuadratureNonConvergedError`` before anything is evaluated when
-    its error bound exceeds ``tol`` (``cfg.tol``, or the share of it that
-    the hinge sums leave) or it fails ``_check``.
+    its error bound exceeds ``tol`` (``cfg.tol``, or half of it for the
+    smooth part of a kinked f) or it fails ``_check``.
 
     With a strip majorant of f the step is the largest (over the strip
     widths of ``_strip``) whose aliasing and rounding stay within nine
@@ -688,95 +693,25 @@ def _smooth(f: TestFunction) -> TestFunction:
     return TestFunction.from_callable(f.name, smooth, f.sup_norm, strip=f.strip)
 
 
-def _scan(terms: np.ndarray) -> np.ndarray:
-    """Running sums along the last axis of ``terms`` (..., P), each term
-    included: blocks of B terms, B about sqrt(P), are summed in order, then
-    the block totals, so a sum's rounding is within (B + P / B) ulp of the
-    sum of |terms|, not P ulp."""
-    size = terms.shape[-1]
-    block = max(1, math.isqrt(size))
-    pad = np.zeros(terms.shape[:-1] + (-size % block,))
-    local = np.cumsum(np.concatenate((terms, pad), axis=-1).reshape(terms.shape[:-1] + (-1, block)), axis=-1)
-    local[..., 1:, :] += np.cumsum(local[..., :-1, -1], axis=-1)[..., None]
-    return local.reshape(terms.shape[:-1] + (-1,))[..., :size]
-
-
-def _hinge_panels(breaks: np.ndarray, width: float, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The edges of the panels that cut each gap between consecutive
-    ``breaks`` into equal panels at most ``width`` wide, and the index of
-    the first panel after each break ``breaks[at]``."""
-    gaps = np.diff(breaks)
-    counts = np.ceil(gaps / width).astype(np.intp)
-    first = np.cumsum(counts) - counts
-    gap = np.repeat(np.arange(gaps.size), counts)
-    lo = breaks[gap] + gaps[gap] * ((np.arange(gap.size) - first[gap]) / counts[gap])
-    return np.append(lo, breaks[-1]), first[at]
-
-
-def _hinges(spec: OperatorSpec, s: np.ndarray, edges: np.ndarray, after: np.ndarray) -> np.ndarray:
-    """n g(s / n) at every abscissa s = n (x - k) in the kernel window, from
-    one kernel call on the GK15 panels between ``edges``; ``after`` holds
-    the index of the first panel above each s.
-
-    g(y) = E(W - y)+ - (EW - y)+, W = V / n and V ~ k: s reads its short
-    side, E(V - s)+ for s >= EV and E(s - V)+ below, from sums of the
-    panels' mass and first moment above or below s (``_scan``)."""
-    lo, hi = edges[:-1], edges[1:]
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    # node-major (15, panels) arrays; the nodes' offsets from the midpoints
-    offsets = half * GK15_NODES[:, None]
-    weighted = GK15_WEIGHTS[:, None] * _kernel(spec)(mid + offsets)
-    mass = half * _node_sum(weighted)
-    moment = mid * mass + half * _node_sum(weighted * offsets)
-    # up[:, p]: the sums over the panels from p on; low[:, p]: over those before p
-    up = _scan(np.stack((mass, moment))[:, ::-1])[:, ::-1][:, after]
-    low = np.concatenate((np.zeros((2, 1)), _scan(np.stack((mass, moment)))), axis=1)[:, after]
-    upper = s >= -_kernel(spec).offset_moments(1)[1]
-    return np.where(upper, up[1] - s * up[0], s * low[0] - low[1])
-
-
-def _hinge_bound(params: KernelParams, radius: float, edges: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The error of ``_hinges`` at each abscissa s on the panels between
-    ``edges``, for every kind, before any kernel call: a quadrature and a
-    rounding part.  k <= g_max and |k(v + iy)| <= k(v) / cos^2(beta y / 2),
-    so on a panel of half-width L the Bernstein ellipse rho = (b + sqrt(b^2
-    + L^2)) / L reaching Im v = b < pi / beta has |k| <= M = g_max /
-    cos^2(beta b / 2), and GK15 (exact to degree 22, positive weights)
-    misses the mass by at most 8 L M rho^-22 / (rho - 1) (Trefethen, SIAM
-    Review 50, 2008) and the moment about the midpoint by that times L (rho
-    + 1/rho) / 2, b best for the widest panel; |mid - s| <= R + |s|.  The
-    rounding (``_rounding``, of the ``_scan`` and node sums) is of sums of
-    at most (E|V| + 1) / 2 + 2 |s| on s's short side, V = H - T, H ~ U +
-    L / beta +- ln(q) / beta (``kernel.psi_moments``): E|V| <= 3/2 + (2 ln 2
-    + |ln q|) / beta."""
-    beta, half = params.beta, 0.5 * np.diff(edges)
-    # r = 1 / rho, and the ellipse's half-axis L (rho + 1/rho) / 2 is sqrt(b^2 + L^2)
-    strips, widest = _STRIP_FRACTIONS * (math.pi / beta), float(half.max())
-    r = widest / (strips + np.hypot(strips, widest))
-    b = float(strips[np.argmin(r**23 / (1.0 - r) / np.cos(0.5 * beta * strips) ** 2)])
-    r = half / (b + np.hypot(b, half))
-    mass = 8.0 * half * params.g_max_value / math.cos(0.5 * beta * b) ** 2 * r**23 / (1.0 - r)
-    error = math.fsum(mass * np.hypot(b, half)) + (radius + np.abs(s)) * math.fsum(mass)
-    block = max(1, math.isqrt(half.size))  # as ``_scan`` blocks the sums
-    size = 0.5 * (2.5 + (2.0 * math.log(2.0) + abs(math.log(params.q))) / beta) + 2.0 * np.abs(s)
-    return error, _rounding(block + -(-half.size // block) + 16, radius, beta, size)
-
-
 def _kinked(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, radius: float,
             drift: float | None, cfg: QuadratureConfig) -> list[np.ndarray]:
     """The kinds of ``specs`` on the sorted grid for f = a + sum_k (j_k / 2)
     |u - k| (see ``apply_on_grid``): the rule for a takes half of tol
-    (proven with a strip majorant of a, else ``_estimate``), the
-    rounding of the samples of a at most a quarter, and ``_hinge_bound``
-    times |j_k| / n the rest, W halved until it fits; a call whose
-    rounding alone does not fit is refused before sampling.  A strip
-    finite at infinity makes a constant, so B a - a(x - EW) is 0: the rule
-    is sized and its bound counted as for any a, but it is not run and a
-    is not sampled, so its samples' rounding is 0.  A strip that is inf
-    or nan at infinity, or raises there, says nothing of a."""
+    (proven with a strip majorant of a, else ``_estimate``), the rounding
+    of its samples at most a quarter, and the closed-form hinges
+    (``_Kernel.hinge``), their rounding times |j_k| / n and those left out,
+    the rest, else the call is refused before sampling.  A strip finite at
+    infinity makes a constant: the rule is sized and counted, but neither
+    it nor a is evaluated (a strip inf, nan or raising there says nothing).
+    f without a strip whose samples cross no kink takes ``_estimate``."""
     n, params = specs[0].n, specs[0].params
     smooth = _smooth(f)
     rule = _rule(smooth, specs, grid, radius, drift, cfg, 0.5 * cfg.tol)
+    kinks, jumps = np.array(f.kinks), np.array(f.jumps)
+    s = n * (grid - kinks[:, None])
+    # a halving reaches no further than the rule's J tau
+    if f.strip is None and float(np.abs(s).min()) > rule.half * rule.step:
+        return _estimate(f, specs, grid, rule, radius, 0.5 * cfg.tol)
     # a bounded entire a is constant (see above)
     try:
         with np.errstate(all="ignore"):
@@ -784,7 +719,6 @@ def _kinked(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, ra
                 np.isfinite(np.asarray(f.strip(np.array([math.inf])), dtype=float)).all())
     except (ArithmeticError, ValueError):
         constant = False
-    kinks, jumps = np.array(f.kinks), np.array(f.jumps)
     # a sample of a rounds by a few ulp of the sum of |j_k| |u - k|, at u up
     # to the rule's J tau / n beyond the grid (no halving reaches further),
     # and B a and a(x - EW) each take such samples
@@ -794,33 +728,18 @@ def _kinked(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, ra
     if noise > 0.25 * cfg.tol:
         _refuse(specs, f"the samples of the smooth part of {f.name} round by {noise:.3g}, over a quarter of "
                        f"tol={cfg.tol:.3g}")
-    s = n * (grid - kinks[:, None])
-    # the (kink, point) pairs whose abscissa lies within the window, kink by kink
-    kink, point = np.nonzero(np.abs(s) < radius)
-    s = s[kink, point]
-    # the window's ends and the abscissae, sorted, without repeats
-    breaks = np.sort(np.concatenate(([-radius, radius], s)))
-    breaks = breaks[np.concatenate(([True], breaks[1:] != breaks[:-1]))]
-    at = np.searchsorted(breaks, s)
-    gaps = np.diff(breaks)
-    share = cfg.tol - rule.bound - noise
-    weight = np.abs(jumps[kink]) / n
-    width = cfg.width(params, f.sup_norm)
-    while True:
-        # the panel budget per kernel window, beyond one panel per gap (in floats)
-        extra = float(np.ceil(gaps / width).sum()) - gaps.size
-        if extra > quadrature.MAX_SUBDIVISIONS:
-            _refuse(specs, f"the hinge sums at width W={width:.6g} need {extra:.6g} panels beyond the "
-                           f"{gaps.size} cut at the abscissae, over the budget of {quadrature.MAX_SUBDIVISIONS}")
-        edges, after = _hinge_panels(breaks, width, at)
-        error, rounding = (np.bincount(point, e * weight, grid.size).max() for e in _hinge_bound(params, radius, edges, s))
-        # halving W lowers the quadrature part only
-        if rounding > share:
-            _refuse(specs, f"the hinge sums round by {rounding:.3g}, over their share {share:.3g} of "
-                           f"tol={cfg.tol:.3g}")
-        if error + rounding <= share:
-            break
-        width *= 0.5
+    # n g(s / n) <= (q + 1/q) e^(-beta (|s| - 2)) / (2 beta) (``kernel.psi_envelope``), so
+    # the hinges beyond ``cut``, times sum |j_k| / n, add at most truncation_eps
+    weight = float(np.abs(jumps).sum()) / n or 1.0
+    cut = 1.0 + quadrature.truncation_radius(params, min(0.5, 2.0 * params.beta * cfg.truncation_eps / weight))
+    kink, point = np.nonzero(np.abs(s) < cut)
+    s, scale = s[kink, point], jumps[kink] / n
+    hinges = [_kernel(spec).hinge(s) for spec in specs]
+    share = cfg.tol - rule.bound - noise - cfg.truncation_eps
+    error = max(float(np.bincount(point, np.abs(scale) * (e + kinks.size * _ULP * h), grid.size).max(initial=0.0))
+                for h, e in hinges)
+    if not error <= share:
+        _refuse(specs, f"the hinges round by {error:.3g}, over their share {share:.3g} of tol={cfg.tol:.3g}")
     if constant:
         smooth_values = None
     elif smooth.strip is None:
@@ -828,13 +747,13 @@ def _kinked(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, ra
     else:
         smooth_values = _trapezoid(smooth, specs, grid, rule)
     values = []
-    for i, spec in enumerate(specs):
+    for i, (spec, (hinge, _)) in enumerate(zip(specs, hinges)):
         shifted = grid + _kernel(spec).offset_moments(1)[1] / n  # x - EW = x + E T / n
         base = _sample(f, [spec], shifted, 0.0)
         if smooth_values is not None:
             base = base + (smooth_values[i] - _sample(smooth, [spec], shifted, 0.0))
         # each point's terms added kink by kink
-        values.append(base + np.bincount(point, _hinges(spec, s, edges, after) * (jumps[kink] / n), grid.size))
+        values.append(base + np.bincount(point, hinge * scale, grid.size))
     return values
 
 
@@ -846,39 +765,26 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec | Sequence[OperatorSpec], 
     (else a ValueError), such as the kinds of one sweep step: the result
     then has one row of values per spec, each bit for bit the values of its
     own call.  The set-up (sorting, the uniformity and drift checks, the
-    trapezoidal rule's steps and samples, the hinge panels) is shared; the
-    kernel values and the hinge sums stay per kind.  The call raises if any
+    trapezoidal rule's steps and samples, the hinges' abscissae) is shared;
+    the kernel values and the hinges stay per kind.  The call raises if any
     kind fails.  ``xs`` need not be sorted.
 
     Every path takes the trapezoidal rule tau sum_{|j| <= J} k(j tau)
-    f(x - j tau / n), J = ceil((R + 1) / tau) + 1.  f with a strip
-    majorant and no kinks (the catalog's sin, cos, gauss and one, and their
-    derivatives) takes it at the largest step whose proven error is within
-    tol, or is refused before f or a kernel is evaluated (see ``_rule``).
-    f without one (``id``, ``from_callable`` functions such as an
-    approximant stage) takes it from the step proven for a constant of
-    size sup |f| (at most W = ``cfg.width``), halved, adding only the new
-    nodes, until two successive halvings each change a kind's values by at
-    most ``cfg.allowance`` of its largest |value| (see ``_estimate``), or
-    is refused once a level needs more than 15
-    ``quadrature.MAX_SUBDIVISIONS`` nodes.  On a uniform grid (as
+    f(x - j tau / n), J = ceil((R + 1) / tau) + 1: at the largest step whose
+    proven error is within tol for f with a strip majorant (see ``_rule``),
+    else from the step proven for a constant of size sup |f| (at most W =
+    ``cfg.width``), halved until two successive halvings each change a
+    kind's values by at most ``cfg.allowance`` of its largest |value| (see
+    ``_estimate``); a call past 15 ``quadrature.MAX_SUBDIVISIONS`` nodes is
+    refused before f or a kernel is evaluated.  On a uniform grid (as
     ``np.linspace`` builds it, drifting from x0 + i h by no more than moves
     a value by tol / 10) the kinds share one vector of samples of f on the
-    lattice x0 + m h / p and each has one kernel vector.  Any other grid
-    samples f once at each multiple of tau / n that some point needs (an
-    approximant pays for every sample) and evaluates the kernel at
-    n (x_i - c_i) + j tau for each (point, node) pair, c_i the multiple
-    nearest x_i (see ``_trapezoid``).  f is called with 1-d arrays and
-    must work elementwise.
-
-    A kinked f (with its slope jumps, see ``TestFunction``) takes B f(x) =
-    f(x - EW) + [B a(x) - a(x - EW)] + sum_k j_k g(x - k) (see the module
-    docstring): B a by the rule above at half of tol, and g from one
-    kernel call per kind on GK15 panels at most W wide cut at the
-    abscissae n (x - k), W halved beforehand while their proven bound
-    misses what the rule leaves of tol (see ``_kinked``).  Where the strip
-    of a is finite at infinity a is constant: the rule is sized, and
-    refuses as above, but neither it nor a is evaluated.
+    lattice x0 + m h / p and each has one kernel vector; any other grid
+    samples f once at each multiple of tau / n that some point needs (see
+    ``_trapezoid``).  f is called with 1-d arrays and must work
+    elementwise.  A kinked f (with its slope jumps, see ``TestFunction``)
+    takes B a by the rule at half of tol and the hinges g in closed form
+    (see the module docstring and ``_kinked``).
 
     No path calls a BLAS routine: every sum runs in a fixed order, so the
     output depends neither on the block size nor on the BLAS thread count.

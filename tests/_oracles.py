@@ -272,8 +272,12 @@ def hinge_mp(kind, q, beta, s, radius, weights=None, dps=30):
     (s - v) k(v) over [-radius, s], with k(v) = E psi(v + T) for the kind's
     offset T.  psi is a sum of four +-tanh(beta (v + a) / 2) / 8, so the
     kantorovich kernel, the integral of psi over [v, v + 1], is a sum of
-    their antiderivatives ln cosh(beta (v + a) / 2) / (4 beta); mpmath.quad
-    splits the window where k bends (+-ln(q)/beta +-1, less the offsets)."""
+    their antiderivatives ln cosh(beta (v + a) / 2) / (4 beta), each
+    difference ln cosh(b (u + 1)) - ln cosh(b u) taken as b (|u + 1| - |u|),
+    exactly +-b beyond [-1, 0], plus the decaying log1p(e^(-2 b |.|)) parts,
+    so that the kernel does not cancel far out (``radius`` may be mp.inf);
+    mpmath.quad splits the window where k bends (+-ln(q)/beta +-1, less the
+    offsets)."""
     with mp.workdps(dps):
         q, beta, s, radius = mp.mpf(q), mp.mpf(beta), mp.mpf(s), mp.mpf(radius)
         c, b = mp.log(q) / beta, beta / 2
@@ -281,8 +285,14 @@ def hinge_mp(kind, q, beta, s, radius, weights=None, dps=30):
             offsets, mean = [0, 1], mp.mpf(-0.5)
             shifts = ((1, 1 - c), (-1, -1 - c), (1, 1 + c), (-1, -1 + c))
 
+            def decay(u):
+                return mp.log1p(mp.exp(-2 * b * abs(u)))
+
+            def ramp(u):
+                return 1 if u >= 0 else (-1 if u <= -1 else 2 * u + 1)
+
             def kernel(v):
-                return mp.fsum(sign * (mp.log(mp.cosh(b * (v + 1 + a))) - mp.log(mp.cosh(b * (v + a))))
+                return mp.fsum(sign * (b * ramp(v + a) + decay(v + a + 1) - decay(v + a))
                                for sign, a in shifts) / (8 * b)
         else:
             pairs = [(mp.mpf(0), mp.mpf(1))] if kind == "basic" else [

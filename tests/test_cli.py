@@ -16,7 +16,6 @@ import numpy as np
 from actconv import KernelParams, TestFunction, cli, operators, quadrature
 from actconv.analysis import CATALOG
 from actconv.cli import _g_slope, main
-from actconv.quadrature import integrate_interval
 
 
 @pytest.fixture
@@ -47,23 +46,53 @@ class TestKernelCheck:
         payload = json.loads((tmp_path / "kernel_check_summary.json").read_text())
         assert payload["all_satisfied"] is True
 
-    def test_kernel_integrals_are_seeded_at_the_kernel_width(self, runner, tmp_path, monkeypatch):
-        """The tail-mass and absolute-moment rows seed their integrals at
-        the multiples of psi's panel width, as the normalization row does,
-        so a default run takes 8 splits or fewer (59 from one panel each)."""
-        splits = []
+    def test_makes_no_adaptive_integral(self, runner, tmp_path, monkeypatch):
+        """The tail-mass and absolute-moment rows are closed forms
+        (``kernel.fermi_dirac``) and the normalization row is the basic
+        operator of resolution 1 applied to 1 at 0, on the trapezoidal rule:
+        no run makes an ``integrate_interval`` call, and psi is still
+        evaluated."""
+        for module in (quadrature, operators):
+            monkeypatch.setattr(module, "integrate_interval", lambda *args, **kw: pytest.fail("an adaptive integral"))
+        psi, calls = operators.kernel.psi, []
+        monkeypatch.setattr(operators.kernel, "psi", lambda *args: calls.append(1) or psi(*args))
+        for args in ([], ["--q", "3", "--beta", "700"]):
+            result = _run(runner, ["kernel-check", *args, "--out", str(tmp_path)])
+            assert result.exit_code == 0, result.output
+        assert calls
 
-        def spied(*args, **kw):
-            res = integrate_interval(*args, **kw)
-            splits.append(res.subdivisions_used)
-            return res
+    @pytest.mark.parametrize("q, beta", [(1.0, 1.0), (31.6, 0.273), (3.0, 700.0), (1e6, 0.05), (1e300, 700.0)])
+    def test_tail_and_moment_rows_match_mpmath(self, runner, tmp_path, q, beta):
+        """Each tail-mass and absolute-moment row equals the 30-digit mpmath
+        integral of psi to 1e-13 relative, or both lie below the smallest
+        double (the tails of the sharp kernels).  psi is taken as the mean
+        of g_c(|h|) = w sinh(beta) / (1 + 2 w cosh(beta) + w^2), w = c
+        e^(-beta |h|), c = q and 1/q, which holds its digits in the tails
+        where the difference of sigmoids does not."""
+        result = _run(runner, ["kernel-check", "--q", repr(q), "--beta", repr(beta), "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        checks = json.loads((tmp_path / "kernel_check_summary.json").read_text())["checks"]
+        measured = {row["check"]: row["measured"] for row in checks}
+        with mp.workdps(30):
+            c = abs(mp.log(q)) / beta
+            bends = sorted({b for b in (c - 1, c, c + 1) if b > 0})
 
-        monkeypatch.setattr(cli, "integrate_interval", spied)
-        monkeypatch.setattr(quadrature, "integrate_interval", spied)
-        result = _run(runner, ["kernel-check", "--out", str(tmp_path)])
-        assert result.exit_code == 0
-        # the normalization, a tail mass at each of the four default n, five moments
-        assert len(splits) == 10 and sum(splits) <= 8
+            def psi(h):
+                e = mp.exp(-beta * abs(h))
+                return mp.fsum(w * mp.sinh(beta) / (1 + 2 * w * mp.cosh(beta) + w * w) for w in (q * e, e / q)) / 2
+
+            def integral(lo, k):
+                # panels at the bends and at the decay length 1 / beta from the
+                # last one on; mp.quad's error test is absolute, so the
+                # integrand is scaled to 1 at its lower end
+                ends = [lo, *(b for b in bends if b > lo)]
+                ends += [ends[-1] + 4**i / beta for i in range(5)] + [mp.inf]
+                return 2 * psi(lo) * mp.quad(lambda h: h**k * psi(h) / psi(lo), ends)
+
+            exact = {f"tail mass n={n} alpha=0.5": integral(mp.sqrt(n), 0) for n in (9, 16, 25, 36)}
+            exact.update({f"absolute moment k={k}": integral(0, k) for k in range(1, 6)})
+            for name, value in exact.items():
+                assert abs(measured[name] - value) <= 1e-13 * value + 2.0**-1074, (name, measured[name], value)
 
     def test_invalid_q_rejected_before_compute(self, runner):
         result = _run(runner, ["kernel-check", "--q", "-1"])
@@ -99,16 +128,16 @@ class TestKernelCheck:
         peak = [row for row in rows if row.startswith("peak location")]
         assert len(peak) == 1 and peak[0].endswith(",PASS")
 
-    def test_unconverged_integral_fails_its_row(self, runner, tmp_path):
-        """At 1e-18 the k = 3 moment integral stops after its 2000 splits
-        with a value inside the bound; the row reads FAIL regardless."""
+    def test_refused_normalization_fails_its_row(self, runner, tmp_path):
+        """At 1e-18 the rounding of the normalization's trapezoidal rule
+        alone exceeds tol: its call is refused, and the row reads FAIL with
+        the refusal's message, not a traceback; the closed-form rows pass."""
         result = _run(runner, ["kernel-check", "--quad-tol", "1e-18", "--out", str(tmp_path)])
         assert result.exit_code == 1
-        rows = (tmp_path / "kernel_check.csv").read_text().splitlines()
-        moment = [row for row in rows if row.startswith("absolute moment k=3")]
-        assert len(moment) == 1 and moment[0].endswith(",FAIL")
-        assert "BOUND VIOLATION: absolute moment k=3: integral did not converge" in result.output
-
+        rows = (tmp_path / "kernel_check.csv").read_text().splitlines()[1:]
+        assert rows[0] == "normalization |int psi - 1|,nan,1e-08,FAIL"
+        assert all(row.endswith(",PASS") for row in rows[1:])
+        assert "BOUND VIOLATION: normalization |int psi - 1|: operator quadrature did not converge" in result.output
 
     def test_huge_tolerance_fails_rows_not_the_verb(self, runner, tmp_path):
         """At tol = 100 the truncated kernel mass is capped at 1/2, so every

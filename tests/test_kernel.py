@@ -28,7 +28,7 @@ from actconv import (
     tail_mass_bound,
     truncation_radius,
 )
-from actconv.kernel import MAX_BETA, psi_average, psi_moments
+from actconv.kernel import MAX_BETA, fermi_dirac, psi_average, psi_moments
 from actconv.quadrature import moment_truncation_radius
 
 from _oracles import (
@@ -343,6 +343,58 @@ class TestPsiMoments:
         assert psi_moments(p11, 0) == [1.0]
         with pytest.raises(ValueError):
             psi_moments(p11, -1)
+
+
+def _fermi_dirac_mp(s, x, steps=()):
+    """F_s(x) = -Li_s(-e^x) at the working precision (log1p for s = 1,
+    where polylog's 1 - z loses e^x below the precision), and its centred
+    differences over the 2^m points of ``steps``."""
+    points = [(mp.mpf(x), 1)]
+    for h in steps:
+        points = [(p + mp.mpf(h) / 2, sign) for p, sign in points] + [(p - mp.mpf(h) / 2, -sign) for p, sign in points]
+    return mp.fsum(sign * (mp.log1p(mp.exp(p)) if s == 1 else -mp.polylog(s, -mp.exp(p))) for p, sign in points)
+
+
+_FD_POINTS = np.concatenate((np.linspace(-40.0, 40.0, 81), [-700.0, 700.0, -0.3, 0.7, 0.0],
+                             [np.nextafter(v, t) for v in (-1.0, 0.0, 1.0) for t in (-2.0, 2.0)]))
+
+
+class TestFermiDirac:
+    """``fermi_dirac``: the complete Fermi-Dirac integrals F_s = -Li_s(-e^x)
+    and their centred differences, each within its returned rounding bound
+    of 40-digit mpmath, and that bound tight."""
+
+    @pytest.mark.parametrize("s", range(1, 7))
+    def test_matches_polylog(self, s):
+        """On [-40, 40], at +-700 and on both sides of |x| = 1 and x = 0:
+        the error is within the bound, and the bound within 2e-13 of the
+        value (the Taylor branch, whose bound is one constant, is loosest
+        near |x| = 1)."""
+        values, bounds = fermi_dirac(s, _FD_POINTS)
+        with mp.workdps(40):
+            for x, value, bound in zip(_FD_POINTS, values, bounds):
+                exact = _fermi_dirac_mp(s, x)
+                assert abs(value - exact) <= bound <= 2e-13 * exact, (x, value, exact, bound)
+
+    @pytest.mark.parametrize("s, steps", [(1, (0.001,)), (2, (0.01,)), (2, (40.0,)), (3, (0.01, 0.005)),
+                                          (3, (0.4, 0.2)), (3, (1400.0, 700.0)), (6, (0.1,))],
+                             ids=lambda v: f"{v}")
+    def test_differences_do_not_cancel(self, s, steps):
+        """Narrow stencils (beta = 0.005 in the hinges' D_2beta D_beta F_3)
+        difference in closed form, wide ones sum their points: both within
+        their bound, relative 1e-11, of the 60-digit differences."""
+        values, bounds = fermi_dirac(s, _FD_POINTS, steps)
+        with mp.workdps(60):
+            for x, value, bound in zip(_FD_POINTS, values, bounds):
+                exact = _fermi_dirac_mp(s, x, steps)
+                assert abs(value - exact) <= bound <= 1e-11 * abs(exact), (x, value, exact, bound)
+
+    def test_shape_and_validation(self):
+        values, bounds = fermi_dirac(2, np.zeros((2, 3)), (0.5,))
+        assert values.shape == bounds.shape == (2, 3)
+        for s, steps in [(0, ()), (7, ()), (1, (1.0, 1.0))]:
+            with pytest.raises(ValueError, match="s in 1..6"):
+                fermi_dirac(s, 0.0, steps)
 
 
 class TestPsiEnvelope:

@@ -166,7 +166,7 @@ class TestTestFunction:
         assert EST_ABS.jumps == ABS.jumps and EST_ABS.strip is None
 
     def test_kinks_without_a_strip_need_jumps(self):
-        """Every kinked f takes the hinge sums, which need its slope jumps,
+        """Every kinked f takes the hinges, which need its slope jumps,
         with or without a strip majorant of its smooth part."""
         with pytest.raises(ValueError, match="abs has kinks but no slope jumps"):
             TestFunction.from_callable(ABS.name, ABS.eval, ABS.sup_norm, kinks=ABS.kinks)
@@ -346,10 +346,9 @@ class TestApplyOnGrid:
     )
     def test_chunking_is_invisible(self, monkeypatch, grid, f, spec, chebyshev):
         """Kernel values and trapezoid sums are evaluated in chunks; the
-        chunk size changes no bit.  |x| takes the hinge sums, whose
-        quadrature kernel is evaluated in chunks; sin and gauss take the
-        trapezoidal rule, whose sums run over blocks of points sized by the
-        chunk: at n = 400 on the sample lattice of step h / 2 (p = 2), at
+        chunk size changes no bit.  |x| takes the closed-form hinges, which
+        evaluate no kernel; sin and gauss take the trapezoidal rule, whose
+        sums run over blocks of points sized by the chunk: at n = 400 on the sample lattice of step h / 2 (p = 2), at
         n = 9 on the grid's own lattice (p = 1, tau = 24 h n), at n = 100
         for three kinds on one lattice (tau = 2 h n), and on Chebyshev nodes
         by direct sampling.  One point per block runs on every 16th point to
@@ -598,7 +597,7 @@ class TestEstimate:
     def test_uniform_grid_agrees_with_a_nudged_one(self, grid, spec, f, n):
         """An interior point moved by one ulp makes the grid non-uniform:
         the estimate for sin gathers its samples off the uniform lattice,
-        and the hinge sums of |x| (whose constant smooth part takes no
+        and the hinges of |x| (whose constant smooth part takes no
         rule) see another abscissa, and both agree with the uniform grid at
         every point."""
         spec = replace(spec, n=n)
@@ -777,7 +776,7 @@ class TestEstimate:
 
     def test_output_independent_of_blas_threads(self):
         """No path of the grid engine calls BLAS: the proven and estimated
-        rules and the hinge sums add their terms in a fixed order, so the
+        rules and the hinges add their terms in a fixed order, so the
         OpenBLAS thread count changes no bit."""
         code = (
             "import hashlib\n"
@@ -790,7 +789,7 @@ class TestEstimate:
             "                    ('sin', 'basic', 1000)]:\n"
             "    w = (0.25,) * 4 if kind == 'quadrature' else None\n"
             "    spec = OperatorSpec(kind, n, KernelParams(), weights=w)\n"
-            "    # sin without its strip majorant takes the estimate, abs the hinge sums\n"
+            "    # sin without its strip majorant takes the estimate, abs the hinges\n"
             "    f = CATALOG['abs'] if fn == 'abs' else TestFunction.from_callable('sin', np.sin, 1.0)\n"
             "    digest.update(apply_on_grid(f, spec, xs).tobytes())\n"
             "    digest.update(apply_on_grid(f, spec, xs[::-1] + 1e-3).tobytes())\n"
@@ -921,7 +920,7 @@ BATCH_GRIDS = {
 class TestBatchedKinds:
     """``apply_on_grid`` with several specs of one n, as a sweep step
     holds them: the kinds share the trapezoidal rule's step and samples and
-    the hinge panels, and each row has the bits of the kind's own call."""
+    the hinges' abscissae, and each row has the bits of the kind's own call."""
 
     @pytest.mark.parametrize("xs", list(BATCH_GRIDS))
     @pytest.mark.parametrize("n", [1, 4, 9, 49, 400, 1000])
@@ -931,9 +930,7 @@ class TestBatchedKinds:
                              ids=lambda p: f"q{p.q:g}-beta{p.beta:g}")
     def test_rows_have_the_bits_of_single_calls(self, params, f, n, xs):
         """The uniform grids share the rule's sample lattice, the Chebyshev
-        nodes and the grid around 1e6 are sampled directly; at n = 1 and
-        beta = 1 |x| may pass its hinge sums at W for some kinds and at
-        W/2 for others."""
+        nodes and the grid around 1e6 are sampled directly."""
         xs = BATCH_GRIDS[xs]
         specs = _kinds(n, params)
         rows = apply_on_grid(f, specs, xs)
@@ -949,18 +946,17 @@ class TestBatchedKinds:
     def test_estimated_rows_have_the_bits_of_single_calls(self, params, f, n, xs):
         """Without a strip majorant the kinds share the estimate's samples
         level by level, and each stops at its own level, as it does alone.
-        Around 1e6 the samples of the smooth part of |x|, not known to be
-        constant, round by too much: the batch is refused as each kind is."""
-        specs = _kinds(n, params)
-        if f is EST_ABS and xs == "far":
-            for batch in [specs] + [[spec] for spec in specs]:
-                with pytest.raises(QuadratureNonConvergedError, match="over a quarter of tol"):
-                    apply_on_grid(f, batch, BATCH_GRIDS[xs])
-            return
+        Around 1e6 no sample of |x| crosses a kink, so the estimate takes f
+        itself, not its smooth part, whose samples would round by over a
+        quarter of tol: every value is within the allowance of f(x - EW) =
+        3."""
+        specs, cfg = _kinds(n, params), QuadratureConfig()
         xs = BATCH_GRIDS[xs]
-        rows = apply_on_grid(f, specs, xs)
+        rows = apply_on_grid(f, specs, xs, cfg)
         for spec, row in zip(specs, rows):
-            np.testing.assert_array_equal(row, apply_on_grid(f, spec, xs), err_msg=spec.kind.value)
+            np.testing.assert_array_equal(row, apply_on_grid(f, spec, xs, cfg), err_msg=spec.kind.value)
+            if f is EST_ABS and xs[0] > 1e5:
+                assert float(np.abs(row - 3.0).max()) <= cfg.allowance(3.0), spec.kind.value
 
     def test_default_sweep_makes_one_call_per_n(self, monkeypatch, tmp_path):
         """``actconv approx`` sweeps its three kinds at n = 9, 16, 25, 36
@@ -1070,7 +1066,11 @@ class TestTrapezoidalRule:
     def test_oracle_matches_the_definition(self):
         """``gauss_operator_mp`` against mpmath quadrature of the operator's
         definition, the integral of exp(-(x - v/n)^2) k(v) dv, for the basic
-        and kantorovich kinds, and against n + 1 in place of n."""
+        and kantorovich kinds, and against n + 1 in place of n.  The
+        references the closed-form hinges are held to can fail too:
+        ``abs_operator_mp`` moves by more than 1e-3 with n + 1 in place of
+        n and with kantorovich in place of basic, and ``hinge_mp`` by more
+        than 1e-3 from kind to kind at one abscissa."""
         q, beta, n, x = 2.0, 0.5, 3, -1.2
         with mp.workdps(20):
             c = mp.log(q) / beta
@@ -1079,6 +1079,12 @@ class TestTrapezoidalRule:
                 direct = mp.quad(lambda v: mp.exp(-(x - v / n) ** 2) * k(v), bends, method="gauss-legendre")
                 assert abs(direct - gauss_operator_mp(kind, q, beta, n, x)) < 1e-20, kind
                 assert abs(direct - gauss_operator_mp(kind, q, beta, n + 1, x)) > 1e-3, kind
+        basic = abs_operator_mp("basic", q, beta, n, x, dps=20)
+        assert abs(basic - abs_operator_mp("basic", q, beta, n + 1, x, dps=20)) > 1e-3
+        assert abs(basic - abs_operator_mp("kantorovich", q, beta, n, x, dps=20)) > 1e-3
+        hinges = [hinge_mp(kind, q, beta, 0.3, mp.inf, weights, dps=20)
+                  for kind, weights in (("basic", None), ("kantorovich", None), ("quadrature", (0.25,) * 4))]
+        assert min(abs(a - b) for i, a in enumerate(hinges) for b in hinges[i + 1:]) > 1e-3
 
     @pytest.mark.parametrize("f, beta", [(GAUSS, 2.39), (SIN, 2.54), (GAUSS, 2.54)],
                              ids=["gauss-2.39", "sin-2.54", "gauss-2.54"])
@@ -1164,18 +1170,20 @@ HINGE_GRIDS = {
 }
 
 
-def _hinge_calls(monkeypatch):
-    """The widest panel of every hinge evaluation of the apply_on_grid
-    calls that follow, as (kind, width)."""
-    hinges = []
-    evaluate = operators._hinges
+def _recorded_hinges(monkeypatch):
+    """The kind, abscissae, values and rounding bounds of every closed-form
+    hinge evaluation (``_Kernel.hinge``) of the apply_on_grid calls that
+    follow."""
+    calls = []
+    hinge = operators._Kernel.hinge
 
-    def recorded_hinges(spec, s, edges, after):
-        hinges.append((spec.kind.value, float(np.diff(edges).max())))
-        return evaluate(spec, s, edges, after)
+    def recorded(self, s):
+        values, bounds = hinge(self, s)
+        calls.append((self.kind.value, s, values, bounds))
+        return values, bounds
 
-    monkeypatch.setattr(operators, "_hinges", recorded_hinges)
-    return hinges
+    monkeypatch.setattr(operators._Kernel, "hinge", recorded)
+    return calls
 
 
 def _counted_calls(monkeypatch, f):
@@ -1232,10 +1240,10 @@ SIN_ABS = TestFunction.from_callable("sin+abs", lambda u: np.sin(u) + ABS.eval(u
 @st.composite
 def hinge_cases(draw):
     """An operator as ``rule_cases`` draws it, and one point whose abscissa
-    n (x - k) at a drawn kink k of |x| lies within 30 of 0 and inside the
-    kernel window."""
+    n (x - k) at a drawn kink k of |x| lies within min(30, 1 + 10 / beta)
+    of 0, where the hinge is above e^-10 of its peak and always evaluated."""
     spec, _ = draw(rule_cases())
-    reach = min(30.0, QuadratureConfig().radius(spec.params, ABS.sup_norm))
+    reach = min(30.0, 1.0 + 10.0 / spec.params.beta)
     return spec, draw(st.sampled_from(ABS.kinks)) + draw(st.floats(-reach, reach)) / spec.n
 
 
@@ -1243,8 +1251,8 @@ class TestHinges:
     """Kinked f with a strip majorant of its smooth part and slope jumps
     (the catalog's |x| clamped at 3) is evaluated as f(x - EW) + [B a(x) -
     a(x - EW)] + sum_k j_k g(x - k): the trapezoidal rule for a (none
-    where a is constant), and one kernel call on GK15 panels for the
-    hinges."""
+    where a is constant), and the hinges in closed form, through the
+    complete Fermi-Dirac integrals."""
 
     @pytest.mark.parametrize("xs", list(HINGE_GRIDS))
     @pytest.mark.parametrize("q, beta, n", [(1.0, 0.05, 1), (1e6, 0.05, 1), (2.0, 0.5, 100), (1.0, 20.0, 400)],
@@ -1304,88 +1312,28 @@ class TestHinges:
         out, rule = _rule_of(replace(ABS, strip=strip), specs, grid.points)
         assert float(np.abs(out - apply_on_grid(ABS, specs, grid.points)).max()) <= rule.bound
 
-    def test_one_pass_at_w(self, monkeypatch, grid):
-        """At (q, beta) = (1e6, 0.05) and n = 1 the |K15 - G7| estimate at
-        W = 32 was about 2e-10 and the sums ran again at W/2; the proven
-        bound meets its share at W = 32, so each kind's sums run once there,
-        on the panels the kinds share."""
-        hinges = _hinge_calls(monkeypatch)
-        apply_on_grid(ABS, _kinds(1, KernelParams(1e6, 0.05)), grid.points)
-        width = QuadratureConfig().width(KernelParams(1e6, 0.05), ABS.sup_norm)
-        assert width == 32.0
-        assert [kind for kind, _ in hinges] == ["basic", "kantorovich", "quadrature"]
-        assert all(width / 2 < w <= width for _, w in hinges)
-
-    def test_wide_width_is_halved_before_any_kernel_call(self, monkeypatch):
-        """With W forced to 64 times psi's own (2 at q = beta = 1), the
-        proven bound at one point, whose three abscissae cut the window into
-        gaps up to 27 wide, misses: W is halved until it fits before any
-        kernel is evaluated (counted, not timed), then the sums run once,
-        within the allowance of the oracle."""
-        width = QuadratureConfig.width
-        monkeypatch.setattr(QuadratureConfig, "width", lambda self, params, size: 64.0 * width(self, params, size))
-        events = []
-        panels, hinges = operators._hinge_panels, operators._hinges
-
-        def recorded_panels(breaks, width, at):
-            events.append(("panels", width))
-            return panels(breaks, width, at)
-
-        def recorded_hinges(spec, s, edges, after):
-            events.append(("hinges", float(np.diff(edges).max())))
-            return hinges(spec, s, edges, after)
-
-        psi = operators.kernel.psi
-        monkeypatch.setattr(operators.kernel, "psi", lambda *args: events.append(("kernel", None)) or psi(*args))
-        monkeypatch.setattr(operators, "_hinge_panels", recorded_panels)
-        monkeypatch.setattr(operators, "_hinges", recorded_hinges)
-        spec, x = OperatorSpec(OperatorKind.BASIC, 9, P11), 0.0017
-        out = apply_on_grid(ABS, spec, [x])
-        names = [name for name, _ in events]
-        widths = [w for name, w in events if name == "panels"]
-        assert widths == [128.0 / 2**i for i in range(len(widths))]
-        assert widths[-1] == width(QuadratureConfig(), P11, ABS.sup_norm)
-        assert "panels" not in names[names.index("kernel"):]
-        assert names.count("hinges") == 1 and [w for name, w in events if name == "hinges"][0] <= widths[-1]
-        exact = float(abs_operator_mp("basic", 1.0, 1.0, 9, x))
-        assert abs(out[0] - exact) <= QuadratureConfig().allowance(out[0])
-
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(case=hinge_cases())
-    def test_proven_bound_holds(self, case):
-        """At every abscissa s of the point the hinge sums are within their
-        proven bound of the window's exact short side (``_oracles.hinge_mp``),
-        the bound times |j_k| / n summed over the kinks is within a quarter
-        of tol, and the value is within the allowance of the oracle."""
+    def test_closed_form_within_its_bound(self, case):
+        """At every abscissa s of the point the closed-form hinge is within
+        its rounding bound of the untruncated short side
+        (``_oracles.hinge_mp`` at radius inf), the bound times |j_k| / n
+        summed over the kinks is within a quarter of tol, and the value is
+        within the allowance of the oracle."""
         spec, x = case
         cfg = QuadratureConfig()
-        calls, bounds = [], []
-        hinges, bound = operators._hinges, operators._hinge_bound
-
-        def recorded_hinges(spec, s, edges, after):
-            calls.append((s, hinges(spec, s, edges, after)))
-            return calls[-1][1]
-
-        def recorded_bound(*args):
-            parts = bound(*args)
-            bounds.append(sum(parts))
-            return parts
-
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(operators, "_hinges", recorded_hinges)
-            patch.setattr(operators, "_hinge_bound", recorded_bound)
+            calls = _recorded_hinges(patch)
             out = float(apply_on_grid(ABS, spec, [x], cfg)[0])
         p, n = spec.params, spec.n
-        radius = cfg.radius(p, ABS.sup_norm) + 1.0
-        # the kinks whose abscissa n (x - k) lies within the window, in order
-        weights = [abs(j) / n for k, j in zip(ABS.kinks, ABS.jumps) if abs(n * (x - k)) < radius]
-        [(s, values)] = calls
-        proven = bounds[-1]
+        [(_, s, values, bounds)] = calls
+        # the kinks whose abscissa n (x - k) was evaluated, in order
+        weights = [abs(j) / n for k, j in zip(ABS.kinks, ABS.jumps) if n * (x - k) in s]
         assert s.size == len(weights) >= 1
         for i in range(s.size):
-            exact = float(hinge_mp(spec.kind.value, p.q, p.beta, float(s[i]), radius, spec.weights))
-            assert abs(values[i] - exact) <= proven[i], (float(s[i]), values[i], exact, proven[i])
-        assert float(np.dot(proven, weights)) <= 0.25 * cfg.tol
+            exact = float(hinge_mp(spec.kind.value, p.q, p.beta, float(s[i]), mp.inf, spec.weights))
+            assert abs(values[i] - exact) <= bounds[i], (float(s[i]), values[i], exact, bounds[i])
+        assert float(np.dot(bounds, weights)) <= 0.25 * cfg.tol
         exact = float(abs_operator_mp(spec.kind.value, p.q, p.beta, n, x, spec.weights))
         assert abs(out - exact) <= cfg.allowance(out)
 
@@ -1393,13 +1341,13 @@ class TestHinges:
         """At tol = 1e-11, beta = 0.05 and n = 1 the samples of a = f -
         sum_k (j_k / 2) |u - k|, whose hinges reach 600 beyond the grid,
         would round by over a quarter of tol; the smooth part of |x| is
-        constant and never sampled, so every kind takes its hinge sums and
+        constant and never sampled, so every kind takes its hinges and
         meets tol."""
-        hinges = _hinge_calls(monkeypatch)
+        calls = _recorded_hinges(monkeypatch)
         cfg = QuadratureConfig(1e-11)
         specs = _kinds(1, KernelParams(1.0, 0.05))
         out = apply_on_grid(ABS, specs, grid.points, cfg)
-        assert [kind for kind, _ in hinges] == ["basic", "kantorovich", "quadrature"]
+        assert [kind for kind, *_ in calls] == ["basic", "kantorovich", "quadrature"]
         x = float(grid.points[1000])
         for spec, row in zip(specs, out):
             exact = float(abs_operator_mp(spec.kind.value, 1.0, 0.05, 1, x, spec.weights))
@@ -1415,15 +1363,34 @@ class TestHinges:
             apply_on_grid(f, _kinds(1, KernelParams(1.0, 0.05)), grid.points, QuadratureConfig(1e-11))
         assert calls == {"f": 0, "kernel": 0}
 
-    def test_hinge_rounding_over_its_share_is_refused(self, monkeypatch, grid):
-        """At (q, beta) = (1e6, 0.05), n = 1 and tol = 5e-11 the hinge sums
-        over the kernel's mean |V| of about 280, on about 5000 panels,
-        round by more than the rule leaves: halving W would not help, so
-        every kind is refused before f or a kernel is evaluated."""
-        f, calls = _counted_calls(monkeypatch, ABS)
-        with pytest.raises(QuadratureNonConvergedError, match=r"hinge sums round by \S+, over their share"):
-            apply_on_grid(f, _kinds(1, KernelParams(1e6, 0.05)), grid.points, QuadratureConfig(5e-11))
-        assert calls == {"f": 0, "kernel": 0}
+    def test_tight_tol_at_a_wide_deformed_kernel(self, grid):
+        """At (q, beta) = (1e6, 0.05), n = 1 and tol = 5e-11 the closed-form
+        hinges round by a few ulp of their terms, within what the rule
+        leaves of tol, and every kind comes out within tol of the oracle at
+        the first, middle and last point."""
+        cfg = QuadratureConfig(5e-11)
+        specs = _kinds(1, KernelParams(1e6, 0.05))
+        rows = apply_on_grid(ABS, specs, grid.points, cfg)
+        for spec, row in zip(specs, rows):
+            for i in (0, 1000, 2000):
+                exact = float(abs_operator_mp(spec.kind.value, 1e6, 0.05, 1, float(grid.points[i]), spec.weights))
+                assert abs(row[i] - exact) <= cfg.tol, (spec.kind.value, i, row[i], exact)
+
+    @pytest.mark.parametrize("q, beta, n", [(1.0, 0.01, 1), (1.0, 0.005, 1), (1e6, 0.05, 1), (1.0, 20.0, 400),
+                                            (1e300, 700.0, 9), (1e-6, 0.05, 1000)], ids=lambda v: f"{v:g}")
+    def test_wide_and_sharp_kernels_are_accepted(self, grid, q, beta, n):
+        """The three kinds in one call on the default grid, at kernels from
+        beta = 0.005, where the differences of F_3 that kantorovich takes
+        cancel to 7 digits unless they are taken in closed form, to beta =
+        700: accepted, and within tol of the oracle at the middle and last
+        point."""
+        cfg = QuadratureConfig()
+        specs = _kinds(n, KernelParams(q, beta))
+        rows = apply_on_grid(ABS, specs, grid.points, cfg)
+        for spec, row in zip(specs, rows):
+            for i in (1000, 2000):
+                exact = float(abs_operator_mp(spec.kind.value, q, beta, n, float(grid.points[i]), spec.weights))
+                assert abs(row[i] - exact) <= cfg.tol, (spec.kind.value, i, row[i], exact)
 
     @pytest.mark.parametrize("n, beta", [(9, 1.0), (49, 1.0), (1, 0.05)])
     def test_far_grid_is_f_at_the_mean_shift(self, n, beta):
@@ -1458,9 +1425,21 @@ class TestHinges:
             exact = float(abs_operator_mp(kind.value, 1.0, 1.0, 9, float(grid.points[i]), weights))
             assert abs(out[i] - exact) <= cfg.allowance(3.0), (float(grid.points[i]), out[i], exact)
 
+    @pytest.mark.parametrize("xs, kinked", [(np.linspace(-1.0, 1.0, 400), False),
+                                            (np.linspace(1e6, 1e6 + 6.0, 601), True)], ids=["near", "far"])
+    def test_estimate_takes_f_only_where_no_sample_crosses_a_kink(self, monkeypatch, xs, kinked):
+        """``EST_ABS`` estimates its kink-free smooth part on a grid whose
+        samples cross the kink 0 (no point lies on it), and f itself only
+        on a grid so far from every kink that no sample of any halving
+        crosses one."""
+        estimated, estimate = [], operators._estimate
+        monkeypatch.setattr(operators, "_estimate", lambda f, *args: estimated.append(bool(f.kinks)) or estimate(f, *args))
+        apply_on_grid(EST_ABS, OperatorSpec(OperatorKind.BASIC, 9, P11), xs)
+        assert estimated == [kinked]
+
     def test_no_blas_product(self, monkeypatch, grid):
         """No path calls a BLAS product, whose bits may follow the block's
-        shape or the thread count: the hinge sums and the proven and
+        shape or the thread count: the hinges and the proven and
         estimated rules of the default sweep's and the benchmark's grid
         calls run with np.matmul and np.dot disabled."""
         for name in ("matmul", "dot"):
