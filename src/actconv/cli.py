@@ -302,33 +302,42 @@ def kernel_check(ctx, **kw):
         record("normalization |int psi - 1|", math.nan, 1e-8, note=str(exc))
 
     xs = np.linspace(0.0, 40.0, 1601)
-    record("evenness max |psi(x) - psi(-x)|", float(np.abs(kernel.psi(params, xs) - kernel.psi(params, -xs)).max()),
-           1e-14)
-    gx, gm = kernel.g(params, -xs), kernel.g(KernelParams(1.0 / params.q, params.beta), xs)
-    record("deformed symmetry max |g_q(-x) - g_1/q(x)|",
-           float(np.abs(gx - gm).max() / max(np.abs(gm).max(), 1e-300)), 1e-14)
+    record(
+        "evenness max |psi(x) - psi(-x)|",
+        float(np.abs(kernel.psi(params, xs) - kernel.psi(params, -xs)).max()),
+        1e-14,
+    )
+    mirror = KernelParams(1.0 / params.q, params.beta)
+    gx = kernel.g(params, -xs)
+    gm = kernel.g(mirror, xs)
+    record(
+        "deformed symmetry max |g_q(-x) - g_1/q(x)|",
+        float(np.abs(gx - gm).max() / max(np.abs(gm).max(), 1e-300)),
+        1e-14,
+    )
 
     target = params.g_argmax
     location, dominant = _peak_location(params, target)
-    record("peak location |argmax - ln(q)/beta|", abs(location - target), 1e-6, None if dominant else "FAIL")
+    record(
+        "peak location |argmax - ln(q)/beta|",
+        abs(location - target),
+        1e-6,
+        None if dominant else "FAIL",
+    )
     record("peak value |g(argmax) - closed form|", abs(kernel.g(params, target) - params.g_max_value), 1e-10)
 
-    # H = U + L / beta + S ln(q) / beta: P(|H| > m), E|H|^k are differences of F_s over U
-    log_q, beta = math.log(params.q), params.beta
-
-    def fermi(s: int, x: float) -> float:
-        return float(kernel.fermi_dirac(s, np.array([x + log_q, x - log_q]), (2.0 * beta,))[0].sum())
-
+    # psi is even: P(|H| > m) = 2 P(H > m) and E|H|^k = 2 E(H)+^k, upper moments at y = m and 0
     for n in kw["ns"]:
         try:
             bound = kernel.tail_mass_bound(params, n, alpha)
         except HypothesisNotMetError:
             record(f"tail mass n={n} alpha={alpha}", math.nan, math.nan, "hypothesis not met")
             continue
-        record(f"tail mass n={n} alpha={alpha}", fermi(1, -beta * kernel.window_edge(n, alpha)) / (2.0 * beta), bound)
+        tail = 2.0 * float(kernel.upper_moment(params, 0, kernel.window_edge(n, alpha))[0])
+        record(f"tail mass n={n} alpha={alpha}", tail, bound)
 
     for k in range(1, 6):
-        moment = 0.5 * math.factorial(k) * fermi(k + 1, 0.0) / beta / beta**k
+        moment = 2.0 * float(kernel.upper_moment(params, k, 0.0)[0])
         record(f"absolute moment k={k}", moment, kernel.moment_bound(params, k))
 
     width = max(len(r["check"]) for r in rows) + 2

@@ -7,8 +7,9 @@ symmetrized density ``psi`` (the even average of ``g`` at ``q`` and
 evaluators, this module carries the analytic constants attached to the
 family: the global maximum of ``g``, an exponential envelope valid for
 arguments >= 1, the moments of ``psi`` in closed form, closed-form upper
-bounds for tail mass and absolute moments of ``psi``, and the complete
-Fermi-Dirac integrals ``fermi_dirac`` in which its integrals are exact.
+bounds for tail mass and absolute moments of ``psi``, and its upper
+moments ``upper_moment`` exactly, through the complete Fermi-Dirac
+integrals ``fermi_dirac``.
 
 All evaluators accept scalars or numpy arrays and are pure functions.
 """
@@ -35,6 +36,7 @@ __all__ = [
     "tail_mass_bound",
     "moment_bound",
     "fermi_dirac",
+    "upper_moment",
 ]
 
 # float(math.factorial(k)) overflows beyond this
@@ -459,6 +461,32 @@ def fermi_dirac(s: int, x, steps: tuple[float, ...] = ()) -> tuple[np.ndarray, n
         values[middle] = np.add.reduce(parts * signs, axis=1)
         errors[middle] = np.add.reduce(error + (np.abs(points) + s + signs.size) * _U * np.abs(parts), axis=1)
     return values.reshape(np.shape(x)), errors.reshape(np.shape(x))
+
+
+def upper_moment(params: KernelParams, k: int, y, widths: tuple[float, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
+    """E(H + T - y)+^k (k = 0: P(H + T > y)) for H ~ psi and T the sum of
+    independent centred uniforms of the given ``widths`` (none: T = 0),
+    elementwise in y, for k + len(widths) <= 5, and a bound on the rounding
+    error of each value.
+
+    H = U + L / beta + S ln(q) / beta (``psi_moments``) and E(L - a)+^k =
+    k! F_k(-a), so averaging over U, each width h and S gives k! sum_S
+    D_2beta D_beta h1 ... F_(k+1+m)(-beta y + S ln q) / (4 beta^(k+1+m) h1
+    ... hm) (``fermi_dirac``).  The bound adds to the closed form's a few
+    ulp for the scaling, and for the rounding of y (one operation) and of
+    the arguments, 4 ulp of |y| + 1 + sum h / 2 + |ln q| / beta in y, times
+    the slope k E(H + T - y)+^(k-1), or the density for k = 0: at most
+    beta value (L's hazard is at most 1, and F_(k-1) <= F_k), and at most k
+    value^(1 - 1/k) (Lyapunov), or psi's peak 1/2 for k = 0."""
+    beta, log_q = params.beta, math.log(params.q)
+    y, order = np.asarray(y, dtype=float), k + 1 + len(widths)
+    values, errors = fermi_dirac(order, np.stack((log_q - beta * y, -log_q - beta * y)),
+                                 (2.0 * beta,) + tuple(beta * h for h in widths))
+    scale = math.factorial(k) / (4.0 * beta**order * math.prod(widths))
+    value = (values[0] + values[1]) * scale
+    slope = np.minimum(beta * np.abs(value), 0.5 if k == 0 else k * np.abs(value) ** (1.0 - 1.0 / k))
+    reach = np.abs(y) + 1.0 + 0.5 * math.fsum(widths) + abs(log_q) / beta
+    return value, (errors[0] + errors[1]) * scale + 8.0 * _U * np.abs(value) + 4.0 * _U * reach * slope
 
 
 def psi_envelope(params: KernelParams, x) -> float | np.ndarray:

@@ -19,31 +19,47 @@ Every kind's kernel is analytic in the strip |Im v| < pi / beta, with
 and the averaging kinds inherit the bound.  ``apply_on_grid`` has one
 engine, the trapezoidal rule B f(x) ~ tau sum_{|j| <= J} k(j tau)
 f(x - j tau / n), which converges exponentially (Trefethen & Weideman,
-SIAM Review 56, 2014): at a proven step for f with a strip majorant
-(``TestFunction.strip``, see ``_rule``), else at an estimated one (see
-``_estimate``), the kinds of a call sharing tau and the samples of f.  A
-kinked f declares its slope jumps j_k (the catalog's abs): it is a +
-sum_k (j_k / 2) |u - k| with a smooth, and the operators are linear and
-commute with translation, so B f(x) = f(x - EW) + [B a(x) - a(x - EW)] +
-sum_k j_k g(x - k), W = V / n with V ~ k, and g(y) = E(W - y)+ - (EW -
-y)+.  The rule gives B a (a bounded entire a is constant, and then the
-bracket is 0 and the rule is sized but not run), and g is a difference
-of complete Fermi-Dirac integrals (``_Kernel.hinge``), with no kernel
-call.  ``apply`` (and the kind-specific wrappers) integrate a single
-point adaptively in the kernel variable v by a nested Kronrod rule, with
-the window's seed panels cut at the kinks of f, v = n (x - kink).
+SIAM Review 56, 2014).  For f with a strip majorant
+(``TestFunction.strip``) its error has an a-priori bound: tau is the
+largest step whose proven error stays within tol, and a call no step can
+serve is refused before anything is evaluated (see ``_rule``).  For f
+without one (``id``, approximant stages) tau is halved from a step sized
+for a constant until two successive halvings agree (see ``_estimate``).
+The kinds of a call share tau and the samples of f.  A kinked f declares
+its slope jumps j_k (the catalog's abs): it is a + sum_k (j_k / 2) |u - k|
+with a smooth, and the operators are linear and commute with
+translation, so B f(x) = f(x - EW) + [B a(x) - a(x - EW)] + sum_k j_k
+g(x - k), W = V / n with V ~ k, and g(y) = E(W - y)+ - (EW - y)+.  The
+rule gives B a (a bounded entire a is constant, and then the bracket is
+0 and the rule is sized but not run), and g at the abscissae n (x - k)
+is a difference of complete Fermi-Dirac integrals (``_Kernel.hinge``,
+see ``_kinked``), with no kernel call.  ``apply`` (and
+the kind-specific wrappers) integrate a single point adaptively in the
+kernel variable v by a nested Kronrod rule, with the window's seed panels
+cut at the kinks of f, v = n (x - kink).
 
 Accuracy is set by one knob, ``QuadratureConfig.tol``: ``apply`` and the
 estimated rule accept a value v once its error estimate is within
 ``cfg.allowance(v)`` = tol max(1, |v|) (on a grid, v is the largest
-|value|), the proven errors of the trapezoidal rule, with the hinges'
-rounding, are within tol, and every kind's kernel is truncated to [-R -
-1, R + 1], R = ``cfg.radius(params, sup |f|)`` (see ``_Kernel``).
+|value|), the proven errors of the trapezoidal rule, with the rounding
+of the hinges and those left out, are within tol, and every path
+truncates every kind's kernel to one window [-R - 1, R + 1], R =
+``cfg.radius(params, sup |f|)`` the radius beyond which psi's mass,
+times sup |f|, is at most tol / 100 (averaging moves that mass left by
+at most 1, see ``_Kernel``; scalar ``apply`` stops at R, above which no
+kind has more; the hinges are whole).  The panel and node
+limit (``quadrature.MAX_SUBDIVISIONS``) and the approximants' residual
+ceiling (``RESIDUAL_CEILING``) are constants.
 
-Iterated and mixed compositions interpolate each stage on Chebyshev
-extrema, N of them from 17 up until the residual at the midpoints meets
-the allowance (see ``make_grid_approximant``), each stage's domain padded
-by the reach of the stages after it (see ``_chain``).
+Iterated and mixed compositions are made tractable by interpolating each
+stage on Chebyshev nodes.  A stage samples the operator on the 2N - 1
+Chebyshev extrema: the even ones are the N interpolation nodes, and the
+odd ones, the theta-midpoints between them, give the interpolation
+residual carried on the approximant.  Each stage picks N itself: from
+N = 17, while the residual exceeds the allowance, the samples become the
+nodes of the next round and only the new midpoints are sampled, so every
+extremum is sampled once.  Each stage's domain is padded by the reach of
+the stages after it, so no stage samples its input where it is clamped.
 """
 
 from __future__ import annotations
@@ -58,7 +74,12 @@ import numpy as np
 from . import kernel, quadrature
 from .errors import FlaggedApproximantError, NonFiniteSampleError, QuadratureNonConvergedError
 from .kernel import KernelParams
-from .quadrature import DEFAULT_CONFIG, GK15_NODES, QuadratureConfig, integrate_interval
+from .quadrature import (
+    DEFAULT_CONFIG,
+    GK15_NODES,
+    QuadratureConfig,
+    integrate_interval,
+)
 
 __all__ = [
     "OperatorKind",
@@ -271,28 +292,19 @@ class _Kernel:
     def hinge(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """n g(s / n) = E(V - s)+ - (EV - s)+, V ~ k, at the abscissae s in
         closed form with a bound on its error: E(V - s)+ for s >= EV = -E T,
-        else E(s - V)+.  V = H - T, H = U + L / beta + S ln(q) / beta
-        (``kernel.psi_moments``), so E(H - y)+ = sum_S D_2beta F_2(-beta y +
-        S ln q) / (4 beta^2) (``kernel.fermi_dirac``): basic and quadrature
-        take it at y = s + T above and, H being even, -(s + T) below;
-        kantorovich averages it over T in [0, 1], sum_S D_2beta D_beta
-        F_3(-beta (y + 1/2) + S ln q) / (4 beta^3), at y = s above and, as -1
-        - V ~ V, -1 - s below.  Each moves by at most 1 / (2 beta) per unit of
-        its argument, whose rounding adds 3 ulp of |s| + 2 + |ln q| / beta."""
-        beta, log_q = self.params.beta, math.log(self.params.q)
+        else E(s - V)+.  V = H - T and H ~ -H, so basic and quadrature take
+        E(H - y)+ (``kernel.upper_moment``) at y = s + T above and -(s + T)
+        below, and kantorovich, T = 1/2 + a centred uniform of width 1,
+        takes it at y = s + 1/2 above and -1 - s + 1/2 below.  The weighted
+        sum of nonnegative terms rounds by at most (r + 1) ulp of it."""
         upper = s >= -self.offset_moments(1)[1]
         if self.kind is OperatorKind.KANTOROVICH:
-            order, steps, weights = 3, (2.0 * beta, beta), np.ones(1)
-            y = np.where(upper, s, -1.0 - s)[None] + 0.5
-        else:
-            order, steps, weights = 2, (2.0 * beta,), np.asarray(self.weights or (1.0,))
-            shifts = np.arange(1, weights.size + 1)[:, None] / weights.size if self.weights else np.zeros((1, 1))
-            y = np.where(upper, s + shifts, -(s + shifts))
-        values, errors = kernel.fermi_dirac(order, np.stack((log_q - beta * y, -log_q - beta * y)), steps)
-        scale = weights[:, None] / (4.0 * beta**order)
-        hinge = _node_sum((values[0] + values[1]) * scale)
-        return hinge, (_node_sum((errors[0] + errors[1]) * scale) + 8.0 * _ULP * hinge
-                       + 3.0 * _ULP * (np.abs(s) + 2.0 + abs(log_q) / beta))
+            return kernel.upper_moment(self.params, 1, np.where(upper, s, -1.0 - s) + 0.5, (1.0,))
+        weights = np.asarray(self.weights or (1.0,))[:, None]
+        shifts = np.arange(1, weights.size + 1)[:, None] / weights.size if self.weights else np.zeros((1, 1))
+        values, errors = kernel.upper_moment(self.params, 1, np.where(upper, s + shifts, -(s + shifts)))
+        hinge = _node_sum(values * weights)
+        return hinge, _node_sum(errors * weights) + (weights.size + 1) * _ULP * hinge
 
 
 def _kernel(spec: OperatorSpec) -> _Kernel:
@@ -697,13 +709,16 @@ def _kinked(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, ra
             drift: float | None, cfg: QuadratureConfig) -> list[np.ndarray]:
     """The kinds of ``specs`` on the sorted grid for f = a + sum_k (j_k / 2)
     |u - k| (see ``apply_on_grid``): the rule for a takes half of tol
-    (proven with a strip majorant of a, else ``_estimate``), the rounding
-    of its samples at most a quarter, and the closed-form hinges
-    (``_Kernel.hinge``), their rounding times |j_k| / n and those left out,
-    the rest, else the call is refused before sampling.  A strip finite at
-    infinity makes a constant: the rule is sized and counted, but neither
-    it nor a is evaluated (a strip inf, nan or raising there says nothing).
-    f without a strip whose samples cross no kink takes ``_estimate``."""
+    (proven with a strip majorant of a, else ``_estimate``), the
+    rounding of the samples of a at most a quarter, and the rounding
+    bound of the closed-form hinges (``_Kernel.hinge``) times |j_k| / n,
+    with the hinges left out, the rest; a call that does not fit is
+    refused before sampling.  A strip
+    finite at infinity makes a constant, so B a - a(x - EW) is 0: the rule
+    is sized and its bound counted as for any a, but it is not run and a
+    is not sampled, so its samples' rounding is 0.  A strip that is inf
+    or nan at infinity, or raises there, says nothing of a.  f without a
+    strip whose samples cross no kink is f itself to ``_estimate``."""
     n, params = specs[0].n, specs[0].params
     smooth = _smooth(f)
     rule = _rule(smooth, specs, grid, radius, drift, cfg, 0.5 * cfg.tol)
@@ -770,21 +785,34 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec | Sequence[OperatorSpec], 
     kind fails.  ``xs`` need not be sorted.
 
     Every path takes the trapezoidal rule tau sum_{|j| <= J} k(j tau)
-    f(x - j tau / n), J = ceil((R + 1) / tau) + 1: at the largest step whose
-    proven error is within tol for f with a strip majorant (see ``_rule``),
-    else from the step proven for a constant of size sup |f| (at most W =
-    ``cfg.width``), halved until two successive halvings each change a
-    kind's values by at most ``cfg.allowance`` of its largest |value| (see
-    ``_estimate``); a call past 15 ``quadrature.MAX_SUBDIVISIONS`` nodes is
-    refused before f or a kernel is evaluated.  On a uniform grid (as
+    f(x - j tau / n), J = ceil((R + 1) / tau) + 1.  f with a strip
+    majorant and no kinks (the catalog's sin, cos, gauss and one, and their
+    derivatives) takes it at the largest step whose proven error is within
+    tol, or is refused before f or a kernel is evaluated (see ``_rule``).
+    f without one (``id``, ``from_callable`` functions such as an
+    approximant stage) takes it from the step proven for a constant of
+    size sup |f| (at most W = ``cfg.width``), halved, adding only the new
+    nodes, until two successive halvings each change a kind's values by at
+    most ``cfg.allowance`` of its largest |value| (see ``_estimate``), or
+    is refused once a level needs more than 15
+    ``quadrature.MAX_SUBDIVISIONS`` nodes.  On a uniform grid (as
     ``np.linspace`` builds it, drifting from x0 + i h by no more than moves
     a value by tol / 10) the kinds share one vector of samples of f on the
-    lattice x0 + m h / p and each has one kernel vector; any other grid
-    samples f once at each multiple of tau / n that some point needs (see
-    ``_trapezoid``).  f is called with 1-d arrays and must work
-    elementwise.  A kinked f (with its slope jumps, see ``TestFunction``)
-    takes B a by the rule at half of tol and the hinges g in closed form
-    (see the module docstring and ``_kinked``).
+    lattice x0 + m h / p and each has one kernel vector.  Any other grid
+    samples f once at each multiple of tau / n that some point needs (an
+    approximant pays for every sample) and evaluates the kernel at
+    n (x_i - c_i) + j tau for each (point, node) pair, c_i the multiple
+    nearest x_i (see ``_trapezoid``).  f is called with 1-d arrays and
+    must work elementwise.
+
+    A kinked f (with its slope jumps, see ``TestFunction``) takes B f(x) =
+    f(x - EW) + [B a(x) - a(x - EW)] + sum_k j_k g(x - k) (see the module
+    docstring): B a by the rule above at half of tol, and g in closed form
+    at the abscissae n (x - k) near a kink, one call per kind, refused
+    only if its rounding misses what the rule leaves of tol (see
+    ``_kinked``).  Where the strip of a is finite at infinity a is
+    constant: the rule is sized, and refuses as above, but neither it nor
+    a is evaluated.
 
     No path calls a BLAS routine: every sum runs in a fixed order, so the
     output depends neither on the block size nor on the BLAS thread count.

@@ -123,11 +123,16 @@ class QuadratureConfig:
     def width(self, params: KernelParams, size: float) -> float:
         """The GK15 panel width W that resolves ``size`` times psi to tol:
         the largest power of two not above min(R, 4 pi / (beta (rho -
-        1/rho))), R = ``radius(params, size)``, and at least 2^-10, rho =
-        (size min(10, 2 / beta) / tol)^(1/14) the Bernstein ellipse reaching
-        psi's strip |Im v| < pi / beta, the constants fitted on GK15 tilings
-        (Trefethen, SIAM Review 50, 2008).  It seeds ``kernel_breaks`` and
-        caps the first step of the estimated rule of ``apply_on_grid``."""
+        1/rho))), R = ``radius(params, size)``, and at least 2^-10.  psi is
+        analytic in |Im v| < pi / beta, reached by the Bernstein ellipse
+        rho of a panel of width W, whose G7 error ~rho^-14 dominates
+        |K15 - G7|; rho = (size min(10, 2 / beta) / tol)^(1/14), the
+        constants fitted on GK15 tilings of psi (Trefethen, SIAM Review 50,
+        2008).  At tol = 1e-10 and size 1, W is 4 at beta = 0.5, 2 at
+        beta = 1, 1/2 at beta = 3 and 1/8 at beta = 20.  It seeds the
+        real-line integrals (``kernel_breaks``) and caps the first step of
+        the estimated trapezoidal rule of ``operators.apply_on_grid`` (f
+        without a strip majorant)."""
         rho = (size * min(10.0, 2.0 / params.beta) / self.tol) ** (1.0 / 14.0)
         limit = self.radius(params, size)
         if rho > 1.0:
@@ -302,10 +307,13 @@ def kernel_breaks(params: KernelParams, a: float, b: float, cfg: QuadratureConfi
 def integrate_real_line(f, decay: TailEnvelope, cfg: QuadratureConfig | None = None) -> IntegralResult:
     """Integrate f over the real line, truncating by the kernel envelope.
 
-    ``decay`` asserts |f| <= decay.scale * psi outside the window of
-    radius ``cfg.radius(decay.params, decay.scale)``, so the excluded mass,
-    at most ``truncation_eps``, is added to the error estimate.  The window
-    is seeded at ``kernel_breaks``, whose panels resolve psi.
+    ``decay`` asserts |f| <= decay.scale * psi outside the window; the
+    window radius is ``cfg.radius(decay.params, decay.scale)``, so the
+    excluded mass stays at or below ``truncation_eps``, which is added to
+    the reported error estimate.  The window is seeded at
+    ``kernel_breaks``, the multiples of the kernel's panel width W
+    (``cfg.width``): GK15 panels of width W resolve psi, mostly without
+    a split, and all seeds take one call of f.
     """
     cfg = cfg or DEFAULT_CONFIG
     scale = float(decay.scale)

@@ -48,18 +48,34 @@ class TestKernelCheck:
 
     def test_makes_no_adaptive_integral(self, runner, tmp_path, monkeypatch):
         """The tail-mass and absolute-moment rows are closed forms
-        (``kernel.fermi_dirac``) and the normalization row is the basic
+        (``kernel.upper_moment``) and the normalization row is the basic
         operator of resolution 1 applied to 1 at 0, on the trapezoidal rule:
-        no run makes an ``integrate_interval`` call, and psi is still
-        evaluated."""
+        no run makes an ``integrate_interval`` call, and that operator call
+        evaluates psi."""
         for module in (quadrature, operators):
             monkeypatch.setattr(module, "integrate_interval", lambda *args, **kw: pytest.fail("an adaptive integral"))
-        psi, calls = operators.kernel.psi, []
-        monkeypatch.setattr(operators.kernel, "psi", lambda *args: calls.append(1) or psi(*args))
+        psi, apply_on_grid, calls = operators.kernel.psi, cli.apply_on_grid, []
+        inside = []  # set while an apply_on_grid call runs
+
+        def counted_apply(*args, **kw):
+            inside.append(1)
+            try:
+                return apply_on_grid(*args, **kw)
+            finally:
+                inside.pop()
+
+        def counted_psi(*args):
+            if inside:
+                calls.append(1)
+            return psi(*args)
+
+        monkeypatch.setattr(operators.kernel, "psi", counted_psi)
+        monkeypatch.setattr(cli, "apply_on_grid", counted_apply)
         for args in ([], ["--q", "3", "--beta", "700"]):
+            calls.clear()
             result = _run(runner, ["kernel-check", *args, "--out", str(tmp_path)])
             assert result.exit_code == 0, result.output
-        assert calls
+            assert calls, args
 
     @pytest.mark.parametrize("q, beta", [(1.0, 1.0), (31.6, 0.273), (3.0, 700.0), (1e6, 0.05), (1e300, 700.0)])
     def test_tail_and_moment_rows_match_mpmath(self, runner, tmp_path, q, beta):

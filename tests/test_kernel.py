@@ -28,7 +28,7 @@ from actconv import (
     tail_mass_bound,
     truncation_radius,
 )
-from actconv.kernel import MAX_BETA, fermi_dirac, psi_average, psi_moments
+from actconv.kernel import MAX_BETA, fermi_dirac, psi_average, psi_moments, upper_moment
 from actconv.quadrature import moment_truncation_radius
 
 from _oracles import (
@@ -395,6 +395,38 @@ class TestFermiDirac:
         for s, steps in [(0, ()), (7, ()), (1, (1.0, 1.0))]:
             with pytest.raises(ValueError, match="s in 1..6"):
                 fermi_dirac(s, 0.0, steps)
+
+
+def _upper_moment_mp(q, beta, k, y):
+    """E(H - y)+^k = the integral of (h - y)^k psi(h) over [y, inf), split
+    at psi's bends +-1 +- ln(q) / beta and at decay lengths past them."""
+    c = abs(mp.log(q)) / beta
+    ends = sorted({y, *(b for b in (-c - 1, -c + 1, c - 1, c + 1) if b > y)})
+    ends += [ends[-1] + 4**i / beta for i in range(5)] + [mp.inf]
+    return mp.quad(lambda h: (h - y) ** k * psi_mp(q, beta, h), ends)
+
+
+class TestUpperMoment:
+    """``upper_moment``, the law's E(H + T - y)+^k through ``fermi_dirac``,
+    within its returned rounding bound of 30-digit quadrature of psi, and
+    that bound tight; with a width w it is the difference (E(H - y +
+    w/2)+^(k+1) - E(H - y - w/2)+^(k+1)) / (w (k + 1))."""
+
+    @pytest.mark.parametrize("q, beta", [(1.0, 1.0), (1e6, 0.05), (3.0, 20.0)], ids=lambda v: f"{v:g}")
+    @pytest.mark.parametrize("k, widths", [(0, ()), (1, ()), (4, ()), (1, (1.0,)), (3, (0.5,))],
+                             ids=lambda v: f"{v}")
+    def test_matches_mpmath(self, q, beta, k, widths):
+        ys = np.array([-2.0, -0.3, 0.0, 0.7, 3.0])
+        values, bounds = upper_moment(KernelParams(q, beta), k, ys, widths)
+        with mp.workdps(30):
+            for y, value, bound in zip(ys, values, bounds):
+                if widths:
+                    (w,) = widths
+                    exact = (_upper_moment_mp(q, beta, k + 1, mp.mpf(y) - w / 2)
+                             - _upper_moment_mp(q, beta, k + 1, mp.mpf(y) + w / 2)) / (w * (k + 1))
+                else:
+                    exact = _upper_moment_mp(q, beta, k, mp.mpf(y))
+                assert abs(value - exact) <= bound <= 1e-12 * exact, (y, value, exact, bound)
 
 
 class TestPsiEnvelope:

@@ -1240,10 +1240,10 @@ SIN_ABS = TestFunction.from_callable("sin+abs", lambda u: np.sin(u) + ABS.eval(u
 @st.composite
 def hinge_cases(draw):
     """An operator as ``rule_cases`` draws it, and one point whose abscissa
-    n (x - k) at a drawn kink k of |x| lies within min(30, 1 + 10 / beta)
-    of 0, where the hinge is above e^-10 of its peak and always evaluated."""
+    n (x - k) at a drawn kink k of |x| lies within 30 of 0 and inside the
+    kernel window."""
     spec, _ = draw(rule_cases())
-    reach = min(30.0, 1.0 + 10.0 / spec.params.beta)
+    reach = min(30.0, QuadratureConfig().radius(spec.params, ABS.sup_norm))
     return spec, draw(st.sampled_from(ABS.kinks)) + draw(st.floats(-reach, reach)) / spec.n
 
 
@@ -1315,11 +1315,13 @@ class TestHinges:
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(case=hinge_cases())
     def test_closed_form_within_its_bound(self, case):
-        """At every abscissa s of the point the closed-form hinge is within
-        its rounding bound of the untruncated short side
-        (``_oracles.hinge_mp`` at radius inf), the bound times |j_k| / n
-        summed over the kinks is within a quarter of tol, and the value is
-        within the allowance of the oracle."""
+        """At every evaluated abscissa s of the point the closed-form hinge
+        is within its rounding bound of the untruncated short side
+        (``_oracles.hinge_mp`` at radius inf), and the bound times |j_k| / n
+        summed over the kinks is within a quarter of tol.  The abscissae
+        left out lie farther from 0 than every evaluated one, and their
+        hinges times |j_k| / n add at most ``truncation_eps``.  The value is
+        within the allowance of ``_oracles.abs_operator_mp``."""
         spec, x = case
         cfg = QuadratureConfig()
         with pytest.MonkeyPatch.context() as patch:
@@ -1327,15 +1329,49 @@ class TestHinges:
             out = float(apply_on_grid(ABS, spec, [x], cfg)[0])
         p, n = spec.params, spec.n
         [(_, s, values, bounds)] = calls
-        # the kinks whose abscissa n (x - k) was evaluated, in order
+        # the kinks whose abscissa n (x - k) was evaluated, in order, and those left out
         weights = [abs(j) / n for k, j in zip(ABS.kinks, ABS.jumps) if n * (x - k) in s]
-        assert s.size == len(weights) >= 1
+        omitted = [(n * (x - k), abs(j) / n) for k, j in zip(ABS.kinks, ABS.jumps) if n * (x - k) not in s]
+        assert s.size == len(weights) == len(ABS.kinks) - len(omitted)
         for i in range(s.size):
             exact = float(hinge_mp(spec.kind.value, p.q, p.beta, float(s[i]), mp.inf, spec.weights))
             assert abs(values[i] - exact) <= bounds[i], (float(s[i]), values[i], exact, bounds[i])
         assert float(np.dot(bounds, weights)) <= 0.25 * cfg.tol
+        assert all(abs(a) > float(np.abs(s).max(initial=0.0)) for a, _ in omitted)
+        left_out = math.fsum(w * float(hinge_mp(spec.kind.value, p.q, p.beta, a, mp.inf, spec.weights))
+                             for a, w in omitted)
+        assert left_out <= cfg.truncation_eps, (omitted, left_out)
         exact = float(abs_operator_mp(spec.kind.value, p.q, p.beta, n, x, spec.weights))
         assert abs(out - exact) <= cfg.allowance(out)
+
+    @pytest.mark.parametrize("kind, q, beta, n", [("basic", 1.0, 1.0, 1), ("kantorovich", 1e6, 0.5, 9),
+                                                  ("quadrature", 1e-3, 3.0, 100)], ids=str)
+    def test_hinges_left_out_at_the_edge(self, kind, q, beta, n):
+        """On points whose abscissa n x at the kink 0 runs past where the
+        hinges stop being evaluated: at the first points left out, the
+        hinges left out times |j_k| / n add at most ``truncation_eps``
+        (``_oracles.hinge_mp``, untruncated), and the values on both sides
+        of that edge are within the allowance of ``abs_operator_mp``."""
+        weights = (0.25, 0.25, 0.25, 0.25) if kind == "quadrature" else None
+        spec, cfg = OperatorSpec(OperatorKind(kind), n, KernelParams(q, beta), weights=weights), QuadratureConfig()
+        span = cfg.radius(spec.params, ABS.sup_norm) + 10.0 / beta + 2.0
+        xs = np.linspace(0.0, span, 161) / n
+        with pytest.MonkeyPatch.context() as patch:
+            calls = _recorded_hinges(patch)
+            out = apply_on_grid(ABS, spec, xs, cfg)
+        [(_, s, _, _)] = calls
+        kept = np.isin(n * xs, s)
+        edge = int(np.argmin(kept))  # the first point whose abscissa at 0 is left out
+        assert kept[:edge].all() and not kept[edge:].any() and edge > 0
+        for i in range(edge, edge + 3):
+            abscissae = [(n * (xs[i] - k), abs(j) / n) for k, j in zip(ABS.kinks, ABS.jumps)]
+            left_out = math.fsum(w * float(hinge_mp(kind, q, beta, a, mp.inf, weights))
+                                 for a, w in abscissae if a not in s)
+            assert left_out <= cfg.truncation_eps, (float(xs[i]), left_out)
+        allowance = cfg.allowance(float(np.abs(out).max()))
+        for i in (edge - 2, edge - 1, edge, edge + 1):
+            exact = float(abs_operator_mp(kind, q, beta, n, float(xs[i]), weights))
+            assert abs(out[i] - exact) <= allowance, (float(xs[i]), out[i], exact)
 
     def test_tiny_tol_with_a_constant_smooth_part(self, monkeypatch, grid):
         """At tol = 1e-11, beta = 0.05 and n = 1 the samples of a = f -
