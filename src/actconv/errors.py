@@ -14,8 +14,4 @@ class QuadratureNonConvergedError(RuntimeError):
 
 
 class FlaggedApproximantError(RuntimeError):
-    """A grid approximant failed residual validation during iteration."""
-
-    def __init__(self, message: str, stage: int):
-        super().__init__(message)
-        self.stage = stage
+    """The interpolated last stage of an iterate or chain failed residual validation."""

@@ -23,8 +23,9 @@ SIAM Review 56, 2014).  For f with a strip majorant
 (``TestFunction.strip``) its error has an a-priori bound: tau is the
 largest step whose proven error stays within tol, and a call no step can
 serve is refused before anything is evaluated (see ``_rule``).  For f
-without one (``id``, approximant stages) tau is halved from a step sized
-for a constant until two successive halvings agree (see ``_estimate``).
+without one (``id``, ``from_callable`` functions) tau is halved from a step
+sized for a constant until two successive halvings agree (see
+``_estimate``).
 The kinds of a call share tau and the samples of f.  A kinked f declares
 its slope jumps j_k (the catalog's abs): it is a + sum_k (j_k / 2) |u - k|
 with a smooth, and the operators are linear and commute with
@@ -51,15 +52,15 @@ kind has more; the hinges are whole).  The panel and node
 limit (``quadrature.MAX_SUBDIVISIONS``) and the approximants' residual
 ceiling (``RESIDUAL_CEILING``) are constants.
 
-Iterated and mixed compositions are made tractable by interpolating each
-stage on Chebyshev nodes.  A stage samples the operator on the 2N - 1
-Chebyshev extrema: the even ones are the N interpolation nodes, and the
-odd ones, the theta-midpoints between them, give the interpolation
-residual carried on the approximant.  Each stage picks N itself: from
-N = 17, while the residual exceeds the allowance, the samples become the
-nodes of the next round and only the new midpoints are sampled, so every
-extremum is sampled once.  Each stage's domain is padded by the reach of
-the stages after it, so no stage samples its input where it is clamped.
+Iterated and mixed compositions chain the operators at ascending n.
+Stages 1 to r - 1 are operators, not interpolants: for bounded g, B g(x +
+iy) is the integral of g(x - v/n) k(v + iny) dv, so |B g(x + iy)| <= sup
+|g| / cos^2(beta n y / 2) on |y| < pi / (beta n), and the next stage takes
+B g at a proven step, only where its rule samples (``_stage``).  Stage r
+samples the operator on the 2N - 1 Chebyshev extrema of the domain: the
+even ones are the N interpolation nodes, the odd ones (theta-midpoints)
+give the residual.  From N = 17, while the residual exceeds the allowance,
+only the new midpoints are sampled, so every extremum is sampled once.
 """
 
 from __future__ import annotations
@@ -101,9 +102,9 @@ __all__ = [
 
 # how far quadrature weights may sum from 1
 _WEIGHT_TOL = 1e-12
-#: the largest interpolation residual of an approximant stage that is not flagged
+#: the largest interpolation residual of an approximant that is not flagged
 RESIDUAL_CEILING = 1e-6
-# the node counts of an approximant stage's first and last rounds
+# the node counts of an approximant's first and last rounds
 _FIRST_NODES = 17
 _MAX_NODES = 1025
 
@@ -506,21 +507,20 @@ def _rule(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, radi
     widths of ``_strip``) whose aliasing and rounding stay within nine
     tenths of what truncation and ``drift`` leave of tol, and the bound is
     proven.  Without one it is the step so proven for a constant of size
-    sup |f|, at most ``cfg.width`` (never above R): the first of
-    ``_estimate``, whose bound is ``tol``, the target, its aliasing left
-    to the estimate.  The rest of tol is for the rounding of the sample
-    positions.  ``drift`` bounds the value error of the lattice on a
-    uniform grid that may take it: tau is then rounded down to k h n / p
-    (p = 1 from 2 h n up, k = 1 below h n, and between the coarsest p > 1
-    that gains on h n first), while the lattice x0 + m h / p is no longer
-    than the (2J + 1) samples per point of the other layout and its
-    position rounding fits, weighed by sup |f'| <= strip(r) / r (Cauchy's
-    estimate on a disc of radius r) or, without a strip, as a shift of x
-    by sup |(B f)'| <= n sup |f| 2 g_max.  Otherwise tau / n is rounded
-    down to ``_STEP_BITS`` significant bits: the samples are exact, and
-    the kernel arguments n (x_i - c_i) + j tau round by delta <= ulp (R +
-    4 tau), which moves a value by at most sup |f| TV(k) delta <= sup |f|
-    2 g_max delta."""
+    sup |f| (never above R): the first of ``_estimate``, whose bound is
+    ``tol``, the target, its aliasing left to the estimate.  The rest of
+    tol is for the rounding of the sample positions.  ``drift`` bounds the
+    value error of the lattice on a uniform grid that may take it: tau is
+    then rounded down to k h n / p (p = 1 from 2 h n up, k = 1 below h n,
+    and between the coarsest p > 1 that gains on h n first), while the
+    lattice x0 + m h / p is no longer than the (2J + 1) samples per point
+    of the other layout and its position rounding fits, weighed by sup
+    |f'| <= strip(r) / r (Cauchy's estimate on a disc of radius r) or,
+    without a strip, as a shift of x by sup |(B f)'| <= n sup |f| 2 g_max.
+    Otherwise tau / n is rounded down to ``_STEP_BITS`` significant bits:
+    the samples are exact, and the kernel arguments n (x_i - c_i) + j tau
+    round by delta <= ulp (R + 4 tau), which moves a value by at most sup
+    |f| TV(k) delta <= sup |f| 2 g_max delta."""
     n, params, size = specs[0].n, specs[0].params, f.sup_norm
     beta = params.beta
     spare = tol - cfg.truncation_eps - (drift or 0.0)
@@ -545,9 +545,6 @@ def _rule(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, radi
         half = _half(radius, step)
     # no wider than the window (a zero majorant would allow any step)
     step = min(step, radius)
-    if f.strip is None:
-        step = min(step, cfg.width(params, size))
-        half = _half(radius, step)
 
     lattice = None
     x0, last = float(grid[0]), float(grid[-1])
@@ -663,8 +660,9 @@ def _trapezoid(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray,
 def _estimate(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, rule: _Rule, radius: float,
               tol: float) -> list[np.ndarray]:
     """The kinds of ``specs`` on the sorted grid for f without a strip
-    majorant: the trapezoidal rule from ``rule`` (see ``_rule``), halved
-    while any kind runs on, each halving adding only the new odd nodes:
+    majorant (``id``, ``from_callable`` functions): the trapezoidal rule
+    from ``rule`` (see ``_rule``), halved while any kind runs on, each
+    halving adding only the new odd nodes:
     T_(tau/2) = T_tau / 2 + (tau / 2) sum_odd.  A kind stops at its own
     level, once two successive halvings each change its values by at most
     tol max(1, max |T|): an estimate, as the rule converges exponentially
@@ -789,18 +787,18 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec | Sequence[OperatorSpec], 
     majorant and no kinks (the catalog's sin, cos, gauss and one, and their
     derivatives) takes it at the largest step whose proven error is within
     tol, or is refused before f or a kernel is evaluated (see ``_rule``).
-    f without one (``id``, ``from_callable`` functions such as an
-    approximant stage) takes it from the step proven for a constant of
-    size sup |f| (at most W = ``cfg.width``), halved, adding only the new
-    nodes, until two successive halvings each change a kind's values by at
-    most ``cfg.allowance`` of its largest |value| (see ``_estimate``), or
+    f without one (``id``, ``from_callable`` functions not given one)
+    takes it from the step proven for a constant of size sup |f|, halved,
+    adding only the new nodes, until two successive halvings each change a
+    kind's values by at most ``cfg.allowance`` of its largest |value| (see
+    ``_estimate``), or
     is refused once a level needs more than 15
     ``quadrature.MAX_SUBDIVISIONS`` nodes.  On a uniform grid (as
     ``np.linspace`` builds it, drifting from x0 + i h by no more than moves
     a value by tol / 10) the kinds share one vector of samples of f on the
     lattice x0 + m h / p and each has one kernel vector.  Any other grid
-    samples f once at each multiple of tau / n that some point needs (an
-    approximant pays for every sample) and evaluates the kernel at
+    samples f once at each multiple of tau / n that some point needs (a
+    chain's stage pays for every sample) and evaluates the kernel at
     n (x_i - c_i) + j tau for each (point, node) pair, c_i the multiple
     nearest x_i (see ``_trapezoid``).  f is called with 1-d arrays and
     must work elementwise.
@@ -968,7 +966,7 @@ def make_grid_approximant(
     below 1025, the 2N - 1 sampled extrema become the nodes and one
     ``apply_on_grid`` call samples the 2N - 2 new midpoints.  The
     approximant is flagged when the residual still exceeds
-    ``RESIDUAL_CEILING``."""
+    ``RESIDUAL_CEILING``.  It is the last stage of a chain (``_chain``)."""
     a, b = float(domain[0]), float(domain[1])
     if not b > a:
         raise ValueError(f"domain must satisfy b > a, got {domain!r}")
@@ -989,36 +987,37 @@ def make_grid_approximant(
     return approx
 
 
-def _chain(
-    f: TestFunction,
-    specs: Sequence[OperatorSpec],
-    domain: tuple[float, float],
-    cfg: QuadratureConfig | None,
-) -> GridApproximant:
-    """Apply the operators of ``specs`` in order, each stage consuming the
-    previous stage's approximant (with its clamped extension) as a bounded
-    continuous function.
+def _stage(g: TestFunction, spec: OperatorSpec, cfg: QuadratureConfig) -> TestFunction:
+    """B g as a function: ``apply_on_grid`` at the points asked for, sup |g|
+    as sup norm and strip majorant sup |g| / cos^2(beta n y / 2) below
+    pi / (beta n), inf beyond (see the module docstring)."""
+    size, beta, n = g.sup_norm, spec.params.beta, spec.n
 
-    Stage k is built on the domain padded by the reach (R + 1)/n_j of
-    every later stage j, R the truncation radius at sup |f|: so the last
-    stage sits on the domain itself, and no stage samples its input where
-    that input is clamped, only where the kernel mass left out is below
-    the truncation tolerance.  Raises ``FlaggedApproximantError`` at the
-    first stage whose residual exceeds ``RESIDUAL_CEILING``.
-    """
+    def strip(y):
+        y = np.asarray(y, dtype=float)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return np.where(y < math.pi / (beta * n), size / np.cos(0.5 * beta * n * y) ** 2, math.inf)
+
+    return TestFunction.from_callable(f"{g.name}.stage", lambda u: apply_on_grid(g, spec, u, cfg), size, strip=strip)
+
+
+def _chain(f: TestFunction, specs: Sequence[OperatorSpec], domain: tuple[float, float],
+           cfg: QuadratureConfig | None) -> GridApproximant:
+    """Apply the ascending ``specs`` in order: stages 1 to r - 1 as
+    ``_stage``, whose strip the next stage's ``_strip`` reads only below
+    pi / (beta n_next) <= pi / (beta n), and stage r interpolated on
+    ``domain``, with ``FlaggedApproximantError`` if its residual exceeds
+    ``RESIDUAL_CEILING``.  A chain's error is at most the sum of its stage
+    bounds plus the final residual, since each bound carries through the
+    later stages' unit-mass sums."""
     cfg = cfg or DEFAULT_CONFIG
-    reach = [(cfg.radius(s.params, f.sup_norm) + 1.0) / s.n for s in specs]
     current = f
-    for stage, spec in enumerate(specs, start=1):
-        pad = math.fsum(reach[stage:])
-        approx = make_grid_approximant(current, spec, (float(domain[0]) - pad, float(domain[1]) + pad), cfg)
-        if approx.flagged:
-            raise FlaggedApproximantError(
-                f"stage {stage} (n={spec.n}) approximant residual {approx.residual:.3e} "
-                f"exceeds ceiling {RESIDUAL_CEILING:.3e}",
-                stage=stage,
-            )
-        current = TestFunction.from_callable(f"{f.name}.stage{stage}", approx, np.abs(approx.values).max())
+    for spec in specs[:-1]:
+        current = _stage(current, spec, cfg)
+    approx = make_grid_approximant(current, specs[-1], domain, cfg)
+    if approx.flagged:
+        raise FlaggedApproximantError(f"stage {len(specs)} (n={specs[-1].n}) approximant residual "
+                                      f"{approx.residual:.3e} exceeds ceiling {RESIDUAL_CEILING:.3e}")
     return approx
 
 
@@ -1046,8 +1045,9 @@ def compose_mixed(
     cfg: QuadratureConfig | None = None,
 ) -> GridApproximant:
     """Chain the operator at ascending resolutions k_1 <= ... <= k_r,
-    applying the coarsest first; every stage is interpolated and must meet
-    ``RESIDUAL_CEILING``, else ``FlaggedApproximantError`` names it."""
+    applying the coarsest first; only the last stage is interpolated, and
+    it must meet ``RESIDUAL_CEILING``, else ``FlaggedApproximantError``
+    (see ``_chain``)."""
     ns = [int(v) for v in ns]
     if not ns:
         raise ValueError("ns must be a nonempty ascending list")

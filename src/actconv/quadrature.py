@@ -129,10 +129,8 @@ class QuadratureConfig:
         |K15 - G7|; rho = (size min(10, 2 / beta) / tol)^(1/14), the
         constants fitted on GK15 tilings of psi (Trefethen, SIAM Review 50,
         2008).  At tol = 1e-10 and size 1, W is 4 at beta = 0.5, 2 at
-        beta = 1, 1/2 at beta = 3 and 1/8 at beta = 20.  It seeds the
-        real-line integrals (``kernel_breaks``) and caps the first step of
-        the estimated trapezoidal rule of ``operators.apply_on_grid`` (f
-        without a strip majorant)."""
+        beta = 1, 1/2 at beta = 3 and 1/8 at beta = 20.  It only seeds the
+        real-line integrals (``kernel_breaks``)."""
         rho = (size * min(10.0, 2.0 / params.beta) / self.tol) ** (1.0 / 14.0)
         limit = self.radius(params, size)
         if rho > 1.0:

@@ -514,10 +514,10 @@ class TestIterate:
         assert entry["sum_bound"] <= entry["coarse_bound"]
 
     def test_hard_inputs_pass(self, runner, tmp_path):
-        """abs, gauss and cos at n = 9 under every kind: the early stages sit
-        on domains padded out to about +-11 and take several rounds (abs
-        needs hundreds of nodes), yet every stage meets its ceiling and every
-        bound holds."""
+        """abs, gauss and cos at n = 9 under every kind: the earlier stages
+        are sampled out to the later stages' kernel windows beyond the
+        domain, and the interpolated last stage takes several rounds (abs
+        needs 65 nodes), yet it meets its ceiling and every bound holds."""
         args = ["iterate", "--n", "9", "--fn", "abs", "--fn", "gauss", "--fn", "cos", "--out", str(tmp_path)]
         for kind in ("basic", "kantorovich", "quadrature"):
             args += ["--kind", kind]
@@ -531,12 +531,12 @@ class TestIterate:
         result = runner.invoke(main, ["iterate", "--grid-points", "101", "--out", str(tmp_path)])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
-        assert "sin/basic: stage 1" in result.output
+        assert "sin/basic: stage 3 (n=32)" in result.output
 
     @pytest.mark.parametrize("failure", ["quadrature", "nan-sample"])
     def test_build_failure_is_a_click_error(self, runner, tmp_path, monkeypatch, failure):
-        """Quadrature failures while the approximants are built end like a
-        flagged stage: one error line naming f/kind, exit 1."""
+        """Quadrature failures while a chain is built end like a flagged
+        stage: one error line naming f/kind, exit 1."""
         args = ["iterate", "--grid-points", "101", "--out", str(tmp_path)]
         if failure == "quadrature":
             args += ["--quad-tol", "1e-17"]

@@ -428,6 +428,16 @@ class TestUpperMoment:
                     exact = _upper_moment_mp(q, beta, k, mp.mpf(y))
                 assert abs(value - exact) <= bound <= 1e-12 * exact, (y, value, exact, bound)
 
+    @pytest.mark.parametrize("q, beta", [(1.0, 1.0), (31.6, 0.273), (3.0, 700.0), (1e6, 0.05), (1e300, 700.0)],
+                             ids=lambda v: f"{v:g}")
+    def test_one_call_has_the_bits_of_one_call_per_edge(self, q, beta):
+        """kernel-check takes its tail rows in one call over the window
+        edges n^(1/2), n = 9..36: each value has the bits of its own call."""
+        params, edges = KernelParams(q, beta), [3.0, 4.0, 5.0, 6.0]
+        batched = upper_moment(params, 0, edges)
+        for i, edge in enumerate(edges):
+            assert [float(part[i]) for part in batched] == [float(part) for part in upper_moment(params, 0, edge)]
+
 
 class TestPsiEnvelope:
     def test_values(self):

@@ -57,8 +57,7 @@ ID = CATALOG["id"]
 ONE = CATALOG["one"]
 # the catalog functions as from_callable makes them: the same evaluator,
 # sup norm, kinks and slope jumps, and no strip majorant, so apply_on_grid
-# takes the trapezoidal rule at an estimated step, as it does for an
-# approximant stage
+# takes the trapezoidal rule at an estimated step
 EST_SIN, EST_GAUSS, EST_ONE = (TestFunction.from_callable(f.name, f.eval, f.sup_norm) for f in (SIN, GAUSS, ONE))
 EST_ABS = TestFunction.from_callable(ABS.name, ABS.eval, ABS.sup_norm, kinks=ABS.kinks, jumps=ABS.jumps)
 
@@ -582,10 +581,10 @@ def estimated_only(monkeypatch):
 
 
 class TestEstimate:
-    """f without a strip majorant (``id``, approximant stages, the
-    ``from_callable`` twins here) takes the trapezoidal rule at an
-    estimated step, halved until two successive halvings agree, on every
-    grid; a kinked twin takes it for its smooth part."""
+    """f without a strip majorant (``id``, the ``from_callable`` twins
+    here) takes the trapezoidal rule at an estimated step, halved until two
+    successive halvings agree, on every grid; a kinked twin takes it for
+    its smooth part."""
 
     @pytest.mark.parametrize("n", [9, 100, 1000])
     @pytest.mark.parametrize("f", [EST_SIN, ABS], ids=lambda f: f.name)
@@ -635,12 +634,11 @@ class TestEstimate:
 
     @pytest.mark.parametrize("centre", [0.0, 1e6], ids=["origin", "far"])
     @pytest.mark.parametrize("beta", [1.0, 0.05, 20.0])
-    def test_first_step_is_the_least_of_three(self, monkeypatch, centre, beta):
-        """The first step is the lesser of the step proven for a constant of
-        size sup |f| (tau / n rounded down to 8 significant bits off the
-        uniform lattice) and the width W (which is at most R); every later
-        level halves it and keeps the anchors, and at least two halvings
-        run."""
+    def test_first_step_is_the_constant_step(self, monkeypatch, centre, beta):
+        """The first step is the step proven for a constant of size sup |f|
+        (tau / n rounded down to 8 significant bits off the uniform
+        lattice); every later level halves it and keeps the anchors, and at
+        least two halvings run."""
         spec = OperatorSpec(OperatorKind.BASIC, 100, KernelParams(1.0, beta))
         cfg = QuadratureConfig()
         xs = centre + _nudged(np.linspace(-3.0, 3.0, 401), 200)
@@ -650,9 +648,8 @@ class TestEstimate:
         radius = cfg.radius(spec.params, 1.0) + 1.0
         constant = replace(EST_SIN, strip=lambda y: np.ones(np.shape(y)))
         proven = operators._rule(constant, [spec], xs, radius, None, cfg, cfg.tol)
-        assert cfg.width(spec.params, 1.0) <= radius - 1.0
         assert rule.lattice is None and rule.anchor == rule.step / spec.n
-        assert rule.step == min(proven.step, cfg.width(spec.params, 1.0))
+        assert rule.step == proven.step
         assert levels >= 3
 
     @pytest.mark.parametrize(
@@ -666,35 +663,34 @@ class TestEstimate:
         wide the window (R = 28,325 at beta = 1e-3)."""
         assert QuadratureConfig(tol).width(KernelParams(q, beta), 1.0) == width
 
-    def test_default_verbs_take_the_estimate_for_later_stages(self, monkeypatch, tmp_path):
-        """The default ``approx``, ``taylor`` and ``iterate`` (alone and as
-        the 9, 16, 25 chain) apply the operators to sin at a proven step:
-        the sweeps' eight three-kind calls on the shared sample lattice of
-        the uniform grid, and iterate's first stages on their Chebyshev
-        nodes off it.  The later stages, whose approximants have no strip
-        majorant, take the estimate, off the uniform lattice too, and each
-        starts at most W wide."""
+    def test_default_verbs_take_no_estimate(self, monkeypatch, tmp_path):
+        """The default ``approx``, ``taylor`` and ``iterate`` (alone, as the
+        9, 16, 25 chain, and for abs as that chain) make no ``_estimate``
+        call: every rule they size has a strip majorant and a proven bound
+        within its tol, the sweeps' for sin and the chains' for f and for
+        each earlier stage (``operators._stage``)."""
         from click.testing import CliRunner
 
         from actconv.cli import main
 
         rules = []
-        trapezoid = operators._trapezoid
+        rule = operators._rule
 
-        def spied_trapezoid(f, specs, grid, rule, odd=False):
-            if not odd:
-                rules.append((f.name.split(".")[0], len(specs), rule.lattice is not None))
-            return trapezoid(f, specs, grid, rule, odd)
+        def spied_rule(f, specs, grid, radius, drift, cfg, tol):
+            sized = rule(f, specs, grid, radius, drift, cfg, tol)
+            rules.append((f.name, f.strip is not None and sized.bound <= tol))
+            return sized
 
-        monkeypatch.setattr(operators, "_trapezoid", spied_trapezoid)
+        monkeypatch.setattr(operators, "_rule", spied_rule)
         calls = _estimates(monkeypatch)
-        for argv in (["approx"], ["taylor"], ["iterate"], ["iterate", "--chain", "9,16,25"]):
+        for argv in (["approx"], ["taylor"], ["iterate"], ["iterate", "--chain", "9,16,25"],
+                     ["iterate", "--fn", "abs", "--chain", "9,16,25"]):
             result = CliRunner().invoke(main, [*argv, "--out", str(tmp_path)], catch_exceptions=False)
             assert result.exit_code == 0, result.output
-        proven = len(rules) - len(calls)
-        assert rules[:proven] == [("sin", 3, True)] * 8 + [("sin", 1, False)] * 4
-        assert len(calls) >= 6 and all(name.startswith("sin.stage") for name, _, _ in calls)
-        assert all(rule.lattice is None and rule.step <= QuadratureConfig().width(P11, 1.0) for _, rule, _ in calls)
+        assert calls == []
+        assert all(proven for _, proven in rules)
+        stages = ("", ".stage", ".stage.stage")
+        assert {name for name, _ in rules} == {f + stage for f in ("sin", "abs") for stage in stages}
 
     @pytest.mark.parametrize(
         "f, spec",
@@ -1760,32 +1756,40 @@ class TestGridApproximant:
         np.testing.assert_array_equal(GridApproximant(domain, np.zeros(count)).nodes, expected)
         np.testing.assert_array_equal(operators._chebyshev_nodes(a, b, 2 * count - 1)[::2], expected)
 
-    def test_each_extremum_sampled_once_per_stage(self, monkeypatch):
-        """A stage samples the 33 extrema of N = 17, then, round by round,
-        only the 2N - 2 midpoints new to the next 2N - 1 extrema: so each
-        Chebyshev extremum of its domain is sampled once.  The first stage
-        sits on the domain padded by the second stage's reach, the last on
-        the domain itself."""
-        calls = []
+    def test_only_the_last_stage_is_interpolated(self, monkeypatch):
+        """iterate(abs, n = 9, r = 2) interpolates only its last stage, on
+        the domain itself: it samples the 33 extrema of N = 17, then, round
+        by round, only the 2N - 2 midpoints new to the next 2N - 1 extrema,
+        so each Chebyshev extremum is sampled once.  Each round evaluates
+        the first stage, B abs, once, at exactly the samples c_i - j tau / n,
+        |j| <= J, that the round's rule takes for its points x_i."""
+        outer, inner, rules = [], [], []
+        apply, rule = operators.apply_on_grid, operators._rule
 
         def recorded(f, spec, xs, cfg=None):
-            calls.append(np.array(xs))
-            return apply_on_grid(f, spec, xs, cfg)
+            (inner if f is ABS else outer).append(np.array(xs))
+            return apply(f, spec, xs, cfg)
+
+        def recorded_rule(f, *args):
+            sized = rule(f, *args)
+            if f.name == "abs.stage":
+                rules.append(sized)
+            return sized
 
         monkeypatch.setattr(operators, "apply_on_grid", recorded)
+        monkeypatch.setattr(operators, "_rule", recorded_rule)
         approx = iterate(ABS, replace(B32, n=9), 2, (-3, 3))
-        starts = [i for i, xs in enumerate(calls) if xs.size == 33]
-        stages = [calls[i:j] for i, j in zip(starts, starts[1:] + [len(calls)])]
-        assert len(stages) == 2 and len(stages[0]) > 1  # abs at n = 9 takes more than one round
-        for rounds in stages:
-            assert [xs.size for xs in rounds] == [33] + [2**k for k in range(5, 4 + len(rounds))]
-            sampled = np.sort(np.concatenate(rounds))
-            domain = rounds[0][0], rounds[0][-1]
-            np.testing.assert_array_equal(sampled, operators._chebyshev_nodes(*domain, sampled.size))
-        assert stages[0][0][0] < -3.0 and stages[0][0][-1] > 3.0
-        assert approx.domain == (-3.0, 3.0) == domain
-        np.testing.assert_array_equal(approx.nodes, operators._chebyshev_nodes(-3.0, 3.0, approx.values.size))
-        assert 2 * approx.values.size - 1 == sampled.size
+        assert len(outer) > 1  # abs at n = 9 takes more than one round
+        assert len(inner) == len(rules) == len(outer)
+        assert [xs.size for xs in outer] == [33] + [2**k for k in range(5, 4 + len(outer))]
+        sampled = np.sort(np.concatenate(outer))
+        np.testing.assert_array_equal(sampled, operators._chebyshev_nodes(-3.0, 3.0, sampled.size))
+        assert approx.domain == (-3.0, 3.0) and 2 * approx.values.size - 1 == sampled.size
+        for xs, points, sized in zip(outer, inner, rules):
+            # Chebyshev points are not uniform: every point's own samples, at multiples of tau / n
+            assert sized.lattice is None and sized.anchor == sized.step / 9
+            slots = np.rint(np.sort(xs) / sized.anchor)[:, None] + np.arange(-sized.half, sized.half + 1)
+            np.testing.assert_array_equal(points, np.unique(slots) * sized.anchor)
 
     def test_rounds_stop_at_the_allowance(self):
         """A stage stops at the first N whose residual is within the
@@ -1838,14 +1842,29 @@ class TestIterate:
         assert e3 <= 3 * e1 + 3e-6
 
     def test_flagged_stage_aborts(self, monkeypatch):
+        """Only the last stage is interpolated, so it is the stage that a
+        residual over the ceiling flags."""
         monkeypatch.setattr(operators, "RESIDUAL_CEILING", 1e-18)
-        with pytest.raises(FlaggedApproximantError) as err:
+        with pytest.raises(FlaggedApproximantError, match=r"stage 2 \(n=32\)"):
             iterate(SIN, B32, 2, (-3, 3))
-        assert err.value.stage == 1
 
     def test_r_validation(self):
         with pytest.raises(ValueError):
             iterate(SIN, B32, 0, (-3, 3))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=rule_cases(), fraction=st.floats(0.0, 1.0, exclude_max=True))
+    def test_stage_strip_majorizes_the_operator_of_sin(self, case, fraction):
+        """The premise of a stage's strip majorant (``operators._stage``):
+        B sin = (m e^{ix} - conj(m) e^{-ix}) / 2i, m the multiplier, so the
+        sup over x of |B sin(x + iy)| is |m| cosh y, and it stays within
+        sup |sin| / cos^2(beta n y / 2) for y < pi / (beta n), over every
+        kind and the whole supported range."""
+        spec, _ = case
+        y = fraction * math.pi / (spec.params.beta * spec.n)
+        majorant = float(operators._stage(SIN, spec, QuadratureConfig()).strip(np.array(y)))
+        assert majorant == pytest.approx(1.0 / math.cos(0.5 * spec.params.beta * spec.n * y) ** 2, rel=1e-14)
+        assert abs(multiplier(spec)) * math.cosh(y) <= majorant
 
 
 class TestComposeMixed:
@@ -1870,10 +1889,10 @@ class TestComposeMixed:
 
     @pytest.mark.parametrize("ns", [[32], [9, 16]], ids=["single", "two-stage"])
     def test_flagged_stage_aborts(self, monkeypatch, ns):
+        """The last stage, the only one interpolated, is flagged."""
         monkeypatch.setattr(operators, "RESIDUAL_CEILING", 1e-18)
-        with pytest.raises(FlaggedApproximantError, match=r"stage 1 \(n=") as err:
+        with pytest.raises(FlaggedApproximantError, match=rf"stage {len(ns)} \(n={ns[-1]}\)"):
             compose_mixed(SIN, "basic", ns, P11, (-3, 3))
-        assert err.value.stage == 1
 
     def test_chain_error_below_sum_of_bounds(self):
         from actconv import jackson_bound, mixed_iterated_bound, omega_argument
@@ -1914,8 +1933,9 @@ ORACLE_SPECS = [replace(spec, n=n, params=params)
 class TestMultiplierOracle:
     """r stages map e^{ix} to m_1 ... m_r e^{ix}, so they map sin and cos
     to its imaginary and real parts: a closed form for chains of any
-    length.  Each stage may add up to 2 tol (its quadrature and its
-    residual) plus the truncation mass tol/100."""
+    length.  The gate allows each stage 2 tol plus the truncation mass
+    tol/100: its proven bound is within tol, and only the last adds a
+    residual."""
 
     XS = np.linspace(-3.0, 3.0, 601)
 
