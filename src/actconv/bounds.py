@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .kernel import KernelParams, moment_bound, window_edge
+from .kernel import KernelParams, moment_bound, tail_mass_bound, window_edge
 from .operators import OperatorKind
 
 __all__ = [
@@ -86,14 +86,13 @@ def jackson_bound(
         omega_at + 2 (q + 1/q) sup_norm / e^{beta (n^{1-alpha} - 1)}.
 
     ``omega_at`` must already be the modulus at the argument returned by
-    ``omega_argument`` for this kind.  (q + 1/q) e^{-beta (m - 1)} is one
-    exponential of a sum, as in ``kernel.tail_mass_bound``.
+    ``omega_argument`` for this kind.  The tail mass (q + 1/q) e^{-beta
+    (n^{1-alpha} - 1)} is ``kernel.tail_mass_bound``.
     """
     kind = OperatorKind(kind)
-    m = window_edge(n, alpha)
+    tail = 2.0 * sup_norm * tail_mass_bound(params, n, alpha)
     if omega_at < 0 or sup_norm < 0:
         raise ValueError("omega_at and sup_norm must be nonnegative")
-    tail = 2.0 * sup_norm * math.exp(math.log(params.q_sum) - params.beta * (m - 1.0))
     return BoundReport(
         kind=_JACKSON[kind],
         value=omega_at + tail,

@@ -48,9 +48,10 @@ truncates every kind's kernel to one window [-R - 1, R + 1], R =
 ``cfg.radius(params, sup |f|)`` the radius beyond which psi's mass,
 times sup |f|, is at most tol / 100 (averaging moves that mass left by
 at most 1, see ``_Kernel``; scalar ``apply`` stops at R, above which no
-kind has more; the hinges are whole).  The panel and node
-limit (``quadrature.MAX_SUBDIVISIONS``) and the approximants' residual
-ceiling (``RESIDUAL_CEILING``) are constants.
+kind has more; the hinges are whole).  The panel limit of ``apply``
+(``quadrature.MAX_SUBDIVISIONS``), the grid engine's node budget
+(``_NODE_BUDGET``) and the approximants' residual ceiling
+(``RESIDUAL_CEILING``) are constants.
 
 Iterated and mixed compositions chain the operators at ascending n.
 Stages 1 to r - 1 are operators, not interpolants: for bounded g, B g(x +
@@ -75,12 +76,7 @@ import numpy as np
 from . import kernel, quadrature
 from .errors import FlaggedApproximantError, NonFiniteSampleError, QuadratureNonConvergedError
 from .kernel import KernelParams
-from .quadrature import (
-    DEFAULT_CONFIG,
-    GK15_NODES,
-    QuadratureConfig,
-    integrate_interval,
-)
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_interval
 
 __all__ = [
     "OperatorKind",
@@ -159,7 +155,10 @@ class OperatorSpec:
 class TestFunction:
     """A catalog function: vectorized evaluator plus known analytic facts.
 
-    ``sup_norm`` bounds |f| on the working domain, ``modulus`` (when
+    ``sup_norm`` bounds |f|: the grid engine's kernel radius, its strip
+    majorants and slope bound, and a chain's stages (``_stage``) take it as
+    a bound on the whole line, which the catalog's ``id`` (3, its sup on
+    [-3, 3]) is not.  ``modulus`` (when
     present) is a closed-form value of, or certified upper bound on, the
     modulus of continuity, and ``kinks`` lists points where f is not
     smooth, with ``jumps`` the slope jumps f'(k+) - f'(k-) there, in their
@@ -276,7 +275,7 @@ class _Kernel:
         weights = np.asarray(self.weights)[:, None]
         flat = v.reshape(-1)
         out = np.empty(flat.size)
-        step = max(1, _CHUNK_ROWS * GK15_NODES.size // r)
+        step = max(1, 15 * _CHUNK_ROWS // r)
         for i in range(0, flat.size, step):
             out[i:i + step] = _node_sum(kernel.psi(self.params, flat[i:i + step] + shifts) * weights)
         return out.reshape(v.shape)
@@ -374,12 +373,17 @@ def apply_derivative(f: TestFunction, spec: OperatorSpec, k: int, x: float, cfg:
 # the block budget of the grid engine's sums: 15 _CHUNK_ROWS float64 values
 # stay below glibc's default 128 KiB mmap threshold
 _CHUNK_ROWS = 1024
+# the most kernel nodes 2J + 1 of one grid call's trapezoidal rule
+_NODE_BUDGET = 30_000
 
 
 def _node_sum(terms: np.ndarray) -> np.ndarray:
     """Column sums of a (nodes, rows) array, adding the nodes in order for
-    any row count: numpy reduces a lone column pairwise."""
-    return np.add.reduce(terms) if terms.shape[1] > 1 else sum(terms)
+    any row count: numpy reduces a lone column pairwise, so it is reduced
+    beside a column of zeros."""
+    if terms.shape[1] == 1:
+        return np.add.reduce(np.concatenate((terms, np.zeros_like(terms)), axis=1))[:1]
+    return np.add.reduce(terms)
 
 
 def _sample(f: TestFunction, specs: Sequence[OperatorSpec], t: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -397,12 +401,12 @@ def _sample(f: TestFunction, specs: Sequence[OperatorSpec], t: np.ndarray, c: np
 
 
 def _drift(grid: np.ndarray) -> float:
-    """How far the points of a uniform grid lie from the points x0 + i h of
-    the trapezoidal rule's sample lattice (see ``_rule``), h the mean
-    spacing: the largest
-    |(x_i - x0) - i h| as computed, plus one ulp of the span for the
-    rounding of that difference.  np.linspace rounds each point to a
-    double, so far from the origin this is about ulp(x) / 2."""
+    """How far the points of a sorted grid of two or more points lie from
+    the points x0 + i h of the trapezoidal rule's sample lattice (see
+    ``_rule``), h the mean spacing: the largest |(x_i - x0) - i h| as
+    computed, plus one ulp of the span for the rounding of that difference.
+    np.linspace rounds each point to a double, so far from the origin this
+    is about ulp(x) / 2."""
     span = float(grid[-1] - grid[0])
     h = span / (grid.size - 1)
     return float(np.abs((grid - grid[0]) - np.arange(grid.size) * h).max()) + float(np.spacing(span))
@@ -464,7 +468,7 @@ def _rounding(additions: int, radius: float, beta: float, size: float) -> float:
 class _Rule(NamedTuple):
     """The trapezoidal rule of one ``apply_on_grid`` call: the step tau,
     J, the error bound (proven, or the target of ``_estimate``), and the
-    sample lattice.  On a uniform grid that is (x0, d, k, p): point i
+    sample lattice.  On the uniform lattice that is (x0, d, k, p): point i
     takes f at x0 + (p i - k j) d.  Otherwise it is None: point i takes f
     at c_i - j tau / n, c_i the multiple of ``anchor`` nearest x_i, and
     its kernel at n (x_i - c_i) + j tau."""
@@ -484,53 +488,58 @@ def _refuse(specs: Sequence[OperatorSpec], why: str):
 
 
 def _check(rule: _Rule, grid: np.ndarray, specs: Sequence[OperatorSpec]):
-    """Refuse a rule of more than 15 ``quadrature.MAX_SUBDIVISIONS`` nodes,
-    or one whose samples off the uniform lattice, integers times tau / n
-    (at most ``_STEP_BITS`` significant bits), are not all doubles."""
-    nodes, limit = 2 * rule.half + 1, GK15_NODES.size * quadrature.MAX_SUBDIVISIONS
-    if nodes > limit:
+    """Refuse a rule of more than ``_NODE_BUDGET`` nodes, or one whose
+    samples off the uniform lattice, integers times tau / n (at most
+    ``_STEP_BITS`` significant bits), are not all doubles."""
+    nodes = 2 * rule.half + 1
+    if nodes > _NODE_BUDGET:
         _refuse(specs, f"the trapezoidal rule at step tau={rule.step:.6g} needs 2J + 1 = {nodes} kernel nodes, "
-                       f"over the budget of {limit}")
+                       f"over the budget of {_NODE_BUDGET}")
     spacing, reach = rule.step / specs[0].n, float(np.abs(grid).max())
     if rule.lattice is None and ((reach + rule.anchor) / spacing + rule.half + 2.0) * 2**_STEP_BITS > 2.0**53:
         _refuse(specs, f"the samples at step tau / n={spacing:.6g} around |x|={reach:.6g} are not all doubles")
 
 
 def _rule(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, radius: float,
-          drift: float | None, cfg: QuadratureConfig, tol: float) -> _Rule:
+          cfg: QuadratureConfig, tol: float) -> _Rule:
     """The trapezoidal rule of the kinds of ``specs`` on the sorted grid,
     or ``QuadratureNonConvergedError`` before anything is evaluated when
     its error bound exceeds ``tol`` (``cfg.tol``, or half of it for the
-    smooth part of a kinked f) or it fails ``_check``.
+    smooth part of a kinked f) or it fails ``_check``.  This is the only
+    code that chooses a call's sample layout.
 
     With a strip majorant of f the step is the largest (over the strip
     widths of ``_strip``) whose aliasing and rounding stay within nine
-    tenths of what truncation and ``drift`` leave of tol, and the bound is
-    proven.  Without one it is the step so proven for a constant of size
-    sup |f| (never above R): the first of ``_estimate``, whose bound is
-    ``tol``, the target, its aliasing left to the estimate.  The rest of
-    tol is for the rounding of the sample positions.  ``drift`` bounds the
-    value error of the lattice on a uniform grid that may take it: tau is
-    then rounded down to k h n / p (p = 1 from 2 h n up, k = 1 below h n,
-    and between the coarsest p > 1 that gains on h n first), while the
-    lattice x0 + m h / p is no longer than the (2J + 1) samples per point
-    of the other layout and its position rounding fits, weighed by sup
-    |f'| <= strip(r) / r (Cauchy's estimate on a disc of radius r) or,
-    without a strip, as a shift of x by sup |(B f)'| <= n sup |f| 2 g_max.
-    Otherwise tau / n is rounded down to ``_STEP_BITS`` significant bits:
-    the samples are exact, and the kernel arguments n (x_i - c_i) + j tau
-    round by delta <= ulp (R + 4 tau), which moves a value by at most sup
-    |f| TV(k) delta <= sup |f| 2 g_max delta."""
+    tenths of what truncation and the lattice's drift leave of tol, and
+    the bound is proven.  Without one it is the step so proven for a
+    constant of size sup |f| (never above R): the first of ``_estimate``,
+    whose bound is ``tol``, the target, its aliasing left to the estimate.
+    The rest of tol is for the rounding of the sample positions.
+
+    One slope bounds sup |(B f)'|: n sup |f| TV(k) <= n sup |f| 2 g_max
+    (averaging does not raise the total variation), or, with a strip,
+    sup |f'| <= strip(r) / r by Cauchy's estimate on a disc of radius r,
+    whichever is less.  A grid of two or more points may take the lattice
+    x0 + m h / p (h the mean spacing) while its drift (``_drift``) times
+    the slope is within tol / 10: tau is then rounded down to k h n / p
+    (p = 1 from 2 h n up, k = 1 below h n, and between the coarsest p > 1
+    that gains on h n first), while the lattice is no longer than the
+    (2J + 1) samples per point of the other layout and its position
+    rounding, weighed by the slope, fits.  Otherwise tau / n is rounded
+    down to ``_STEP_BITS`` significant bits: the samples are exact, and
+    the kernel arguments n (x_i - c_i) + j tau round by delta <= ulp (R +
+    4 tau), which moves a value by at most sup |f| TV(k) delta <= sup |f|
+    2 g_max delta."""
     n, params, size = specs[0].n, specs[0].params, f.sup_norm
     beta = params.beta
-    spare = tol - cfg.truncation_eps - (drift or 0.0)
+    slope = 2.0 * n * params.g_max_value * size
+    if f.strip is not None:
+        slope = min(slope, float(_cauchy(f.strip, 1)(0.0)))
+    drift = _drift(grid) * slope if grid.size > 1 else math.inf
+    uniform = drift <= 0.1 * tol
+    spare = tol - cfg.truncation_eps - (drift if uniform else 0.0)
     budget = 0.9 * spare
-    if f.strip is None:
-        strip, slope = _strip(lambda y: np.full(np.shape(y), size), n, beta), 2.0 * n * params.g_max_value * size
-    else:
-        strip = _strip(f.strip, n, beta)
-        with np.errstate(over="ignore"):
-            slope = float((np.asarray(f.strip(_DISC_RADII), dtype=float) / _DISC_RADII).min())
+    strip = _strip(f.strip or (lambda y: np.full(np.shape(y), size)), n, beta)
     # the step whose aliasing fits the budget less the rounding at its own
     # J: J grows from round to round until it is stable
     step = _step(strip, budget)
@@ -553,7 +562,7 @@ def _rule(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, radi
     # a lattice no longer than the (2J + 1) samples per point of the other
     # layout has k < size or p < 2J + 2 (compared in floats: under a
     # subnormal step the ratios are too large for an int)
-    if drift is not None and hn > 0.0 and step / hn < grid.size and hn / step < 2 * half + 2:
+    if uniform and hn > 0.0 and step / hn < grid.size and hn / step < 2 * half + 2:
         cells = [(math.floor(step / hn), 1) if step >= hn else (1, math.ceil(hn / step))]
         if hn < step < 2.0 * hn:  # first the coarsest h / p with k h n / p in (h n, tau]
             p = math.ceil(hn / (step - hn))
@@ -567,7 +576,7 @@ def _rule(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, radi
                 lattice, step, half = (x0, h / p, k, p), shared, shared_half
                 break
     if lattice is None:
-        drift = None
+        drift = 0.0
         mantissa, exponent = math.frexp(step / n)
         spacing = math.floor(math.ldexp(mantissa, _STEP_BITS)) * math.ldexp(1.0, exponent - _STEP_BITS)
         step, half = spacing * n, _half(radius, spacing * n)
@@ -575,7 +584,7 @@ def _rule(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, radi
     rule = _Rule(step, half, tol, lattice, step / n)
     _check(rule, grid, specs)
     bound = ((_aliasing(strip, step) if f.strip else 0.0) + cfg.truncation_eps
-             + _rounding(2 * half, radius, beta, size) + position + (drift or 0.0))
+             + _rounding(2 * half, radius, beta, size) + position + drift)
     if not bound <= tol:
         _refuse(specs, f"the trapezoidal rule's {'proven' if f.strip else 'non-aliasing'} error {bound:.3g} at "
                        f"step tau={step:.6g} with {2 * half + 1} kernel nodes exceeds tol={tol:.3g}")
@@ -587,7 +596,7 @@ def _trapezoid(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray,
     """The kinds of ``specs`` on the sorted grid by ``rule``, over all its
     nodes j, or (``odd``) the odd ones alone.  f is sampled once per
     lattice position that some point needs and shared by the kinds: on the
-    uniform lattice through one strided view with one kernel vector
+    lattice x0 + m h / p through one strided view with one kernel vector
     tau k(j tau) per kind; otherwise gathered per point, with the kernel
     evaluated once per (point, node) pair.  The sums run over blocks of at
     most 15 ``_CHUNK_ROWS`` terms (below the 128 KiB mmap threshold): all
@@ -627,7 +636,7 @@ def _trapezoid(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray,
         base = ends - 1  # where each point's top slot sits among them
         samples = _sample(f, specs, (r + gap * slots) * d, 0.0)
     values = [np.empty(grid.size) for _ in specs]
-    budget = GK15_NODES.size * _CHUNK_ROWS
+    budget = 15 * _CHUNK_ROWS
     if j.size <= budget:
         rows, cols = j.size, budget // j.size
     else:
@@ -704,7 +713,7 @@ def _smooth(f: TestFunction) -> TestFunction:
 
 
 def _kinked(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, radius: float,
-            drift: float | None, cfg: QuadratureConfig) -> list[np.ndarray]:
+            cfg: QuadratureConfig) -> list[np.ndarray]:
     """The kinds of ``specs`` on the sorted grid for f = a + sum_k (j_k / 2)
     |u - k| (see ``apply_on_grid``): the rule for a takes half of tol
     (proven with a strip majorant of a, else ``_estimate``), the
@@ -719,7 +728,7 @@ def _kinked(f: TestFunction, specs: Sequence[OperatorSpec], grid: np.ndarray, ra
     strip whose samples cross no kink is f itself to ``_estimate``."""
     n, params = specs[0].n, specs[0].params
     smooth = _smooth(f)
-    rule = _rule(smooth, specs, grid, radius, drift, cfg, 0.5 * cfg.tol)
+    rule = _rule(smooth, specs, grid, radius, cfg, 0.5 * cfg.tol)
     kinks, jumps = np.array(f.kinks), np.array(f.jumps)
     s = n * (grid - kinks[:, None])
     # a halving reaches no further than the rule's J tau
@@ -777,8 +786,8 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec | Sequence[OperatorSpec], 
     ``spec`` may also be a sequence of specs with one n and one ``params``
     (else a ValueError), such as the kinds of one sweep step: the result
     then has one row of values per spec, each bit for bit the values of its
-    own call.  The set-up (sorting, the uniformity and drift checks, the
-    trapezoidal rule's steps and samples, the hinges' abscissae) is shared;
+    own call.  The set-up (sorting, the trapezoidal rule's layout, steps
+    and samples, the hinges' abscissae) is shared;
     the kernel values and the hinges stay per kind.  The call raises if any
     kind fails.  ``xs`` need not be sorted.
 
@@ -791,12 +800,12 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec | Sequence[OperatorSpec], 
     takes it from the step proven for a constant of size sup |f|, halved,
     adding only the new nodes, until two successive halvings each change a
     kind's values by at most ``cfg.allowance`` of its largest |value| (see
-    ``_estimate``), or
-    is refused once a level needs more than 15
-    ``quadrature.MAX_SUBDIVISIONS`` nodes.  On a uniform grid (as
-    ``np.linspace`` builds it, drifting from x0 + i h by no more than moves
-    a value by tol / 10) the kinds share one vector of samples of f on the
-    lattice x0 + m h / p and each has one kernel vector.  Any other grid
+    ``_estimate``), or is refused once a level needs more than
+    ``_NODE_BUDGET`` nodes.  On a grid whose points drift from x0 + i h
+    (h the mean spacing) by no more than moves a value by a tenth of the
+    rule's tol, by one bound on sup |(B f)'| (see ``_rule``), the kinds
+    share one vector of samples of f on the lattice x0 + m h / p and each
+    has one kernel vector.  Any other grid
     samples f once at each multiple of tau / n that some point needs (a
     chain's stage pays for every sample) and evaluates the kernel at
     n (x_i - c_i) + j tau for each (point, node) pair, c_i the multiple
@@ -821,7 +830,6 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec | Sequence[OperatorSpec], 
     if not specs or any((s.n, s.params) != (specs[0].n, specs[0].params) for s in specs):
         raise ValueError(f"specs must be a nonempty sequence with one n and one params, got "
                          f"{[(s.n, s.params) for s in specs]}")
-    n, params = specs[0].n, specs[0].params
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if xs.size == 0:
         return np.empty(0) if single else np.empty((len(specs), 0))
@@ -837,21 +845,13 @@ def apply_on_grid(f: TestFunction, spec: OperatorSpec | Sequence[OperatorSpec], 
     slot[order] = np.cumsum(distinct) - 1
 
     # every kind's kernel window, [-R - 1, R + 1] (see ``_Kernel``)
-    radius = cfg.radius(params, f.sup_norm) + 1.0
-    uniform = grid.size >= 2 and np.array_equal(grid, np.linspace(grid[0], grid[-1], grid.size))
-    # a lattice moves each point by up to _drift(grid), which moves its
-    # value by up to that times sup |(B f)'| <= n sup|f| TV(k); averaging
-    # does not raise the total variation, and TV(psi) <= 2 g_max: a lattice
-    # is taken only while that stays below tol / 10
-    drift = _drift(grid) * 2.0 * n * params.g_max_value * f.sup_norm if uniform else math.inf
-    if drift > 0.1 * cfg.tol:
-        drift = None
+    radius = cfg.radius(specs[0].params, f.sup_norm) + 1.0
     if f.kinks:
-        values = _kinked(f, specs, grid, radius, drift, cfg)
+        values = _kinked(f, specs, grid, radius, cfg)
     elif f.strip is None:
-        values = _estimate(f, specs, grid, _rule(f, specs, grid, radius, drift, cfg, cfg.tol), radius, cfg.tol)
+        values = _estimate(f, specs, grid, _rule(f, specs, grid, radius, cfg, cfg.tol), radius, cfg.tol)
     else:
-        values = _trapezoid(f, specs, grid, _rule(f, specs, grid, radius, drift, cfg, cfg.tol))
+        values = _trapezoid(f, specs, grid, _rule(f, specs, grid, radius, cfg, cfg.tol))
     rows = np.stack([v[slot] for v in values])
     return rows[0] if single else rows
 

@@ -81,8 +81,7 @@ GK15_WEIGHTS.setflags(write=False)
 G7_WEIGHTS.setflags(write=False)
 
 
-#: the most splits of one ``integrate_interval`` call; 15 times it is the
-#: most trapezoidal nodes of one ``operators.apply_on_grid`` call
+#: the most splits of one ``integrate_interval`` call
 MAX_SUBDIVISIONS = 2000
 
 

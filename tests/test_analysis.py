@@ -122,9 +122,9 @@ class TestConvergenceSweep:
         assert math.isfinite(first.measured_sup_error)
 
     def test_failure_recorded_and_sweep_continues(self, grid, monkeypatch):
-        from actconv import quadrature
+        from actconv import operators
 
-        monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 4)
+        monkeypatch.setattr(operators, "_NODE_BUDGET", 60)
         records = run_convergence_sweep(CATALOG["abs"], "basic", [9, 16], 0.5, P11, grid)
         assert len(records) == 2
         assert all("QuadratureNonConvergedError" in r.note for r in records)

@@ -393,9 +393,24 @@ class TestApplyOnGrid:
         assert max(shape[1] for shape, _ in blocks) > 1
 
     def test_grid_cap_raises_with_context(self, monkeypatch):
-        monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 4)
+        monkeypatch.setattr(operators, "_NODE_BUDGET", 60)
         with pytest.raises(QuadratureNonConvergedError, match="n=32"):
             apply_on_grid(ABS, B32, np.linspace(-1, 1, 5))
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 7681, 15360, 30000])
+    def test_lone_column_is_summed_in_order(self, size):
+        """A rule of 7,681 to 15,360 nodes sums one point per block: a lone
+        column, alone or as a view of a wider buffer, keeps the bits of
+        adding its terms one at a time, up to the node budget."""
+        rng = np.random.default_rng(size)
+        column = rng.standard_normal(size) * np.exp(rng.uniform(-20.0, 20.0, size))
+        total = 0.0
+        for term in column:
+            total += float(term)
+        buffer = np.zeros((size, 5))
+        buffer[:, 2] = column
+        for terms in (column[:, None], buffer[:, 2:3]):
+            np.testing.assert_array_equal(operators._node_sum(terms), [total])
 
     @pytest.mark.parametrize("n, q, beta", [(1000, 1.0, 1.0), (49, 1.0, 20.0), (400, 0.5, 2.0)])
     def test_high_resolution_and_sharp_kernels(self, grid, n, q, beta):
@@ -505,9 +520,9 @@ class TestApplyOnGrid:
             apply_on_grid(NAN_RIGHT, B32, np.linspace(-1, 1, 5))
         assert float(re.search(r"u=(\S+) ", str(err.value)).group(1)) > 0.5
 
-    @pytest.mark.parametrize("points", ["uniform", "nudged"])
+    @pytest.mark.parametrize("points", ["uniform", "off-lattice"])
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind.value)
-    def test_non_finite_sample_location_is_a_hole_of_f(self, spec, points):
+    def test_non_finite_sample_location_is_a_hole_of_f(self, monkeypatch, spec, points):
         """The u named by the error is a point where f is not finite, for
         every kind, on the uniform lattice and off it.  f has no strip
         majorant: its estimate halves the step until the samples fall into
@@ -516,8 +531,8 @@ class TestApplyOnGrid:
             "hole", lambda u: np.where(np.abs(np.asarray(u) - 0.5123) < 0.02, np.nan, np.sin(u)), 1.0
         )
         xs = np.linspace(-1.0, 1.0, 41)
-        if points == "nudged":
-            xs = _nudged(xs, 7)
+        if points == "off-lattice":
+            _off_lattice(monkeypatch)
         with pytest.raises(NonFiniteSampleError, match=f"operator={spec.kind.value}, n=9") as err:
             apply_on_grid(hole, replace(spec, n=9), xs)
         u = float(re.search(r"u=(\S+) ", str(err.value)).group(1))
@@ -538,12 +553,10 @@ def _exact_sin(spec, x):
         return float(sin_factor(n, spec.params) * value)
 
 
-def _nudged(xs, i):
-    """``xs`` with point i moved up by one ulp: no longer np.linspace, so
-    apply_on_grid samples it directly, not on the trapezoid's lattice."""
-    out = np.array(xs, dtype=float)
-    out[i] = np.nextafter(out[i], np.inf)
-    return out
+def _off_lattice(monkeypatch):
+    """Make ``_rule`` sample every grid directly, off the uniform lattice:
+    no grid's drift from x0 + i h is then small enough for the lattice."""
+    monkeypatch.setattr(operators, "_drift", lambda grid: math.inf)
 
 
 def _estimates(monkeypatch):
@@ -593,18 +606,18 @@ class TestEstimate:
         ALL_SPECS + [replace(s, params=KernelParams(1.0, beta)) for beta in (0.5, 20.0) for s in ALL_SPECS],
         ids=lambda s: s.kind.value if s.params == P11 else f"{s.kind.value}-beta{s.params.beta:g}",
     )
-    def test_uniform_grid_agrees_with_a_nudged_one(self, grid, spec, f, n):
-        """An interior point moved by one ulp makes the grid non-uniform:
-        the estimate for sin gathers its samples off the uniform lattice,
-        and the hinges of |x| (whose constant smooth part takes no
-        rule) see another abscissa, and both agree with the uniform grid at
+    def test_uniform_grid_agrees_with_a_nudged_one(self, monkeypatch, grid, spec, f, n):
+        """An interior point moved by one ulp, sampled off the uniform
+        lattice: the estimate for sin gathers its samples, and the hinges
+        of |x| (whose constant smooth part takes no rule) see another
+        abscissa, and both agree with the uniform grid on the lattice at
         every point."""
         spec = replace(spec, n=n)
         nudged = grid.points.copy()
         nudged[777] = np.nextafter(nudged[777], np.inf)
-        np.testing.assert_allclose(
-            apply_on_grid(f, spec, grid.points), apply_on_grid(f, spec, nudged), rtol=0, atol=1e-12
-        )
+        uniform = apply_on_grid(f, spec, grid.points)
+        _off_lattice(monkeypatch)
+        np.testing.assert_allclose(uniform, apply_on_grid(f, spec, nudged), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [9, 100, 400, 1000])
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind.value)
@@ -641,13 +654,14 @@ class TestEstimate:
         least two halvings run."""
         spec = OperatorSpec(OperatorKind.BASIC, 100, KernelParams(1.0, beta))
         cfg = QuadratureConfig()
-        xs = centre + _nudged(np.linspace(-3.0, 3.0, 401), 200)
+        xs = centre + np.linspace(-3.0, 3.0, 401)
+        _off_lattice(monkeypatch)
         calls = _estimates(monkeypatch)
         apply_on_grid(EST_SIN, spec, xs, cfg)
         [(_, rule, levels)] = calls
         radius = cfg.radius(spec.params, 1.0) + 1.0
         constant = replace(EST_SIN, strip=lambda y: np.ones(np.shape(y)))
-        proven = operators._rule(constant, [spec], xs, radius, None, cfg, cfg.tol)
+        proven = operators._rule(constant, [spec], xs, radius, cfg, cfg.tol)
         assert rule.lattice is None and rule.anchor == rule.step / spec.n
         assert rule.step == proven.step
         assert levels >= 3
@@ -676,8 +690,8 @@ class TestEstimate:
         rules = []
         rule = operators._rule
 
-        def spied_rule(f, specs, grid, radius, drift, cfg, tol):
-            sized = rule(f, specs, grid, radius, drift, cfg, tol)
+        def spied_rule(f, specs, grid, radius, cfg, tol):
+            sized = rule(f, specs, grid, radius, cfg, tol)
             rules.append((f.name, f.strip is not None and sized.bound <= tol))
             return sized
 
@@ -703,7 +717,8 @@ class TestEstimate:
         each (point, node) pair are taken a block at a time, and at n = 9
         every level's nodes at all 2001 points are more terms than one
         block holds."""
-        xs, thin = _nudged(grid.points, 777), _nudged(grid.points[::16], 50)
+        xs, thin = grid.points, grid.points[::16]
+        _off_lattice(monkeypatch)
         expected = apply_on_grid(f, spec, xs)
         thinned = apply_on_grid(f, spec, thin)
         monkeypatch.setattr(operators, "_CHUNK_ROWS", 7)
@@ -732,11 +747,12 @@ class TestEstimate:
         assert len(calls) == 1
         np.testing.assert_allclose(out, 1.0, rtol=0, atol=1e-9)
 
-    def test_determinism(self, estimated_only):
-        """``TestApplyOnGrid.test_determinism`` on the estimate: an
-        unsorted grid with repeated points gives the same bits, point by
-        point."""
-        xs = _nudged(np.linspace(-2, 2, 51), 25)
+    def test_determinism(self, monkeypatch, estimated_only):
+        """``TestApplyOnGrid.test_determinism`` on the estimate off the
+        uniform lattice: an unsorted grid with repeated points gives the
+        same bits, point by point."""
+        xs = np.linspace(-2, 2, 51)
+        _off_lattice(monkeypatch)
         a = apply_on_grid(EST_GAUSS, K32, xs)
         np.testing.assert_array_equal(a, apply_on_grid(EST_GAUSS, K32, xs))
         perm = np.random.default_rng(7).permutation(np.concatenate((np.arange(xs.size), [3, 3, 40])))
@@ -758,7 +774,7 @@ class TestEstimate:
             "from actconv import CATALOG, KernelParams, apply_on_grid, operators\n"
             "from actconv.operators import OperatorSpec\n"
             "xs = np.linspace(-3.0, 3.0, int(sys.argv[1]))\n"
-            "xs[777] = np.nextafter(xs[777], np.inf)\n"
+            "operators._drift = lambda grid: float('inf')  # sampled directly\n"
             "sin = operators.TestFunction.from_callable('sin', np.sin, 1.0)  # no strip majorant\n"
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
             "apply_on_grid(sin, OperatorSpec('kantorovich', 400, KernelParams()), xs)\n"
@@ -772,14 +788,16 @@ class TestEstimate:
 
     def test_output_independent_of_blas_threads(self):
         """No path of the grid engine calls BLAS: the proven and estimated
-        rules and the hinges add their terms in a fixed order, so the
-        OpenBLAS thread count changes no bit."""
+        rules and the hinges add their terms in a fixed order, on the
+        uniform lattice and off it, so the OpenBLAS thread count changes no
+        bit."""
         code = (
             "import hashlib\n"
             "import numpy as np\n"
-            "from actconv import CATALOG, KernelParams, MeasurementGrid, apply_on_grid\n"
+            "from actconv import CATALOG, KernelParams, MeasurementGrid, apply_on_grid, operators\n"
             "from actconv.operators import OperatorSpec, TestFunction\n"
             "xs = MeasurementGrid.uniform().points\n"
+            "drift = operators._drift\n"
             "digest = hashlib.sha256()\n"
             "for fn, kind, n in [('sin', 'basic', 100), ('abs', 'kantorovich', 400), ('sin', 'quadrature', 9),\n"
             "                    ('sin', 'basic', 1000)]:\n"
@@ -788,7 +806,9 @@ class TestEstimate:
             "    # sin without its strip majorant takes the estimate, abs the hinges\n"
             "    f = CATALOG['abs'] if fn == 'abs' else TestFunction.from_callable('sin', np.sin, 1.0)\n"
             "    digest.update(apply_on_grid(f, spec, xs).tobytes())\n"
+            "    operators._drift = lambda grid: float('inf')  # sampled directly\n"
             "    digest.update(apply_on_grid(f, spec, xs[::-1] + 1e-3).tobytes())\n"
+            "    operators._drift = drift\n"
             "print(digest.hexdigest())\n"
         )
         digests = []
@@ -816,11 +836,11 @@ class TestEstimate:
             assert float(np.abs(row - exact).max()) <= 2.0 * QuadratureConfig().tol, spec.kind.value
 
     def test_refused_past_the_node_budget(self, monkeypatch, grid):
-        """A level that would need more than 15 ``MAX_SUBDIVISIONS`` nodes
-        is refused before it is sampled: at q = beta = 1 and n = 32 the
-        first two levels take 109 and 215 nodes, within a budget of 300,
-        and the third, which two agreements need, would take 425."""
-        monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 20)
+        """A level that would need more than ``_NODE_BUDGET`` nodes is
+        refused before it is sampled: at q = beta = 1 and n = 32 the first
+        two levels take 109 and 215 nodes, within a budget of 300, and the
+        third, which two agreements need, would take 425."""
+        monkeypatch.setattr(operators, "_NODE_BUDGET", 300)
         f, calls = _counted_calls(monkeypatch, EST_SIN)
         with pytest.raises(QuadratureNonConvergedError, match=r"needs 2J \+ 1 = 425 kernel nodes, over the budget of 300"):
             apply_on_grid(f, B32, grid.points)
@@ -1115,7 +1135,7 @@ class TestTrapezoidalRule:
         assert float(np.abs(out - exact).max()) <= 2.0 * QuadratureConfig().tol
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind.value)
-    def test_coarse_lattice_keeps_its_step(self, spec):
+    def test_coarse_lattice_keeps_its_step(self, monkeypatch, spec):
         """On np.linspace(-3, 3, 126) at n = 9 (q = beta = 1) the step is
         about 1.55 h n: rounded down to h n (k = p = 1) it took J = 72 nodes
         a side.  The lattice h / 2 keeps tau = 3 h n / 2, within 10% of the
@@ -1124,11 +1144,25 @@ class TestTrapezoidalRule:
         spec, cfg = replace(spec, n=9), QuadratureConfig()
         out, rule = _rule_of(SIN, spec, xs, cfg)
         radius = cfg.radius(spec.params, SIN.sup_norm) + 1.0
-        direct = operators._rule(SIN, [spec], xs, radius, None, cfg, cfg.tol)
+        _off_lattice(monkeypatch)
+        direct = operators._rule(SIN, [spec], xs, radius, cfg, cfg.tol)
         assert rule.lattice is not None and rule.lattice[2:] == (3, 2) and rule.half == 48
         assert abs(rule.step - direct.step) <= 0.1 * direct.step
         wave = multiplier(spec) * np.exp(1j * xs)
         assert float(np.abs(out - wave.imag).max()) <= rule.bound <= cfg.allowance(float(np.abs(out).max()))
+
+    def test_uniform_grid_not_built_by_linspace_takes_the_lattice(self):
+        """1.7 + 0.007 i is uniform, but not np.linspace bit for bit: its
+        drift from x0 + i h times the slope bound is far below tol / 10, so
+        basic sin at n = 16 takes the lattice, within its proven bound of
+        the multiplier's value at every point."""
+        xs = 1.7 + 0.007 * np.arange(1001)
+        assert not np.array_equal(xs, np.linspace(xs[0], xs[-1], xs.size))
+        spec = OperatorSpec(OperatorKind.BASIC, 16, P11)
+        out, rule = _rule_of(SIN, spec, xs)
+        assert rule.lattice is not None
+        wave = multiplier(spec) * np.exp(1j * xs)
+        assert float(np.abs(out - wave.imag).max()) <= rule.bound
 
     @pytest.mark.parametrize(
         "beta, tol, match",
@@ -1865,6 +1899,20 @@ class TestIterate:
         majorant = float(operators._stage(SIN, spec, QuadratureConfig()).strip(np.array(y)))
         assert majorant == pytest.approx(1.0 / math.cos(0.5 * spec.params.beta * spec.n * y) ** 2, rel=1e-14)
         assert abs(multiplier(spec)) * math.cosh(y) <= majorant
+
+    def test_narrow_stage_strip_takes_the_lattice(self):
+        """At (q, beta) = (1, 20) and n = 32 a stage's strip is inf beyond
+        pi / (beta n) = 0.0049, below the smallest disc radius 0.01, so
+        Cauchy's estimate bounds no slope; n sup |g| 2 g_max does, and the
+        stage sized on np.linspace(-3, 3, 601) takes the lattice, within
+        two rules' tol of B B sin."""
+        spec, cfg = OperatorSpec(OperatorKind.BASIC, 32, KernelParams(1.0, 20.0)), QuadratureConfig()
+        stage = operators._stage(SIN, spec, cfg)
+        xs = np.linspace(-3.0, 3.0, 601)
+        radius = cfg.radius(spec.params, stage.sup_norm) + 1.0
+        assert operators._rule(stage, [spec], xs, radius, cfg, cfg.tol).lattice is not None
+        exact = (multiplier(spec) ** 2 * np.exp(1j * xs)).imag
+        assert float(np.abs(apply_on_grid(stage, spec, xs, cfg) - exact).max()) <= 2.0 * cfg.tol
 
 
 class TestComposeMixed:
