@@ -29,7 +29,6 @@ from .bounds import (
     taylor_bound,
 )
 from .errors import (
-    FlaggedApproximantError,
     HypothesisNotMetError,
     NonFiniteSampleError,
     QuadratureNonConvergedError,

@@ -42,7 +42,7 @@ from .analysis import (
     fit_rate,
     run_convergence_sweep,
 )
-from .errors import FlaggedApproximantError, HypothesisNotMetError, NonFiniteSampleError, QuadratureNonConvergedError
+from .errors import HypothesisNotMetError, NonFiniteSampleError, QuadratureNonConvergedError
 from .kernel import KernelParams
 from .operators import (
     RESIDUAL_CEILING, OperatorKind, OperatorSpec, apply_on_grid, compose_mixed, iterate as iterate_operator,
@@ -567,9 +567,6 @@ def taylor(ctx, **kw):
         if len(f.derivatives) < order:
             click.echo(f"{f.name}: skipped (needs {order} analytic derivatives, has {len(f.derivatives)})")
             continue
-        if f.derivative(order).modulus is None:
-            click.echo(f"{f.name}: skipped (no closed-form modulus for derivative {order})")
-            continue
         for kind, records in _sweep(f, kinds, kw, params, grid, cfg, order):
             offenders += _offences(records)
             for rec in records:
@@ -669,7 +666,7 @@ def iterate(ctx, **kw):
                     r = kw["iterations"]
                     spec = OperatorSpec(kind=OperatorKind(kind), n=n, params=params, alpha=kw["alpha"], weights=weights)
                     approx = iterate_operator(f, spec, r, domain, cfg=cfg)
-            except (FlaggedApproximantError, QuadratureNonConvergedError, NonFiniteSampleError) as exc:
+            except (QuadratureNonConvergedError, NonFiniteSampleError) as exc:
                 raise click.ClickException(f"{f.name}/{kind}: {exc}")
             measured = float(np.abs(approx(grid.points) - f.eval(grid.points)).max())
             # one CSV row and one summary record: columns in CSV order

@@ -10,8 +10,6 @@ class NonFiniteSampleError(ValueError):
 
 
 class QuadratureNonConvergedError(RuntimeError):
-    """An adaptive integration ran out of subdivisions before meeting tolerance."""
-
-
-class FlaggedApproximantError(RuntimeError):
-    """The interpolated last stage of an iterate or chain failed residual validation."""
+    """A numerical rule cannot meet its tolerance: an adaptive integration ran
+    out of subdivisions, a grid call no step can serve was refused before
+    sampling, or an approximant's residual exceeds its ceiling."""

@@ -62,6 +62,8 @@ samples the operator on the 2N - 1 Chebyshev extrema of the domain: the
 even ones are the N interpolation nodes, the odd ones (theta-midpoints)
 give the residual.  From N = 17, while the residual exceeds the allowance,
 only the new midpoints are sampled, so every extremum is sampled once.
+A residual still above ``RESIDUAL_CEILING`` at N = 1025 is refused with
+``QuadratureNonConvergedError``, like a call no rule can serve.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import kernel, quadrature
-from .errors import FlaggedApproximantError, NonFiniteSampleError, QuadratureNonConvergedError
+from .errors import NonFiniteSampleError, QuadratureNonConvergedError
 from .kernel import KernelParams
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_interval
 
@@ -98,7 +100,7 @@ __all__ = [
 
 # how far quadrature weights may sum from 1
 _WEIGHT_TOL = 1e-12
-#: the largest interpolation residual of an approximant that is not flagged
+#: the largest interpolation residual of an approximant; above it the build is refused
 RESIDUAL_CEILING = 1e-6
 # the node counts of an approximant's first and last rounds
 _FIRST_NODES = 17
@@ -900,7 +902,6 @@ class GridApproximant:
     domain: tuple[float, float]
     values: np.ndarray
     residual: float = math.nan
-    flagged: bool = False
     extrapolated: bool = field(default=False, compare=False)
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
     _bary_weights: np.ndarray = field(init=False, repr=False, compare=False)
@@ -965,8 +966,9 @@ def make_grid_approximant(
     min(``cfg.allowance(max |values|)``, ``RESIDUAL_CEILING``) and N is
     below 1025, the 2N - 1 sampled extrema become the nodes and one
     ``apply_on_grid`` call samples the 2N - 2 new midpoints.  The
-    approximant is flagged when the residual still exceeds
-    ``RESIDUAL_CEILING``.  It is the last stage of a chain (``_chain``)."""
+    call raises ``QuadratureNonConvergedError`` when the residual still
+    exceeds ``RESIDUAL_CEILING``.  It is the last stage of a chain
+    (``compose_mixed``)."""
     a, b = float(domain[0]), float(domain[1])
     if not b > a:
         raise ValueError(f"domain must satisfy b > a, got {domain!r}")
@@ -983,7 +985,11 @@ def make_grid_approximant(
         sampled, values = values, np.empty(fine.size)
         values[::2] = sampled
         values[1::2] = apply_on_grid(f, spec, fine[1::2], cfg)
-    approx.flagged = approx.residual > RESIDUAL_CEILING
+    if approx.residual > RESIDUAL_CEILING:
+        raise QuadratureNonConvergedError(
+            f"approximant residual {approx.residual:.3e} exceeds ceiling {RESIDUAL_CEILING:.3e} "
+            f"(operator={spec.kind.value}, n={spec.n})"
+        )
     return approx
 
 
@@ -1001,26 +1007,6 @@ def _stage(g: TestFunction, spec: OperatorSpec, cfg: QuadratureConfig) -> TestFu
     return TestFunction.from_callable(f"{g.name}.stage", lambda u: apply_on_grid(g, spec, u, cfg), size, strip=strip)
 
 
-def _chain(f: TestFunction, specs: Sequence[OperatorSpec], domain: tuple[float, float],
-           cfg: QuadratureConfig | None) -> GridApproximant:
-    """Apply the ascending ``specs`` in order: stages 1 to r - 1 as
-    ``_stage``, whose strip the next stage's ``_strip`` reads only below
-    pi / (beta n_next) <= pi / (beta n), and stage r interpolated on
-    ``domain``, with ``FlaggedApproximantError`` if its residual exceeds
-    ``RESIDUAL_CEILING``.  A chain's error is at most the sum of its stage
-    bounds plus the final residual, since each bound carries through the
-    later stages' unit-mass sums."""
-    cfg = cfg or DEFAULT_CONFIG
-    current = f
-    for spec in specs[:-1]:
-        current = _stage(current, spec, cfg)
-    approx = make_grid_approximant(current, specs[-1], domain, cfg)
-    if approx.flagged:
-        raise FlaggedApproximantError(f"stage {len(specs)} (n={specs[-1].n}) approximant residual "
-                                      f"{approx.residual:.3e} exceeds ceiling {RESIDUAL_CEILING:.3e}")
-    return approx
-
-
 def iterate(
     f: TestFunction,
     spec: OperatorSpec,
@@ -1028,11 +1014,11 @@ def iterate(
     domain: tuple[float, float],
     cfg: QuadratureConfig | None = None,
 ) -> GridApproximant:
-    """The r-fold self-composition of the operator: the chain of r equal
-    resolutions (see ``compose_mixed``)."""
+    """The r-fold self-composition of the operator: ``compose_mixed`` at r
+    equal resolutions."""
     if not (isinstance(r, (int, np.integer)) and r >= 1):
         raise ValueError(f"r must be a positive integer, got {r!r}")
-    return _chain(f, [spec] * int(r), domain, cfg)
+    return compose_mixed(f, spec.kind, [spec.n] * int(r), spec.params, domain, spec.weights, cfg)
 
 
 def compose_mixed(
@@ -1045,13 +1031,20 @@ def compose_mixed(
     cfg: QuadratureConfig | None = None,
 ) -> GridApproximant:
     """Chain the operator at ascending resolutions k_1 <= ... <= k_r,
-    applying the coarsest first; only the last stage is interpolated, and
-    it must meet ``RESIDUAL_CEILING``, else ``FlaggedApproximantError``
-    (see ``_chain``)."""
+    applying the coarsest first: stages 1 to r - 1 as ``_stage``, whose
+    strip the next stage's rule reads only below pi / (beta k_next) <=
+    pi / (beta k), and stage r as ``make_grid_approximant`` on ``domain``,
+    which raises ``QuadratureNonConvergedError`` if its residual exceeds
+    ``RESIDUAL_CEILING``.  A chain's error is at most the sum of its stage
+    bounds plus the final residual, since each bound carries through the
+    later stages' unit-mass sums."""
     ns = [int(v) for v in ns]
     if not ns:
         raise ValueError("ns must be a nonempty ascending list")
     if any(b < a for a, b in zip(ns, ns[1:])):
         raise ValueError(f"ns must be ascending (ties allowed), got {ns}")
+    cfg = cfg or DEFAULT_CONFIG
     specs = [OperatorSpec(kind=OperatorKind(kind), n=n, params=params, weights=weights) for n in ns]
-    return _chain(f, specs, domain, cfg)
+    for spec in specs[:-1]:
+        f = _stage(f, spec, cfg)
+    return make_grid_approximant(f, specs[-1], domain, cfg)

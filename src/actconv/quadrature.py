@@ -237,7 +237,7 @@ def integrate_interval(f, a: float, b: float, cfg: QuadratureConfig | None = Non
     when no break lies inside); otherwise it is bisected.  Exhausting
     ``MAX_SUBDIVISIONS`` splits, or a panel whose error estimate is not
     finite (bisection cannot repair a NaN or infinite sample), returns the
-    accumulated result flagged non-converged; the caller decides how to
+    accumulated result marked non-converged; the caller decides how to
     proceed.
     """
     cfg = cfg or DEFAULT_CONFIG

@@ -526,17 +526,18 @@ class TestIterate:
         payload = json.loads((tmp_path / "iterate_summary.json").read_text())
         assert len(payload["results"]) == 9 and all(r["satisfied"] for r in payload["results"])
 
-    def test_flagged_stage_is_a_click_error(self, runner, tmp_path, monkeypatch):
+    def test_residual_over_ceiling_is_a_click_error(self, runner, tmp_path, monkeypatch):
         monkeypatch.setattr(operators, "RESIDUAL_CEILING", 1e-18)
         result = runner.invoke(main, ["iterate", "--grid-points", "101", "--out", str(tmp_path)])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
-        assert "sin/basic: stage 3 (n=32)" in result.output
+        assert "Error: sin/basic: approximant residual " in result.output
+        assert "exceeds ceiling 1.000e-18 (operator=basic, n=32)" in result.output
 
     @pytest.mark.parametrize("failure", ["quadrature", "nan-sample"])
     def test_build_failure_is_a_click_error(self, runner, tmp_path, monkeypatch, failure):
-        """Quadrature failures while a chain is built end like a flagged
-        stage: one error line naming f/kind, exit 1."""
+        """Quadrature failures while a chain is built end like a residual
+        over the ceiling: one error line naming f/kind, exit 1."""
         args = ["iterate", "--grid-points", "101", "--out", str(tmp_path)]
         if failure == "quadrature":
             args += ["--quad-tol", "1e-17"]

@@ -22,7 +22,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from actconv import (
-    FlaggedApproximantError,
     KernelParams,
     NonFiniteSampleError,
     QuadratureConfig,
@@ -1751,7 +1750,6 @@ class TestGridApproximant:
     def test_constant_zero_residual(self):
         approx = make_grid_approximant(ONE, B32, (-3, 3))
         assert approx.residual < 1e-10
-        assert not approx.flagged
 
     def test_identity_residual(self):
         approx = make_grid_approximant(ID, B32, (-3, 3))
@@ -1857,6 +1855,16 @@ class TestIterate:
         xs = np.linspace(-3, 3, 101)
         np.testing.assert_allclose(approx(xs), 1.0, atol=1e-9)
 
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind.value)
+    @pytest.mark.parametrize("f", [SIN, ABS], ids=lambda f: f.name)
+    def test_is_compose_mixed_at_equal_resolutions(self, f, spec):
+        """The r-fold iterate has the bits of the chain of r equal resolutions."""
+        approx = iterate(f, spec, 3, (-3, 3))
+        chain = compose_mixed(f, spec.kind, [spec.n] * 3, spec.params, (-3, 3), spec.weights)
+        xs = np.linspace(-3, 3, 101)
+        np.testing.assert_array_equal(approx.values, chain.values)
+        np.testing.assert_array_equal(approx(xs), chain(xs))
+
     def test_identity_fixed_point(self):
         approx = iterate(ID, B32, 3, (-3, 3))
         xs = np.linspace(-3, 3, 101)
@@ -1875,11 +1883,12 @@ class TestIterate:
         e3 = np.abs(iterate(SIN, B32, 3, (-3, 3))(xs) - np.sin(xs)).max()
         assert e3 <= 3 * e1 + 3e-6
 
-    def test_flagged_stage_aborts(self, monkeypatch):
+    def test_residual_over_ceiling_aborts(self, monkeypatch):
         """Only the last stage is interpolated, so it is the stage that a
-        residual over the ceiling flags."""
+        residual over the ceiling refuses."""
         monkeypatch.setattr(operators, "RESIDUAL_CEILING", 1e-18)
-        with pytest.raises(FlaggedApproximantError, match=r"stage 2 \(n=32\)"):
+        with pytest.raises(QuadratureNonConvergedError,
+                           match=r"approximant residual .* exceeds ceiling 1\.000e-18 \(operator=basic, n=32\)"):
             iterate(SIN, B32, 2, (-3, 3))
 
     def test_r_validation(self):
@@ -1936,10 +1945,11 @@ class TestComposeMixed:
         compose_mixed(ONE, "basic", [9, 9], P11, (-1, 1))
 
     @pytest.mark.parametrize("ns", [[32], [9, 16]], ids=["single", "two-stage"])
-    def test_flagged_stage_aborts(self, monkeypatch, ns):
-        """The last stage, the only one interpolated, is flagged."""
+    def test_residual_over_ceiling_aborts(self, monkeypatch, ns):
+        """The last stage, the only one interpolated, is refused."""
         monkeypatch.setattr(operators, "RESIDUAL_CEILING", 1e-18)
-        with pytest.raises(FlaggedApproximantError, match=rf"stage {len(ns)} \(n={ns[-1]}\)"):
+        with pytest.raises(QuadratureNonConvergedError,
+                           match=rf"approximant residual .* exceeds ceiling 1\.000e-18 \(operator=basic, n={ns[-1]}\)"):
             compose_mixed(SIN, "basic", ns, P11, (-3, 3))
 
     def test_chain_error_below_sum_of_bounds(self):
