@@ -19,8 +19,6 @@ from .analysis import (
     sup_error,
 )
 from .bounds import (
-    BoundKind,
-    BoundReport,
     central_moment_bound,
     iterated_bound,
     jackson_bound,

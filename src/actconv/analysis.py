@@ -228,11 +228,10 @@ def _record(f: TestFunction, fN: TestFunction, spec: OperatorSpec, values: np.nd
         if hypothesis_met and fN.modulus is not None:
             omega = float(fN.modulus(bounds_mod.omega_argument(kind, n, alpha)))
             if order:
-                report = bounds_mod.taylor_bound(kind, omega, params, n, alpha, order, fN.sup_norm)
+                bound_value = bounds_mod.taylor_bound(kind, omega, params, n, alpha, order, fN.sup_norm)
             else:
-                report = bounds_mod.jackson_bound(kind, omega, params, n, alpha, fN.sup_norm)
-            bound_value = report.value
-            bound_kind = report.kind.value
+                bound_value = bounds_mod.jackson_bound(omega, params, n, alpha, fN.sup_norm)
+            bound_kind = f"{'taylor' if order else 'jackson'}-{kind.value}"
             satisfied = measured <= bound_value
     except Exception as exc:  # keep sweeping; the record carries the failure
         note = f"{type(exc).__name__}: {exc}"

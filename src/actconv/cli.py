@@ -649,14 +649,8 @@ def iterate(ctx, **kw):
         for kind, weights in kinds:
 
             def _jackson(n: int):
-                return bounds_mod.jackson_bound(
-                    kind,
-                    f.modulus(bounds_mod.omega_argument(kind, n, kw["alpha"])),
-                    params,
-                    n,
-                    kw["alpha"],
-                    f.sup_norm,
-                )
+                omega = f.modulus(bounds_mod.omega_argument(kind, n, kw["alpha"]))
+                return bounds_mod.jackson_bound(omega, params, n, kw["alpha"], f.sup_norm)
 
             try:
                 if chain:
@@ -671,26 +665,27 @@ def iterate(ctx, **kw):
             measured = float(np.abs(approx(grid.points) - f.eval(grid.points)).max())
             # one CSV row and one summary record: columns in CSV order
             if chain:
-                bound = bounds_mod.mixed_iterated_bound(kind, [_jackson(n) for n in chain])
+                steps = [_jackson(n) for n in chain]
+                bound = bounds_mod.mixed_iterated_bound(steps)
+                coarse = bounds_mod.iterated_bound(steps[0], len(chain))
                 tag = [f"chain={list(chain)}"]
-                fields = {"chain": list(chain), "measured": measured, "sum_bound": bound.value,
-                          "coarse_bound": bound.inputs["coarse"]}
-                detail = f"sum_bound={bound.value:.6e} coarse={bound.inputs['coarse']:.6e}"
+                fields = {"chain": list(chain), "measured": measured, "sum_bound": bound, "coarse_bound": coarse}
+                detail = f"sum_bound={bound:.6e} coarse={coarse:.6e}"
             else:
                 single = _jackson(n)
-                bound = bounds_mod.iterated_bound(kind, single, r)
+                bound = bounds_mod.iterated_bound(single, r)
                 tag = [f"n={n}", f"r={r}"]
-                fields = {"r": r, "n": n, "measured": measured, "single_step_bound": single.value,
-                          "iterated_bound": bound.value}
-                detail = f"single_bound={single.value:.6e} iterated_bound={bound.value:.6e}"
-            satisfied = measured <= bound.value + slack
+                fields = {"r": r, "n": n, "measured": measured, "single_step_bound": single,
+                          "iterated_bound": bound}
+                detail = f"single_bound={single:.6e} iterated_bound={bound:.6e}"
+            satisfied = measured <= bound + slack
             fields.update(slack=slack, satisfied=satisfied)
             click.echo(
                 f"{f.name:>6s} {kind:<12s} {' '.join(tag)} measured={measured:.6e} {detail} "
                 f"slack={slack:.1e} {str(satisfied).lower()}"
             )
             if not satisfied:
-                offenders.append(f"{f.name}/{kind}/{'/'.join(tag)}: {measured!r} > {bound.value!r} + slack")
+                offenders.append(f"{f.name}/{kind}/{'/'.join(tag)}: {measured!r} > {bound!r} + slack")
             tables.append(_Table(f"iterate_{f.name}_{kind}", list(fields), [[_cell(v) for v in fields.values()]]))
             results.append({"function": f.name, "kind": kind, **fields})
 

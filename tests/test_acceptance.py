@@ -201,8 +201,8 @@ def test_criterion_08_taylor_residuals():
                     deriv.sup_norm,
                 )
                 residual = float(np.abs(values - fx - correction).max())
-                ok &= residual <= bound.value
-                worst_ratio = max(worst_ratio, residual / bound.value)
+                ok &= residual <= bound
+                worst_ratio = max(worst_ratio, residual / bound)
     spec_b = OperatorSpec(OperatorKind.BASIC, 16, P11)
     worst_odd = max(abs(central_moment(spec_b, 0.0, k)) for k in (1, 3, 5))
     ok &= worst_odd < 1e-12
@@ -224,16 +224,16 @@ def test_criterion_09_iterated_bounds():
     chain = compose_mixed(f, "basic", [9, 16, 25], P11, GRID.domain)
     measured_chain = float(np.abs(chain(xs) - np.sin(xs)).max())
     per_step = [
-        jackson_bound("basic", f.modulus(omega_argument("basic", k, 0.5)), P11, k, 0.5, 1.0)
+        jackson_bound(f.modulus(omega_argument("basic", k, 0.5)), P11, k, 0.5, 1.0)
         for k in (9, 16, 25)
     ]
-    total = mixed_iterated_bound("basic", per_step)
-    ok &= measured_chain <= total.value + 3.0 * ceiling
+    total = mixed_iterated_bound(per_step)
+    ok &= measured_chain <= total + 3.0 * ceiling
     _report(
         9,
         ok,
         f"|B^3 f - f| = {measured3:.3e} vs 3|Bf - f| = {3 * single:.3e}; "
-        f"chain error {measured_chain:.3e} vs sum bound {total.value:.3e}",
+        f"chain error {measured_chain:.3e} vs sum bound {total:.3e}",
     )
 
 

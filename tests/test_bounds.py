@@ -3,10 +3,10 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from actconv import (
-    BoundKind,
     HypothesisNotMetError,
     KernelParams,
     central_moment_bound,
@@ -34,23 +34,23 @@ class TestOmegaArgument:
 
 class TestJacksonBound:
     def test_zero_function(self):
-        report = jackson_bound("basic", 0.0, P11, 16, 0.5, 0.0)
-        assert report.value == 0.0
+        assert jackson_bound(0.0, P11, 16, 0.5, 0.0) == 0.0
 
     def test_frozen_spot(self):
         # 0.25 + 4 / e^3, 50-digit oracle
-        report = jackson_bound("basic", 0.25, P11, 16, 0.5, 1.0)
-        assert report.value == pytest.approx(0.44914827347145577, abs=1e-15)
-        assert report.kind is BoundKind.JACKSON_BASIC
-        assert report.inputs["hypothesis_met"]
+        assert jackson_bound(0.25, P11, 16, 0.5, 1.0) == pytest.approx(0.44914827347145577, abs=1e-15)
 
     def test_hypothesis_violation(self):
         with pytest.raises(HypothesisNotMetError):
-            jackson_bound("basic", 0.25, P11, 4, 0.5, 1.0)
+            jackson_bound(0.25, P11, 4, 0.5, 1.0)
 
     def test_negative_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            jackson_bound("basic", -0.1, P11, 16, 0.5, 1.0)
+        # the hypothesis is checked first, then each input, NaN included
+        with pytest.raises(HypothesisNotMetError):
+            jackson_bound(math.nan, P11, 4, 0.5, 1.0)
+        for omega_at, sup_norm in [(-0.1, 1.0), (0.25, -1.0), (math.nan, 1.0), (0.25, math.nan)]:
+            with pytest.raises(ValueError, match="must be nonnegative"):
+                jackson_bound(omega_at, P11, 16, 0.5, sup_norm)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_non_increasing_in_n(self, kind):
@@ -58,7 +58,7 @@ class TestJacksonBound:
 
         f = CATALOG["sin"]
         values = [
-            jackson_bound(kind, f.modulus(omega_argument(kind, n, 0.5)), P11, n, 0.5, 1.0).value
+            jackson_bound(f.modulus(omega_argument(kind, n, 0.5)), P11, n, 0.5, 1.0)
             for n in (9, 16, 25, 36, 49)
         ]
         assert all(b < a for a, b in zip(values, values[1:]))
@@ -73,7 +73,7 @@ class TestJacksonBound:
 
         f = CATALOG[fname]
         values = [
-            jackson_bound(kind, f.modulus(omega_argument(kind, n, 0.5)), P11, n, 0.5, f.sup_norm).value
+            jackson_bound(f.modulus(omega_argument(kind, n, 0.5)), P11, n, 0.5, f.sup_norm)
             for n in (9, 16, 25, 36, 49)
         ]
         assert all(b < a for a, b in zip(values, values[1:]))
@@ -101,23 +101,23 @@ class TestCentralMomentBound:
 class TestTaylorBound:
     def test_zero_inputs(self):
         for kind in KINDS:
-            assert taylor_bound(kind, 0.0, P11, 16, 0.5, 2, 0.0).value == 0.0
+            assert taylor_bound(kind, 0.0, P11, 16, 0.5, 2, 0.0) == 0.0
 
     def test_basic_structure(self):
         # the two terms recomputed independently must reassemble the value
         n, alpha, N = 16, 0.5, 2
         omega_N, sup = 0.25, 1.0
-        report = taylor_bound("basic", omega_N, P11, n, alpha, N, sup)
+        bound = taylor_bound("basic", omega_N, P11, n, alpha, N, sup)
         first = omega_N / (n ** (alpha * N) * math.factorial(N))
         second = (
             2.0 ** (N + 2) * sup * math.e * 2.0 / (n**N * 1.0) * math.exp(-(n ** (1 - alpha)) / 2.0)
         )
-        assert report.value == pytest.approx(first + second, rel=1e-15)
+        assert bound == pytest.approx(first + second, rel=1e-15)
 
     def test_averaging_structure(self):
         n, alpha, N = 16, 0.5, 2
         omega_N, sup = 0.25, 1.0
-        report = taylor_bound("kantorovich", omega_N, P11, n, alpha, N, sup)
+        bound = taylor_bound("kantorovich", omega_N, P11, n, alpha, N, sup)
         arg = 1.0 / n + 1.0 / n**alpha
         first = omega_N * arg**N / math.factorial(N)
         second = (
@@ -127,15 +127,24 @@ class TestTaylorBound:
             * math.exp(-(n ** (1 - alpha)) / 2.0)
             * (1.0 + 2.0 ** (N + 1) * math.factorial(N))
         )
-        assert report.value == pytest.approx(first + second, rel=1e-15)
+        assert bound == pytest.approx(first + second, rel=1e-15)
         same = taylor_bound("quadrature", omega_N, P11, n, alpha, N, sup)
-        assert same.value == report.value
+        assert same == bound
 
     def test_hypothesis_and_order_validation(self):
         with pytest.raises(HypothesisNotMetError):
             taylor_bound("basic", 0.1, P11, 4, 0.5, 1, 1.0)
-        with pytest.raises(ValueError):
-            taylor_bound("basic", 0.1, P11, 16, 0.5, 0, 1.0)
+        with pytest.raises(HypothesisNotMetError):
+            taylor_bound("basic", math.nan, P11, 4, 0.5, 1, 1.0)
+        for N in (0, -1, 1.0, 2.0):
+            with pytest.raises(ValueError, match="N must be a positive integer"):
+                taylor_bound("basic", 0.1, P11, 16, 0.5, N, 1.0)
+        for omega_N, sup_norm_fN in [(-0.1, 1.0), (0.1, -1.0), (math.nan, 1.0), (0.1, math.nan)]:
+            with pytest.raises(ValueError, match="must be nonnegative"):
+                taylor_bound("basic", omega_N, P11, 16, 0.5, 1, sup_norm_fN)
+        for kind in KINDS:
+            numpy_N = taylor_bound(kind, 0.1, P11, 16, 0.5, np.int64(2), 1.0)
+            assert numpy_N == taylor_bound(kind, 0.1, P11, 16, 0.5, 2, 1.0)
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("N", [1, 2])
@@ -147,7 +156,7 @@ class TestTaylorBound:
         values = [
             taylor_bound(
                 kind, deriv.modulus(omega_argument(kind, n, 0.5)), P11, n, 0.5, N, deriv.sup_norm
-            ).value
+            )
             for n in (9, 16, 25, 36, 49)
         ]
         assert all(b < a for a, b in zip(values, values[1:]))
@@ -179,9 +188,9 @@ class TestExtremeTails:
         params = KernelParams(q, beta)
         got = [
             tail_mass_bound(params, n, 0.5),
-            jackson_bound("basic", 0.0, params, n, 0.5, 1.0).value,
-            taylor_bound("basic", 0.0, params, n, 0.5, N, 1.0).value,
-            taylor_bound("kantorovich", 0.0, params, n, 0.5, N, 1.0).value,
+            jackson_bound(0.0, params, n, 0.5, 1.0),
+            taylor_bound("basic", 0.0, params, n, 0.5, N, 1.0),
+            taylor_bound("kantorovich", 0.0, params, n, 0.5, N, 1.0),
         ]
         for value, exact in zip(got, _tails(q, beta, n, N)):
             assert math.isfinite(value)
@@ -192,38 +201,39 @@ class TestExtremeTails:
 
 class TestIteratedBounds:
     def test_single_identity(self):
-        single = jackson_bound("basic", 0.25, P11, 16, 0.5, 1.0)
-        assert iterated_bound("basic", single, 1).value == single.value
+        single = jackson_bound(0.25, P11, 16, 0.5, 1.0)
+        assert iterated_bound(single, 1) == single
 
     def test_triple_frozen(self):
-        single = jackson_bound("basic", 0.25, P11, 16, 0.5, 1.0)
-        assert iterated_bound("basic", single, 3).value == pytest.approx(
+        single = jackson_bound(0.25, P11, 16, 0.5, 1.0)
+        assert iterated_bound(single, 3) == pytest.approx(
             1.3474448204143673, abs=1e-14
         )
 
     def test_r_validation(self):
-        single = jackson_bound("basic", 0.25, P11, 16, 0.5, 1.0)
-        with pytest.raises(ValueError):
-            iterated_bound("basic", single, 0)
+        single = jackson_bound(0.25, P11, 16, 0.5, 1.0)
+        for r in (0, -1, 3.0):
+            with pytest.raises(ValueError, match="r must be a positive integer"):
+                iterated_bound(single, r)
+        assert iterated_bound(single, np.int64(3)) == iterated_bound(single, 3)
+        assert type(iterated_bound(single, np.int64(3))) is float
 
     def test_mixed_single_element(self):
-        single = jackson_bound("basic", 0.25, P11, 16, 0.5, 1.0)
-        mixed = mixed_iterated_bound("basic", [single])
-        assert mixed.value == single.value
-        assert mixed.inputs["coarse"] == single.value
+        single = jackson_bound(0.25, P11, 16, 0.5, 1.0)
+        assert mixed_iterated_bound([single]) == single
 
     def test_mixed_sum_below_coarse(self):
         from actconv.analysis import CATALOG
 
         f = CATALOG["sin"]
         steps = [
-            jackson_bound("basic", f.modulus(omega_argument("basic", n, 0.5)), P11, n, 0.5, 1.0)
+            jackson_bound(f.modulus(omega_argument("basic", n, 0.5)), P11, n, 0.5, 1.0)
             for n in (9, 16, 25)
         ]
-        mixed = mixed_iterated_bound("basic", steps)
-        assert mixed.value == pytest.approx(math.fsum(s.value for s in steps), abs=0)
-        assert mixed.value <= mixed.inputs["coarse"]
+        mixed = mixed_iterated_bound(steps)
+        assert mixed == math.fsum(steps)
+        assert mixed <= iterated_bound(steps[0], len(steps))
 
     def test_mixed_empty_rejected(self):
         with pytest.raises(ValueError):
-            mixed_iterated_bound("basic", [])
+            mixed_iterated_bound([])

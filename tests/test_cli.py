@@ -13,7 +13,7 @@ from click.testing import CliRunner
 
 import numpy as np
 
-from actconv import KernelParams, TestFunction, cli, operators, quadrature
+from actconv import KernelParams, TestFunction, bounds, cli, operators, quadrature
 from actconv.analysis import CATALOG
 from actconv.cli import _g_slope, main
 
@@ -249,6 +249,17 @@ class TestApprox:
         assert record["sup_error"] is None and payload["results"][0]["rate_final"] is None
         assert record["note"].startswith("QuadratureNonConvergedError")
 
+    def test_violation_names_the_bound(self, runner, tmp_path, monkeypatch):
+        """The bound is named from the verb and the operator kind."""
+        monkeypatch.setattr(bounds, "jackson_bound", lambda *args: 0.0)
+        result = runner.invoke(
+            main,
+            ["approx", "--kind", "basic", "--n", "16", "--grid-points", "101", "--out", str(tmp_path)],
+        )
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert "BOUND VIOLATION: sin/basic/n=16: measured " in result.output
+        assert "exceeds jackson-basic bound 0.0" in result.output
+
     def test_empty_ns_is_config_error(self, runner, tmp_path, monkeypatch):
         # config file supplies an empty n list; flags are absent
         cfg = tmp_path / "empty.cfg"
@@ -470,6 +481,12 @@ class TestTaylor:
         assert (n, bound, satisfied) == ("4", "nan", "skipped") and 0.0 < float(residual) < 1.0
         record = _strict_json(tmp_path / "taylor_summary.json")["results"][0]["records"][0]
         assert (record["bound"], record["satisfied"], record["note"]) == (None, None, "")
+
+    @pytest.mark.xfail(strict=True, reason="the Taylor bound of a polynomial is 0.0, below the engine's residual")
+    @pytest.mark.parametrize("fn", ["one", "id"])
+    def test_polynomial_passes(self, runner, tmp_path, fn):
+        result = runner.invoke(main, ["taylor", "--fn", fn, "--kind", "basic", "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
 
     def test_order_zero_is_config_error(self, runner):
         result = _run(runner, ["taylor", "--taylor-order", "0"])

@@ -269,8 +269,8 @@ class TestPointEvaluation:
         # B_32(sin)(0) must sit within the first-order bound of sin(0) = 0
         from actconv import jackson_bound, omega_argument
 
-        bound = jackson_bound("basic", SIN.modulus(omega_argument("basic", 32, 0.5)), P11, 32, 0.5, 1.0)
-        assert abs(apply_basic(SIN, B32, 0.0)) <= bound.value
+        bound = jackson_bound(SIN.modulus(omega_argument("basic", 32, 0.5)), P11, 32, 0.5, 1.0)
+        assert abs(apply_basic(SIN, B32, 0.0)) <= bound
 
     def test_non_convergence_propagates_context(self, monkeypatch):
         monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 1)
@@ -1953,18 +1953,18 @@ class TestComposeMixed:
             compose_mixed(SIN, "basic", ns, P11, (-3, 3))
 
     def test_chain_error_below_sum_of_bounds(self):
-        from actconv import jackson_bound, mixed_iterated_bound, omega_argument
+        from actconv import iterated_bound, jackson_bound, mixed_iterated_bound, omega_argument
 
         chain = compose_mixed(SIN, "basic", [9, 16, 25], P11, (-3, 3))
         xs = np.linspace(-3, 3, 801)
         measured = np.abs(chain(xs) - np.sin(xs)).max()
         per_step = [
-            jackson_bound("basic", SIN.modulus(omega_argument("basic", k, 0.5)), P11, k, 0.5, 1.0)
+            jackson_bound(SIN.modulus(omega_argument("basic", k, 0.5)), P11, k, 0.5, 1.0)
             for k in (9, 16, 25)
         ]
-        total = mixed_iterated_bound("basic", per_step)
-        assert measured <= total.value + 3e-6
-        assert total.value <= total.inputs["coarse"]
+        total = mixed_iterated_bound(per_step)
+        assert measured <= total + 3e-6
+        assert total <= iterated_bound(per_step[0], len(per_step))
 
 
 def multiplier(spec):
